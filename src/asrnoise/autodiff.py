@@ -4,6 +4,14 @@ Only what the sequence model needs: elementwise arithmetic with broadcasting,
 matrix products, reductions, row gathers, slicing, concatenation and the
 composed softmax / layer-norm / GELU helpers.  Gradients accumulate into
 ``Tensor.grad`` after calling :func:`backward` on a scalar result.
+
+Every op returns a tensor that holds its parents and a closure mapping its
+output gradient to theirs.  The closures never refer back to the tensor
+they belong to, so a graph holds no reference cycle and is freed as soon as
+its last tensor is dropped.  A graph is single-use: once :func:`backward`
+has run a node's closure it drops the closure, the node's parents and the
+node's own gradient, so only leaves (tensors no op created) keep their
+gradients and a second ``backward`` over the same graph does nothing.
 """
 from __future__ import annotations
 
@@ -61,6 +69,8 @@ class Tensor:
         return neg(self)
 
 
+
+
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -84,156 +94,121 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # elementwise -------------------------------------------------------
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, (a, b))
+    def bwd(g):
+        _acc(a, _unbroadcast(g, a.data.shape))
+        _acc(b, _unbroadcast(g, b.data.shape))
 
-    def bwd():
-        _acc(a, _unbroadcast(out.grad, a.data.shape))
-        _acc(b, _unbroadcast(out.grad, b.data.shape))
-
-    out._bwd = bwd
-    return out
+    return Tensor(a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, (a, b))
+    def bwd(g):
+        _acc(a, _unbroadcast(g, a.data.shape))
+        _acc(b, _unbroadcast(-g, b.data.shape))
 
-    def bwd():
-        _acc(a, _unbroadcast(out.grad, a.data.shape))
-        _acc(b, _unbroadcast(-out.grad, b.data.shape))
-
-    out._bwd = bwd
-    return out
+    return Tensor(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, (a, b))
+    def bwd(g):
+        _acc(a, _unbroadcast(g * b.data, a.data.shape))
+        _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
-    def bwd():
-        _acc(a, _unbroadcast(out.grad * b.data, a.data.shape))
-        _acc(b, _unbroadcast(out.grad * a.data, b.data.shape))
-
-    out._bwd = bwd
-    return out
+    return Tensor(a.data * b.data, (a, b), bwd)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data, (a, b))
+    def bwd(g):
+        _acc(a, _unbroadcast(g / b.data, a.data.shape))
+        _acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    def bwd():
-        _acc(a, _unbroadcast(out.grad / b.data, a.data.shape))
-        _acc(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
-
-    out._bwd = bwd
-    return out
+    return Tensor(a.data / b.data, (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, (a,))
+    def bwd(g):
+        _acc(a, -g)
 
-    def bwd():
-        _acc(a, -out.grad)
-
-    out._bwd = bwd
-    return out
+    return Tensor(-a.data, (a,), bwd)
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data), (a,))
+    e = np.exp(a.data)
 
-    def bwd():
-        _acc(a, out.grad * out.data)
+    def bwd(g):
+        _acc(a, g * e)
 
-    out._bwd = bwd
-    return out
+    return Tensor(e, (a,), bwd)
 
 
 def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data), (a,))
+    def bwd(g):
+        _acc(a, g / a.data)
 
-    def bwd():
-        _acc(a, out.grad / a.data)
-
-    out._bwd = bwd
-    return out
+    return Tensor(np.log(a.data), (a,), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.data), (a,))
+    t = np.tanh(a.data)
 
-    def bwd():
-        _acc(a, out.grad * (1.0 - out.data * out.data))
+    def bwd(g):
+        _acc(a, g * (1.0 - t * t))
 
-    out._bwd = bwd
-    return out
+    return Tensor(t, (a,), bwd)
 
 
 def sqrt(a: Tensor) -> Tensor:
-    out = Tensor(np.sqrt(a.data), (a,))
+    r = np.sqrt(a.data)
 
-    def bwd():
-        _acc(a, out.grad * 0.5 / out.data)
+    def bwd(g):
+        _acc(a, g * 0.5 / r)
 
-    out._bwd = bwd
-    return out
+    return Tensor(r, (a,), bwd)
 
 
 def pow_const(a: Tensor, exponent: float) -> Tensor:
-    out = Tensor(a.data**exponent, (a,))
+    def bwd(g):
+        _acc(a, g * exponent * a.data ** (exponent - 1.0))
 
-    def bwd():
-        _acc(a, out.grad * exponent * a.data ** (exponent - 1.0))
-
-    out._bwd = bwd
-    return out
+    return Tensor(a.data**exponent, (a,), bwd)
 
 
 # linear algebra ----------------------------------------------------
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; 3-D operands are treated as matching stacks."""
-    out = Tensor(a.data @ b.data, (a, b))
+    """Matrix product over the last two axes; leading (stack) axes broadcast."""
 
-    def bwd():
-        _acc(a, out.grad @ b.data.swapaxes(-1, -2))
-        _acc(b, a.data.swapaxes(-1, -2) @ out.grad)
+    def bwd(g):
+        _acc(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        _acc(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data @ b.data, (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T, (a,))
+    def bwd(g):
+        _acc(a, g.T)
 
-    def bwd():
-        _acc(a, out.grad.T)
-
-    out._bwd = bwd
-    return out
+    return Tensor(a.data.T, (a,), bwd)
 
 
 def transpose_axes(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    out = Tensor(a.data.transpose(axes), (a,))
 
-    def bwd():
-        _acc(a, out.grad.transpose(inverse))
+    def bwd(g):
+        _acc(a, g.transpose(inverse))
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data.transpose(axes), (a,), bwd)
 
 
 # reductions --------------------------------------------------------
 def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
-
-    def bwd():
-        g = out.grad
+    def bwd(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _acc(a, np.broadcast_to(g, a.data.shape).copy())
+        _acc(a, np.broadcast_to(g, a.data.shape))
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -243,83 +218,70 @@ def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 # structure ---------------------------------------------------------
 def rows(a: Tensor, idx) -> Tensor:
-    """Gather rows (first axis); repeated indices accumulate on backward."""
+    """Gather along the first axis; ``idx`` may have any shape, and repeated
+    indices accumulate on backward."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(a.data[idx], (a,))
 
-    def bwd():
+    def bwd(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, out.grad)
+        np.add.at(buf, idx, g)
         _acc(a, buf)
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data[idx], (a,), bwd)
 
 
 def select(a: Tensor, row_idx, col_idx) -> Tensor:
-    """Pick scalar entries (row_idx[i], col_idx[i]) from a 2-D tensor."""
+    """Pick entries a[row_idx[i], col_idx[i]]: scalars from a 2-D tensor,
+    rows from a 3-D one."""
     row_idx = np.asarray(row_idx, dtype=np.intp)
     col_idx = np.asarray(col_idx, dtype=np.intp)
-    out = Tensor(a.data[row_idx, col_idx], (a,))
 
-    def bwd():
+    def bwd(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, (row_idx, col_idx), out.grad)
+        np.add.at(buf, (row_idx, col_idx), g)
         _acc(a, buf)
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data[row_idx, col_idx], (a,), bwd)
 
 
 def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[start:stop].copy(), (a,))
-
-    def bwd():
+    def bwd(g):
         buf = np.zeros_like(a.data)
-        buf[start:stop] = out.grad
+        buf[start:stop] = g
         _acc(a, buf)
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data[start:stop].copy(), (a,), bwd)
 
 
 def col_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    out = Tensor(a.data[:, start:stop].copy(), (a,))
-
-    def bwd():
+    def bwd(g):
         buf = np.zeros_like(a.data)
-        buf[:, start:stop] = out.grad
+        buf[:, start:stop] = g
         _acc(a, buf)
 
-    out._bwd = bwd
-    return out
+    return Tensor(a.data[:, start:stop].copy(), (a,), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
+    tensors = tuple(tensors)
     sizes = [t.data.shape[axis] for t in tensors]
 
-    def bwd():
+    def bwd(g):
         offset = 0
         for t, size in zip(tensors, sizes):
-            index = [slice(None)] * out.grad.ndim
+            index = [slice(None)] * g.ndim
             index[axis] = slice(offset, offset + size)
-            _acc(t, out.grad[tuple(index)])
+            _acc(t, g[tuple(index)])
             offset += size
 
-    out._bwd = bwd
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), (a,))
+    def bwd(g):
+        _acc(a, g.reshape(a.data.shape))
 
-    def bwd():
-        _acc(a, out.grad.reshape(a.data.shape))
-
-    out._bwd = bwd
-    return out
+    return Tensor(a.data.reshape(shape), (a,), bwd)
 
 
 # fused nonlinearities ----------------------------------------------
@@ -328,28 +290,22 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, (a,))
 
-    def bwd():
-        g = out.grad
+    def bwd(g):
         _acc(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
-    out._bwd = bwd
-    return out
+    return Tensor(p, (a,), bwd)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     lp = shifted - lse
-    out = Tensor(lp, (a,))
 
-    def bwd():
-        g = out.grad
+    def bwd(g):
         _acc(a, g - np.exp(lp) * g.sum(axis=axis, keepdims=True))
 
-    out._bwd = bwd
-    return out
+    return Tensor(lp, (a,), bwd)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
@@ -363,10 +319,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
     var = (centered * centered).mean(axis=-1, keepdims=True)
     sigma = np.sqrt(var + eps)
     xhat = centered / sigma
-    out = Tensor(xhat * gamma.data + beta.data, (a, gamma, beta))
 
-    def bwd():
-        g = out.grad
+    def bwd(g):
         gg = g * gamma.data
         _acc(
             a,
@@ -381,8 +335,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
         _acc(gamma, (g * xhat).sum(axis=axes))
         _acc(beta, g.sum(axis=axes))
 
-    out._bwd = bwd
-    return out
+    return Tensor(xhat * gamma.data + beta.data, (a, gamma, beta), bwd)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -391,21 +344,24 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a: Tensor) -> Tensor:
     """GELU activation (tanh approximation); smooth, so finite differences agree."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t), (a,))
+    # x*x*x, not x**3: numpy's float power is many times slower than two products
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
 
-    def bwd():
+    def bwd(g):
         sech2 = 1.0 - t * t
         local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
-        _acc(a, out.grad * local)
+        _acc(a, g * local)
 
-    out._bwd = bwd
-    return out
+    return Tensor(0.5 * x * (1.0 + t), (a,), bwd)
 
 
 def backward(result: Tensor) -> None:
-    """Reverse-accumulate gradients from a scalar result into all leaves."""
+    """Reverse-accumulate gradients from a scalar result into all leaves.
+
+    Each node's closure, parents and gradient are released as soon as its
+    closure has run, so the graph is dismantled as the pass goes and cannot
+    be differentiated again.
+    """
     if result.data.size != 1:
         raise ValueError("backward expects a scalar result tensor")
     order: list[Tensor] = []
@@ -425,5 +381,11 @@ def backward(result: Tensor) -> None:
                 stack.append((parent, False))
     result.grad = np.ones_like(result.data)
     for node in reversed(order):
-        if node._bwd is not None and node.grad is not None:
-            node._bwd()
+        bwd = node._bwd
+        if bwd is None:
+            continue
+        if node.grad is not None:
+            bwd(node.grad)
+        node._bwd = None
+        node._parents = ()
+        node.grad = None

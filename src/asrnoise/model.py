@@ -8,6 +8,17 @@ far.  Two heads score the vocabulary from the decoder state: a word head and
 a phoneme head whose logits are shared across tokens with the same phonetic
 code; their renormalized product drives generation.
 
+The block functions take one sequence (``[n, d]``) or a padded batch
+(``[B, n, d]``).  Training builds one graph per batch: the batch's distinct
+sentences are padded to the longest with id 0 and encoded together, each
+item's decoder queries are padded to the longest target, and every item
+cross-attends to its own sentence's encoder rows.  A boolean key mask
+(``[B, n]``, True at real tokens) adds -inf to the attention scores of
+padded keys, so padding gets exactly zero weight.  Query rows never attend
+to each other, so padded query rows only compute values that are dropped
+before the vocabulary-wide heads.  Decoding calls the same functions on
+single sequences without a mask.
+
 Everything runs in float64 through the in-package autodiff engine, so
 training is deterministic and gradients can be checked against central
 finite differences.
@@ -255,30 +266,50 @@ def _wrap_params(params: ParamStore) -> dict[str, Tensor]:
     return {name: Tensor(a) for name, a in params.items()}
 
 
-def embed_sequence(
-    token_ids: Sequence[int],
+def _token_embeddings(
+    ids: np.ndarray,
     params: dict[str, Tensor],
     config: ModelConfig,
     token_code_rows: np.ndarray,
 ) -> Tensor:
-    """Input embeddings: word/phoneme convex mix plus position rows."""
-    ids = np.asarray(token_ids, dtype=np.intp)
-    if len(ids) > config.max_len:
-        raise SequenceTooLongError(f"sequence of {len(ids)} tokens exceeds max_len={config.max_len}")
-    positions = ad.rows(params["m_pos"], np.arange(len(ids)))
+    """Word rows, or the word/phoneme convex mix when the phoneme head is on."""
     words = ad.rows(params["m_word"], ids)
     if not config.phoneme_head:
-        return ad.add(words, positions)
+        return words
     phonemes = ad.rows(params["m_ph"], token_code_rows[ids])
-    mix = ad.add(
+    return ad.add(
         ad.mul(Tensor(config.lambda_w), words),
         ad.mul(Tensor(1.0 - config.lambda_w), phonemes),
     )
-    return ad.add(mix, positions)
 
 
-def _split_heads(x: Tensor, n: int, h: int, dh: int) -> Tensor:
-    return ad.transpose_axes(ad.reshape(x, (n, h, dh)), (1, 0, 2))
+def embed_sequence(
+    token_ids,
+    params: dict[str, Tensor],
+    config: ModelConfig,
+    token_code_rows: np.ndarray,
+) -> Tensor:
+    """Input embeddings: word/phoneme convex mix plus position rows.
+
+    ``token_ids`` is one sequence ``[n]`` or a padded batch ``[B, n]``.
+    """
+    ids = np.asarray(token_ids, dtype=np.intp)
+    n = ids.shape[-1]
+    if n > config.max_len:
+        raise SequenceTooLongError(f"sequence of {n} tokens exceeds max_len={config.max_len}")
+    positions = ad.rows(params["m_pos"], np.arange(n))
+    return ad.add(_token_embeddings(ids, params, config, token_code_rows), positions)
+
+
+def _swap_seq_and_head(ndim: int) -> tuple[int, ...]:
+    """Axis order taking [..., n, h, x] to [..., h, n, x] and back."""
+    return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
+
+
+def _split_heads(x: Tensor, h: int, dh: int) -> Tensor:
+    """[..., n, h*dh] -> [..., h, n, dh]."""
+    shape = x.data.shape[:-1] + (h, dh)
+    return ad.transpose_axes(ad.reshape(x, shape), _swap_seq_and_head(len(shape)))
 
 
 def _attention_ffn_block(
@@ -287,20 +318,31 @@ def _attention_ffn_block(
     params: dict[str, Tensor],
     prefix: str,
     config: ModelConfig,
+    key_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
+    """Post-layer-norm attention and feed-forward block.
+
+    Inputs are ``[n, d]`` queries over ``[m, d]`` keys, or padded stacks
+    ``[B, n, d]`` over ``[B, m, d]``.  ``key_mask`` (``[..., m]``, True at
+    real keys) adds -inf to the scores of padded keys, so they get exactly
+    zero attention weight and zero gradient.
+    """
     d, h = config.d_model, config.n_heads
     dh = d // h
-    n = q_in.data.shape[0]
-    m = kv_in.data.shape[0]
     q = ad.add(ad.matmul(q_in, params[prefix + "wq"]), params[prefix + "bq"])
     k = ad.add(ad.matmul(kv_in, params[prefix + "wk"]), params[prefix + "bk"])
     v = ad.add(ad.matmul(kv_in, params[prefix + "wv"]), params[prefix + "bv"])
-    qh = _split_heads(q, n, h, dh)
-    kh = _split_heads(k, m, h, dh)
-    vh = _split_heads(v, m, h, dh)
-    scores = ad.mul(ad.matmul(qh, ad.transpose_axes(kh, (0, 2, 1))), Tensor(1.0 / np.sqrt(dh)))
+    qh = _split_heads(q, h, dh)
+    kh = _split_heads(k, h, dh)
+    vh = _split_heads(v, h, dh)
+    ndim = kh.data.ndim
+    keys_t = ad.transpose_axes(kh, (*range(ndim - 2), ndim - 1, ndim - 2))
+    scores = ad.mul(ad.matmul(qh, keys_t), Tensor(1.0 / np.sqrt(dh)))
+    if key_mask is not None:
+        scores = ad.add(scores, Tensor(np.where(key_mask, 0.0, -np.inf)[..., None, None, :]))
     weights = ad.softmax(scores, axis=-1)
-    merged = ad.reshape(ad.transpose_axes(ad.matmul(weights, vh), (1, 0, 2)), (n, d))
+    heads = ad.matmul(weights, vh)
+    merged = ad.reshape(ad.transpose_axes(heads, _swap_seq_and_head(ndim)), q_in.data.shape)
     attn = ad.add(ad.matmul(merged, params[prefix + "wo"]), params[prefix + "bo"])
     h1 = ad.layer_norm(ad.add(q_in, attn), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     inner = ad.gelu(ad.add(ad.matmul(h1, params[prefix + "w1"]), params[prefix + "b1"]))
@@ -308,9 +350,18 @@ def _attention_ffn_block(
     return ad.layer_norm(ad.add(h1, ffn), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
 
 
-def encode(e_in: Tensor, params: dict[str, Tensor], config: ModelConfig) -> Tensor:
-    """One self-attention block; output rows align with input rows."""
-    return _attention_ffn_block(e_in, e_in, params, "enc_", config)
+def encode(
+    e_in: Tensor,
+    params: dict[str, Tensor],
+    config: ModelConfig,
+    key_mask: Optional[np.ndarray] = None,
+) -> Tensor:
+    """One self-attention block; output rows align with input rows.
+
+    A padded batch ``[B, n, d]`` takes ``key_mask`` ``[B, n]``; rows at padded
+    positions come out finite but meaningless.
+    """
+    return _attention_ffn_block(e_in, e_in, params, "enc_", config, key_mask)
 
 
 def encode_tokens(model: Model, token_ids: Sequence[int], params: Optional[dict[str, Tensor]] = None) -> Tensor:
@@ -319,46 +370,59 @@ def encode_tokens(model: Model, token_ids: Sequence[int], params: Optional[dict[
     return encode(e_in, params, model.config)
 
 
+def _pad(sequences: Sequence[Sequence[int]]) -> np.ndarray:
+    """Ragged id lists as one ``[len(sequences), longest]`` array, padded with id 0."""
+    out = np.zeros((len(sequences), max(map(len, sequences), default=0)), dtype=np.intp)
+    for i, seq in enumerate(sequences):
+        out[i, : len(seq)] = seq
+    return out
+
+
 def _decoder_queries(
     e_k: Tensor,
-    generated_ids: Sequence[int],
+    generated_ids,
     params: dict[str, Tensor],
     config: ModelConfig,
     token_code_rows: np.ndarray,
 ) -> Tensor:
-    if 1 + len(generated_ids) > config.max_gen_len:
-        raise PrefixTooLongError(
-            f"prefix of {1 + len(generated_ids)} positions exceeds max_gen_len={config.max_gen_len}"
-        )
-    head = ad.matmul(ad.concat([e_k, params["bos_emb"]], axis=1), params["dec_h"])
-    head = ad.add(head, ad.rows(params["m_pos"], np.asarray([0], dtype=np.intp)))
-    if not generated_ids:
-        return head
-    ids = np.asarray(generated_ids, dtype=np.intp)
-    words = ad.rows(params["m_word"], ids)
-    if config.phoneme_head:
-        phonemes = ad.rows(params["m_ph"], token_code_rows[ids])
-        tok = ad.add(
-            ad.mul(Tensor(config.lambda_w), words),
-            ad.mul(Tensor(1.0 - config.lambda_w), phonemes),
-        )
+    if e_k.data.ndim == 2:
+        ids = np.asarray(generated_ids, dtype=np.intp)
+        bos = params["bos_emb"]
     else:
-        tok = words
-    tok = ad.add(tok, ad.rows(params["m_pos"], np.arange(1, len(ids) + 1)))
-    return ad.concat([head, tok], axis=0)
+        ids = _pad(generated_ids)
+        bos = ad.rows(params["bos_emb"], np.zeros((len(generated_ids), 1), dtype=np.intp))
+    n_prev = ids.shape[-1]
+    if 1 + n_prev > config.max_gen_len:
+        raise PrefixTooLongError(
+            f"prefix of {1 + n_prev} positions exceeds max_gen_len={config.max_gen_len}"
+        )
+    head = ad.matmul(ad.concat([e_k, bos], axis=-1), params["dec_h"])
+    head = ad.add(head, ad.rows(params["m_pos"], np.asarray([0], dtype=np.intp)))
+    if not n_prev:
+        return head
+    tok = _token_embeddings(ids, params, config, token_code_rows)
+    tok = ad.add(tok, ad.rows(params["m_pos"], np.arange(1, n_prev + 1)))
+    return ad.concat([head, tok], axis=-2)
 
 
 def decoder_hidden(
     e_k: Tensor,
-    generated_ids: Sequence[int],
+    generated_ids,
     e_encoder: Tensor,
     params: dict[str, Tensor],
     config: ModelConfig,
     token_code_rows: np.ndarray,
+    key_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Hidden states for every query position (no cross-position mixing)."""
+    """Hidden states for every query position (no cross-position mixing).
+
+    One span: ``e_k`` ``[1, d]``, one prefix, ``e_encoder`` ``[n, d]``.
+    A batch: ``e_k`` ``[B, 1, d]``, ``B`` prefixes of any lengths (padded to
+    the longest, so rows past a prefix's end are meaningless),
+    ``e_encoder`` ``[B, n, d]`` and ``key_mask`` ``[B, n]``.
+    """
     queries = _decoder_queries(e_k, generated_ids, params, config, token_code_rows)
-    return _attention_ffn_block(queries, e_encoder, params, "dec_", config)
+    return _attention_ffn_block(queries, e_encoder, params, "dec_", config, key_mask)
 
 
 def decoder_step(
@@ -416,12 +480,21 @@ def step_distributions(
     leaves the word-head distribution unchanged.
     """
     logits_n, logits_ph = _head_logits(d_k, params, config, token_code_rows)
+    return combine_heads(logits_n, logits_ph, special_mask)
+
+
+def combine_heads(
+    logits_n: Tensor,
+    logits_ph: Optional[Tensor],
+    special_mask: Optional[np.ndarray] = None,
+) -> tuple[Tensor, Optional[Tensor], Tensor]:
+    """The distributions of :func:`step_distributions` from the head logits."""
     p_n = ad.softmax(logits_n, axis=-1)
     if logits_ph is None:
         return p_n, None, p_n
     p_ph = ad.softmax(logits_ph, axis=-1)
     if special_mask is None:
-        special_mask = np.zeros(config.vocab_size)
+        special_mask = np.zeros(logits_n.data.shape[-1])
     content = Tensor(1.0 - special_mask)
     special = Tensor(special_mask)
     prod = ad.mul(p_n, p_ph)
@@ -445,60 +518,88 @@ def kl_divergence(p: np.ndarray, r: np.ndarray, floor: float = R_FLOOR) -> float
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(r[mask]))))
 
 
+@dataclass
+class LossGraph:
+    """One batch's loss graph and the per-step head logits it was built from.
+
+    Rows of ``logits_n``/``logits_ph`` are the teacher-forced steps of every
+    item, item by item; ``targets`` holds each step's target id.
+    """
+
+    l_tot: Tensor
+    l_n: Tensor
+    l_ph: Tensor
+    params: dict[str, Tensor]
+    logits_n: Tensor
+    logits_ph: Optional[Tensor]
+    targets: np.ndarray
+
+
 def _loss_graph(
     batch: Sequence[AlignedExample],
     model: Model,
     lexicon: PronouncingLexicon,
     lambda_ph: Optional[float] = None,
-) -> tuple[Tensor, Tensor, Tensor, dict[str, Tensor]]:
-    """Build the loss graph for a batch; returns (L_tot, L_n, L_ph, leaves)."""
+) -> LossGraph:
+    """Build one padded, masked graph for the whole batch.
+
+    The batch's distinct sentences are encoded together, padded to the
+    longest; every item's decoder queries run together, padded to the
+    longest target, over its sentence's encoder rows.  Padded query rows are
+    dropped before the heads, so each teacher-forced step is one logits row.
+    """
+    if not batch:
+        raise ValueError("cannot build a loss graph for an empty batch")
     config = model.config
     weight = config.lambda_ph if lambda_ph is None else lambda_ph
     params = _wrap_params(model.params)
     rows_map = model.code_index.token_rows
     eos_id = model.vocab.eos_id
 
-    encoder_cache: dict[str, Tensor] = {}
-    ln_terms: list[Tensor] = []
-    lph_terms: list[Tensor] = []
+    slot: dict[str, int] = {}
+    sentences: list[tuple[int, ...]] = []
     for example in batch:
-        e_enc = encoder_cache.get(example.sentence_id)
-        if e_enc is None:
-            e_in = embed_sequence(example.sentence.piece_ids, params, config, rows_map)
-            e_enc = encode(e_in, params, config)
-            encoder_cache[example.sentence_id] = e_enc
-        e_k = ad.row_slice(e_enc, example.position, example.position + 1)
-        target = list(example.target_ids)
-        hidden = decoder_hidden(e_k, target[:-1], e_enc, params, config, rows_map)
-        logits_n, logits_ph = _head_logits(hidden, params, config, rows_map)
-        lp_n = ad.log_softmax(logits_n, axis=-1)
-        picked = ad.select(lp_n, np.arange(len(target)), np.asarray(target, dtype=np.intp))
-        ln_terms.append(ad.neg(ad.sum_(picked)))
-        if logits_ph is None or weight == 0.0:
-            continue
+        if example.sentence_id not in slot:
+            slot[example.sentence_id] = len(sentences)
+            sentences.append(example.sentence.piece_ids)
+    ids = _pad(sentences)
+    is_token = np.arange(ids.shape[1]) < np.asarray([len(s) for s in sentences])[:, None]
+    e_enc = encode(embed_sequence(ids, params, config, rows_map), params, config, is_token)
+
+    which = np.asarray([slot[example.sentence_id] for example in batch], dtype=np.intp)
+    where = np.asarray([example.position for example in batch], dtype=np.intp)
+    e_k = ad.select(e_enc, which[:, None], where[:, None])
+    targets = [example.target_ids for example in batch]
+    hidden = decoder_hidden(
+        e_k, [t[:-1] for t in targets], ad.rows(e_enc, which), params, config, rows_map, is_token[which]
+    )
+    step_item = np.repeat(np.arange(len(batch)), [len(t) for t in targets])
+    step_pos = np.concatenate([np.arange(len(t)) for t in targets])
+    logits_n, logits_ph = _head_logits(ad.select(hidden, step_item, step_pos), params, config, rows_map)
+    target_ids = np.concatenate(targets).astype(np.intp)
+    lp_n = ad.log_softmax(logits_n, axis=-1)
+    l_n = ad.neg(ad.sum_(ad.select(lp_n, np.arange(len(target_ids)), target_ids)))
+
+    l_ph = Tensor(0.0)
+    if logits_ph is not None and weight != 0.0:
         step_rows = []
         r_logs = []
-        for l, (tid, surface) in enumerate(zip(target, example.target_surfaces)):
+        surfaces = (s for example in batch for s in example.target_surfaces)
+        for n, (tid, surface) in enumerate(zip(target_ids, surfaces)):
             if tid == eos_id:
                 continue
             try:
                 r_log = model.supervision_log(surface, lexicon)
             except DegenerateSupportError:
                 continue
-            step_rows.append(l)
+            step_rows.append(n)
             r_logs.append(r_log)
-        if not step_rows:
-            continue
-        lp_ph = ad.log_softmax(ad.rows(logits_ph, np.asarray(step_rows, dtype=np.intp)), axis=-1)
-        p_ph = ad.exp(lp_ph)
-        kl = ad.sum_(ad.mul(p_ph, ad.sub(lp_ph, Tensor(np.asarray(r_logs)))))
-        lph_terms.append(kl)
-
-    zero = Tensor(0.0)
-    l_n = sum(ln_terms, start=zero) if ln_terms else zero
-    l_ph = sum(lph_terms, start=zero) if lph_terms else Tensor(0.0)
+        if step_rows:
+            lp_ph = ad.log_softmax(ad.rows(logits_ph, step_rows), axis=-1)
+            p_ph = ad.exp(lp_ph)
+            l_ph = ad.sum_(ad.mul(p_ph, ad.sub(lp_ph, Tensor(np.asarray(r_logs)))))
     l_tot = ad.add(l_n, ad.mul(Tensor(weight), l_ph))
-    return l_tot, l_n, l_ph, params
+    return LossGraph(l_tot, l_n, l_ph, params, logits_n, logits_ph, target_ids)
 
 
 def loss_total(
@@ -513,8 +614,8 @@ def loss_total(
     divergence from the phoneme-head distribution to the supervision
     distribution of the step's target token (floored outside its support).
     """
-    l_tot, l_n, l_ph, _ = _loss_graph(batch, model, lexicon, lambda_ph)
-    return l_tot, l_n, l_ph
+    graph = _loss_graph(batch, model, lexicon, lambda_ph)
+    return graph.l_tot, graph.l_n, graph.l_ph
 
 
 @dataclass(frozen=True)
@@ -539,10 +640,10 @@ def backward_and_check(
     coordinates are re-derived with central differences at ``fd_step`` and
     the maximum relative error (guarded at unit scale) is reported.
     """
-    l_tot, _, _, leaves = _loss_graph(batch, model, lexicon, lambda_ph)
-    ad.backward(l_tot)
+    graph = _loss_graph(batch, model, lexicon, lambda_ph)
+    ad.backward(graph.l_tot)
     grads: dict[str, np.ndarray] = {}
-    for name, leaf in leaves.items():
+    for name, leaf in graph.params.items():
         g = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"gradient for {name} contains non-finite values")
@@ -558,8 +659,7 @@ def backward_and_check(
             coords.append((name, int(rng.integers(model.params[name].size))))
 
         def loss_value() -> float:
-            l, _, _, _ = _loss_graph(batch, model, lexicon, lambda_ph)
-            return float(l.data)
+            return float(_loss_graph(batch, model, lexicon, lambda_ph).l_tot.data)
 
         max_rel = 0.0
         worst = coords[0]

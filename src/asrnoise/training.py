@@ -16,19 +16,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import AlignedExample, SubwordVocab
-from .errors import CorruptCheckpointError, NonFiniteLossError, VersionMismatchError
-from .model import (
-    Model,
-    ModelConfig,
-    ParamStore,
-    PhonemeCodeIndex,
-    _loss_graph,
-    _wrap_params,
-    decoder_hidden,
-    embed_sequence,
-    encode,
-    step_distributions,
+from .errors import (
+    CorruptCheckpointError,
+    NonFiniteLossError,
+    SequenceTooLongError,
+    VersionMismatchError,
 )
+from .model import Model, ModelConfig, ParamStore, PhonemeCodeIndex, _loss_graph, combine_heads
 from .phonetics import PronouncingLexicon
 
 CHECKPOINT_MAGIC = b"ISNI1"
@@ -109,11 +103,19 @@ def train(
 ) -> list[EpochStats]:
     """Optimize the model in place; returns per-epoch mean losses.
 
-    Aborts with NonFiniteLossError (carrying the last finite-loss parameter
-    state) if a batch loss diverges.
+    Aborts with NonFiniteLossError if a batch loss diverges; its
+    ``last_good`` holds the parameters at which the last finite batch loss
+    was computed (the initial ones if the first batch diverges).  Items
+    whose target or sentence cannot fit the model are rejected before the
+    first epoch.
     """
     if not items:
         raise ValueError("cannot train on an empty item list")
+    longest_sentence = max(len(item.sentence.piece_ids) for item in items)
+    if longest_sentence > model.config.max_len:
+        raise SequenceTooLongError(
+            f"an item sentence has {longest_sentence} tokens but max_len is {model.config.max_len}"
+        )
     longest = max(len(item.target_ids) for item in items)
     if longest > model.config.max_gen_len:
         raise ValueError(
@@ -129,23 +131,22 @@ def train(
         sums = np.zeros(3)
         for start in range(0, len(order), cfg.batch_size):
             batch = [items[i] for i in order[start:start + cfg.batch_size]]
-            l_tot, l_n, l_ph, leaves = _loss_graph(batch, model, lexicon, cfg.lambda_ph)
-            values = (float(l_tot.data), float(l_n.data), float(l_ph.data))
+            graph = _loss_graph(batch, model, lexicon, cfg.lambda_ph)
+            values = (float(graph.l_tot.data), float(graph.l_n.data), float(graph.l_ph.data))
             if not all(np.isfinite(values)):
                 raise NonFiniteLossError(
                     f"loss diverged in epoch {epoch}", last_good=last_good
                 )
+            last_good = model.params.copy()
             # optimize the per-item mean so step size is batch-size invariant
-            scaled = ad.mul(l_tot, ad.Tensor(1.0 / len(batch)))
-            ad.backward(scaled)
+            ad.backward(ad.mul(graph.l_tot, ad.Tensor(1.0 / len(batch))))
             grads = {
                 name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
-                for name, leaf in leaves.items()
+                for name, leaf in graph.params.items()
             }
             clip_gradients(grads, cfg.clip_norm)
             optimizer.step(model.params, grads)
             sums += np.asarray(values)
-            last_good = model.params.copy()
         n = len(items)
         log.append(EpochStats(epoch, float(sums[0]) / n, float(sums[1]) / n, float(sums[2]) / n))
     return log
@@ -172,31 +173,14 @@ def evaluate_dev(
     """
     if not items:
         return DevReport(0.0, 0.0, 0.0, 0, 0)
-    _, l_n, l_ph, _ = _loss_graph(items, model, lexicon, None)
-    hits = 0
-    steps = 0
-    params = _wrap_params(model.params)
-    config = model.config
-    rows_map = model.code_index.token_rows
-    encoder_cache: dict[str, ad.Tensor] = {}
-    for example in items:
-        e_enc = encoder_cache.get(example.sentence_id)
-        if e_enc is None:
-            e_in = embed_sequence(example.sentence.piece_ids, params, config, rows_map)
-            e_enc = encode(e_in, params, config)
-            encoder_cache[example.sentence_id] = e_enc
-        e_k = ad.row_slice(e_enc, example.position, example.position + 1)
-        hidden = decoder_hidden(e_k, list(example.target_ids[:-1]), e_enc, params, config, rows_map)
-        _, _, p_gen = step_distributions(hidden, params, config, rows_map, model.special_mask)
-        predictions = np.argmax(p_gen.data, axis=-1)
-        for l, target in enumerate(example.target_ids):
-            steps += 1
-            if int(predictions[l]) == target:
-                hits += 1
+    graph = _loss_graph(items, model, lexicon, None)
+    _, _, p_gen = combine_heads(graph.logits_n, graph.logits_ph, model.special_mask)
+    hits = int(np.count_nonzero(np.argmax(p_gen.data, axis=-1) == graph.targets))
+    steps = len(graph.targets)
     return DevReport(
-        mean_loss_word=float(l_n.data) / steps,
-        mean_loss_phoneme=float(l_ph.data) / steps,
-        token_accuracy=hits / steps if steps else 0.0,
+        mean_loss_word=float(graph.l_n.data) / steps,
+        mean_loss_phoneme=float(graph.l_ph.data) / steps,
+        token_accuracy=hits / steps,
         n_examples=len(items),
         n_steps=steps,
     )

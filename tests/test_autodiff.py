@@ -75,6 +75,12 @@ class TestLinearAlgebra:
 
     def test_transpose_axes(self):
         check_op(lambda a: ad.transpose_axes(a, (1, 0, 2)), (2, 3, 4))
+        check_op(lambda a: ad.transpose_axes(a, (0, 2, 1, 3)), (2, 3, 4, 2))
+
+    def test_matmul_stack_times_shared_matrix(self):
+        # [B, n, d] @ [d, d]: the weight's gradient sums over the stack
+        check_op(lambda a, b: ad.matmul(a, b), (3, 2, 4), (4, 4))
+        check_op(lambda a, b: ad.matmul(a, b), (2, 3, 2, 4), (2, 1, 4, 5))
 
 
 class TestStructure:
@@ -92,6 +98,15 @@ class TestStructure:
         out = ad.rows(v, [0, 0, 3])
         ad.backward(ad.sum_(out))
         np.testing.assert_array_equal(v.grad, [2.0, 0.0, 0.0, 1.0, 0.0])
+
+    def test_rows_with_2d_index(self):
+        check_op(lambda a: ad.rows(a, [[0, 2, 2], [4, 0, 1]]), (5, 3))
+
+    def test_rows_of_3d_table(self):
+        check_op(lambda a: ad.rows(a, [1, 0, 1]), (2, 3, 4))
+
+    def test_select_rows_of_3d_tensor(self):
+        check_op(lambda a: ad.select(a, [[2], [0], [2]], [[1], [3], [1]]), (3, 4, 2))
 
     def test_select_entries(self):
         m = ad.Tensor(np.arange(12.0).reshape(3, 4))
@@ -125,6 +140,24 @@ class TestFusedHelpers:
     def test_softmax_gradient(self):
         check_op(lambda a: ad.softmax(a, axis=-1), (3, 5))
         check_op(lambda a: ad.mul(ad.softmax(a, axis=-1), a), (2, 4))
+
+    def test_masked_softmax_gradient(self):
+        # additive key mask [B, 1, 1, m] broadcast over [B, h, n, m] scores
+        keep = np.array([[True, True, False, True], [True, False, False, False]])
+        mask = ad.Tensor(np.where(keep, 0.0, -np.inf)[:, None, None, :])
+
+        def build(scores, w):
+            return ad.mul(ad.softmax(ad.add(scores, mask), axis=-1), w)
+
+        check_op(build, (2, 2, 3, 4), (2, 2, 3, 4))
+        rng = np.random.default_rng(4)
+        scores = ad.Tensor(rng.normal(size=(2, 2, 3, 4)))
+        weights = build(scores, ad.Tensor(rng.normal(size=(2, 2, 3, 4))))
+        padded = np.broadcast_to(~keep[:, None, None, :], scores.shape)
+        ad.backward(ad.sum_(weights))
+        assert np.all(weights.data[padded] == 0.0)
+        assert np.all(scores.grad[padded] == 0.0)
+        assert np.all(np.isfinite(scores.grad))
 
     def test_log_softmax_gradient(self):
         check_op(lambda a: ad.log_softmax(a, axis=-1), (3, 5))
@@ -169,6 +202,16 @@ class TestBackwardMechanics:
         out = ad.mul(e, e)  # exp(2x)
         ad.backward(ad.sum_(out))
         np.testing.assert_allclose(x.grad, [2 * np.exp(2 * 1.5)])
+
+    def test_graph_is_single_use(self):
+        x = ad.Tensor(np.array([1.5, -0.5]))
+        y = ad.mul(x, x)
+        loss = ad.sum_(y)
+        ad.backward(loss)
+        np.testing.assert_allclose(x.grad, [3.0, -1.0])
+        assert y._parents == () and y._bwd is None and y.grad is None
+        ad.backward(loss)
+        np.testing.assert_allclose(x.grad, [3.0, -1.0])
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):

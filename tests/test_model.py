@@ -11,6 +11,7 @@ from asrnoise.errors import (
     SequenceTooLongError,
 )
 
+from conftest import make_token_seq
 from oracles import block_forward_mp, loss_reference
 
 
@@ -232,6 +233,111 @@ def _toy_model(lexicon, phoneme_head=True, lambda_w=0.5, seed=5):
 def _toy_batch(model, lexicon):
     alignment = C.align_pair("the cue gag", "the queue", lexicon)
     return C.build_training_items([alignment], model.vocab, ["s0"])
+
+
+def _item(model, sid, pieces, position, target_pieces):
+    vocab = model.vocab
+    surfaces = tuple(target_pieces) + ("[EOS]",)
+    return C.AlignedExample(
+        sentence_id=sid,
+        sentence=make_token_seq(vocab, pieces),
+        position=position,
+        gt_piece=pieces[position],
+        target_ids=tuple(vocab.piece_to_id[p] for p in surfaces),
+        target_surfaces=surfaces,
+        error_label="",
+    )
+
+
+def _mixed_batch(model):
+    """Sentences of 2, 3 and 6 pieces, several items per sentence, and
+    targets of every length from a bare [EOS] to max_gen_len."""
+    short = ["meat", "sue"]
+    mid = ["the", "cue", "gag"]
+    long = ["the", "meet", "cue", "queue", "gag", "sue"]
+    return [
+        _item(model, "mid", mid, 1, []),
+        _item(model, "long", long, 4, ["sue", "meat", "the", "queue"]),
+        _item(model, "short", short, 0, ["meet"]),
+        _item(model, "mid", mid, 2, ["the", "gag", "cue"]),
+        _item(model, "long", long, 0, ["queue"]),
+        _item(model, "short", short, 1, ["sue", "the"]),
+        _item(model, "long", long, 5, []),
+    ]
+
+
+class TestBatchedLossGraph:
+    def test_batch_has_every_target_length_and_shared_sentences(self, lexicon):
+        model = _toy_model(lexicon)
+        batch = _mixed_batch(model)
+        assert {len(x.target_ids) for x in batch} == set(range(1, model.config.max_gen_len + 1))
+        assert len({x.sentence_id for x in batch}) < len(batch)
+        assert len({len(x.sentence) for x in batch}) == 3
+
+    def test_loss_equals_sum_of_item_references(self, lexicon):
+        model = _toy_model(lexicon)
+        batch = _mixed_batch(model)
+        l_tot, l_n, l_ph = M.loss_total(batch, model, lexicon)
+        refs = np.array([loss_reference(model, x, lexicon) for x in batch]).sum(axis=0)
+        assert float(l_n.data) == pytest.approx(refs[0], rel=1e-10)
+        assert float(l_ph.data) == pytest.approx(refs[1], rel=1e-10)
+        assert float(l_tot.data) == pytest.approx(refs[2], rel=1e-10)
+
+    def test_gradients_equal_sum_of_single_item_gradients(self, lexicon):
+        model = _toy_model(lexicon)
+        batch = _mixed_batch(model)
+        batched, _ = M.backward_and_check(model, batch, lexicon)
+        for name in batched:
+            summed = sum(M.backward_and_check(model, [x], lexicon)[0][name] for x in batch)
+            np.testing.assert_allclose(batched[name], summed, rtol=0, atol=1e-12)
+
+    def test_longer_sentence_leaves_other_items_unchanged(self, lexicon):
+        model = _toy_model(lexicon)
+        batch = _mixed_batch(model)
+        longest = ["gag", "the", "queue", "meet", "sue", "cue", "the", "meat", "gag"]
+        extra = _item(model, "longest", longest, 7, ["cue", "sue", "gag", "the"])
+        assert len(longest) > max(len(x.sentence) for x in batch)
+        alone = M._loss_graph(batch, model, lexicon)
+        grown = M._loss_graph(batch + [extra], model, lexicon)
+        steps = len(alone.targets)
+        np.testing.assert_allclose(grown.logits_n.data[:steps], alone.logits_n.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grown.logits_ph.data[:steps], alone.logits_ph.data, rtol=0, atol=1e-12)
+        extra_tot = float(M.loss_total([extra], model, lexicon)[0].data)
+        assert float(grown.l_tot.data) == pytest.approx(float(alone.l_tot.data) + extra_tot, rel=1e-12)
+
+    def test_ablated_model_matches_item_references(self, lexicon):
+        model = _toy_model(lexicon, phoneme_head=False)
+        batch = _mixed_batch(model)
+        l_tot, l_n, l_ph = M.loss_total(batch, model, lexicon)
+        refs = np.array([loss_reference(model, x, lexicon) for x in batch]).sum(axis=0)
+        assert float(l_n.data) == pytest.approx(refs[0], rel=1e-10)
+        assert float(l_ph.data) == 0.0
+        assert float(l_tot.data) == pytest.approx(refs[2], rel=1e-10)
+
+    def test_batched_decoder_matches_single_span_rows(self, lexicon):
+        model = _toy_model(lexicon)
+        params = M._wrap_params(model.params)
+        config, rows_map = model.config, model.code_index.token_rows
+        sentences = [[3, 5, 8, 9], [6, 4]]
+        positions = [2, 1]
+        prefixes = [[5, 6, 7], []]
+        ids = M._pad(sentences)
+        real = np.array([[True, True, True, True], [True, True, False, False]])
+        e_enc = M.encode(M.embed_sequence(ids, params, config, rows_map), params, config, real)
+        e_k = ad.select(e_enc, np.array([[0], [1]]), np.array(positions)[:, None])
+        hidden = M.decoder_hidden(e_k, prefixes, e_enc, params, config, rows_map, real)
+        for b, (sentence, k, prefix) in enumerate(zip(sentences, positions, prefixes)):
+            single_enc = M.encode_tokens(model, sentence, params)
+            np.testing.assert_allclose(e_enc.data[b, : len(sentence)], single_enc.data, rtol=0, atol=1e-12)
+            single = M.decoder_hidden(
+                ad.row_slice(single_enc, k, k + 1), prefix, single_enc, params, config, rows_map
+            )
+            np.testing.assert_allclose(hidden.data[b, : 1 + len(prefix)], single.data, rtol=0, atol=1e-12)
+
+    def test_empty_batch_rejected(self, lexicon):
+        model = _toy_model(lexicon)
+        with pytest.raises(ValueError):
+            M.loss_total([], model, lexicon)
 
 
 class TestStepDistributions:

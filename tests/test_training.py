@@ -1,10 +1,20 @@
+import gc
+
 import numpy as np
 import pytest
 
+from asrnoise import autodiff as ad
 from asrnoise import corpus as C
 from asrnoise import model as M
 from asrnoise import training as T
-from asrnoise.errors import CorruptCheckpointError, VersionMismatchError
+from asrnoise.errors import (
+    CorruptCheckpointError,
+    NonFiniteLossError,
+    SequenceTooLongError,
+    VersionMismatchError,
+)
+
+from test_model import _mixed_batch, _toy_model
 
 
 class TestTrainConfig:
@@ -108,6 +118,72 @@ class TestTrain:
         with pytest.raises(ValueError):
             T.train([], small_model, lexicon, T.TrainConfig(epochs=1))
 
+    def test_overlong_sentence_rejected_before_epoch_one(self, lexicon, monkeypatch):
+        vocab, items = _tiny_training_setup(lexicon)
+        longest = max(len(i.sentence) for i in items)
+        config = M.ModelConfig(d_model=16, n_heads=2, max_len=longest - 1)
+        model = M.Model.build(vocab, lexicon, config, seed=1)
+        built = []
+        original = T._loss_graph
+        monkeypatch.setattr(T, "_loss_graph", lambda *a, **k: built.append(1) or original(*a, **k))
+        with pytest.raises(SequenceTooLongError):
+            T.train(items, model, lexicon, T.TrainConfig(epochs=1, batch_size=1))
+        assert not built
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_divergence_keeps_parameters_of_last_finite_loss(self, lexicon, monkeypatch):
+        vocab, items = _tiny_training_setup(lexicon)
+        model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=1)
+        batch_size = 8
+        losses = []
+        original_graph = T._loss_graph
+
+        def recording_graph(batch, *args):
+            graph = original_graph(batch, *args)
+            losses.append((list(batch), float(graph.l_tot.data)))
+            return graph
+
+        original_step = T._Adam.step
+        steps = []
+
+        def poisoned_step(self, params, grads):
+            original_step(self, params, grads)
+            steps.append(1)
+            if len(steps) == 3:
+                params.arrays["b_n"][0] = np.inf
+
+        monkeypatch.setattr(T, "_loss_graph", recording_graph)
+        monkeypatch.setattr(T._Adam, "step", poisoned_step)
+        with pytest.raises(NonFiniteLossError) as info:
+            T.train(items, model, lexicon, T.TrainConfig(epochs=2, batch_size=batch_size, seed=3))
+        assert len(losses) == 4 and not np.isfinite(losses[-1][1])
+        batch, last_finite = losses[-2]
+        assert np.isfinite(last_finite)
+        restored = M.Model(info.value.last_good, model.config, model.vocab, model.code_index)
+        l_tot, _, _ = M.loss_total(batch, restored, lexicon)
+        assert float(l_tot.data) == pytest.approx(last_finite, rel=1e-12)
+
+    def test_graphs_are_freed_without_the_cycle_collector(self, lexicon):
+        vocab, items = _tiny_training_setup(lexicon)
+        model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=1)
+        cfg = T.TrainConfig(epochs=1, batch_size=4, seed=0)
+
+        def live_tensors():
+            return sum(isinstance(o, ad.Tensor) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_tensors()
+            T.train(items, model, lexicon, cfg)
+            after_one = live_tensors()
+            T.train(items, model, lexicon, cfg)
+            after_two = live_tensors()
+        finally:
+            gc.enable()
+        assert after_one == before
+        assert after_two == before
+
 
 class TestEvaluateDev:
     def test_empty_dev_set_reports_zeros(self, lexicon, small_model):
@@ -119,6 +195,24 @@ class TestEvaluateDev:
         a = T.evaluate_dev(items[:10], small_model, lexicon)
         b = T.evaluate_dev(items[:10], small_model, lexicon)
         assert a == b
+
+    def test_equals_aggregate_of_item_reports(self, lexicon):
+        model = _toy_model(lexicon)
+        batch = _mixed_batch(model)
+        report = T.evaluate_dev(batch, model, lexicon)
+        singles = [T.evaluate_dev([x], model, lexicon) for x in batch]
+        steps = sum(r.n_steps for r in singles)
+        assert report.n_examples == len(batch)
+        assert report.n_steps == steps
+        assert report.token_accuracy == pytest.approx(
+            sum(r.token_accuracy * r.n_steps for r in singles) / steps, rel=1e-12
+        )
+        assert report.mean_loss_word == pytest.approx(
+            sum(r.mean_loss_word * r.n_steps for r in singles) / steps, rel=1e-10
+        )
+        assert report.mean_loss_phoneme == pytest.approx(
+            sum(r.mean_loss_phoneme * r.n_steps for r in singles) / steps, rel=1e-10
+        )
 
     def test_does_not_mutate_parameters(self, lexicon, small_setup, small_model):
         _, _, items = small_setup
