@@ -21,6 +21,7 @@ from .errors import (
     CorruptCheckpointError,
     EmptyCorpusError,
     LengthMismatchError,
+    NonFiniteLossError,
     PriorOutOfRangeError,
     SizeTooSmallError,
     UnknownConfigKeyError,
@@ -202,8 +203,16 @@ def _cmd_train(args, config) -> int:
         seed=config["seed"],
         clip_norm=config["clip_norm"],
     )
-    log = training.train(items, model, lexicon, train_config)
-    training.save_checkpoint(args.checkpoint, model, meta={"config_hash": config_hash(config)})
+    meta = {"config_hash": config_hash(config)}
+    try:
+        log = training.train(items, model, lexicon, train_config)
+    except NonFiniteLossError as exc:
+        model.params = exc.last_good
+        last_good_path = f"{args.checkpoint}.last_good"
+        training.save_checkpoint(last_good_path, model, meta=meta)
+        print(f"asrnoise: wrote the last finite-loss parameters to {last_good_path}", file=sys.stderr)
+        raise
+    training.save_checkpoint(args.checkpoint, model, meta=meta)
     if args.out:
         training.save_loss_log(args.out, log, header=_header("train", config))
     first, last = log[0], log[-1]

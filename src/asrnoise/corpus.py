@@ -5,6 +5,11 @@ Clean/noisy sentence pairs are normalized, tokenized into subword pieces
 with a phonetically weighted edit distance.  Aligned pairs decompose into
 per-piece training items: each corrupted piece gets the target token
 sequence the generator should produce for it, terminated by ``[EOS]``.
+
+:func:`align_sequences` is the package's one alignment dynamic program.  The
+word alignment feeds it phonetic substitution costs; the piece alignment
+inside a word pair and the WER/CER scoring in ``evaluation`` feed it unit
+costs (:func:`unit_costs`).
 """
 from __future__ import annotations
 
@@ -268,58 +273,73 @@ def _classify_entry(gt_word: str, asr_words: tuple[str, ...]) -> str:
 _DIAG, _INS, _DEL = 0, 1, 2
 
 
-def _align_sequences(gt, asr, sub_cost, indel_cost=1.0):
-    """Edit-distance backtrace preferring substitution, then insertion."""
-    n, m = len(gt), len(asr)
-    cost = [[0.0] * (m + 1) for _ in range(n + 1)]
+def unit_costs(ref: Sequence[str], hyp: Sequence[str]) -> list[list[int]]:
+    """Substitution-cost rows for :func:`align_sequences`: 0 on equal symbols, else 1."""
+    return [[0 if r == h else 1 for h in hyp] for r in ref]
+
+
+def align_sequences(
+    sub_costs: Sequence[Sequence[float]], m: int
+) -> list[tuple[Optional[int], Optional[int]]]:
+    """Minimum-cost alignment of ``len(sub_costs)`` reference items against
+    ``m`` hypothesis items.
+
+    ``sub_costs[i][j]`` is the cost of aligning reference item ``i`` with
+    hypothesis item ``j``; insertions and deletions cost 1.  Ties prefer the
+    diagonal step, then insertion.  Returns the backtrace in order as
+    ``(i, j)`` steps: ``(i, None)`` deletes reference item ``i``, ``(None, j)``
+    inserts hypothesis item ``j``, and two indices align item ``i`` with ``j``.
+    """
+    n = len(sub_costs)
+    cost = [[0] * (m + 1) for _ in range(n + 1)]
     choice = [[_DIAG] * (m + 1) for _ in range(n + 1)]
     for j in range(1, m + 1):
-        cost[0][j] = j * indel_cost
+        cost[0][j] = j
         choice[0][j] = _INS
     for i in range(1, n + 1):
-        cost[i][0] = i * indel_cost
-        choice[i][0] = _DEL
+        costs_i = sub_costs[i - 1]
+        above, row, row_choice = cost[i - 1], cost[i], choice[i]
+        row[0] = i
+        row_choice[0] = _DEL
         for j in range(1, m + 1):
-            diag = cost[i - 1][j - 1] + sub_cost(gt[i - 1], asr[j - 1])
-            ins = cost[i][j - 1] + indel_cost
-            dele = cost[i - 1][j] + indel_cost
+            diag = above[j - 1] + costs_i[j - 1]
+            ins = row[j - 1] + 1
+            dele = above[j] + 1
             if diag <= ins and diag <= dele:
-                cost[i][j], choice[i][j] = diag, _DIAG
+                row[j], row_choice[j] = diag, _DIAG
             elif ins <= dele:
-                cost[i][j], choice[i][j] = ins, _INS
+                row[j], row_choice[j] = ins, _INS
             else:
-                cost[i][j], choice[i][j] = dele, _DEL
-    ops = []
+                row[j], row_choice[j] = dele, _DEL
+    steps: list[tuple[Optional[int], Optional[int]]] = []
     i, j = n, m
     while i > 0 or j > 0:
         c = choice[i][j]
         if c == _DIAG:
             i, j = i - 1, j - 1
-            ops.append((_DIAG, i, j))
+            steps.append((i, j))
         elif c == _INS:
             j -= 1
-            ops.append((_INS, None, j))
+            steps.append((None, j))
         else:
             i -= 1
-            ops.append((_DEL, i, None))
-    ops.reverse()
-    return ops
+            steps.append((i, None))
+    steps.reverse()
+    return steps
 
 
-def _group_alignment(gt, asr, ops):
+def _group_alignment(steps):
     """Attach inserted items to the preceding slot (leading ones to the first)."""
     groups: list[tuple[int, list[int]]] = []
     leading: list[int] = []
-    for op, i, j in ops:
-        if op == _DIAG:
-            groups.append((i, [j]))
-        elif op == _DEL:
-            groups.append((i, []))
-        else:
+    for i, j in steps:
+        if i is None:
             if groups:
                 groups[-1][1].append(j)
             else:
                 leading.append(j)
+        else:
+            groups.append((i, [] if j is None else [j]))
     if leading and groups:
         first_i, first_js = groups[0]
         groups[0] = (first_i, leading + first_js)
@@ -352,9 +372,9 @@ def align_pair(
         d = phoneme_edit_distance(codes[gw], codes[aw])
         return min(d / max(len(codes[gw]), 1), 1.0)
 
-    ops = _align_sequences(gt_words, asr_words, sub_cost)
+    sub_costs = [[sub_cost(gw, aw) for aw in asr_words] for gw in gt_words]
     entries = []
-    for i, js in _group_alignment(gt_words, asr_words, ops):
+    for i, js in _group_alignment(align_sequences(sub_costs, len(asr_words))):
         matched = tuple(asr_words[j] for j in js)
         entries.append(AlignmentEntry(gt_words[i], matched, _classify_entry(gt_words[i], matched)))
     return entries
@@ -416,12 +436,8 @@ def build_training_items(
                 offset += len(gt_toks)
                 continue
             asr_toks = [t for w in entry.asr_words for t in tokenize_word(w, vocab)]
-            ops = _align_sequences(
-                [t.surface for t in gt_toks],
-                [t.surface for t in asr_toks],
-                lambda a, b: 0.0 if a == b else 1.0,
-            )
-            for piece_pos, js in _group_alignment(gt_toks, asr_toks, ops):
+            costs = unit_costs([t.surface for t in gt_toks], [t.surface for t in asr_toks])
+            for piece_pos, js in _group_alignment(align_sequences(costs, len(asr_toks))):
                 aligned = [asr_toks[j] for j in js]
                 piece = gt_toks[piece_pos]
                 if len(aligned) == 1 and aligned[0].surface == piece.surface:

@@ -1,18 +1,19 @@
 """Corpus metrics: WER/CER, error-type mix, phoneme distance, independence.
 
-Texts are normalized (lowercase, punctuation stripped) before scoring, and
-the alignment here uses plain unit costs, unlike the phonetically weighted
-alignment used to build training data.
+Texts are normalized (lowercase, punctuation stripped) before scoring.
+Scoring runs the same alignment dynamic program that builds training data,
+``corpus.align_sequences``, but with unit costs instead of phonetic ones; a
+diagonal step between two different symbols counts as a substitution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats
 
-from .corpus import normalize
+from .corpus import align_sequences, normalize, unit_costs
 from .errors import InsufficientDataError, LengthMismatchError
 from .intervention import CorruptionPlan
 from .phonetics import PronouncingLexicon, g2p, phoneme_edit_distance
@@ -36,47 +37,6 @@ REFERENCE_PHONEME_DISTANCE = {
     "no_phoneme_head": 72.52,
 }
 
-_MATCH, _SUB, _INS, _DEL = 0, 1, 2, 3
-
-
-def _edit_ops(ref: Sequence[str], hyp: Sequence[str]) -> list[tuple[int, Optional[int], Optional[int]]]:
-    """Unit-cost alignment backtrace; prefers match/substitution, then insertion."""
-    n, m = len(ref), len(hyp)
-    cost = [[0] * (m + 1) for _ in range(n + 1)]
-    choice = [[_MATCH] * (m + 1) for _ in range(n + 1)]
-    for j in range(1, m + 1):
-        cost[0][j] = j
-        choice[0][j] = _INS
-    for i in range(1, n + 1):
-        cost[i][0] = i
-        choice[i][0] = _DEL
-        for j in range(1, m + 1):
-            sub = cost[i - 1][j - 1] + (0 if ref[i - 1] == hyp[j - 1] else 1)
-            ins = cost[i][j - 1] + 1
-            dele = cost[i - 1][j] + 1
-            if sub <= ins and sub <= dele:
-                cost[i][j] = sub
-                choice[i][j] = _MATCH if ref[i - 1] == hyp[j - 1] else _SUB
-            elif ins <= dele:
-                cost[i][j], choice[i][j] = ins, _INS
-            else:
-                cost[i][j], choice[i][j] = dele, _DEL
-    ops = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        c = choice[i][j]
-        if c in (_MATCH, _SUB):
-            i, j = i - 1, j - 1
-            ops.append((c, i, j))
-        elif c == _INS:
-            j -= 1
-            ops.append((_INS, None, j))
-        else:
-            i -= 1
-            ops.append((_DEL, i, None))
-    ops.reverse()
-    return ops
-
 
 def _check_lengths(references: Sequence[str], hypotheses: Sequence[str]) -> None:
     if len(references) != len(hypotheses):
@@ -95,13 +55,13 @@ def _corpus_counts(references, hypotheses, unit: str):
             ref = list(normalize(ref_text))
             hyp = list(normalize(hyp_text))
         ref_len += len(ref)
-        for op, _, _ in _edit_ops(ref, hyp):
-            if op == _SUB:
-                subs += 1
-            elif op == _INS:
+        for i, j in align_sequences(unit_costs(ref, hyp), len(hyp)):
+            if i is None:
                 ins += 1
-            elif op == _DEL:
+            elif j is None:
                 dels += 1
+            elif ref[i] != hyp[j]:
+                subs += 1
     return subs, ins, dels, ref_len
 
 
@@ -165,8 +125,8 @@ def mean_phoneme_distance(
     for ref_text, hyp_text in zip(references, hypotheses):
         ref = normalize(ref_text).split()
         hyp = normalize(hyp_text).split()
-        for op, i, j in _edit_ops(ref, hyp):
-            if op == _SUB:
+        for i, j in align_sequences(unit_costs(ref, hyp), len(hyp)):
+            if i is not None and j is not None and ref[i] != hyp[j]:
                 total += phoneme_edit_distance(g2p(ref[i], lexicon), g2p(hyp[j], lexicon))
                 count += 1
     return total / count if count else 0.0

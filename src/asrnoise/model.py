@@ -85,7 +85,6 @@ class PhonemeCodeIndex:
         self.token_rows: np.ndarray = np.asarray(token_rows, dtype=np.intp)
         if self.token_rows.size and self.token_rows.max() >= len(self.codes):
             raise ValueError("token row out of range for the code list")
-        self.unk_row = self.codes.index(_SPECIAL_CODES["[UNK]"]) if _SPECIAL_CODES["[UNK]"] in self.codes else 0
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -113,6 +112,40 @@ def _normal(rng: np.random.Generator, shape, scale=0.02) -> np.ndarray:
     return rng.normal(0.0, scale, size=shape).astype(np.float64)
 
 
+def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], Optional[float]]]:
+    """Every parameter as ``(name, shape, fill)``, in initialization order.
+
+    ``fill`` None means N(0, 0.02^2) draws; the order fixes both the draw
+    sequence of :meth:`ParamStore.init` and the checkpoint's array order.
+    """
+    d, f = config.d_model, 4 * config.d_model
+    specs = [
+        ("m_word", (config.vocab_size, d), None),
+        ("m_pos", (config.max_len, d), None),
+        ("m_ph", (config.code_vocab_size, d), None),
+        ("bos_emb", (1, d), None),
+    ]
+    for prefix in ("enc_", "dec_"):
+        for x in "qkvo":
+            specs += [(prefix + "w" + x, (d, d), None), (prefix + "b" + x, (d,), 0.0)]
+        specs += [
+            (prefix + "ln1_g", (d,), 1.0),
+            (prefix + "ln1_b", (d,), 0.0),
+            (prefix + "w1", (d, f), None),
+            (prefix + "b1", (f,), 0.0),
+            (prefix + "w2", (f, d), None),
+            (prefix + "b2", (d,), 0.0),
+            (prefix + "ln2_g", (d,), 1.0),
+            (prefix + "ln2_b", (d,), 0.0),
+        ]
+    specs += [
+        ("dec_h", (2 * d, d), None),
+        ("b_n", (config.vocab_size,), 0.0),
+        ("b_ph", (config.code_vocab_size,), 0.0),
+    ]
+    return specs
+
+
 class ParamStore:
     """Named float64 arrays in a fixed order."""
 
@@ -124,61 +157,15 @@ class ParamStore:
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "ParamStore":
         rng = np.random.default_rng(seed)
-        d, f = config.d_model, 4 * config.d_model
-        arrays: dict[str, np.ndarray] = {}
-        arrays["m_word"] = _normal(rng, (config.vocab_size, d))
-        arrays["m_pos"] = _normal(rng, (config.max_len, d))
-        arrays["m_ph"] = _normal(rng, (config.code_vocab_size, d))
-        arrays["bos_emb"] = _normal(rng, (1, d))
-        for prefix in ("enc_", "dec_"):
-            for name in ("wq", "wk", "wv", "wo"):
-                arrays[prefix + name] = _normal(rng, (d, d))
-                arrays[prefix + "b" + name[1]] = np.zeros(d)
-            arrays[prefix + "ln1_g"] = np.ones(d)
-            arrays[prefix + "ln1_b"] = np.zeros(d)
-            arrays[prefix + "w1"] = _normal(rng, (d, f))
-            arrays[prefix + "b1"] = np.zeros(f)
-            arrays[prefix + "w2"] = _normal(rng, (f, d))
-            arrays[prefix + "b2"] = np.zeros(d)
-            arrays[prefix + "ln2_g"] = np.ones(d)
-            arrays[prefix + "ln2_b"] = np.zeros(d)
-        arrays["dec_h"] = _normal(rng, (2 * d, d))
-        arrays["b_n"] = np.zeros(config.vocab_size)
-        arrays["b_ph"] = np.zeros(config.code_vocab_size)
-        return cls(arrays)
+        return cls(
+            {
+                name: _normal(rng, shape) if fill is None else np.full(shape, fill)
+                for name, shape, fill in _param_specs(config)
+            }
+        )
 
     def validate(self, config: ModelConfig) -> None:
-        d, f = config.d_model, 4 * config.d_model
-        expected = {
-            "m_word": (config.vocab_size, d),
-            "m_pos": (config.max_len, d),
-            "m_ph": (config.code_vocab_size, d),
-            "bos_emb": (1, d),
-            "dec_h": (2 * d, d),
-            "b_n": (config.vocab_size,),
-            "b_ph": (config.code_vocab_size,),
-        }
-        for prefix in ("enc_", "dec_"):
-            expected.update(
-                {
-                    prefix + "wq": (d, d),
-                    prefix + "bq": (d,),
-                    prefix + "wk": (d, d),
-                    prefix + "bk": (d,),
-                    prefix + "wv": (d, d),
-                    prefix + "bv": (d,),
-                    prefix + "wo": (d, d),
-                    prefix + "bo": (d,),
-                    prefix + "ln1_g": (d,),
-                    prefix + "ln1_b": (d,),
-                    prefix + "w1": (d, f),
-                    prefix + "b1": (f,),
-                    prefix + "w2": (f, d),
-                    prefix + "b2": (d,),
-                    prefix + "ln2_g": (d,),
-                    prefix + "ln2_b": (d,),
-                }
-            )
+        expected = {name: shape for name, shape, _ in _param_specs(config)}
         if set(expected) != set(self.arrays):
             missing = set(expected) - set(self.arrays)
             extra = set(self.arrays) - set(expected)
@@ -215,7 +202,14 @@ class Model:
     config: ModelConfig
     vocab: SubwordVocab
     code_index: PhonemeCodeIndex
-    _r_cache: dict = field(default_factory=dict, repr=False)
+    #: 1.0 at special-token indices, 0.0 elsewhere
+    special_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    _supervision_logs: dict[str, np.ndarray] = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        self.special_mask = np.asarray([1.0 if p in SPECIALS else 0.0 for p in self.vocab.pieces])
 
     @classmethod
     def build(
@@ -235,30 +229,14 @@ class Model:
     def r_support(self) -> list[Optional[str]]:
         return [None if p in SPECIALS else p for p in self.vocab.pieces]
 
-    @property
-    def special_mask(self) -> np.ndarray:
-        """1.0 at special-token indices, 0.0 elsewhere (cached)."""
-        mask = self._r_cache.get(("special_mask",))
-        if mask is None:
-            mask = np.asarray([1.0 if p in SPECIALS else 0.0 for p in self.vocab.pieces])
-            self._r_cache[("special_mask",)] = mask
-        return mask
-
-    def supervision_vector(self, surface: str, lexicon: PronouncingLexicon) -> np.ndarray:
-        """Cached supervision distribution over the vocabulary for a target."""
-        vec = self._r_cache.get(surface)
-        if vec is None:
-            vec = supervision_distribution(surface, self.r_support(), lexicon)
-            self._r_cache[surface] = vec
-        return vec
-
     def supervision_log(self, surface: str, lexicon: PronouncingLexicon) -> np.ndarray:
-        """Floored log of the supervision distribution (cached)."""
-        key = ("log", surface)
-        vec = self._r_cache.get(key)
+        """Floored log of a target's supervision distribution over the
+        vocabulary, cached per target surface."""
+        vec = self._supervision_logs.get(surface)
         if vec is None:
-            vec = np.log(np.maximum(self.supervision_vector(surface, lexicon), R_FLOOR))
-            self._r_cache[key] = vec
+            r = supervision_distribution(surface, self.r_support(), lexicon)
+            vec = np.log(np.maximum(r, R_FLOOR))
+            self._supervision_logs[surface] = vec
         return vec
 
 
@@ -364,12 +342,6 @@ def encode(
     return _attention_ffn_block(e_in, e_in, params, "enc_", config, key_mask)
 
 
-def encode_tokens(model: Model, token_ids: Sequence[int], params: Optional[dict[str, Tensor]] = None) -> Tensor:
-    params = params if params is not None else _wrap_params(model.params)
-    e_in = embed_sequence(token_ids, params, model.config, model.code_index.token_rows)
-    return encode(e_in, params, model.config)
-
-
 def _pad(sequences: Sequence[Sequence[int]]) -> np.ndarray:
     """Ragged id lists as one ``[len(sequences), longest]`` array, padded with id 0."""
     out = np.zeros((len(sequences), max(map(len, sequences), default=0)), dtype=np.intp)
@@ -425,39 +397,18 @@ def decoder_hidden(
     return _attention_ffn_block(queries, e_encoder, params, "dec_", config, key_mask)
 
 
-def decoder_step(
-    e_k: Tensor,
-    prefix_ids: Sequence[int],
-    e_encoder: Tensor,
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    token_code_rows: np.ndarray,
-    bos_id: int,
-) -> Tensor:
-    """Hidden state for the next generation step.
-
-    ``prefix_ids`` is the decoded prefix and must start with the [BOS] id;
-    the start symbol itself is folded into the projected head position.
-    """
-    if not prefix_ids or prefix_ids[0] != bos_id:
-        raise ValueError("decoder prefix must start with the [BOS] id")
-    hidden = decoder_hidden(e_k, list(prefix_ids[1:]), e_encoder, params, config, token_code_rows)
-    n = hidden.data.shape[0]
-    return ad.row_slice(hidden, n - 1, n)
-
-
 def _head_logits(
     d_k: Tensor,
     params: dict[str, Tensor],
     config: ModelConfig,
     token_code_rows: np.ndarray,
 ) -> tuple[Tensor, Optional[Tensor]]:
-    logits_n = ad.add(ad.matmul(d_k, ad.transpose(params["m_word"])), params["b_n"])
+    logits_n = ad.add(ad.matmul(d_k, ad.transpose_axes(params["m_word"], (1, 0))), params["b_n"])
     if not config.phoneme_head:
         return logits_n, None
     ph_rows = ad.rows(params["m_ph"], token_code_rows)
     ph_bias = ad.rows(params["b_ph"], token_code_rows)
-    logits_ph = ad.add(ad.matmul(d_k, ad.transpose(ph_rows)), ph_bias)
+    logits_ph = ad.add(ad.matmul(d_k, ad.transpose_axes(ph_rows, (1, 0))), ph_bias)
     return logits_n, logits_ph
 
 
@@ -504,18 +455,6 @@ def combine_heads(
     unnorm = ad.add(ad.mul(prod, content), ad.mul(ad.mul(p_n, special), mean_factor))
     p_gen = ad.div(unnorm, ad.sum_(unnorm, axis=-1, keepdims=True))
     return p_n, p_ph, p_gen
-
-
-def kl_divergence(p: np.ndarray, r: np.ndarray, floor: float = R_FLOOR) -> float:
-    """KL(p || r) with the reference distribution floored at ``floor``.
-
-    This is the per-step phoneme supervision penalty: mass that ``p`` puts
-    where ``r`` has (floored-to-)no support is charged heavily but finitely.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    r = np.maximum(np.asarray(r, dtype=np.float64), floor)
-    mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(r[mask]))))
 
 
 @dataclass

@@ -44,7 +44,3 @@ def uniforms_at(seed: int, positions) -> np.ndarray:
         x = x ^ (x >> np.uint64(31))
     return (x >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
-
-def uniform_at(seed: int, position: int) -> float:
-    """Scalar convenience wrapper around :func:`uniforms_at`."""
-    return float(uniforms_at(seed, [position])[0])

@@ -9,7 +9,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -200,17 +200,7 @@ def save_loss_log(path, log: Sequence[EpochStats], header: str = "") -> None:
 def save_checkpoint(path, model: Model, meta: Optional[dict] = None) -> None:
     header = {
         "format_version": 1,
-        "config": {
-            "d_model": model.config.d_model,
-            "n_heads": model.config.n_heads,
-            "vocab_size": model.config.vocab_size,
-            "code_vocab_size": model.config.code_vocab_size,
-            "max_gen_len": model.config.max_gen_len,
-            "max_len": model.config.max_len,
-            "lambda_w": model.config.lambda_w,
-            "lambda_ph": model.config.lambda_ph,
-            "phoneme_head": model.config.phoneme_head,
-        },
+        "config": asdict(model.config),
         "vocab": model.vocab.pieces,
         "codes": model.code_index.codes,
         "token_rows": [int(r) for r in model.code_index.token_rows],
@@ -251,6 +241,8 @@ def load_checkpoint(path) -> Model:
             header = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorruptCheckpointError(f"unreadable checkpoint header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CorruptCheckpointError("checkpoint header is not a JSON object")
         if header.get("format_version") != 1:
             raise VersionMismatchError(f"unsupported format version {header.get('format_version')}")
         (n_arrays,) = struct.unpack("<I", _read_exact(fh, 4))
@@ -266,9 +258,12 @@ def load_checkpoint(path) -> Model:
         trailing = fh.read(1)
         if trailing:
             raise CorruptCheckpointError("unexpected bytes after the last array")
-    config = ModelConfig(**header["config"])
-    vocab = SubwordVocab(header["vocab"])
-    code_index = PhonemeCodeIndex(header["codes"], header["token_rows"])
-    params = ParamStore(arrays)
-    params.validate(config)
+    try:
+        config = ModelConfig(**header["config"])
+        vocab = SubwordVocab(header["vocab"])
+        code_index = PhonemeCodeIndex(header["codes"], header["token_rows"])
+        params = ParamStore(arrays)
+        params.validate(config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptCheckpointError(f"checkpoint header and arrays do not fit: {exc!r}") from exc
     return Model(params=params, config=config, vocab=vocab, code_index=code_index)

@@ -1,9 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from asrnoise import corpus as corpus_mod
 from asrnoise import model as model_mod
 from asrnoise import synthetic
 from asrnoise.phonetics import default_lexicon
+
+# Property tests draw the same examples on every run and write no example
+# database, so a run's outcome depends only on the code under test.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

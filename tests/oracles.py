@@ -9,7 +9,7 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp, mpf
 
-from asrnoise.phonetics import articulatory_mismatches
+from asrnoise.phonetics import articulatory_mismatches, supervision_distribution
 
 
 def edit_distance_recursive(cp, cq) -> float:
@@ -30,6 +30,22 @@ def edit_distance_recursive(cp, cq) -> float:
         )
 
     return go(len(cp), len(cq)) / 3.0
+
+
+def alignment_cost_recursive(n: int, m: int, sub_cost) -> float:
+    """Minimum cost of aligning ``n`` reference items with ``m`` hypothesis
+    items: ``sub_cost(i, j)`` pairs item ``i`` with item ``j``, and an
+    insertion or deletion costs 1 (memoized recursion)."""
+
+    @lru_cache(maxsize=None)
+    def go(i: int, j: int) -> float:
+        if i == 0:
+            return j
+        if j == 0:
+            return i
+        return min(go(i - 1, j - 1) + sub_cost(i - 1, j - 1), go(i, j - 1) + 1, go(i - 1, j) + 1)
+
+    return go(n, m)
 
 
 # ------------------------------------------------------------------ mpmath
@@ -183,6 +199,6 @@ def loss_reference(model, example, lexicon, lambda_ph=None):
         for l, (tid, surface) in enumerate(zip(target, example.target_surfaces)):
             if tid == model.vocab.eos_id:
                 continue
-            r = model.supervision_vector(surface, lexicon)
+            r = supervision_distribution(surface, model.r_support(), lexicon)
             l_ph += float(np.sum(p_ph[l] * (np.log(p_ph[l]) - np.log(np.maximum(r, 1e-12)))))
     return float(l_n), float(l_ph), float(l_n + weight * l_ph)

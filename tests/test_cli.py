@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from asrnoise import cli
 from asrnoise import corpus as C
-from asrnoise import synthetic
+from asrnoise import synthetic, training
 from asrnoise.errors import ConfigParseError, UnknownConfigKeyError
+from asrnoise.model import loss_total
 
 
 class TestLoadConfig:
@@ -107,6 +109,30 @@ class TestCommands:
         assert lines[1] == "sentence_id\tgt_word\tasr_words\tlabel"
         assert len(lines) > 2
         assert prior.exists()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_train_divergence_writes_last_good_checkpoint(self, tmp_path, monkeypatch, lexicon):
+        corpus_path, pairs = _write_corpus(tmp_path)
+        vocab_path = tmp_path / "vocab.txt"
+        assert cli.main(["vocab", str(corpus_path), "--out", str(vocab_path), "--size", "120"]) == 0
+        original_step = training._Adam.step
+
+        def poisoned_step(self, params, grads):
+            original_step(self, params, grads)
+            params.arrays["b_n"][0] = np.inf
+
+        monkeypatch.setattr(training._Adam, "step", poisoned_step)
+        ckpt = tmp_path / "model.ckpt"
+        rc = cli.main(
+            ["train", str(corpus_path), "--vocab", str(vocab_path), "--checkpoint", str(ckpt), "--seed", "2"]
+        )
+        assert rc == 2
+        assert not ckpt.exists()
+        model = training.load_checkpoint(tmp_path / "model.ckpt.last_good")
+        alignments = [C.align_pair(p.gt, p.asr, lexicon) for p in pairs]
+        items = C.build_training_items(alignments, model.vocab, max_target_len=model.config.max_gen_len)
+        l_tot, _, _ = loss_total(items, model, lexicon)
+        assert np.isfinite(float(l_tot.data))
 
     def test_config_parse_error_exit_code(self, tmp_path):
         corpus_path, _ = _write_corpus(tmp_path)

@@ -6,6 +6,7 @@ from asrnoise import corpus as C
 from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
 
 from conftest import make_token_seq
+from oracles import alignment_cost_recursive
 
 
 class TestNormalize:
@@ -177,3 +178,33 @@ class TestBuildTrainingItems:
         assert len(items) == 1
         assert items[0].target_surfaces == ("thee", "[EOS]")
         assert items[0].error_label == C.SUBSTITUTION
+
+
+# dyadic costs keep every path sum exact, so DP and oracle agree bit for bit
+_costs = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.5])
+
+
+@st.composite
+def _cost_tables(draw):
+    n = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 6))
+    return draw(st.lists(st.lists(_costs, min_size=m, max_size=m), min_size=n, max_size=n)), m
+
+
+class TestAlignSequences:
+    @settings(max_examples=150)
+    @given(_cost_tables())
+    def test_step_costs_sum_to_the_minimum(self, table):
+        sub_costs, m = table
+        steps = C.align_sequences(sub_costs, m)
+        total = sum(1.0 if i is None or j is None else sub_costs[i][j] for i, j in steps)
+        assert total == alignment_cost_recursive(len(sub_costs), m, lambda i, j: sub_costs[i][j])
+
+    @settings(max_examples=150)
+    @given(_cost_tables())
+    def test_steps_visit_every_index_once_in_order(self, table):
+        sub_costs, m = table
+        steps = C.align_sequences(sub_costs, m)
+        assert [i for i, _ in steps if i is not None] == list(range(len(sub_costs)))
+        assert [j for _, j in steps if j is not None] == list(range(m))
+

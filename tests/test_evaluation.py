@@ -1,14 +1,24 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asrnoise import evaluation as E
 from asrnoise.errors import InsufficientDataError, LengthMismatchError
 from asrnoise.intervention import sample_plan_interventional
 from asrnoise.phonetics import g2p, phoneme_edit_distance
 
+from oracles import alignment_cost_recursive
+
+# normalized sentences: lowercase words of a small alphabet, so symbols repeat
+_words = st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=6)
+
 
 class TestWordErrorRate:
-    def test_identical_corpora(self):
-        texts = ["the cue is good", "only labored"]
+    @settings(max_examples=100)
+    @example([["the", "cue", "is", "good"], ["only", "labored"]])
+    @given(st.lists(_words, min_size=1, max_size=3))
+    def test_identical_corpora(self, sentences):
+        texts = [" ".join(words) for words in sentences]
         assert E.word_error_rate(texts, texts) == 0.0
 
     def test_empty_hypothesis_is_all_deletions(self):
@@ -26,6 +36,12 @@ class TestWordErrorRate:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             E.word_error_rate(["a"], ["a", "b"])
+
+    @settings(max_examples=150)
+    @given(_words, _words)
+    def test_error_count_is_unit_edit_distance(self, ref, hyp):
+        expected = alignment_cost_recursive(len(ref), len(hyp), lambda i, j: int(ref[i] != hyp[j]))
+        assert E.error_type_breakdown([" ".join(ref)], [" ".join(hyp)]).total_errors == expected
 
     def test_paper_reference_values_recorded(self):
         assert E.REFERENCE_WER["asr_system"] == 0.46

@@ -183,16 +183,15 @@ class TestDecoder:
     def test_prefix_order_changes_hidden_state(self):
         params, config, rows, e_enc, _ = self._setup()
         e_k = ad.row_slice(e_enc, 0, 1)
-        bos = 0
-        a = M.decoder_step(e_k, [bos, 1, 2], e_enc, params, config, rows, bos_id=bos)
-        b = M.decoder_step(e_k, [bos, 2, 1], e_enc, params, config, rows, bos_id=bos)
-        assert not np.allclose(a.data, b.data)
+        a = M.decoder_hidden(e_k, [1, 2], e_enc, params, config, rows)
+        b = M.decoder_hidden(e_k, [2, 1], e_enc, params, config, rows)
+        assert not np.allclose(a.data[-1], b.data[-1])
 
     def test_deterministic(self):
         params, config, rows, e_enc, _ = self._setup()
         e_k = ad.row_slice(e_enc, 1, 2)
-        a = M.decoder_step(e_k, [0, 3], e_enc, params, config, rows, bos_id=0)
-        b = M.decoder_step(e_k, [0, 3], e_enc, params, config, rows, bos_id=0)
+        a = M.decoder_hidden(e_k, [3], e_enc, params, config, rows)
+        b = M.decoder_hidden(e_k, [3], e_enc, params, config, rows)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_step_equals_full_pass_row(self):
@@ -201,22 +200,17 @@ class TestDecoder:
         target = [3, 1, 4]
         full = M.decoder_hidden(e_k, target[:-1], e_enc, params, config, rows)
         for l in range(len(target)):
-            step = M.decoder_step(e_k, [0] + target[:l], e_enc, params, config, rows, bos_id=0)
-            np.testing.assert_allclose(step.data[0], full.data[l], atol=1e-12)
+            step = M.decoder_hidden(e_k, target[:l], e_enc, params, config, rows)
+            assert step.data.shape == (1 + l, config.d_model)
+            np.testing.assert_allclose(step.data[-1], full.data[l], atol=1e-12)
 
     def test_prefix_too_long(self):
         params, config, rows, e_enc, _ = self._setup()
         e_k = ad.row_slice(e_enc, 0, 1)
         # max_gen_len positions are allowed; one more is not
-        M.decoder_step(e_k, [0, 1, 2, 3, 4], e_enc, params, config, rows, bos_id=0)
+        M.decoder_hidden(e_k, [1, 2, 3, 4], e_enc, params, config, rows)
         with pytest.raises(PrefixTooLongError):
-            M.decoder_step(e_k, [0, 1, 2, 3, 4, 1], e_enc, params, config, rows, bos_id=0)
-
-    def test_prefix_must_start_with_bos(self):
-        params, config, rows, e_enc, _ = self._setup()
-        e_k = ad.row_slice(e_enc, 0, 1)
-        with pytest.raises(ValueError):
-            M.decoder_step(e_k, [3, 1], e_enc, params, config, rows, bos_id=0)
+            M.decoder_hidden(e_k, [1, 2, 3, 4, 1], e_enc, params, config, rows)
 
 
 def _toy_model(lexicon, phoneme_head=True, lambda_w=0.5, seed=5):
@@ -327,7 +321,7 @@ class TestBatchedLossGraph:
         e_k = ad.select(e_enc, np.array([[0], [1]]), np.array(positions)[:, None])
         hidden = M.decoder_hidden(e_k, prefixes, e_enc, params, config, rows_map, real)
         for b, (sentence, k, prefix) in enumerate(zip(sentences, positions, prefixes)):
-            single_enc = M.encode_tokens(model, sentence, params)
+            single_enc = M.encode(M.embed_sequence(sentence, params, config, rows_map), params, config)
             np.testing.assert_allclose(e_enc.data[b, : len(sentence)], single_enc.data, rtol=0, atol=1e-12)
             single = M.decoder_hidden(
                 ad.row_slice(single_enc, k, k + 1), prefix, single_enc, params, config, rows_map
@@ -405,15 +399,6 @@ class TestLoss:
         batch = _toy_batch(model, lexicon)
         l_tot, l_n, l_ph = M.loss_total(batch, model, lexicon, lambda_ph=0.0)
         assert float(l_tot.data) == float(l_n.data)
-
-    def test_kl_identity_is_zero(self):
-        p = np.array([0.2, 0.3, 0.5])
-        assert M.kl_divergence(p, p) == pytest.approx(0.0, abs=1e-12)
-
-    def test_kl_floors_zero_reference_mass(self):
-        p = np.array([0.5, 0.5])
-        r = np.array([1.0, 0.0])
-        assert M.kl_divergence(p, r) > 10.0
 
     def test_matches_independent_recomputation(self, lexicon):
         model = _toy_model(lexicon)

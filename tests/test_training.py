@@ -1,9 +1,16 @@
 import gc
+import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asrnoise import autodiff as ad
+from asrnoise import cli
 from asrnoise import corpus as C
 from asrnoise import model as M
 from asrnoise import training as T
@@ -255,6 +262,67 @@ class TestCheckpointIO:
         bad.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(CorruptCheckpointError):
             T.load_checkpoint(bad)
+
+    @settings(max_examples=8)
+    @given(
+        heads_and_width=st.sampled_from([(1, 4), (2, 8), (4, 8)]),
+        max_gen_len=st.integers(1, 6),
+        max_len=st.integers(4, 20),
+        lambda_w=st.floats(0.0, 1.0),
+        lambda_ph=st.floats(0.0, 3.0),
+        phoneme_head=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_round_trip_property(
+        self, lexicon, heads_and_width, max_gen_len, max_len, lambda_w, lambda_ph, phoneme_head, seed
+    ):
+        n_heads, d_model = heads_and_width
+        config = M.ModelConfig(
+            d_model=d_model, n_heads=n_heads, max_gen_len=max_gen_len, max_len=max_len,
+            lambda_w=lambda_w, lambda_ph=lambda_ph, phoneme_head=phoneme_head,
+        )
+        model = M.Model.build(_toy_model(lexicon).vocab, lexicon, config, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.ckpt", Path(tmp) / "b.ckpt"
+            T.save_checkpoint(first, model, meta={"seed": seed})
+            loaded = T.load_checkpoint(first)
+            T.save_checkpoint(second, loaded, meta={"seed": seed})
+            assert second.read_bytes() == first.read_bytes()
+        assert loaded.config == model.config
+        assert list(loaded.params.arrays) == list(model.params.arrays)
+        for name, array in model.params.items():
+            assert loaded.params[name].tobytes() == array.tobytes()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: {k: v for k, v in h.items() if k != "config"},
+            lambda h: {**h, "config": {**h["config"], "dropout": 0.1}},
+            lambda h: {**h, "vocab": [p for p in h["vocab"] if p != "[BOS]"]},
+            lambda h: {**h, "config": {**h["config"], "n_heads": 3}},
+            lambda h: {**h, "config": {**h["config"], "max_len": 7}},
+            lambda h: [h],
+        ],
+        ids=[
+            "no-config", "unknown-config-key", "vocab-without-bos",
+            "d-model-not-divisible", "arrays-do-not-fit-config", "header-not-an-object",
+        ],
+    )
+    def test_malformed_header_is_corrupt_checkpoint(self, small_model, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(path, small_model)
+        data = path.read_bytes()
+        start = len(T.CHECKPOINT_MAGIC)
+        (size,) = struct.unpack("<I", data[start:start + 4])
+        header = edit(json.loads(data[start + 4:start + 4 + size]))
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:start] + struct.pack("<I", len(blob)) + blob + data[start + 4 + size:])
+        with pytest.raises(CorruptCheckpointError):
+            T.load_checkpoint(path)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("the cue\n")
+        rc = cli.main(["corrupt", str(texts), "--checkpoint", str(path), "--out", str(tmp_path / "out.txt")])
+        assert rc == 2
 
     def test_foreign_magic_rejected(self, tmp_path):
         path = tmp_path / "foreign.ckpt"
