@@ -43,7 +43,6 @@ from .intervention import (
 from .model import (
     Model,
     ModelConfig,
-    ParamStore,
     PhonemeCodeIndex,
     backward_and_check,
     loss_total,
@@ -75,7 +74,6 @@ __all__ = [
     "Model",
     "ModelConfig",
     "ParallelPair",
-    "ParamStore",
     "Phoneme",
     "PhoneticCode",
     "PhonemeCodeIndex",

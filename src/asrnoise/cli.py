@@ -1,15 +1,18 @@
 """Command-line pipeline: vocab, g2p, align, train, corrupt, eval.
 
 Configuration resolves in three layers (built-in defaults, then a flat
-``key = value`` config file, then command-line flags); the resolved config is
-echoed to stderr and hashed into every artifact header.  All randomness
-derives from the single ``--seed`` value.
+``key = value`` config file, then command-line flags).  Each command echoes
+to stderr, and hashes into its artifact headers, only the keys it reads, so
+a flag it ignores leaves its hash alone.  All randomness derives from the
+single ``--seed`` value.  ``corrupt`` writes one output line per input line,
+and ``eval`` pairs its two inputs line by line.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,6 +24,7 @@ from .errors import (
     CorruptCheckpointError,
     EmptyCorpusError,
     LengthMismatchError,
+    MalformedInputError,
     NonFiniteLossError,
     PriorOutOfRangeError,
     SizeTooSmallError,
@@ -30,26 +34,20 @@ from .errors import (
 from .model import Model, ModelConfig
 from .training import TrainConfig
 
+# the vocabulary, not the config, sizes the model's tables
+_MODEL_KEYS = tuple(
+    f.name for f in fields(ModelConfig) if f.name not in ("vocab_size", "code_vocab_size")
+)
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
+
 DEFAULTS: dict[str, object] = {
-    "seed": 0,
+    **{key: getattr(ModelConfig(), key) for key in _MODEL_KEYS},
+    **asdict(TrainConfig()),
+    "vocab_size": 256,
     "p_z": 0.15,
-    "lambda_w": 0.5,
-    "lambda_ph": 0.5,
     "mode": "sample",
     "temperature": 1.0,
-    "d_model": 32,
-    "n_heads": 4,
-    "vocab_size": 256,
-    "max_gen_len": 5,
-    "max_len": 64,
-    "learning_rate": 1e-3,
-    "epochs": 20,
-    "batch_size": 32,
-    "clip_norm": 5.0,
-    "phoneme_head": True,
 }
-
-COMMANDS = ("vocab", "g2p", "align", "train", "corrupt", "eval")
 
 
 def _parse_value(key: str, raw: str, line: Optional[int] = None):
@@ -115,30 +113,42 @@ def _header(command: str, config: dict) -> str:
 
 
 def _read_lines(path) -> list[str]:
-    lines = []
+    """Every line of a text file except a first-line ``# produced-by:`` header."""
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            lines.append(line)
+        lines = [raw.rstrip("\n") for raw in fh]
+    if lines and lines[0].startswith("# produced-by:"):
+        del lines[0]
     return lines
 
 
-def _load_lexicon(config_paths: dict) -> phonetics.PronouncingLexicon:
-    lex_path = config_paths.get("lexicon")
-    inv_path = config_paths.get("inventory")
-    if lex_path is None and inv_path is None:
+def _parse_file(parse, path, *args):
+    """``parse(path, *args)``, with a file it rejects reported as a data error."""
+    try:
+        return parse(path, *args)
+    except ValueError as exc:
+        raise MalformedInputError(f"{path}: {exc}") from exc
+
+
+def _settings(cls, config: dict, keys: Sequence[str]):
+    """``cls`` built from the config's ``keys``; a value it rejects is a config error."""
+    try:
+        return cls(**{key: config[key] for key in keys})
+    except ValueError as exc:
+        raise ConfigParseError(f"invalid config value: {exc}") from exc
+
+
+def _load_lexicon(args) -> phonetics.PronouncingLexicon:
+    if args.lexicon is None and args.inventory is None:
         return phonetics.default_lexicon()
-    if lex_path is None or inv_path is None:
-        raise ValueError("provide both --lexicon and --inventory or neither")
-    inventory = phonetics.load_inventory(inv_path)
-    return phonetics.load_lexicon(lex_path, inventory)
+    if args.lexicon is None or args.inventory is None:
+        raise ConfigParseError("provide both --lexicon and --inventory or neither")
+    inventory = _parse_file(phonetics.load_inventory, args.inventory)
+    return _parse_file(phonetics.load_lexicon, args.lexicon, inventory)
 
 
 # ---------------------------------------------------------------- commands
 def _cmd_vocab(args, config) -> int:
-    pairs = corpus_mod.load_pairs_tsv(args.input)
+    pairs = _parse_file(corpus_mod.load_pairs_tsv, args.input)
     texts = [p.gt for p in pairs] + [p.asr for p in pairs if p.asr.strip()]
     vocab = corpus_mod.induce_vocab(texts, config["vocab_size"])
     vocab.save(args.out, header=_header("vocab", config))
@@ -147,7 +157,7 @@ def _cmd_vocab(args, config) -> int:
 
 
 def _cmd_g2p(args, config) -> int:
-    lexicon = _load_lexicon({"lexicon": args.lexicon, "inventory": args.inventory})
+    lexicon = _load_lexicon(args)
     lines = []
     for word in args.words:
         code = phonetics.g2p(word, lexicon)
@@ -161,8 +171,8 @@ def _cmd_g2p(args, config) -> int:
 
 
 def _cmd_align(args, config) -> int:
-    lexicon = _load_lexicon({"lexicon": args.lexicon, "inventory": args.inventory})
-    pairs = corpus_mod.load_pairs_tsv(args.input)
+    lexicon = _load_lexicon(args)
+    pairs = _parse_file(corpus_mod.load_pairs_tsv, args.input)
     alignments = [corpus_mod.align_pair(p.gt, p.asr, lexicon) for p in pairs]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(f"# {_header('align', config)}\n")
@@ -177,32 +187,18 @@ def _cmd_align(args, config) -> int:
 
 
 def _cmd_train(args, config) -> int:
-    lexicon = _load_lexicon({"lexicon": args.lexicon, "inventory": args.inventory})
-    pairs = corpus_mod.load_pairs_tsv(args.input)
-    vocab = corpus_mod.SubwordVocab.load(args.vocab)
+    model_config = _settings(ModelConfig, config, _MODEL_KEYS)
+    train_config = _settings(TrainConfig, config, _TRAIN_KEYS)
+    lexicon = _load_lexicon(args)
+    pairs = _parse_file(corpus_mod.load_pairs_tsv, args.input)
+    vocab = _parse_file(corpus_mod.SubwordVocab.load, args.vocab)
     alignments = [corpus_mod.align_pair(p.gt, p.asr, lexicon) for p in pairs]
     items = corpus_mod.build_training_items(
-        alignments, vocab, [p.id for p in pairs], max_target_len=config["max_gen_len"]
+        alignments, vocab, [p.id for p in pairs], max_target_len=model_config.max_gen_len
     )
     if not items:
         raise EmptyCorpusError("no corrupted positions found in the training corpus")
-    model_config = ModelConfig(
-        d_model=config["d_model"],
-        n_heads=config["n_heads"],
-        max_gen_len=config["max_gen_len"],
-        max_len=config["max_len"],
-        lambda_w=config["lambda_w"],
-        lambda_ph=config["lambda_ph"],
-        phoneme_head=config["phoneme_head"],
-    )
-    model = Model.build(vocab, lexicon, model_config, seed=config["seed"])
-    train_config = TrainConfig(
-        learning_rate=config["learning_rate"],
-        epochs=config["epochs"],
-        batch_size=config["batch_size"],
-        seed=config["seed"],
-        clip_norm=config["clip_norm"],
-    )
+    model = Model.build(vocab, lexicon, model_config, seed=train_config.seed)
     meta = {"config_hash": config_hash(config)}
     try:
         log = training.train(items, model, lexicon, train_config)
@@ -224,9 +220,12 @@ def _cmd_train(args, config) -> int:
 
 
 def _cmd_corrupt(args, config) -> int:
+    if config["mode"] == generation.SAMPLE and config["temperature"] <= 0.0:
+        raise ConfigParseError(f"temperature must be positive to sample, got {config['temperature']}")
     model = training.load_checkpoint(args.checkpoint)
-    texts = [line for line in _read_lines(args.input) if line.strip()]
-    if not texts:
+    # a blank line passes through as a blank line, and '#' starts no comment
+    texts = _read_lines(args.input)
+    if not any(line.strip() for line in texts):
         raise EmptyCorpusError(f"no sentences found in {args.input}")
     outputs, records = generation.corrupt_corpus(
         texts,
@@ -247,12 +246,9 @@ def _cmd_corrupt(args, config) -> int:
 
 
 def _cmd_eval(args, config) -> int:
-    lexicon = _load_lexicon({"lexicon": args.lexicon, "inventory": args.inventory})
-    refs = [line for line in _read_lines(args.ref) if line.strip()]
-    # keep blank hypothesis lines: they are total deletions
-    hyps = _read_lines(args.hyp)
-    while len(hyps) > len(refs) and hyps and not hyps[-1].strip():
-        hyps.pop()
+    lexicon = _load_lexicon(args)
+    # line i of the references pairs with line i of the hypotheses, blank or not
+    refs, hyps = _read_lines(args.ref), _read_lines(args.hyp)
     breakdown = evaluation.error_type_breakdown(refs, hyps)
     metrics = {
         "wer": evaluation.word_error_rate(refs, hyps),
@@ -283,7 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="asrnoise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, reads, help):
+        """A subcommand with the shared flags; ``reads`` are the config keys it uses."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, reads=reads)
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--p-z", dest="p_z", type=float, default=None)
@@ -292,41 +291,39 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("greedy", "sample"), default=None)
         p.add_argument("--lexicon", default=None)
         p.add_argument("--inventory", default=None)
+        return p
 
-    p = sub.add_parser("vocab", help="induce a subword vocabulary from a GT/ASR TSV corpus")
-    common(p)
+    p = command("vocab", _cmd_vocab, ("vocab_size",),
+                "induce a subword vocabulary from a GT/ASR TSV corpus")
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.add_argument("--size", dest="vocab_size", type=int, default=None)
 
-    p = sub.add_parser("g2p", help="print phonetic codes for words")
-    common(p)
+    p = command("g2p", _cmd_g2p, (), "print phonetic codes for words")
     p.add_argument("words", nargs="+")
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("align", help="align a GT/ASR TSV corpus word by word")
-    common(p)
+    p = command("align", _cmd_align, (), "align a GT/ASR TSV corpus word by word")
     p.add_argument("input")
     p.add_argument("--out", required=True)
     p.add_argument("--prior-out", dest="prior_out", default=None,
                    help="also write the empirical corruption-frequency table")
 
-    p = sub.add_parser("train", help="train the noise generator on a GT/ASR TSV corpus")
-    common(p)
+    p = command("train", _cmd_train, _MODEL_KEYS + _TRAIN_KEYS,
+                "train the noise generator on a GT/ASR TSV corpus")
     p.add_argument("input")
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None, help="loss log CSV")
 
-    p = sub.add_parser("corrupt", help="corrupt plain text into pseudo transcripts")
-    common(p)
+    p = command("corrupt", _cmd_corrupt, ("seed", "p_z", "mode", "temperature"),
+                "corrupt plain text into pseudo transcripts")
     p.add_argument("input")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="span report TSV")
 
-    p = sub.add_parser("eval", help="score hypotheses against references")
-    common(p)
+    p = command("eval", _cmd_eval, (), "score hypotheses against references")
     p.add_argument("--ref", required=True)
     p.add_argument("--hyp", required=True)
     p.add_argument("--out", required=True, help="report basename (.txt and .csv are written)")
@@ -334,9 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_USAGE_ERRORS = (ConfigParseError, UnknownConfigKeyError, SizeTooSmallError, PriorOutOfRangeError, ValueError)
+_USAGE_ERRORS = (ConfigParseError, UnknownConfigKeyError, SizeTooSmallError, PriorOutOfRangeError)
 _DATA_ERRORS = (
     FileNotFoundError,
+    UnicodeDecodeError,
+    MalformedInputError,
     EmptyCorpusError,
     CorruptCheckpointError,
     VersionMismatchError,
@@ -344,35 +343,14 @@ _DATA_ERRORS = (
 )
 
 
-def run_command(command: str, args, config: dict) -> int:
-    handlers = {
-        "vocab": _cmd_vocab,
-        "g2p": _cmd_g2p,
-        "align": _cmd_align,
-        "train": _cmd_train,
-        "corrupt": _cmd_corrupt,
-        "eval": _cmd_eval,
-    }
-    if command not in handlers:
-        raise ValueError(f"unknown command {command!r}")
-    return handlers[command](args, config)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "p_z": getattr(args, "p_z", None),
-        "lambda_w": getattr(args, "lambda_w", None),
-        "lambda_ph": getattr(args, "lambda_ph", None),
-        "mode": getattr(args, "mode", None),
-        "vocab_size": getattr(args, "vocab_size", None),
-    }
+    args = build_parser().parse_args(argv)
+    overrides = {key: value for key, value in vars(args).items() if key in DEFAULTS}
     try:
-        config = load_config(args.config, overrides)
+        resolved = load_config(args.config, overrides)
+        config = {key: resolved[key] for key in args.reads}
         _echo_config(args.command, config)
-        return run_command(args.command, args, config)
+        return args.handler(args, config)
     except _USAGE_ERRORS as exc:
         print(f"asrnoise: usage error: {exc}", file=sys.stderr)
         return 1

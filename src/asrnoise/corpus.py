@@ -398,7 +398,8 @@ class AlignedExample:
     error_label: str
 
 
-def _label_from_length(m: int) -> str:
+def label_from_length(m: int) -> str:
+    """Error label of a target of ``m`` tokens, [EOS] included."""
     if m == 1:
         return DELETION
     if m == 2:
@@ -454,7 +455,7 @@ def build_training_items(
                         gt_piece=piece.surface,
                         target_ids=target_ids,
                         target_surfaces=target_surfaces,
-                        error_label=_label_from_length(len(target_ids)),
+                        error_label=label_from_length(len(target_ids)),
                     )
                 )
             offset += len(gt_toks)

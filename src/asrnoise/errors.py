@@ -49,6 +49,10 @@ class NonFiniteLossError(AsrNoiseError):
         self.last_good = last_good
 
 
+class MalformedInputError(AsrNoiseError):
+    """A corpus, vocabulary, lexicon or inventory file cannot be parsed."""
+
+
 class CorruptCheckpointError(AsrNoiseError):
     """Checkpoint file is truncated or structurally invalid."""
 

@@ -38,24 +38,21 @@ REFERENCE_PHONEME_DISTANCE = {
 }
 
 
-def _check_lengths(references: Sequence[str], hypotheses: Sequence[str]) -> None:
+def _aligned(references: Sequence[str], hypotheses: Sequence[str], split):
+    """Each pair's normalized units (``str.split`` for words, ``list`` for
+    characters) with their unit-cost alignment steps."""
     if len(references) != len(hypotheses):
-        raise LengthMismatchError(
-            f"{len(references)} references vs {len(hypotheses)} hypotheses"
-        )
-
-
-def _corpus_counts(references, hypotheses, unit: str):
-    subs = ins = dels = ref_len = 0
+        raise LengthMismatchError(f"{len(references)} references vs {len(hypotheses)} hypotheses")
     for ref_text, hyp_text in zip(references, hypotheses):
-        if unit == "word":
-            ref = normalize(ref_text).split()
-            hyp = normalize(hyp_text).split()
-        else:
-            ref = list(normalize(ref_text))
-            hyp = list(normalize(hyp_text))
+        ref, hyp = split(normalize(ref_text)), split(normalize(hyp_text))
+        yield ref, hyp, align_sequences(unit_costs(ref, hyp), len(hyp))
+
+
+def _corpus_counts(references, hypotheses, split):
+    subs = ins = dels = ref_len = 0
+    for ref, hyp, steps in _aligned(references, hypotheses, split):
         ref_len += len(ref)
-        for i, j in align_sequences(unit_costs(ref, hyp), len(hyp)):
+        for i, j in steps:
             if i is None:
                 ins += 1
             elif j is None:
@@ -67,8 +64,7 @@ def _corpus_counts(references, hypotheses, unit: str):
 
 def word_error_rate(references: Sequence[str], hypotheses: Sequence[str]) -> float:
     """(substitutions + deletions + insertions) / reference word count."""
-    _check_lengths(references, hypotheses)
-    subs, ins, dels, ref_len = _corpus_counts(references, hypotheses, "word")
+    subs, ins, dels, ref_len = _corpus_counts(references, hypotheses, str.split)
     if ref_len == 0:
         return 0.0
     return (subs + ins + dels) / ref_len
@@ -76,8 +72,7 @@ def word_error_rate(references: Sequence[str], hypotheses: Sequence[str]) -> flo
 
 def char_error_rate(references: Sequence[str], hypotheses: Sequence[str]) -> float:
     """Same ratio at character level (spaces included after normalization)."""
-    _check_lengths(references, hypotheses)
-    subs, ins, dels, ref_len = _corpus_counts(references, hypotheses, "char")
+    subs, ins, dels, ref_len = _corpus_counts(references, hypotheses, list)
     if ref_len == 0:
         return 0.0
     return (subs + ins + dels) / ref_len
@@ -102,8 +97,7 @@ class ErrorBreakdown:
 
 def error_type_breakdown(references: Sequence[str], hypotheses: Sequence[str]) -> ErrorBreakdown:
     """Proportion of each error type among all error operations."""
-    _check_lengths(references, hypotheses)
-    subs, ins, dels, _ = _corpus_counts(references, hypotheses, "word")
+    subs, ins, dels, _ = _corpus_counts(references, hypotheses, str.split)
     total = subs + ins + dels
     if total == 0:
         return ErrorBreakdown(0.0, 0.0, 0.0, 0)
@@ -119,13 +113,10 @@ def mean_phoneme_distance(
 
     Zero when the corpora align without substitutions.
     """
-    _check_lengths(references, hypotheses)
     total = 0.0
     count = 0
-    for ref_text, hyp_text in zip(references, hypotheses):
-        ref = normalize(ref_text).split()
-        hyp = normalize(hyp_text).split()
-        for i, j in align_sequences(unit_costs(ref, hyp), len(hyp)):
+    for ref, hyp, steps in _aligned(references, hypotheses, str.split):
+        for i, j in steps:
             if i is not None and j is not None and ref[i] != hyp[j]:
                 total += phoneme_edit_distance(g2p(ref[i], lexicon), g2p(hyp[j], lexicon))
                 count += 1

@@ -15,7 +15,16 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Token, TokenSeq, detokenize, tokenize
+from .corpus import (
+    DELETION,
+    INSERTION,
+    SUBSTITUTION,
+    Token,
+    TokenSeq,
+    detokenize,
+    label_from_length,
+    tokenize,
+)
 from .errors import OutOfRangeError, PlanMismatchError
 from .intervention import CorruptionPlan, sample_plan_interventional
 from .model import Model, _wrap_params, decoder_hidden, embed_sequence, encode, step_distributions
@@ -27,21 +36,18 @@ SAMPLE = "sample"
 
 
 class ErrorType(Enum):
-    DELETION = "deletion"
-    SUBSTITUTION = "substitution"
-    INSERTION = "insertion"
-    NO_ERROR = "no_error"
+    """The corpus error labels of :func:`corpus.label_from_length`."""
+
+    DELETION = DELETION
+    SUBSTITUTION = SUBSTITUTION
+    INSERTION = INSERTION
 
 
 def classify_error(m: int, max_gen_len: int) -> ErrorType:
     """Error type from the generated token count (including [EOS])."""
     if not 1 <= m <= max_gen_len:
         raise OutOfRangeError(f"generated length {m} outside [1, {max_gen_len}]")
-    if m == 1:
-        return ErrorType.DELETION
-    if m == 2:
-        return ErrorType.SUBSTITUTION
-    return ErrorType.INSERTION
+    return ErrorType(label_from_length(m))
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], Option
     """Every parameter as ``(name, shape, fill)``, in initialization order.
 
     ``fill`` None means N(0, 0.02^2) draws; the order fixes both the draw
-    sequence of :meth:`ParamStore.init` and the checkpoint's array order.
+    sequence of :func:`init_params` and the checkpoint's array order.
     """
     d, f = config.d_model, 4 * config.d_model
     specs = [
@@ -146,59 +146,35 @@ def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], Option
     return specs
 
 
-class ParamStore:
-    """Named float64 arrays in a fixed order."""
+def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
+    """Fresh parameters for ``config``, drawn in :func:`_param_specs` order."""
+    rng = np.random.default_rng(seed)
+    return {
+        name: _normal(rng, shape) if fill is None else np.full(shape, fill)
+        for name, shape, fill in _param_specs(config)
+    }
 
-    def __init__(self, arrays: dict[str, np.ndarray]):
-        self.arrays: dict[str, np.ndarray] = {
-            name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()
-        }
 
-    @classmethod
-    def init(cls, config: ModelConfig, seed: int) -> "ParamStore":
-        rng = np.random.default_rng(seed)
-        return cls(
-            {
-                name: _normal(rng, shape) if fill is None else np.full(shape, fill)
-                for name, shape, fill in _param_specs(config)
-            }
-        )
-
-    def validate(self, config: ModelConfig) -> None:
-        expected = {name: shape for name, shape, _ in _param_specs(config)}
-        if set(expected) != set(self.arrays):
-            missing = set(expected) - set(self.arrays)
-            extra = set(self.arrays) - set(expected)
-            raise ValueError(f"parameter names mismatch: missing={missing}, extra={extra}")
-        for name, shape in expected.items():
-            if self.arrays[name].shape != shape:
-                raise ValueError(
-                    f"parameter {name} has shape {self.arrays[name].shape}, expected {shape}"
-                )
-            if not np.all(np.isfinite(self.arrays[name])):
-                raise ValueError(f"parameter {name} contains non-finite values")
-
-    def copy(self) -> "ParamStore":
-        return ParamStore({name: a.copy() for name, a in self.arrays.items()})
-
-    def items(self):
-        return self.arrays.items()
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        self.arrays[name] = np.asarray(value, dtype=np.float64)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.arrays
+def check_params(params: dict[str, np.ndarray], config: ModelConfig) -> None:
+    """Raise ValueError unless ``params`` has exactly the names and shapes of
+    ``config``'s parameters, all finite."""
+    expected = {name: shape for name, shape, _ in _param_specs(config)}
+    if set(expected) != set(params):
+        missing = set(expected) - set(params)
+        extra = set(params) - set(expected)
+        raise ValueError(f"parameter names mismatch: missing={missing}, extra={extra}")
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise ValueError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
+        if not np.all(np.isfinite(params[name])):
+            raise ValueError(f"parameter {name} contains non-finite values")
 
 
 @dataclass
 class Model:
-    """Parameter store plus everything needed to run it."""
+    """Named float64 parameter arrays plus everything needed to run them."""
 
-    params: ParamStore
+    params: dict[str, np.ndarray]
     config: ModelConfig
     vocab: SubwordVocab
     code_index: PhonemeCodeIndex
@@ -222,8 +198,8 @@ class Model:
         code_index = PhonemeCodeIndex.build(vocab, lexicon)
         base = config if config is not None else ModelConfig()
         base = replace(base, vocab_size=len(vocab), code_vocab_size=len(code_index))
-        params = ParamStore.init(base, seed)
-        params.validate(base)
+        params = init_params(base, seed)
+        check_params(params, base)
         return cls(params=params, config=base, vocab=vocab, code_index=code_index)
 
     def r_support(self) -> list[Optional[str]]:
@@ -240,7 +216,7 @@ class Model:
         return vec
 
 
-def _wrap_params(params: ParamStore) -> dict[str, Tensor]:
+def _wrap_params(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
     return {name: Tensor(a) for name, a in params.items()}
 
 
@@ -417,7 +393,7 @@ def step_distributions(
     params: dict[str, Tensor],
     config: ModelConfig,
     token_code_rows: np.ndarray,
-    special_mask: Optional[np.ndarray] = None,
+    special_mask: np.ndarray,
 ) -> tuple[Tensor, Optional[Tensor], Tensor]:
     """Word-head, phoneme-head and combined distributions over the vocabulary.
 
@@ -437,15 +413,13 @@ def step_distributions(
 def combine_heads(
     logits_n: Tensor,
     logits_ph: Optional[Tensor],
-    special_mask: Optional[np.ndarray] = None,
+    special_mask: np.ndarray,
 ) -> tuple[Tensor, Optional[Tensor], Tensor]:
     """The distributions of :func:`step_distributions` from the head logits."""
     p_n = ad.softmax(logits_n, axis=-1)
     if logits_ph is None:
         return p_n, None, p_n
     p_ph = ad.softmax(logits_ph, axis=-1)
-    if special_mask is None:
-        special_mask = np.zeros(logits_n.data.shape[-1])
     content = Tensor(1.0 - special_mask)
     special = Tensor(special_mask)
     prod = ad.mul(p_n, p_ph)
@@ -478,7 +452,6 @@ def _loss_graph(
     batch: Sequence[AlignedExample],
     model: Model,
     lexicon: PronouncingLexicon,
-    lambda_ph: Optional[float] = None,
 ) -> LossGraph:
     """Build one padded, masked graph for the whole batch.
 
@@ -490,7 +463,6 @@ def _loss_graph(
     if not batch:
         raise ValueError("cannot build a loss graph for an empty batch")
     config = model.config
-    weight = config.lambda_ph if lambda_ph is None else lambda_ph
     params = _wrap_params(model.params)
     rows_map = model.code_index.token_rows
     eos_id = model.vocab.eos_id
@@ -520,7 +492,7 @@ def _loss_graph(
     l_n = ad.neg(ad.sum_(ad.select(lp_n, np.arange(len(target_ids)), target_ids)))
 
     l_ph = Tensor(0.0)
-    if logits_ph is not None and weight != 0.0:
+    if logits_ph is not None and config.lambda_ph != 0.0:
         step_rows = []
         r_logs = []
         surfaces = (s for example in batch for s in example.target_surfaces)
@@ -537,7 +509,7 @@ def _loss_graph(
             lp_ph = ad.log_softmax(ad.rows(logits_ph, step_rows), axis=-1)
             p_ph = ad.exp(lp_ph)
             l_ph = ad.sum_(ad.mul(p_ph, ad.sub(lp_ph, Tensor(np.asarray(r_logs)))))
-    l_tot = ad.add(l_n, ad.mul(Tensor(weight), l_ph))
+    l_tot = ad.add(l_n, ad.mul(Tensor(config.lambda_ph), l_ph))
     return LossGraph(l_tot, l_n, l_ph, params, logits_n, logits_ph, target_ids)
 
 
@@ -545,7 +517,6 @@ def loss_total(
     batch: Sequence[AlignedExample],
     model: Model,
     lexicon: PronouncingLexicon,
-    lambda_ph: Optional[float] = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Word-head negative log likelihood plus weighted phoneme-head KL.
 
@@ -553,7 +524,7 @@ def loss_total(
     divergence from the phoneme-head distribution to the supervision
     distribution of the step's target token (floored outside its support).
     """
-    graph = _loss_graph(batch, model, lexicon, lambda_ph)
+    graph = _loss_graph(batch, model, lexicon)
     return graph.l_tot, graph.l_n, graph.l_ph
 
 
@@ -568,7 +539,6 @@ def backward_and_check(
     model: Model,
     batch: Sequence[AlignedExample],
     lexicon: PronouncingLexicon,
-    lambda_ph: Optional[float] = None,
     check_coords: int = 0,
     check_seed: int = 0,
     fd_step: float = 1e-5,
@@ -579,7 +549,7 @@ def backward_and_check(
     coordinates are re-derived with central differences at ``fd_step`` and
     the maximum relative error (guarded at unit scale) is reported.
     """
-    graph = _loss_graph(batch, model, lexicon, lambda_ph)
+    graph = _loss_graph(batch, model, lexicon)
     ad.backward(graph.l_tot)
     grads: dict[str, np.ndarray] = {}
     for name, leaf in graph.params.items():
@@ -591,14 +561,14 @@ def backward_and_check(
     report = None
     if check_coords > 0:
         rng = np.random.default_rng(check_seed)
-        names = sorted(model.params.arrays)
+        names = sorted(model.params)
         coords: list[tuple[str, int]] = []
         for _ in range(check_coords):
             name = names[int(rng.integers(len(names)))]
             coords.append((name, int(rng.integers(model.params[name].size))))
 
         def loss_value() -> float:
-            return float(_loss_graph(batch, model, lexicon, lambda_ph).l_tot.data)
+            return float(_loss_graph(batch, model, lexicon).l_tot.data)
 
         max_rel = 0.0
         worst = coords[0]

@@ -22,10 +22,13 @@ from .errors import (
     SequenceTooLongError,
     VersionMismatchError,
 )
-from .model import Model, ModelConfig, ParamStore, PhonemeCodeIndex, _loss_graph, combine_heads
+from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph, check_params, combine_heads
 from .phonetics import PronouncingLexicon
 
 CHECKPOINT_MAGIC = b"ISNI1"
+
+#: Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -34,10 +37,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 32
     seed: int = 0
-    lambda_ph: Optional[float] = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     clip_norm: float = 5.0
 
     def __post_init__(self):
@@ -47,8 +46,6 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("Adam moment coefficients must lie in [0, 1)")
         if self.clip_norm <= 0.0:
             raise ValueError("clip norm must be positive")
 
@@ -75,24 +72,24 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 class _Adam:
-    def __init__(self, params: ParamStore, cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
+        self.learning_rate = learning_rate
         self.step_count = 0
         self.m = {name: np.zeros_like(a) for name, a in params.items()}
         self.v = {name: np.zeros_like(a) for name, a in params.items()}
 
-    def step(self, params: ParamStore, grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         self.step_count += 1
-        b1, b2 = self.cfg.beta1, self.cfg.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
-        for name in params.arrays:
+        for name in params:
             g = grads[name]
             self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
             m_hat = self.m[name] / bias1
             v_hat = self.v[name] / bias2
-            params.arrays[name] -= self.cfg.learning_rate * m_hat / (np.sqrt(v_hat) + self.cfg.adam_eps)
+            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train(
@@ -123,21 +120,21 @@ def train(
             f"{model.config.max_gen_len}; build items with max_target_len set"
         )
     rng = np.random.default_rng(cfg.seed)
-    optimizer = _Adam(model.params, cfg)
+    optimizer = _Adam(model.params, cfg.learning_rate)
     log: list[EpochStats] = []
-    last_good = model.params.copy()
+    last_good = {name: a.copy() for name, a in model.params.items()}
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(items))
         sums = np.zeros(3)
         for start in range(0, len(order), cfg.batch_size):
             batch = [items[i] for i in order[start:start + cfg.batch_size]]
-            graph = _loss_graph(batch, model, lexicon, cfg.lambda_ph)
+            graph = _loss_graph(batch, model, lexicon)
             values = (float(graph.l_tot.data), float(graph.l_n.data), float(graph.l_ph.data))
             if not all(np.isfinite(values)):
                 raise NonFiniteLossError(
                     f"loss diverged in epoch {epoch}", last_good=last_good
                 )
-            last_good = model.params.copy()
+            last_good = {name: a.copy() for name, a in model.params.items()}
             # optimize the per-item mean so step size is batch-size invariant
             ad.backward(ad.mul(graph.l_tot, ad.Tensor(1.0 / len(batch))))
             grads = {
@@ -173,7 +170,7 @@ def evaluate_dev(
     """
     if not items:
         return DevReport(0.0, 0.0, 0.0, 0, 0)
-    graph = _loss_graph(items, model, lexicon, None)
+    graph = _loss_graph(items, model, lexicon)
     _, _, p_gen = combine_heads(graph.logits_n, graph.logits_ph, model.special_mask)
     hits = int(np.count_nonzero(np.argmax(p_gen.data, axis=-1) == graph.targets))
     steps = len(graph.targets)
@@ -211,7 +208,7 @@ def save_checkpoint(path, model: Model, meta: Optional[dict] = None) -> None:
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", len(blob)))
     buf.write(blob)
-    buf.write(struct.pack("<I", len(model.params.arrays)))
+    buf.write(struct.pack("<I", len(model.params)))
     for name, array in model.params.items():
         encoded = name.encode("utf-8")
         buf.write(struct.pack("<H", len(encoded)))
@@ -262,8 +259,7 @@ def load_checkpoint(path) -> Model:
         config = ModelConfig(**header["config"])
         vocab = SubwordVocab(header["vocab"])
         code_index = PhonemeCodeIndex(header["codes"], header["token_rows"])
-        params = ParamStore(arrays)
-        params.validate(config)
+        check_params(arrays, config)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"checkpoint header and arrays do not fit: {exc!r}") from exc
-    return Model(params=params, config=config, vocab=vocab, code_index=code_index)
+    return Model(params=arrays, config=config, vocab=vocab, code_index=code_index)

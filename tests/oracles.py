@@ -158,12 +158,11 @@ def _np_block(q_in, kv_in, p, prefix, n_heads):
     return _np_layer_norm(h1 + ffn, p[prefix + "ln2_g"], p[prefix + "ln2_b"])
 
 
-def loss_reference(model, example, lexicon, lambda_ph=None):
+def loss_reference(model, example, lexicon):
     """Plain-numpy recomputation of one example's loss terms."""
     cfg = model.config
-    p = model.params.arrays
+    p = model.params
     rows_map = model.code_index.token_rows
-    weight = cfg.lambda_ph if lambda_ph is None else lambda_ph
 
     ids = np.asarray(example.sentence.piece_ids, dtype=np.intp)
     pos = p["m_pos"][: len(ids)]
@@ -192,7 +191,7 @@ def loss_reference(model, example, lexicon, lambda_ph=None):
     l_n = -sum(lp_n[l, t] for l, t in enumerate(target))
 
     l_ph = 0.0
-    if cfg.phoneme_head and weight != 0.0:
+    if cfg.phoneme_head and cfg.lambda_ph != 0.0:
         ph_rows = p["m_ph"][rows_map]
         logits_ph = hidden @ ph_rows.T + p["b_ph"][rows_map]
         p_ph = _np_softmax(logits_ph)
@@ -201,4 +200,4 @@ def loss_reference(model, example, lexicon, lambda_ph=None):
                 continue
             r = supervision_distribution(surface, model.r_support(), lexicon)
             l_ph += float(np.sum(p_ph[l] * (np.log(p_ph[l]) - np.log(np.maximum(r, 1e-12)))))
-    return float(l_n), float(l_ph), float(l_n + weight * l_ph)
+    return float(l_n), float(l_ph), float(l_n + cfg.lambda_ph * l_ph)

@@ -8,6 +8,10 @@ from asrnoise.errors import ConfigParseError, UnknownConfigKeyError
 from asrnoise.model import loss_total
 
 
+def _header_hash(path):
+    return path.read_text().splitlines()[0].rsplit("config-hash: ", 1)[1]
+
+
 class TestLoadConfig:
     def test_empty_file_gives_pure_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
@@ -58,6 +62,18 @@ class TestLoadConfig:
     def test_unknown_override_rejected(self):
         with pytest.raises(UnknownConfigKeyError):
             cli.load_config(None, overrides={"warp_speed": 9})
+
+    def test_defaults_are_the_documented_keys_and_values(self):
+        # the README's table; ModelConfig/TrainConfig supply twelve of these
+        documented = {
+            "seed": 0, "p_z": 0.15, "lambda_w": 0.5, "lambda_ph": 0.5, "mode": "sample",
+            "temperature": 1.0, "d_model": 32, "n_heads": 4, "vocab_size": 256,
+            "max_gen_len": 5, "max_len": 64, "learning_rate": 0.001, "epochs": 20,
+            "batch_size": 32, "clip_norm": 5.0, "phoneme_head": True,
+        }
+        assert cli.DEFAULTS == documented
+        # the default's type decides how a config-file value parses
+        assert {k: type(v) for k, v in cli.DEFAULTS.items()} == {k: type(v) for k, v in documented.items()}
 
     def test_hash_is_stable_and_sensitive(self):
         a = cli.load_config(None)
@@ -119,7 +135,7 @@ class TestCommands:
 
         def poisoned_step(self, params, grads):
             original_step(self, params, grads)
-            params.arrays["b_n"][0] = np.inf
+            params["b_n"][0] = np.inf
 
         monkeypatch.setattr(training._Adam, "step", poisoned_step)
         ckpt = tmp_path / "model.ckpt"
@@ -142,6 +158,49 @@ class TestCommands:
             ["vocab", str(corpus_path), "--out", str(tmp_path / "v.txt"), "--config", str(cfg)]
         )
         assert rc == 1
+
+
+    @pytest.mark.parametrize("bad", ["n_heads = 3\n", "epochs = 0\n", "lambda_w = 1.5\n"])
+    def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, bad):
+        corpus_path, _ = _write_corpus(tmp_path)
+        vocab_path = tmp_path / "vocab.txt"
+        assert cli.main(["vocab", str(corpus_path), "--out", str(vocab_path), "--size", "120"]) == 0
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(bad)
+        rc = cli.main(
+            ["train", str(corpus_path), "--vocab", str(vocab_path),
+             "--checkpoint", str(tmp_path / "m.ckpt"), "--config", str(cfg)]
+        )
+        assert rc == 1
+        assert "usage error: invalid config value" in capsys.readouterr().err
+
+    def test_lexicon_without_inventory_is_usage_error(self, tmp_path, capsys):
+        lexicon_path = tmp_path / "lexicon.tsv"
+        lexicon_path.write_text("CUE\tK Y UW\n")
+        assert cli.main(["g2p", "cue", "--lexicon", str(lexicon_path)]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_rejected_vocab_file_is_data_error(self, tmp_path, capsys):
+        corpus_path, _ = _write_corpus(tmp_path)
+        vocab_path = tmp_path / "vocab.txt"
+        vocab_path.write_text("[BOS]\n[EOS]\na\nb\n")  # no [UNK]
+        rc = cli.main(
+            ["train", str(corpus_path), "--vocab", str(vocab_path), "--checkpoint", str(tmp_path / "m.ckpt")]
+        )
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("the cue\n")
+
+        def broken(references, hypotheses):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli.evaluation, "word_error_rate", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            cli.main(["eval", "--ref", str(texts), "--hyp", str(texts), "--out", str(tmp_path / "m")])
+        assert "usage error" not in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +296,59 @@ class TestPipeline:
             assert rc == 0
             outs.append(out.read_text())
         assert outs[0] == outs[1]
+
+    def test_config_hash_covers_only_keys_the_command_reads(self, pipeline, capsys):
+        root, cfg, vocab_path, ckpt, losslog, texts = pipeline
+        corrupt_hashes = []
+        for extra in ([], ["--lambda-w", "0.9"]):
+            out = root / "hashed.txt"
+            capsys.readouterr()
+            rc = cli.main(
+                ["corrupt", str(texts), "--checkpoint", str(ckpt), "--out", str(out),
+                 "--config", str(cfg), *extra]
+            )
+            assert rc == 0
+            corrupt_hashes.append(_header_hash(out))
+            echoed = [l.split()[2] for l in capsys.readouterr().err.splitlines() if " = " in l]
+            assert sorted(echoed) == ["mode", "p_z", "seed", "temperature"]
+        assert corrupt_hashes[0] == corrupt_hashes[1]
+        other_log = root / "loss_lambda_w.csv"
+        rc = cli.main(
+            ["train", str(root / "corpus.tsv"), "--vocab", str(vocab_path),
+             "--checkpoint", str(root / "lambda_w.ckpt"), "--out", str(other_log),
+             "--config", str(cfg), "--lambda-w", "0.9"]
+        )
+        assert rc == 0
+        assert _header_hash(other_log) != _header_hash(losslog)
+
+    def test_nonpositive_sampling_temperature_is_usage_error(self, pipeline):
+        root, cfg, _, ckpt, _, texts = pipeline
+        cold = root / "cold.cfg"
+        cold.write_text(cfg.read_text() + "temperature = 0\n")
+        rc = cli.main(
+            ["corrupt", str(texts), "--checkpoint", str(ckpt), "--out", str(root / "cold.txt"),
+             "--p-z", "0.45", "--config", str(cold)]
+        )
+        assert rc == 1
+
+    def test_one_output_line_per_input_line(self, pipeline):
+        root, cfg, _, ckpt, _, texts = pipeline
+        first, second, third = texts.read_text().splitlines()[:3]
+        lines = [first, "", "#hashtag " + second, "", third]
+        gappy = root / "gappy.txt"
+        gappy.write_text("\n".join(lines) + "\n")
+        for p_z in ("0", "0.45"):
+            out = root / f"gappy_{p_z}.txt"
+            rc = cli.main(
+                ["corrupt", str(gappy), "--checkpoint", str(ckpt), "--out", str(out),
+                 "--p-z", p_z, "--seed", "9", "--config", str(cfg)]
+            )
+            assert rc == 0
+            got = out.read_text().splitlines()[1:]
+            assert len(got) == len(lines)
+            assert got[1] == got[3] == ""
+        identity = root / "gappy_0.txt"
+        assert identity.read_text().splitlines()[1:] == [C.normalize(l) for l in lines]
+        # eval pairs line i with line i, blank lines and the hypothesis header included
+        assert cli.main(["eval", "--ref", str(gappy), "--hyp", str(identity), "--out", str(root / "gappy")]) == 0
+        assert "total_errors,0" in (root / "gappy.csv").read_text().splitlines()

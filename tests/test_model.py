@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,11 @@ def _toy_model(lexicon, phoneme_head=True, lambda_w=0.5, seed=5):
     return M.Model.build(vocab, lexicon, config, seed=seed)
 
 
+def _without_phoneme_loss(model):
+    """The same parameters under the config with lambda_ph = 0."""
+    return M.Model(model.params, replace(model.config, lambda_ph=0.0), model.vocab, model.code_index)
+
+
 def _toy_batch(model, lexicon):
     alignment = C.align_pair("the cue gag", "the queue", lexicon)
     return C.build_training_items([alignment], model.vocab, ["s0"])
@@ -395,9 +402,9 @@ class TestStepDistributions:
 
 class TestLoss:
     def test_zero_weight_reduces_to_word_loss(self, lexicon):
-        model = _toy_model(lexicon)
+        model = _without_phoneme_loss(_toy_model(lexicon))
         batch = _toy_batch(model, lexicon)
-        l_tot, l_n, l_ph = M.loss_total(batch, model, lexicon, lambda_ph=0.0)
+        l_tot, l_n, l_ph = M.loss_total(batch, model, lexicon)
         assert float(l_tot.data) == float(l_n.data)
 
     def test_matches_independent_recomputation(self, lexicon):
@@ -420,15 +427,15 @@ class TestLoss:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-12)
 
     def test_unused_phoneme_bias_gets_zero_gradient(self, lexicon):
-        model = _toy_model(lexicon)
+        model = _without_phoneme_loss(_toy_model(lexicon))
         batch = _toy_batch(model, lexicon)
-        grads, _ = M.backward_and_check(model, batch, lexicon, lambda_ph=0.0)
+        grads, _ = M.backward_and_check(model, batch, lexicon)
         np.testing.assert_array_equal(grads["b_ph"], np.zeros_like(grads["b_ph"]))
 
     def test_phoneme_table_unused_at_lambda_w_one(self, lexicon):
-        model = _toy_model(lexicon, lambda_w=1.0)
+        model = _without_phoneme_loss(_toy_model(lexicon, lambda_w=1.0))
         batch = _toy_batch(model, lexicon)
-        grads, _ = M.backward_and_check(model, batch, lexicon, lambda_ph=0.0)
+        grads, _ = M.backward_and_check(model, batch, lexicon)
         np.testing.assert_array_equal(grads["m_ph"], np.zeros_like(grads["m_ph"]))
 
     def test_gradient_check_small_model(self, lexicon):
@@ -467,4 +474,4 @@ class TestCodeIndex:
         model = _toy_model(lexicon)
         assert model.config.vocab_size == len(model.vocab)
         assert model.config.code_vocab_size == len(model.code_index)
-        model.params.validate(model.config)
+        M.check_params(model.params, model.config)
