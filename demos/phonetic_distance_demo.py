@@ -5,6 +5,7 @@ Run:  python3 demos/phonetic_distance_demo.py
 import numpy as np
 
 from asrnoise import (
+    code_key,
     default_lexicon,
     g2p,
     phoneme_edit_distance,
@@ -15,12 +16,12 @@ from asrnoise import (
 
 lexicon = default_lexicon()
 
-# Every word maps to a phonetic code: a sequence of phonemes with
-# articulatory profiles.  Out-of-lexicon surfaces fall back to a
+# Every word maps to a phonetic code: a tuple of phonemes, each a symbol,
+# a kind and three articulatory features.  Out-of-lexicon surfaces fall back to a
 # deterministic letter table, so subword pieces always get a code.
 print("== phonetic codes ==")
 for word in ("cue", "queue", "sue", "cereal", "serial", "##ial"):
-    print(f"  {word:8s} -> {g2p(word, lexicon).key()}")
+    print(f"  {word:8s} -> {code_key(g2p(word, lexicon))}")
 
 # Substitution costs come from articulatory features: phonemes differing in
 # one slot (say voicing, B vs P) are cheap; a consonant against a vowel

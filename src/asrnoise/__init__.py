@@ -52,6 +52,7 @@ from .phonetics import (
     Phoneme,
     PhoneticCode,
     PronouncingLexicon,
+    code_key,
     default_lexicon,
     g2p,
     phoneme_edit_distance,
@@ -87,6 +88,7 @@ __all__ = [
     "backward_and_check",
     "build_training_items",
     "classify_error",
+    "code_key",
     "corrupt_corpus",
     "default_lexicon",
     "detokenize",

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
-from . import evaluation, generation, intervention, phonetics, training
+from . import evaluation, generation, phonetics, training
 from .errors import (
     AsrNoiseError,
     ConfigParseError,
@@ -116,7 +116,7 @@ def _read_lines(path) -> list[str]:
     """Every line of a text file except a first-line ``# produced-by:`` header."""
     with open(path, encoding="utf-8") as fh:
         lines = [raw.rstrip("\n") for raw in fh]
-    if lines and lines[0].startswith("# produced-by:"):
+    if lines and lines[0].startswith(corpus_mod.ARTIFACT_HEADER):
         del lines[0]
     return lines
 
@@ -160,8 +160,7 @@ def _cmd_g2p(args, config) -> int:
     lexicon = _load_lexicon(args)
     lines = []
     for word in args.words:
-        code = phonetics.g2p(word, lexicon)
-        lines.append(f"{word}\t{code.key()}")
+        lines.append(f"{word}\t{phonetics.code_key(phonetics.g2p(word, lexicon))}")
     output = "\n".join(lines)
     if args.out:
         Path(args.out).write_text(f"# {_header('g2p', config)}\n{output}\n", encoding="utf-8")
@@ -180,9 +179,6 @@ def _cmd_align(args, config) -> int:
         for pair, entries in zip(pairs, alignments):
             for entry in entries:
                 fh.write(f"{pair.id}\t{entry.gt_word}\t{' '.join(entry.asr_words)}\t{entry.label}\n")
-    if args.prior_out:
-        table = intervention.estimate_conditional_prior(alignments)
-        table.save(args.prior_out, header=_header("align", config))
     return 0
 
 
@@ -220,8 +216,10 @@ def _cmd_train(args, config) -> int:
 
 
 def _cmd_corrupt(args, config) -> int:
-    if config["mode"] == generation.SAMPLE and config["temperature"] <= 0.0:
-        raise ConfigParseError(f"temperature must be positive to sample, got {config['temperature']}")
+    try:
+        generation.check_decoding(config["mode"], config["temperature"])
+    except ValueError as exc:
+        raise ConfigParseError(str(exc)) from exc
     model = training.load_checkpoint(args.checkpoint)
     # a blank line passes through as a blank line, and '#' starts no comment
     texts = _read_lines(args.input)
@@ -306,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("align", _cmd_align, (), "align a GT/ASR TSV corpus word by word")
     p.add_argument("input")
     p.add_argument("--out", required=True)
-    p.add_argument("--prior-out", dest="prior_out", default=None,
-                   help="also write the empirical corruption-frequency table")
 
     p = command("train", _cmd_train, _MODEL_KEYS + _TRAIN_KEYS,
                 "train the noise generator on a GT/ASR TSV corpus")

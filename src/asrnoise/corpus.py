@@ -30,6 +30,9 @@ SUBSTITUTION = "substitution"
 INSERTION = "insertion"
 DELETION = "deletion"
 
+#: Readers of corpus and text inputs skip a first line that starts with this.
+ARTIFACT_HEADER = "# produced-by:"
+
 _NORMALIZE_RE = re.compile(r"[^a-z0-9 ]+")
 _WS_RE = re.compile(r"\s+")
 
@@ -263,11 +266,9 @@ class AlignmentEntry:
 
 
 def _classify_entry(gt_word: str, asr_words: tuple[str, ...]) -> str:
-    if not asr_words:
-        return DELETION
-    if len(asr_words) == 1:
-        return MATCH if asr_words[0] == gt_word else SUBSTITUTION
-    return INSERTION
+    if asr_words == (gt_word,):
+        return MATCH
+    return label_from_length(len(asr_words) + 1)
 
 
 _DIAG, _INS, _DEL = 0, 1, 2
@@ -346,11 +347,7 @@ def _group_alignment(steps):
     return groups
 
 
-def align_pair(
-    gt: str | Sequence[str],
-    asr: str | Sequence[str],
-    lexicon: PronouncingLexicon,
-) -> list[AlignmentEntry]:
+def align_pair(gt: str, asr: str, lexicon: PronouncingLexicon) -> list[AlignmentEntry]:
     """Word-level alignment of a transcript against its ground truth.
 
     Substitution cost is the phoneme edit distance normalized by the
@@ -359,8 +356,8 @@ def align_pair(
     deletion/insertion pairs.  Inserted transcript words attach to the
     preceding ground-truth word.
     """
-    gt_words = normalize(gt).split() if isinstance(gt, str) else [w.lower() for w in gt]
-    asr_words = normalize(asr).split() if isinstance(asr, str) else [w.lower() for w in asr]
+    gt_words = normalize(gt).split()
+    asr_words = normalize(asr).split()
     if not gt_words:
         raise EmptyCorpusError("ground-truth side of an alignment must be nonempty")
 
@@ -408,7 +405,7 @@ def label_from_length(m: int) -> str:
 
 
 def build_training_items(
-    alignments: Sequence[Sequence[AlignmentEntry]] | Sequence[AlignmentEntry],
+    alignments: Sequence[Sequence[AlignmentEntry]],
     vocab: SubwordVocab,
     sentence_ids: Optional[Sequence[str]] = None,
     max_target_len: Optional[int] = None,
@@ -424,8 +421,6 @@ def build_training_items(
     """
     if max_target_len is not None and max_target_len < 1:
         raise ValueError("max_target_len must be at least 1")
-    if alignments and isinstance(alignments[0], AlignmentEntry):
-        alignments = [alignments]  # type: ignore[list-item]
     items: list[AlignedExample] = []
     for pair_idx, entries in enumerate(alignments):
         sid = sentence_ids[pair_idx] if sentence_ids is not None else str(pair_idx)
@@ -463,12 +458,16 @@ def build_training_items(
 
 
 def load_pairs_tsv(path) -> list[ParallelPair]:
-    """Read ``GT<TAB>ASR`` lines; the transcript column may be empty."""
+    """Read ``GT<TAB>ASR`` lines; the transcript column may be empty.
+
+    Blank lines and a first-line ``# produced-by:`` header are skipped; any
+    other line is a pair, ``#`` included, whose id is its line index.
+    """
     pairs: list[ParallelPair] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh):
             line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
+            if not line.strip() or (lineno == 0 and line.startswith(ARTIFACT_HEADER)):
                 continue
             gt, _, asr = line.partition("\t")
             pairs.append(ParallelPair(gt=gt, asr=asr, id=str(lineno)))
@@ -477,9 +476,7 @@ def load_pairs_tsv(path) -> list[ParallelPair]:
     return pairs
 
 
-def write_pairs_tsv(path, pairs: Sequence[ParallelPair], header: str = "") -> None:
+def write_pairs_tsv(path, pairs: Sequence[ParallelPair]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
         for pair in pairs:
             fh.write(f"{pair.gt}\t{pair.asr}\n")

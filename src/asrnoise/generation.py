@@ -70,14 +70,20 @@ class GeneratedSpan:
         return len(self.token_ids)
 
 
+def check_decoding(mode: str, temperature: float) -> None:
+    """Reject an unknown decode mode, or a non-positive temperature in sample mode."""
+    if mode not in (GREEDY, SAMPLE):
+        raise ValueError(f"unknown decode mode {mode!r}")
+    if mode == SAMPLE and temperature <= 0.0:
+        raise ValueError(f"sampling temperature must be positive, got {temperature}")
+
+
 def _pick_greedy(p: np.ndarray) -> int:
     # lowest index wins ties
     return int(np.argmax(p))
 
 
 def _pick_sample(p: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    if temperature <= 0.0:
-        raise ValueError("sampling temperature must be positive")
     logp = np.log(np.maximum(p, 1e-300)) / temperature
     logp -= logp.max()
     weights = np.exp(logp)
@@ -103,6 +109,7 @@ def generate_span(
     keyed by (seed, position).  [EOS] is forced once the span reaches the
     maximum generation length, so decoding always terminates.
     """
+    check_decoding(mode, temperature)
     config = model.config
     vocab = model.vocab
     params = params if params is not None else _wrap_params(model.params)
@@ -118,10 +125,8 @@ def generate_span(
         probs = p_gen.data[0]
         if mode == GREEDY:
             token = _pick_greedy(probs)
-        elif mode == SAMPLE:
-            token = _pick_sample(probs, temperature, rng)
         else:
-            raise ValueError(f"unknown decode mode {mode!r}")
+            token = _pick_sample(probs, temperature, rng)
         generated.append(token)
         if token == vocab.eos_id:
             break
@@ -188,6 +193,7 @@ def corrupt_corpus(
     Deterministic for a fixed seed; per-sentence seeds are derived from the
     sentence index so shards can be generated independently.
     """
+    check_decoding(mode, temperature)
     params = _wrap_params(model.params)
     config = model.config
     rows_map = model.code_index.token_rows

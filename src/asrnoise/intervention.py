@@ -72,42 +72,12 @@ class ConditionalPriorTable:
     def __len__(self) -> int:
         return len(self.frequencies)
 
-    def save(self, path, header: str = "") -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            fh.write(f"# default\t{self.default!r}\n")
-            for token in sorted(self.frequencies):
-                fh.write(f"{token}\t{self.frequencies[token]!r}\n")
 
-    @classmethod
-    def load(cls, path) -> "ConditionalPriorTable":
-        frequencies: dict[str, float] = {}
-        default = 0.0
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("# default\t"):
-                    default = float(line.split("\t")[1])
-                    continue
-                if line.startswith("#"):
-                    continue
-                token, _, freq = line.partition("\t")
-                frequencies[token] = float(freq)
-        return cls(frequencies, default)
-
-
-def estimate_conditional_prior(
-    alignments: Sequence[Sequence[AlignmentEntry]] | Sequence[AlignmentEntry],
-) -> ConditionalPriorTable:
-    """Per-word corruption frequency observed in aligned pairs.
+def estimate_conditional_prior(alignments: Sequence[Sequence[AlignmentEntry]]) -> ConditionalPriorTable:
+    """Per-word corruption frequency observed in aligned pairs, one alignment per pair.
 
     Unseen words fall back to the corpus-wide mean rate.
     """
-    if alignments and isinstance(alignments[0], AlignmentEntry):
-        alignments = [alignments]  # type: ignore[list-item]
     corrupted: dict[str, int] = {}
     total: dict[str, int] = {}
     n_corrupted = 0

@@ -39,7 +39,7 @@ from .errors import (
     PrefixTooLongError,
     SequenceTooLongError,
 )
-from .phonetics import PronouncingLexicon, g2p, supervision_distribution
+from .phonetics import PronouncingLexicon, code_key, g2p, supervision_distribution
 
 _SPECIAL_CODES = {piece: f"<{piece[1:-1].lower()}>" for piece in SPECIALS}
 
@@ -98,7 +98,7 @@ class PhonemeCodeIndex:
             if piece in _SPECIAL_CODES:
                 key = _SPECIAL_CODES[piece]
             else:
-                key = g2p(piece, lexicon).key()
+                key = code_key(g2p(piece, lexicon))
             row = row_of.get(key)
             if row is None:
                 row = len(codes)

@@ -27,64 +27,26 @@ CONTINUATION_PREFIX = "##"
 
 
 @dataclass(frozen=True)
-class ConsonantProfile:
-    place: str
-    manner: str
-    voicing: str
-
-    kind = CONSONANT
-
-    def slots(self) -> tuple[str, str, str]:
-        return (self.place, self.manner, self.voicing)
-
-
-@dataclass(frozen=True)
-class VowelProfile:
-    height: str
-    backness: str
-    rounding: str
-
-    kind = VOWEL
-
-    def slots(self) -> tuple[str, str, str]:
-        return (self.height, self.backness, self.rounding)
-
-
-@dataclass(frozen=True)
 class Phoneme:
-    """One phoneme: a symbol plus its articulatory profile."""
+    """One phoneme of an inventory.
+
+    ``kind`` is :data:`CONSONANT` or :data:`VOWEL`; ``features`` holds the
+    three articulatory slots, place/manner/voicing for a consonant and
+    height/backness/rounding for a vowel.
+    """
 
     symbol: str
-    profile: ConsonantProfile | VowelProfile
-
-    def __post_init__(self):
-        if not self.symbol:
-            raise ValueError("phoneme symbol must be nonempty")
-
-    @property
-    def kind(self) -> str:
-        return self.profile.kind
+    kind: str
+    features: tuple[str, str, str]
 
 
-@dataclass(frozen=True)
-class PhoneticCode:
-    """Ordered phoneme sequence for one word surface."""
+#: Ordered phoneme sequence for one word surface.
+PhoneticCode = tuple[Phoneme, ...]
 
-    phonemes: tuple[Phoneme, ...]
 
-    def __len__(self) -> int:
-        return len(self.phonemes)
-
-    def __iter__(self):
-        return iter(self.phonemes)
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(p.symbol for p in self.phonemes)
-
-    def key(self) -> str:
-        """Canonical string form, e.g. ``"K Y UW"``."""
-        return " ".join(self.symbols)
+def code_key(code: PhoneticCode) -> str:
+    """Canonical string form of a code, e.g. ``"K Y UW"``."""
+    return " ".join(p.symbol for p in code)
 
 
 # Deterministic letter fallback used when a surface is not in the lexicon.
@@ -148,7 +110,7 @@ class PronouncingLexicon:
         return self.inventory[symbol]
 
     def code_from_symbols(self, symbols: Iterable[str]) -> PhoneticCode:
-        return PhoneticCode(tuple(self.inventory[s] for s in symbols))
+        return tuple(self.inventory[s] for s in symbols)
 
 
 def load_inventory(path) -> dict[str, Phoneme]:
@@ -162,16 +124,12 @@ def load_inventory(path) -> dict[str, Phoneme]:
             fields = line.split("\t")
             if len(fields) != 5:
                 raise ValueError(f"bad inventory line: {raw!r}")
-            symbol, kind, s1, s2, s3 = fields
+            symbol, kind, *features = fields
             if symbol in inventory:
                 raise ValueError(f"duplicate phoneme symbol {symbol!r}")
-            if kind == CONSONANT:
-                profile: ConsonantProfile | VowelProfile = ConsonantProfile(s1, s2, s3)
-            elif kind == VOWEL:
-                profile = VowelProfile(s1, s2, s3)
-            else:
+            if kind not in (CONSONANT, VOWEL):
                 raise ValueError(f"unknown phoneme kind {kind!r}")
-            inventory[symbol] = Phoneme(symbol, profile)
+            inventory[symbol] = Phoneme(symbol, kind, tuple(features))
     return inventory
 
 
@@ -184,8 +142,7 @@ def load_lexicon(path, inventory: Mapping[str, Phoneme]) -> PronouncingLexicon:
             if not line or line.startswith("#"):
                 continue
             word, _, symbols = line.partition("\t")
-            phonemes = tuple(inventory[s] for s in symbols.split())
-            entries[word] = PhoneticCode(phonemes)
+            entries[word] = tuple(inventory[s] for s in symbols.split())
     return PronouncingLexicon(entries, inventory)
 
 
@@ -232,11 +189,10 @@ def g2p(word: str, lexicon: PronouncingLexicon) -> PhoneticCode:
 
 def articulatory_mismatches(p: Phoneme, q: Phoneme) -> int:
     """Number of differing articulatory slots, 0..3; 3 when kinds differ."""
-    if p.symbol == q.symbol:
-        return 0
     if p.kind != q.kind:
         return 3
-    return sum(a != b for a, b in zip(p.profile.slots(), q.profile.slots()))
+    (p1, p2, p3), (q1, q2, q3) = p.features, q.features
+    return (p1 != q1) + (p2 != q2) + (p3 != q3)
 
 
 def phoneme_sub_cost(p: Phoneme, q: Phoneme) -> float:
@@ -249,7 +205,7 @@ def phoneme_sub_cost(p: Phoneme, q: Phoneme) -> float:
 _INDEL_UNITS = 3
 
 
-def _edit_units(cp: Sequence[Phoneme], cq: Sequence[Phoneme]) -> int:
+def _edit_units(cp: PhoneticCode, cq: PhoneticCode) -> int:
     n, m = len(cp), len(cq)
     prev = list(range(0, _INDEL_UNITS * (m + 1), _INDEL_UNITS))
     for i in range(1, n + 1):
@@ -270,14 +226,12 @@ def _edit_units(cp: Sequence[Phoneme], cq: Sequence[Phoneme]) -> int:
     return prev[m]
 
 
-def phoneme_edit_distance(cp: PhoneticCode | Sequence[Phoneme], cq: PhoneticCode | Sequence[Phoneme]) -> float:
+def phoneme_edit_distance(cp: PhoneticCode, cq: PhoneticCode) -> float:
     """Weighted Levenshtein distance between two phonetic codes.
 
     Substitutions cost the articulatory differing-slot fraction; insertions
     and deletions cost 1.  Symmetric, zero exactly on equal codes.
     """
-    cp = tuple(cp)
-    cq = tuple(cq)
     return _edit_units(cp, cq) / 3.0
 
 

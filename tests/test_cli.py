@@ -115,16 +115,27 @@ class TestCommands:
         vocab = C.SubwordVocab.load(out)
         assert len(vocab) == 120
 
-    def test_align_command_writes_entries_and_prior(self, tmp_path):
+    def test_hash_lines_are_corpus_pairs(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("#metoo the cue\tthe queue\nthe gag\tthe gags\n")
+        pairs = C.load_pairs_tsv(path)
+        assert [(p.id, p.gt, p.asr) for p in pairs] == [
+            ("0", "#metoo the cue", "the queue"),
+            ("1", "the gag", "the gags"),
+        ]
+        assert cli.main(["vocab", str(path), "--out", str(tmp_path / "v.txt"), "--size", "40"]) == 0
+        # only blank lines and a first-line header are skipped
+        path.write_text("# produced-by: asrnoise vocab\n\n#metoo the cue\tthe queue\n \n")
+        assert [p.id for p in C.load_pairs_tsv(path)] == ["2"]
+
+    def test_align_command_writes_entries(self, tmp_path):
         corpus_path, pairs = _write_corpus(tmp_path)
         out = tmp_path / "align.tsv"
-        prior = tmp_path / "prior.tsv"
-        rc = cli.main(["align", str(corpus_path), "--out", str(out), "--prior-out", str(prior)])
+        rc = cli.main(["align", str(corpus_path), "--out", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[1] == "sentence_id\tgt_word\tasr_words\tlabel"
         assert len(lines) > 2
-        assert prior.exists()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_train_divergence_writes_last_good_checkpoint(self, tmp_path, monkeypatch, lexicon):

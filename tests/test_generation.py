@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from asrnoise import autodiff as ad
 from asrnoise import corpus as C
@@ -6,6 +8,7 @@ from asrnoise import generation as G
 from asrnoise import model as M
 from asrnoise.errors import OutOfRangeError, PlanMismatchError
 from asrnoise.intervention import CorruptionPlan
+from asrnoise.phonetics import default_lexicon
 
 from conftest import make_token_seq
 
@@ -118,6 +121,10 @@ class TestGenerateSpan:
         tokens, e_enc = _encode_text(model, "the cue")
         with pytest.raises(ValueError):
             G.generate_span(ad.row_slice(e_enc, 0, 1), e_enc, model, position=0, mode="beam")
+        with pytest.raises(ValueError):
+            G.generate_span(
+                ad.row_slice(e_enc, 0, 1), e_enc, model, position=0, mode=G.SAMPLE, temperature=0.0
+            )
 
 
 def _span(vocab, position, original, surfaces):
@@ -173,6 +180,19 @@ class TestAssemble:
             G.assemble(tokens, plan, [])
 
 
+# words of the shipped lexicon in any case, glued to punctuation and '#'
+_WORD = st.builds(
+    lambda word, case: case(word),
+    st.sampled_from(default_lexicon().words()),
+    st.sampled_from([str.lower, str.upper, str.capitalize]),
+)
+_TEXT = st.lists(
+    st.tuples(st.one_of(_WORD, st.sampled_from(["#", "##", ",", ".", "!", "'", "-"])),
+              st.sampled_from([" ", "", "  "])),
+    max_size=10,
+).map(lambda parts: "".join(piece + sep for piece, sep in parts))
+
+
 class TestCorruptCorpus:
     def test_zero_prior_is_identity(self, lexicon):
         model = _toy_model(lexicon)
@@ -180,6 +200,24 @@ class TestCorruptCorpus:
         outputs, records = G.corrupt_corpus(texts, model, p_z=0.0, seed=1)
         assert outputs == [C.normalize(t) for t in texts]
         assert records == []
+
+    @given(
+        texts=st.lists(_TEXT, max_size=4),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        mode=st.sampled_from([G.GREEDY, G.SAMPLE]),
+    )
+    def test_zero_prior_identity_property(self, small_model, texts, seed, mode):
+        outputs, records = G.corrupt_corpus(texts, small_model, 0.0, seed, mode=mode)
+        assert outputs == [C.detokenize(C.tokenize(t, small_model.vocab)) for t in texts]
+        assert records == []
+
+    def test_bad_mode_or_temperature_rejected_before_decoding(self, lexicon):
+        model = _toy_model(lexicon)
+        # no position is sampled at p_z = 0, so only an up-front check can raise
+        with pytest.raises(ValueError):
+            G.corrupt_corpus(["the cue"], model, p_z=0.0, seed=1, mode="beam")
+        with pytest.raises(ValueError):
+            G.corrupt_corpus(["the cue"], model, p_z=0.0, seed=1, mode=G.SAMPLE, temperature=0.0)
 
     def test_full_prior_with_deletion_stub_empties_output(self, lexicon):
         model = _toy_model(lexicon)

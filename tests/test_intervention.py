@@ -108,14 +108,6 @@ class TestConditionalPrior:
         with pytest.raises(EmptyCorpusError):
             estimate_conditional_prior([])
 
-    def test_save_load_round_trip(self, tmp_path):
-        table = ConditionalPriorTable({"cue": 0.75, "gag": 0.125}, default=0.3)
-        path = tmp_path / "prior.tsv"
-        table.save(path, header="test")
-        loaded = ConditionalPriorTable.load(path)
-        assert loaded.frequencies == table.frequencies
-        assert loaded.default == table.default
-
 
 class TestConditionalSampler:
     def test_all_zero_table_is_identity(self):

@@ -1,3 +1,6 @@
+from dataclasses import fields
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,10 @@ from asrnoise.errors import DegenerateSupportError, EmptyWordError
 from asrnoise.phonetics import (
     FALLBACK_LETTER_PHONEMES,
     UNK_SYMBOL,
+    Phoneme,
     PronouncingLexicon,
+    articulatory_mismatches,
+    code_key,
     g2p,
     load_inventory,
     load_lexicon,
@@ -32,7 +38,7 @@ class TestFileFormats:
         inventory = load_inventory(inventory_path)
         assert set(inventory) == {"T", "AA", "UNK"}
         lexicon = load_lexicon(lexicon_path, inventory)
-        assert g2p("TOT", lexicon).symbols == ("T", "AA", "T")
+        assert code_key(g2p("TOT", lexicon)) == "T AA T"
 
     def test_entries_must_stay_in_inventory(self, lexicon):
         code = g2p("cue", lexicon)
@@ -49,13 +55,34 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             load_inventory(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "T\tconsonant\talveolar\tstop",
+            "T\tconsonant\talveolar\tstop\tvoiceless\textra",
+            "T\tglide\talveolar\tstop\tvoiceless",
+        ],
+    )
+    def test_bad_field_count_or_kind_rejected(self, tmp_path, line):
+        path = tmp_path / "inventory.tsv"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError):
+            load_inventory(path)
+
+    def test_phoneme_is_a_flat_record(self, lexicon):
+        assert [f.name for f in fields(Phoneme)] == ["symbol", "kind", "features"]
+        assert lexicon.phoneme("B") == Phoneme("B", "consonant", ("bilabial", "stop", "voiced"))
+        code = g2p("cue", lexicon)
+        assert type(code) is tuple
+        assert code == tuple(lexicon.phoneme(s) for s in ("K", "Y", "UW"))
+
 
 class TestG2P:
     def test_lexicon_lookup_cue(self, lexicon):
-        assert g2p("cue", lexicon).symbols == ("K", "Y", "UW")
+        assert code_key(g2p("cue", lexicon)) == "K Y UW"
 
     def test_case_insensitive(self, lexicon):
-        assert g2p("CUE", lexicon).symbols == g2p("cue", lexicon).symbols
+        assert g2p("CUE", lexicon) == g2p("cue", lexicon)
 
     def test_empty_word_rejected(self, lexicon):
         with pytest.raises(EmptyWordError):
@@ -64,17 +91,17 @@ class TestG2P:
             g2p("##", lexicon)
 
     def test_continuation_prefix_stripped(self, lexicon):
-        assert g2p("##cue", lexicon).symbols == ("K", "Y", "UW")
+        assert code_key(g2p("##cue", lexicon)) == "K Y UW"
 
     def test_fallback_ial(self, lexicon):
         # golden value: i -> IH, a -> AE, l -> L under the letter table
-        assert g2p("##ial", lexicon).symbols == ("IH", "AE", "L")
-        expected = tuple(s for ch in "ial" for s in FALLBACK_LETTER_PHONEMES[ch])
-        assert g2p("##ial", lexicon).symbols == expected
+        assert code_key(g2p("##ial", lexicon)) == "IH AE L"
+        expected = " ".join(s for ch in "ial" for s in FALLBACK_LETTER_PHONEMES[ch])
+        assert code_key(g2p("##ial", lexicon)) == expected
 
     def test_unknown_character_maps_to_unk(self, lexicon):
         code = g2p("a9", lexicon)
-        assert code.symbols == ("AE", UNK_SYMBOL)
+        assert code_key(code) == f"AE {UNK_SYMBOL}"
 
     def test_fallback_stays_in_inventory(self, lexicon):
         for word in ("zyxq", "brrrr", "ial"):
@@ -82,7 +109,26 @@ class TestG2P:
                 assert ph.symbol in lexicon.inventory
 
 
+def _inventory_columns() -> dict[str, tuple[str, str, str, str]]:
+    """``symbol -> (kind, slot1, slot2, slot3)`` read straight from the shipped file."""
+    text = (resources.files("asrnoise.data") / "inventory.tsv").read_text(encoding="utf-8")
+    rows = [line.split("\t") for line in text.splitlines() if line and not line.startswith("#")]
+    return {symbol: tuple(rest) for symbol, *rest in rows}
+
+
 class TestSubCost:
+    def test_mismatches_over_all_inventory_pairs(self, lexicon):
+        columns = _inventory_columns()
+        assert len(columns) == 40
+        for a, (kind_a, *slots_a) in columns.items():
+            for b, (kind_b, *slots_b) in columns.items():
+                if kind_a != kind_b:
+                    expected = 3
+                else:
+                    expected = sum(x != y for x, y in zip(slots_a, slots_b))
+                got = articulatory_mismatches(lexicon.phoneme(a), lexicon.phoneme(b))
+                assert got == expected, (a, b)
+
     def test_identity_is_zero(self, lexicon):
         for ph in lexicon.inventory.values():
             assert phoneme_sub_cost(ph, ph) == 0.0
@@ -114,7 +160,7 @@ class TestEditDistance:
 
     def test_against_empty_is_length(self, lexicon):
         code = g2p("workers", lexicon)
-        empty = g2p("cue", lexicon).phonemes[:0]
+        empty = ()
         assert phoneme_edit_distance(code, empty) == float(len(code))
         assert phoneme_edit_distance(empty, code) == float(len(code))
 
@@ -135,7 +181,7 @@ class TestEditDistance:
             dba = phoneme_edit_distance(b, a)
             assert dab == dba
             assert dab >= 0.0
-            assert (dab == 0.0) == (a.symbols == b.symbols)
+            assert (dab == 0.0) == (code_key(a) == code_key(b))
             assert phoneme_edit_distance(a, c) <= dab + phoneme_edit_distance(b, c) + 1e-12
 
 
