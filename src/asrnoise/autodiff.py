@@ -160,15 +160,6 @@ def select(a: Tensor, row_idx, col_idx) -> Tensor:
     return Tensor(a.data[row_idx, col_idx], (a,), bwd)
 
 
-def row_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    def bwd(g):
-        buf = np.zeros_like(a.data)
-        buf[start:stop] = g
-        _acc(a, buf)
-
-    return Tensor(a.data[start:stop].copy(), (a,), bwd)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = tuple(tensors)
     sizes = [t.data.shape[axis] for t in tensors]

@@ -92,7 +92,6 @@ def _pick_sample(p: np.ndarray, temperature: float, rng: np.random.Generator) ->
 
 
 def generate_span(
-    e_k: Tensor,
     e_encoder: Tensor,
     model: Model,
     position: int,
@@ -102,7 +101,8 @@ def generate_span(
     seed: int = 0,
     params: Optional[dict[str, Tensor]] = None,
 ) -> GeneratedSpan:
-    """Decode one noise span from the combined generation distribution.
+    """Decode the noise span of row ``position`` of one encoded sentence
+    (``e_encoder`` ``[1, n, d]``) from the combined generation distribution.
 
     Greedy mode takes the argmax each step (lowest index on ties); sample
     mode draws from the temperature-scaled distribution with a generator
@@ -110,17 +110,20 @@ def generate_span(
     maximum generation length, so decoding always terminates.
     """
     check_decoding(mode, temperature)
+    n = e_encoder.data.shape[1]
+    if not 0 <= position < n:
+        raise IndexError(f"position {position} outside a sentence of {n} tokens")
     config = model.config
     vocab = model.vocab
     params = params if params is not None else _wrap_params(model.params)
     rows_map = model.code_index.token_rows
     rng = np.random.default_rng(derive_seed(seed, position)) if mode == SAMPLE else None
 
+    e_k = ad.select(e_encoder, [[0]], [[position]])
     generated: list[int] = []
     while len(generated) < config.max_gen_len - 1:
-        hidden = decoder_hidden(e_k, generated, e_encoder, params, config, rows_map)
-        n = hidden.data.shape[0]
-        d_last = ad.row_slice(hidden, n - 1, n)
+        hidden = decoder_hidden(e_k, [generated], e_encoder, params, config, rows_map)
+        d_last = ad.select(hidden, [0], [len(generated)])
         _, _, p_gen = step_distributions(d_last, params, config, rows_map, model.special_mask)
         probs = p_gen.data[0]
         if mode == GREEDY:
@@ -191,7 +194,9 @@ def corrupt_corpus(
     """Corrupt every text: tokenize, sample a plan, decode spans, reassemble.
 
     Deterministic for a fixed seed; per-sentence seeds are derived from the
-    sentence index so shards can be generated independently.
+    sentence index so shards can be generated independently.  A text of more
+    than ``max_len`` tokens, which the model cannot encode, passes through
+    tokenized and detokenized, with no plan sampled and no span decoded.
     """
     check_decoding(mode, temperature)
     params = _wrap_params(model.params)
@@ -201,17 +206,18 @@ def corrupt_corpus(
     records: list[SpanRecord] = []
     for idx, text in enumerate(texts):
         tokens = tokenize(text, model.vocab)
+        if len(tokens) > config.max_len:
+            outputs.append(detokenize(tokens))
+            continue
         sentence_seed = derive_seed(seed, idx)
         plan = sample_plan_interventional(tokens, p_z, sentence_seed)
         spans: list[GeneratedSpan] = []
         if plan.corruption_count:
-            e_in = embed_sequence(tokens.piece_ids, params, config, rows_map)
+            e_in = embed_sequence([tokens.piece_ids], params, config, rows_map)
             e_enc = encode(e_in, params, config)
             for k in plan.corrupted_positions:
-                e_k = ad.row_slice(e_enc, k, k + 1)
                 spans.append(
                     generate_span(
-                        e_k,
                         e_enc,
                         model,
                         position=k,

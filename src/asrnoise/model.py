@@ -8,16 +8,15 @@ far.  Two heads score the vocabulary from the decoder state: a word head and
 a phoneme head whose logits are shared across tokens with the same phonetic
 code; their renormalized product drives generation.
 
-The block functions take one sequence (``[n, d]``) or a padded batch
-(``[B, n, d]``).  Training builds one graph per batch: the batch's distinct
-sentences are padded to the longest with id 0 and encoded together, each
-item's decoder queries are padded to the longest target, and every item
-cross-attends to its own sentence's encoder rows.  A boolean key mask
-(``[B, n]``, True at real tokens) adds -inf to the attention scores of
-padded keys, so padding gets exactly zero weight.  Query rows never attend
-to each other, so padded query rows only compute values that are dropped
-before the vocabulary-wide heads.  Decoding calls the same functions on
-single sequences without a mask.
+Every block function takes a padded batch (``[B, n, d]``).  Training
+builds one graph per batch: the batch's distinct sentences are padded to the
+longest with id 0 and encoded together, each item's decoder queries are
+padded to the longest target, and every item cross-attends to its own
+sentence's encoder rows.  A boolean key mask (``[B, n]``, True at real
+tokens) adds -inf to the attention scores of padded keys, so padding gets
+exactly zero weight.  Query rows never attend to each other, so padded query
+rows only compute values that are dropped before the vocabulary-wide heads.
+Decoding runs a batch of one, which has no padding and so takes no mask.
 
 Everything runs in float64 through the in-package autodiff engine, so
 training is deterministic and gradients can be checked against central
@@ -243,10 +242,8 @@ def embed_sequence(
     config: ModelConfig,
     token_code_rows: np.ndarray,
 ) -> Tensor:
-    """Input embeddings: word/phoneme convex mix plus position rows.
-
-    ``token_ids`` is one sequence ``[n]`` or a padded batch ``[B, n]``.
-    """
+    """Input embeddings ``[B, n, d]`` of padded ids ``[B, n]``: word/phoneme
+    convex mix plus position rows."""
     ids = np.asarray(token_ids, dtype=np.intp)
     n = ids.shape[-1]
     if n > config.max_len:
@@ -255,15 +252,9 @@ def embed_sequence(
     return ad.add(_token_embeddings(ids, params, config, token_code_rows), positions)
 
 
-def _swap_seq_and_head(ndim: int) -> tuple[int, ...]:
-    """Axis order taking [..., n, h, x] to [..., h, n, x] and back."""
-    return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
-
-
 def _split_heads(x: Tensor, h: int, dh: int) -> Tensor:
-    """[..., n, h*dh] -> [..., h, n, dh]."""
-    shape = x.data.shape[:-1] + (h, dh)
-    return ad.transpose_axes(ad.reshape(x, shape), _swap_seq_and_head(len(shape)))
+    """[B, n, h*dh] -> [B, h, n, dh]."""
+    return ad.transpose_axes(ad.reshape(x, x.data.shape[:2] + (h, dh)), (0, 2, 1, 3))
 
 
 def _attention_ffn_block(
@@ -276,10 +267,9 @@ def _attention_ffn_block(
 ) -> Tensor:
     """Post-layer-norm attention and feed-forward block.
 
-    Inputs are ``[n, d]`` queries over ``[m, d]`` keys, or padded stacks
-    ``[B, n, d]`` over ``[B, m, d]``.  ``key_mask`` (``[..., m]``, True at
-    real keys) adds -inf to the scores of padded keys, so they get exactly
-    zero attention weight and zero gradient.
+    Queries ``[B, n, d]`` attend over keys ``[B, m, d]``.  ``key_mask``
+    (``[B, m]``, True at real keys) adds -inf to the scores of padded keys,
+    so they get exactly zero attention weight and zero gradient.
     """
     d, h = config.d_model, config.n_heads
     dh = d // h
@@ -289,14 +279,13 @@ def _attention_ffn_block(
     qh = _split_heads(q, h, dh)
     kh = _split_heads(k, h, dh)
     vh = _split_heads(v, h, dh)
-    ndim = kh.data.ndim
-    keys_t = ad.transpose_axes(kh, (*range(ndim - 2), ndim - 1, ndim - 2))
+    keys_t = ad.transpose_axes(kh, (0, 1, 3, 2))
     scores = ad.mul(ad.matmul(qh, keys_t), Tensor(1.0 / np.sqrt(dh)))
     if key_mask is not None:
-        scores = ad.add(scores, Tensor(np.where(key_mask, 0.0, -np.inf)[..., None, None, :]))
+        scores = ad.add(scores, Tensor(np.where(key_mask, 0.0, -np.inf)[:, None, None, :]))
     weights = ad.softmax(scores, axis=-1)
     heads = ad.matmul(weights, vh)
-    merged = ad.reshape(ad.transpose_axes(heads, _swap_seq_and_head(ndim)), q_in.data.shape)
+    merged = ad.reshape(ad.transpose_axes(heads, (0, 2, 1, 3)), q_in.data.shape)
     attn = ad.add(ad.matmul(merged, params[prefix + "wo"]), params[prefix + "bo"])
     h1 = ad.layer_norm(ad.add(q_in, attn), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     inner = ad.gelu(ad.add(ad.matmul(h1, params[prefix + "w1"]), params[prefix + "b1"]))
@@ -310,10 +299,9 @@ def encode(
     config: ModelConfig,
     key_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """One self-attention block; output rows align with input rows.
-
-    A padded batch ``[B, n, d]`` takes ``key_mask`` ``[B, n]``; rows at padded
-    positions come out finite but meaningless.
+    """One self-attention block over ``[B, n, d]``; output rows align with
+    input rows.  Rows at positions ``key_mask`` marks as padding come out
+    finite but meaningless.
     """
     return _attention_ffn_block(e_in, e_in, params, "enc_", config, key_mask)
 
@@ -333,13 +321,9 @@ def _decoder_queries(
     config: ModelConfig,
     token_code_rows: np.ndarray,
 ) -> Tensor:
-    if e_k.data.ndim == 2:
-        ids = np.asarray(generated_ids, dtype=np.intp)
-        bos = params["bos_emb"]
-    else:
-        ids = _pad(generated_ids)
-        bos = ad.rows(params["bos_emb"], np.zeros((len(generated_ids), 1), dtype=np.intp))
-    n_prev = ids.shape[-1]
+    ids = _pad(generated_ids)
+    bos = ad.rows(params["bos_emb"], np.zeros((len(generated_ids), 1), dtype=np.intp))
+    n_prev = ids.shape[1]
     if 1 + n_prev > config.max_gen_len:
         raise PrefixTooLongError(
             f"prefix of {1 + n_prev} positions exceeds max_gen_len={config.max_gen_len}"
@@ -362,12 +346,13 @@ def decoder_hidden(
     token_code_rows: np.ndarray,
     key_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
-    """Hidden states for every query position (no cross-position mixing).
+    """Hidden states ``[B, 1 + longest prefix, d]`` for every query position
+    (no cross-position mixing).
 
-    One span: ``e_k`` ``[1, d]``, one prefix, ``e_encoder`` ``[n, d]``.
-    A batch: ``e_k`` ``[B, 1, d]``, ``B`` prefixes of any lengths (padded to
-    the longest, so rows past a prefix's end are meaningless),
-    ``e_encoder`` ``[B, n, d]`` and ``key_mask`` ``[B, n]``.
+    ``e_k`` is ``[B, 1, d]``, ``generated_ids`` holds ``B`` prefixes of any
+    lengths (padded to the longest, so rows past a prefix's end are
+    meaningless), and ``e_encoder`` is ``[B, n, d]`` with ``key_mask``
+    ``[B, n]``.
     """
     queries = _decoder_queries(e_k, generated_ids, params, config, token_code_rows)
     return _attention_ffn_block(queries, e_encoder, params, "dec_", config, key_mask)
@@ -465,7 +450,7 @@ def _loss_graph(
     config = model.config
     params = _wrap_params(model.params)
     rows_map = model.code_index.token_rows
-    eos_id = model.vocab.eos_id
+    unsupervised = (model.vocab.eos_id, model.vocab.unk_id)
 
     slot: dict[str, int] = {}
     sentences: list[tuple[int, ...]] = []
@@ -497,7 +482,7 @@ def _loss_graph(
         r_logs = []
         surfaces = (s for example in batch for s in example.target_surfaces)
         for n, (tid, surface) in enumerate(zip(target_ids, surfaces)):
-            if tid == eos_id:
+            if tid in unsupervised:
                 continue
             try:
                 r_log = model.supervision_log(surface, lexicon)
@@ -520,7 +505,8 @@ def loss_total(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Word-head negative log likelihood plus weighted phoneme-head KL.
 
-    The phoneme term sums, over non-[EOS] teacher-forcing steps, the KL
+    The phoneme term sums, over teacher-forcing steps whose target is
+    neither [EOS] nor [UNK] (neither has a pronunciation), the KL
     divergence from the phoneme-head distribution to the supervision
     distribution of the step's target token (floored outside its support).
     """

@@ -134,15 +134,21 @@ def load_inventory(path) -> dict[str, Phoneme]:
 
 
 def load_lexicon(path, inventory: Mapping[str, Phoneme]) -> PronouncingLexicon:
-    """Read ``WORD<TAB>PH1 PH2 ...`` lines into a lexicon."""
+    """Read ``WORD<TAB>PH1 PH2 ...`` lines into a lexicon.
+
+    A symbol missing from ``inventory`` raises ValueError naming its line.
+    """
     entries: dict[str, PhoneticCode] = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             word, _, symbols = line.partition("\t")
-            entries[word] = tuple(inventory[s] for s in symbols.split())
+            try:
+                entries[word] = tuple(inventory[s] for s in symbols.split())
+            except KeyError as exc:
+                raise ValueError(f"line {number}: phoneme {exc.args[0]!r} is not in the inventory") from None
     return PronouncingLexicon(entries, inventory)
 
 

@@ -196,7 +196,7 @@ def loss_reference(model, example, lexicon):
         logits_ph = hidden @ ph_rows.T + p["b_ph"][rows_map]
         p_ph = _np_softmax(logits_ph)
         for l, (tid, surface) in enumerate(zip(target, example.target_surfaces)):
-            if tid == model.vocab.eos_id:
+            if tid in (model.vocab.eos_id, model.vocab.unk_id):
                 continue
             r = supervision_distribution(surface, model.r_support(), lexicon)
             l_ph += float(np.sum(p_ph[l] * (np.log(p_ph[l]) - np.log(np.maximum(r, 1e-12)))))

@@ -140,13 +140,14 @@ class TestCriterion3NormalizationSuite:
         for _ in range(1000):
             n = int(rng.integers(2, 8))
             ids = rng.integers(0, vocab_size, size=n)
-            e_in = M.embed_sequence(ids, params, model.config, rows_map)
+            e_in = M.embed_sequence([ids], params, model.config, rows_map)
             e_enc = M.encode(e_in, params, model.config)
             k = int(rng.integers(0, n))
             prefix_len = int(rng.integers(0, model.config.max_gen_len - 1))
             prefix = [int(rng.choice(content_ids)) for _ in range(prefix_len)]
-            hidden = M.decoder_hidden(ad.row_slice(e_enc, k, k + 1), prefix, e_enc, params, model.config, rows_map)
-            last = ad.row_slice(hidden, hidden.data.shape[0] - 1, hidden.data.shape[0])
+            e_k = ad.select(e_enc, [[0]], [[k]])
+            hidden = M.decoder_hidden(e_k, [prefix], e_enc, params, model.config, rows_map)
+            last = ad.select(hidden, [0], [prefix_len])
             p_n, p_ph, p_gen = M.step_distributions(last, params, model.config, rows_map, model.special_mask)
             for p in (p_n, p_ph, p_gen):
                 worst = max(worst, abs(float(p.data.sum()) - 1.0))

@@ -107,7 +107,6 @@ class TestStructure:
         assert m.grad.sum() == 2.0
 
     def test_slices_and_concat(self):
-        check_op(lambda a: ad.row_slice(a, 1, 3), (4, 3))
         check_op(lambda a, b: ad.concat([a, b], axis=0), (2, 3), (4, 3))
         check_op(lambda a, b: ad.concat([a, b], axis=1), (3, 2), (3, 4))
 

@@ -191,6 +191,17 @@ class TestCommands:
         assert cli.main(["g2p", "cue", "--lexicon", str(lexicon_path)]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_lexicon_phoneme_missing_from_inventory_is_data_error(self, tmp_path, capsys):
+        inventory_path = tmp_path / "inventory.tsv"
+        inventory_path.write_text("T\tconsonant\talveolar\tstop\tvoiceless\nAA\tvowel\tlow\tback\tunrounded\n")
+        lexicon_path = tmp_path / "lexicon.tsv"
+        lexicon_path.write_text("tot\tT ZZ T\n")
+        rc = cli.main(["g2p", "tot", "--lexicon", str(lexicon_path), "--inventory", str(inventory_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "ZZ" in err
+        assert "Traceback" not in err
+
     def test_rejected_vocab_file_is_data_error(self, tmp_path, capsys):
         corpus_path, _ = _write_corpus(tmp_path)
         vocab_path = tmp_path / "vocab.txt"
@@ -341,6 +352,22 @@ class TestPipeline:
              "--p-z", "0.45", "--config", str(cold)]
         )
         assert rc == 1
+
+    def test_over_long_line_passes_through(self, pipeline):
+        root, cfg, _, ckpt, _, texts = pipeline
+        first, second = texts.read_text().splitlines()[:2]
+        long_line = " ".join(["the cue gag"] * 30)
+        long_file = root / "long.txt"
+        long_file.write_text(f"{first}\n{long_line}\n{second}\n")
+        out = root / "long_out.txt"
+        rc = cli.main(
+            ["corrupt", str(long_file), "--checkpoint", str(ckpt), "--out", str(out),
+             "--p-z", "0.45", "--seed", "9", "--config", str(cfg)]
+        )
+        assert rc == 0
+        got = out.read_text().splitlines()[1:]
+        assert len(got) == 3
+        assert got[1] == C.normalize(long_line)
 
     def test_one_output_line_per_input_line(self, pipeline):
         root, cfg, _, ckpt, _, texts = pipeline

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from asrnoise import autodiff as ad
 from asrnoise import corpus as C
 from asrnoise import generation as G
 from asrnoise import model as M
@@ -48,7 +47,7 @@ def _toy_model(lexicon, phoneme_head=True):
 def _encode_text(model, text):
     params = M._wrap_params(model.params)
     tokens = C.tokenize(text, model.vocab)
-    e_in = M.embed_sequence(tokens.piece_ids, params, model.config, model.code_index.token_rows)
+    e_in = M.embed_sequence([tokens.piece_ids], params, model.config, model.code_index.token_rows)
     return tokens, M.encode(e_in, params, model.config)
 
 
@@ -62,9 +61,8 @@ class TestGenerateSpan:
         model = _toy_model(lexicon)
         _force_eos(model)
         tokens, e_enc = _encode_text(model, "the cue")
-        e_k = ad.row_slice(e_enc, 0, 1)
         for mode in (G.GREEDY, G.SAMPLE):
-            span = G.generate_span(e_k, e_enc, model, position=0, mode=mode, seed=3)
+            span = G.generate_span(e_enc, model, position=0, mode=mode, seed=3)
             assert span.m == 1
             assert span.error_type is G.ErrorType.DELETION
             assert span.replacement == ""
@@ -78,8 +76,7 @@ class TestGenerateSpan:
         model.params["b_n"][:] = 0.0
         model.params["b_n"][target] = 40.0
         tokens, e_enc = _encode_text(model, "the cue")
-        e_k = ad.row_slice(e_enc, 1, 2)
-        span = G.generate_span(e_k, e_enc, model, position=1, mode=G.GREEDY)
+        span = G.generate_span(e_enc, model, position=1, mode=G.GREEDY)
         assert span.surfaces == ("gag", "gag", "gag", "gag", "[EOS]")
         assert span.m == model.config.max_gen_len
         assert span.error_type is G.ErrorType.INSERTION
@@ -92,16 +89,14 @@ class TestGenerateSpan:
         for idx in hi:
             model.params["b_n"][idx] = 40.0
         tokens, e_enc = _encode_text(model, "the cue")
-        e_k = ad.row_slice(e_enc, 0, 1)
-        span = G.generate_span(e_k, e_enc, model, position=0, mode=G.GREEDY)
+        span = G.generate_span(e_enc, model, position=0, mode=G.GREEDY)
         assert span.token_ids[0] == min(hi)
 
     def test_sampling_is_seed_deterministic(self, lexicon):
         model = _toy_model(lexicon)
         tokens, e_enc = _encode_text(model, "the cue gag")
-        e_k = ad.row_slice(e_enc, 1, 2)
-        a = G.generate_span(e_k, e_enc, model, position=1, mode=G.SAMPLE, seed=42)
-        b = G.generate_span(e_k, e_enc, model, position=1, mode=G.SAMPLE, seed=42)
+        a = G.generate_span(e_enc, model, position=1, mode=G.SAMPLE, seed=42)
+        b = G.generate_span(e_enc, model, position=1, mode=G.SAMPLE, seed=42)
         assert a == b
 
     def test_span_terminates_with_single_trailing_eos(self, lexicon):
@@ -109,9 +104,8 @@ class TestGenerateSpan:
         tokens, e_enc = _encode_text(model, "the cue gag sue")
         eos = model.vocab.eos_id
         for position in range(len(tokens)):
-            e_k = ad.row_slice(e_enc, position, position + 1)
             for seed in range(4):
-                span = G.generate_span(e_k, e_enc, model, position=position, mode=G.SAMPLE, seed=seed)
+                span = G.generate_span(e_enc, model, position=position, mode=G.SAMPLE, seed=seed)
                 assert span.m <= model.config.max_gen_len
                 assert span.token_ids[-1] == eos
                 assert sum(1 for t in span.token_ids if t == eos) == 1
@@ -120,11 +114,17 @@ class TestGenerateSpan:
         model = _toy_model(lexicon)
         tokens, e_enc = _encode_text(model, "the cue")
         with pytest.raises(ValueError):
-            G.generate_span(ad.row_slice(e_enc, 0, 1), e_enc, model, position=0, mode="beam")
+            G.generate_span(e_enc, model, position=0, mode="beam")
         with pytest.raises(ValueError):
-            G.generate_span(
-                ad.row_slice(e_enc, 0, 1), e_enc, model, position=0, mode=G.SAMPLE, temperature=0.0
-            )
+            G.generate_span(e_enc, model, position=0, mode=G.SAMPLE, temperature=0.0)
+
+    @pytest.mark.parametrize("position", [2, 5, -1])
+    def test_position_outside_sentence_rejected(self, lexicon, position):
+        model = _toy_model(lexicon)
+        tokens, e_enc = _encode_text(model, "the cue")
+        assert len(tokens) == 2
+        with pytest.raises(IndexError, match=f"position {position} .* 2 tokens"):
+            G.generate_span(e_enc, model, position=position)
 
 
 def _span(vocab, position, original, surfaces):
@@ -225,6 +225,18 @@ class TestCorruptCorpus:
         outputs, records = G.corrupt_corpus(["the cue gag"], model, p_z=1.0, seed=1, mode=G.GREEDY)
         assert outputs == [""]
         assert all(r.span.error_type is G.ErrorType.DELETION for r in records)
+
+    def test_over_long_line_passes_through_and_leaves_others_unchanged(self, lexicon):
+        model = _toy_model(lexicon)
+        long_line = " ".join(["the cue gag sue"] * 6)
+        assert len(C.tokenize(long_line, model.vocab)) > model.config.max_len
+        texts = ["the queue", long_line, "gag the cue"]
+        outputs, records = G.corrupt_corpus(texts, model, p_z=1.0, seed=1)
+        assert outputs[1] == C.detokenize(C.tokenize(long_line, model.vocab))
+        assert {r.sentence_id for r in records} == {"0", "2"}
+        short = G.corrupt_corpus([texts[0], "sue", texts[2]], model, p_z=1.0, seed=1)
+        assert [outputs[0], outputs[2]] == [short[0][0], short[0][2]]
+        assert records == [r for r in short[1] if r.sentence_id != "1"]
 
     def test_deterministic_given_seed(self, lexicon):
         model = _toy_model(lexicon)

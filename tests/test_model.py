@@ -98,9 +98,9 @@ class TestEncode:
         for name in ("ln1_b", "ln2_b"):
             w[name] = np.zeros(d)
         x = rng.normal(size=(4, d))
-        out = M.encode(Tensor(x), _as_params(w, "enc_"), M.ModelConfig(d_model=d, n_heads=2))
+        out = M.encode(Tensor(x[None]), _as_params(w, "enc_"), M.ModelConfig(d_model=d, n_heads=2))
         expected = ad.layer_norm(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d))).data
-        np.testing.assert_allclose(out.data, expected, atol=1e-9)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-9)
 
     def test_permutation_equivariance(self):
         d = 8
@@ -109,15 +109,15 @@ class TestEncode:
         perm = np.array([3, 0, 4, 1, 2])
         config = M.ModelConfig(d_model=d, n_heads=4)
         params = _as_params(w, "enc_")
-        out = M.encode(Tensor(x), params, config)
-        out_perm = M.encode(Tensor(x[perm]), params, config)
-        np.testing.assert_allclose(out_perm.data, out.data[perm], atol=1e-12)
+        out = M.encode(Tensor(x[None]), params, config)
+        out_perm = M.encode(Tensor(x[perm][None]), params, config)
+        np.testing.assert_allclose(out_perm.data[0], out.data[0][perm], atol=1e-12)
 
     def test_golden_output_matches_high_precision_oracle(self):
         d = 4
         w, rng = _fixture_weights(d)
         x = rng.normal(0, 1.0, size=(3, d))
-        out = M.encode(Tensor(x), _as_params(w, "enc_"), M.ModelConfig(d_model=d, n_heads=2))
+        out = M.encode(Tensor(x[None]), _as_params(w, "enc_"), M.ModelConfig(d_model=d, n_heads=2))
         golden = np.array(
             [
                 [1.2404028980717592, -1.2472004152215632, 0.2026861463406532, 0.00898030586093113],
@@ -125,8 +125,8 @@ class TestEncode:
                 [-1.0639859165779848, 0.9958689851018828, -0.7606364146717879, 0.7726427611373836],
             ]
         )
-        np.testing.assert_allclose(out.data, golden, atol=1e-12)
-        np.testing.assert_allclose(out.data, block_forward_mp(x, x, w, n_heads=2), atol=1e-12)
+        np.testing.assert_allclose(out.data[0], golden, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], block_forward_mp(x, x, w, n_heads=2), atol=1e-12)
 
 
 class TestDecoder:
@@ -144,20 +144,25 @@ class TestDecoder:
         )
         config = M.ModelConfig(d_model=d, n_heads=n_heads, max_gen_len=5, max_len=8)
         rows = np.array([0, 1, 2, 0, 1, 2])
-        e_enc = Tensor(rng.normal(size=(3, d)))
+        e_enc = Tensor(rng.normal(size=(3, d))[None])
         return params, config, rows, e_enc, w
+
+    @staticmethod
+    def _row(e_enc, k):
+        """Encoder row ``k`` of a batch of one, as ``[1, 1, d]``."""
+        return ad.select(e_enc, [[0]], [[k]])
 
     def test_cross_attention_matches_oracle(self):
         d = 4
         w, rng = _fixture_weights(d)
         x = rng.normal(0, 1.0, size=(3, d))
         q = rng.normal(0, 1.0, size=(1, d))
-        out = M._attention_ffn_block(Tensor(q), Tensor(x), _as_params(w, "dec_"), "dec_", M.ModelConfig(d_model=d, n_heads=1))
+        out = M._attention_ffn_block(Tensor(q[None]), Tensor(x[None]), _as_params(w, "dec_"), "dec_", M.ModelConfig(d_model=d, n_heads=1))
         golden = np.array(
             [[1.0750241669051352, 0.08450862301079234, 0.28788132328196664, -1.5593474421508309]]
         )
-        np.testing.assert_allclose(out.data, golden, atol=1e-12)
-        np.testing.assert_allclose(out.data, block_forward_mp(q, x, w, n_heads=1), atol=1e-12)
+        np.testing.assert_allclose(out.data[0], golden, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], block_forward_mp(q, x, w, n_heads=1), atol=1e-12)
 
     def test_identity_weight_attention_average(self):
         # single head, identity projections, zeroed feed-forward: the hidden
@@ -173,46 +178,46 @@ class TestDecoder:
         w["w2"] = np.zeros((4 * d, d))
         kv = rng.normal(size=(3, d))
         q = rng.normal(size=(1, d))
-        out = M._attention_ffn_block(Tensor(q), Tensor(kv), _as_params(w, "dec_"), "dec_", M.ModelConfig(d_model=d, n_heads=1))
+        out = M._attention_ffn_block(Tensor(q[None]), Tensor(kv[None]), _as_params(w, "dec_"), "dec_", M.ModelConfig(d_model=d, n_heads=1))
         scores = (q @ kv.T) / np.sqrt(d)
         att = np.exp(scores - scores.max())
         att /= att.sum()
         mixed = q + att @ kv
         mu = mixed.mean()
         sigma = np.sqrt(((mixed - mu) ** 2).mean() + 1e-12)
-        np.testing.assert_allclose(out.data, (mixed - mu) / sigma, atol=1e-9)
+        np.testing.assert_allclose(out.data[0], (mixed - mu) / sigma, atol=1e-9)
 
     def test_prefix_order_changes_hidden_state(self):
         params, config, rows, e_enc, _ = self._setup()
-        e_k = ad.row_slice(e_enc, 0, 1)
-        a = M.decoder_hidden(e_k, [1, 2], e_enc, params, config, rows)
-        b = M.decoder_hidden(e_k, [2, 1], e_enc, params, config, rows)
-        assert not np.allclose(a.data[-1], b.data[-1])
+        e_k = self._row(e_enc, 0)
+        a = M.decoder_hidden(e_k, [[1, 2]], e_enc, params, config, rows)
+        b = M.decoder_hidden(e_k, [[2, 1]], e_enc, params, config, rows)
+        assert not np.allclose(a.data[0, -1], b.data[0, -1])
 
     def test_deterministic(self):
         params, config, rows, e_enc, _ = self._setup()
-        e_k = ad.row_slice(e_enc, 1, 2)
-        a = M.decoder_hidden(e_k, [3], e_enc, params, config, rows)
-        b = M.decoder_hidden(e_k, [3], e_enc, params, config, rows)
+        e_k = self._row(e_enc, 1)
+        a = M.decoder_hidden(e_k, [[3]], e_enc, params, config, rows)
+        b = M.decoder_hidden(e_k, [[3]], e_enc, params, config, rows)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_step_equals_full_pass_row(self):
         params, config, rows, e_enc, _ = self._setup(n_heads=2)
-        e_k = ad.row_slice(e_enc, 2, 3)
+        e_k = self._row(e_enc, 2)
         target = [3, 1, 4]
-        full = M.decoder_hidden(e_k, target[:-1], e_enc, params, config, rows)
+        full = M.decoder_hidden(e_k, [target[:-1]], e_enc, params, config, rows)
         for l in range(len(target)):
-            step = M.decoder_hidden(e_k, target[:l], e_enc, params, config, rows)
-            assert step.data.shape == (1 + l, config.d_model)
-            np.testing.assert_allclose(step.data[-1], full.data[l], atol=1e-12)
+            step = M.decoder_hidden(e_k, [target[:l]], e_enc, params, config, rows)
+            assert step.data.shape == (1, 1 + l, config.d_model)
+            np.testing.assert_allclose(step.data[0, -1], full.data[0, l], atol=1e-12)
 
     def test_prefix_too_long(self):
         params, config, rows, e_enc, _ = self._setup()
-        e_k = ad.row_slice(e_enc, 0, 1)
+        e_k = self._row(e_enc, 0)
         # max_gen_len positions are allowed; one more is not
-        M.decoder_hidden(e_k, [1, 2, 3, 4], e_enc, params, config, rows)
+        M.decoder_hidden(e_k, [[1, 2, 3, 4]], e_enc, params, config, rows)
         with pytest.raises(PrefixTooLongError):
-            M.decoder_hidden(e_k, [1, 2, 3, 4, 1], e_enc, params, config, rows)
+            M.decoder_hidden(e_k, [[1, 2, 3, 4, 1]], e_enc, params, config, rows)
 
 
 def _toy_model(lexicon, phoneme_head=True, lambda_w=0.5, seed=5):
@@ -328,12 +333,12 @@ class TestBatchedLossGraph:
         e_k = ad.select(e_enc, np.array([[0], [1]]), np.array(positions)[:, None])
         hidden = M.decoder_hidden(e_k, prefixes, e_enc, params, config, rows_map, real)
         for b, (sentence, k, prefix) in enumerate(zip(sentences, positions, prefixes)):
-            single_enc = M.encode(M.embed_sequence(sentence, params, config, rows_map), params, config)
-            np.testing.assert_allclose(e_enc.data[b, : len(sentence)], single_enc.data, rtol=0, atol=1e-12)
+            single_enc = M.encode(M.embed_sequence([sentence], params, config, rows_map), params, config)
+            np.testing.assert_allclose(e_enc.data[b, : len(sentence)], single_enc.data[0], rtol=0, atol=1e-12)
             single = M.decoder_hidden(
-                ad.row_slice(single_enc, k, k + 1), prefix, single_enc, params, config, rows_map
+                ad.select(single_enc, [[0]], [[k]]), [prefix], single_enc, params, config, rows_map
             )
-            np.testing.assert_allclose(hidden.data[b, : 1 + len(prefix)], single.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(hidden.data[b, : 1 + len(prefix)], single.data[0], rtol=0, atol=1e-12)
 
     def test_empty_batch_rejected(self, lexicon):
         model = _toy_model(lexicon)
@@ -417,6 +422,17 @@ class TestLoss:
             assert float(l_n.data) == pytest.approx(ref_n, rel=1e-10)
             assert float(l_ph.data) == pytest.approx(ref_ph, rel=1e-10)
             assert float(l_tot.data) == pytest.approx(ref_tot, rel=1e-10)
+
+    def test_unk_target_gets_no_phoneme_supervision(self, lexicon):
+        # [UNK] has no pronunciation, so like [EOS] it adds nothing to l_ph
+        model = _toy_model(lexicon)
+        example = _item(model, "s", ["the", "cue", "gag"], 1, ["[UNK]"])
+        l_tot, l_n, l_ph = M.loss_total([example], model, lexicon)
+        assert float(l_ph.data) == 0.0
+        assert float(l_tot.data) == float(l_n.data)
+        word_only = M.loss_total([example], _without_phoneme_loss(model), lexicon)[1]
+        assert float(l_n.data) == float(word_only.data)
+        assert float(l_n.data) == pytest.approx(loss_reference(model, example, lexicon)[0], rel=1e-10)
 
     def test_duplicated_example_doubles_gradient(self, lexicon):
         model = _toy_model(lexicon)

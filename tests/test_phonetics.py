@@ -40,6 +40,14 @@ class TestFileFormats:
         lexicon = load_lexicon(lexicon_path, inventory)
         assert code_key(g2p("TOT", lexicon)) == "T AA T"
 
+    def test_lexicon_symbol_missing_from_inventory_rejected(self, tmp_path):
+        inventory_path = tmp_path / "inventory.tsv"
+        inventory_path.write_text("T\tconsonant\talveolar\tstop\tvoiceless\nAA\tvowel\tlow\tback\tunrounded\n")
+        lexicon_path = tmp_path / "lexicon.tsv"
+        lexicon_path.write_text("# header\ntat\tT AA T\ntot\tT ZZ T\n")
+        with pytest.raises(ValueError, match="line 3: phoneme 'ZZ'"):
+            load_lexicon(lexicon_path, load_inventory(inventory_path))
+
     def test_entries_must_stay_in_inventory(self, lexicon):
         code = g2p("cue", lexicon)
         tiny_inventory = {"UNK": lexicon.phoneme("UNK")}
