@@ -34,14 +34,11 @@ DELETION = "deletion"
 ARTIFACT_HEADER = "# produced-by:"
 
 _NORMALIZE_RE = re.compile(r"[^a-z0-9 ]+")
-_WS_RE = re.compile(r"\s+")
 
 
 def normalize(text: str) -> str:
     """Lowercase, drop punctuation, collapse whitespace."""
-    text = _WS_RE.sub(" ", text.lower())
-    text = _NORMALIZE_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
+    return " ".join(_NORMALIZE_RE.sub(" ", text.lower()).split())
 
 
 @dataclass(frozen=True)
@@ -172,33 +169,53 @@ def induce_vocab(texts: Sequence[str], size: int) -> SubwordVocab:
     pieces: list[str] = [*SPECIALS, *charset]
     known = set(pieces)
     sequences: dict[str, list[str]] = {w: _word_symbols(w) for w in word_counts}
+    # Pair counts and, per pair, the words that may hold it are kept across
+    # merges: a merge re-counts only the words that held the merged pair.
+    pair_counts: dict[tuple[str, str], int] = {}
+    holders: dict[tuple[str, str], set[str]] = {}
+    for word, seq in sequences.items():
+        _add_pairs(word, seq, word_counts[word], pair_counts, holders)
 
-    while len(pieces) < size:
-        pair_counts: dict[tuple[str, str], int] = {}
-        for word, seq in sequences.items():
-            count = word_counts[word]
-            for left, right in zip(seq, seq[1:]):
-                pair_counts[(left, right)] = pair_counts.get((left, right), 0) + count
-        if not pair_counts:
-            break
+    while len(pieces) < size and pair_counts:
         best_pair = min(pair_counts, key=lambda p: (-pair_counts[p], p))
         left, right = best_pair
         merged = left + right[len(CONTINUATION_PREFIX):]
         if merged not in known:
             pieces.append(merged)
             known.add(merged)
-        for word, seq in sequences.items():
-            out: list[str] = []
-            i = 0
-            while i < len(seq):
-                if i + 1 < len(seq) and seq[i] == left and seq[i + 1] == right:
-                    out.append(merged)
-                    i += 2
+        for word in holders.pop(best_pair):
+            seq, count = sequences[word], word_counts[word]
+            for pair in zip(seq, seq[1:]):
+                remaining = pair_counts[pair] - count
+                if remaining:
+                    pair_counts[pair] = remaining
                 else:
-                    out.append(seq[i])
-                    i += 1
-            sequences[word] = out
+                    del pair_counts[pair]
+                    holders.pop(pair, None)
+            seq = _merge_pair(seq, left, right, merged)
+            sequences[word] = seq
+            _add_pairs(word, seq, count, pair_counts, holders)
     return SubwordVocab(pieces)
+
+
+def _add_pairs(word, seq, count, pair_counts, holders) -> None:
+    for pair in zip(seq, seq[1:]):
+        pair_counts[pair] = pair_counts.get(pair, 0) + count
+        holders.setdefault(pair, set()).add(word)
+
+
+def _merge_pair(seq: list[str], left: str, right: str, merged: str) -> list[str]:
+    """Replace each ``left, right`` occurrence, scanning left to right."""
+    out: list[str] = []
+    i = 0
+    while i < len(seq):
+        if i + 1 < len(seq) and seq[i] == left and seq[i + 1] == right:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(seq[i])
+            i += 1
+    return out
 
 
 def tokenize_word(word: str, vocab: SubwordVocab) -> list[Token]:

@@ -1,14 +1,17 @@
 """Corpus metrics: WER/CER, error-type mix, phoneme distance, independence.
 
 Texts are normalized (lowercase, punctuation stripped) before scoring.
-Scoring runs the same alignment dynamic program that builds training data,
-``corpus.align_sequences``, but with unit costs instead of phonetic ones; a
+WER and CER need only each pair's unit-cost edit distance, which
+:func:`edit_distance` computes bit-parallel without a backtrace.  The error-type
+breakdown and the mean phoneme distance need the path itself, so they run the
+same alignment dynamic program that builds training data,
+``corpus.align_sequences``, with unit costs instead of phonetic ones; a
 diagonal step between two different symbols counts as a substitution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -38,13 +41,17 @@ REFERENCE_PHONEME_DISTANCE = {
 }
 
 
-def _aligned(references: Sequence[str], hypotheses: Sequence[str], split):
-    """Each pair's normalized units (``str.split`` for words, ``list`` for
-    characters) with their unit-cost alignment steps."""
+def _units(references: Sequence[str], hypotheses: Sequence[str], split):
+    """Each pair's normalized units: ``str.split`` gives words, ``str`` characters."""
     if len(references) != len(hypotheses):
         raise LengthMismatchError(f"{len(references)} references vs {len(hypotheses)} hypotheses")
     for ref_text, hyp_text in zip(references, hypotheses):
-        ref, hyp = split(normalize(ref_text)), split(normalize(hyp_text))
+        yield split(normalize(ref_text)), split(normalize(hyp_text))
+
+
+def _aligned(references: Sequence[str], hypotheses: Sequence[str], split):
+    """Each pair's normalized units with their unit-cost alignment steps."""
+    for ref, hyp in _units(references, hypotheses, split):
         yield ref, hyp, align_sequences(unit_costs(ref, hyp), len(hyp))
 
 
@@ -62,20 +69,62 @@ def _corpus_counts(references, hypotheses, split):
     return subs, ins, dels, ref_len
 
 
-def word_error_rate(references: Sequence[str], hypotheses: Sequence[str]) -> float:
-    """(substitutions + deletions + insertions) / reference word count."""
-    subs, ins, dels, ref_len = _corpus_counts(references, hypotheses, str.split)
+def edit_distance(ref: Sequence[Hashable], hyp: Sequence[Hashable]) -> int:
+    """Unit-cost Levenshtein distance between two sequences of hashable symbols.
+
+    Bit-parallel over the longer sequence, one Python-int bit per symbol, so
+    there is no length limit (Myers 1999; the row form of Hyyrö 2001).  It
+    equals the number of substitutions, insertions and deletions along any
+    minimum-cost alignment from ``corpus.align_sequences`` with unit costs.
+    """
+    if len(ref) < len(hyp):
+        ref, hyp = hyp, ref
+    m = len(ref)
+    if not hyp:
+        return m
+    match: dict[Hashable, int] = {}
+    for i, symbol in enumerate(ref):
+        match[symbol] = match.get(symbol, 0) | (1 << i)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    # vertical deltas D[i][j] - D[i-1][j] of the current column: +1 in vp, -1 in vn
+    vp, vn, dist = mask, 0, m
+    for symbol in hyp:
+        eq = match.get(symbol, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        # the top row D[0][j] = j grows by one per column
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+    return dist
+
+
+def _error_rate(references: Sequence[str], hypotheses: Sequence[str], split) -> float:
+    errors = ref_len = 0
+    for ref, hyp in _units(references, hypotheses, split):
+        errors += edit_distance(ref, hyp)
+        ref_len += len(ref)
     if ref_len == 0:
         return 0.0
-    return (subs + ins + dels) / ref_len
+    return errors / ref_len
+
+
+def word_error_rate(references: Sequence[str], hypotheses: Sequence[str]) -> float:
+    """(substitutions + deletions + insertions) / reference word count."""
+    return _error_rate(references, hypotheses, str.split)
 
 
 def char_error_rate(references: Sequence[str], hypotheses: Sequence[str]) -> float:
     """Same ratio at character level (spaces included after normalization)."""
-    subs, ins, dels, ref_len = _corpus_counts(references, hypotheses, list)
-    if ref_len == 0:
-        return 0.0
-    return (subs + ins + dels) / ref_len
+    return _error_rate(references, hypotheses, str)
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,13 @@ def _pick_sample(p: np.ndarray, temperature: float, rng: np.random.Generator) ->
     logp -= logp.max()
     weights = np.exp(logp)
     weights /= weights.sum()
-    return int(rng.choice(len(weights), p=weights))
+    # Generator.choice(len(weights), p=weights) draws exactly this way, one
+    # uniform per call, without re-validating the distribution each step.
+    cdf = weights.cumsum()
+    if not (weights.min() >= 0.0 and np.isfinite(cdf[-1])):
+        raise ValueError("sampling weights must be finite and non-negative")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def generate_span(

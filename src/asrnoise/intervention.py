@@ -1,10 +1,12 @@
 """Corruption-plan samplers.
 
 The interventional sampler corrupts every position with one constant prior:
-a uniform draw per position, thresholded, with the draw depending only on
-(seed, position) and never on the token.  The conditional sampler is the
-ablation arm: its threshold comes from a per-token empirical corruption
-frequency table, reintroducing the dependence the intervention removes.
+a uniform draw in [0, 1) per position corrupts it when strictly below the
+prior (so a prior of 0 never corrupts and 1 always does), and the draw
+depends only on (seed, position), never on the token.  The conditional
+sampler is the ablation arm: its threshold comes from a per-token empirical
+corruption frequency table, reintroducing the dependence the intervention
+removes.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ def sample_plan_interventional(tokens: Sequence, p_z: float, seed: int) -> Corru
     if not 0.0 <= p_z <= 1.0:
         raise PriorOutOfRangeError(f"corruption prior must be in [0, 1], got {p_z}")
     draws = uniforms_at(seed, np.arange(len(tokens)))
-    return CorruptionPlan(z=tuple(bool(a <= p_z) for a in draws), prior=p_z, seed=seed)
+    return CorruptionPlan(z=tuple(bool(a < p_z) for a in draws), prior=p_z, seed=seed)
 
 
 class ConditionalPriorTable:
@@ -103,5 +105,5 @@ def sample_plan_conditional(
 ) -> CorruptionPlan:
     """Sample z with per-token thresholds from the frequency table."""
     draws = uniforms_at(seed, np.arange(len(tokens)))
-    z = tuple(bool(a <= table[tok]) for a, tok in zip(draws, tokens))
+    z = tuple(bool(a < table[tok]) for a, tok in zip(draws, tokens))
     return CorruptionPlan(z=z, prior=None, seed=seed)

@@ -9,6 +9,8 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp, mpf
 
+from asrnoise.corpus import CONTINUATION_PREFIX, SPECIALS, normalize
+from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
 from asrnoise.phonetics import articulatory_mismatches, supervision_distribution
 
 
@@ -46,6 +48,46 @@ def alignment_cost_recursive(n: int, m: int, sub_cost) -> float:
         return min(go(i - 1, j - 1) + sub_cost(i - 1, j - 1), go(i, j - 1) + 1, go(i - 1, j) + 1)
 
     return go(n, m)
+
+
+def induce_vocab_reference(texts, size: int) -> list[str]:
+    """Vocabulary pieces by frequency-greedy merges, recounting every adjacent
+    pair of every word before each merge (lexicographic tie-break)."""
+    word_counts: dict[str, int] = {}
+    for text in texts:
+        for word in normalize(text).split():
+            word_counts[word] = word_counts.get(word, 0) + 1
+    if not word_counts:
+        raise EmptyCorpusError("empty corpus")
+    charset = sorted({ch for word in word_counts for ch in word})
+    if size < len(SPECIALS) + len(charset):
+        raise SizeTooSmallError(f"size {size} too small")
+
+    pieces = [*SPECIALS, *charset]
+    sequences = {w: [w[0]] + [CONTINUATION_PREFIX + ch for ch in w[1:]] for w in word_counts}
+    while len(pieces) < size:
+        pair_counts: dict[tuple[str, str], int] = {}
+        for word, seq in sequences.items():
+            for pair in zip(seq, seq[1:]):
+                pair_counts[pair] = pair_counts.get(pair, 0) + word_counts[word]
+        if not pair_counts:
+            break
+        left, right = min(pair_counts, key=lambda p: (-pair_counts[p], p))
+        merged = left + right[len(CONTINUATION_PREFIX):]
+        if merged not in pieces:
+            pieces.append(merged)
+        for word, seq in sequences.items():
+            out: list[str] = []
+            i = 0
+            while i < len(seq):
+                if i + 1 < len(seq) and seq[i] == left and seq[i + 1] == right:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(seq[i])
+                    i += 1
+            sequences[word] = out
+    return pieces
 
 
 # ------------------------------------------------------------------ mpmath

@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asrnoise import corpus as C
 from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
 
 from conftest import make_token_seq
-from oracles import alignment_cost_recursive
+from oracles import alignment_cost_recursive, induce_vocab_reference
 
 
 class TestNormalize:
@@ -15,6 +15,16 @@ class TestNormalize:
 
     def test_whitespace_collapse(self):
         assert C.normalize("  a\t b \n c ") == "a b c"
+        assert C.normalize("\u3000a\u00a0-\u2009b.\x1f") == "a b"
+
+
+@st.composite
+def _small_alphabet_corpora(draw):
+    """Texts over two or three letters, so pair-count ties are common; with
+    sizes up to 40 the merges often run out before the size is reached."""
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    word = st.text(alphabet=alphabet, min_size=1, max_size=7)
+    return draw(st.lists(st.lists(word, max_size=6).map(" ".join), max_size=8))
 
 
 class TestInduceVocab:
@@ -39,6 +49,20 @@ class TestInduceVocab:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpusError):
             C.induce_vocab(["   "], size=10)
+
+    @settings(max_examples=150)
+    @example([], 10)
+    @example(["ab ba"], 4)
+    @example(["abab ab ba aab"], 40)
+    @given(_small_alphabet_corpora(), st.integers(min_value=3, max_value=40))
+    def test_pieces_equal_full_recount_reference(self, texts, size):
+        try:
+            expected = induce_vocab_reference(texts, size)
+        except (EmptyCorpusError, SizeTooSmallError) as exc:
+            with pytest.raises(type(exc)):
+                C.induce_vocab(texts, size)
+            return
+        assert C.induce_vocab(texts, size).pieces == expected
 
 
 class TestTokenize:

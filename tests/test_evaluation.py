@@ -12,6 +12,47 @@ from oracles import alignment_cost_recursive
 # normalized sentences: lowercase words of a small alphabet, so symbols repeat
 _words = st.lists(st.text(alphabet="abc", min_size=1, max_size=3), max_size=6)
 
+# symbol sequences for the distance kernel: up to 100 symbols, so past one
+# 64-bit word, as characters (ASCII and not) or as whole words
+_chars = st.text(alphabet="ab\u00e9\u00df\u4e2d", max_size=100)
+_word_list = st.lists(st.sampled_from(["the", "cue", "queue", "\u00e9t\u00e9"]), max_size=100)
+
+
+def _unit_cost(ref, hyp) -> int:
+    return alignment_cost_recursive(len(ref), len(hyp), lambda i, j: int(ref[i] != hyp[j]))
+
+
+class TestEditDistance:
+    @settings(max_examples=150)
+    @example("", "")
+    @example("", "abc")
+    @example("a" * 65, "b" + "a" * 64)
+    @example("a\u00e9" * 40, "\u00e9a" * 40)
+    @given(_chars, _chars)
+    def test_characters_equal_unit_cost_oracle(self, ref, hyp):
+        assert E.edit_distance(ref, hyp) == _unit_cost(ref, hyp)
+        assert E.edit_distance(hyp, ref) == _unit_cost(ref, hyp)
+
+    @settings(max_examples=100)
+    @example(["the", "cue"], [])
+    @example(["cue"] * 70, ["queue"] + ["cue"] * 70)
+    @given(_word_list, _word_list)
+    def test_words_equal_unit_cost_oracle(self, ref, hyp):
+        assert E.edit_distance(ref, hyp) == _unit_cost(ref, hyp)
+
+
+class TestRatesFromAlignmentCounts:
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(st.text(alphabet="ab \u00e9", max_size=30),
+                              st.text(alphabet="ab \u00e9", max_size=30)), max_size=4))
+    def test_rates_equal_alignment_error_counts(self, pairs):
+        refs = [r for r, _ in pairs]
+        hyps = [h for _, h in pairs]
+        for rate, split in ((E.word_error_rate, str.split), (E.char_error_rate, list)):
+            subs, ins, dels, ref_len = E._corpus_counts(refs, hyps, split)
+            expected = (subs + ins + dels) / ref_len if ref_len else 0.0
+            assert rate(refs, hyps) == expected
+
 
 class TestWordErrorRate:
     @settings(max_examples=100)

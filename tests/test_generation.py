@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +33,25 @@ class TestClassifyError:
             G.classify_error(0, 5)
         with pytest.raises(OutOfRangeError):
             G.classify_error(6, 5)
+
+
+class TestPickSample:
+    def test_matches_generator_choice_draw_for_draw(self):
+        source = np.random.default_rng(0)
+        for seed in range(40):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for step in range(50):
+                p = source.dirichlet(np.full(384, 0.05 if step % 2 else 1.0))
+                temperature = (0.5, 1.0, 1.7)[step % 3]
+                logp = np.log(np.maximum(p, 1e-300)) / temperature
+                weights = np.exp(logp - logp.max())
+                weights /= weights.sum()
+                expected = int(theirs.choice(len(weights), p=weights))
+                assert G._pick_sample(p, temperature, ours) == expected
+
+    def test_nonfinite_weights_rejected(self):
+        with pytest.raises(ValueError):
+            G._pick_sample(np.array([0.5, np.nan, 0.5]), 1.0, np.random.default_rng(0))
 
 
 def _toy_model(lexicon, phoneme_head=True):

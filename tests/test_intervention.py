@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from asrnoise import intervention
 from asrnoise.corpus import MATCH, SUBSTITUTION, AlignmentEntry
 from asrnoise.errors import EmptyCorpusError, PriorOutOfRangeError
 from asrnoise.evaluation import independence_report
@@ -128,6 +129,25 @@ class TestConditionalSampler:
         cold_rate = sum(plan.z[1000:]) / 1000
         assert hot_rate > 0.8
         assert cold_rate < 0.2
+
+
+class TestStrictThreshold:
+    """A position is corrupted exactly when its draw is below the prior, so
+    p = 0 never corrupts and p = 1 corrupts every draw in [0, 1)."""
+
+    @pytest.mark.parametrize(
+        "p, expected",
+        [(0.0, (False, False, False)), (0.45, (True, False, True)), (1.0, (True, False, True))],
+    )
+    def test_draw_equal_to_prior_is_kept(self, monkeypatch, p, expected):
+        # a draw of exactly 1.0 never occurs; at p = 1 the largest real draw
+        # is nextafter(1, 0), which is corrupted
+        draws = np.array([0.0, p, np.nextafter(p, 0.0)])
+        monkeypatch.setattr(intervention, "uniforms_at", lambda seed, positions: draws)
+        tokens = _tokens(3)
+        assert sample_plan_interventional(tokens, p, seed=0).z == expected
+        table = ConditionalPriorTable({}, default=p)
+        assert sample_plan_conditional(tokens, table, seed=0).z == expected
 
 
 class TestIndependence:
