@@ -43,15 +43,16 @@ def normalize(text: str) -> str:
 
 @dataclass(frozen=True)
 class ParallelPair:
-    """One (clean text, noisy transcript) pair; the transcript may be empty."""
+    """One (clean text, noisy transcript) pair; the clean text must hold at
+    least one word once normalized, the transcript may be empty."""
 
     gt: str
     asr: str
     id: str = ""
 
     def __post_init__(self):
-        if not self.gt.strip():
-            raise ValueError("ground-truth side of a pair must be nonempty")
+        if not normalize(self.gt):
+            raise ValueError("ground-truth side of a pair has no words")
 
 
 class Token(NamedTuple):
@@ -478,7 +479,8 @@ def load_pairs_tsv(path) -> list[ParallelPair]:
     """Read ``GT<TAB>ASR`` lines; the transcript column may be empty.
 
     Blank lines and a first-line ``# produced-by:`` header are skipped; any
-    other line is a pair, ``#`` included, whose id is its line index.
+    other line is a pair, ``#`` included, whose id is its line index.  A line
+    whose ground-truth side has no words is rejected with its 1-based number.
     """
     pairs: list[ParallelPair] = []
     with open(path, encoding="utf-8") as fh:
@@ -487,7 +489,10 @@ def load_pairs_tsv(path) -> list[ParallelPair]:
             if not line.strip() or (lineno == 0 and line.startswith(ARTIFACT_HEADER)):
                 continue
             gt, _, asr = line.partition("\t")
-            pairs.append(ParallelPair(gt=gt, asr=asr, id=str(lineno)))
+            try:
+                pairs.append(ParallelPair(gt=gt, asr=asr, id=str(lineno)))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno + 1}: {exc}") from exc
     if not pairs:
         raise EmptyCorpusError(f"no pairs found in {path}")
     return pairs

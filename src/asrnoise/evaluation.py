@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .corpus import align_sequences, normalize, unit_costs
 from .errors import InsufficientDataError, LengthMismatchError
@@ -226,29 +225,25 @@ def independence_report(
     tokens_sorted = sorted(counts)
     table = np.asarray([counts[t] for t in tokens_sorted])
     col_sums = table.sum(axis=0)
-    if (col_sums == 0).any() or len(tokens_sorted) < 2:
-        rows = tuple(
-            TokenIndependenceRow(t, int(counts[t].sum()), int(counts[t][1]),
-                                 counts[t][1] / counts[t].sum(), 0.0)
-            for t in tokens_sorted
-        )
+    degenerate = bool((col_sums == 0).any()) or len(tokens_sorted) < 2
+    if degenerate:
+        contributions = np.zeros_like(table)
+    else:
+        expected = np.outer(table.sum(axis=1), col_sums) / table.sum()
+        contributions = (table - expected) ** 2 / expected
+    rows = tuple(
+        TokenIndependenceRow(t, int(row.sum()), int(row[1]), row[1] / row.sum(), float(c.sum()))
+        for t, row, c in zip(tokens_sorted, table, contributions)
+    )
+    if degenerate:
         return IndependenceReport(0.0, 0, 1.0, alpha, "degenerate", rows)
-    expected = np.outer(table.sum(axis=1), col_sums) / table.sum()
-    contributions = (table - expected) ** 2 / expected
+    # imported here, not at module level: scipy.stats costs about 1 s and 70 MB to load
+    from scipy import stats
+
     statistic = float(contributions.sum())
     dof = (table.shape[0] - 1) * (table.shape[1] - 1)
     p_value = float(stats.chi2.sf(statistic, dof))
     verdict = "dependent" if p_value < alpha else "independent"
-    rows = tuple(
-        TokenIndependenceRow(
-            token=t,
-            observations=int(counts[t].sum()),
-            corrupted=int(counts[t][1]),
-            corruption_rate=counts[t][1] / counts[t].sum(),
-            chi_square_contribution=float(contributions[i].sum()),
-        )
-        for i, t in enumerate(tokens_sorted)
-    )
     return IndependenceReport(statistic, dof, p_value, alpha, verdict, rows)
 
 

@@ -84,8 +84,12 @@ def _pick_greedy(p: np.ndarray) -> int:
 
 
 def _pick_sample(p: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    logp = np.log(np.maximum(p, 1e-300)) / temperature
+    # shift before scaling: at a tiny temperature the likeliest token keeps
+    # weight 1 and the others overflow to -inf, i.e. weight 0
+    logp = np.log(np.maximum(p, 1e-300))
     logp -= logp.max()
+    with np.errstate(over="ignore"):
+        logp /= temperature
     weights = np.exp(logp)
     weights /= weights.sum()
     # Generator.choice(len(weights), p=weights) draws exactly this way, one

@@ -452,17 +452,15 @@ def _loss_graph(
     rows_map = model.code_index.token_rows
     unsupervised = (model.vocab.eos_id, model.vocab.unk_id)
 
-    slot: dict[str, int] = {}
-    sentences: list[tuple[int, ...]] = []
-    for example in batch:
-        if example.sentence_id not in slot:
-            slot[example.sentence_id] = len(sentences)
-            sentences.append(example.sentence.piece_ids)
+    # one encoder row per distinct sentence, in order of first appearance
+    keys = [example.sentence.piece_ids for example in batch]
+    sentences = list(dict.fromkeys(keys))
+    slot = {sentence: i for i, sentence in enumerate(sentences)}
     ids = _pad(sentences)
     is_token = np.arange(ids.shape[1]) < np.asarray([len(s) for s in sentences])[:, None]
     e_enc = encode(embed_sequence(ids, params, config, rows_map), params, config, is_token)
 
-    which = np.asarray([slot[example.sentence_id] for example in batch], dtype=np.intp)
+    which = np.asarray([slot[key] for key in keys], dtype=np.intp)
     where = np.asarray([example.position for example in batch], dtype=np.intp)
     e_k = ad.select(e_enc, which[:, None], where[:, None])
     targets = [example.target_ids for example in batch]

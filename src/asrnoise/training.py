@@ -6,8 +6,8 @@ float64 throughout.
 """
 from __future__ import annotations
 
-import io
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -192,33 +192,23 @@ def save_loss_log(path, log: Sequence[EpochStats], header: str = "") -> None:
             fh.write(f"{row.epoch},{row.loss_total!r},{row.loss_word!r},{row.loss_phoneme!r}\n")
 
 
-# checkpoint format: magic, JSON header (config, vocab, code index, metadata),
-# then named arrays as (name length, name, rank, dims, float64 little-endian).
+# checkpoint format: magic, u32 length of a JSON header (config, vocab, code
+# index, metadata, and "arrays": every parameter's [name, dims] in file order),
+# then every array's float64 little-endian values back to back.
 def save_checkpoint(path, model: Model, meta: Optional[dict] = None) -> None:
     header = {
-        "format_version": 1,
+        "format_version": 2,
         "config": asdict(model.config),
         "vocab": model.vocab.pieces,
         "codes": model.code_index.codes,
         "token_rows": [int(r) for r in model.code_index.token_rows],
+        "arrays": [[name, list(array.shape)] for name, array in model.params.items()],
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    buf.write(struct.pack("<I", len(model.params)))
-    for name, array in model.params.items():
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", array.ndim))
-        for dim in array.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(array.astype("<f8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
+        fh.write(b"".join(array.astype("<f8").tobytes() for array in model.params.values()))
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -240,22 +230,16 @@ def load_checkpoint(path) -> Model:
             raise CorruptCheckpointError(f"unreadable checkpoint header: {exc}") from exc
         if not isinstance(header, dict):
             raise CorruptCheckpointError("checkpoint header is not a JSON object")
-        if header.get("format_version") != 1:
+        if header.get("format_version") != 2:
             raise VersionMismatchError(f"unsupported format version {header.get('format_version')}")
-        (n_arrays,) = struct.unpack("<I", _read_exact(fh, 4))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", _read_exact(fh, 1))
-            shape = tuple(struct.unpack("<I", _read_exact(fh, 4))[0] for _ in range(rank))
-            count = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(_read_exact(fh, count * 8), dtype="<f8").reshape(shape)
-            arrays[name] = np.ascontiguousarray(data, dtype=np.float64)
-        trailing = fh.read(1)
-        if trailing:
-            raise CorruptCheckpointError("unexpected bytes after the last array")
+        body = fh.read()
     try:
+        sizes = [math.prod(dims) for _, dims in header["arrays"]]
+        if len(body) != 8 * sum(sizes):
+            raise CorruptCheckpointError(f"checkpoint body is {len(body)} bytes, not {8 * sum(sizes)}")
+        flat = np.frombuffer(body, dtype="<f8").astype(np.float64)  # a writable copy
+        pieces = np.split(flat, np.cumsum(sizes)[:-1])
+        arrays = {name: a.reshape(dims) for (name, dims), a in zip(header["arrays"], pieces)}
         config = ModelConfig(**header["config"])
         vocab = SubwordVocab(header["vocab"])
         code_index = PhonemeCodeIndex(header["codes"], header["token_rows"])

@@ -128,6 +128,16 @@ class TestCommands:
         path.write_text("# produced-by: asrnoise vocab\n\n#metoo the cue\tthe queue\n \n")
         assert [p.id for p in C.load_pairs_tsv(path)] == ["2"]
 
+    @pytest.mark.parametrize("bad_line", ["!!!\tfoo", "\tfoo"], ids=["punctuation-only", "empty"])
+    def test_line_without_ground_truth_words_is_rejected_by_line(self, tmp_path, capsys, bad_line):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"the cue\tthe queue\n\n{bad_line}\nthe gag\tthe gags\n")
+        for command in ("align", "vocab"):
+            rc = cli.main([command, str(path), "--out", str(tmp_path / f"{command}.out")])
+            assert rc == 2
+            assert f"{path}: line 3: ground-truth side" in capsys.readouterr().err
+        assert not (tmp_path / "align.out").exists()
+
     def test_align_command_writes_entries(self, tmp_path):
         corpus_path, pairs = _write_corpus(tmp_path)
         out = tmp_path / "align.tsv"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -166,6 +171,24 @@ class TestIndependenceReport:
         plan = sample_plan_interventional(tokens, 0.5, seed=0)
         with pytest.raises(LengthMismatchError):
             E.independence_report([plan], [tokens[:-1]])
+
+    def test_degenerate_rows_have_zero_contributions(self):
+        tokens = self._tokens(2000)
+        plan = sample_plan_interventional(tokens, 1.0, seed=0)
+        report = E.independence_report([plan], [tokens])
+        assert [row.observations for row in report.rows] == [200] * 10
+        assert all(row.corruption_rate == 1.0 for row in report.rows)
+        assert all(row.chi_square_contribution == 0.0 for row in report.rows)
+
+    def test_importing_the_package_leaves_scipy_stats_unloaded(self):
+        env = dict(os.environ)
+        src = str(Path(E.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import asrnoise, sys; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        assert out.stdout.strip() == "False"
 
     def test_per_token_rows_cover_all_ids(self):
         tokens = self._tokens(5000, k=5)

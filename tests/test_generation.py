@@ -49,6 +49,10 @@ class TestPickSample:
                 expected = int(theirs.choice(len(weights), p=weights))
                 assert G._pick_sample(p, temperature, ours) == expected
 
+    def test_subnormal_temperature_picks_the_likeliest_token(self):
+        assert G._pick_sample(np.array([0.7, 0.2, 0.1]), 1e-310, np.random.default_rng(0)) == 0
+        assert G._pick_sample(np.array([0.1, 0.2, 0.7]), 1e-310, np.random.default_rng(0)) == 2
+
     def test_nonfinite_weights_rejected(self):
         with pytest.raises(ValueError):
             G._pick_sample(np.array([0.5, np.nan, 0.5]), 1.0, np.random.default_rng(0))
@@ -238,6 +242,13 @@ class TestCorruptCorpus:
             G.corrupt_corpus(["the cue"], model, p_z=0.0, seed=1, mode="beam")
         with pytest.raises(ValueError):
             G.corrupt_corpus(["the cue"], model, p_z=0.0, seed=1, mode=G.SAMPLE, temperature=0.0)
+
+    def test_subnormal_temperature_decodes_every_span(self, lexicon):
+        model = _toy_model(lexicon)
+        texts = ["the cue gag sue", "queue the gag"]
+        outputs, records = G.corrupt_corpus(texts, model, p_z=1.0, seed=5, mode=G.SAMPLE, temperature=1e-310)
+        assert len(outputs) == len(texts)
+        assert len(records) == sum(len(C.tokenize(t, model.vocab)) for t in texts)
 
     def test_full_prior_with_deletion_stub_empties_output(self, lexicon):
         model = _toy_model(lexicon)

@@ -297,6 +297,15 @@ class TestBatchedLossGraph:
             summed = sum(M.backward_and_check(model, [x], lexicon)[0][name] for x in batch)
             np.testing.assert_allclose(batched[name], summed, rtol=0, atol=1e-12)
 
+    def test_items_sharing_an_id_keep_their_own_sentences(self, lexicon):
+        model = _toy_model(lexicon)
+        batch = _mixed_batch(model)
+        shared = [replace(x, sentence_id="same") for x in batch]
+        unique = [replace(x, sentence_id=str(i)) for i, x in enumerate(batch)]
+        expected = [float(t.data) for t in M.loss_total(batch, model, lexicon)]
+        assert [float(t.data) for t in M.loss_total(shared, model, lexicon)] == expected
+        assert [float(t.data) for t in M.loss_total(unique, model, lexicon)] == expected
+
     def test_longer_sentence_leaves_other_items_unchanged(self, lexicon):
         model = _toy_model(lexicon)
         batch = _mixed_batch(model)

@@ -315,6 +315,53 @@ class TestCheckpointIO:
         rc = cli.main(["corrupt", str(texts), "--checkpoint", str(path), "--out", str(tmp_path / "out.txt")])
         assert rc == 2
 
+    def test_header_lists_every_array_and_body_is_float64(self, small_model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(path, small_model)
+        data = path.read_bytes()
+        start = len(T.CHECKPOINT_MAGIC)
+        (size,) = struct.unpack("<I", data[start:start + 4])
+        header = json.loads(data[start + 4:start + 4 + size])
+        assert header["format_version"] == 2
+        assert header["arrays"] == [[name, list(a.shape)] for name, a in small_model.params.items()]
+        body = b"".join(a.astype("<f8").tobytes() for a in small_model.params.values())
+        assert data[start + 4 + size:] == body
+
+    def test_older_format_version_rejected(self, small_model, tmp_path):
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(path, small_model)
+        data = path.read_bytes()
+        start = len(T.CHECKPOINT_MAGIC)
+        (size,) = struct.unpack("<I", data[start:start + 4])
+        header = {**json.loads(data[start + 4:start + 4 + size]), "format_version": 1}
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(data[:start] + struct.pack("<I", len(blob)) + blob + data[start + 4 + size:])
+        with pytest.raises(VersionMismatchError):
+            T.load_checkpoint(path)
+
+    def test_loaded_model_trains_like_the_saved_one(self, lexicon, tmp_path):
+        vocab, items = _tiny_training_setup(lexicon)
+        model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=1)
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(path, model)
+        loaded = T.load_checkpoint(path)
+        assert all(a.flags.writeable for a in loaded.params.values())
+        cfg = T.TrainConfig(learning_rate=1e-3, epochs=1, seed=9)
+        assert T.train(items, loaded, lexicon, cfg) == T.train(items, model, lexicon, cfg)
+        for name, array in model.params.items():
+            assert loaded.params[name].tobytes() == array.tobytes()
+
+    def test_gradient_audit_runs_on_a_loaded_model(self, lexicon, small_setup, small_model, tmp_path):
+        _, _, items = small_setup
+        path = tmp_path / "model.ckpt"
+        T.save_checkpoint(path, small_model)
+        loaded = T.load_checkpoint(path)
+        grads, report = M.backward_and_check(loaded, items[:4], lexicon, check_coords=5, check_seed=1)
+        expected, _ = M.backward_and_check(small_model, items[:4], lexicon)
+        assert report is not None
+        for name, g in expected.items():
+            np.testing.assert_array_equal(grads[name], g)
+
     def test_foreign_magic_rejected(self, tmp_path):
         path = tmp_path / "foreign.ckpt"
         path.write_bytes(b"NOPE1" + b"\x00" * 64)
