@@ -31,17 +31,15 @@ from .errors import (
     UnknownConfigKeyError,
     VersionMismatchError,
 )
+from .intervention import check_prior
 from .model import Model, ModelConfig
 from .training import TrainConfig
 
-# the vocabulary, not the config, sizes the model's tables
-_MODEL_KEYS = tuple(
-    f.name for f in fields(ModelConfig) if f.name not in ("vocab_size", "code_vocab_size")
-)
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 DEFAULTS: dict[str, object] = {
-    **{key: getattr(ModelConfig(), key) for key in _MODEL_KEYS},
+    **asdict(ModelConfig()),
     **asdict(TrainConfig()),
     "vocab_size": 256,
     "p_z": 0.15,
@@ -220,6 +218,7 @@ def _cmd_corrupt(args, config) -> int:
         generation.check_decoding(config["mode"], config["temperature"])
     except ValueError as exc:
         raise ConfigParseError(str(exc)) from exc
+    check_prior(config["p_z"], "p_z")
     model = training.load_checkpoint(args.checkpoint)
     # a blank line passes through as a blank line, and '#' starts no comment
     texts = _read_lines(args.input)

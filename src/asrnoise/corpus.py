@@ -480,7 +480,8 @@ def load_pairs_tsv(path) -> list[ParallelPair]:
 
     Blank lines and a first-line ``# produced-by:`` header are skipped; any
     other line is a pair, ``#`` included, whose id is its line index.  A line
-    whose ground-truth side has no words is rejected with its 1-based number.
+    whose ground-truth side has no words, or that has a third column, is
+    rejected with its 1-based number.
     """
     pairs: list[ParallelPair] = []
     with open(path, encoding="utf-8") as fh:
@@ -489,6 +490,8 @@ def load_pairs_tsv(path) -> list[ParallelPair]:
             if not line.strip() or (lineno == 0 and line.startswith(ARTIFACT_HEADER)):
                 continue
             gt, _, asr = line.partition("\t")
+            if "\t" in asr:
+                raise ValueError(f"line {lineno + 1}: expected GT<TAB>ASR, got a third column")
             try:
                 pairs.append(ParallelPair(gt=gt, asr=asr, id=str(lineno)))
             except ValueError as exc:

@@ -48,16 +48,16 @@ def _units(references: Sequence[str], hypotheses: Sequence[str], split):
         yield split(normalize(ref_text)), split(normalize(hyp_text))
 
 
-def _aligned(references: Sequence[str], hypotheses: Sequence[str], split):
-    """Each pair's normalized units with their unit-cost alignment steps."""
-    for ref, hyp in _units(references, hypotheses, split):
+def _aligned(references: Sequence[str], hypotheses: Sequence[str]):
+    """Each pair's normalized words with their unit-cost alignment steps."""
+    for ref, hyp in _units(references, hypotheses, str.split):
         yield ref, hyp, align_sequences(unit_costs(ref, hyp), len(hyp))
 
 
-def _corpus_counts(references, hypotheses, split):
-    subs = ins = dels = ref_len = 0
-    for ref, hyp, steps in _aligned(references, hypotheses, split):
-        ref_len += len(ref)
+def _corpus_counts(references, hypotheses) -> tuple[int, int, int]:
+    """Word substitutions, insertions and deletions along the alignments."""
+    subs = ins = dels = 0
+    for ref, hyp, steps in _aligned(references, hypotheses):
         for i, j in steps:
             if i is None:
                 ins += 1
@@ -65,7 +65,7 @@ def _corpus_counts(references, hypotheses, split):
                 dels += 1
             elif ref[i] != hyp[j]:
                 subs += 1
-    return subs, ins, dels, ref_len
+    return subs, ins, dels
 
 
 def edit_distance(ref: Sequence[Hashable], hyp: Sequence[Hashable]) -> int:
@@ -145,7 +145,7 @@ class ErrorBreakdown:
 
 def error_type_breakdown(references: Sequence[str], hypotheses: Sequence[str]) -> ErrorBreakdown:
     """Proportion of each error type among all error operations."""
-    subs, ins, dels, _ = _corpus_counts(references, hypotheses, str.split)
+    subs, ins, dels = _corpus_counts(references, hypotheses)
     total = subs + ins + dels
     if total == 0:
         return ErrorBreakdown(0.0, 0.0, 0.0, 0)
@@ -163,7 +163,7 @@ def mean_phoneme_distance(
     """
     total = 0.0
     count = 0
-    for ref, hyp, steps in _aligned(references, hypotheses, str.split):
+    for ref, hyp, steps in _aligned(references, hypotheses):
         for i, j in steps:
             if i is not None and j is not None and ref[i] != hyp[j]:
                 total += phoneme_edit_distance(g2p(ref[i], lexicon), g2p(hyp[j], lexicon))

@@ -74,7 +74,7 @@ def check_decoding(mode: str, temperature: float) -> None:
     """Reject an unknown decode mode, or a non-positive temperature in sample mode."""
     if mode not in (GREEDY, SAMPLE):
         raise ValueError(f"unknown decode mode {mode!r}")
-    if mode == SAMPLE and temperature <= 0.0:
+    if mode == SAMPLE and not temperature > 0.0:
         raise ValueError(f"sampling temperature must be positive, got {temperature}")
 
 

@@ -44,14 +44,19 @@ class CorruptionPlan:
         return sum(self.z)
 
 
+def check_prior(p: float, what: str) -> None:
+    """Raise PriorOutOfRangeError unless ``p`` lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= p <= 1.0:
+        raise PriorOutOfRangeError(f"{what} must be in [0, 1], got {p}")
+
+
 def sample_plan_interventional(tokens: Sequence, p_z: float, seed: int) -> CorruptionPlan:
     """Sample z for every position with constant prior ``p_z``.
 
     The uniform draw at position k is a pure function of (seed, k), so the
     plan is reproducible and token-independent by construction.
     """
-    if not 0.0 <= p_z <= 1.0:
-        raise PriorOutOfRangeError(f"corruption prior must be in [0, 1], got {p_z}")
+    check_prior(p_z, "corruption prior")
     draws = uniforms_at(seed, np.arange(len(tokens)))
     return CorruptionPlan(z=tuple(bool(a < p_z) for a in draws), prior=p_z, seed=seed)
 
@@ -61,10 +66,8 @@ class ConditionalPriorTable:
 
     def __init__(self, frequencies: Mapping[str, float], default: float):
         for token, freq in frequencies.items():
-            if not 0.0 <= freq <= 1.0:
-                raise PriorOutOfRangeError(f"frequency for {token!r} must be in [0, 1], got {freq}")
-        if not 0.0 <= default <= 1.0:
-            raise PriorOutOfRangeError(f"default frequency must be in [0, 1], got {default}")
+            check_prior(freq, f"frequency for {token!r}")
+        check_prior(default, "default frequency")
         self.frequencies = dict(frequencies)
         self.default = default
 

@@ -24,7 +24,8 @@ finite differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,10 +50,10 @@ R_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Hyperparameters; the vocabulary and its code index size the tables."""
+
     d_model: int = 32
     n_heads: int = 4
-    vocab_size: int = 0
-    code_vocab_size: int = 0
     max_gen_len: int = 5
     max_len: int = 64
     lambda_w: float = 0.5
@@ -60,16 +61,16 @@ class ModelConfig:
     phoneme_head: bool = True
 
     def __post_init__(self):
-        if self.d_model <= 0 or self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be positive and divisible by n_heads")
+        if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads != 0:
+            raise ValueError("d_model and n_heads must be positive, and n_heads must divide d_model")
         if self.max_gen_len < 1:
             raise ValueError("max_gen_len must be at least 1")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
         if not 0.0 <= self.lambda_w <= 1.0:
             raise ValueError("lambda_w must lie in [0, 1]")
-        if self.lambda_ph < 0.0:
-            raise ValueError("lambda_ph must be nonnegative")
+        if not 0.0 <= self.lambda_ph < math.inf:
+            raise ValueError("lambda_ph must be nonnegative and finite")
 
 
 class PhonemeCodeIndex:
@@ -82,8 +83,6 @@ class PhonemeCodeIndex:
     def __init__(self, codes: Sequence[str], token_rows: Sequence[int]):
         self.codes: list[str] = list(codes)
         self.token_rows: np.ndarray = np.asarray(token_rows, dtype=np.intp)
-        if self.token_rows.size and self.token_rows.max() >= len(self.codes):
-            raise ValueError("token row out of range for the code list")
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -111,17 +110,18 @@ def _normal(rng: np.random.Generator, shape, scale=0.02) -> np.ndarray:
     return rng.normal(0.0, scale, size=shape).astype(np.float64)
 
 
-def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], Optional[float]]]:
-    """Every parameter as ``(name, shape, fill)``, in initialization order.
+def _param_specs(config: ModelConfig, n_words: int, n_codes: int) -> list[tuple]:
+    """Every parameter as ``(name, shape, fill)``, in initialization order,
+    for a vocabulary of ``n_words`` pieces and ``n_codes`` phonetic codes.
 
     ``fill`` None means N(0, 0.02^2) draws; the order fixes both the draw
-    sequence of :func:`init_params` and the checkpoint's array order.
+    sequence of :meth:`Model.build` and the checkpoint's array order.
     """
     d, f = config.d_model, 4 * config.d_model
     specs = [
-        ("m_word", (config.vocab_size, d), None),
+        ("m_word", (n_words, d), None),
         ("m_pos", (config.max_len, d), None),
-        ("m_ph", (config.code_vocab_size, d), None),
+        ("m_ph", (n_codes, d), None),
         ("bos_emb", (1, d), None),
     ]
     for prefix in ("enc_", "dec_"):
@@ -139,34 +139,10 @@ def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...], Option
         ]
     specs += [
         ("dec_h", (2 * d, d), None),
-        ("b_n", (config.vocab_size,), 0.0),
-        ("b_ph", (config.code_vocab_size,), 0.0),
+        ("b_n", (n_words,), 0.0),
+        ("b_ph", (n_codes,), 0.0),
     ]
     return specs
-
-
-def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
-    """Fresh parameters for ``config``, drawn in :func:`_param_specs` order."""
-    rng = np.random.default_rng(seed)
-    return {
-        name: _normal(rng, shape) if fill is None else np.full(shape, fill)
-        for name, shape, fill in _param_specs(config)
-    }
-
-
-def check_params(params: dict[str, np.ndarray], config: ModelConfig) -> None:
-    """Raise ValueError unless ``params`` has exactly the names and shapes of
-    ``config``'s parameters, all finite."""
-    expected = {name: shape for name, shape, _ in _param_specs(config)}
-    if set(expected) != set(params):
-        missing = set(expected) - set(params)
-        extra = set(params) - set(expected)
-        raise ValueError(f"parameter names mismatch: missing={missing}, extra={extra}")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise ValueError(f"parameter {name} has shape {params[name].shape}, expected {shape}")
-        if not np.all(np.isfinite(params[name])):
-            raise ValueError(f"parameter {name} contains non-finite values")
 
 
 @dataclass
@@ -184,6 +160,20 @@ class Model:
     )
 
     def __post_init__(self):
+        """Raise ValueError unless params, config, vocab and code index fit together."""
+        n_words, n_codes = len(self.vocab), len(self.code_index)
+        rows = self.code_index.token_rows
+        if rows.shape != (n_words,):
+            raise ValueError(f"{rows.size} token rows for a vocabulary of {n_words} pieces")
+        if n_words and not (rows.min() >= 0 and rows.max() < n_codes):
+            raise ValueError(f"a token row lies outside the {n_codes} phonetic codes")
+        expected = {name: shape for name, shape, _ in _param_specs(self.config, n_words, n_codes)}
+        if expected.keys() != self.params.keys():
+            odd = sorted(expected.keys() ^ self.params.keys())
+            raise ValueError(f"parameter names missing or unexpected: {odd}")
+        for name, shape in expected.items():
+            if self.params[name].shape != shape or not np.all(np.isfinite(self.params[name])):
+                raise ValueError(f"parameter {name} is not a finite array of shape {shape}")
         self.special_mask = np.asarray([1.0 if p in SPECIALS else 0.0 for p in self.vocab.pieces])
 
     @classmethod
@@ -195,11 +185,13 @@ class Model:
         seed: int = 0,
     ) -> "Model":
         code_index = PhonemeCodeIndex.build(vocab, lexicon)
-        base = config if config is not None else ModelConfig()
-        base = replace(base, vocab_size=len(vocab), code_vocab_size=len(code_index))
-        params = init_params(base, seed)
-        check_params(params, base)
-        return cls(params=params, config=base, vocab=vocab, code_index=code_index)
+        config = config if config is not None else ModelConfig()
+        rng = np.random.default_rng(seed)
+        params = {
+            name: _normal(rng, shape) if fill is None else np.full(shape, fill)
+            for name, shape, fill in _param_specs(config, len(vocab), len(code_index))
+        }
+        return cls(params=params, config=config, vocab=vocab, code_index=code_index)
 
     def r_support(self) -> list[Optional[str]]:
         return [None if p in SPECIALS else p for p in self.vocab.pieces]

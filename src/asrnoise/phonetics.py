@@ -8,7 +8,6 @@ phoneme generation head.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping, Optional, Sequence
@@ -136,7 +135,9 @@ def load_inventory(path) -> dict[str, Phoneme]:
 def load_lexicon(path, inventory: Mapping[str, Phoneme]) -> PronouncingLexicon:
     """Read ``WORD<TAB>PH1 PH2 ...`` lines into a lexicon.
 
-    A symbol missing from ``inventory`` raises ValueError naming its line.
+    Each line holds exactly one tab, with a word before it and at least one
+    phoneme after it.  A malformed line, or a symbol missing from
+    ``inventory``, raises ValueError naming its line.
     """
     entries: dict[str, PhoneticCode] = {}
     with open(path, encoding="utf-8") as fh:
@@ -144,6 +145,8 @@ def load_lexicon(path, inventory: Mapping[str, Phoneme]) -> PronouncingLexicon:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            if line.count("\t") != 1:
+                raise ValueError(f"line {number}: expected WORD<TAB>PHONEMES, got {raw.rstrip()!r}")
             word, _, symbols = line.partition("\t")
             try:
                 entries[word] = tuple(inventory[s] for s in symbols.split())
@@ -163,9 +166,6 @@ def default_lexicon() -> PronouncingLexicon:
         inventory = load_inventory(data / "inventory.tsv")
         _DEFAULT_LEXICON = load_lexicon(data / "lexicon.tsv", inventory)
     return _DEFAULT_LEXICON
-
-
-_WORD_STRIP_RE = re.compile(r"[^a-z0-9]+")
 
 
 def g2p(word: str, lexicon: PronouncingLexicon) -> PhoneticCode:

@@ -22,7 +22,7 @@ from .errors import (
     SequenceTooLongError,
     VersionMismatchError,
 )
-from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph, check_params, combine_heads
+from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph, combine_heads
 from .phonetics import PronouncingLexicon
 
 CHECKPOINT_MAGIC = b"ISNI1"
@@ -40,13 +40,13 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if self.clip_norm <= 0.0:
+        if not self.clip_norm > 0.0:
             raise ValueError("clip norm must be positive")
 
 
@@ -192,12 +192,12 @@ def save_loss_log(path, log: Sequence[EpochStats], header: str = "") -> None:
             fh.write(f"{row.epoch},{row.loss_total!r},{row.loss_word!r},{row.loss_phoneme!r}\n")
 
 
-# checkpoint format: magic, u32 length of a JSON header (config, vocab, code
-# index, metadata, and "arrays": every parameter's [name, dims] in file order),
-# then every array's float64 little-endian values back to back.
+# checkpoint format: magic, u32 length of a JSON header (hyperparameters, the
+# vocab and code index that size the tables, metadata, and "arrays": [name, dims]
+# of every parameter in file order), then all arrays as float64 little-endian.
 def save_checkpoint(path, model: Model, meta: Optional[dict] = None) -> None:
     header = {
-        "format_version": 2,
+        "format_version": 3,
         "config": asdict(model.config),
         "vocab": model.vocab.pieces,
         "codes": model.code_index.codes,
@@ -230,20 +230,22 @@ def load_checkpoint(path) -> Model:
             raise CorruptCheckpointError(f"unreadable checkpoint header: {exc}") from exc
         if not isinstance(header, dict):
             raise CorruptCheckpointError("checkpoint header is not a JSON object")
-        if header.get("format_version") != 2:
+        if header.get("format_version") != 3:
             raise VersionMismatchError(f"unsupported format version {header.get('format_version')}")
         body = fh.read()
     try:
+        if len(dict(header["arrays"])) != len(header["arrays"]):
+            raise CorruptCheckpointError("checkpoint lists an array name twice")
         sizes = [math.prod(dims) for _, dims in header["arrays"]]
         if len(body) != 8 * sum(sizes):
             raise CorruptCheckpointError(f"checkpoint body is {len(body)} bytes, not {8 * sum(sizes)}")
         flat = np.frombuffer(body, dtype="<f8").astype(np.float64)  # a writable copy
         pieces = np.split(flat, np.cumsum(sizes)[:-1])
-        arrays = {name: a.reshape(dims) for (name, dims), a in zip(header["arrays"], pieces)}
-        config = ModelConfig(**header["config"])
-        vocab = SubwordVocab(header["vocab"])
-        code_index = PhonemeCodeIndex(header["codes"], header["token_rows"])
-        check_params(arrays, config)
+        return Model(
+            params={name: a.reshape(dims) for (name, dims), a in zip(header["arrays"], pieces)},
+            config=ModelConfig(**header["config"]),
+            vocab=SubwordVocab(header["vocab"]),
+            code_index=PhonemeCodeIndex(header["codes"], header["token_rows"]),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"checkpoint header and arrays do not fit: {exc!r}") from exc
-    return Model(params=arrays, config=config, vocab=vocab, code_index=code_index)

@@ -138,6 +138,14 @@ class TestCommands:
             assert f"{path}: line 3: ground-truth side" in capsys.readouterr().err
         assert not (tmp_path / "align.out").exists()
 
+    def test_third_column_is_rejected_by_line(self, tmp_path, capsys):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("the cue\tthe queue\nthe queue\tthe cue\textra words\n")
+        with pytest.raises(ValueError, match="line 2: expected GT<TAB>ASR"):
+            C.load_pairs_tsv(path)
+        assert cli.main(["vocab", str(path), "--out", str(tmp_path / "v.txt")]) == 2
+        assert f"{path}: line 2: expected GT<TAB>ASR" in capsys.readouterr().err
+
     def test_align_command_writes_entries(self, tmp_path):
         corpus_path, pairs = _write_corpus(tmp_path)
         out = tmp_path / "align.tsv"
@@ -181,7 +189,11 @@ class TestCommands:
         assert rc == 1
 
 
-    @pytest.mark.parametrize("bad", ["n_heads = 3\n", "epochs = 0\n", "lambda_w = 1.5\n"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["n_heads = 3\n", "epochs = 0\n", "lambda_w = 1.5\n", "lambda_ph = nan\n",
+         "learning_rate = nan\n", "clip_norm = nan\n", "n_heads = 0\n", "d_model = 8\nn_heads = -4\n"],
+    )
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, bad):
         corpus_path, _ = _write_corpus(tmp_path)
         vocab_path = tmp_path / "vocab.txt"
@@ -353,15 +365,22 @@ class TestPipeline:
         assert rc == 0
         assert _header_hash(other_log) != _header_hash(losslog)
 
-    def test_nonpositive_sampling_temperature_is_usage_error(self, pipeline):
+    def test_nonpositive_sampling_temperature_is_usage_error(self, pipeline, capsys):
         root, cfg, _, ckpt, _, texts = pipeline
-        cold = root / "cold.cfg"
-        cold.write_text(cfg.read_text() + "temperature = 0\n")
-        rc = cli.main(
-            ["corrupt", str(texts), "--checkpoint", str(ckpt), "--out", str(root / "cold.txt"),
-             "--p-z", "0.45", "--config", str(cold)]
-        )
-        assert rc == 1
+        long_file = root / "all_long.txt"
+        long_file.write_text(" ".join(["the cue gag"] * 30) + "\n")
+        cases = [("temperature = 0\n", texts), ("temperature = nan\n", texts),
+                 ("p_z = 2\n", long_file), ("p_z = nan\n", long_file)]
+        for bad, inputs in cases:
+            cold = root / "cold.cfg"
+            cold.write_text(cfg.read_text() + bad)
+            capsys.readouterr()
+            rc = cli.main(
+                ["corrupt", str(inputs), "--checkpoint", str(ckpt), "--out", str(root / "cold.txt"),
+                 "--config", str(cold)]
+            )
+            assert rc == 1, bad
+            assert "usage error" in capsys.readouterr().err
 
     def test_over_long_line_passes_through(self, pipeline):
         root, cfg, _, ckpt, _, texts = pipeline

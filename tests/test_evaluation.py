@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asrnoise import evaluation as E
+from asrnoise.corpus import align_sequences, normalize, unit_costs
 from asrnoise.errors import InsufficientDataError, LengthMismatchError
 from asrnoise.intervention import sample_plan_interventional
 from asrnoise.phonetics import g2p, phoneme_edit_distance
@@ -54,9 +55,16 @@ class TestRatesFromAlignmentCounts:
         refs = [r for r, _ in pairs]
         hyps = [h for _, h in pairs]
         for rate, split in ((E.word_error_rate, str.split), (E.char_error_rate, list)):
-            subs, ins, dels, ref_len = E._corpus_counts(refs, hyps, split)
-            expected = (subs + ins + dels) / ref_len if ref_len else 0.0
+            errors = ref_len = 0
+            for ref_text, hyp_text in pairs:
+                ref, hyp = split(normalize(ref_text)), split(normalize(hyp_text))
+                steps = align_sequences(unit_costs(ref, hyp), len(hyp))
+                errors += sum(i is None or j is None or ref[i] != hyp[j] for i, j in steps)
+                ref_len += len(ref)
+            expected = errors / ref_len if ref_len else 0.0
             assert rate(refs, hyps) == expected
+            if split is str.split:
+                assert sum(E._corpus_counts(refs, hyps)) == errors
 
 
 class TestWordErrorRate:

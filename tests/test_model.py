@@ -497,6 +497,28 @@ class TestCodeIndex:
 
     def test_config_sizes_match_artifacts(self, lexicon):
         model = _toy_model(lexicon)
-        assert model.config.vocab_size == len(model.vocab)
-        assert model.config.code_vocab_size == len(model.code_index)
-        M.check_params(model.params, model.config)
+        p = model.params
+        assert p["m_word"].shape[0] == p["b_n"].shape[0] == len(model.vocab)
+        assert p["m_ph"].shape[0] == p["b_ph"].shape[0] == len(model.code_index)
+        M.Model(p, model.config, model.vocab, model.code_index)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p, rows: ({**p, "b_n": p["b_n"][:-1]}, rows), "b_n"),
+            (lambda p, rows: ({k: v for k, v in p.items() if k != "dec_h"}, rows), "dec_h"),
+            (lambda p, rows: ({**p, "extra": p["b_n"]}, rows), "extra"),
+            (lambda p, rows: ({**p, "b_ph": p["b_ph"] * np.nan}, rows), "b_ph"),
+            (lambda p, rows: (p, rows[:-1]), "token rows"),
+            (lambda p, rows: (p, np.where(rows == rows.max(), -1, rows)), "token row"),
+            (lambda p, rows: (p, np.where(rows == 0, rows.max() + 1, rows)), "token row"),
+        ],
+        ids=["short-bias", "missing", "unexpected", "non-finite", "rows-short", "row-negative",
+             "row-past-codes"],
+    )
+    def test_parts_that_do_not_fit_are_rejected(self, lexicon, edit, message):
+        model = _toy_model(lexicon)
+        params, rows = edit(model.params, model.code_index.token_rows)
+        code_index = M.PhonemeCodeIndex(model.code_index.codes, rows)
+        with pytest.raises(ValueError, match=message):
+            M.Model(params, model.config, model.vocab, code_index)

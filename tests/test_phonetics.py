@@ -48,6 +48,18 @@ class TestFileFormats:
         with pytest.raises(ValueError, match="line 3: phoneme 'ZZ'"):
             load_lexicon(lexicon_path, load_inventory(inventory_path))
 
+    @pytest.mark.parametrize(
+        "bad_line", ["hello HH AH L OW", "queue\t", "queue\tK Y UW\tK Y UW"],
+        ids=["no-tab", "empty-code", "third-column"],
+    )
+    def test_malformed_lexicon_line_rejected_by_line(self, tmp_path, bad_line):
+        inventory_path = tmp_path / "inventory.tsv"
+        inventory_path.write_text("T\tconsonant\talveolar\tstop\tvoiceless\nAA\tvowel\tlow\tback\tunrounded\n")
+        lexicon_path = tmp_path / "lexicon.tsv"
+        lexicon_path.write_text(f"tat\tT AA T\n{bad_line}\n")
+        with pytest.raises(ValueError, match="line 2: expected WORD<TAB>PHONEMES"):
+            load_lexicon(lexicon_path, load_inventory(inventory_path))
+
     def test_entries_must_stay_in_inventory(self, lexicon):
         code = g2p("cue", lexicon)
         tiny_inventory = {"UNK": lexicon.phoneme("UNK")}

@@ -2,7 +2,7 @@ import gc
 import json
 import struct
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -287,16 +287,22 @@ class TestCheckpointIO:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda h: {k: v for k, v in h.items() if k != "config"},
-            lambda h: {**h, "config": {**h["config"], "dropout": 0.1}},
-            lambda h: {**h, "vocab": [p for p in h["vocab"] if p != "[BOS]"]},
-            lambda h: {**h, "config": {**h["config"], "n_heads": 3}},
-            lambda h: {**h, "config": {**h["config"], "max_len": 7}},
-            lambda h: [h],
+            lambda h, b: ({k: v for k, v in h.items() if k != "config"}, b),
+            lambda h, b: ({**h, "config": {**h["config"], "dropout": 0.1}}, b),
+            lambda h, b: ({**h, "vocab": [p for p in h["vocab"] if p != "[BOS]"]}, b),
+            lambda h, b: ({**h, "config": {**h["config"], "n_heads": 3}}, b),
+            lambda h, b: ({**h, "config": {**h["config"], "max_len": 7}}, b),
+            lambda h, b: ([h], b),
+            lambda h, b: ({**h, "vocab": h["vocab"][:-5]}, b),
+            lambda h, b: ({**h, "token_rows": h["token_rows"][:-1]}, b),
+            lambda h, b: ({**h, "token_rows": [-1] + h["token_rows"][1:]}, b),
+            lambda h, b: ({**h, "arrays": h["arrays"] + h["arrays"][-1:]}, b + b[-8 * len(h["codes"]):]),
         ],
         ids=[
             "no-config", "unknown-config-key", "vocab-without-bos",
             "d-model-not-divisible", "arrays-do-not-fit-config", "header-not-an-object",
+            "vocab-shorter-than-m-word", "token-rows-one-short", "negative-token-row",
+            "array-name-listed-twice",
         ],
     )
     def test_malformed_header_is_corrupt_checkpoint(self, small_model, tmp_path, edit):
@@ -305,9 +311,9 @@ class TestCheckpointIO:
         data = path.read_bytes()
         start = len(T.CHECKPOINT_MAGIC)
         (size,) = struct.unpack("<I", data[start:start + 4])
-        header = edit(json.loads(data[start + 4:start + 4 + size]))
+        header, body = edit(json.loads(data[start + 4:start + 4 + size]), data[start + 4 + size:])
         blob = json.dumps(header).encode("utf-8")
-        path.write_bytes(data[:start] + struct.pack("<I", len(blob)) + blob + data[start + 4 + size:])
+        path.write_bytes(data[:start] + struct.pack("<I", len(blob)) + blob + body)
         with pytest.raises(CorruptCheckpointError):
             T.load_checkpoint(path)
         texts = tmp_path / "texts.txt"
@@ -322,7 +328,8 @@ class TestCheckpointIO:
         start = len(T.CHECKPOINT_MAGIC)
         (size,) = struct.unpack("<I", data[start:start + 4])
         header = json.loads(data[start + 4:start + 4 + size])
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
+        assert header["config"] == asdict(small_model.config)
         assert header["arrays"] == [[name, list(a.shape)] for name, a in small_model.params.items()]
         body = b"".join(a.astype("<f8").tobytes() for a in small_model.params.values())
         assert data[start + 4 + size:] == body
@@ -333,11 +340,12 @@ class TestCheckpointIO:
         data = path.read_bytes()
         start = len(T.CHECKPOINT_MAGIC)
         (size,) = struct.unpack("<I", data[start:start + 4])
-        header = {**json.loads(data[start + 4:start + 4 + size]), "format_version": 1}
-        blob = json.dumps(header).encode("utf-8")
-        path.write_bytes(data[:start] + struct.pack("<I", len(blob)) + blob + data[start + 4 + size:])
-        with pytest.raises(VersionMismatchError):
-            T.load_checkpoint(path)
+        for version in (1, 2):
+            header = {**json.loads(data[start + 4:start + 4 + size]), "format_version": version}
+            blob = json.dumps(header).encode("utf-8")
+            path.write_bytes(data[:start] + struct.pack("<I", len(blob)) + blob + data[start + 4 + size:])
+            with pytest.raises(VersionMismatchError):
+                T.load_checkpoint(path)
 
     def test_loaded_model_trains_like_the_saved_one(self, lexicon, tmp_path):
         vocab, items = _tiny_training_setup(lexicon)
