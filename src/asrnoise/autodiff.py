@@ -1,17 +1,25 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Only what the sequence model needs: elementwise arithmetic with broadcasting,
-matrix products, reductions, row gathers, slicing, concatenation and the
-composed softmax / layer-norm / GELU helpers.  Gradients accumulate into
+matrix products, reductions, row gathers, slicing, concatenation, the fused
+``linear`` (``x @ w + b``) and multi-head ``attention`` kernels, and the
+softmax / layer-norm / GELU helpers.  Gradients accumulate into
 ``Tensor.grad`` after calling :func:`backward` on a scalar result.
 
-Every op returns a tensor that holds its parents and a closure mapping its
-output gradient to theirs.  The closures never refer back to the tensor
-they belong to, so a graph holds no reference cycle and is freed as soon as
-its last tensor is dropped.  A graph is single-use: once :func:`backward`
-has run a node's closure it drops the closure, the node's parents and the
-node's own gradient, so only leaves (tensors no op created) keep their
-gradients and a second ``backward`` over the same graph does nothing.
+Gradients are kept only where needed.  A tensor a caller makes is a leaf,
+and its ``needs_grad`` bit says whether it wants a gradient (default True;
+constants pass False).  An op's output needs a gradient iff one of its
+inputs does.  Only such an output keeps its parents and a closure mapping
+its output gradient to theirs, and that closure computes a parent's
+gradient only if the parent needs one.  A forward pass over inputs that
+need no gradient therefore builds no graph at all.
+
+The closures never refer back to the tensor they belong to, so a graph
+holds no reference cycle and is freed as soon as its last tensor is
+dropped.  A graph is single-use: once :func:`backward` has run a node's
+closure it drops the closure, the node's parents and the node's own
+gradient, so only leaves keep their gradients and a second ``backward``
+over the same graph does nothing.
 """
 from __future__ import annotations
 
@@ -22,16 +30,26 @@ import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_bwd")
+    __slots__ = ("data", "grad", "needs_grad", "_parents", "_bwd")
 
-    def __init__(self, data, _parents=(), _bwd=None):
+    def __init__(self, data, needs_grad: bool = True, _parents=(), _bwd=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
+        self.needs_grad = needs_grad
         self._parents: tuple[Tensor, ...] = _parents
         self._bwd = _bwd
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
+
+
+def _node(data, parents: tuple, bwd) -> Tensor:
+    """An op's output: it needs a gradient iff one of ``parents`` does, and
+    only then keeps its parents and backward closure."""
+    for parent in parents:
+        if parent.needs_grad:
+            return Tensor(data, True, parents, bwd)
+    return Tensor(data, False)
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
@@ -54,41 +72,39 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise -------------------------------------------------------
 def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _acc(a, _unbroadcast(g, a.data.shape))
-        _acc(b, _unbroadcast(g, b.data.shape))
+        if a.needs_grad:
+            _acc(a, _unbroadcast(g, a.data.shape))
+        if b.needs_grad:
+            _acc(b, _unbroadcast(g, b.data.shape))
 
-    return Tensor(a.data + b.data, (a, b), bwd)
+    return _node(a.data + b.data, (a, b), bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _acc(a, _unbroadcast(g, a.data.shape))
-        _acc(b, _unbroadcast(-g, b.data.shape))
+        if a.needs_grad:
+            _acc(a, _unbroadcast(g, a.data.shape))
+        if b.needs_grad:
+            _acc(b, _unbroadcast(-g, b.data.shape))
 
-    return Tensor(a.data - b.data, (a, b), bwd)
+    return _node(a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
-        _acc(a, _unbroadcast(g * b.data, a.data.shape))
-        _acc(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.needs_grad:
+            _acc(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.needs_grad:
+            _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return Tensor(a.data * b.data, (a, b), bwd)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g):
-        _acc(a, _unbroadcast(g / b.data, a.data.shape))
-        _acc(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor(a.data / b.data, (a, b), bwd)
+    return _node(a.data * b.data, (a, b), bwd)
 
 
 def neg(a: Tensor) -> Tensor:
     def bwd(g):
         _acc(a, -g)
 
-    return Tensor(-a.data, (a,), bwd)
+    return _node(-a.data, (a,), bwd)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -97,7 +113,7 @@ def exp(a: Tensor) -> Tensor:
     def bwd(g):
         _acc(a, g * e)
 
-    return Tensor(e, (a,), bwd)
+    return _node(e, (a,), bwd)
 
 
 # linear algebra ----------------------------------------------------
@@ -105,10 +121,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading (stack) axes broadcast."""
 
     def bwd(g):
-        _acc(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        _acc(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        if a.needs_grad:
+            _acc(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        if b.needs_grad:
+            _acc(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
-    return Tensor(a.data @ b.data, (a, b), bwd)
+    return _node(a.data @ b.data, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one op: a matmul over the last two axes plus a bias
+    broadcast over the rest.  Same values and gradients as ``add(matmul)``."""
+
+    def bwd(g):
+        if x.needs_grad:
+            _acc(x, _unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
+        if w.needs_grad:
+            _acc(w, _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape))
+        if b.needs_grad:
+            _acc(b, _unbroadcast(g, b.data.shape))
+
+    return _node(x.data @ w.data + b.data, (x, w, b), bwd)
 
 
 def transpose_axes(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -119,7 +152,7 @@ def transpose_axes(a: Tensor, axes: Sequence[int]) -> Tensor:
     def bwd(g):
         _acc(a, g.transpose(inverse))
 
-    return Tensor(a.data.transpose(axes), (a,), bwd)
+    return _node(a.data.transpose(axes), (a,), bwd)
 
 
 # reductions --------------------------------------------------------
@@ -129,7 +162,7 @@ def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
             g = np.expand_dims(g, axis)
         _acc(a, np.broadcast_to(g, a.data.shape))
 
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 # structure ---------------------------------------------------------
@@ -143,7 +176,8 @@ def rows(a: Tensor, idx) -> Tensor:
         np.add.at(buf, idx, g)
         _acc(a, buf)
 
-    return Tensor(a.data[idx], (a,), bwd)
+    # take, not a.data[idx]: the same rows, without fancy indexing's overhead
+    return _node(a.data.take(idx, axis=0), (a,), bwd)
 
 
 def select(a: Tensor, row_idx, col_idx) -> Tensor:
@@ -157,7 +191,7 @@ def select(a: Tensor, row_idx, col_idx) -> Tensor:
         np.add.at(buf, (row_idx, col_idx), g)
         _acc(a, buf)
 
-    return Tensor(a.data[row_idx, col_idx], (a,), bwd)
+    return _node(a.data[row_idx, col_idx], (a,), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -167,32 +201,37 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def bwd(g):
         offset = 0
         for t, size in zip(tensors, sizes):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(offset, offset + size)
-            _acc(t, g[tuple(index)])
+            if t.needs_grad:
+                index = [slice(None)] * g.ndim
+                index[axis] = slice(offset, offset + size)
+                _acc(t, g[tuple(index)])
             offset += size
 
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     def bwd(g):
         _acc(a, g.reshape(a.data.shape))
 
-    return Tensor(a.data.reshape(shape), (a,), bwd)
+    return _node(a.data.reshape(shape), (a,), bwd)
 
 
 # fused nonlinearities ----------------------------------------------
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax of a plain array along ``axis``."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
+    p = softmax_array(a.data, axis)
 
     def bwd(g):
         _acc(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
-    return Tensor(p, (a,), bwd)
+    return _node(p, (a,), bwd)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -203,37 +242,88 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     def bwd(g):
         _acc(a, g - np.exp(lp) * g.sum(axis=axis, keepdims=True))
 
-    return Tensor(lp, (a,), bwd)
+    return _node(lp, (a,), bwd)
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    n_heads: int,
+    key_mask: Optional[np.ndarray] = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention as one op.
+
+    Queries ``[B, n, d]`` attend over keys and values ``[B, m, d]``; each of
+    the ``n_heads`` heads takes ``d / n_heads`` consecutive features, and the
+    heads' outputs are merged back to ``[B, n, d]``.  ``key_mask``
+    (``[B, m]``, True at real keys) adds -inf to the scores of padded keys,
+    so they get exactly zero weight and zero gradient.
+    """
+    batch, n, d = q.data.shape
+    m = k.data.shape[1]
+    dh = d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+    qh = q.data.reshape(batch, n, n_heads, dh).transpose(0, 2, 1, 3)
+    kh = k.data.reshape(batch, m, n_heads, dh).transpose(0, 2, 1, 3)
+    vh = v.data.reshape(batch, m, n_heads, dh).transpose(0, 2, 1, 3)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    if key_mask is not None:
+        scores = scores + np.where(key_mask, 0.0, -np.inf)[:, None, None, :]
+    p = softmax_array(scores)
+    out = (p @ vh).transpose(0, 2, 1, 3).reshape(batch, n, d)
+
+    def bwd(g):
+        g_heads = g.reshape(batch, n, n_heads, dh).transpose(0, 2, 1, 3)
+        if v.needs_grad:
+            g_vh = p.swapaxes(-1, -2) @ g_heads
+            _acc(v, g_vh.transpose(0, 2, 1, 3).reshape(batch, m, d))
+        if q.needs_grad or k.needs_grad:
+            g_p = g_heads @ vh.swapaxes(-1, -2)
+            g_scores = (p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))) * scale
+            if q.needs_grad:
+                _acc(q, (g_scores @ kh).transpose(0, 2, 1, 3).reshape(batch, n, d))
+            if k.needs_grad:
+                g_kh = (qh.swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2)
+                _acc(k, g_kh.transpose(0, 2, 1, 3).reshape(batch, m, d))
+
+    return _node(out, (q, k, v), bwd)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
     """Row-wise layer normalization with learned scale and shift.
 
     The epsilon only guards exactly-constant rows; float64 keeps the
-    normalization well-conditioned for any nondegenerate input.
+    normalization well-conditioned for any nondegenerate input.  Means are
+    ``sum / d``, which is what ``np.mean`` computes, without its Python-level
+    overhead.
     """
-    mu = a.data.mean(axis=-1, keepdims=True)
+    d = a.data.shape[-1]
+    mu = a.data.sum(axis=-1, keepdims=True) / d
     centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     sigma = np.sqrt(var + eps)
     xhat = centered / sigma
 
     def bwd(g):
-        gg = g * gamma.data
-        _acc(
-            a,
-            (
-                gg
-                - gg.mean(axis=-1, keepdims=True)
-                - xhat * (gg * xhat).mean(axis=-1, keepdims=True)
-            )
-            / sigma,
-        )
         axes = tuple(range(g.ndim - 1))
-        _acc(gamma, (g * xhat).sum(axis=axes))
-        _acc(beta, g.sum(axis=axes))
+        if a.needs_grad:
+            gg = g * gamma.data
+            _acc(
+                a,
+                (
+                    gg
+                    - gg.sum(axis=-1, keepdims=True) / d
+                    - xhat * ((gg * xhat).sum(axis=-1, keepdims=True) / d)
+                )
+                / sigma,
+            )
+        if gamma.needs_grad:
+            _acc(gamma, (g * xhat).sum(axis=axes))
+        if beta.needs_grad:
+            _acc(beta, g.sum(axis=axes))
 
-    return Tensor(xhat * gamma.data + beta.data, (a, gamma, beta), bwd)
+    return _node(xhat * gamma.data + beta.data, (a, gamma, beta), bwd)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -250,18 +340,22 @@ def gelu(a: Tensor) -> Tensor:
         local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
         _acc(a, g * local)
 
-    return Tensor(0.5 * x * (1.0 + t), (a,), bwd)
+    return _node(0.5 * x * (1.0 + t), (a,), bwd)
 
 
 def backward(result: Tensor) -> None:
-    """Reverse-accumulate gradients from a scalar result into all leaves.
+    """Reverse-accumulate gradients from a scalar result into all leaves
+    that need them.
 
     Each node's closure, parents and gradient are released as soon as its
     closure has run, so the graph is dismantled as the pass goes and cannot
-    be differentiated again.
+    be differentiated again.  Raises ValueError if ``result`` is not a
+    scalar or needs no gradient (no input it depends on wants one).
     """
     if result.data.size != 1:
         raise ValueError("backward expects a scalar result tensor")
+    if not result.needs_grad:
+        raise ValueError("backward needs a result that depends on a tensor needing a gradient")
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(result, False)]

@@ -125,7 +125,7 @@ def generate_span(
         raise IndexError(f"position {position} outside a sentence of {n} tokens")
     config = model.config
     vocab = model.vocab
-    params = params if params is not None else _wrap_params(model.params)
+    params = params if params is not None else _wrap_params(model.params, needs_grad=False)
     rows_map = model.code_index.token_rows
     rng = np.random.default_rng(derive_seed(seed, position)) if mode == SAMPLE else None
 
@@ -209,7 +209,7 @@ def corrupt_corpus(
     tokenized and detokenized, with no plan sampled and no span decoded.
     """
     check_decoding(mode, temperature)
-    params = _wrap_params(model.params)
+    params = _wrap_params(model.params, needs_grad=False)
     config = model.config
     rows_map = model.code_index.token_rows
     outputs: list[str] = []

@@ -8,6 +8,13 @@ far.  Two heads score the vocabulary from the decoder state: a word head and
 a phoneme head whose logits are shared across tokens with the same phonetic
 code; their renormalized product drives generation.
 
+Encoder and decoder share one post-layer-norm block,
+:func:`_attention_ffn_block`: ``linear`` query/key/value projections, one
+fused multi-head ``attention`` op, an output projection, a residual add and
+``layer_norm``, then a ``linear``-``gelu``-``linear`` feed-forward
+(``d -> 4d -> d``) with a second residual add and ``layer_norm``: twelve
+engine ops per block.
+
 Every block function takes a padded batch (``[B, n, d]``).  Training
 builds one graph per batch: the batch's distinct sentences are padded to the
 longest with id 0 and encoded together, each item's decoder queries are
@@ -17,6 +24,11 @@ tokens) adds -inf to the attention scores of padded keys, so padding gets
 exactly zero weight.  Query rows never attend to each other, so padded query
 rows only compute values that are dropped before the vocabulary-wide heads.
 Decoding runs a batch of one, which has no padding and so takes no mask.
+
+Training and decoding run the same block functions.  Decoding wraps the
+parameters as tensors that need no gradient, so its forward passes build no
+graph; :func:`combine_heads` is plain numpy because no loss differentiates
+it.
 
 Everything runs in float64 through the in-package autodiff engine, so
 training is deterministic and gradients can be checked against central
@@ -207,8 +219,10 @@ class Model:
         return vec
 
 
-def _wrap_params(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    return {name: Tensor(a) for name, a in params.items()}
+def _wrap_params(params: dict[str, np.ndarray], needs_grad: bool = True) -> dict[str, Tensor]:
+    """The parameter arrays as leaf tensors; without ``needs_grad`` a forward
+    pass over them builds no graph."""
+    return {name: Tensor(a, needs_grad) for name, a in params.items()}
 
 
 def _token_embeddings(
@@ -223,8 +237,8 @@ def _token_embeddings(
         return words
     phonemes = ad.rows(params["m_ph"], token_code_rows[ids])
     return ad.add(
-        ad.mul(Tensor(config.lambda_w), words),
-        ad.mul(Tensor(1.0 - config.lambda_w), phonemes),
+        ad.mul(Tensor(config.lambda_w, needs_grad=False), words),
+        ad.mul(Tensor(1.0 - config.lambda_w, needs_grad=False), phonemes),
     )
 
 
@@ -244,11 +258,6 @@ def embed_sequence(
     return ad.add(_token_embeddings(ids, params, config, token_code_rows), positions)
 
 
-def _split_heads(x: Tensor, h: int, dh: int) -> Tensor:
-    """[B, n, h*dh] -> [B, h, n, dh]."""
-    return ad.transpose_axes(ad.reshape(x, x.data.shape[:2] + (h, dh)), (0, 2, 1, 3))
-
-
 def _attention_ffn_block(
     q_in: Tensor,
     kv_in: Tensor,
@@ -263,25 +272,14 @@ def _attention_ffn_block(
     (``[B, m]``, True at real keys) adds -inf to the scores of padded keys,
     so they get exactly zero attention weight and zero gradient.
     """
-    d, h = config.d_model, config.n_heads
-    dh = d // h
-    q = ad.add(ad.matmul(q_in, params[prefix + "wq"]), params[prefix + "bq"])
-    k = ad.add(ad.matmul(kv_in, params[prefix + "wk"]), params[prefix + "bk"])
-    v = ad.add(ad.matmul(kv_in, params[prefix + "wv"]), params[prefix + "bv"])
-    qh = _split_heads(q, h, dh)
-    kh = _split_heads(k, h, dh)
-    vh = _split_heads(v, h, dh)
-    keys_t = ad.transpose_axes(kh, (0, 1, 3, 2))
-    scores = ad.mul(ad.matmul(qh, keys_t), Tensor(1.0 / np.sqrt(dh)))
-    if key_mask is not None:
-        scores = ad.add(scores, Tensor(np.where(key_mask, 0.0, -np.inf)[:, None, None, :]))
-    weights = ad.softmax(scores, axis=-1)
-    heads = ad.matmul(weights, vh)
-    merged = ad.reshape(ad.transpose_axes(heads, (0, 2, 1, 3)), q_in.data.shape)
-    attn = ad.add(ad.matmul(merged, params[prefix + "wo"]), params[prefix + "bo"])
+    q = ad.linear(q_in, params[prefix + "wq"], params[prefix + "bq"])
+    k = ad.linear(kv_in, params[prefix + "wk"], params[prefix + "bk"])
+    v = ad.linear(kv_in, params[prefix + "wv"], params[prefix + "bv"])
+    heads = ad.attention(q, k, v, config.n_heads, key_mask)
+    attn = ad.linear(heads, params[prefix + "wo"], params[prefix + "bo"])
     h1 = ad.layer_norm(ad.add(q_in, attn), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
-    inner = ad.gelu(ad.add(ad.matmul(h1, params[prefix + "w1"]), params[prefix + "b1"]))
-    ffn = ad.add(ad.matmul(inner, params[prefix + "w2"]), params[prefix + "b2"])
+    inner = ad.gelu(ad.linear(h1, params[prefix + "w1"], params[prefix + "b1"]))
+    ffn = ad.linear(inner, params[prefix + "w2"], params[prefix + "b2"])
     return ad.layer_norm(ad.add(h1, ffn), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
 
 
@@ -320,8 +318,7 @@ def _decoder_queries(
         raise PrefixTooLongError(
             f"prefix of {1 + n_prev} positions exceeds max_gen_len={config.max_gen_len}"
         )
-    head = ad.matmul(ad.concat([e_k, bos], axis=-1), params["dec_h"])
-    head = ad.add(head, ad.rows(params["m_pos"], np.asarray([0], dtype=np.intp)))
+    head = ad.linear(ad.concat([e_k, bos], axis=-1), params["dec_h"], ad.rows(params["m_pos"], [0]))
     if not n_prev:
         return head
     tok = _token_embeddings(ids, params, config, token_code_rows)
@@ -356,12 +353,12 @@ def _head_logits(
     config: ModelConfig,
     token_code_rows: np.ndarray,
 ) -> tuple[Tensor, Optional[Tensor]]:
-    logits_n = ad.add(ad.matmul(d_k, ad.transpose_axes(params["m_word"], (1, 0))), params["b_n"])
+    logits_n = ad.linear(d_k, ad.transpose_axes(params["m_word"], (1, 0)), params["b_n"])
     if not config.phoneme_head:
         return logits_n, None
     ph_rows = ad.rows(params["m_ph"], token_code_rows)
     ph_bias = ad.rows(params["b_ph"], token_code_rows)
-    logits_ph = ad.add(ad.matmul(d_k, ad.transpose_axes(ph_rows, (1, 0))), ph_bias)
+    logits_ph = ad.linear(d_k, ad.transpose_axes(ph_rows, (1, 0)), ph_bias)
     return logits_n, logits_ph
 
 
@@ -392,20 +389,23 @@ def combine_heads(
     logits_ph: Optional[Tensor],
     special_mask: np.ndarray,
 ) -> tuple[Tensor, Optional[Tensor], Tensor]:
-    """The distributions of :func:`step_distributions` from the head logits."""
-    p_n = ad.softmax(logits_n, axis=-1)
+    """The distributions of :func:`step_distributions` from the head logits.
+
+    No loss differentiates them, so this is plain numpy on the logits'
+    values, and the returned tensors need no gradient.
+    """
+    p_n = ad.softmax_array(logits_n.data)
     if logits_ph is None:
-        return p_n, None, p_n
-    p_ph = ad.softmax(logits_ph, axis=-1)
-    content = Tensor(1.0 - special_mask)
-    special = Tensor(special_mask)
-    prod = ad.mul(p_n, p_ph)
-    pn_content = ad.sum_(ad.mul(p_n, content), axis=-1, keepdims=True)
-    prod_content = ad.sum_(ad.mul(prod, content), axis=-1, keepdims=True)
-    mean_factor = ad.div(prod_content, pn_content)
-    unnorm = ad.add(ad.mul(prod, content), ad.mul(ad.mul(p_n, special), mean_factor))
-    p_gen = ad.div(unnorm, ad.sum_(unnorm, axis=-1, keepdims=True))
-    return p_n, p_ph, p_gen
+        out = Tensor(p_n, needs_grad=False)
+        return out, None, out
+    p_ph = ad.softmax_array(logits_ph.data)
+    content = 1.0 - special_mask
+    prod = p_n * p_ph
+    prod_content = prod * content
+    mean_factor = prod_content.sum(axis=-1, keepdims=True) / (p_n * content).sum(axis=-1, keepdims=True)
+    unnorm = prod_content + p_n * special_mask * mean_factor
+    p_gen = unnorm / unnorm.sum(axis=-1, keepdims=True)
+    return tuple(Tensor(p, needs_grad=False) for p in (p_n, p_ph, p_gen))
 
 
 @dataclass
@@ -429,6 +429,7 @@ def _loss_graph(
     batch: Sequence[AlignedExample],
     model: Model,
     lexicon: PronouncingLexicon,
+    needs_grad: bool = True,
 ) -> LossGraph:
     """Build one padded, masked graph for the whole batch.
 
@@ -436,11 +437,12 @@ def _loss_graph(
     longest; every item's decoder queries run together, padded to the
     longest target, over its sentence's encoder rows.  Padded query rows are
     dropped before the heads, so each teacher-forced step is one logits row.
+    Without ``needs_grad`` only the values are computed and no graph is kept.
     """
     if not batch:
         raise ValueError("cannot build a loss graph for an empty batch")
     config = model.config
-    params = _wrap_params(model.params)
+    params = _wrap_params(model.params, needs_grad)
     rows_map = model.code_index.token_rows
     unsupervised = (model.vocab.eos_id, model.vocab.unk_id)
 
@@ -466,7 +468,7 @@ def _loss_graph(
     lp_n = ad.log_softmax(logits_n, axis=-1)
     l_n = ad.neg(ad.sum_(ad.select(lp_n, np.arange(len(target_ids)), target_ids)))
 
-    l_ph = Tensor(0.0)
+    l_ph = Tensor(0.0, needs_grad=False)
     if logits_ph is not None and config.lambda_ph != 0.0:
         step_rows = []
         r_logs = []
@@ -483,8 +485,8 @@ def _loss_graph(
         if step_rows:
             lp_ph = ad.log_softmax(ad.rows(logits_ph, step_rows), axis=-1)
             p_ph = ad.exp(lp_ph)
-            l_ph = ad.sum_(ad.mul(p_ph, ad.sub(lp_ph, Tensor(np.asarray(r_logs)))))
-    l_tot = ad.add(l_n, ad.mul(Tensor(config.lambda_ph), l_ph))
+            l_ph = ad.sum_(ad.mul(p_ph, ad.sub(lp_ph, Tensor(np.asarray(r_logs), needs_grad=False))))
+    l_tot = ad.add(l_n, ad.mul(Tensor(config.lambda_ph, needs_grad=False), l_ph))
     return LossGraph(l_tot, l_n, l_ph, params, logits_n, logits_ph, target_ids)
 
 
@@ -544,7 +546,7 @@ def backward_and_check(
             coords.append((name, int(rng.integers(model.params[name].size))))
 
         def loss_value() -> float:
-            return float(_loss_graph(batch, model, lexicon).l_tot.data)
+            return float(_loss_graph(batch, model, lexicon, needs_grad=False).l_tot.data)
 
         max_rel = 0.0
         worst = coords[0]

@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if not self.clip_norm > 0.0:
             raise ValueError("clip norm must be positive")
+        if not self.seed >= 0:
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ def train(
                 )
             last_good = {name: a.copy() for name, a in model.params.items()}
             # optimize the per-item mean so step size is batch-size invariant
-            ad.backward(ad.mul(graph.l_tot, ad.Tensor(1.0 / len(batch))))
+            ad.backward(ad.mul(graph.l_tot, ad.Tensor(1.0 / len(batch), needs_grad=False)))
             grads = {
                 name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
                 for name, leaf in graph.params.items()
@@ -170,7 +172,7 @@ def evaluate_dev(
     """
     if not items:
         return DevReport(0.0, 0.0, 0.0, 0, 0)
-    graph = _loss_graph(items, model, lexicon)
+    graph = _loss_graph(items, model, lexicon, needs_grad=False)
     _, _, p_gen = combine_heads(graph.logits_n, graph.logits_ph, model.special_mask)
     hits = int(np.count_nonzero(np.argmax(p_gen.data, axis=-1) == graph.targets))
     steps = len(graph.targets)

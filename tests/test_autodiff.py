@@ -42,15 +42,6 @@ class TestElementwise:
     def test_mul_broadcast(self):
         check_op(lambda a, b: ad.mul(a, b), (3, 4), (3, 1))
 
-    def test_div(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(2, 3)) + 3.0
-        ta, tb = ad.Tensor(a), ad.Tensor(b)
-        ad.backward(ad.sum_(ad.div(ta, tb)))
-        np.testing.assert_allclose(ta.grad, 1.0 / b)
-        np.testing.assert_allclose(tb.grad, -a / b**2)
-
     def test_exp_log_tanh_sqrt_pow(self):
         check_op(lambda a: ad.exp(a), (3, 3))
 
@@ -203,3 +194,159 @@ class TestBackwardMechanics:
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
             ad.backward(ad.Tensor(np.ones((2, 2))))
+
+    def test_backward_rejects_a_result_needing_no_gradient(self):
+        x = ad.Tensor(np.array([1.5, -0.5]), needs_grad=False)
+        with pytest.raises(ValueError, match="gradient"):
+            ad.backward(ad.sum_(ad.mul(x, x)))
+
+
+def _no_grad(*shapes, seed=0):
+    rng = np.random.default_rng(seed)
+    return [ad.Tensor(rng.normal(size=s), needs_grad=False) for s in shapes]
+
+
+class TestNeedsGrad:
+    def test_leaves_need_a_gradient_unless_told_otherwise(self):
+        assert ad.Tensor(1.0).needs_grad
+        assert not ad.Tensor(1.0, needs_grad=False).needs_grad
+
+    @pytest.mark.parametrize(
+        "build, shapes",
+        [
+            (lambda a, b: ad.add(a, b), [(3, 4), (4,)]),
+            (lambda a, b: ad.sub(a, b), [(3, 4), (3, 4)]),
+            (lambda a, b: ad.mul(a, b), [(3, 4), (3, 1)]),
+            (lambda a: ad.neg(a), [(2, 3)]),
+            (lambda a: ad.exp(a), [(2, 3)]),
+            (lambda a, b: ad.matmul(a, b), [(2, 3, 4), (4, 5)]),
+            (lambda x, w, b: ad.linear(x, w, b), [(2, 3, 4), (4, 5), (5,)]),
+            (lambda a: ad.transpose_axes(a, (1, 0)), [(2, 3)]),
+            (lambda a: ad.sum_(a, axis=0), [(2, 3)]),
+            (lambda a: ad.rows(a, [1, 0, 1]), [(2, 3)]),
+            (lambda a: ad.select(a, [0, 1], [2, 0]), [(2, 3)]),
+            (lambda a, b: ad.concat([a, b], axis=0), [(2, 3), (1, 3)]),
+            (lambda a: ad.reshape(a, (3, 2)), [(2, 3)]),
+            (lambda a: ad.softmax(a), [(2, 3)]),
+            (lambda a: ad.log_softmax(a), [(2, 3)]),
+            (lambda a, g, b: ad.layer_norm(a, g, b), [(2, 4), (4,), (4,)]),
+            (lambda a: ad.gelu(a), [(2, 3)]),
+            (lambda q, k, v: ad.attention(q, k, v, 2), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
+        ],
+    )
+    def test_ops_over_constants_record_no_graph(self, build, shapes):
+        out = build(*_no_grad(*shapes))
+        assert not out.needs_grad
+        assert out._parents == () and out._bwd is None
+
+    def test_one_input_needing_a_gradient_is_enough(self):
+        x = ad.Tensor(np.array([1.0, 2.0]))
+        c = ad.Tensor(np.array([3.0, 4.0]), needs_grad=False)
+        out = ad.mul(x, c)
+        assert out.needs_grad and out._parents == (x, c)
+        ad.backward(ad.sum_(out))
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+        assert c.grad is None
+
+    def test_fused_kernels_skip_inputs_needing_no_gradient(self):
+        rng = np.random.default_rng(5)
+        x, b = ad.Tensor(rng.normal(size=(2, 3, 4))), ad.Tensor(rng.normal(size=5), needs_grad=False)
+        w = ad.Tensor(rng.normal(size=(4, 5)), needs_grad=False)
+        ad.backward(ad.sum_(ad.linear(x, w, b)))
+        assert x.grad is not None and w.grad is None and b.grad is None
+        q = ad.Tensor(rng.normal(size=(1, 2, 4)))
+        k, v = _no_grad((1, 3, 4), (1, 3, 4), seed=6)
+        ad.backward(ad.sum_(ad.mul(ad.attention(q, k, v, 2), q)))
+        assert q.grad is not None and k.grad is None and v.grad is None
+
+
+def composed_attention(q, k, v, n_heads, key_mask=None):
+    """Multi-head attention from the engine's elementary ops."""
+    batch, n, d = q.data.shape
+    dh = d // n_heads
+
+    def split(x):
+        return ad.transpose_axes(ad.reshape(x, x.data.shape[:2] + (n_heads, dh)), (0, 2, 1, 3))
+
+    keys_t = ad.transpose_axes(split(k), (0, 1, 3, 2))
+    scores = ad.mul(ad.matmul(split(q), keys_t), ad.Tensor(1.0 / np.sqrt(dh)))
+    if key_mask is not None:
+        scores = ad.add(scores, ad.Tensor(np.where(key_mask, 0.0, -np.inf)[:, None, None, :]))
+    heads = ad.matmul(ad.softmax(scores, axis=-1), split(v))
+    return ad.reshape(ad.transpose_axes(heads, (0, 2, 1, 3)), (batch, n, d))
+
+
+class TestFusedKernels:
+    def test_linear_gradient_2d(self):
+        check_op(lambda x, w, b: ad.linear(x, w, b), (3, 4), (4, 5), (5,))
+
+    def test_linear_gradient_stacked_with_broadcast_bias(self):
+        # [B, n, d] @ [d, d] + [d]: weight and bias gradients sum over the stack
+        check_op(lambda x, w, b: ad.linear(x, w, b), (3, 2, 4), (4, 4), (4,))
+        check_op(lambda x, w, b: ad.linear(x, w, b), (2, 1, 4), (4, 3), (1, 3))
+
+    def test_linear_equals_add_of_matmul_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        arrays = [rng.normal(size=s) for s in ((3, 2, 4), (4, 4), (4,))]
+        fused = [ad.Tensor(a) for a in arrays]
+        composed = [ad.Tensor(a) for a in arrays]
+        g = rng.normal(size=(3, 2, 4))
+        out_f = ad.linear(*fused)
+        out_c = ad.add(ad.matmul(composed[0], composed[1]), composed[2])
+        assert np.array_equal(out_f.data, out_c.data)
+        ad.backward(ad.sum_(ad.mul(out_f, ad.Tensor(g, needs_grad=False))))
+        ad.backward(ad.sum_(ad.mul(out_c, ad.Tensor(g, needs_grad=False))))
+        for f, c in zip(fused, composed):
+            assert np.array_equal(f.grad, c.grad)
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_attention_gradient(self, n_heads):
+        # 3 queries over 5 keys, so query and key counts differ
+        check_op(lambda q, k, v: ad.attention(q, k, v, n_heads), (2, 3, 8), (2, 5, 8), (2, 5, 8))
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("n, m", [(3, 5), (1, 5), (3, 1), (1, 1)])
+    def test_attention_equals_composed_ops_bit_for_bit(self, n_heads, n, m):
+        rng = np.random.default_rng(n_heads)
+        keep = np.arange(m) < np.array([[max(1, m - 2)], [m]])
+        for key_mask in (None, keep):
+            arrays = [rng.normal(size=s) for s in ((2, n, 8), (2, m, 8), (2, m, 8))]
+            g = ad.Tensor(rng.normal(size=(2, n, 8)), needs_grad=False)
+            fused = [ad.Tensor(a) for a in arrays]
+            composed = [ad.Tensor(a) for a in arrays]
+            out_f = ad.attention(*fused, n_heads, key_mask)
+            out_c = composed_attention(*composed, n_heads, key_mask)
+            assert np.array_equal(out_f.data, out_c.data)
+            ad.backward(ad.sum_(ad.mul(out_f, g)))
+            ad.backward(ad.sum_(ad.mul(out_c, g)))
+            for f, c in zip(fused, composed):
+                assert np.array_equal(f.grad, c.grad)
+
+    def test_masked_attention_gradient_and_padded_keys(self):
+        keep = np.array([[True, True, False, True], [True, False, False, False]])
+        check_op(
+            lambda q, k, v, w: ad.mul(ad.attention(q, k, v, 2, keep), w),
+            (2, 3, 4), (2, 4, 4), (2, 4, 4), (2, 3, 4),
+        )
+        rng = np.random.default_rng(9)
+        q, k, v = (ad.Tensor(rng.normal(size=s)) for s in ((2, 3, 4), (2, 4, 4), (2, 4, 4)))
+        out = ad.attention(q, k, v, 2, keep)
+        # padded keys get exactly zero weight: changing them changes nothing
+        moved_k, moved_v = k.data.copy(), v.data.copy()
+        moved_k[~keep] += 100.0
+        moved_v[~keep] -= 100.0
+        moved = ad.attention(ad.Tensor(q.data), ad.Tensor(moved_k), ad.Tensor(moved_v), 2, keep)
+        assert np.array_equal(out.data, moved.data)
+        # ... and exactly zero gradient
+        ad.backward(ad.sum_(ad.mul(out, ad.Tensor(rng.normal(size=(2, 3, 4)), needs_grad=False))))
+        assert np.all(k.grad[~keep] == 0.0) and np.all(v.grad[~keep] == 0.0)
+        assert np.any(k.grad != 0.0) and np.all(np.isfinite(q.grad))
+
+    def test_layer_norm_means_match_numpy_mean(self):
+        rng = np.random.default_rng(10)
+        for shape in ((3, 8), (2, 5, 32), (4, 1, 128)):
+            x = rng.normal(size=shape) * 3.0 + 1.0
+            out = ad.layer_norm(ad.Tensor(x), ad.Tensor(np.ones(shape[-1])), ad.Tensor(np.zeros(shape[-1])))
+            centered = x - x.mean(axis=-1, keepdims=True)
+            sigma = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-12)
+            assert np.array_equal(out.data, centered / sigma * np.ones(shape[-1]) + np.zeros(shape[-1]))

@@ -207,6 +207,20 @@ class TestCommands:
         assert rc == 1
         assert "usage error: invalid config value" in capsys.readouterr().err
 
+    def test_negative_training_seed_is_usage_error(self, tmp_path, capsys):
+        corpus_path, _ = _write_corpus(tmp_path)
+        vocab_path = tmp_path / "vocab.txt"
+        assert cli.main(["vocab", str(corpus_path), "--out", str(vocab_path), "--size", "120"]) == 0
+        rc = cli.main(
+            ["train", str(corpus_path), "--vocab", str(vocab_path),
+             "--checkpoint", str(tmp_path / "m.ckpt"), "--seed", "-1"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "usage error: invalid config value" in err and "seed" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_lexicon_without_inventory_is_usage_error(self, tmp_path, capsys):
         lexicon_path = tmp_path / "lexicon.tsv"
         lexicon_path.write_text("CUE\tK Y UW\n")

@@ -1,6 +1,7 @@
 """The quick demos run to completion against the current package.
 
-The two training demos take several seconds each and are left to manual runs.
+The two training demos take several seconds each; CI runs them in a step of
+their own.
 """
 import os
 import subprocess

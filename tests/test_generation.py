@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from asrnoise import autodiff as ad
 from asrnoise import corpus as C
 from asrnoise import generation as G
 from asrnoise import model as M
@@ -141,6 +142,26 @@ class TestGenerateSpan:
             G.generate_span(e_enc, model, position=0, mode="beam")
         with pytest.raises(ValueError):
             G.generate_span(e_enc, model, position=0, mode=G.SAMPLE, temperature=0.0)
+
+    def test_decoding_builds_no_graph(self, lexicon, monkeypatch):
+        model = _toy_model(lexicon)
+        created = []
+        init = ad.Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            created.append(self)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
+        params = M._wrap_params(model.params, needs_grad=False)
+        tokens = C.tokenize("the cue gag sue", model.vocab)
+        e_in = M.embed_sequence([tokens.piece_ids], params, model.config, model.code_index.token_rows)
+        e_enc = M.encode(e_in, params, model.config)
+        spans = [G.generate_span(e_enc, model, position=k, mode=G.SAMPLE, seed=k) for k in range(len(tokens))]
+        assert sum(span.m for span in spans) > len(spans)  # some spans took several steps
+        G.corrupt_corpus(["the cue gag", "sue the cue"], model, p_z=1.0, seed=5)
+        assert len(created) > 100
+        assert not any(t.needs_grad or t._parents or t._bwd is not None for t in created)
 
     @pytest.mark.parametrize("position", [2, 5, -1])
     def test_position_outside_sentence_rejected(self, lexicon, position):

@@ -15,6 +15,7 @@ from asrnoise.errors import (
 
 from conftest import make_token_seq
 from oracles import block_forward_mp, loss_reference
+from test_autodiff import composed_attention
 
 
 def _fixture_weights(d, seed=2024):
@@ -127,6 +128,45 @@ class TestEncode:
         )
         np.testing.assert_allclose(out.data[0], golden, atol=1e-12)
         np.testing.assert_allclose(out.data[0], block_forward_mp(x, x, w, n_heads=2), atol=1e-12)
+
+
+def _composed_block(q_in, kv_in, params, prefix, n_heads, key_mask=None):
+    """The attention and feed-forward block from the engine's elementary ops."""
+
+    def dense(x, name):
+        return ad.add(ad.matmul(x, params[prefix + "w" + name]), params[prefix + "b" + name])
+
+    q, k, v = dense(q_in, "q"), dense(kv_in, "k"), dense(kv_in, "v")
+    attn = dense(composed_attention(q, k, v, n_heads, key_mask), "o")
+    h1 = ad.layer_norm(ad.add(q_in, attn), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
+    ffn = dense(ad.gelu(dense(h1, "1")), "2")
+    return ad.layer_norm(ad.add(h1, ffn), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
+
+
+class TestFusedBlock:
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_block_equals_composed_ops_bit_for_bit(self, n_heads):
+        d = 8
+        w, rng = _fixture_weights(d, seed=n_heads)
+        config = M.ModelConfig(d_model=d, n_heads=n_heads)
+        keep = np.array([[True, True, True, True, False], [True, True, True, True, True]])
+        for key_mask in (None, keep):
+            q, kv = rng.normal(size=(2, 3, d)), rng.normal(size=(2, 5, d))
+            g = Tensor(rng.normal(size=(2, 3, d)), needs_grad=False)
+            runs = []
+            for block in (
+                lambda *a: M._attention_ffn_block(*a, "dec_", config, key_mask),
+                lambda *a: _composed_block(*a, "dec_", n_heads, key_mask),
+            ):
+                inputs = [Tensor(q), Tensor(kv), _as_params(w, "dec_")]
+                out = block(*inputs)
+                ad.backward(ad.sum_(ad.mul(out, g)))
+                runs.append((out, inputs))
+            (fused, (fq, fkv, fp)), (composed, (cq, ckv, cp)) = runs
+            assert np.array_equal(fused.data, composed.data)
+            assert np.array_equal(fq.grad, cq.grad) and np.array_equal(fkv.grad, ckv.grad)
+            for name in fp:
+                assert np.array_equal(fp[name].grad, cp[name].grad), name
 
 
 class TestDecoder:

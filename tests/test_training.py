@@ -40,6 +40,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             T.TrainConfig(clip_norm=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            T.TrainConfig(seed=-1)
+        assert T.TrainConfig(seed=0).seed == 0
+
 
 class TestClipGradients:
     def test_never_increases_norm(self):
@@ -181,6 +186,39 @@ class TestTrain:
             gc.enable()
         assert after_one == before
         assert after_two == before
+
+    def test_warm_epoch_accumulates_only_into_parameters(self, lexicon, monkeypatch):
+        # constants (mix weights, supervision logs, lambda_ph, the 1/B scale)
+        # need no gradient, so backward never accumulates into them
+        vocab, items = _tiny_training_setup(lexicon)
+        model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=1)
+        cfg = T.TrainConfig(epochs=1, batch_size=4, seed=0)
+        T.train(items, model, lexicon, cfg)  # cold epoch: fills the supervision cache
+        wrap_params = M._wrap_params
+        leaves: list[ad.Tensor] = []  # kept alive so their ids are not reused
+        param_ids: set[int] = set()
+        into_params, into_constants = [0], [0]
+
+        def recording_wrap(params, needs_grad=True):
+            wrapped = wrap_params(params, needs_grad)
+            leaves.extend(wrapped.values())
+            param_ids.update(id(t) for t in wrapped.values())
+            return wrapped
+
+        acc = ad._acc
+
+        def counting_acc(t, g):
+            if id(t) in param_ids:
+                into_params[0] += 1
+            elif t._bwd is None:
+                into_constants[0] += 1
+            acc(t, g)
+
+        monkeypatch.setattr(M, "_wrap_params", recording_wrap)
+        monkeypatch.setattr(ad, "_acc", counting_acc)
+        T.train(items, model, lexicon, cfg)
+        assert into_params[0] > 0
+        assert into_constants[0] == 0
 
 
 class TestEvaluateDev:
