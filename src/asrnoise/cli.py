@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
-from . import evaluation, generation, phonetics, training
+from . import evaluation, generation, phonetics, textio, training
 from .errors import (
     AsrNoiseError,
     ConfigParseError,
@@ -71,19 +71,17 @@ def _parse_value(key: str, raw: str, line: Optional[int] = None):
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> dict:
     """Resolve configuration: defaults, then file, then explicit overrides."""
     config = dict(DEFAULTS)
-    if path:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigParseError(f"line {lineno}: expected 'key = value', got {raw!r}", line=lineno)
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in DEFAULTS:
-                    raise UnknownConfigKeyError(f"line {lineno}: unknown config key {key!r}")
-                config[key] = _parse_value(key, value, lineno)
+    for lineno, raw in _parse_file(textio.read_lines, path) if path else ():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigParseError(f"line {lineno}: expected 'key = value', got {raw!r}", line=lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in DEFAULTS:
+            raise UnknownConfigKeyError(f"line {lineno}: unknown config key {key!r}")
+        config[key] = _parse_value(key, value, lineno)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
@@ -107,16 +105,7 @@ def _echo_config(command: str, config: dict) -> None:
 
 
 def _header(command: str, config: dict) -> str:
-    return f"produced-by: asrnoise {command}; config-hash: {config_hash(config)}"
-
-
-def _read_lines(path) -> list[str]:
-    """Every line of a text file except a first-line ``# produced-by:`` header."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [raw.rstrip("\n") for raw in fh]
-    if lines and lines[0].startswith(corpus_mod.ARTIFACT_HEADER):
-        del lines[0]
-    return lines
+    return f"asrnoise {command}; config-hash: {config_hash(config)}"
 
 
 def _parse_file(parse, path, *args):
@@ -156,14 +145,11 @@ def _cmd_vocab(args, config) -> int:
 
 def _cmd_g2p(args, config) -> int:
     lexicon = _load_lexicon(args)
-    lines = []
-    for word in args.words:
-        lines.append(f"{word}\t{phonetics.code_key(phonetics.g2p(word, lexicon))}")
-    output = "\n".join(lines)
+    lines = [f"{word}\t{phonetics.code_key(phonetics.g2p(word, lexicon))}" for word in args.words]
     if args.out:
-        Path(args.out).write_text(f"# {_header('g2p', config)}\n{output}\n", encoding="utf-8")
+        textio.write_lines(args.out, lines, _header("g2p", config))
     else:
-        print(output)
+        print("\n".join(lines))
     return 0
 
 
@@ -171,12 +157,12 @@ def _cmd_align(args, config) -> int:
     lexicon = _load_lexicon(args)
     pairs = _parse_file(corpus_mod.load_pairs_tsv, args.input)
     alignments = [corpus_mod.align_pair(p.gt, p.asr, lexicon) for p in pairs]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# {_header('align', config)}\n")
-        fh.write("sentence_id\tgt_word\tasr_words\tlabel\n")
-        for pair, entries in zip(pairs, alignments):
-            for entry in entries:
-                fh.write(f"{pair.id}\t{entry.gt_word}\t{' '.join(entry.asr_words)}\t{entry.label}\n")
+    rows = (
+        f"{pair.id}\t{entry.gt_word}\t{' '.join(entry.asr_words)}\t{entry.label}"
+        for pair, entries in zip(pairs, alignments)
+        for entry in entries
+    )
+    textio.write_lines(args.out, ["sentence_id\tgt_word\tasr_words\tlabel", *rows], _header("align", config))
     return 0
 
 
@@ -221,7 +207,7 @@ def _cmd_corrupt(args, config) -> int:
     check_prior(config["p_z"], "p_z")
     model = training.load_checkpoint(args.checkpoint)
     # a blank line passes through as a blank line, and '#' starts no comment
-    texts = _read_lines(args.input)
+    texts = [line for _, line in _parse_file(textio.read_lines, args.input)]
     if not any(line.strip() for line in texts):
         raise EmptyCorpusError(f"no sentences found in {args.input}")
     outputs, records = generation.corrupt_corpus(
@@ -232,10 +218,7 @@ def _cmd_corrupt(args, config) -> int:
         mode=config["mode"],
         temperature=config["temperature"],
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(f"# {_header('corrupt', config)}\n")
-        for line in outputs:
-            fh.write(line + "\n")
+    textio.write_lines(args.out, outputs, _header("corrupt", config))
     if args.report:
         generation.save_span_report(args.report, records, header=_header("corrupt", config))
     print(f"corrupted {len(texts)} sentences ({len(records)} spans)", file=sys.stderr)
@@ -245,7 +228,8 @@ def _cmd_corrupt(args, config) -> int:
 def _cmd_eval(args, config) -> int:
     lexicon = _load_lexicon(args)
     # line i of the references pairs with line i of the hypotheses, blank or not
-    refs, hyps = _read_lines(args.ref), _read_lines(args.hyp)
+    refs = [line for _, line in _parse_file(textio.read_lines, args.ref)]
+    hyps = [line for _, line in _parse_file(textio.read_lines, args.hyp)]
     breakdown = evaluation.error_type_breakdown(refs, hyps)
     metrics = {
         "wer": evaluation.word_error_rate(refs, hyps),
@@ -329,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 _USAGE_ERRORS = (ConfigParseError, UnknownConfigKeyError, SizeTooSmallError, PriorOutOfRangeError)
 _DATA_ERRORS = (
     FileNotFoundError,
-    UnicodeDecodeError,
     MalformedInputError,
     EmptyCorpusError,
     CorruptCheckpointError,

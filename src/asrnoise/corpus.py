@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import EmptyCorpusError, SizeTooSmallError
 from .phonetics import CONTINUATION_PREFIX, PronouncingLexicon, g2p, phoneme_edit_distance
+from .textio import read_lines, write_lines
 
 BOS = "[BOS]"
 EOS = "[EOS]"
@@ -29,9 +30,6 @@ MATCH = "match"
 SUBSTITUTION = "substitution"
 INSERTION = "insertion"
 DELETION = "deletion"
-
-#: Readers of corpus and text inputs skip a first line that starts with this.
-ARTIFACT_HEADER = "# produced-by:"
 
 _NORMALIZE_RE = re.compile(r"[^a-z0-9 ]+")
 
@@ -123,23 +121,15 @@ class SubwordVocab:
         return self.pieces[piece_id]
 
     def save(self, path, header: str = "") -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            if header:
-                fh.write(f"# {header}\n")
-            for piece in self.pieces:
-                fh.write(piece + "\n")
+        write_lines(path, self.pieces, header)
 
     @classmethod
     def load(cls, path) -> "SubwordVocab":
-        pieces = []
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.rstrip("\n")
-                # comment lines start with a single '#'; pieces use '##'
-                if not line or (line.startswith("#") and not line.startswith(CONTINUATION_PREFIX)):
-                    continue
-                pieces.append(line)
-        return cls(pieces)
+        # comment lines start with a single '#'; pieces use '##'
+        return cls([
+            line for _, line in read_lines(path)
+            if line and not (line.startswith("#") and not line.startswith(CONTINUATION_PREFIX))
+        ])
 
 
 def _word_symbols(word: str) -> list[str]:
@@ -220,7 +210,11 @@ def _merge_pair(seq: list[str], left: str, right: str, merged: str) -> list[str]
 
 
 def tokenize_word(word: str, vocab: SubwordVocab) -> list[Token]:
-    """Greedy longest-match segmentation of one normalized word."""
+    """Greedy longest-match segmentation of one normalized word.
+
+    A character no piece covers becomes one ``[UNK]`` token whose surface is
+    the character itself (``##``-prefixed when it continues the word).
+    """
     tokens: list[Token] = []
     pos = 0
     n = len(word)
@@ -241,9 +235,7 @@ def tokenize_word(word: str, vocab: SubwordVocab) -> list[Token]:
             if pid is not None:
                 match_id, match_len = pid, 1
         if match_id is None:
-            tokens.append(Token(vocab.unk_id, UNK, pos > 0))
-            pos += 1
-            continue
+            match_id, match_len = vocab.unk_id, 1
         surface = word[pos:pos + match_len]
         if pos > 0:
             surface = CONTINUATION_PREFIX + surface
@@ -478,30 +470,26 @@ def build_training_items(
 def load_pairs_tsv(path) -> list[ParallelPair]:
     """Read ``GT<TAB>ASR`` lines; the transcript column may be empty.
 
-    Blank lines and a first-line ``# produced-by:`` header are skipped; any
-    other line is a pair, ``#`` included, whose id is its line index.  A line
-    whose ground-truth side has no words, or that has a third column, is
-    rejected with its 1-based number.
+    Blank lines and a header line (:func:`textio.read_lines`) are skipped;
+    any other line is a pair, ``#`` included, whose id is its 0-based line
+    index.  A line whose ground-truth side has no words, or that has a third
+    column, is rejected with its 1-based number.
     """
     pairs: list[ParallelPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh):
-            line = raw.rstrip("\n")
-            if not line.strip() or (lineno == 0 and line.startswith(ARTIFACT_HEADER)):
-                continue
-            gt, _, asr = line.partition("\t")
-            if "\t" in asr:
-                raise ValueError(f"line {lineno + 1}: expected GT<TAB>ASR, got a third column")
-            try:
-                pairs.append(ParallelPair(gt=gt, asr=asr, id=str(lineno)))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno + 1}: {exc}") from exc
+    for number, line in read_lines(path):
+        if not line.strip():
+            continue
+        gt, _, asr = line.partition("\t")
+        if "\t" in asr:
+            raise ValueError(f"line {number}: expected GT<TAB>ASR, got a third column")
+        try:
+            pairs.append(ParallelPair(gt=gt, asr=asr, id=str(number - 1)))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from exc
     if not pairs:
         raise EmptyCorpusError(f"no pairs found in {path}")
     return pairs
 
 
 def write_pairs_tsv(path, pairs: Sequence[ParallelPair]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for pair in pairs:
-            fh.write(f"{pair.gt}\t{pair.asr}\n")
+    write_lines(path, (f"{pair.gt}\t{pair.asr}" for pair in pairs))

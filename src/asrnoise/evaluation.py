@@ -19,6 +19,7 @@ from .corpus import align_sequences, normalize, unit_costs
 from .errors import InsufficientDataError, LengthMismatchError
 from .intervention import CorruptionPlan
 from .phonetics import PronouncingLexicon, g2p, phoneme_edit_distance
+from .textio import write_lines
 
 # External reference measurements, used only as directional targets when
 # reading reports: word error rates of a commercial ASR system versus two
@@ -249,15 +250,6 @@ def independence_report(
 
 def write_metrics_report(path_txt, path_csv, metrics: dict[str, float], header: str = "") -> None:
     """Write named metrics as aligned text plus a CSV twin."""
-    with open(path_txt, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        width = max(len(k) for k in metrics) if metrics else 0
-        for name, value in metrics.items():
-            fh.write(f"{name.ljust(width)}  {value}\n")
-    with open(path_csv, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("metric,value\n")
-        for name, value in metrics.items():
-            fh.write(f"{name},{value}\n")
+    width = max(len(k) for k in metrics) if metrics else 0
+    write_lines(path_txt, (f"{name.ljust(width)}  {value}" for name, value in metrics.items()), header)
+    write_lines(path_csv, ["metric,value", *(f"{name},{value}" for name, value in metrics.items())], header)

@@ -30,6 +30,7 @@ from .intervention import CorruptionPlan, sample_plan_interventional
 from .model import Model, _wrap_params, decoder_hidden, embed_sequence, encode, step_distributions
 from .phonetics import CONTINUATION_PREFIX
 from .rng import derive_seed
+from .textio import write_lines
 
 GREEDY = "greedy"
 SAMPLE = "sample"
@@ -245,10 +246,8 @@ def corrupt_corpus(
 
 def save_span_report(path, records: Sequence[SpanRecord], header: str = "") -> None:
     """TSV: sentence_id, position, original, replacement, error_type."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("sentence_id\tposition\toriginal\treplacement\terror_type\n")
-        for rec in records:
-            s = rec.span
-            fh.write(f"{rec.sentence_id}\t{s.position}\t{s.original}\t{s.replacement}\t{s.error_type.value}\n")
+    lines = ["sentence_id\tposition\toriginal\treplacement\terror_type"]
+    for rec in records:
+        s = rec.span
+        lines.append(f"{rec.sentence_id}\t{s.position}\t{s.original}\t{s.replacement}\t{s.error_type.value}")
+    write_lines(path, lines, header)

@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateSupportError, EmptyWordError
+from .textio import read_lines
 
 CONSONANT = "consonant"
 VOWEL = "vowel"
@@ -115,20 +116,19 @@ class PronouncingLexicon:
 def load_inventory(path) -> dict[str, Phoneme]:
     """Read one phoneme per line: ``SYMBOL<TAB>kind<TAB>slot1<TAB>slot2<TAB>slot3``."""
     inventory: dict[str, Phoneme] = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ValueError(f"bad inventory line: {raw!r}")
-            symbol, kind, *features = fields
-            if symbol in inventory:
-                raise ValueError(f"duplicate phoneme symbol {symbol!r}")
-            if kind not in (CONSONANT, VOWEL):
-                raise ValueError(f"unknown phoneme kind {kind!r}")
-            inventory[symbol] = Phoneme(symbol, kind, tuple(features))
+    for number, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise ValueError(f"line {number}: bad inventory line: {raw!r}")
+        symbol, kind, *features = fields
+        if symbol in inventory:
+            raise ValueError(f"line {number}: duplicate phoneme symbol {symbol!r}")
+        if kind not in (CONSONANT, VOWEL):
+            raise ValueError(f"line {number}: unknown phoneme kind {kind!r}")
+        inventory[symbol] = Phoneme(symbol, kind, tuple(features))
     return inventory
 
 
@@ -140,18 +140,17 @@ def load_lexicon(path, inventory: Mapping[str, Phoneme]) -> PronouncingLexicon:
     ``inventory``, raises ValueError naming its line.
     """
     entries: dict[str, PhoneticCode] = {}
-    with open(path, encoding="utf-8") as fh:
-        for number, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.count("\t") != 1:
-                raise ValueError(f"line {number}: expected WORD<TAB>PHONEMES, got {raw.rstrip()!r}")
-            word, _, symbols = line.partition("\t")
-            try:
-                entries[word] = tuple(inventory[s] for s in symbols.split())
-            except KeyError as exc:
-                raise ValueError(f"line {number}: phoneme {exc.args[0]!r} is not in the inventory") from None
+    for number, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.count("\t") != 1:
+            raise ValueError(f"line {number}: expected WORD<TAB>PHONEMES, got {raw.rstrip()!r}")
+        word, _, symbols = line.partition("\t")
+        try:
+            entries[word] = tuple(inventory[s] for s in symbols.split())
+        except KeyError as exc:
+            raise ValueError(f"line {number}: phoneme {exc.args[0]!r} is not in the inventory") from None
     return PronouncingLexicon(entries, inventory)
 
 

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph, combine_heads
 from .phonetics import PronouncingLexicon
+from .textio import write_lines
 
 CHECKPOINT_MAGIC = b"ISNI1"
 
@@ -186,12 +187,8 @@ def evaluate_dev(
 
 
 def save_loss_log(path, log: Sequence[EpochStats], header: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        fh.write("epoch,L_tot,L_n,L_ph\n")
-        for row in log:
-            fh.write(f"{row.epoch},{row.loss_total!r},{row.loss_word!r},{row.loss_phoneme!r}\n")
+    rows = (f"{row.epoch},{row.loss_total!r},{row.loss_word!r},{row.loss_phoneme!r}" for row in log)
+    write_lines(path, ["epoch,L_tot,L_n,L_ph", *rows], header)
 
 
 # checkpoint format: magic, u32 length of a JSON header (hyperparameters, the

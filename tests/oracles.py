@@ -1,14 +1,19 @@
 """Independent reference implementations used only to cross-check results.
 
-Everything here is deliberately written without the package's dynamic
+Almost everything here is deliberately written without the package's dynamic
 program or autodiff engine: the edit distance is a memoized recursion, the
-network forwards are straight formula transcriptions (numpy or mpmath).
+network forwards are straight formula transcriptions (numpy or mpmath).  The
+exception is the three composed autodiff ops at the end (``matmul``,
+``reshape``, ``softmax``): the model runs none of them, and the tests build
+the composed references for the fused ``linear``/``attention`` kernels from
+them on the engine's own node primitives.
 """
 from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpf
 
+from asrnoise.autodiff import Tensor, _acc, _node, _unbroadcast, softmax_array
 from asrnoise.corpus import CONTINUATION_PREFIX, SPECIALS, normalize
 from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
 from asrnoise.phonetics import articulatory_mismatches, supervision_distribution
@@ -243,3 +248,33 @@ def loss_reference(model, example, lexicon):
             r = supervision_distribution(surface, model.r_support(), lexicon)
             l_ph += float(np.sum(p_ph[l] * (np.log(p_ph[l]) - np.log(np.maximum(r, 1e-12)))))
     return float(l_n), float(l_ph), float(l_n + cfg.lambda_ph * l_ph)
+
+
+# composed autodiff ops ---------------------------------------------
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes; leading (stack) axes broadcast."""
+
+    def bwd(g):
+        if a.needs_grad:
+            _acc(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        if b.needs_grad:
+            _acc(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+
+    return _node(a.data @ b.data, (a, b), bwd)
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    def bwd(g):
+        _acc(a, g.reshape(a.data.shape))
+
+    return _node(a.data.reshape(shape), (a,), bwd)
+
+
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax along ``axis``."""
+    p = softmax_array(a.data, axis)
+
+    def bwd(g):
+        _acc(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
+
+    return _node(p, (a,), bwd)

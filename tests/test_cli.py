@@ -433,3 +433,38 @@ class TestPipeline:
         # eval pairs line i with line i, blank lines and the hypothesis header included
         assert cli.main(["eval", "--ref", str(gappy), "--hyp", str(identity), "--out", str(root / "gappy")]) == 0
         assert "total_errors,0" in (root / "gappy.csv").read_text().splitlines()
+
+    def test_cr_inside_a_line_splits_no_line(self, pipeline):
+        root, cfg, _, ckpt, _, texts = pipeline
+        first, second = texts.read_text().splitlines()[:2]
+        messy = root / "messy.txt"
+        messy.write_bytes(f"{first}\r{second}\n{second}\n".encode("utf-8"))
+        out = root / "messy_out.txt"
+        rc = cli.main(
+            ["corrupt", str(messy), "--checkpoint", str(ckpt), "--out", str(out),
+             "--p-z", "0", "--config", str(cfg)]
+        )
+        assert rc == 0
+        assert out.read_text().split("\n")[1:] == [C.normalize(f"{first} {second}"), C.normalize(second), ""]
+
+    def test_bom_header_and_bad_bytes_in_corrupt_input(self, pipeline, capsys):
+        root, cfg, _, ckpt, _, texts = pipeline
+        first = texts.read_text().splitlines()[0]
+        marked = root / "marked.txt"
+        marked.write_bytes(f"\ufeff# produced-by: asrnoise corrupt\r\n{first}\r\n".encode("utf-8"))
+        out = root / "marked_out.txt"
+        argv = ["corrupt", str(marked), "--checkpoint", str(ckpt), "--out", str(out), "--p-z", "0"]
+        assert cli.main(argv) == 0
+        assert out.read_text().splitlines()[1:] == [C.normalize(first)]
+        marked.write_bytes(f"{first}\n{first}\n\xff\n".encode("latin-1"))
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert f"{marked}: line 3: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
+def test_eval_cr_inside_a_reference_line(tmp_path):
+    ref, hyp = tmp_path / "ref.txt", tmp_path / "hyp.txt"
+    ref.write_bytes(b"a b\rc\n")
+    hyp.write_bytes(b"a b c\n")
+    assert cli.main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(tmp_path / "m")]) == 0
+    assert "wer,0.0" in (tmp_path / "m.csv").read_text().splitlines()

@@ -81,6 +81,13 @@ class TestTokenize:
         seq = C.tokenize("z", fixture_vocab)
         assert seq.tokens[0].piece_id == fixture_vocab.unk_id
 
+    def test_unknown_character_keeps_its_surface(self):
+        vocab = C.SubwordVocab(["[BOS]", "[EOS]", "[UNK]", "e", "b", "r", "a", "u", "i"])
+        seq = C.tokenize("zebra quiz", vocab)
+        unknown = [(t.surface, t.is_continuation) for t in seq if t.piece_id == vocab.unk_id]
+        assert unknown == [("z", False), ("q", False), ("##z", True)]
+        assert C.detokenize(seq) == "zebra quiz"
+
     def test_single_char_continuation_fallback(self):
         vocab = C.SubwordVocab(["[BOS]", "[EOS]", "[UNK]", "a", "b"])
         seq = C.tokenize("aba", vocab)
@@ -99,6 +106,34 @@ class TestTokenize:
         fixture_vocab.save(path, header="test artifact")
         loaded = C.SubwordVocab.load(path)
         assert loaded.pieces == fixture_vocab.pieces
+
+    def test_vocab_with_bom_and_crlf_loads_the_same_pieces(self, tmp_path, fixture_vocab):
+        path = tmp_path / "vocab.txt"
+        fixture_vocab.save(path, header="test artifact")
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
+        assert C.SubwordVocab.load(path).pieces == fixture_vocab.pieces
+
+
+class TestLoadPairs:
+    def test_cr_inside_a_line_stays_in_its_pair(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"hello\rworld\thello world\r\nthe cue\tthe queue\n")
+        pairs = C.load_pairs_tsv(path)
+        assert [(p.id, p.gt, p.asr) for p in pairs] == [
+            ("0", "hello\rworld", "hello world"),
+            ("1", "the cue", "the queue"),
+        ]
+
+    def test_header_after_a_bom_is_skipped_and_ids_do_not_move(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes("\ufeff# produced-by: asrnoise vocab\nthe cue\tthe queue\n".encode("utf-8"))
+        assert [(p.id, p.gt) for p in C.load_pairs_tsv(path)] == [("1", "the cue")]
+
+    def test_bad_utf8_is_rejected_by_line(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_bytes(b"the cue\tthe queue\n\nthe g\xe9g\tthe gag\n")
+        with pytest.raises(ValueError, match="^line 3: byte 0xe9 is not UTF-8$"):
+            C.load_pairs_tsv(path)
 
 
 class TestAlignPair:

@@ -241,7 +241,8 @@ _TEXT = st.lists(
 class TestCorruptCorpus:
     def test_zero_prior_is_identity(self, lexicon):
         model = _toy_model(lexicon)
-        texts = ["the cue", "gag sue the queue"]
+        # no piece of the toy vocabulary covers z, q, x or 3 on its own
+        texts = ["the cue", "gag sue the queue", "Zebra quiz, x-ray 3g!"]
         outputs, records = G.corrupt_corpus(texts, model, p_z=0.0, seed=1)
         assert outputs == [C.normalize(t) for t in texts]
         assert records == []
@@ -253,7 +254,7 @@ class TestCorruptCorpus:
     )
     def test_zero_prior_identity_property(self, small_model, texts, seed, mode):
         outputs, records = G.corrupt_corpus(texts, small_model, 0.0, seed, mode=mode)
-        assert outputs == [C.detokenize(C.tokenize(t, small_model.vocab)) for t in texts]
+        assert outputs == [C.normalize(t) for t in texts]
         assert records == []
 
     def test_bad_mode_or_temperature_rejected_before_decoding(self, lexicon):

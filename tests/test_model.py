@@ -14,7 +14,7 @@ from asrnoise.errors import (
 )
 
 from conftest import make_token_seq
-from oracles import block_forward_mp, loss_reference
+from oracles import block_forward_mp, loss_reference, matmul
 from test_autodiff import composed_attention
 
 
@@ -134,7 +134,7 @@ def _composed_block(q_in, kv_in, params, prefix, n_heads, key_mask=None):
     """The attention and feed-forward block from the engine's elementary ops."""
 
     def dense(x, name):
-        return ad.add(ad.matmul(x, params[prefix + "w" + name]), params[prefix + "b" + name])
+        return ad.add(matmul(x, params[prefix + "w" + name]), params[prefix + "b" + name])
 
     q, k, v = dense(q_in, "q"), dense(kv_in, "k"), dense(kv_in, "v")
     attn = dense(composed_attention(q, k, v, n_heads, key_mask), "o")
