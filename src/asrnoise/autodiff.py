@@ -1,12 +1,14 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-Only the ops the sequence model runs: elementwise arithmetic with
-broadcasting, axis transposes, reductions, row gathers, concatenation, the
-fused ``linear`` (``x @ w + b``) and multi-head ``attention`` kernels, and
-the log-softmax / layer-norm / GELU helpers (``softmax_array`` is the plain
-numpy softmax the heads and kernels share).  The composed ``matmul``,
-``reshape`` and ``softmax`` ops the fused kernels are checked against live
-in the test oracles, since no model code runs them.  Gradients accumulate into
+Only the ops the sequence model runs: ``add`` and ``mul`` with
+broadcasting, ``transpose_axes``, the ``rows`` and ``select`` gathers,
+``concat``, the fused ``linear`` (``x @ w + b``), multi-head ``attention``,
+``layer_norm`` and ``gelu`` kernels, and the two loss terms: ``nll``, the
+summed negative log-softmax at each row's target, and ``kl``, the summed KL
+divergence from each row's softmax to a fixed distribution.
+``softmax_array`` is the plain numpy softmax the heads and kernels share.
+The composed ops the kernels and losses are checked against live in the
+test oracles, since no model code runs them.  Gradients accumulate into
 ``Tensor.grad`` after calling :func:`backward` on a scalar result.
 
 Gradients are kept only where needed.  A tensor a caller makes is a leaf,
@@ -83,16 +85,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g):
-        if a.needs_grad:
-            _acc(a, _unbroadcast(g, a.data.shape))
-        if b.needs_grad:
-            _acc(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(a.data - b.data, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         if a.needs_grad:
@@ -101,22 +93,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
             _acc(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(a.data * b.data, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        _acc(a, -g)
-
-    return _node(-a.data, (a,), bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-
-    def bwd(g):
-        _acc(a, g * e)
-
-    return _node(e, (a,), bwd)
 
 
 # linear algebra ----------------------------------------------------
@@ -144,16 +120,6 @@ def transpose_axes(a: Tensor, axes: Sequence[int]) -> Tensor:
         _acc(a, g.transpose(inverse))
 
     return _node(a.data.transpose(axes), (a,), bwd)
-
-
-# reductions --------------------------------------------------------
-def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _acc(a, np.broadcast_to(g, a.data.shape))
-
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
 
 # structure ---------------------------------------------------------
@@ -206,17 +172,6 @@ def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax of a plain array along ``axis``."""
     e = np.exp(x - x.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    lp = shifted - lse
-
-    def bwd(g):
-        _acc(a, g - np.exp(lp) * g.sum(axis=axis, keepdims=True))
-
-    return _node(lp, (a,), bwd)
 
 
 def attention(
@@ -315,6 +270,42 @@ def gelu(a: Tensor) -> Tensor:
         _acc(a, g * local)
 
     return _node(0.5 * x * (1.0 + t), (a,), bwd)
+
+
+# losses ------------------------------------------------------------
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def nll(logits: Tensor, targets) -> Tensor:
+    """Summed negative log-softmax of each row of ``logits`` ``[n, V]`` at
+    its target id (``targets`` ``[n]``)."""
+    picked = (np.arange(len(targets)), np.asarray(targets, dtype=np.intp))
+    lp = _log_softmax(logits.data)
+
+    def bwd(g):
+        buf = np.zeros_like(lp)
+        buf[picked] = -g
+        _acc(logits, buf - np.exp(lp) * buf.sum(axis=-1, keepdims=True))
+
+    return _node(-lp[picked].sum(), (logits,), bwd)
+
+
+def kl(logits: Tensor, log_r: np.ndarray) -> Tensor:
+    """Summed KL divergence from each row's softmax to ``exp(log_r)``, for
+    ``logits`` and a constant ``log_r`` of the same shape ``[n, V]``."""
+    lp = _log_softmax(logits.data)
+    p = np.exp(lp)
+    diff = lp - log_r
+
+    def bwd(g):
+        # g*p reaches lp through diff, g*diff*p through p = exp(lp): the
+        # first sums to zero only in exact arithmetic, so it is kept
+        glp = g * p + g * diff * p
+        _acc(logits, glp - p * glp.sum(axis=-1, keepdims=True))
+
+    return _node((p * diff).sum(), (logits,), bwd)
 
 
 def backward(result: Tensor) -> None:

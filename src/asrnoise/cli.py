@@ -172,6 +172,12 @@ def _cmd_train(args, config) -> int:
     lexicon = _load_lexicon(args)
     pairs = _parse_file(corpus_mod.load_pairs_tsv, args.input)
     vocab = _parse_file(corpus_mod.SubwordVocab.load, args.vocab)
+    for pair in pairs:
+        n_tokens = len(corpus_mod.tokenize(pair.gt, vocab))
+        if n_tokens > model_config.max_len:
+            raise MalformedInputError(
+                f"{args.input}: line {int(pair.id) + 1}: {n_tokens} tokens exceed max_len={model_config.max_len}"
+            )
     alignments = [corpus_mod.align_pair(p.gt, p.asr, lexicon) for p in pairs]
     items = corpus_mod.build_training_items(
         alignments, vocab, [p.id for p in pairs], max_target_len=model_config.max_gen_len

@@ -14,6 +14,7 @@ costs (:func:`unit_costs`).
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -35,7 +36,9 @@ _NORMALIZE_RE = re.compile(r"[^a-z0-9 ]+")
 
 
 def normalize(text: str) -> str:
-    """Lowercase, drop punctuation, collapse whitespace."""
+    """Fold accents (NFKD, combining marks dropped), lowercase, drop punctuation, collapse whitespace."""
+    if not text.isascii():
+        text = "".join(ch for ch in unicodedata.normalize("NFKD", text) if not unicodedata.combining(ch))
     return " ".join(_NORMALIZE_RE.sub(" ", text.lower()).split())
 
 

@@ -86,10 +86,11 @@ def _pick_greedy(p: np.ndarray) -> int:
 
 def _pick_sample(p: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
     # shift before scaling: at a tiny temperature the likeliest token keeps
-    # weight 1 and the others overflow to -inf, i.e. weight 0
-    logp = np.log(np.maximum(p, 1e-300))
-    logp -= logp.max()
-    with np.errstate(over="ignore"):
+    # weight 1 and the others overflow to -inf, i.e. weight 0, as a token of
+    # probability 0 does at any temperature
+    with np.errstate(divide="ignore", over="ignore"):
+        logp = np.log(p)
+        logp -= logp.max()
         logp /= temperature
     weights = np.exp(logp)
     weights /= weights.sum()

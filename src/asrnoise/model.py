@@ -24,6 +24,9 @@ tokens) adds -inf to the attention scores of padded keys, so padding gets
 exactly zero weight.  Query rows never attend to each other, so padded query
 rows only compute values that are dropped before the vocabulary-wide heads.
 Decoding runs a batch of one, which has no padding and so takes no mask.
+The loss is two engine ops over the teacher-forced steps: ``nll`` of the
+word head at the targets, plus ``lambda_ph`` times ``kl`` from the phoneme
+head to each supervised step's floored supervision distribution.
 
 Training and decoding run the same block functions.  Decoding wraps the
 parameters as tensors that need no gradient, so its forward passes build no
@@ -165,7 +168,8 @@ class Model:
     config: ModelConfig
     vocab: SubwordVocab
     code_index: PhonemeCodeIndex
-    #: 1.0 at special-token indices, 0.0 elsewhere
+    #: ``[2, V]``: row 0 is 1.0 at the special pieces, row 1 at [EOS] alone,
+    #: the one special piece decoding may emit (see :func:`combine_heads`)
     special_mask: np.ndarray = field(init=False, repr=False, compare=False)
     _supervision_logs: dict[str, np.ndarray] = field(
         init=False, default_factory=dict, repr=False, compare=False
@@ -186,7 +190,8 @@ class Model:
         for name, shape in expected.items():
             if self.params[name].shape != shape or not np.all(np.isfinite(self.params[name])):
                 raise ValueError(f"parameter {name} is not a finite array of shape {shape}")
-        self.special_mask = np.asarray([1.0 if p in SPECIALS else 0.0 for p in self.vocab.pieces])
+        ids = np.arange(n_words)
+        self.special_mask = np.asarray([np.isin(self.vocab.pieces, SPECIALS), ids == self.vocab.eos_id], dtype=float)
 
     @classmethod
     def build(
@@ -372,13 +377,12 @@ def step_distributions(
     """Word-head, phoneme-head and combined distributions over the vocabulary.
 
     The combined distribution is the renormalized elementwise product of the
-    two heads over pronounceable tokens.  Special tokens ([BOS]/[EOS]/[UNK])
-    have no pronunciation, and their supervision mass is floored to nothing,
-    so the product would starve them of probability and generation could
-    never stop; instead they keep their word-head probability exactly, which
-    is the product rule with the content-average phoneme factor standing in
-    for their undefined phoneme score.  A uniform phoneme head therefore
-    leaves the word-head distribution unchanged.
+    two heads over pronounceable tokens.  [EOS] has no pronunciation, and
+    its supervision mass is floored to nothing, so the product would starve
+    it and generation could never stop; instead the content-average phoneme
+    factor stands in for its phoneme score.  [BOS] and [UNK] get no mass, so
+    decoding never writes them.  A uniform phoneme head, or none, therefore
+    leaves the word head over the other pieces, renormalized.
     """
     logits_n, logits_ph = _head_logits(d_k, params, config, token_code_rows)
     return combine_heads(logits_n, logits_ph, special_mask)
@@ -391,21 +395,20 @@ def combine_heads(
 ) -> tuple[Tensor, Optional[Tensor], Tensor]:
     """The distributions of :func:`step_distributions` from the head logits.
 
-    No loss differentiates them, so this is plain numpy on the logits'
-    values, and the returned tensors need no gradient.
+    ``special_mask`` is :attr:`Model.special_mask`.  No loss differentiates
+    the distributions, so this is plain numpy on the logits' values, and the
+    returned tensors need no gradient.
     """
+    special, eos = special_mask
+    content = 1.0 - special
     p_n = ad.softmax_array(logits_n.data)
-    if logits_ph is None:
-        out = Tensor(p_n, needs_grad=False)
-        return out, None, out
-    p_ph = ad.softmax_array(logits_ph.data)
-    content = 1.0 - special_mask
-    prod = p_n * p_ph
-    prod_content = prod * content
+    p_ph = None if logits_ph is None else ad.softmax_array(logits_ph.data)
+    # without a phoneme head every phoneme factor, and so their mean, is 1
+    prod_content = p_n * content if p_ph is None else p_n * p_ph * content
     mean_factor = prod_content.sum(axis=-1, keepdims=True) / (p_n * content).sum(axis=-1, keepdims=True)
-    unnorm = prod_content + p_n * special_mask * mean_factor
+    unnorm = prod_content + p_n * eos * mean_factor
     p_gen = unnorm / unnorm.sum(axis=-1, keepdims=True)
-    return tuple(Tensor(p, needs_grad=False) for p in (p_n, p_ph, p_gen))
+    return tuple(None if p is None else Tensor(p, needs_grad=False) for p in (p_n, p_ph, p_gen))
 
 
 @dataclass
@@ -465,8 +468,7 @@ def _loss_graph(
     step_pos = np.concatenate([np.arange(len(t)) for t in targets])
     logits_n, logits_ph = _head_logits(ad.select(hidden, step_item, step_pos), params, config, rows_map)
     target_ids = np.concatenate(targets).astype(np.intp)
-    lp_n = ad.log_softmax(logits_n, axis=-1)
-    l_n = ad.neg(ad.sum_(ad.select(lp_n, np.arange(len(target_ids)), target_ids)))
+    l_n = ad.nll(logits_n, target_ids)
 
     l_ph = Tensor(0.0, needs_grad=False)
     if logits_ph is not None and config.lambda_ph != 0.0:
@@ -483,9 +485,7 @@ def _loss_graph(
             step_rows.append(n)
             r_logs.append(r_log)
         if step_rows:
-            lp_ph = ad.log_softmax(ad.rows(logits_ph, step_rows), axis=-1)
-            p_ph = ad.exp(lp_ph)
-            l_ph = ad.sum_(ad.mul(p_ph, ad.sub(lp_ph, Tensor(np.asarray(r_logs), needs_grad=False))))
+            l_ph = ad.kl(ad.rows(logits_ph, step_rows), np.asarray(r_logs))
     l_tot = ad.add(l_n, ad.mul(Tensor(config.lambda_ph, needs_grad=False), l_ph))
     return LossGraph(l_tot, l_n, l_ph, params, logits_n, logits_ph, target_ids)
 

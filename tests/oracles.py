@@ -3,10 +3,11 @@
 Almost everything here is deliberately written without the package's dynamic
 program or autodiff engine: the edit distance is a memoized recursion, the
 network forwards are straight formula transcriptions (numpy or mpmath).  The
-exception is the three composed autodiff ops at the end (``matmul``,
-``reshape``, ``softmax``): the model runs none of them, and the tests build
-the composed references for the fused ``linear``/``attention`` kernels from
-them on the engine's own node primitives.
+exception is the composed autodiff ops at the end (``sub``, ``neg``, ``exp``,
+``matmul``, ``reshape``, ``sum_``, ``softmax``, ``log_softmax``): the model
+runs none of them, and the tests build the composed references for the fused
+``linear``/``attention`` kernels and the ``nll``/``kl`` losses from them on
+the engine's own node primitives.
 """
 from functools import lru_cache
 
@@ -251,6 +252,32 @@ def loss_reference(model, example, lexicon):
 
 
 # composed autodiff ops ---------------------------------------------
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    def bwd(g):
+        if a.needs_grad:
+            _acc(a, _unbroadcast(g, a.data.shape))
+        if b.needs_grad:
+            _acc(b, _unbroadcast(-g, b.data.shape))
+
+    return _node(a.data - b.data, (a, b), bwd)
+
+
+def neg(a: Tensor) -> Tensor:
+    def bwd(g):
+        _acc(a, -g)
+
+    return _node(-a.data, (a,), bwd)
+
+
+def exp(a: Tensor) -> Tensor:
+    e = np.exp(a.data)
+
+    def bwd(g):
+        _acc(a, g * e)
+
+    return _node(e, (a,), bwd)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading (stack) axes broadcast."""
 
@@ -278,3 +305,23 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         _acc(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
 
     return _node(p, (a,), bwd)
+
+
+def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _acc(a, np.broadcast_to(g, a.data.shape))
+
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    lp = shifted - lse
+
+    def bwd(g):
+        _acc(a, g - np.exp(lp) * g.sum(axis=axis, keepdims=True))
+
+    return _node(lp, (a,), bwd)

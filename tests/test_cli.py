@@ -179,6 +179,25 @@ class TestCommands:
         l_tot, _, _ = loss_total(items, model, lexicon)
         assert np.isfinite(float(l_tot.data))
 
+    def test_train_rejects_an_over_long_line_by_number_before_aligning(self, tmp_path, capsys, monkeypatch):
+        corpus_path = tmp_path / "corpus.tsv"
+        long_gt, long_asr = " ".join(["cat"] * 80), " ".join(["cap"] * 80)
+        corpus_path.write_text(f"the cat\tthe cap\na cap\ta cat\n{long_gt}\t{long_asr}\nthe cap\tthe cat\n")
+        vocab_path = tmp_path / "vocab.txt"
+        assert cli.main(["vocab", str(corpus_path), "--out", str(vocab_path), "--size", "40"]) == 0
+        capsys.readouterr()
+
+        def no_alignment(*args):
+            raise AssertionError("aligned before the length check")
+
+        monkeypatch.setattr(C, "align_pair", no_alignment)
+        ckpt = tmp_path / "model.ckpt"
+        rc = cli.main(["train", str(corpus_path), "--vocab", str(vocab_path), "--checkpoint", str(ckpt)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"data error: {corpus_path}: line 3: 80 tokens exceed max_len=64" in err
+        assert not ckpt.exists()
+
     def test_config_parse_error_exit_code(self, tmp_path):
         corpus_path, _ = _write_corpus(tmp_path)
         cfg = tmp_path / "bad.cfg"

@@ -17,6 +17,13 @@ class TestNormalize:
         assert C.normalize("  a\t b \n c ") == "a b c"
         assert C.normalize("\u3000a\u00a0-\u2009b.\x1f") == "a b"
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("naïve café", "naive cafe"), ("Ångström", "angstrom"), ("ﬁne", "fine"), ("İstanbul", "istanbul")],
+    )
+    def test_accents_and_compatibility_forms_fold(self, text, expected):
+        assert C.normalize(text) == expected
+
 
 @st.composite
 def _small_alphabet_corpora(draw):

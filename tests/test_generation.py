@@ -54,6 +54,12 @@ class TestPickSample:
         assert G._pick_sample(np.array([0.7, 0.2, 0.1]), 1e-310, np.random.default_rng(0)) == 0
         assert G._pick_sample(np.array([0.1, 0.2, 0.7]), 1e-310, np.random.default_rng(0)) == 2
 
+    def test_zero_probability_is_never_drawn(self):
+        # a floored log would give it nearly a third of the draws at this temperature
+        rng = np.random.default_rng(0)
+        p = np.array([0.0, 0.5, 0.5])
+        assert 0 not in {G._pick_sample(p, 1e6, rng) for _ in range(200)}
+
     def test_nonfinite_weights_rejected(self):
         with pytest.raises(ValueError):
             G._pick_sample(np.array([0.5, np.nan, 0.5]), 1.0, np.random.default_rng(0))
@@ -290,6 +296,24 @@ class TestCorruptCorpus:
         short = G.corrupt_corpus([texts[0], "sue", texts[2]], model, p_z=1.0, seed=1)
         assert [outputs[0], outputs[2]] == [short[0][0], short[0][2]]
         assert records == [r for r in short[1] if r.sentence_id != "1"]
+
+    def test_decoding_never_writes_bos_or_unk(self, small_corpus, small_model, monkeypatch):
+        # untrained, the word head gives [BOS] and [UNK] mass like any piece
+        bos, unk = small_model.vocab.bos_id, small_model.vocab.unk_id
+        seen = []
+
+        def recording(*args):
+            dists = M.step_distributions(*args)
+            seen.append(dists[2].data[0, [bos, unk]])
+            return dists
+
+        monkeypatch.setattr(G, "step_distributions", recording)
+        texts = [pair.gt for pair in small_corpus[40:]]
+        outputs, records = G.corrupt_corpus(texts, small_model, p_z=0.5, seed=1)
+        assert len(outputs) == 40 and records and seen
+        assert not any("[" in line for line in outputs)
+        assert not any({bos, unk} & set(r.span.token_ids) for r in records)
+        assert np.all(np.asarray(seen) == 0.0)
 
     def test_deterministic_given_seed(self, lexicon):
         model = _toy_model(lexicon)

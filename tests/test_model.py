@@ -14,8 +14,8 @@ from asrnoise.errors import (
 )
 
 from conftest import make_token_seq
-from oracles import block_forward_mp, loss_reference, matmul
-from test_autodiff import composed_attention
+from oracles import block_forward_mp, loss_reference, matmul, sum_
+from test_autodiff import composed_attention, composed_kl, composed_nll
 
 
 def _fixture_weights(d, seed=2024):
@@ -160,7 +160,7 @@ class TestFusedBlock:
             ):
                 inputs = [Tensor(q), Tensor(kv), _as_params(w, "dec_")]
                 out = block(*inputs)
-                ad.backward(ad.sum_(ad.mul(out, g)))
+                ad.backward(sum_(ad.mul(out, g)))
                 runs.append((out, inputs))
             (fused, (fq, fkv, fp)), (composed, (cq, ckv, cp)) = runs
             assert np.array_equal(fused.data, composed.data)
@@ -395,6 +395,30 @@ class TestBatchedLossGraph:
             M.loss_total([], model, lexicon)
 
 
+class TestFusedLoss:
+    @pytest.mark.parametrize("phoneme_head", [True, False])
+    @pytest.mark.parametrize("lambda_ph", [0.0, 0.5])
+    def test_loss_equals_composed_ops_bit_for_bit(self, lexicon, monkeypatch, phoneme_head, lambda_ph):
+        base = _toy_model(lexicon, phoneme_head=phoneme_head)
+        model = M.Model(base.params, replace(base.config, lambda_ph=lambda_ph), base.vocab, base.code_index)
+        batch = _mixed_batch(model)
+        runs = []
+        for use_composed in (False, True):
+            if use_composed:
+                monkeypatch.setattr(ad, "nll", composed_nll)
+                monkeypatch.setattr(ad, "kl", composed_kl)
+            graph = M._loss_graph(batch, model, lexicon)
+            ad.backward(graph.l_tot)
+            runs.append(graph)
+        fused, composed = runs
+        for name in ("l_tot", "l_n", "l_ph"):
+            assert np.array_equal(getattr(fused, name).data, getattr(composed, name).data), name
+        assert (float(fused.l_ph.data) > 0.0) == (phoneme_head and lambda_ph > 0.0)
+        for name in fused.params:
+            f, c = fused.params[name].grad, composed.params[name].grad
+            assert (f is None and c is None) or np.array_equal(f, c), name
+
+
 class TestStepDistributions:
     def _dists(self, model, seed=0):
         rng = np.random.default_rng(seed)
@@ -427,23 +451,28 @@ class TestStepDistributions:
         model.code_index.token_rows = np.zeros(n, dtype=np.intp)
         p_n, p_ph, p_gen = self._dists(model)
         np.testing.assert_allclose(p_ph.data, np.full((1, n), 1.0 / n), atol=1e-12)
-        np.testing.assert_allclose(p_gen.data, p_n.data, atol=1e-12)
+        np.testing.assert_allclose(p_gen.data, _without_bos_unk(model, p_n.data), atol=1e-12)
 
-    def test_specials_keep_word_head_probability(self, lexicon):
-        model = _toy_model(lexicon)
-        p_n, _, p_gen = self._dists(model)
-        for piece in ("[BOS]", "[EOS]", "[UNK]"):
-            idx = model.vocab.piece_to_id[piece]
-            assert p_gen.data[0, idx] == pytest.approx(p_n.data[0, idx], abs=1e-12)
+    def test_eos_keeps_word_head_probability_bos_and_unk_get_none(self, lexicon):
+        for phoneme_head in (True, False):
+            model = _toy_model(lexicon, phoneme_head=phoneme_head)
+            for seed in range(5):
+                p_n, _, p_gen = self._dists(model, seed)
+                kept = _without_bos_unk(model, p_n.data)
+                eos = model.vocab.eos_id
+                assert p_gen.data[0, eos] == pytest.approx(kept[0, eos], abs=1e-12)
+                assert p_gen.data[0, model.vocab.bos_id] == 0.0
+                assert p_gen.data[0, model.vocab.unk_id] == 0.0
 
     def test_product_rule_hand_arithmetic(self, lexicon):
         model = _toy_model(lexicon)
         p_n, p_ph, p_gen = self._dists(model)
         pn, pph = p_n.data[0], p_ph.data[0]
-        special = model.special_mask.astype(bool)
+        special = np.isin(model.vocab.pieces, C.SPECIALS)
         content = ~special
         factor = (pn[content] * pph[content]).sum() / pn[content].sum()
-        expected = np.where(special, pn * factor, pn * pph)
+        expected = np.where(special, 0.0, pn * pph)
+        expected[model.vocab.eos_id] = pn[model.vocab.eos_id] * factor
         expected /= expected.sum()
         np.testing.assert_allclose(p_gen.data[0], expected, atol=1e-12)
 
@@ -451,7 +480,14 @@ class TestStepDistributions:
         model = _toy_model(lexicon, phoneme_head=False)
         p_n, p_ph, p_gen = self._dists(model)
         assert p_ph is None
-        np.testing.assert_array_equal(p_gen.data, p_n.data)
+        np.testing.assert_array_equal(p_gen.data, _without_bos_unk(model, p_n.data))
+
+
+def _without_bos_unk(model, p):
+    """``p`` with [BOS] and [UNK] zeroed, renormalized."""
+    kept = p.copy()
+    kept[:, [model.vocab.bos_id, model.vocab.unk_id]] = 0.0
+    return kept / kept.sum(axis=-1, keepdims=True)
 
 
 class TestLoss:
