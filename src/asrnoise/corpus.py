@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import EmptyCorpusError, SizeTooSmallError
 from .phonetics import CONTINUATION_PREFIX, PronouncingLexicon, g2p, phoneme_edit_distance
@@ -57,31 +57,15 @@ class ParallelPair:
 
 
 class Token(NamedTuple):
+    """One piece of a sentence: its vocabulary id, and its source surface,
+    ``##``-prefixed when it continues a word."""
+
     piece_id: int
     surface: str
-    is_continuation: bool
 
 
-@dataclass(frozen=True)
-class TokenSeq:
-    tokens: tuple[Token, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __getitem__(self, i):
-        return self.tokens[i]
-
-    @property
-    def surfaces(self) -> tuple[str, ...]:
-        return tuple(t.surface for t in self.tokens)
-
-    @property
-    def piece_ids(self) -> tuple[int, ...]:
-        return tuple(t.piece_id for t in self.tokens)
+#: A tokenized sentence.
+TokenSeq = tuple[Token, ...]
 
 
 class SubwordVocab:
@@ -92,26 +76,22 @@ class SubwordVocab:
     """
 
     def __init__(self, pieces: Sequence[str]):
-        pieces = list(pieces)
+        self.pieces: list[str] = list(pieces)
+        self.piece_to_id: dict[str, int] = {}
+        self._initial: dict[str, int] = {}
+        self._continuation: dict[str, int] = {}
+        for i, p in enumerate(self.pieces):
+            _check_piece(p, self.piece_to_id)
+            self.piece_to_id[p] = i
+            if p not in SPECIALS:
+                rest = p.removeprefix(CONTINUATION_PREFIX)
+                (self._initial if rest == p else self._continuation)[rest] = i
         for special in SPECIALS:
-            if pieces.count(special) != 1:
-                raise ValueError(f"special piece {special} must appear exactly once")
-        if len(set(pieces)) != len(pieces):
-            raise ValueError("vocabulary pieces must be unique")
-        self.pieces: list[str] = pieces
-        self.piece_to_id: dict[str, int] = {p: i for i, p in enumerate(pieces)}
+            if special not in self.piece_to_id:
+                raise ValueError(f"special piece {special} is missing")
         self.bos_id = self.piece_to_id[BOS]
         self.eos_id = self.piece_to_id[EOS]
         self.unk_id = self.piece_to_id[UNK]
-        self._initial: dict[str, int] = {}
-        self._continuation: dict[str, int] = {}
-        for i, p in enumerate(pieces):
-            if p in SPECIALS:
-                continue
-            if p.startswith(CONTINUATION_PREFIX):
-                self._continuation[p[len(CONTINUATION_PREFIX):]] = i
-            else:
-                self._initial[p] = i
         self._max_piece_len = max((len(s) for s in (*self._initial, *self._continuation)), default=1)
 
     def __len__(self) -> int:
@@ -128,11 +108,27 @@ class SubwordVocab:
 
     @classmethod
     def load(cls, path) -> "SubwordVocab":
-        # comment lines start with a single '#'; pieces use '##'
-        return cls([
-            line for _, line in read_lines(path)
-            if line and not (line.startswith("#") and not line.startswith(CONTINUATION_PREFIX))
-        ])
+        """One piece per line; a piece the vocabulary rejects is reported by
+        line.  Comment lines start with a single ``#``; pieces use ``##``."""
+        pieces: dict[str, None] = {}
+        for number, line in read_lines(path):
+            if not line or (line.startswith("#") and not line.startswith(CONTINUATION_PREFIX)):
+                continue
+            try:
+                _check_piece(line, pieces)
+            except ValueError as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+            pieces[line] = None
+        return cls(list(pieces))
+
+
+def _check_piece(piece: str, seen) -> None:
+    """Raise ValueError for a piece already in ``seen``, or one with no
+    characters past its ``##``."""
+    if piece in seen:
+        raise ValueError(f"piece {piece!r} appears twice")
+    if not piece.removeprefix(CONTINUATION_PREFIX):
+        raise ValueError(f"piece {piece!r} has no characters")
 
 
 def _word_symbols(word: str) -> list[str]:
@@ -242,30 +238,25 @@ def tokenize_word(word: str, vocab: SubwordVocab) -> list[Token]:
         surface = word[pos:pos + match_len]
         if pos > 0:
             surface = CONTINUATION_PREFIX + surface
-        tokens.append(Token(match_id, surface, pos > 0))
+        tokens.append(Token(match_id, surface))
         pos += match_len
     return tokens
 
 
 def tokenize(text: str, vocab: SubwordVocab) -> TokenSeq:
     """Normalize and segment a sentence into subword tokens."""
-    tokens: list[Token] = []
-    for word in normalize(text).split():
-        tokens.extend(tokenize_word(word, vocab))
-    return TokenSeq(tuple(tokens))
+    return tuple(t for word in normalize(text).split() for t in tokenize_word(word, vocab))
 
 
-def detokenize(tokens: TokenSeq | Sequence[Token]) -> str:
-    """Rebuild surface text; continuation tokens glue onto the current word."""
+def detokenize(tokens: Iterable[Token]) -> str:
+    """Rebuild surface text: a ``##`` surface glues onto the current word."""
     words: list[str] = []
-    for tok in tokens:
-        surface = tok.surface
-        if surface.startswith(CONTINUATION_PREFIX):
-            surface = surface[len(CONTINUATION_PREFIX):]
-        if tok.is_continuation and words:
-            words[-1] += surface
+    for _, surface in tokens:
+        word = surface.removeprefix(CONTINUATION_PREFIX)
+        if word != surface and words:
+            words[-1] += word
         else:
-            words.append(surface)
+            words.append(word)
     return " ".join(words)
 
 
@@ -438,7 +429,7 @@ def build_training_items(
     for pair_idx, entries in enumerate(alignments):
         sid = sentence_ids[pair_idx] if sentence_ids is not None else str(pair_idx)
         word_tokens = [tokenize_word(e.gt_word, vocab) for e in entries]
-        sentence = TokenSeq(tuple(t for toks in word_tokens for t in toks))
+        sentence = tuple(t for toks in word_tokens for t in toks)
         offset = 0
         for entry, gt_toks in zip(entries, word_tokens):
             if entry.label == MATCH:

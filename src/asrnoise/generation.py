@@ -2,8 +2,8 @@
 
 Corrupted positions each decode a short token span ending in [EOS]; the
 span's length classifies the error (one token is a deletion, two a
-substitution, more an insertion).  Untouched positions pass through, and the
-surface text is rebuilt with the ``##`` glue rule.
+substitution, more an insertion).  Untouched positions pass through, and
+:func:`corpus.detokenize` rebuilds the surface text.
 """
 from __future__ import annotations
 
@@ -26,9 +26,8 @@ from .corpus import (
     tokenize,
 )
 from .errors import OutOfRangeError, PlanMismatchError
-from .intervention import CorruptionPlan, sample_plan_interventional
+from .intervention import CorruptionPlan, check_prior, sample_plan_interventional
 from .model import Model, _wrap_params, decoder_hidden, embed_sequence, encode, step_distributions
-from .phonetics import CONTINUATION_PREFIX
 from .rng import derive_seed
 from .textio import write_lines
 
@@ -149,17 +148,13 @@ def generate_span(
         generated.append(vocab.eos_id)
 
     surfaces = tuple(vocab.surface(t) for t in generated)
-    replacement_tokens = [
-        Token(t, s, s.startswith(CONTINUATION_PREFIX))
-        for t, s in zip(generated[:-1], surfaces[:-1])
-    ]
     return GeneratedSpan(
         position=position,
         original=original,
         token_ids=tuple(generated),
         surfaces=surfaces,
         error_type=classify_error(len(generated), config.max_gen_len),
-        replacement=detokenize(replacement_tokens),
+        replacement=detokenize(map(Token, generated[:-1], surfaces[:-1])),
     )
 
 
@@ -184,8 +179,7 @@ def assemble(tokens: TokenSeq, plan: CorruptionPlan, spans: Sequence[GeneratedSp
             stream.append(token)
             continue
         span = by_position[k]
-        for tid, surface in zip(span.token_ids[:-1], span.surfaces[:-1]):
-            stream.append(Token(tid, surface, surface.startswith(CONTINUATION_PREFIX)))
+        stream.extend(map(Token, span.token_ids[:-1], span.surfaces[:-1]))
     return detokenize(stream)
 
 
@@ -211,6 +205,7 @@ def corrupt_corpus(
     tokenized and detokenized, with no plan sampled and no span decoded.
     """
     check_decoding(mode, temperature)
+    check_prior(p_z, "corruption prior")
     params = _wrap_params(model.params, needs_grad=False)
     config = model.config
     rows_map = model.code_index.token_rows
@@ -225,7 +220,7 @@ def corrupt_corpus(
         plan = sample_plan_interventional(tokens, p_z, sentence_seed)
         spans: list[GeneratedSpan] = []
         if plan.corruption_count:
-            e_in = embed_sequence([tokens.piece_ids], params, config, rows_map)
+            e_in = embed_sequence([[t.piece_id for t in tokens]], params, config, rows_map)
             e_enc = encode(e_in, params, config)
             for k in plan.corrupted_positions:
                 spans.append(

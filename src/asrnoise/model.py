@@ -171,7 +171,7 @@ class Model:
     #: ``[2, V]``: row 0 is 1.0 at the special pieces, row 1 at [EOS] alone,
     #: the one special piece decoding may emit (see :func:`combine_heads`)
     special_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    _supervision_logs: dict[str, np.ndarray] = field(
+    _supervision_logs: dict[int, Optional[np.ndarray]] = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
 
@@ -213,15 +213,19 @@ class Model:
     def r_support(self) -> list[Optional[str]]:
         return [None if p in SPECIALS else p for p in self.vocab.pieces]
 
-    def supervision_log(self, surface: str, lexicon: PronouncingLexicon) -> np.ndarray:
-        """Floored log of a target's supervision distribution over the
-        vocabulary, cached per target surface."""
-        vec = self._supervision_logs.get(surface)
-        if vec is None:
-            r = supervision_distribution(surface, self.r_support(), lexicon)
-            vec = np.log(np.maximum(r, R_FLOOR))
-            self._supervision_logs[surface] = vec
-        return vec
+    def supervision_log(self, target_id: int, lexicon: PronouncingLexicon) -> Optional[np.ndarray]:
+        """Floored log of piece ``target_id``'s supervision distribution over
+        the vocabulary, or None for a special piece or a piece phonetically
+        disjoint from the vocabulary; cached per piece, None included."""
+        if target_id not in self._supervision_logs:
+            piece, vec = self.vocab.pieces[target_id], None
+            if piece not in SPECIALS:
+                try:
+                    vec = np.log(np.maximum(supervision_distribution(piece, self.r_support(), lexicon), R_FLOOR))
+                except DegenerateSupportError:
+                    pass
+            self._supervision_logs[target_id] = vec
+        return self._supervision_logs[target_id]
 
 
 def _wrap_params(params: dict[str, np.ndarray], needs_grad: bool = True) -> dict[str, Tensor]:
@@ -447,10 +451,9 @@ def _loss_graph(
     config = model.config
     params = _wrap_params(model.params, needs_grad)
     rows_map = model.code_index.token_rows
-    unsupervised = (model.vocab.eos_id, model.vocab.unk_id)
 
     # one encoder row per distinct sentence, in order of first appearance
-    keys = [example.sentence.piece_ids for example in batch]
+    keys = [tuple(t.piece_id for t in example.sentence) for example in batch]
     sentences = list(dict.fromkeys(keys))
     slot = {sentence: i for i, sentence in enumerate(sentences)}
     ids = _pad(sentences)
@@ -472,20 +475,10 @@ def _loss_graph(
 
     l_ph = Tensor(0.0, needs_grad=False)
     if logits_ph is not None and config.lambda_ph != 0.0:
-        step_rows = []
-        r_logs = []
-        surfaces = (s for example in batch for s in example.target_surfaces)
-        for n, (tid, surface) in enumerate(zip(target_ids, surfaces)):
-            if tid in unsupervised:
-                continue
-            try:
-                r_log = model.supervision_log(surface, lexicon)
-            except DegenerateSupportError:
-                continue
-            step_rows.append(n)
-            r_logs.append(r_log)
+        r_logs = [model.supervision_log(tid, lexicon) for tid in target_ids.tolist()]
+        step_rows = [n for n, r_log in enumerate(r_logs) if r_log is not None]
         if step_rows:
-            l_ph = ad.kl(ad.rows(logits_ph, step_rows), np.asarray(r_logs))
+            l_ph = ad.kl(ad.rows(logits_ph, step_rows), np.asarray([r_logs[n] for n in step_rows]))
     l_tot = ad.add(l_n, ad.mul(Tensor(config.lambda_ph, needs_grad=False), l_ph))
     return LossGraph(l_tot, l_n, l_ph, params, logits_n, logits_ph, target_ids)
 
@@ -497,10 +490,11 @@ def loss_total(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Word-head negative log likelihood plus weighted phoneme-head KL.
 
-    The phoneme term sums, over teacher-forcing steps whose target is
-    neither [EOS] nor [UNK] (neither has a pronunciation), the KL
-    divergence from the phoneme-head distribution to the supervision
-    distribution of the step's target token (floored outside its support).
+    The phoneme term sums, over teacher-forcing steps whose target piece has
+    a supervision row (:meth:`Model.supervision_log`: not a special piece,
+    and not phonetically disjoint from the vocabulary), the KL divergence
+    from the phoneme-head distribution to the supervision distribution of
+    the step's target piece (floored outside its support).
     """
     graph = _loss_graph(batch, model, lexicon)
     return graph.l_tot, graph.l_n, graph.l_ph

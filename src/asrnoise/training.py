@@ -111,7 +111,7 @@ def train(
     """
     if not items:
         raise ValueError("cannot train on an empty item list")
-    longest_sentence = max(len(item.sentence.piece_ids) for item in items)
+    longest_sentence = max(len(item.sentence) for item in items)
     if longest_sentence > model.config.max_len:
         raise SequenceTooLongError(
             f"an item sentence has {longest_sentence} tokens but max_len is {model.config.max_len}"

@@ -66,8 +66,4 @@ def small_model(small_setup, lexicon):
 
 def make_token_seq(vocab, pieces):
     """TokenSeq from explicit piece surfaces (## marks continuations)."""
-    tokens = []
-    for piece in pieces:
-        pid = vocab.piece_to_id[piece]
-        tokens.append(corpus_mod.Token(pid, piece, piece.startswith("##")))
-    return corpus_mod.TokenSeq(tuple(tokens))
+    return tuple(corpus_mod.Token(vocab.piece_to_id[piece], piece) for piece in pieces)

@@ -267,6 +267,22 @@ class TestCommands:
         assert rc == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["##", "[UNK]"], ids=["bare-continuation-prefix", "duplicate"])
+    def test_bad_vocab_piece_is_rejected_by_line_before_training(self, tmp_path, monkeypatch, capsys, bad):
+        corpus_path, _ = _write_corpus(tmp_path)
+        vocab_path = tmp_path / "vocab.txt"
+        assert cli.main(["vocab", str(corpus_path), "--out", str(vocab_path), "--size", "40"]) == 0
+        n_lines = len(vocab_path.read_text().splitlines())
+        vocab_path.write_text(vocab_path.read_text() + bad + "\n")
+        monkeypatch.setattr(cli.corpus_mod, "align_pair", None)  # rejected before any pair is aligned
+        rc = cli.main(
+            ["train", str(corpus_path), "--vocab", str(vocab_path), "--checkpoint", str(tmp_path / "m.ckpt")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{vocab_path}: line {n_lines + 1}: piece '{bad}'" in err
+        assert "Traceback" not in err
+
     def test_internal_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch, capsys):
         texts = tmp_path / "texts.txt"
         texts.write_text("the cue\n")

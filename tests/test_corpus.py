@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -74,7 +76,7 @@ class TestInduceVocab:
 
 class TestTokenize:
     def test_greedy_longest_match(self, fixture_vocab):
-        assert C.tokenize("as bestial", fixture_vocab).surfaces == ("as", "best", "##ial")
+        assert [t.surface for t in C.tokenize("as bestial", fixture_vocab)] == ["as", "best", "##ial"]
 
     def test_detokenize_glue_rule(self, fixture_vocab):
         seq = make_token_seq(fixture_vocab, ["as", "best", "at", "##ial"])
@@ -86,13 +88,12 @@ class TestTokenize:
 
     def test_unknown_character_becomes_unk(self, fixture_vocab):
         seq = C.tokenize("z", fixture_vocab)
-        assert seq.tokens[0].piece_id == fixture_vocab.unk_id
+        assert seq[0].piece_id == fixture_vocab.unk_id
 
     def test_unknown_character_keeps_its_surface(self):
         vocab = C.SubwordVocab(["[BOS]", "[EOS]", "[UNK]", "e", "b", "r", "a", "u", "i"])
         seq = C.tokenize("zebra quiz", vocab)
-        unknown = [(t.surface, t.is_continuation) for t in seq if t.piece_id == vocab.unk_id]
-        assert unknown == [("z", False), ("q", False), ("##z", True)]
+        assert [t.surface for t in seq if t.piece_id == vocab.unk_id] == ["z", "q", "##z"]
         assert C.detokenize(seq) == "zebra quiz"
 
     def test_single_char_continuation_fallback(self):
@@ -119,6 +120,36 @@ class TestTokenize:
         fixture_vocab.save(path, header="test artifact")
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
         assert C.SubwordVocab.load(path).pieces == fixture_vocab.pieces
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("##", "line 6: piece '##' has no characters"), ("a", "line 6: piece 'a' appears twice")],
+        ids=["bare-continuation-prefix", "duplicate"],
+    )
+    def test_bad_vocab_line_is_rejected_by_number(self, tmp_path, bad, message):
+        path = tmp_path / "vocab.txt"
+        path.write_text("# produced-by: asrnoise vocab\n[BOS]\n[EOS]\n[UNK]\na\n" + bad + "\n##b\n")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            C.SubwordVocab.load(path)
+
+    @pytest.mark.parametrize("bad", ["", "##", "[EOS]"], ids=["empty", "bare-continuation-prefix", "repeated"])
+    def test_vocab_rejects_an_empty_or_repeated_piece(self, bad):
+        with pytest.raises(ValueError, match="piece"):
+            C.SubwordVocab(["[BOS]", "[EOS]", "[UNK]", "a", bad])
+
+
+def test_only_corpus_reads_surfaces_past_the_tokenizer():
+    """Past ``corpus``, asrnoise works on piece ids: the ``##`` glue rule and
+    the target surfaces stay in ``corpus`` (``phonetics.g2p`` strips ``##`` to
+    pronounce a piece), so ``generation`` and ``model`` never read them."""
+    src = Path(C.__file__).parent
+    named = {
+        module.name: {name for name in ("CONTINUATION_PREFIX", "target_surfaces", "##")
+                      if name in module.read_text(encoding="utf-8")}
+        for module in sorted(src.glob("*.py"))
+    }
+    assert {name for name, found in named.items() if found} == {"corpus.py", "phonetics.py"}
+    assert "target_surfaces" not in named["phonetics.py"]
 
 
 class TestLoadPairs:

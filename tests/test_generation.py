@@ -7,7 +7,7 @@ from asrnoise import autodiff as ad
 from asrnoise import corpus as C
 from asrnoise import generation as G
 from asrnoise import model as M
-from asrnoise.errors import OutOfRangeError, PlanMismatchError
+from asrnoise.errors import OutOfRangeError, PlanMismatchError, PriorOutOfRangeError
 from asrnoise.intervention import CorruptionPlan
 from asrnoise.phonetics import default_lexicon
 
@@ -78,7 +78,7 @@ def _toy_model(lexicon, phoneme_head=True):
 def _encode_text(model, text):
     params = M._wrap_params(model.params)
     tokens = C.tokenize(text, model.vocab)
-    e_in = M.embed_sequence([tokens.piece_ids], params, model.config, model.code_index.token_rows)
+    e_in = M.embed_sequence([[t.piece_id for t in tokens]], params, model.config, model.code_index.token_rows)
     return tokens, M.encode(e_in, params, model.config)
 
 
@@ -161,7 +161,7 @@ class TestGenerateSpan:
         monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
         params = M._wrap_params(model.params, needs_grad=False)
         tokens = C.tokenize("the cue gag sue", model.vocab)
-        e_in = M.embed_sequence([tokens.piece_ids], params, model.config, model.code_index.token_rows)
+        e_in = M.embed_sequence([[t.piece_id for t in tokens]], params, model.config, model.code_index.token_rows)
         e_enc = M.encode(e_in, params, model.config)
         spans = [G.generate_span(e_enc, model, position=k, mode=G.SAMPLE, seed=k) for k in range(len(tokens))]
         assert sum(span.m for span in spans) > len(spans)  # some spans took several steps
@@ -270,6 +270,15 @@ class TestCorruptCorpus:
             G.corrupt_corpus(["the cue"], model, p_z=0.0, seed=1, mode="beam")
         with pytest.raises(ValueError):
             G.corrupt_corpus(["the cue"], model, p_z=0.0, seed=1, mode=G.SAMPLE, temperature=0.0)
+
+    @pytest.mark.parametrize("p_z", [2.0, -1.0, float("nan")])
+    def test_bad_prior_rejected_before_any_line(self, lexicon, p_z):
+        model = _toy_model(lexicon)
+        long_line = " ".join(["the cue gag sue"] * 6)
+        # no text, or only a line too long to encode: no plan is ever sampled
+        for texts in ([], [long_line]):
+            with pytest.raises(PriorOutOfRangeError):
+                G.corrupt_corpus(texts, model, p_z=p_z, seed=1)
 
     def test_subnormal_temperature_decodes_every_span(self, lexicon):
         model = _toy_model(lexicon)

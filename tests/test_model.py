@@ -8,6 +8,7 @@ from asrnoise import corpus as C
 from asrnoise import model as M
 from asrnoise.autodiff import Tensor
 from asrnoise.errors import (
+    DegenerateSupportError,
     NonFiniteGradientError,
     PrefixTooLongError,
     SequenceTooLongError,
@@ -551,6 +552,59 @@ class TestLoss:
         model.params["m_word"][0, 0] = np.nan
         with pytest.raises(NonFiniteGradientError):
             M.backward_and_check(model, batch, lexicon)
+
+
+def _counting_supervision(monkeypatch, degenerate=False):
+    """Record the target of every ``supervision_distribution`` call the model
+    makes; with ``degenerate`` every call raises DegenerateSupportError."""
+    calls = []
+    real = M.supervision_distribution
+
+    def counted(target, support, lexicon):
+        calls.append(target)
+        if degenerate:
+            raise DegenerateSupportError(f"target {target!r}")
+        return real(target, support, lexicon)
+
+    monkeypatch.setattr(M, "supervision_distribution", counted)
+    return calls
+
+
+class TestSupervisionLog:
+    def test_special_pieces_have_no_row(self, lexicon, monkeypatch):
+        model = _toy_model(lexicon)
+        calls = _counting_supervision(monkeypatch)
+        for special in ("[BOS]", "[EOS]", "[UNK]"):
+            assert model.supervision_log(model.vocab.piece_to_id[special], lexicon) is None
+        assert calls == []
+
+    def test_row_is_the_floored_log_of_the_piece_distribution(self, lexicon):
+        model = _toy_model(lexicon)
+        r = M.supervision_distribution("cue", model.r_support(), lexicon)
+        got = model.supervision_log(model.vocab.piece_to_id["cue"], lexicon)
+        np.testing.assert_array_equal(got, np.log(np.maximum(r, M.R_FLOOR)))
+
+    def test_degenerate_target_is_computed_once(self, lexicon, monkeypatch):
+        model = _toy_model(lexicon)
+        batch = [_item(model, "s", ["the", "cue", "gag"], 1, ["sue"])]
+        calls = _counting_supervision(monkeypatch, degenerate=True)
+        for _ in range(2):
+            graph = M._loss_graph(batch, model, lexicon)
+            assert float(graph.l_ph.data) == 0.0
+        assert calls == ["sue"]
+
+    def test_initial_and_continuation_surfaces_share_one_row(self, lexicon, monkeypatch):
+        vocab = C.SubwordVocab(["[BOS]", "[EOS]", "[UNK]", "a", "b"])
+        model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=8, n_heads=2), seed=5)
+        alignments = [C.align_pair("b", "ba", lexicon), C.align_pair("b", "a", lexicon)]
+        batch = C.build_training_items(alignments, vocab)
+        surfaces = {s for item in batch for s in item.target_surfaces}
+        assert {"a", "##a"} <= surfaces
+        calls = _counting_supervision(monkeypatch)
+        M._loss_graph(batch, model, lexicon)
+        assert sorted(calls) == ["a", "b"]
+        a, b = vocab.piece_to_id["a"], vocab.piece_to_id["b"]
+        assert model._supervision_logs.keys() == {a, b, vocab.eos_id}
 
 
 class TestCodeIndex:

@@ -335,12 +335,13 @@ class TestCheckpointIO:
             lambda h, b: ({**h, "token_rows": h["token_rows"][:-1]}, b),
             lambda h, b: ({**h, "token_rows": [-1] + h["token_rows"][1:]}, b),
             lambda h, b: ({**h, "arrays": h["arrays"] + h["arrays"][-1:]}, b + b[-8 * len(h["codes"]):]),
+            lambda h, b: ({**h, "vocab": h["vocab"][:-1] + ["##"]}, b),
         ],
         ids=[
             "no-config", "unknown-config-key", "vocab-without-bos",
             "d-model-not-divisible", "arrays-do-not-fit-config", "header-not-an-object",
             "vocab-shorter-than-m-word", "token-rows-one-short", "negative-token-row",
-            "array-name-listed-twice",
+            "array-name-listed-twice", "vocab-piece-without-characters",
         ],
     )
     def test_malformed_header_is_corrupt_checkpoint(self, small_model, tmp_path, edit):
