@@ -28,6 +28,7 @@ from .evaluation import (
 from .generation import (
     ErrorType,
     GeneratedSpan,
+    SpanDecoder,
     assemble,
     classify_error,
     corrupt_corpus,
@@ -79,6 +80,7 @@ __all__ = [
     "PhoneticCode",
     "PhonemeCodeIndex",
     "PronouncingLexicon",
+    "SpanDecoder",
     "SubwordVocab",
     "Token",
     "TokenSeq",

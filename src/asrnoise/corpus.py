@@ -395,7 +395,6 @@ class AlignedExample:
     position: int
     gt_piece: str
     target_ids: tuple[int, ...]
-    target_surfaces: tuple[str, ...]
     error_label: str
 
 
@@ -445,7 +444,6 @@ def build_training_items(
                 if max_target_len is not None and len(aligned) >= max_target_len:
                     aligned = aligned[: max_target_len - 1]
                 target_ids = tuple(t.piece_id for t in aligned) + (vocab.eos_id,)
-                target_surfaces = tuple(t.surface for t in aligned) + (EOS,)
                 items.append(
                     AlignedExample(
                         sentence_id=sid,
@@ -453,7 +451,6 @@ def build_training_items(
                         position=offset + piece_pos,
                         gt_piece=piece.surface,
                         target_ids=target_ids,
-                        target_surfaces=target_surfaces,
                         error_label=label_from_length(len(target_ids)),
                     )
                 )

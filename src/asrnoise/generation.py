@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,7 +27,18 @@ from .corpus import (
 )
 from .errors import OutOfRangeError, PlanMismatchError
 from .intervention import CorruptionPlan, check_prior, sample_plan_interventional
-from .model import Model, _wrap_params, decoder_hidden, embed_sequence, encode, step_distributions
+from .model import (
+    HeadTables,
+    Model,
+    _wrap_params,
+    decoder_hidden,
+    decoder_memory,
+    decoder_start,
+    embed_sequence,
+    encode,
+    head_tables,
+    step_distributions,
+)
 from .rng import derive_seed
 from .textio import write_lines
 
@@ -102,40 +113,77 @@ def _pick_sample(p: np.ndarray, temperature: float, rng: np.random.Generator) ->
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+@dataclass(frozen=True)
+class EncodedSentence:
+    """One sentence as its spans read it: the encoder rows ``[1, n, d]`` and
+    the decoder's cross-attention keys and values of them."""
+
+    rows: Tensor
+    memory: tuple[Tensor, Tensor]
+
+
+@dataclass(frozen=True)
+class SpanDecoder:
+    """What decoding reads from a model and never changes: the parameters as
+    tensors that need no gradient, and the head tables of
+    :func:`model.head_tables`.  Build it after the last change to the
+    parameters: the phoneme head's tables are gathered copies.
+    """
+
+    model: Model
+    params: dict[str, Tensor]
+    tables: HeadTables
+
+    @classmethod
+    def build(cls, model: Model) -> "SpanDecoder":
+        params = _wrap_params(model.params, needs_grad=False)
+        return cls(model, params, head_tables(params, model.config, model.code_index.token_rows))
+
+    def encode(self, piece_ids: Sequence[int]) -> EncodedSentence:
+        """Encode one sentence and project its rows to the decoder's keys and values."""
+        config, params = self.model.config, self.params
+        e_in = embed_sequence([list(piece_ids)], params, config, self.model.code_index.token_rows)
+        e_enc = encode(e_in, params, config)
+        return EncodedSentence(e_enc, decoder_memory(e_enc, params))
+
+
 def generate_span(
-    e_encoder: Tensor,
-    model: Model,
+    sentence: EncodedSentence,
+    decoder: SpanDecoder,
     position: int,
     original: str = "",
     mode: str = GREEDY,
     temperature: float = 1.0,
     seed: int = 0,
-    params: Optional[dict[str, Tensor]] = None,
 ) -> GeneratedSpan:
-    """Decode the noise span of row ``position`` of one encoded sentence
-    (``e_encoder`` ``[1, n, d]``) from the combined generation distribution.
+    """Decode the noise span of row ``position`` of an encoded sentence from
+    the combined generation distribution.
 
-    Greedy mode takes the argmax each step (lowest index on ties); sample
-    mode draws from the temperature-scaled distribution with a generator
-    keyed by (seed, position).  [EOS] is forced once the span reaches the
-    maximum generation length, so decoding always terminates.
+    The span's first decoder query row is computed once, from the encoder
+    row at ``position``; each step then runs the decoder block over that row
+    and the tokens generated so far, against the sentence's fixed keys and
+    values, and the two heads over the newest row from the decoder's fixed
+    tables.  Greedy mode takes the argmax each step (lowest index on ties);
+    sample mode draws from the temperature-scaled distribution with a
+    generator keyed by (seed, position).  [EOS] is forced once the span
+    reaches the maximum generation length, so decoding always terminates.
     """
     check_decoding(mode, temperature)
-    n = e_encoder.data.shape[1]
+    n = sentence.rows.data.shape[1]
     if not 0 <= position < n:
         raise IndexError(f"position {position} outside a sentence of {n} tokens")
+    model, params = decoder.model, decoder.params
     config = model.config
     vocab = model.vocab
-    params = params if params is not None else _wrap_params(model.params, needs_grad=False)
     rows_map = model.code_index.token_rows
     rng = np.random.default_rng(derive_seed(seed, position)) if mode == SAMPLE else None
 
-    e_k = ad.select(e_encoder, [[0]], [[position]])
+    start = decoder_start(ad.select(sentence.rows, [[0]], [[position]]), params)
     generated: list[int] = []
     while len(generated) < config.max_gen_len - 1:
-        hidden = decoder_hidden(e_k, [generated], e_encoder, params, config, rows_map)
+        hidden = decoder_hidden(start, [generated], sentence.memory, params, config, rows_map)
         d_last = ad.select(hidden, [0], [len(generated)])
-        _, _, p_gen = step_distributions(d_last, params, config, rows_map, model.special_mask)
+        _, _, p_gen = step_distributions(d_last, decoder.tables, model.special_mask)
         probs = p_gen.data[0]
         if mode == GREEDY:
             token = _pick_greedy(probs)
@@ -203,12 +251,18 @@ def corrupt_corpus(
     sentence index so shards can be generated independently.  A text of more
     than ``max_len`` tokens, which the model cannot encode, passes through
     tokenized and detokenized, with no plan sampled and no span decoded.
+
+    Work is done once at the level where it stops changing: the
+    gradient-free parameters and the head tables once per call
+    (:class:`SpanDecoder`); the encoder rows and the decoder's keys and
+    values once per sentence with a corrupted position; a span's first query
+    row once per span; and the decoder block and heads once per step of
+    :func:`generate_span`.
     """
     check_decoding(mode, temperature)
     check_prior(p_z, "corruption prior")
-    params = _wrap_params(model.params, needs_grad=False)
+    decoder = SpanDecoder.build(model)
     config = model.config
-    rows_map = model.code_index.token_rows
     outputs: list[str] = []
     records: list[SpanRecord] = []
     for idx, text in enumerate(texts):
@@ -220,19 +274,17 @@ def corrupt_corpus(
         plan = sample_plan_interventional(tokens, p_z, sentence_seed)
         spans: list[GeneratedSpan] = []
         if plan.corruption_count:
-            e_in = embed_sequence([[t.piece_id for t in tokens]], params, config, rows_map)
-            e_enc = encode(e_in, params, config)
+            sentence = decoder.encode([t.piece_id for t in tokens])
             for k in plan.corrupted_positions:
                 spans.append(
                     generate_span(
-                        e_enc,
-                        model,
+                        sentence,
+                        decoder,
                         position=k,
                         original=tokens[k].surface,
                         mode=mode,
                         temperature=temperature,
                         seed=sentence_seed,
-                        params=params,
                     )
                 )
         outputs.append(assemble(tokens, plan, spans))

@@ -9,11 +9,17 @@ a phoneme head whose logits are shared across tokens with the same phonetic
 code; their renormalized product drives generation.
 
 Encoder and decoder share one post-layer-norm block,
-:func:`_attention_ffn_block`: ``linear`` query/key/value projections, one
-fused multi-head ``attention`` op, an output projection, a residual add and
+:func:`_attention_ffn_block`: a ``linear`` query projection, one fused
+multi-head ``attention`` op over keys and values projected beforehand by
+:func:`_key_values`, an output projection, a residual add and
 ``layer_norm``, then a ``linear``-``gelu``-``linear`` feed-forward
-(``d -> 4d -> d``) with a second residual add and ``layer_norm``: twelve
-engine ops per block.
+(``d -> 4d -> d``) with a second residual add and ``layer_norm``.  Each part
+is computed by its own function, so a caller computes it once at the level
+where it stops changing: the decoder's keys and values
+(:func:`decoder_memory`) once per encoded sentence, a span's first query row
+(:func:`decoder_start`) once per span, and the head tables
+(:func:`head_tables`: the transposed word table, and the phoneme table
+gathered per piece) once per set of parameters.
 
 Every block function takes a padded batch (``[B, n, d]``).  Training
 builds one graph per batch: the batch's distinct sentences are padded to the
@@ -23,15 +29,19 @@ sentence's encoder rows.  A boolean key mask (``[B, n]``, True at real
 tokens) adds -inf to the attention scores of padded keys, so padding gets
 exactly zero weight.  Query rows never attend to each other, so padded query
 rows only compute values that are dropped before the vocabulary-wide heads.
-Decoding runs a batch of one, which has no padding and so takes no mask.
 The loss is two engine ops over the teacher-forced steps: ``nll`` of the
 word head at the targets, plus ``lambda_ph`` times ``kl`` from the phoneme
 head to each supervised step's floored supervision distribution.
 
-Training and decoding run the same block functions.  Decoding wraps the
-parameters as tensors that need no gradient, so its forward passes build no
-graph; :func:`combine_heads` is plain numpy because no loss differentiates
-it.
+Decoding runs a batch of one, which has no padding and so takes no mask.
+Each step runs only what the newest token changes: the decoder block's
+query side over the span's rows so far (:func:`decoder_hidden`) and the two
+heads over its newest row (:func:`step_distributions`).
+
+Training and decoding run the same functions, training once per batch.
+Decoding wraps the parameters as tensors that need no gradient, so its
+forward passes build no graph; :func:`combine_heads` is plain numpy because
+no loss differentiates it.
 
 Everything runs in float64 through the in-package autodiff engine, so
 training is deterministic and gradients can be checked against central
@@ -61,6 +71,8 @@ _SPECIAL_CODES = {piece: f"<{piece[1:-1].lower()}>" for piece in SPECIALS}
 #: Floor applied to supervision entries outside their support so the
 #: phoneme-head KL term stays finite.
 R_FLOOR = 1e-12
+
+_SMALLEST = np.finfo(np.float64).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -267,9 +279,17 @@ def embed_sequence(
     return ad.add(_token_embeddings(ids, params, config, token_code_rows), positions)
 
 
+def _key_values(kv_in: Tensor, params: dict[str, Tensor], prefix: str) -> tuple[Tensor, Tensor]:
+    """The block's key and value projections of ``kv_in`` ``[B, m, d]``."""
+    return (
+        ad.linear(kv_in, params[prefix + "wk"], params[prefix + "bk"]),
+        ad.linear(kv_in, params[prefix + "wv"], params[prefix + "bv"]),
+    )
+
+
 def _attention_ffn_block(
     q_in: Tensor,
-    kv_in: Tensor,
+    memory: tuple[Tensor, Tensor],
     params: dict[str, Tensor],
     prefix: str,
     config: ModelConfig,
@@ -277,14 +297,13 @@ def _attention_ffn_block(
 ) -> Tensor:
     """Post-layer-norm attention and feed-forward block.
 
-    Queries ``[B, n, d]`` attend over keys ``[B, m, d]``.  ``key_mask``
-    (``[B, m]``, True at real keys) adds -inf to the scores of padded keys,
-    so they get exactly zero attention weight and zero gradient.
+    Queries ``[B, n, d]`` attend over ``memory``, the keys and values
+    ``[B, m, d]`` of :func:`_key_values`.  ``key_mask`` (``[B, m]``, True at
+    real keys) adds -inf to the scores of padded keys, so they get exactly
+    zero attention weight and zero gradient.
     """
     q = ad.linear(q_in, params[prefix + "wq"], params[prefix + "bq"])
-    k = ad.linear(kv_in, params[prefix + "wk"], params[prefix + "bk"])
-    v = ad.linear(kv_in, params[prefix + "wv"], params[prefix + "bv"])
-    heads = ad.attention(q, k, v, config.n_heads, key_mask)
+    heads = ad.attention(q, *memory, config.n_heads, key_mask)
     attn = ad.linear(heads, params[prefix + "wo"], params[prefix + "bo"])
     h1 = ad.layer_norm(ad.add(q_in, attn), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     inner = ad.gelu(ad.linear(h1, params[prefix + "w1"], params[prefix + "b1"]))
@@ -302,7 +321,7 @@ def encode(
     input rows.  Rows at positions ``key_mask`` marks as padding come out
     finite but meaningless.
     """
-    return _attention_ffn_block(e_in, e_in, params, "enc_", config, key_mask)
+    return _attention_ffn_block(e_in, _key_values(e_in, params, "enc_"), params, "enc_", config, key_mask)
 
 
 def _pad(sequences: Sequence[Sequence[int]]) -> np.ndarray:
@@ -313,32 +332,24 @@ def _pad(sequences: Sequence[Sequence[int]]) -> np.ndarray:
     return out
 
 
-def _decoder_queries(
-    e_k: Tensor,
-    generated_ids,
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    token_code_rows: np.ndarray,
-) -> Tensor:
-    ids = _pad(generated_ids)
-    bos = ad.rows(params["bos_emb"], np.zeros((len(generated_ids), 1), dtype=np.intp))
-    n_prev = ids.shape[1]
-    if 1 + n_prev > config.max_gen_len:
-        raise PrefixTooLongError(
-            f"prefix of {1 + n_prev} positions exceeds max_gen_len={config.max_gen_len}"
-        )
-    head = ad.linear(ad.concat([e_k, bos], axis=-1), params["dec_h"], ad.rows(params["m_pos"], [0]))
-    if not n_prev:
-        return head
-    tok = _token_embeddings(ids, params, config, token_code_rows)
-    tok = ad.add(tok, ad.rows(params["m_pos"], np.arange(1, n_prev + 1)))
-    return ad.concat([head, tok], axis=-2)
+def decoder_memory(e_encoder: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """The decoder's cross-attention keys and values of encoder rows
+    ``[B, n, d]``: fixed for a sentence, whatever its spans generate."""
+    return _key_values(e_encoder, params, "dec_")
+
+
+def decoder_start(e_k: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """Each span's first query row ``[B, 1, d]``: the corrupted token's
+    encoder row ``e_k`` ``[B, 1, d]`` beside the start embedding, through
+    ``dec_h``, plus position 0; fixed for a span, whatever it generates."""
+    bos = ad.rows(params["bos_emb"], np.zeros((e_k.data.shape[0], 1), dtype=np.intp))
+    return ad.linear(ad.concat([e_k, bos], axis=-1), params["dec_h"], ad.rows(params["m_pos"], [0]))
 
 
 def decoder_hidden(
-    e_k: Tensor,
+    start: Tensor,
     generated_ids,
-    e_encoder: Tensor,
+    memory: tuple[Tensor, Tensor],
     params: dict[str, Tensor],
     config: ModelConfig,
     token_code_rows: np.ndarray,
@@ -347,35 +358,55 @@ def decoder_hidden(
     """Hidden states ``[B, 1 + longest prefix, d]`` for every query position
     (no cross-position mixing).
 
-    ``e_k`` is ``[B, 1, d]``, ``generated_ids`` holds ``B`` prefixes of any
-    lengths (padded to the longest, so rows past a prefix's end are
-    meaningless), and ``e_encoder`` is ``[B, n, d]`` with ``key_mask``
+    ``start`` is :func:`decoder_start` ``[B, 1, d]``, ``generated_ids``
+    holds ``B`` prefixes of any lengths (padded to the longest, so rows past
+    a prefix's end are meaningless), and ``memory`` is
+    :func:`decoder_memory` of ``[B, n, d]`` encoder rows with ``key_mask``
     ``[B, n]``.
     """
-    queries = _decoder_queries(e_k, generated_ids, params, config, token_code_rows)
-    return _attention_ffn_block(queries, e_encoder, params, "dec_", config, key_mask)
+    ids = _pad(generated_ids)
+    n_prev = ids.shape[1]
+    if 1 + n_prev > config.max_gen_len:
+        raise PrefixTooLongError(
+            f"prefix of {1 + n_prev} positions exceeds max_gen_len={config.max_gen_len}"
+        )
+    queries = start
+    if n_prev:
+        tok = _token_embeddings(ids, params, config, token_code_rows)
+        tok = ad.add(tok, ad.rows(params["m_pos"], np.arange(1, n_prev + 1)))
+        queries = ad.concat([start, tok], axis=-2)
+    return _attention_ffn_block(queries, memory, params, "dec_", config, key_mask)
 
 
-def _head_logits(
-    d_k: Tensor,
+#: The ``linear`` weight ``[d, V]`` and bias ``[V]`` of each head: the word
+#: head's, then the phoneme head's, or None without a phoneme head.
+HeadTables = tuple[tuple[Tensor, Tensor], Optional[tuple[Tensor, Tensor]]]
+
+
+def head_tables(
     params: dict[str, Tensor],
     config: ModelConfig,
     token_code_rows: np.ndarray,
-) -> tuple[Tensor, Optional[Tensor]]:
-    logits_n = ad.linear(d_k, ad.transpose_axes(params["m_word"], (1, 0)), params["b_n"])
+) -> HeadTables:
+    """The word head's transposed ``m_word`` and ``b_n``; the phoneme head's
+    ``m_ph`` rows and ``b_ph`` entries gathered per piece by
+    ``token_code_rows``, the rows transposed.  They change only with the
+    parameters."""
+    word = (ad.transpose_axes(params["m_word"], (1, 0)), params["b_n"])
     if not config.phoneme_head:
-        return logits_n, None
+        return word, None
     ph_rows = ad.rows(params["m_ph"], token_code_rows)
-    ph_bias = ad.rows(params["b_ph"], token_code_rows)
-    logits_ph = ad.linear(d_k, ad.transpose_axes(ph_rows, (1, 0)), ph_bias)
-    return logits_n, logits_ph
+    return word, (ad.transpose_axes(ph_rows, (1, 0)), ad.rows(params["b_ph"], token_code_rows))
+
+
+def _head_logits(d_k: Tensor, tables: HeadTables) -> tuple[Tensor, Optional[Tensor]]:
+    word, phoneme = tables
+    return ad.linear(d_k, *word), None if phoneme is None else ad.linear(d_k, *phoneme)
 
 
 def step_distributions(
     d_k: Tensor,
-    params: dict[str, Tensor],
-    config: ModelConfig,
-    token_code_rows: np.ndarray,
+    tables: HeadTables,
     special_mask: np.ndarray,
 ) -> tuple[Tensor, Optional[Tensor], Tensor]:
     """Word-head, phoneme-head and combined distributions over the vocabulary.
@@ -386,9 +417,10 @@ def step_distributions(
     it and generation could never stop; instead the content-average phoneme
     factor stands in for its phoneme score.  [BOS] and [UNK] get no mass, so
     decoding never writes them.  A uniform phoneme head, or none, therefore
-    leaves the word head over the other pieces, renormalized.
+    leaves the word head over the other pieces, renormalized.  ``tables``
+    is :func:`head_tables`.
     """
-    logits_n, logits_ph = _head_logits(d_k, params, config, token_code_rows)
+    logits_n, logits_ph = _head_logits(d_k, tables)
     return combine_heads(logits_n, logits_ph, special_mask)
 
 
@@ -401,17 +433,27 @@ def combine_heads(
 
     ``special_mask`` is :attr:`Model.special_mask`.  No loss differentiates
     the distributions, so this is plain numpy on the logits' values, and the
-    returned tensors need no gradient.
+    returned tensors need no gradient.  A row whose allowed pieces all
+    underflow to zero mass puts all of its ``p_gen`` on [EOS].
     """
     special, eos = special_mask
     content = 1.0 - special
     p_n = ad.softmax_array(logits_n.data)
     p_ph = None if logits_ph is None else ad.softmax_array(logits_ph.data)
     # without a phoneme head every phoneme factor, and so their mean, is 1
-    prod_content = p_n * content if p_ph is None else p_n * p_ph * content
-    mean_factor = prod_content.sum(axis=-1, keepdims=True) / (p_n * content).sum(axis=-1, keepdims=True)
+    p_content = p_n * content
+    prod_content = p_content if p_ph is None else p_content * p_ph
+    # a zero content mass has a zero product mass: its mean factor is 0, not 0/0
+    mean_factor = prod_content.sum(axis=-1, keepdims=True) / np.maximum(
+        p_content.sum(axis=-1, keepdims=True), _SMALLEST
+    )
     unnorm = prod_content + p_n * eos * mean_factor
-    p_gen = unnorm / unnorm.sum(axis=-1, keepdims=True)
+    total = unnorm.sum(axis=-1, keepdims=True)
+    if not total.all():
+        # a saturated head left every allowed piece of a row zero mass
+        unnorm = np.where(total > 0.0, unnorm, eos)
+        total = unnorm.sum(axis=-1, keepdims=True)
+    p_gen = unnorm / total
     return tuple(None if p is None else Tensor(p, needs_grad=False) for p in (p_n, p_ph, p_gen))
 
 
@@ -462,14 +504,14 @@ def _loss_graph(
 
     which = np.asarray([slot[key] for key in keys], dtype=np.intp)
     where = np.asarray([example.position for example in batch], dtype=np.intp)
-    e_k = ad.select(e_enc, which[:, None], where[:, None])
+    start = decoder_start(ad.select(e_enc, which[:, None], where[:, None]), params)
+    memory = decoder_memory(ad.rows(e_enc, which), params)
     targets = [example.target_ids for example in batch]
-    hidden = decoder_hidden(
-        e_k, [t[:-1] for t in targets], ad.rows(e_enc, which), params, config, rows_map, is_token[which]
-    )
+    hidden = decoder_hidden(start, [t[:-1] for t in targets], memory, params, config, rows_map, is_token[which])
     step_item = np.repeat(np.arange(len(batch)), [len(t) for t in targets])
     step_pos = np.concatenate([np.arange(len(t)) for t in targets])
-    logits_n, logits_ph = _head_logits(ad.select(hidden, step_item, step_pos), params, config, rows_map)
+    tables = head_tables(params, config, rows_map)
+    logits_n, logits_ph = _head_logits(ad.select(hidden, step_item, step_pos), tables)
     target_ids = np.concatenate(targets).astype(np.intp)
     l_n = ad.nll(logits_n, target_ids)
 

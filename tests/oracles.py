@@ -243,10 +243,10 @@ def loss_reference(model, example, lexicon):
         ph_rows = p["m_ph"][rows_map]
         logits_ph = hidden @ ph_rows.T + p["b_ph"][rows_map]
         p_ph = _np_softmax(logits_ph)
-        for l, (tid, surface) in enumerate(zip(target, example.target_surfaces)):
+        for l, tid in enumerate(target):
             if tid in (model.vocab.eos_id, model.vocab.unk_id):
                 continue
-            r = supervision_distribution(surface, model.r_support(), lexicon)
+            r = supervision_distribution(model.vocab.pieces[tid], model.r_support(), lexicon)
             l_ph += float(np.sum(p_ph[l] * (np.log(p_ph[l]) - np.log(np.maximum(r, 1e-12)))))
     return float(l_n), float(l_ph), float(l_n + cfg.lambda_ph * l_ph)
 

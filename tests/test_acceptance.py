@@ -134,6 +134,7 @@ class TestCriterion3NormalizationSuite:
         model = small_model
         params = M._wrap_params(model.params)
         rows_map = model.code_index.token_rows
+        tables = M.head_tables(params, model.config, rows_map)
         vocab_size = len(model.vocab)
         content_ids = [i for i, p in enumerate(model.vocab.pieces) if p not in C.SPECIALS]
         worst = 0.0
@@ -145,10 +146,10 @@ class TestCriterion3NormalizationSuite:
             k = int(rng.integers(0, n))
             prefix_len = int(rng.integers(0, model.config.max_gen_len - 1))
             prefix = [int(rng.choice(content_ids)) for _ in range(prefix_len)]
-            e_k = ad.select(e_enc, [[0]], [[k]])
-            hidden = M.decoder_hidden(e_k, [prefix], e_enc, params, model.config, rows_map)
+            start = M.decoder_start(ad.select(e_enc, [[0]], [[k]]), params)
+            hidden = M.decoder_hidden(start, [prefix], M.decoder_memory(e_enc, params), params, model.config, rows_map)
             last = ad.select(hidden, [0], [prefix_len])
-            p_n, p_ph, p_gen = M.step_distributions(last, params, model.config, rows_map, model.special_mask)
+            p_n, p_ph, p_gen = M.step_distributions(last, tables, model.special_mask)
             for p in (p_n, p_ph, p_gen):
                 worst = max(worst, abs(float(p.data.sum()) - 1.0))
                 assert (p.data >= 0).all()

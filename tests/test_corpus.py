@@ -139,17 +139,18 @@ class TestTokenize:
 
 
 def test_only_corpus_reads_surfaces_past_the_tokenizer():
-    """Past ``corpus``, asrnoise works on piece ids: the ``##`` glue rule and
-    the target surfaces stay in ``corpus`` (``phonetics.g2p`` strips ``##`` to
-    pronounce a piece), so ``generation`` and ``model`` never read them."""
+    """Past ``corpus``, asrnoise works on piece ids: the ``##`` glue rule
+    stays in ``corpus`` (``phonetics.g2p`` strips ``##`` to pronounce a
+    piece), so ``generation`` and ``model`` never read it, and a training
+    item carries no target surfaces at all."""
     src = Path(C.__file__).parent
+    texts = {module.name: module.read_text(encoding="utf-8") for module in sorted(src.glob("*.py"))}
     named = {
-        module.name: {name for name in ("CONTINUATION_PREFIX", "target_surfaces", "##")
-                      if name in module.read_text(encoding="utf-8")}
-        for module in sorted(src.glob("*.py"))
+        name: {word for word in ("CONTINUATION_PREFIX", "##") if word in text}
+        for name, text in texts.items()
     }
     assert {name for name, found in named.items() if found} == {"corpus.py", "phonetics.py"}
-    assert "target_surfaces" not in named["phonetics.py"]
+    assert not any("target_surfaces" in text for text in texts.values())
 
 
 class TestLoadPairs:
@@ -232,7 +233,8 @@ class TestBuildTrainingItems:
             "only labored the gags", "only labored labor thes gag", lexicon
         )
         items = C.build_training_items([alignment], fixture_vocab)
-        got = [(i.position, i.gt_piece, i.target_surfaces, i.error_label) for i in items]
+        got = [(i.position, i.gt_piece, tuple(fixture_vocab.pieces[t] for t in i.target_ids), i.error_label)
+               for i in items]
         assert got == [
             (2, "##ed", ("##ed", "labor", "[EOS]"), C.INSERTION),
             (3, "the", ("the", "##s", "[EOS]"), C.INSERTION),
@@ -243,7 +245,7 @@ class TestBuildTrainingItems:
         alignment = C.align_pair("only the", "only", lexicon)
         items = C.build_training_items([alignment], fixture_vocab)
         assert len(items) == 1
-        assert items[0].target_surfaces == ("[EOS]",)
+        assert tuple(fixture_vocab.pieces[t] for t in items[0].target_ids) == ("[EOS]",)
         assert items[0].error_label == C.DELETION
 
     def test_every_target_ends_with_single_eos(self, small_setup):
@@ -273,7 +275,7 @@ class TestBuildTrainingItems:
         alignment = C.align_pair("the cue", "thee cue", lexicon)
         items = C.build_training_items([alignment], vocab)
         assert len(items) == 1
-        assert items[0].target_surfaces == ("thee", "[EOS]")
+        assert tuple(vocab.pieces[t] for t in items[0].target_ids) == ("thee", "[EOS]")
         assert items[0].error_label == C.SUBSTITUTION
 
 

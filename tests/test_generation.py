@@ -76,10 +76,9 @@ def _toy_model(lexicon, phoneme_head=True):
 
 
 def _encode_text(model, text):
-    params = M._wrap_params(model.params)
+    decoder = G.SpanDecoder.build(model)
     tokens = C.tokenize(text, model.vocab)
-    e_in = M.embed_sequence([[t.piece_id for t in tokens]], params, model.config, model.code_index.token_rows)
-    return tokens, M.encode(e_in, params, model.config)
+    return tokens, decoder, decoder.encode([t.piece_id for t in tokens])
 
 
 def _force_eos(model, logit=60.0):
@@ -91,9 +90,9 @@ class TestGenerateSpan:
     def test_eos_dominant_model_yields_deletion(self, lexicon):
         model = _toy_model(lexicon)
         _force_eos(model)
-        tokens, e_enc = _encode_text(model, "the cue")
+        tokens, decoder, sentence = _encode_text(model, "the cue")
         for mode in (G.GREEDY, G.SAMPLE):
-            span = G.generate_span(e_enc, model, position=0, mode=mode, seed=3)
+            span = G.generate_span(sentence, decoder, position=0, mode=mode, seed=3)
             assert span.m == 1
             assert span.error_type is G.ErrorType.DELETION
             assert span.replacement == ""
@@ -106,8 +105,8 @@ class TestGenerateSpan:
         model.params["m_word"][:] = 0.0
         model.params["b_n"][:] = 0.0
         model.params["b_n"][target] = 40.0
-        tokens, e_enc = _encode_text(model, "the cue")
-        span = G.generate_span(e_enc, model, position=1, mode=G.GREEDY)
+        tokens, decoder, sentence = _encode_text(model, "the cue")
+        span = G.generate_span(sentence, decoder, position=1, mode=G.GREEDY)
         assert span.surfaces == ("gag", "gag", "gag", "gag", "[EOS]")
         assert span.m == model.config.max_gen_len
         assert span.error_type is G.ErrorType.INSERTION
@@ -119,35 +118,35 @@ class TestGenerateSpan:
         hi = [model.vocab.piece_to_id["queue"], model.vocab.piece_to_id["sue"]]
         for idx in hi:
             model.params["b_n"][idx] = 40.0
-        tokens, e_enc = _encode_text(model, "the cue")
-        span = G.generate_span(e_enc, model, position=0, mode=G.GREEDY)
+        tokens, decoder, sentence = _encode_text(model, "the cue")
+        span = G.generate_span(sentence, decoder, position=0, mode=G.GREEDY)
         assert span.token_ids[0] == min(hi)
 
     def test_sampling_is_seed_deterministic(self, lexicon):
         model = _toy_model(lexicon)
-        tokens, e_enc = _encode_text(model, "the cue gag")
-        a = G.generate_span(e_enc, model, position=1, mode=G.SAMPLE, seed=42)
-        b = G.generate_span(e_enc, model, position=1, mode=G.SAMPLE, seed=42)
+        tokens, decoder, sentence = _encode_text(model, "the cue gag")
+        a = G.generate_span(sentence, decoder, position=1, mode=G.SAMPLE, seed=42)
+        b = G.generate_span(sentence, decoder, position=1, mode=G.SAMPLE, seed=42)
         assert a == b
 
     def test_span_terminates_with_single_trailing_eos(self, lexicon):
         model = _toy_model(lexicon)
-        tokens, e_enc = _encode_text(model, "the cue gag sue")
+        tokens, decoder, sentence = _encode_text(model, "the cue gag sue")
         eos = model.vocab.eos_id
         for position in range(len(tokens)):
             for seed in range(4):
-                span = G.generate_span(e_enc, model, position=position, mode=G.SAMPLE, seed=seed)
+                span = G.generate_span(sentence, decoder, position=position, mode=G.SAMPLE, seed=seed)
                 assert span.m <= model.config.max_gen_len
                 assert span.token_ids[-1] == eos
                 assert sum(1 for t in span.token_ids if t == eos) == 1
 
     def test_unknown_mode_rejected(self, lexicon):
         model = _toy_model(lexicon)
-        tokens, e_enc = _encode_text(model, "the cue")
+        tokens, decoder, sentence = _encode_text(model, "the cue")
         with pytest.raises(ValueError):
-            G.generate_span(e_enc, model, position=0, mode="beam")
+            G.generate_span(sentence, decoder, position=0, mode="beam")
         with pytest.raises(ValueError):
-            G.generate_span(e_enc, model, position=0, mode=G.SAMPLE, temperature=0.0)
+            G.generate_span(sentence, decoder, position=0, mode=G.SAMPLE, temperature=0.0)
 
     def test_decoding_builds_no_graph(self, lexicon, monkeypatch):
         model = _toy_model(lexicon)
@@ -159,11 +158,8 @@ class TestGenerateSpan:
             created.append(self)
 
         monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
-        params = M._wrap_params(model.params, needs_grad=False)
-        tokens = C.tokenize("the cue gag sue", model.vocab)
-        e_in = M.embed_sequence([[t.piece_id for t in tokens]], params, model.config, model.code_index.token_rows)
-        e_enc = M.encode(e_in, params, model.config)
-        spans = [G.generate_span(e_enc, model, position=k, mode=G.SAMPLE, seed=k) for k in range(len(tokens))]
+        tokens, decoder, sentence = _encode_text(model, "the cue gag sue")
+        spans = [G.generate_span(sentence, decoder, position=k, mode=G.SAMPLE, seed=k) for k in range(len(tokens))]
         assert sum(span.m for span in spans) > len(spans)  # some spans took several steps
         G.corrupt_corpus(["the cue gag", "sue the cue"], model, p_z=1.0, seed=5)
         assert len(created) > 100
@@ -172,10 +168,106 @@ class TestGenerateSpan:
     @pytest.mark.parametrize("position", [2, 5, -1])
     def test_position_outside_sentence_rejected(self, lexicon, position):
         model = _toy_model(lexicon)
-        tokens, e_enc = _encode_text(model, "the cue")
+        tokens, decoder, sentence = _encode_text(model, "the cue")
         assert len(tokens) == 2
         with pytest.raises(IndexError, match=f"position {position} .* 2 tokens"):
-            G.generate_span(e_enc, model, position=position)
+            G.generate_span(sentence, decoder, position=position)
+
+
+class TestWorkPerStep:
+    @pytest.mark.parametrize("phoneme_head, per_step", [(True, 6), (False, 5)])
+    def test_linear_calls_per_sentence_span_and_step(self, lexicon, monkeypatch, phoneme_head, per_step):
+        # a sentence: encoder q/k/v/o/ffn (6) plus the decoder's keys and
+        # values (2); a span: its first query row; a step: decoder q/o/ffn
+        # (4) plus one linear per head
+        model = _toy_model(lexicon, phoneme_head=phoneme_head)
+        calls = [0]
+        linear = ad.linear
+
+        def counting(*args):
+            calls[0] += 1
+            return linear(*args)
+
+        monkeypatch.setattr(ad, "linear", counting)
+        texts = ["the cue gag sue", "queue the gag", "sue", "the cue"]
+        _, records = G.corrupt_corpus(texts, model, p_z=0.7, seed=4)
+        sentences = len({r.sentence_id for r in records})
+        # the last [EOS] of a span that reached max_gen_len took no step
+        steps = sum(min(r.span.m, model.config.max_gen_len - 1) for r in records)
+        assert len(records) > sentences > 0  # so recomputing keys/values per step cannot match
+        assert calls[0] == 8 * sentences + len(records) + per_step * steps
+
+    @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
+    def test_cached_keys_values_and_tables_change_no_bit(self, lexicon, monkeypatch, mode):
+        model = _toy_model(lexicon)
+        rows_map = model.code_index.token_rows
+        tokens, decoder, sentence = _encode_text(model, "the cue gag sue")
+        position = [0]
+        runs = []
+        for rebuild in (False, True):
+            seen = []
+
+            def decoder_hidden(start, prefixes, memory, params, *rest):
+                if rebuild:
+                    params = M._wrap_params(model.params, needs_grad=False)
+                    start = M.decoder_start(ad.select(sentence.rows, [[0]], [[position[0]]]), params)
+                    memory = M.decoder_memory(sentence.rows, params)
+                return M.decoder_hidden(start, prefixes, memory, params, *rest)
+
+            def step_distributions(d_k, tables, special_mask):
+                if rebuild:
+                    params = M._wrap_params(model.params, needs_grad=False)
+                    tables = M.head_tables(params, model.config, rows_map)
+                dists = M.step_distributions(d_k, tables, special_mask)
+                seen.append(dists[2].data)
+                return dists
+
+            monkeypatch.setattr(G, "decoder_hidden", decoder_hidden)
+            monkeypatch.setattr(G, "step_distributions", step_distributions)
+            spans = []
+            for k in range(len(tokens)):
+                position[0] = k
+                spans.append(G.generate_span(sentence, decoder, position=k, mode=mode, seed=k))
+            runs.append(([span.token_ids for span in spans], seen))
+        (cached_ids, cached_p), (rebuilt_ids, rebuilt_p) = runs
+        assert cached_ids == rebuilt_ids
+        assert len(cached_p) == len(rebuilt_p) > len(tokens)
+        assert all(np.array_equal(a, b) for a, b in zip(cached_p, rebuilt_p))
+
+
+class TestSaturatedWordHead:
+    """A word-head logit of 800 leaves every other piece exp(-800) = 0 mass."""
+
+    @pytest.mark.parametrize("piece", ["[EOS]", "[BOS]", "[UNK]"])
+    def test_p_gen_is_finite_and_stops_the_span(self, lexicon, piece):
+        model = _toy_model(lexicon)
+        model.params["b_n"][model.vocab.piece_to_id[piece]] = 800.0
+        decoder = G.SpanDecoder.build(model)
+        d_k = ad.Tensor(np.random.default_rng(0).normal(size=(3, model.config.d_model)))
+        _, _, p_gen = M.step_distributions(d_k, decoder.tables, model.special_mask)
+        eos_only = np.zeros(len(model.vocab))
+        eos_only[model.vocab.eos_id] = 1.0
+        assert np.array_equal(p_gen.data, np.tile(eos_only, (3, 1)))
+
+    @pytest.mark.parametrize("piece", ["[EOS]", "[BOS]", "[UNK]"])
+    def test_both_modes_decode_a_deletion(self, lexicon, piece):
+        model = _toy_model(lexicon)
+        model.params["b_n"][model.vocab.piece_to_id[piece]] = 800.0
+        tokens, decoder, sentence = _encode_text(model, "the cue gag")
+        for mode in (G.GREEDY, G.SAMPLE):
+            for k in range(len(tokens)):
+                span = G.generate_span(sentence, decoder, position=k, mode=mode, seed=k)
+                assert span.token_ids == (model.vocab.eos_id,)
+
+    @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
+    def test_corrupt_corpus_at_full_prior(self, lexicon, mode):
+        model = _toy_model(lexicon)
+        model.params["b_n"][model.vocab.eos_id] = 800.0
+        texts = ["the cue gag", "sue the queue"]
+        outputs, records = G.corrupt_corpus(texts, model, p_z=1.0, seed=2, mode=mode)
+        assert outputs == ["", ""]
+        assert len(records) == 6
+        assert all(r.span.error_type is G.ErrorType.DELETION for r in records)
 
 
 def _span(vocab, position, original, surfaces):

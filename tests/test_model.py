@@ -156,7 +156,7 @@ class TestFusedBlock:
             g = Tensor(rng.normal(size=(2, 3, d)), needs_grad=False)
             runs = []
             for block in (
-                lambda *a: M._attention_ffn_block(*a, "dec_", config, key_mask),
+                lambda q_in, kv_in, p: M._attention_ffn_block(q_in, M.decoder_memory(kv_in, p), p, "dec_", config, key_mask),
                 lambda *a: _composed_block(*a, "dec_", n_heads, key_mask),
             ):
                 inputs = [Tensor(q), Tensor(kv), _as_params(w, "dec_")]
@@ -189,16 +189,18 @@ class TestDecoder:
         return params, config, rows, e_enc, w
 
     @staticmethod
-    def _row(e_enc, k):
-        """Encoder row ``k`` of a batch of one, as ``[1, 1, d]``."""
-        return ad.select(e_enc, [[0]], [[k]])
+    def _span(params, e_enc, k):
+        """The first query row of the span of encoder row ``k`` of a batch of
+        one, and the decoder's keys and values of that batch."""
+        return M.decoder_start(ad.select(e_enc, [[0]], [[k]]), params), M.decoder_memory(e_enc, params)
 
     def test_cross_attention_matches_oracle(self):
         d = 4
         w, rng = _fixture_weights(d)
         x = rng.normal(0, 1.0, size=(3, d))
         q = rng.normal(0, 1.0, size=(1, d))
-        out = M._attention_ffn_block(Tensor(q[None]), Tensor(x[None]), _as_params(w, "dec_"), "dec_", M.ModelConfig(d_model=d, n_heads=1))
+        params = _as_params(w, "dec_")
+        out = M._attention_ffn_block(Tensor(q[None]), M.decoder_memory(Tensor(x[None]), params), params, "dec_", M.ModelConfig(d_model=d, n_heads=1))
         golden = np.array(
             [[1.0750241669051352, 0.08450862301079234, 0.28788132328196664, -1.5593474421508309]]
         )
@@ -219,7 +221,8 @@ class TestDecoder:
         w["w2"] = np.zeros((4 * d, d))
         kv = rng.normal(size=(3, d))
         q = rng.normal(size=(1, d))
-        out = M._attention_ffn_block(Tensor(q[None]), Tensor(kv[None]), _as_params(w, "dec_"), "dec_", M.ModelConfig(d_model=d, n_heads=1))
+        params = _as_params(w, "dec_")
+        out = M._attention_ffn_block(Tensor(q[None]), M.decoder_memory(Tensor(kv[None]), params), params, "dec_", M.ModelConfig(d_model=d, n_heads=1))
         scores = (q @ kv.T) / np.sqrt(d)
         att = np.exp(scores - scores.max())
         att /= att.sum()
@@ -230,35 +233,35 @@ class TestDecoder:
 
     def test_prefix_order_changes_hidden_state(self):
         params, config, rows, e_enc, _ = self._setup()
-        e_k = self._row(e_enc, 0)
-        a = M.decoder_hidden(e_k, [[1, 2]], e_enc, params, config, rows)
-        b = M.decoder_hidden(e_k, [[2, 1]], e_enc, params, config, rows)
+        start, memory = self._span(params, e_enc, 0)
+        a = M.decoder_hidden(start, [[1, 2]], memory, params, config, rows)
+        b = M.decoder_hidden(start, [[2, 1]], memory, params, config, rows)
         assert not np.allclose(a.data[0, -1], b.data[0, -1])
 
     def test_deterministic(self):
         params, config, rows, e_enc, _ = self._setup()
-        e_k = self._row(e_enc, 1)
-        a = M.decoder_hidden(e_k, [[3]], e_enc, params, config, rows)
-        b = M.decoder_hidden(e_k, [[3]], e_enc, params, config, rows)
+        start, memory = self._span(params, e_enc, 1)
+        a = M.decoder_hidden(start, [[3]], memory, params, config, rows)
+        b = M.decoder_hidden(start, [[3]], memory, params, config, rows)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_step_equals_full_pass_row(self):
         params, config, rows, e_enc, _ = self._setup(n_heads=2)
-        e_k = self._row(e_enc, 2)
+        start, memory = self._span(params, e_enc, 2)
         target = [3, 1, 4]
-        full = M.decoder_hidden(e_k, [target[:-1]], e_enc, params, config, rows)
+        full = M.decoder_hidden(start, [target[:-1]], memory, params, config, rows)
         for l in range(len(target)):
-            step = M.decoder_hidden(e_k, [target[:l]], e_enc, params, config, rows)
+            step = M.decoder_hidden(start, [target[:l]], memory, params, config, rows)
             assert step.data.shape == (1, 1 + l, config.d_model)
             np.testing.assert_allclose(step.data[0, -1], full.data[0, l], atol=1e-12)
 
     def test_prefix_too_long(self):
         params, config, rows, e_enc, _ = self._setup()
-        e_k = self._row(e_enc, 0)
+        start, memory = self._span(params, e_enc, 0)
         # max_gen_len positions are allowed; one more is not
-        M.decoder_hidden(e_k, [[1, 2, 3, 4]], e_enc, params, config, rows)
+        M.decoder_hidden(start, [[1, 2, 3, 4]], memory, params, config, rows)
         with pytest.raises(PrefixTooLongError):
-            M.decoder_hidden(e_k, [[1, 2, 3, 4, 1]], e_enc, params, config, rows)
+            M.decoder_hidden(start, [[1, 2, 3, 4, 1]], memory, params, config, rows)
 
 
 def _toy_model(lexicon, phoneme_head=True, lambda_w=0.5, seed=5):
@@ -291,7 +294,6 @@ def _item(model, sid, pieces, position, target_pieces):
         position=position,
         gt_piece=pieces[position],
         target_ids=tuple(vocab.piece_to_id[p] for p in surfaces),
-        target_surfaces=surfaces,
         error_label="",
     )
 
@@ -380,13 +382,14 @@ class TestBatchedLossGraph:
         ids = M._pad(sentences)
         real = np.array([[True, True, True, True], [True, True, False, False]])
         e_enc = M.encode(M.embed_sequence(ids, params, config, rows_map), params, config, real)
-        e_k = ad.select(e_enc, np.array([[0], [1]]), np.array(positions)[:, None])
-        hidden = M.decoder_hidden(e_k, prefixes, e_enc, params, config, rows_map, real)
+        start = M.decoder_start(ad.select(e_enc, np.array([[0], [1]]), np.array(positions)[:, None]), params)
+        hidden = M.decoder_hidden(start, prefixes, M.decoder_memory(e_enc, params), params, config, rows_map, real)
         for b, (sentence, k, prefix) in enumerate(zip(sentences, positions, prefixes)):
             single_enc = M.encode(M.embed_sequence([sentence], params, config, rows_map), params, config)
             np.testing.assert_allclose(e_enc.data[b, : len(sentence)], single_enc.data[0], rtol=0, atol=1e-12)
             single = M.decoder_hidden(
-                ad.select(single_enc, [[0]], [[k]]), [prefix], single_enc, params, config, rows_map
+                M.decoder_start(ad.select(single_enc, [[0]], [[k]]), params), [prefix],
+                M.decoder_memory(single_enc, params), params, config, rows_map,
             )
             np.testing.assert_allclose(hidden.data[b, : 1 + len(prefix)], single.data[0], rtol=0, atol=1e-12)
 
@@ -425,7 +428,8 @@ class TestStepDistributions:
         rng = np.random.default_rng(seed)
         params = M._wrap_params(model.params)
         d_k = Tensor(rng.normal(size=(1, model.config.d_model)))
-        return M.step_distributions(d_k, params, model.config, model.code_index.token_rows, model.special_mask)
+        tables = M.head_tables(params, model.config, model.code_index.token_rows)
+        return M.step_distributions(d_k, tables, model.special_mask)
 
     def test_distributions_sum_to_one(self, lexicon):
         model = _toy_model(lexicon)
@@ -598,7 +602,8 @@ class TestSupervisionLog:
         model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=8, n_heads=2), seed=5)
         alignments = [C.align_pair("b", "ba", lexicon), C.align_pair("b", "a", lexicon)]
         batch = C.build_training_items(alignments, vocab)
-        surfaces = {s for item in batch for s in item.target_surfaces}
+        # both alignments' transcript pieces are targets: "ba" ends in "##a", "a" is "a"
+        surfaces = {t.surface for a in alignments for e in a for w in e.asr_words for t in C.tokenize_word(w, vocab)}
         assert {"a", "##a"} <= surfaces
         calls = _counting_supervision(monkeypatch)
         M._loss_graph(batch, model, lexicon)
