@@ -1,9 +1,9 @@
 """Command-line pipeline: vocab, g2p, align, train, corrupt, eval.
 
 Configuration resolves in three layers (built-in defaults, then a flat
-``key = value`` config file, then command-line flags).  Each command echoes
-to stderr, and hashes into its artifact headers, only the keys it reads, so
-a flag it ignores leaves its hash alone.  All randomness derives from the
+``key = value`` config file, then command-line flags).  A command takes a
+flag only for a key it reads, and echoes to stderr, and hashes into its
+artifact headers, only the keys it reads.  All randomness derives from the
 single ``--seed`` value.  ``corrupt`` writes one output line per input line,
 and ``eval`` pairs its two inputs line by line.
 """
@@ -47,6 +47,10 @@ DEFAULTS: dict[str, object] = {
     "temperature": 1.0,
 }
 
+#: the command-line flag of each config key that has one; it parses as the default's type
+_FLAGS = {"seed": "--seed", "p_z": "--p-z", "lambda_w": "--lambda-w", "lambda_ph": "--lambda-ph",
+          "mode": "--mode", "vocab_size": "--size"}
+
 
 def _parse_value(key: str, raw: str, line: Optional[int] = None):
     default = DEFAULTS[key]
@@ -88,8 +92,6 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         if key not in DEFAULTS:
             raise UnknownConfigKeyError(f"unknown config key {key!r}")
         config[key] = value
-    if config["mode"] not in ("greedy", "sample"):
-        raise ConfigParseError(f"mode must be greedy or sample, got {config['mode']!r}")
     return config
 
 
@@ -266,36 +268,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="asrnoise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, reads, help):
-        """A subcommand with the shared flags; ``reads`` are the config keys it uses."""
+    def command(name, handler, reads, help, lexicon=False):
+        """A subcommand reading the config keys ``reads``: ``--config``, the flag
+        of each read key that has one, and ``--lexicon``/``--inventory`` if it
+        loads a lexicon."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(handler=handler, reads=reads)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--p-z", dest="p_z", type=float, default=None)
-        p.add_argument("--lambda-w", dest="lambda_w", type=float, default=None)
-        p.add_argument("--lambda-ph", dest="lambda_ph", type=float, default=None)
-        p.add_argument("--mode", choices=("greedy", "sample"), default=None)
-        p.add_argument("--lexicon", default=None)
-        p.add_argument("--inventory", default=None)
+        for key in (k for k in reads if k in _FLAGS):
+            p.add_argument(_FLAGS[key], dest=key, type=type(DEFAULTS[key]), default=None)
+        if lexicon:
+            p.add_argument("--lexicon", default=None)
+            p.add_argument("--inventory", default=None)
         return p
 
     p = command("vocab", _cmd_vocab, ("vocab_size",),
                 "induce a subword vocabulary from a GT/ASR TSV corpus")
     p.add_argument("input")
     p.add_argument("--out", required=True)
-    p.add_argument("--size", dest="vocab_size", type=int, default=None)
 
-    p = command("g2p", _cmd_g2p, (), "print phonetic codes for words")
+    p = command("g2p", _cmd_g2p, (), "print phonetic codes for words", lexicon=True)
     p.add_argument("words", nargs="+")
     p.add_argument("--out", default=None)
 
-    p = command("align", _cmd_align, (), "align a GT/ASR TSV corpus word by word")
+    p = command("align", _cmd_align, (), "align a GT/ASR TSV corpus word by word", lexicon=True)
     p.add_argument("input")
     p.add_argument("--out", required=True)
 
     p = command("train", _cmd_train, _MODEL_KEYS + _TRAIN_KEYS,
-                "train the noise generator on a GT/ASR TSV corpus")
+                "train the noise generator on a GT/ASR TSV corpus", lexicon=True)
     p.add_argument("input")
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="span report TSV")
 
-    p = command("eval", _cmd_eval, (), "score hypotheses against references")
+    p = command("eval", _cmd_eval, (), "score hypotheses against references", lexicon=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--hyp", required=True)
     p.add_argument("--out", required=True, help="report basename (.txt and .csv are written)")
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _USAGE_ERRORS = (ConfigParseError, UnknownConfigKeyError, SizeTooSmallError, PriorOutOfRangeError)
 _DATA_ERRORS = (
-    FileNotFoundError,
+    OSError,
     MalformedInputError,
     EmptyCorpusError,
     CorruptCheckpointError,

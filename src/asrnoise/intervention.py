@@ -11,7 +11,7 @@ removes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,15 +22,9 @@ from .rng import uniforms_at
 
 @dataclass(frozen=True)
 class CorruptionPlan:
-    """Per-token corruption indicators plus the sampling inputs that made them.
-
-    ``prior`` is the constant threshold for interventional plans and None for
-    conditional plans (whose thresholds vary by token).
-    """
+    """Per-token corruption indicators."""
 
     z: tuple[bool, ...]
-    prior: Optional[float]
-    seed: int
 
     def __len__(self) -> int:
         return len(self.z)
@@ -58,7 +52,7 @@ def sample_plan_interventional(tokens: Sequence, p_z: float, seed: int) -> Corru
     """
     check_prior(p_z, "corruption prior")
     draws = uniforms_at(seed, np.arange(len(tokens)))
-    return CorruptionPlan(z=tuple(bool(a < p_z) for a in draws), prior=p_z, seed=seed)
+    return CorruptionPlan(z=tuple(bool(a < p_z) for a in draws))
 
 
 class ConditionalPriorTable:
@@ -109,4 +103,4 @@ def sample_plan_conditional(
     """Sample z with per-token thresholds from the frequency table."""
     draws = uniforms_at(seed, np.arange(len(tokens)))
     z = tuple(bool(a < table[tok]) for a, tok in zip(draws, tokens))
-    return CorruptionPlan(z=z, prior=None, seed=seed)
+    return CorruptionPlan(z=z)

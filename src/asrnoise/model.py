@@ -186,6 +186,7 @@ class Model:
     _supervision_logs: dict[int, Optional[np.ndarray]] = field(
         init=False, default_factory=dict, repr=False, compare=False
     )
+    _supervision_lexicon: Optional[PronouncingLexicon] = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         """Raise ValueError unless params, config, vocab and code index fit together."""
@@ -228,7 +229,10 @@ class Model:
     def supervision_log(self, target_id: int, lexicon: PronouncingLexicon) -> Optional[np.ndarray]:
         """Floored log of piece ``target_id``'s supervision distribution over
         the vocabulary, or None for a special piece or a piece phonetically
-        disjoint from the vocabulary; cached per piece, None included."""
+        disjoint from the vocabulary; cached per piece, None included, for the
+        last lexicon object asked about."""
+        if lexicon is not self._supervision_lexicon:
+            self._supervision_logs, self._supervision_lexicon = {}, lexicon
         if target_id not in self._supervision_logs:
             piece, vec = self.vocab.pieces[target_id], None
             if piece not in SPECIALS:

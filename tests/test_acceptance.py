@@ -209,12 +209,12 @@ class TestCriterion6FixtureReplay:
         tokens1 = make_token_seq(fixture_vocab, ["as", "best", "##ial"])
         from asrnoise.intervention import CorruptionPlan
 
-        plan1 = CorruptionPlan(z=(False, False, True), prior=None, seed=0)
+        plan1 = CorruptionPlan(z=(False, False, True))
         out1 = G.assemble(tokens1, plan1, [span(2, "##ial", ["at", "##ial", "[EOS]"])])
         assert out1 == "as best atial"
 
         tokens2 = make_token_seq(fixture_vocab, ["only", "labor", "##ed", "the", "gag", "##s"])
-        plan2 = CorruptionPlan(z=(False, False, True, True, False, True), prior=None, seed=0)
+        plan2 = CorruptionPlan(z=(False, False, True, True, False, True))
         out2 = G.assemble(
             tokens2,
             plan2,

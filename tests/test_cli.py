@@ -89,6 +89,39 @@ def _write_corpus(tmp_path, n_pairs=14, seed=3):
     return path, pairs
 
 
+#: positional and required arguments of each command
+_COMMAND_ARGS = {
+    "vocab": ["corpus.tsv", "--out", "vocab.txt"],
+    "g2p": ["cue"],
+    "align": ["corpus.tsv", "--out", "align.tsv"],
+    "train": ["corpus.tsv", "--vocab", "vocab.txt", "--checkpoint", "model.ckpt"],
+    "corrupt": ["texts.txt", "--checkpoint", "model.ckpt", "--out", "noised.txt"],
+    "eval": ["--ref", "texts.txt", "--hyp", "noised.txt", "--out", "metrics"],
+}
+#: the config and lexicon flags each command takes (21 in all): ``--config``,
+#: a flag per key it reads, and ``--lexicon``/``--inventory`` if it loads a lexicon
+_COMMAND_FLAGS = {
+    "vocab": {"--config", "--size"},
+    "g2p": {"--config", "--lexicon", "--inventory"},
+    "align": {"--config", "--lexicon", "--inventory"},
+    "train": {"--config", "--seed", "--lambda-w", "--lambda-ph", "--lexicon", "--inventory"},
+    "corrupt": {"--config", "--seed", "--p-z", "--mode"},
+    "eval": {"--config", "--lexicon", "--inventory"},
+}
+#: flag -> (parsed attribute, raw value, parsed value)
+_FLAG_VALUES = {
+    "--config": ("config", "run.cfg", "run.cfg"),
+    "--seed": ("seed", "7", 7),
+    "--p-z": ("p_z", "0.3", 0.3),
+    "--lambda-w": ("lambda_w", "0.4", 0.4),
+    "--lambda-ph": ("lambda_ph", "0.6", 0.6),
+    "--mode": ("mode", "greedy", "greedy"),
+    "--lexicon": ("lexicon", "lexicon.tsv", "lexicon.tsv"),
+    "--inventory": ("inventory", "inventory.tsv", "inventory.tsv"),
+    "--size": ("vocab_size", "40", 40),
+}
+
+
 class TestCommands:
     def test_unknown_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -283,6 +316,49 @@ class TestCommands:
         assert f"{vocab_path}: line {n_lines + 1}: piece '{bad}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", sorted(_COMMAND_FLAGS))
+    def test_a_command_takes_exactly_the_flags_it_reads(self, capsys, command):
+        argv = [command, *_COMMAND_ARGS[command]]
+        reads = cli.build_parser().parse_args(argv).reads
+        assert {cli._FLAGS[key] for key in reads if key in cli._FLAGS} <= _COMMAND_FLAGS[command]
+        for flag in _COMMAND_FLAGS[command]:
+            dest, raw, parsed = _FLAG_VALUES[flag]
+            assert getattr(cli.build_parser().parse_args([*argv, flag, raw]), dest) == parsed
+        for flag in sorted(_FLAG_VALUES.keys() - _COMMAND_FLAGS[command]):
+            with pytest.raises(SystemExit) as err:
+                cli.main([*argv, flag, _FLAG_VALUES[flag][1]])
+            assert err.value.code == 1
+            assert f"usage error: unrecognized arguments: {flag} " in capsys.readouterr().err
+
+    def test_mode_is_checked_only_by_corrupt_before_its_checkpoint(self, tmp_path, capsys):
+        beam = tmp_path / "beam.cfg"
+        beam.write_text("mode = beam\n")
+        assert cli.main(["g2p", "cue", "--config", str(beam)]) == 0
+        texts = tmp_path / "texts.txt"
+        texts.write_text("the cue\n")
+        argv = ["corrupt", str(texts), "--checkpoint", str(tmp_path / "missing.ckpt"), "--out", str(tmp_path / "o.txt")]
+        for extra in (["--config", str(beam)], ["--mode", "beam"]):
+            capsys.readouterr()
+            assert cli.main([*argv, *extra]) == 1
+            assert "usage error: unknown decode mode 'beam'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--ref", ".", "--hyp", "h.txt", "--out", "m"],
+         ["vocab", "corpus.tsv", "--out", ".", "--size", "40"],
+         ["g2p", "cue", "--config", "."],
+         ["corrupt", "h.txt", "--checkpoint", ".", "--out", "o.txt"]],
+        ids=["eval-ref", "vocab-out", "g2p-config", "corrupt-checkpoint"],
+    )
+    def test_a_directory_path_is_a_data_error(self, tmp_path, monkeypatch, capsys, argv):
+        _write_corpus(tmp_path)
+        (tmp_path / "h.txt").write_text("the cue\n")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("asrnoise: data error")
+        assert "Traceback" not in err
+
     def test_internal_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch, capsys):
         texts = tmp_path / "texts.txt"
         texts.write_text("the cue\n")
@@ -392,13 +468,14 @@ class TestPipeline:
 
     def test_config_hash_covers_only_keys_the_command_reads(self, pipeline, capsys):
         root, cfg, vocab_path, ckpt, losslog, texts = pipeline
+        lambda_cfg = root / "lambda_w.cfg"
+        lambda_cfg.write_text(cfg.read_text() + "lambda_w = 0.9\n")
         corrupt_hashes = []
-        for extra in ([], ["--lambda-w", "0.9"]):
+        for config in (cfg, lambda_cfg):
             out = root / "hashed.txt"
             capsys.readouterr()
             rc = cli.main(
-                ["corrupt", str(texts), "--checkpoint", str(ckpt), "--out", str(out),
-                 "--config", str(cfg), *extra]
+                ["corrupt", str(texts), "--checkpoint", str(ckpt), "--out", str(out), "--config", str(config)]
             )
             assert rc == 0
             corrupt_hashes.append(_header_hash(out))
@@ -409,7 +486,7 @@ class TestPipeline:
         rc = cli.main(
             ["train", str(root / "corpus.tsv"), "--vocab", str(vocab_path),
              "--checkpoint", str(root / "lambda_w.ckpt"), "--out", str(other_log),
-             "--config", str(cfg), "--lambda-w", "0.9"]
+             "--config", str(lambda_cfg)]
         )
         assert rc == 0
         assert _header_hash(other_log) != _header_hash(losslog)

@@ -285,13 +285,13 @@ def _span(vocab, position, original, surfaces):
 class TestAssemble:
     def test_single_insertion_fixture(self, fixture_vocab):
         tokens = make_token_seq(fixture_vocab, ["as", "best", "##ial"])
-        plan = CorruptionPlan(z=(False, False, True), prior=None, seed=0)
+        plan = CorruptionPlan(z=(False, False, True))
         spans = [_span(fixture_vocab, 2, "##ial", ["at", "##ial", "[EOS]"])]
         assert G.assemble(tokens, plan, spans) == "as best atial"
 
     def test_three_error_fixture(self, fixture_vocab):
         tokens = make_token_seq(fixture_vocab, ["only", "labor", "##ed", "the", "gag", "##s"])
-        plan = CorruptionPlan(z=(False, False, True, True, False, True), prior=None, seed=0)
+        plan = CorruptionPlan(z=(False, False, True, True, False, True))
         spans = [
             _span(fixture_vocab, 2, "##ed", ["##ed", "labor", "[EOS]"]),
             _span(fixture_vocab, 3, "the", ["the", "##s", "[EOS]"]),
@@ -301,12 +301,12 @@ class TestAssemble:
 
     def test_identity_when_nothing_corrupted(self, fixture_vocab):
         tokens = make_token_seq(fixture_vocab, ["only", "labor", "##ed", "gag"])
-        plan = CorruptionPlan(z=(False,) * 4, prior=None, seed=0)
+        plan = CorruptionPlan(z=(False,) * 4)
         assert G.assemble(tokens, plan, []) == "only labored gag"
 
     def test_plan_span_mismatch(self, fixture_vocab):
         tokens = make_token_seq(fixture_vocab, ["as", "best"])
-        plan = CorruptionPlan(z=(True, False), prior=None, seed=0)
+        plan = CorruptionPlan(z=(True, False))
         with pytest.raises(PlanMismatchError):
             G.assemble(tokens, plan, [])
         spans = [
@@ -318,7 +318,7 @@ class TestAssemble:
 
     def test_plan_length_mismatch(self, fixture_vocab):
         tokens = make_token_seq(fixture_vocab, ["as", "best"])
-        plan = CorruptionPlan(z=(True,), prior=None, seed=0)
+        plan = CorruptionPlan(z=(True,))
         with pytest.raises(PlanMismatchError):
             G.assemble(tokens, plan, [])
 

@@ -13,6 +13,7 @@ from asrnoise.errors import (
     PrefixTooLongError,
     SequenceTooLongError,
 )
+from asrnoise.phonetics import PronouncingLexicon
 
 from conftest import make_token_seq
 from oracles import block_forward_mp, loss_reference, matmul, sum_
@@ -610,6 +611,17 @@ class TestSupervisionLog:
         assert sorted(calls) == ["a", "b"]
         a, b = vocab.piece_to_id["a"], vocab.piece_to_id["b"]
         assert model._supervision_logs.keys() == {a, b, vocab.eos_id}
+
+    def test_a_row_cached_under_one_lexicon_is_not_served_for_another(self, lexicon):
+        inventory = lexicon.inventory
+        other = PronouncingLexicon({**lexicon.entries, "cue": (inventory["B"], inventory["AA"])}, inventory)
+        model = _toy_model(lexicon)
+        cue = model.vocab.piece_to_id["cue"]
+        first = model.supervision_log(cue, lexicon)
+        fresh = _toy_model(lexicon).supervision_log(cue, other)
+        assert not np.array_equal(first, fresh)
+        np.testing.assert_array_equal(model.supervision_log(cue, other), fresh)
+        np.testing.assert_array_equal(model.supervision_log(cue, lexicon), first)
 
 
 class TestCodeIndex:
