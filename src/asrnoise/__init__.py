@@ -62,7 +62,7 @@ from .phonetics import (
     supervision_distribution,
 )
 from .synthetic import make_parallel_corpus
-from .training import TrainConfig, evaluate_dev, load_checkpoint, save_checkpoint, train
+from .training import TrainConfig, load_checkpoint, save_checkpoint, train
 
 __version__ = "0.1.0"
 
@@ -96,7 +96,6 @@ __all__ = [
     "detokenize",
     "error_type_breakdown",
     "estimate_conditional_prior",
-    "evaluate_dev",
     "g2p",
     "generate_span",
     "independence_report",

@@ -4,8 +4,9 @@ Configuration resolves in three layers (built-in defaults, then a flat
 ``key = value`` config file, then command-line flags).  A command takes a
 flag only for a key it reads, and echoes to stderr, and hashes into its
 artifact headers, only the keys it reads.  All randomness derives from the
-single ``--seed`` value.  ``corrupt`` writes one output line per input line,
-and ``eval`` pairs its two inputs line by line.
+single ``--seed`` value.  Every output path is checked before any input is
+read.  ``corrupt`` writes one output line per input line, and ``eval`` pairs
+its two inputs line by line.
 """
 from __future__ import annotations
 
@@ -124,6 +125,18 @@ def _settings(cls, config: dict, keys: Sequence[str]):
         return cls(**{key: config[key] for key in keys})
     except ValueError as exc:
         raise ConfigParseError(f"invalid config value: {exc}") from exc
+
+
+def _check_output(flag: str, path: Optional[str]) -> None:
+    """Reject an output path that cannot be written: its parent must be a
+    directory, and the path itself must not be one."""
+    if path is None:
+        return
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise NotADirectoryError(f"{flag} {path}: {target.parent} is not a directory")
+    if target.is_dir():
+        raise IsADirectoryError(f"{flag} {path} is a directory")
 
 
 def _load_lexicon(args) -> phonetics.PronouncingLexicon:
@@ -268,12 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="asrnoise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, reads, help, lexicon=False):
+    def command(name, handler, reads, help, lexicon=False, outputs=("out",)):
         """A subcommand reading the config keys ``reads``: ``--config``, the flag
         of each read key that has one, and ``--lexicon``/``--inventory`` if it
-        loads a lexicon."""
+        loads a lexicon.  ``outputs`` names the attributes of its output paths."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler, reads=reads)
+        p.set_defaults(handler=handler, reads=reads, outputs=outputs)
         p.add_argument("--config", help="flat key = value config file")
         for key in (k for k in reads if k in _FLAGS):
             p.add_argument(_FLAGS[key], dest=key, type=type(DEFAULTS[key]), default=None)
@@ -296,14 +309,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("train", _cmd_train, _MODEL_KEYS + _TRAIN_KEYS,
-                "train the noise generator on a GT/ASR TSV corpus", lexicon=True)
+                "train the noise generator on a GT/ASR TSV corpus", lexicon=True,
+                outputs=("checkpoint", "out"))
     p.add_argument("input")
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None, help="loss log CSV")
 
     p = command("corrupt", _cmd_corrupt, ("seed", "p_z", "mode", "temperature"),
-                "corrupt plain text into pseudo transcripts")
+                "corrupt plain text into pseudo transcripts", outputs=("out", "report"))
     p.add_argument("input")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
@@ -332,6 +346,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {key: value for key, value in vars(args).items() if key in DEFAULTS}
     try:
+        for dest in args.outputs:
+            _check_output(f"--{dest}", getattr(args, dest))
         resolved = load_config(args.config, overrides)
         config = {key: resolved[key] for key in args.reads}
         _echo_config(args.command, config)

@@ -10,6 +10,7 @@ diagonal step between two different symbols counts as a substitution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -195,6 +196,30 @@ class IndependenceReport:
         return self.verdict == "independent"
 
 
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X > x) of a chi-square variable with integer ``dof`` >= 1.
+
+    With h = x/2 the tail is the Poisson sum exp(-h) sum_{i<dof/2} h^i/i!
+    for even ``dof``, and erfc(sqrt(h)) + exp(-h) sum_{i<(dof-1)/2}
+    h^(i+1/2)/Gamma(i+3/2) for odd ``dof``.  The sum runs in log space,
+    shifted by its largest term, so no term overflows or underflows on its
+    own for any ``dof`` or ``x``.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = x / 2.0
+    log_h = math.log(h)
+    if dof % 2 == 0:
+        head, offset, n_terms = 0.0, 1.0, dof // 2
+    else:
+        head, offset, n_terms = math.erfc(math.sqrt(h)), 1.5, (dof - 1) // 2
+    if n_terms == 0:
+        return head
+    logs = [(i + offset - 1.0) * log_h - math.lgamma(i + offset) for i in range(n_terms)]
+    top = max(logs)
+    return head + math.exp(top - h + math.log(math.fsum(math.exp(v - top) for v in logs)))
+
+
 def independence_report(
     plans: Sequence[CorruptionPlan],
     token_lists: Sequence[Sequence[str]],
@@ -238,12 +263,9 @@ def independence_report(
     )
     if degenerate:
         return IndependenceReport(0.0, 0, 1.0, alpha, "degenerate", rows)
-    # imported here, not at module level: scipy.stats costs about 1 s and 70 MB to load
-    from scipy import stats
-
     statistic = float(contributions.sum())
     dof = (table.shape[0] - 1) * (table.shape[1] - 1)
-    p_value = float(stats.chi2.sf(statistic, dof))
+    p_value = _chi2_sf(statistic, dof)
     verdict = "dependent" if p_value < alpha else "independent"
     return IndependenceReport(statistic, dof, p_value, alpha, verdict, rows)
 

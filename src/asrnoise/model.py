@@ -40,8 +40,8 @@ heads over its newest row (:func:`step_distributions`).
 
 Training and decoding run the same functions, training once per batch.
 Decoding wraps the parameters as tensors that need no gradient, so its
-forward passes build no graph; :func:`combine_heads` is plain numpy because
-no loss differentiates it.
+forward passes build no graph; :func:`step_distributions` combines the heads
+in plain numpy because no loss differentiates the combination.
 
 Everything runs in float64 through the in-package autodiff engine, so
 training is deterministic and gradients can be checked against central
@@ -181,7 +181,7 @@ class Model:
     vocab: SubwordVocab
     code_index: PhonemeCodeIndex
     #: ``[2, V]``: row 0 is 1.0 at the special pieces, row 1 at [EOS] alone,
-    #: the one special piece decoding may emit (see :func:`combine_heads`)
+    #: the one special piece decoding may emit (see :func:`step_distributions`)
     special_mask: np.ndarray = field(init=False, repr=False, compare=False)
     _supervision_logs: dict[int, Optional[np.ndarray]] = field(
         init=False, default_factory=dict, repr=False, compare=False
@@ -421,25 +421,15 @@ def step_distributions(
     it and generation could never stop; instead the content-average phoneme
     factor stands in for its phoneme score.  [BOS] and [UNK] get no mass, so
     decoding never writes them.  A uniform phoneme head, or none, therefore
-    leaves the word head over the other pieces, renormalized.  ``tables``
-    is :func:`head_tables`.
+    leaves the word head over the other pieces, renormalized.
+
+    ``tables`` is :func:`head_tables` and ``special_mask`` is
+    :attr:`Model.special_mask`.  No loss differentiates the distributions,
+    so they are plain numpy on the logits' values, and the returned tensors
+    need no gradient.  A row whose allowed pieces all underflow to zero mass
+    puts all of its ``p_gen`` on [EOS].
     """
     logits_n, logits_ph = _head_logits(d_k, tables)
-    return combine_heads(logits_n, logits_ph, special_mask)
-
-
-def combine_heads(
-    logits_n: Tensor,
-    logits_ph: Optional[Tensor],
-    special_mask: np.ndarray,
-) -> tuple[Tensor, Optional[Tensor], Tensor]:
-    """The distributions of :func:`step_distributions` from the head logits.
-
-    ``special_mask`` is :attr:`Model.special_mask`.  No loss differentiates
-    the distributions, so this is plain numpy on the logits' values, and the
-    returned tensors need no gradient.  A row whose allowed pieces all
-    underflow to zero mass puts all of its ``p_gen`` on [EOS].
-    """
     special, eos = special_mask
     content = 1.0 - special
     p_n = ad.softmax_array(logits_n.data)

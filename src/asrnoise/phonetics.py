@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -109,9 +109,6 @@ class PronouncingLexicon:
     def phoneme(self, symbol: str) -> Phoneme:
         return self.inventory[symbol]
 
-    def code_from_symbols(self, symbols: Iterable[str]) -> PhoneticCode:
-        return tuple(self.inventory[s] for s in symbols)
-
 
 def load_inventory(path) -> dict[str, Phoneme]:
     """Read one phoneme per line: ``SYMBOL<TAB>kind<TAB>slot1<TAB>slot2<TAB>slot3``."""
@@ -187,7 +184,7 @@ def g2p(word: str, lexicon: PronouncingLexicon) -> PhoneticCode:
     symbols: list[str] = []
     for ch in word:
         symbols.extend(FALLBACK_LETTER_PHONEMES.get(ch, (UNK_SYMBOL,)))
-    code = lexicon.code_from_symbols(symbols)
+    code = tuple(lexicon.inventory[s] for s in symbols)
     lexicon._fallback_cache[word] = code
     return code
 

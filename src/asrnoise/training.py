@@ -1,4 +1,4 @@
-"""Training loop, Adam updates, checkpoint serialization and dev evaluation.
+"""Training loop, Adam updates and checkpoint serialization.
 
 Runs are deterministic for a fixed seed: the shuffle order, batch grouping
 and gradient reduction order are all derived from it, and parameters live in
@@ -22,7 +22,7 @@ from .errors import (
     SequenceTooLongError,
     VersionMismatchError,
 )
-from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph, combine_heads
+from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph
 from .phonetics import PronouncingLexicon
 from .textio import write_lines
 
@@ -150,40 +150,6 @@ def train(
         n = len(items)
         log.append(EpochStats(epoch, float(sums[0]) / n, float(sums[1]) / n, float(sums[2]) / n))
     return log
-
-
-@dataclass(frozen=True)
-class DevReport:
-    mean_loss_word: float
-    mean_loss_phoneme: float
-    token_accuracy: float
-    n_examples: int
-    n_steps: int
-
-
-def evaluate_dev(
-    items: Sequence[AlignedExample],
-    model: Model,
-    lexicon: PronouncingLexicon,
-) -> DevReport:
-    """Forward-only teacher-forced metrics; parameters are untouched.
-
-    Token accuracy counts steps whose combined-head argmax equals the
-    target token.  An empty item list yields a zeroed report.
-    """
-    if not items:
-        return DevReport(0.0, 0.0, 0.0, 0, 0)
-    graph = _loss_graph(items, model, lexicon, needs_grad=False)
-    _, _, p_gen = combine_heads(graph.logits_n, graph.logits_ph, model.special_mask)
-    hits = int(np.count_nonzero(np.argmax(p_gen.data, axis=-1) == graph.targets))
-    steps = len(graph.targets)
-    return DevReport(
-        mean_loss_word=float(graph.l_n.data) / steps,
-        mean_loss_phoneme=float(graph.l_ph.data) / steps,
-        token_accuracy=hits / steps,
-        n_examples=len(items),
-        n_steps=steps,
-    )
 
 
 def save_loss_log(path, log: Sequence[EpochStats], header: str = "") -> None:

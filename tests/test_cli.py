@@ -5,7 +5,7 @@ from asrnoise import cli
 from asrnoise import corpus as C
 from asrnoise import synthetic, training
 from asrnoise.errors import ConfigParseError, UnknownConfigKeyError
-from asrnoise.model import loss_total
+from asrnoise.model import Model, ModelConfig, loss_total
 
 
 def _header_hash(path):
@@ -358,6 +358,38 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.splitlines()[-1].startswith("asrnoise: data error")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("vocab", "--out"), ("g2p", "--out"), ("align", "--out"), ("train", "--checkpoint"),
+         ("train", "--out"), ("corrupt", "--out"), ("corrupt", "--report"), ("eval", "--out")],
+    )
+    def test_an_output_path_outside_a_directory_fails_before_the_work(
+        self, tmp_path, monkeypatch, capsys, lexicon, command, flag
+    ):
+        _, pairs = _write_corpus(tmp_path)
+        vocab = C.induce_vocab([p.gt for p in pairs], 40)
+        vocab.save(tmp_path / "vocab.txt")
+        model = Model.build(vocab, lexicon, ModelConfig(d_model=8, n_heads=2))
+        training.save_checkpoint(tmp_path / "model.ckpt", model)
+        for name in ("texts.txt", "noised.txt"):
+            (tmp_path / name).write_text("the cue\n")
+
+        def main_work(*args, **kwargs):
+            raise AssertionError("the command's main work ran")
+
+        for module, name in [(cli.training, "train"), (cli.generation, "corrupt_corpus"),
+                             (cli.corpus_mod, "induce_vocab"), (cli.corpus_mod, "align_pair"),
+                             (cli.evaluation, "error_type_breakdown"), (cli.phonetics, "g2p")]:
+            monkeypatch.setattr(module, name, main_work)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, *_COMMAND_ARGS[command]]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = "nodir/out"
+        else:
+            argv += [flag, "nodir/out"]
+        assert cli.main(argv) == 2
+        assert f"asrnoise: data error: {flag} nodir/out: nodir is not a directory" in capsys.readouterr().err
 
     def test_internal_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch, capsys):
         texts = tmp_path / "texts.txt"

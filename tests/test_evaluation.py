@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -188,15 +190,27 @@ class TestIndependenceReport:
         assert all(row.corruption_rate == 1.0 for row in report.rows)
         assert all(row.chi_square_contribution == 0.0 for row in report.rows)
 
-    def test_importing_the_package_leaves_scipy_stats_unloaded(self):
+    def test_the_report_runs_with_scipy_blocked(self):
         env = dict(os.environ)
         src = str(Path(E.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import asrnoise, sys; print('scipy.stats' in sys.modules)"
+        # a None entry makes every import of scipy, or of a submodule, fail
+        code = """
+import sys
+sys.modules["scipy"] = None
+import asrnoise.cli
+from asrnoise.evaluation import independence_report
+from asrnoise.intervention import ConditionalPriorTable, sample_plan_conditional, sample_plan_interventional
+ids = [f"tok{i}" for i in range(10)]
+tokens = [ids[i % 10] for i in range(20_000)]
+biased = ConditionalPriorTable({t: (0.6 if i % 2 else 0.2) for i, t in enumerate(ids)}, default=0.4)
+for plan in (sample_plan_interventional(tokens, 0.3, seed=13), sample_plan_conditional(tokens, biased, seed=13)):
+    print(independence_report([plan], [tokens]).verdict)
+"""
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["independent", "dependent"]
 
     def test_per_token_rows_cover_all_ids(self):
         tokens = self._tokens(5000, k=5)
@@ -205,6 +219,25 @@ class TestIndependenceReport:
         assert {row.token for row in report.rows} == set(self._tokens(5, k=5))
         total = sum(row.observations for row in report.rows)
         assert total == 5000
+
+
+class TestChiSquareTail:
+    @pytest.mark.parametrize("dof", [*range(1, 40), 99, 383, 1000, 2000])
+    def test_matches_arbitrary_precision(self, dof):
+        points = 0
+        with mpmath.workdps(50):
+            for x in [*np.geomspace(1e-6, 5 * dof + 100, 40), *np.linspace(0.5, 5 * dof + 100, 40)]:
+                x = float(x)
+                exact = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+                if exact < mpmath.mpf("1e-300"):
+                    continue
+                points += 1
+                assert float(abs(E._chi2_sf(x, dof) - exact) / exact) <= 1e-12, (dof, x)
+        assert points >= 40
+
+    def test_zero_statistic_has_tail_one(self):
+        assert E._chi2_sf(0.0, 1) == 1.0
+        assert E._chi2_sf(0.0, 383) == 1.0
 
 
 class TestMetricsReport:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from asrnoise import autodiff as ad
 from asrnoise import cli
 from asrnoise import corpus as C
+from asrnoise import generation as G
 from asrnoise import model as M
 from asrnoise import training as T
 from asrnoise.errors import (
@@ -22,7 +23,7 @@ from asrnoise.errors import (
     VersionMismatchError,
 )
 
-from test_model import _mixed_batch, _toy_model
+from test_model import _toy_model
 
 
 class TestTrainConfig:
@@ -106,8 +107,10 @@ class TestTrain:
         item = items[0]
         model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=3)
         T.train([item], model, lexicon, T.TrainConfig(learning_rate=5e-3, epochs=60, batch_size=1, seed=0))
-        report = T.evaluate_dev([item], model, lexicon)
-        assert report.token_accuracy == 1.0
+        decoder = G.SpanDecoder.build(model)
+        sentence = decoder.encode([t.piece_id for t in item.sentence])
+        span = G.generate_span(sentence, decoder, item.position, mode=G.GREEDY)
+        assert span.token_ids == tuple(item.target_ids)
 
     def test_horizon_violation_rejected(self, lexicon):
         vocab, items = _tiny_training_setup(lexicon)
@@ -219,43 +222,6 @@ class TestTrain:
         T.train(items, model, lexicon, cfg)
         assert into_params[0] > 0
         assert into_constants[0] == 0
-
-
-class TestEvaluateDev:
-    def test_empty_dev_set_reports_zeros(self, lexicon, small_model):
-        report = T.evaluate_dev([], small_model, lexicon)
-        assert report == T.DevReport(0.0, 0.0, 0.0, 0, 0)
-
-    def test_same_checkpoint_same_report(self, lexicon, small_setup, small_model):
-        _, _, items = small_setup
-        a = T.evaluate_dev(items[:10], small_model, lexicon)
-        b = T.evaluate_dev(items[:10], small_model, lexicon)
-        assert a == b
-
-    def test_equals_aggregate_of_item_reports(self, lexicon):
-        model = _toy_model(lexicon)
-        batch = _mixed_batch(model)
-        report = T.evaluate_dev(batch, model, lexicon)
-        singles = [T.evaluate_dev([x], model, lexicon) for x in batch]
-        steps = sum(r.n_steps for r in singles)
-        assert report.n_examples == len(batch)
-        assert report.n_steps == steps
-        assert report.token_accuracy == pytest.approx(
-            sum(r.token_accuracy * r.n_steps for r in singles) / steps, rel=1e-12
-        )
-        assert report.mean_loss_word == pytest.approx(
-            sum(r.mean_loss_word * r.n_steps for r in singles) / steps, rel=1e-10
-        )
-        assert report.mean_loss_phoneme == pytest.approx(
-            sum(r.mean_loss_phoneme * r.n_steps for r in singles) / steps, rel=1e-10
-        )
-
-    def test_does_not_mutate_parameters(self, lexicon, small_setup, small_model):
-        _, _, items = small_setup
-        before = {k: v.copy() for k, v in small_model.params.items()}
-        T.evaluate_dev(items[:10], small_model, lexicon)
-        for name, value in small_model.params.items():
-            np.testing.assert_array_equal(value, before[name])
 
 
 class TestCheckpointIO:
