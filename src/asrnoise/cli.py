@@ -127,16 +127,22 @@ def _settings(cls, config: dict, keys: Sequence[str]):
         raise ConfigParseError(f"invalid config value: {exc}") from exc
 
 
-def _check_output(flag: str, path: Optional[str]) -> None:
+def _check_output(flag: str, value: str, path: str) -> None:
     """Reject an output path that cannot be written: its parent must be a
-    directory, and the path itself must not be one."""
-    if path is None:
-        return
+    directory, and the path itself must not be one.  ``value`` is what the
+    flag was given, and ``path`` a file written for it."""
     target = Path(path)
     if not target.parent.is_dir():
-        raise NotADirectoryError(f"{flag} {path}: {target.parent} is not a directory")
+        raise NotADirectoryError(f"{flag} {value}: {target.parent} is not a directory")
     if target.is_dir():
-        raise IsADirectoryError(f"{flag} {path} is a directory")
+        raise IsADirectoryError(f"{flag} {value}: {path} is a directory")
+
+
+def _metrics_paths(out: str) -> tuple[str, str]:
+    """``eval``'s report and CSV paths: ``.txt`` and ``.csv`` are appended to
+    ``out``, unless it already ends in one of them, which they replace."""
+    stem = out[:-4] if out.endswith((".txt", ".csv")) else out
+    return stem + ".txt", stem + ".csv"
 
 
 def _load_lexicon(args) -> phonetics.PronouncingLexicon:
@@ -261,10 +267,7 @@ def _cmd_eval(args, config) -> int:
         "total_errors": breakdown.total_errors,
         "mean_phoneme_distance": evaluation.mean_phoneme_distance(refs, hyps, lexicon),
     }
-    out = Path(args.out)
-    evaluation.write_metrics_report(
-        out.with_suffix(".txt"), out.with_suffix(".csv"), metrics, header=_header("eval", config)
-    )
+    evaluation.write_metrics_report(*_metrics_paths(args.out), metrics, header=_header("eval", config))
     for name, value in metrics.items():
         print(f"{name}: {value}", file=sys.stderr)
     return 0
@@ -281,12 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="asrnoise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, reads, help, lexicon=False, outputs=("out",)):
+    def command(name, handler, reads, help, lexicon=False, outputs=("out",), written=lambda path: (path,)):
         """A subcommand reading the config keys ``reads``: ``--config``, the flag
         of each read key that has one, and ``--lexicon``/``--inventory`` if it
-        loads a lexicon.  ``outputs`` names the attributes of its output paths."""
+        loads a lexicon.  ``outputs`` names the attributes of its output paths,
+        and ``written`` maps an output flag's value to the files it writes."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler, reads=reads, outputs=outputs)
+        p.set_defaults(handler=handler, reads=reads, outputs=outputs, written=written)
         p.add_argument("--config", help="flat key = value config file")
         for key in (k for k in reads if k in _FLAGS):
             p.add_argument(_FLAGS[key], dest=key, type=type(DEFAULTS[key]), default=None)
@@ -323,10 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="span report TSV")
 
-    p = command("eval", _cmd_eval, (), "score hypotheses against references", lexicon=True)
+    p = command("eval", _cmd_eval, (), "score hypotheses against references", lexicon=True,
+                written=_metrics_paths)
     p.add_argument("--ref", required=True)
     p.add_argument("--hyp", required=True)
-    p.add_argument("--out", required=True, help="report basename (.txt and .csv are written)")
+    p.add_argument("--out", required=True,
+                   help="report basename: OUT.txt and OUT.csv are written (a .txt or .csv suffix is replaced)")
 
     return parser
 
@@ -347,7 +353,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     overrides = {key: value for key, value in vars(args).items() if key in DEFAULTS}
     try:
         for dest in args.outputs:
-            _check_output(f"--{dest}", getattr(args, dest))
+            value = getattr(args, dest)
+            for path in args.written(value) if value is not None else ():
+                _check_output(f"--{dest}", value, path)
         resolved = load_config(args.config, overrides)
         config = {key: resolved[key] for key in args.reads}
         _echo_config(args.command, config)

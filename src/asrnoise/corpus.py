@@ -366,14 +366,19 @@ def align_pair(gt: str, asr: str, lexicon: PronouncingLexicon) -> list[Alignment
         raise EmptyCorpusError("ground-truth side of an alignment must be nonempty")
 
     codes = {w: g2p(w, lexicon) for w in set(gt_words) | set(asr_words)}
-
-    def sub_cost(gw: str, aw: str) -> float:
-        if gw == aw:
-            return 0.0
-        d = phoneme_edit_distance(codes[gw], codes[aw])
-        return min(d / max(len(codes[gw]), 1), 1.0)
-
-    sub_costs = [[sub_cost(gw, aw) for aw in asr_words] for gw in gt_words]
+    asr_codes = [(aw, codes[aw]) for aw in asr_words]
+    sub_costs = []
+    for gw in gt_words:
+        cg = codes[gw]
+        norm = max(len(cg), 1)
+        row = []
+        for aw, ca in asr_codes:
+            if aw == gw:
+                row.append(0.0)
+            else:
+                cost = phoneme_edit_distance(cg, ca) / norm
+                row.append(cost if cost < 1.0 else 1.0)
+        sub_costs.append(row)
     entries = []
     for i, js in _group_alignment(align_sequences(sub_costs, len(asr_words))):
         matched = tuple(asr_words[j] for j in js)
@@ -424,17 +429,25 @@ def build_training_items(
     """
     if max_target_len is not None and max_target_len < 1:
         raise ValueError("max_target_len must be at least 1")
+    pieces: dict[str, list[Token]] = {}  # each distinct word is tokenized once
+
+    def word_pieces(word: str) -> list[Token]:
+        toks = pieces.get(word)
+        if toks is None:
+            toks = pieces[word] = tokenize_word(word, vocab)
+        return toks
+
     items: list[AlignedExample] = []
     for pair_idx, entries in enumerate(alignments):
         sid = sentence_ids[pair_idx] if sentence_ids is not None else str(pair_idx)
-        word_tokens = [tokenize_word(e.gt_word, vocab) for e in entries]
+        word_tokens = [word_pieces(e.gt_word) for e in entries]
         sentence = tuple(t for toks in word_tokens for t in toks)
         offset = 0
         for entry, gt_toks in zip(entries, word_tokens):
             if entry.label == MATCH:
                 offset += len(gt_toks)
                 continue
-            asr_toks = [t for w in entry.asr_words for t in tokenize_word(w, vocab)]
+            asr_toks = [t for w in entry.asr_words for t in word_pieces(w)]
             costs = unit_costs([t.surface for t in gt_toks], [t.surface for t in asr_toks])
             for piece_pos, js in _group_alignment(align_sequences(costs, len(asr_toks))):
                 aligned = [asr_toks[j] for j in js]

@@ -5,9 +5,21 @@ with a weighted Levenshtein distance whose substitution cost is the fraction
 of articulatory slots two phonemes disagree on.  Distances feed a similarity
 score and, normalized over a vocabulary, a supervision distribution for the
 phoneme generation head.
+
+The distance is computed in integer thirds.  Each distinct articulation (a
+kind plus its three feature slots) is interned once, when the first phoneme
+carrying it is built, and gets a small integer id; a module-level table then
+holds :func:`articulatory_mismatches` for every ordered pair of ids seen so
+far, so the dynamic program reads ``table[p][q]`` instead of comparing
+features per cell.  The id is a plain attribute, not a dataclass field:
+``Phoneme`` stays the three-field record ``(symbol, kind, features)`` that
+equality, hashing and the lexicon files see, and a copied or unpickled
+phoneme is rebuilt through its constructor, so it gets the id of the process
+it lands in.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Optional, Sequence
@@ -38,6 +50,41 @@ class Phoneme:
     symbol: str
     kind: str
     features: tuple[str, str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "articulation", _intern_articulation(self))
+
+    def __reduce__(self):
+        # rebuild through __init__, so the articulation id is this process's
+        return (Phoneme, (self.symbol, self.kind, self.features))
+
+
+# Articulation interning: ``_ARTICULATION_IDS`` maps (kind, features) to an id,
+# ``_ARTICULATIONS[id]`` is the first phoneme seen with it, and
+# ``_MISMATCH_UNITS[a][b]`` is ``articulatory_mismatches`` of ids a and b.  The
+# tables only grow, and an id is published only once its row and column are
+# filled, so a reader holding any phoneme's id never sees a partial table.
+_ARTICULATION_IDS: dict[tuple[str, tuple[str, ...]], int] = {}
+_ARTICULATIONS: list["Phoneme"] = []
+_MISMATCH_UNITS: list[list[int]] = []
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern_articulation(p: "Phoneme") -> int:
+    key = (p.kind, tuple(p.features))
+    aid = _ARTICULATION_IDS.get(key)
+    if aid is not None:
+        return aid
+    with _INTERN_LOCK:
+        aid = _ARTICULATION_IDS.get(key)
+        if aid is None:
+            aid = len(_ARTICULATIONS)
+            for q, row in zip(_ARTICULATIONS, _MISMATCH_UNITS):
+                row.append(articulatory_mismatches(q, p))
+            _ARTICULATIONS.append(p)
+            _MISMATCH_UNITS.append([articulatory_mismatches(p, q) for q in _ARTICULATIONS])
+            _ARTICULATION_IDS[key] = aid
+    return aid
 
 
 #: Ordered phoneme sequence for one word surface.
@@ -208,24 +255,27 @@ _INDEL_UNITS = 3
 
 
 def _edit_units(cp: PhoneticCode, cq: PhoneticCode) -> int:
-    n, m = len(cp), len(cq)
-    prev = list(range(0, _INDEL_UNITS * (m + 1), _INDEL_UNITS))
-    for i in range(1, n + 1):
-        cur = [i * _INDEL_UNITS]
-        pi = cp[i - 1]
-        for j in range(1, m + 1):
-            sub = prev[j - 1] + articulatory_mismatches(pi, cq[j - 1])
-            ins = cur[j - 1] + _INDEL_UNITS
-            dele = prev[j] + _INDEL_UNITS
+    qs = [q.articulation for q in cq]
+    prev = list(range(0, _INDEL_UNITS * (len(qs) + 1), _INDEL_UNITS))
+    for i, p in enumerate(cp, start=1):
+        costs = _MISMATCH_UNITS[p.articulation]
+        left = i * _INDEL_UNITS
+        cur = [left]
+        j = 0
+        for q in qs:
             # substitution wins ties, then insertion, then deletion
-            best = sub
+            best = prev[j] + costs[q]
+            ins = left + _INDEL_UNITS
             if ins < best:
                 best = ins
+            j += 1
+            dele = prev[j] + _INDEL_UNITS
             if dele < best:
                 best = dele
             cur.append(best)
+            left = best
         prev = cur
-    return prev[m]
+    return prev[-1]
 
 
 def phoneme_edit_distance(cp: PhoneticCode, cq: PhoneticCode) -> float:

@@ -6,11 +6,18 @@ a ``\\r`` anywhere else stays inside its line.  A first line that starts
 with :data:`ARTIFACT_HEADER` names the command that wrote the file and is
 skipped on read.  Callers keep only their own field parsing and comment
 rule.
+
+Every artifact, text or binary, is written through :func:`replacing`: the
+bytes go to a temporary file beside the target, which is renamed over it only
+once the whole write succeeded, so a failed or interrupted write leaves the
+previous file as it was.
 """
 from __future__ import annotations
 
 import codecs
-from typing import Iterable
+import os
+from contextlib import contextmanager
+from typing import IO, Iterable, Iterator
 
 #: Written as the first line of an artifact, and skipped there on read.
 ARTIFACT_HEADER = "# produced-by:"
@@ -35,9 +42,39 @@ def read_lines(path) -> list[tuple[int, str]]:
     return numbered[1:] if numbered and numbered[0][1].startswith(ARTIFACT_HEADER) else numbered
 
 
+@contextmanager
+def replacing(path, binary: bool = False) -> Iterator[IO]:
+    """A file opened for writing whose content replaces ``path`` when the
+    block ends without an error.
+
+    The content goes to a temporary file in the target's directory, which
+    ``os.replace`` renames over the target; on an error the temporary file
+    is removed and the target is untouched.  A path that is a symlink or
+    not a regular file (``/dev/stdout``, a pipe) is written through instead,
+    since renaming over it would replace the link or device itself.
+    """
+    target = os.fspath(path)
+    kwargs = {} if binary else {"encoding": "utf-8", "newline": ""}
+    mode = "wb" if binary else "w"
+    if os.path.islink(target) or (os.path.exists(target) and not os.path.isfile(target)):
+        with open(target, mode, **kwargs) as fh:
+            yield fh
+        return
+    head, name = os.path.split(target)
+    partial = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, mode, **kwargs) as fh:
+            yield fh
+        os.replace(partial, target)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
+
+
 def write_lines(path, lines: Iterable[str], header: str = "") -> None:
     """Write each line ended by ``\\n``, after a header line when ``header`` is given."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         if header:
             fh.write(f"{ARTIFACT_HEADER} {header}\n")
         for line in lines:

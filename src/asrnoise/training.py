@@ -24,7 +24,7 @@ from .errors import (
 )
 from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph
 from .phonetics import PronouncingLexicon
-from .textio import write_lines
+from .textio import replacing, write_lines
 
 CHECKPOINT_MAGIC = b"ISNI1"
 
@@ -171,7 +171,7 @@ def save_checkpoint(path, model: Model, meta: Optional[dict] = None) -> None:
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replacing(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
         fh.write(b"".join(array.astype("<f8").tobytes() for array in model.params.values()))
 

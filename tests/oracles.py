@@ -56,6 +56,30 @@ def alignment_cost_recursive(n: int, m: int, sub_cost) -> float:
     return go(n, m)
 
 
+def align_pair_reference(gt: str, asr: str, lexicon):
+    """``corpus.align_pair`` with each substitution cost computed per cell by
+    a closure, distances from :func:`edit_distance_recursive`.  It reuses the
+    package's backtrace, grouping and labels, so what it checks is the cost
+    rows the alignment is built from."""
+    from asrnoise.corpus import AlignmentEntry, _classify_entry, _group_alignment, align_sequences
+    from asrnoise.phonetics import g2p
+
+    gt_words, asr_words = normalize(gt).split(), normalize(asr).split()
+
+    def sub_cost(gw: str, aw: str) -> float:
+        if gw == aw:
+            return 0.0
+        cg = g2p(gw, lexicon)
+        return min(edit_distance_recursive(cg, g2p(aw, lexicon)) / max(len(cg), 1), 1.0)
+
+    sub_costs = [[sub_cost(gw, aw) for aw in asr_words] for gw in gt_words]
+    entries = []
+    for i, js in _group_alignment(align_sequences(sub_costs, len(asr_words))):
+        matched = tuple(asr_words[j] for j in js)
+        entries.append(AlignmentEntry(gt_words[i], matched, _classify_entry(gt_words[i], matched)))
+    return entries
+
+
 def induce_vocab_reference(texts, size: int) -> list[str]:
     """Vocabulary pieces by frequency-greedy merges, recounting every adjacent
     pair of every word before each merge (lexicographic tie-break)."""

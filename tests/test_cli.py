@@ -612,3 +612,28 @@ def test_eval_cr_inside_a_reference_line(tmp_path):
     hyp.write_bytes(b"a b c\n")
     assert cli.main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--out", str(tmp_path / "m")]) == 0
     assert "wer,0.0" in (tmp_path / "m.csv").read_text().splitlines()
+
+
+def test_eval_appends_the_report_suffixes_to_a_dotted_basename(tmp_path, monkeypatch):
+    (tmp_path / "ref.txt").write_text("the cue\n")
+    monkeypatch.chdir(tmp_path)
+    for out in ("run.v1", "run.v2", "metrics", "metrics.txt", "other.csv"):
+        assert cli.main(["eval", "--ref", "ref.txt", "--hyp", "ref.txt", "--out", out]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "metrics.csv", "metrics.txt", "other.csv", "other.txt", "ref.txt",
+        "run.v1.csv", "run.v1.txt", "run.v2.csv", "run.v2.txt",
+    ]
+
+
+def test_eval_checks_the_report_paths_it_writes(tmp_path, monkeypatch, capsys):
+    (tmp_path / "ref.txt").write_text("the cue\n")
+    (tmp_path / "m.csv").mkdir()
+    monkeypatch.chdir(tmp_path)
+
+    def main_work(*args, **kwargs):
+        raise AssertionError("the command's main work ran")
+
+    monkeypatch.setattr(cli.evaluation, "error_type_breakdown", main_work)
+    assert cli.main(["eval", "--ref", "ref.txt", "--hyp", "ref.txt", "--out", "m"]) == 2
+    assert "asrnoise: data error: --out m: m.csv is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()

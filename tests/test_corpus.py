@@ -5,10 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asrnoise import corpus as C
+from asrnoise import synthetic
 from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
 
 from conftest import make_token_seq
-from oracles import alignment_cost_recursive, induce_vocab_reference
+from oracles import align_pair_reference, alignment_cost_recursive, induce_vocab_reference
 
 
 class TestNormalize:
@@ -221,6 +222,16 @@ class TestAlignPair:
     def test_empty_gt_rejected(self, lexicon):
         with pytest.raises(EmptyCorpusError):
             C.align_pair("", "whatever", lexicon)
+
+    def test_matches_the_per_cell_reference_on_random_pairs(self, lexicon):
+        pairs = synthetic.make_parallel_corpus(200, seed=31)
+        extra = [("cue is good", "uh queue is"), ("xyzzy plugh", "xyzy"), ("the cat", "")]
+        mismatched = [
+            (gt, asr)
+            for gt, asr in [(p.gt, p.asr) for p in pairs] + extra
+            if C.align_pair(gt, asr, lexicon) != align_pair_reference(gt, asr, lexicon)
+        ]
+        assert mismatched == []
 
 
 class TestBuildTrainingItems:

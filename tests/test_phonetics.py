@@ -1,8 +1,18 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import fields
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asrnoise import phonetics
 
 from asrnoise.errors import DegenerateSupportError, EmptyWordError
 from asrnoise.phonetics import (
@@ -203,6 +213,100 @@ class TestEditDistance:
             assert dab >= 0.0
             assert (dab == 0.0) == (code_key(a) == code_key(b))
             assert phoneme_edit_distance(a, c) <= dab + phoneme_edit_distance(b, c) + 1e-12
+
+
+# Every articulation here has a feature value the shipped inventory lacks, but
+# for TT, which shares T's, so it must share T's interned id too.
+_CUSTOM_INVENTORY = (
+    "Q\tconsonant\tuvular\tstop\tvoiceless\n"
+    "RR\tconsonant\talveolar\ttrill\tvoiced\n"
+    "TS\tconsonant\tretroflex\tejective\tglottalized\n"
+    "TT\tconsonant\talveolar\tstop\tvoiceless\n"
+    "OE\tvowel\tmidlow\tnearfront\tcompressed\n"
+    "A\tvowel\topen\tcentral\tunrounded\n"
+    "UNK\tvowel\tmid\tcentral\tneutral\n"
+)
+
+
+@pytest.fixture(scope="module")
+def custom_inventory(lexicon, tmp_path_factory):
+    """A second inventory, loaded after the shipped one."""
+    path = tmp_path_factory.mktemp("inventory") / "inventory.tsv"
+    path.write_text(_CUSTOM_INVENTORY)
+    return load_inventory(path)
+
+
+@pytest.fixture(scope="module")
+def mixed_phonemes(lexicon, custom_inventory):
+    return [*lexicon.inventory.values(), *custom_inventory.values()]
+
+
+class TestInternedMismatchTable:
+    """The dynamic program reads an interned integer table; the feature
+    comparison in ``articulatory_mismatches`` stays its definition."""
+
+    @staticmethod
+    def _table_disagreements(phonemes):
+        table = phonetics._MISMATCH_UNITS
+        return [
+            (p.symbol, q.symbol)
+            for p in phonemes
+            for q in phonemes
+            if table[p.articulation][q.articulation] != articulatory_mismatches(p, q)
+        ]
+
+    def test_table_equals_the_feature_comparison_on_the_shipped_inventory(self, lexicon):
+        assert self._table_disagreements(list(lexicon.inventory.values())) == []
+
+    def test_a_later_inventory_with_new_feature_values_extends_the_table(
+        self, lexicon, custom_inventory, mixed_phonemes
+    ):
+        assert self._table_disagreements(mixed_phonemes) == []
+        assert custom_inventory["TT"].articulation == lexicon.phoneme("T").articulation
+        shipped = {p.articulation for p in lexicon.inventory.values()}
+        assert all(custom_inventory[s].articulation not in shipped for s in ("Q", "RR", "TS", "OE", "A", "UNK"))
+
+    def test_a_phoneme_built_outside_any_inventory(self, lexicon):
+        bilabial_trill = Phoneme("BB", "consonant", ("bilabial", "trill", "voiced"))
+        code = (bilabial_trill, *g2p("bestial", lexicon))
+        other = g2p("labored", lexicon)
+        for cp, cq in [(code, other), (other, code), (code, code[::-1]), ((bilabial_trill,), ())]:
+            assert phoneme_edit_distance(cp, cq) == edit_distance_recursive(cp, cq)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_distance_matches_the_recursive_oracle_across_inventories(self, mixed_phonemes, data):
+        codes = st.lists(st.sampled_from(mixed_phonemes), max_size=8).map(tuple)
+        cp, cq = data.draw(codes), data.draw(codes)
+        assert phoneme_edit_distance(cp, cq) == edit_distance_recursive(cp, cq)
+
+    def test_a_copy_keeps_its_articulation_and_carries_no_state(self, lexicon):
+        k = lexicon.phoneme("K")
+        for clone in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+            assert clone == k and clone.articulation == k.articulation
+        assert b"articulation" not in pickle.dumps(k)
+
+    def test_an_unpickled_phoneme_takes_the_id_of_its_process(self, lexicon, custom_inventory):
+        code = (*g2p("queue", lexicon), custom_inventory["Q"], custom_inventory["OE"])
+        other = g2p("bestial", lexicon)
+        script = (
+            "import pickle, sys\n"
+            "from asrnoise import phonetics\n"
+            "phonetics.Phoneme('X', 'vowel', ('open', 'front', 'spread'))  # shifts every later id\n"
+            "code, other = pickle.loads(sys.stdin.buffer.read())\n"
+            "ids = phonetics._ARTICULATION_IDS\n"
+            "assert [p.articulation for p in code + other] == [ids[(p.kind, p.features)] for p in code + other]\n"
+            "print(repr(phonetics.phoneme_edit_distance(code, other)))\n"
+        )
+        src = Path(phonetics.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps((code, other)),
+            env=env, capture_output=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert float(result.stdout) == phoneme_edit_distance(code, other) == edit_distance_recursive(code, other)
 
 
 class TestSimilarity:

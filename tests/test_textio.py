@@ -1,10 +1,12 @@
 """The shared text-file format, and the rule that only ``textio`` owns it."""
+import copy
+import os
 import re
 from pathlib import Path
 
 import pytest
 
-from asrnoise import textio
+from asrnoise import textio, training
 
 SRC = Path(textio.__file__).parent
 
@@ -38,6 +40,51 @@ def test_written_header_is_skipped_on_read(tmp_path):
     assert textio.read_lines(path) == [(2, "a\tb"), (3, ""), (4, "#c")]
     textio.write_lines(path, ["é"])
     assert path.read_bytes() == "é\n".encode("utf-8")
+
+
+def _lines_failing_after(n):
+    for i in range(n):
+        yield f"line {i}"
+    raise OSError("disk full")
+
+
+class _UnwritableArray:
+    """Sized like a parameter, but its bytes cannot be produced."""
+
+    shape = (2,)
+
+    def astype(self, dtype):
+        raise OSError("disk full")
+
+
+def test_a_failed_text_write_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "out.txt"
+    textio.write_lines(path, ["kept"], header="first run")
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        textio.write_lines(path, _lines_failing_after(3), header="second run")
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_a_failed_checkpoint_write_leaves_the_previous_checkpoint(tmp_path, small_model):
+    path = tmp_path / "model.ckpt"
+    training.save_checkpoint(path, small_model)
+    before = path.read_bytes()
+    broken = copy.copy(small_model)
+    broken.params = {**small_model.params, "zz": _UnwritableArray()}  # written last
+    with pytest.raises(OSError, match="disk full"):
+        training.save_checkpoint(path, broken)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+def test_a_symlinked_target_is_written_through(tmp_path):
+    real, link = tmp_path / "real.txt", tmp_path / "link.txt"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    textio.write_lines(link, ["new"])
+    assert link.is_symlink() and real.read_bytes() == b"new\n"
 
 
 def test_textio_is_the_only_text_reader_and_writer():
