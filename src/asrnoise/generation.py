@@ -30,6 +30,7 @@ from .intervention import CorruptionPlan, check_prior, sample_plan_interventiona
 from .model import (
     HeadTables,
     Model,
+    _token_embeddings,
     _wrap_params,
     decoder_hidden,
     decoder_memory,
@@ -125,19 +126,24 @@ class EncodedSentence:
 @dataclass(frozen=True)
 class SpanDecoder:
     """What decoding reads from a model and never changes: the parameters as
-    tensors that need no gradient, and the head tables of
-    :func:`model.head_tables`.  Build it after the last change to the
-    parameters: the phoneme head's tables are gathered copies.
+    tensors that need no gradient, the head tables of
+    :func:`model.head_tables`, and the token-query table ``[V, d]``, whose
+    row ``v`` is piece ``v``'s decoder input embedding
+    (:func:`model._token_embeddings`).  Build it after the last change to the
+    parameters: the tables are gathered copies.
     """
 
     model: Model
     params: dict[str, Tensor]
     tables: HeadTables
+    token_queries: np.ndarray
 
     @classmethod
     def build(cls, model: Model) -> "SpanDecoder":
+        config, rows_map = model.config, model.code_index.token_rows
         params = _wrap_params(model.params, needs_grad=False)
-        return cls(model, params, head_tables(params, model.config, model.code_index.token_rows))
+        token_queries = _token_embeddings(np.arange(len(model.vocab)), params, config, rows_map).data
+        return cls(model, params, head_tables(params, config, rows_map), token_queries)
 
     def encode(self, piece_ids: Sequence[int]) -> EncodedSentence:
         """Encode one sentence and project its rows to the decoder's keys and values."""
@@ -159,14 +165,17 @@ def generate_span(
     """Decode the noise span of row ``position`` of an encoded sentence from
     the combined generation distribution.
 
-    The span's first decoder query row is computed once, from the encoder
-    row at ``position``; each step then runs the decoder block over that row
-    and the tokens generated so far, against the sentence's fixed keys and
-    values, and the two heads over the newest row from the decoder's fixed
-    tables.  Greedy mode takes the argmax each step (lowest index on ties);
-    sample mode draws from the temperature-scaled distribution with a
-    generator keyed by (seed, position).  [EOS] is forced once the span
-    reaches the maximum generation length, so decoding always terminates.
+    Query rows never attend to each other, so each step computes only its
+    live query row: at step 0 the span's start row, from the encoder row at
+    ``position``; at step t >= 1 the previous token's row of the decoder's
+    token-query table plus position row t, the same elementwise sum the
+    decoder takes for a prefix row.  The decoder block runs over that one
+    row against the sentence's fixed keys and values, and the two heads
+    over its output from the decoder's fixed tables.  Greedy mode takes the
+    argmax each step (lowest index on ties); sample mode draws from the
+    temperature-scaled distribution with a generator keyed by (seed,
+    position).  [EOS] is forced once the span reaches the maximum generation
+    length, so decoding always terminates.
     """
     check_decoding(mode, temperature)
     n = sentence.rows.data.shape[1]
@@ -178,12 +187,15 @@ def generate_span(
     rows_map = model.code_index.token_rows
     rng = np.random.default_rng(derive_seed(seed, position)) if mode == SAMPLE else None
 
-    start = decoder_start(ad.select(sentence.rows, [[0]], [[position]]), params)
+    m_pos = params["m_pos"].data
+    live = decoder_start(ad.select(sentence.rows, [[0]], [[position]]), params)
     generated: list[int] = []
     while len(generated) < config.max_gen_len - 1:
-        hidden = decoder_hidden(start, [generated], sentence.memory, params, config, rows_map)
-        d_last = ad.select(hidden, [0], [len(generated)])
-        _, _, p_gen = step_distributions(d_last, decoder.tables, model.special_mask)
+        if generated:
+            t = len(generated)
+            live = Tensor((decoder.token_queries[generated[-1]] + m_pos[t])[None, None], needs_grad=False)
+        hidden = decoder_hidden(live, [()], sentence.memory, params, config, rows_map)
+        _, _, p_gen = step_distributions(ad.select(hidden, [0], [0]), decoder.tables, model.special_mask)
         probs = p_gen.data[0]
         if mode == GREEDY:
             token = _pick_greedy(probs)
@@ -253,11 +265,11 @@ def corrupt_corpus(
     tokenized and detokenized, with no plan sampled and no span decoded.
 
     Work is done once at the level where it stops changing: the
-    gradient-free parameters and the head tables once per call
-    (:class:`SpanDecoder`); the encoder rows and the decoder's keys and
-    values once per sentence with a corrupted position; a span's first query
-    row once per span; and the decoder block and heads once per step of
-    :func:`generate_span`.
+    gradient-free parameters, the head tables and the token-query table once
+    per call (:class:`SpanDecoder`); the encoder rows and the decoder's keys
+    and values once per sentence with a corrupted position; a span's start
+    row once per span; and the decoder block over one live query row, and
+    the heads over its output, once per step of :func:`generate_span`.
     """
     check_decoding(mode, temperature)
     check_prior(p_z, "corruption prior")

@@ -35,8 +35,12 @@ head to each supervised step's floored supervision distribution.
 
 Decoding runs a batch of one, which has no padding and so takes no mask.
 Each step runs only what the newest token changes: the decoder block's
-query side over the span's rows so far (:func:`decoder_hidden`) and the two
-heads over its newest row (:func:`step_distributions`).
+query side over one live query row (:func:`decoder_hidden` with an empty
+prefix) and the two heads over its output (:func:`step_distributions`).
+Since query rows never attend to each other, a step's row depends only on
+the previous token, the step and the sentence: the span's start row at
+step 0, the previous token's :func:`_token_embeddings` row plus a position
+row after.
 
 Training and decoding run the same functions, training once per batch.
 Decoding wraps the parameters as tensors that need no gradient, so its
@@ -366,7 +370,11 @@ def decoder_hidden(
     holds ``B`` prefixes of any lengths (padded to the longest, so rows past
     a prefix's end are meaningless), and ``memory`` is
     :func:`decoder_memory` of ``[B, n, d]`` encoder rows with ``key_mask``
-    ``[B, n]``.
+    ``[B, n]``.  ``start`` may also be a live query row of a later step,
+    with empty prefixes: a prefix row is the token's
+    :func:`_token_embeddings` row plus its position row, and that sum
+    passed as ``start`` gives the same row up to the last bits of the
+    block's products.
     """
     ids = _pad(generated_ids)
     n_prev = ids.shape[1]

@@ -7,7 +7,9 @@ exception is the composed autodiff ops at the end (``sub``, ``neg``, ``exp``,
 ``matmul``, ``reshape``, ``sum_``, ``softmax``, ``log_softmax``): the model
 runs none of them, and the tests build the composed references for the fused
 ``linear``/``attention`` kernels and the ``nll``/``kl`` losses from them on
-the engine's own node primitives.
+the engine's own node primitives.  ``full_prefix_greedy_span`` is the
+other exception: the package's decoder block and heads, driven by a decode
+loop that reruns the block over a span's whole prefix at every step.
 """
 from functools import lru_cache
 
@@ -349,3 +351,28 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
         _acc(a, g - np.exp(lp) * g.sum(axis=axis, keepdims=True))
 
     return _node(lp, (a,), bwd)
+
+
+def full_prefix_greedy_span(sentence, decoder, position: int):
+    """Greedy span decoding that runs the decoder block over the span's start
+    row and every token generated so far at each step, and keeps the newest
+    row.  Returns the token ids, [EOS] included, and each step's newest
+    hidden row ``[d]``."""
+    from asrnoise import autodiff as ad
+    from asrnoise.model import decoder_hidden, decoder_start, step_distributions
+
+    model, params = decoder.model, decoder.params
+    config, eos = model.config, model.vocab.eos_id
+    start = decoder_start(ad.select(sentence.rows, [[0]], [[position]]), params)
+    generated, rows = [], []
+    while len(generated) < config.max_gen_len - 1:
+        hidden = decoder_hidden(start, [generated], sentence.memory, params, config, model.code_index.token_rows)
+        d_last = ad.select(hidden, [0], [len(generated)])
+        rows.append(d_last.data[0])
+        _, _, p_gen = step_distributions(d_last, decoder.tables, model.special_mask)
+        generated.append(int(np.argmax(p_gen.data[0])))
+        if generated[-1] == eos:
+            break
+    if not generated or generated[-1] != eos:
+        generated.append(eos)
+    return tuple(generated), rows

@@ -12,6 +12,7 @@ from asrnoise.intervention import CorruptionPlan
 from asrnoise.phonetics import default_lexicon
 
 from conftest import make_token_seq
+from oracles import full_prefix_greedy_span
 
 
 class TestClassifyError:
@@ -199,25 +200,42 @@ class TestWorkPerStep:
 
     @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
     def test_cached_keys_values_and_tables_change_no_bit(self, lexicon, monkeypatch, mode):
+        # the rebuilt run recomputes each step's cached inputs from freshly
+        # wrapped parameters: the live query row (the start row at step 0,
+        # the previous token's embedding plus its position row after), the
+        # sentence's keys and values, and the head tables
         model = _toy_model(lexicon)
-        rows_map = model.code_index.token_rows
+        config, rows_map = model.config, model.code_index.token_rows
         tokens, decoder, sentence = _encode_text(model, "the cue gag sue")
-        position = [0]
+        position, picked = [0], []
+        pick_name = "_pick_greedy" if mode == G.GREEDY else "_pick_sample"
+        pick = getattr(G, pick_name)
+
+        def recording_pick(*args):
+            picked.append(pick(*args))
+            return picked[-1]
+
+        monkeypatch.setattr(G, pick_name, recording_pick)
         runs = []
         for rebuild in (False, True):
             seen = []
 
-            def decoder_hidden(start, prefixes, memory, params, *rest):
+            def decoder_hidden(live, prefixes, memory, params, *rest):
                 if rebuild:
                     params = M._wrap_params(model.params, needs_grad=False)
-                    start = M.decoder_start(ad.select(sentence.rows, [[0]], [[position[0]]]), params)
+                    t = len(picked)
+                    if t == 0:
+                        live = M.decoder_start(ad.select(sentence.rows, [[0]], [[position[0]]]), params)
+                    else:
+                        tok = M._token_embeddings(np.array([[picked[-1]]]), params, config, rows_map)
+                        live = ad.add(tok, ad.rows(params["m_pos"], [t]))
                     memory = M.decoder_memory(sentence.rows, params)
-                return M.decoder_hidden(start, prefixes, memory, params, *rest)
+                return M.decoder_hidden(live, prefixes, memory, params, *rest)
 
             def step_distributions(d_k, tables, special_mask):
                 if rebuild:
                     params = M._wrap_params(model.params, needs_grad=False)
-                    tables = M.head_tables(params, model.config, rows_map)
+                    tables = M.head_tables(params, config, rows_map)
                 dists = M.step_distributions(d_k, tables, special_mask)
                 seen.append(dists[2].data)
                 return dists
@@ -227,12 +245,52 @@ class TestWorkPerStep:
             spans = []
             for k in range(len(tokens)):
                 position[0] = k
+                picked.clear()
                 spans.append(G.generate_span(sentence, decoder, position=k, mode=mode, seed=k))
             runs.append(([span.token_ids for span in spans], seen))
         (cached_ids, cached_p), (rebuilt_ids, rebuilt_p) = runs
         assert cached_ids == rebuilt_ids
+        assert max(map(len, cached_ids)) > 2  # some step read a previous token
         assert len(cached_p) == len(rebuilt_p) > len(tokens)
         assert all(np.array_equal(a, b) for a, b in zip(cached_p, rebuilt_p))
+
+
+class TestLiveQueryRow:
+    @pytest.mark.parametrize("phoneme_head", [True, False])
+    def test_token_query_table_rows_are_token_embeddings(self, lexicon, phoneme_head):
+        model = _toy_model(lexicon, phoneme_head=phoneme_head)
+        decoder = G.SpanDecoder.build(model)
+        rows_map = model.code_index.token_rows
+        assert decoder.token_queries.shape == (len(model.vocab), model.config.d_model)
+        for v in range(len(model.vocab)):
+            row = M._token_embeddings(np.array([v]), decoder.params, model.config, rows_map).data[0]
+            assert decoder.token_queries[v].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("phoneme_head", [True, False])
+    def test_greedy_matches_the_full_prefix_decode(self, lexicon, monkeypatch, phoneme_head):
+        model = _toy_model(lexicon, phoneme_head=phoneme_head)
+        live_rows = []
+
+        def recording(*args):
+            hidden = M.decoder_hidden(*args)
+            assert hidden.data.shape == (1, 1, model.config.d_model)
+            live_rows.append(hidden.data[0, 0])
+            return hidden
+
+        monkeypatch.setattr(G, "decoder_hidden", recording)
+        steps = 0
+        for text in ("the cue gag sue", "queue the gag", "sue"):
+            tokens, decoder, sentence = _encode_text(model, text)
+            for k in range(len(tokens)):
+                expected_ids, expected_rows = full_prefix_greedy_span(sentence, decoder, k)
+                live_rows.clear()
+                span = G.generate_span(sentence, decoder, position=k, mode=G.GREEDY)
+                assert span.token_ids == expected_ids
+                assert len(live_rows) == len(expected_rows)
+                for live, full in zip(live_rows, expected_rows):
+                    assert np.max(np.abs(live - full)) <= 1e-12
+                steps += len(live_rows)
+        assert steps > 2 * 8  # spans of several steps, not only deletions
 
 
 class TestSaturatedWordHead:
