@@ -96,31 +96,32 @@ def _pick_greedy(p: np.ndarray) -> int:
 
 
 def _pick_sample(p: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    # shift before scaling: at a tiny temperature the likeliest token keeps
-    # weight 1 and the others overflow to -inf, i.e. weight 0, as a token of
-    # probability 0 does at any temperature
-    with np.errstate(divide="ignore", over="ignore"):
-        logp = np.log(p)
-        logp -= logp.max()
-        logp /= temperature
-    weights = np.exp(logp)
-    weights /= weights.sum()
-    # Generator.choice(len(weights), p=weights) draws exactly this way, one
-    # uniform per call, without re-validating the distribution each step.
+    # divide by the largest probability before the power: at a tiny
+    # temperature the likeliest token keeps weight 1 and the others
+    # underflow to 0, the weight a token of probability 0 has at any
+    # temperature
+    with np.errstate(invalid="ignore"):
+        weights = (p / p.max()) ** (1.0 / temperature)
+    # Generator.choice(len(weights), p=weights / weights.sum()) draws this
+    # way, one uniform per call, up to rounding and without re-validating
+    # the distribution each step.  The draw stays below cdf[-1] >= 1, so a
+    # zero-weight token is never picked.
     cdf = weights.cumsum()
     if not (weights.min() >= 0.0 and np.isfinite(cdf[-1])):
         raise ValueError("sampling weights must be finite and non-negative")
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
 
 
 @dataclass(frozen=True)
 class EncodedSentence:
-    """One sentence as its spans read it: the encoder rows ``[1, n, d]`` and
-    the decoder's cross-attention keys and values of them."""
+    """One sentence as its spans read it: the encoder rows ``[1, n, d]``,
+    the decoder's cross-attention keys and values of them, and
+    ``first_step`` ``[n, V]``, whose row ``k`` is the combined generation
+    distribution of the first decode step of a span at position ``k``."""
 
     rows: Tensor
     memory: tuple[Tensor, Tensor]
+    first_step: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,18 @@ class SpanDecoder:
         return cls(model, params, head_tables(params, config, rows_map), token_queries)
 
     def encode(self, piece_ids: Sequence[int]) -> EncodedSentence:
-        """Encode one sentence and project its rows to the decoder's keys and values."""
-        config, params = self.model.config, self.params
-        e_in = embed_sequence([list(piece_ids)], params, config, self.model.code_index.token_rows)
+        """Encode one sentence, project its rows to the decoder's keys and
+        values, and decode the first step of every position at once: the
+        start rows of all ``n`` encoder rows through one decoder call and
+        one heads call."""
+        model, params = self.model, self.params
+        config, rows_map = model.config, model.code_index.token_rows
+        e_in = embed_sequence([list(piece_ids)], params, config, rows_map)
         e_enc = encode(e_in, params, config)
-        return EncodedSentence(e_enc, decoder_memory(e_enc, params))
+        memory = decoder_memory(e_enc, params)
+        hidden = decoder_hidden(decoder_start(e_enc, params), [()], memory, params, config, rows_map)
+        _, _, p_gen = step_distributions(ad.rows(hidden, 0), self.tables, model.special_mask)
+        return EncodedSentence(e_enc, memory, p_gen.data)
 
 
 def generate_span(
@@ -165,13 +173,14 @@ def generate_span(
     """Decode the noise span of row ``position`` of an encoded sentence from
     the combined generation distribution.
 
-    Query rows never attend to each other, so each step computes only its
-    live query row: at step 0 the span's start row, from the encoder row at
-    ``position``; at step t >= 1 the previous token's row of the decoder's
-    token-query table plus position row t, the same elementwise sum the
-    decoder takes for a prefix row.  The decoder block runs over that one
-    row against the sentence's fixed keys and values, and the two heads
-    over its output from the decoder's fixed tables.  Greedy mode takes the
+    Query rows never attend to each other, so step 0 depends only on the
+    sentence and the position, and reads row ``position`` of the sentence's
+    ``first_step`` table.  Each step t >= 1 computes only its live query
+    row: the previous token's row of the decoder's token-query table plus
+    position row t, the same elementwise sum the decoder takes for a prefix
+    row.  The decoder block runs over that one row against the sentence's
+    fixed keys and values, and the two heads over its output from the
+    decoder's fixed tables.  Greedy mode takes the
     argmax each step (lowest index on ties); sample mode draws from the
     temperature-scaled distribution with a generator keyed by (seed,
     position).  [EOS] is forced once the span reaches the maximum generation
@@ -188,22 +197,22 @@ def generate_span(
     rng = np.random.default_rng(derive_seed(seed, position)) if mode == SAMPLE else None
 
     m_pos = params["m_pos"].data
-    live = decoder_start(ad.select(sentence.rows, [[0]], [[position]]), params)
+    probs = sentence.first_step[position]
     generated: list[int] = []
-    while len(generated) < config.max_gen_len - 1:
-        if generated:
-            t = len(generated)
-            live = Tensor((decoder.token_queries[generated[-1]] + m_pos[t])[None, None], needs_grad=False)
-        hidden = decoder_hidden(live, [()], sentence.memory, params, config, rows_map)
-        _, _, p_gen = step_distributions(ad.select(hidden, [0], [0]), decoder.tables, model.special_mask)
-        probs = p_gen.data[0]
+    # pick the span's t-th token, then run step t over its query row; after
+    # max_gen_len - 1 picks the last token, [EOS], is forced instead
+    for t in range(1, config.max_gen_len):
         if mode == GREEDY:
             token = _pick_greedy(probs)
         else:
             token = _pick_sample(probs, temperature, rng)
         generated.append(token)
-        if token == vocab.eos_id:
+        if token == vocab.eos_id or t == config.max_gen_len - 1:
             break
+        live = Tensor((decoder.token_queries[token] + m_pos[t])[None, None], needs_grad=False)
+        hidden = decoder_hidden(live, [()], sentence.memory, params, config, rows_map)
+        _, _, p_gen = step_distributions(ad.select(hidden, [0], [0]), decoder.tables, model.special_mask)
+        probs = p_gen.data[0]
     if not generated or generated[-1] != vocab.eos_id:
         generated.append(vocab.eos_id)
 
@@ -266,10 +275,13 @@ def corrupt_corpus(
 
     Work is done once at the level where it stops changing: the
     gradient-free parameters, the head tables and the token-query table once
-    per call (:class:`SpanDecoder`); the encoder rows and the decoder's keys
-    and values once per sentence with a corrupted position; a span's start
-    row once per span; and the decoder block over one live query row, and
-    the heads over its output, once per step of :func:`generate_span`.
+    per call (:class:`SpanDecoder`); the encoder rows, the decoder's keys
+    and values, and the first decode step of every position once per
+    sentence with a corrupted position (:meth:`SpanDecoder.encode`); and the
+    decoder block over one live query row, and the heads over its output,
+    once per later step of :func:`generate_span`.  A sentence's work reads
+    nothing of another sentence, so a shard decodes the same spans alone as
+    inside the whole corpus.
     """
     check_decoding(mode, temperature)
     check_prior(p_z, "corruption prior")

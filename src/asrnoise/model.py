@@ -16,8 +16,8 @@ multi-head ``attention`` op over keys and values projected beforehand by
 (``d -> 4d -> d``) with a second residual add and ``layer_norm``.  Each part
 is computed by its own function, so a caller computes it once at the level
 where it stops changing: the decoder's keys and values
-(:func:`decoder_memory`) once per encoded sentence, a span's first query row
-(:func:`decoder_start`) once per span, and the head tables
+(:func:`decoder_memory`) and the first query row of every position
+(:func:`decoder_start`) once per encoded sentence, and the head tables
 (:func:`head_tables`: the transposed word table, and the phoneme table
 gathered per piece) once per set of parameters.
 
@@ -33,14 +33,16 @@ The loss is two engine ops over the teacher-forced steps: ``nll`` of the
 word head at the targets, plus ``lambda_ph`` times ``kl`` from the phoneme
 head to each supervised step's floored supervision distribution.
 
-Decoding runs a batch of one, which has no padding and so takes no mask.
-Each step runs only what the newest token changes: the decoder block's
-query side over one live query row (:func:`decoder_hidden` with an empty
-prefix) and the two heads over its output (:func:`step_distributions`).
-Since query rows never attend to each other, a step's row depends only on
-the previous token, the step and the sentence: the span's start row at
-step 0, the previous token's :func:`_token_embeddings` row plus a position
-row after.
+Decoding runs a batch of one sentence, which has no padding and so takes no
+mask.  Since query rows never attend to each other, a step's row depends
+only on the previous token, the step and the sentence, and step 0 only on
+the sentence and the position.  So the first step of every position runs
+once per sentence: the start rows of all ``n`` encoder rows through one
+:func:`decoder_hidden` call (``[1, n, d]``, empty prefix) and one
+:func:`step_distributions` call over its ``[n, d]`` output.  Each later
+step runs only what the newest token changes: the block's query side over
+one live query row, the previous token's :func:`_token_embeddings` row plus
+a position row, and the two heads over its output.
 
 Training and decoding run the same functions, training once per batch.
 Decoding wraps the parameters as tensors that need no gradient, so its
@@ -347,10 +349,12 @@ def decoder_memory(e_encoder: Tensor, params: dict[str, Tensor]) -> tuple[Tensor
 
 
 def decoder_start(e_k: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Each span's first query row ``[B, 1, d]``: the corrupted token's
-    encoder row ``e_k`` ``[B, 1, d]`` beside the start embedding, through
-    ``dec_h``, plus position 0; fixed for a span, whatever it generates."""
-    bos = ad.rows(params["bos_emb"], np.zeros((e_k.data.shape[0], 1), dtype=np.intp))
+    """First query rows ``[B, n, d]`` of the spans at encoder rows ``e_k``
+    ``[B, n, d]``: each row beside the start embedding, through ``dec_h``,
+    plus position 0; fixed for a span, whatever it generates.  Training
+    passes each item's corrupted row (``n`` = 1), decoding every row of a
+    sentence."""
+    bos = ad.rows(params["bos_emb"], np.zeros(e_k.data.shape[:2], dtype=np.intp))
     return ad.linear(ad.concat([e_k, bos], axis=-1), params["dec_h"], ad.rows(params["m_pos"], [0]))
 
 
@@ -370,11 +374,12 @@ def decoder_hidden(
     holds ``B`` prefixes of any lengths (padded to the longest, so rows past
     a prefix's end are meaningless), and ``memory`` is
     :func:`decoder_memory` of ``[B, n, d]`` encoder rows with ``key_mask``
-    ``[B, n]``.  ``start`` may also be a live query row of a later step,
-    with empty prefixes: a prefix row is the token's
-    :func:`_token_embeddings` row plus its position row, and that sum
-    passed as ``start`` gives the same row up to the last bits of the
-    block's products.
+    ``[B, n]``.  With empty prefixes, ``start`` may also hold several
+    query rows ``[B, s, d]``, and the output is ``[B, s, d]``: the start
+    rows of every position of a sentence, or a live query row of a later
+    step.  A prefix row is the token's :func:`_token_embeddings` row plus
+    its position row, and that sum passed as ``start`` gives the same row
+    up to the last bits of the block's products.
     """
     ids = _pad(generated_ids)
     n_prev = ids.shape[1]

@@ -12,7 +12,7 @@ from asrnoise.intervention import CorruptionPlan
 from asrnoise.phonetics import default_lexicon
 
 from conftest import make_token_seq
-from oracles import full_prefix_greedy_span
+from oracles import first_step_one_row, full_prefix_greedy_span
 
 
 class TestClassifyError:
@@ -60,6 +60,29 @@ class TestPickSample:
         rng = np.random.default_rng(0)
         p = np.array([0.0, 0.5, 0.5])
         assert 0 not in {G._pick_sample(p, 1e6, rng) for _ in range(200)}
+
+    def test_tiny_temperature_draws_the_argmax(self):
+        source, rng = np.random.default_rng(1), np.random.default_rng(2)
+        for _ in range(200):
+            p = source.dirichlet(np.full(50, 0.3))
+            assert G._pick_sample(p, 1e-300, rng) == int(np.argmax(p))
+
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+    def test_zero_probability_piece_is_never_drawn(self, temperature):
+        rng = np.random.default_rng(3)
+        p = np.array([0.0, 0.1, 0.0, 0.0, 0.6, 0.3, 0.0])
+        drawn = {G._pick_sample(p, temperature, rng) for _ in range(2000)}
+        assert drawn == {1, 4, 5}
+
+    def test_unit_temperature_draws_match_the_distribution(self):
+        # 20,000 draws: each frequency's standard error is at most 0.0036,
+        # so 0.015 is over four of them
+        rng = np.random.default_rng(4)
+        p = np.array([0.05, 0.2, 0.0, 0.35, 0.1, 0.3])
+        draws = [G._pick_sample(p, 1.0, rng) for _ in range(20_000)]
+        freq = np.bincount(draws, minlength=len(p)) / len(draws)
+        assert np.max(np.abs(freq - p)) <= 0.015
+        assert freq[2] == 0.0
 
     def test_nonfinite_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -178,9 +201,10 @@ class TestGenerateSpan:
 class TestWorkPerStep:
     @pytest.mark.parametrize("phoneme_head, per_step", [(True, 6), (False, 5)])
     def test_linear_calls_per_sentence_span_and_step(self, lexicon, monkeypatch, phoneme_head, per_step):
-        # a sentence: encoder q/k/v/o/ffn (6) plus the decoder's keys and
-        # values (2); a span: its first query row; a step: decoder q/o/ffn
-        # (4) plus one linear per head
+        # a sentence: encoder q/k/v/o/ffn (6), the decoder's keys and
+        # values (2) and every position's first query row (1), then the first
+        # step of every position at once; a step: decoder q/o/ffn (4) plus
+        # one linear per head.  A span runs no work of its own before step 1.
         model = _toy_model(lexicon, phoneme_head=phoneme_head)
         calls = [0]
         linear = ad.linear
@@ -193,21 +217,25 @@ class TestWorkPerStep:
         texts = ["the cue gag sue", "queue the gag", "sue", "the cue"]
         _, records = G.corrupt_corpus(texts, model, p_z=0.7, seed=4)
         sentences = len({r.sentence_id for r in records})
-        # the last [EOS] of a span that reached max_gen_len took no step
-        steps = sum(min(r.span.m, model.config.max_gen_len - 1) for r in records)
+        # the last [EOS] of a span that reached max_gen_len took no step,
+        # and its first step ran with its sentence's
+        later_steps = sum(min(r.span.m, model.config.max_gen_len - 1) - 1 for r in records)
         assert len(records) > sentences > 0  # so recomputing keys/values per step cannot match
-        assert calls[0] == 8 * sentences + len(records) + per_step * steps
+        assert later_steps > 0  # so a per-span first step cannot match either
+        assert calls[0] == (9 + per_step) * sentences + per_step * later_steps
 
     @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
     def test_cached_keys_values_and_tables_change_no_bit(self, lexicon, monkeypatch, mode):
         # the rebuilt run recomputes each step's cached inputs from freshly
-        # wrapped parameters: the live query row (the start row at step 0,
-        # the previous token's embedding plus its position row after), the
-        # sentence's keys and values, and the head tables
+        # wrapped parameters: the query rows (every position's start row in
+        # the sentence's first-step call, the previous token's embedding
+        # plus its position row after), the sentence's keys and values, and
+        # the head tables
         model = _toy_model(lexicon)
         config, rows_map = model.config, model.code_index.token_rows
-        tokens, decoder, sentence = _encode_text(model, "the cue gag sue")
-        position, picked = [0], []
+        decoder = G.SpanDecoder.build(model)
+        ids = [t.piece_id for t in C.tokenize("the cue gag sue", model.vocab)]
+        picked = []
         pick_name = "_pick_greedy" if mode == G.GREEDY else "_pick_sample"
         pick = getattr(G, pick_name)
 
@@ -223,13 +251,14 @@ class TestWorkPerStep:
             def decoder_hidden(live, prefixes, memory, params, *rest):
                 if rebuild:
                     params = M._wrap_params(model.params, needs_grad=False)
+                    rows = M.encode(M.embed_sequence([ids], params, config, rows_map), params, config)
                     t = len(picked)
                     if t == 0:
-                        live = M.decoder_start(ad.select(sentence.rows, [[0]], [[position[0]]]), params)
+                        live = M.decoder_start(rows, params)
                     else:
                         tok = M._token_embeddings(np.array([[picked[-1]]]), params, config, rows_map)
                         live = ad.add(tok, ad.rows(params["m_pos"], [t]))
-                    memory = M.decoder_memory(sentence.rows, params)
+                    memory = M.decoder_memory(rows, params)
                 return M.decoder_hidden(live, prefixes, memory, params, *rest)
 
             def step_distributions(d_k, tables, special_mask):
@@ -242,16 +271,18 @@ class TestWorkPerStep:
 
             monkeypatch.setattr(G, "decoder_hidden", decoder_hidden)
             monkeypatch.setattr(G, "step_distributions", step_distributions)
+            picked.clear()
+            sentence = decoder.encode(ids)
             spans = []
-            for k in range(len(tokens)):
-                position[0] = k
+            for k in range(len(ids)):
                 picked.clear()
                 spans.append(G.generate_span(sentence, decoder, position=k, mode=mode, seed=k))
             runs.append(([span.token_ids for span in spans], seen))
         (cached_ids, cached_p), (rebuilt_ids, rebuilt_p) = runs
         assert cached_ids == rebuilt_ids
         assert max(map(len, cached_ids)) > 2  # some step read a previous token
-        assert len(cached_p) == len(rebuilt_p) > len(tokens)
+        assert cached_p[0].shape == (len(ids), len(model.vocab))  # every position's first step
+        assert len(cached_p) == len(rebuilt_p) > len(ids)
         assert all(np.array_equal(a, b) for a, b in zip(cached_p, rebuilt_p))
 
 
@@ -268,29 +299,48 @@ class TestLiveQueryRow:
 
     @pytest.mark.parametrize("phoneme_head", [True, False])
     def test_greedy_matches_the_full_prefix_decode(self, lexicon, monkeypatch, phoneme_head):
+        # step 0's hidden row is row k of the sentence's one decoder call
+        # over every start row; each later step's is its own one-row call
         model = _toy_model(lexicon, phoneme_head=phoneme_head)
-        live_rows = []
+        d = model.config.d_model
+        calls = []
 
         def recording(*args):
             hidden = M.decoder_hidden(*args)
-            assert hidden.data.shape == (1, 1, model.config.d_model)
-            live_rows.append(hidden.data[0, 0])
+            calls.append(hidden.data[0])
             return hidden
 
         monkeypatch.setattr(G, "decoder_hidden", recording)
         steps = 0
         for text in ("the cue gag sue", "queue the gag", "sue"):
+            calls.clear()
             tokens, decoder, sentence = _encode_text(model, text)
+            (first_rows,) = calls
+            assert first_rows.shape == (len(tokens), d)
             for k in range(len(tokens)):
                 expected_ids, expected_rows = full_prefix_greedy_span(sentence, decoder, k)
-                live_rows.clear()
+                calls[:] = [first_rows[k : k + 1]]
                 span = G.generate_span(sentence, decoder, position=k, mode=G.GREEDY)
                 assert span.token_ids == expected_ids
-                assert len(live_rows) == len(expected_rows)
-                for live, full in zip(live_rows, expected_rows):
-                    assert np.max(np.abs(live - full)) <= 1e-12
+                assert all(rows.shape == (1, d) for rows in calls[1:])
+                live_rows = np.concatenate(calls)
+                assert live_rows.shape == (len(expected_rows), d)
+                assert np.max(np.abs(live_rows - np.array(expected_rows))) <= 1e-12
                 steps += len(live_rows)
         assert steps > 2 * 8  # spans of several steps, not only deletions
+
+
+class TestFirstStepTable:
+    @pytest.mark.parametrize("phoneme_head", [True, False])
+    @pytest.mark.parametrize("text, n", [("sue", 1), ("the cue gag sue", 4), (" ".join(["the cue gag sue"] * 4), 16)])
+    def test_every_row_matches_the_one_row_decode(self, lexicon, phoneme_head, text, n):
+        # one token takes the matrix-vector path; 16 tokens is max_len
+        model = _toy_model(lexicon, phoneme_head=phoneme_head)
+        tokens, decoder, sentence = _encode_text(model, text)
+        assert len(tokens) == n <= model.config.max_len
+        expected = first_step_one_row(sentence, decoder)
+        assert sentence.first_step.shape == (n, len(model.vocab))
+        assert np.max(np.abs(sentence.first_step - expected)) <= 1e-12
 
 
 class TestSaturatedWordHead:
@@ -463,7 +513,7 @@ class TestCorruptCorpus:
 
         def recording(*args):
             dists = M.step_distributions(*args)
-            seen.append(dists[2].data[0, [bos, unk]])
+            seen.extend(dists[2].data[:, [bos, unk]])
             return dists
 
         monkeypatch.setattr(G, "step_distributions", recording)
@@ -480,6 +530,16 @@ class TestCorruptCorpus:
         a = G.corrupt_corpus(texts, model, p_z=0.6, seed=17, mode=G.SAMPLE)
         b = G.corrupt_corpus(texts, model, p_z=0.6, seed=17, mode=G.SAMPLE)
         assert a == b
+
+    @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
+    def test_a_leading_shard_decodes_as_in_the_whole_corpus(self, small_corpus, small_model, mode):
+        texts = [pair.gt for pair in small_corpus[40:60]]
+        outputs, records = G.corrupt_corpus(texts, small_model, p_z=0.5, seed=9, mode=mode)
+        assert len({r.sentence_id for r in records}) > 10
+        for k in (1, 7, 19):
+            shard_outputs, shard_records = G.corrupt_corpus(texts[:k], small_model, p_z=0.5, seed=9, mode=mode)
+            assert shard_outputs == outputs[:k]
+            assert shard_records == [r for r in records if int(r.sentence_id) < k]
 
     def test_span_report_format(self, lexicon, tmp_path):
         model = _toy_model(lexicon)
