@@ -100,14 +100,15 @@ def _pick_sample(p: np.ndarray, temperature: float, rng: np.random.Generator) ->
     # temperature the likeliest token keeps weight 1 and the others
     # underflow to 0, the weight a token of probability 0 has at any
     # temperature
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
         weights = (p / p.max()) ** (1.0 / temperature)
     # Generator.choice(len(weights), p=weights / weights.sum()) draws this
     # way, one uniform per call, up to rounding and without re-validating
     # the distribution each step.  The draw stays below cdf[-1] >= 1, so a
-    # zero-weight token is never picked.
+    # zero-weight token is never picked.  The sign is checked on p itself:
+    # dividing by a negative maximum would turn an all-negative p positive.
     cdf = weights.cumsum()
-    if not (weights.min() >= 0.0 and np.isfinite(cdf[-1])):
+    if not (p.min() >= 0.0 and np.isfinite(cdf[-1])):
         raise ValueError("sampling weights must be finite and non-negative")
     return int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
 
@@ -116,12 +117,12 @@ def _pick_sample(p: np.ndarray, temperature: float, rng: np.random.Generator) ->
 class EncodedSentence:
     """One sentence as its spans read it: the encoder rows ``[1, n, d]``,
     the decoder's cross-attention keys and values of them, and
-    ``first_step`` ``[n, V]``, whose row ``k`` is the combined generation
-    distribution of the first decode step of a span at position ``k``."""
+    ``first_step``, which maps each position encoded for decoding to the
+    combined generation distribution ``[V]`` of its span's first step."""
 
     rows: Tensor
     memory: tuple[Tensor, Tensor]
-    first_step: np.ndarray
+    first_step: dict[int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -146,19 +147,24 @@ class SpanDecoder:
         token_queries = _token_embeddings(np.arange(len(model.vocab)), params, config, rows_map).data
         return cls(model, params, head_tables(params, config, rows_map), token_queries)
 
-    def encode(self, piece_ids: Sequence[int]) -> EncodedSentence:
+    def encode(self, piece_ids: Sequence[int], positions: Sequence[int]) -> EncodedSentence:
         """Encode one sentence, project its rows to the decoder's keys and
-        values, and decode the first step of every position at once: the
-        start rows of all ``n`` encoder rows through one decoder call and
-        one heads call."""
+        values, and decode the first step of the spans at ``positions`` at
+        once: their ``m`` start rows through one decoder call and one heads
+        call, so the cost scales with the spans, not the sentence."""
         model, params = self.model, self.params
         config, rows_map = model.config, model.code_index.token_rows
+        positions = list(positions)
+        n = len(piece_ids)
+        if not positions or not all(0 <= k < n for k in positions):
+            raise IndexError(f"positions {positions} must be a non-empty subset of a sentence of {n} tokens")
         e_in = embed_sequence([list(piece_ids)], params, config, rows_map)
         e_enc = encode(e_in, params, config)
         memory = decoder_memory(e_enc, params)
-        hidden = decoder_hidden(decoder_start(e_enc, params), [()], memory, params, config, rows_map)
+        start = decoder_start(ad.select(e_enc, [[0] * len(positions)], [positions]), params)
+        hidden = decoder_hidden(start, [()], memory, params, config, rows_map)
         _, _, p_gen = step_distributions(ad.rows(hidden, 0), self.tables, model.special_mask)
-        return EncodedSentence(e_enc, memory, p_gen.data)
+        return EncodedSentence(e_enc, memory, dict(zip(positions, p_gen.data)))
 
 
 def generate_span(
@@ -174,22 +180,22 @@ def generate_span(
     the combined generation distribution.
 
     Query rows never attend to each other, so step 0 depends only on the
-    sentence and the position, and reads row ``position`` of the sentence's
-    ``first_step`` table.  Each step t >= 1 computes only its live query
-    row: the previous token's row of the decoder's token-query table plus
-    position row t, the same elementwise sum the decoder takes for a prefix
-    row.  The decoder block runs over that one row against the sentence's
-    fixed keys and values, and the two heads over its output from the
-    decoder's fixed tables.  Greedy mode takes the
-    argmax each step (lowest index on ties); sample mode draws from the
-    temperature-scaled distribution with a generator keyed by (seed,
-    position).  [EOS] is forced once the span reaches the maximum generation
-    length, so decoding always terminates.
+    sentence and the position, and reads the sentence's ``first_step`` entry
+    of ``position``, which must be one of the positions it was encoded with.
+    Each step t >= 1 computes only its live query row: the previous token's
+    row of the decoder's token-query table plus position row t, the same
+    elementwise sum the decoder takes for a prefix row.  The decoder block
+    runs over that one row against the sentence's fixed keys and values, and
+    the two heads over its output from the decoder's fixed tables.  Greedy
+    mode takes the argmax each step (lowest index on ties); sample mode
+    draws from the temperature-scaled distribution with a generator keyed by
+    (seed, position).  [EOS] is forced once the span reaches the maximum
+    generation length, so decoding always terminates.
     """
     check_decoding(mode, temperature)
-    n = sentence.rows.data.shape[1]
-    if not 0 <= position < n:
-        raise IndexError(f"position {position} outside a sentence of {n} tokens")
+    if position not in sentence.first_step:
+        n = sentence.rows.data.shape[1]
+        raise IndexError(f"position {position} of a sentence of {n} tokens was not encoded for decoding")
     model, params = decoder.model, decoder.params
     config = model.config
     vocab = model.vocab
@@ -276,8 +282,8 @@ def corrupt_corpus(
     Work is done once at the level where it stops changing: the
     gradient-free parameters, the head tables and the token-query table once
     per call (:class:`SpanDecoder`); the encoder rows, the decoder's keys
-    and values, and the first decode step of every position once per
-    sentence with a corrupted position (:meth:`SpanDecoder.encode`); and the
+    and values, and the first decode step of every corrupted position once
+    per sentence with one (:meth:`SpanDecoder.encode`); and the
     decoder block over one live query row, and the heads over its output,
     once per later step of :func:`generate_span`.  A sentence's work reads
     nothing of another sentence, so a shard decodes the same spans alone as
@@ -298,7 +304,7 @@ def corrupt_corpus(
         plan = sample_plan_interventional(tokens, p_z, sentence_seed)
         spans: list[GeneratedSpan] = []
         if plan.corruption_count:
-            sentence = decoder.encode([t.piece_id for t in tokens])
+            sentence = decoder.encode([t.piece_id for t in tokens], plan.corrupted_positions)
             for k in plan.corrupted_positions:
                 spans.append(
                     generate_span(

@@ -10,8 +10,8 @@ runs none of them, and the tests build the composed references for the fused
 the engine's own node primitives.  ``full_prefix_greedy_span`` and
 ``first_step_one_row`` are the other exceptions: the package's decoder block
 and heads, driven by a decode loop that reruns the block over a span's whole
-prefix at every step, and by a loop that decodes each position's first step
-from its own start row.
+prefix at every step, and by a loop that decodes each given position's first
+step from its own start row.
 """
 from functools import lru_cache
 
@@ -380,16 +380,16 @@ def full_prefix_greedy_span(sentence, decoder, position: int):
     return tuple(generated), rows
 
 
-def first_step_one_row(sentence, decoder):
-    """Each position's first decode step run alone: its start row
-    ``[1, 1, d]`` through the decoder block and the heads.  Returns the
-    combined distributions ``[n, V]``."""
+def first_step_one_row(sentence, decoder, positions):
+    """The first decode step of each of ``positions`` run alone: its start
+    row ``[1, 1, d]`` through the decoder block and the heads.  Returns the
+    combined distributions ``[len(positions), V]``."""
     from asrnoise import autodiff as ad
     from asrnoise.model import decoder_hidden, decoder_start, step_distributions
 
     model, params = decoder.model, decoder.params
     p_rows = []
-    for position in range(sentence.rows.data.shape[1]):
+    for position in positions:
         start = decoder_start(ad.select(sentence.rows, [[0]], [[position]]), params)
         hidden = decoder_hidden(start, [()], sentence.memory, params, model.config, model.code_index.token_rows)
         _, _, p_gen = step_distributions(ad.select(hidden, [0], [0]), decoder.tables, model.special_mask)

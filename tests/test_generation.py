@@ -52,27 +52,19 @@ class TestPickSample:
                 assert G._pick_sample(p, temperature, ours) == expected
 
     def test_subnormal_temperature_picks_the_likeliest_token(self):
-        assert G._pick_sample(np.array([0.7, 0.2, 0.1]), 1e-310, np.random.default_rng(0)) == 0
-        assert G._pick_sample(np.array([0.1, 0.2, 0.7]), 1e-310, np.random.default_rng(0)) == 2
+        source, rng = np.random.default_rng(1), np.random.default_rng(2)
+        rows = [np.array([0.7, 0.2, 0.1]), np.array([0.1, 0.2, 0.7]), *source.dirichlet(np.full(50, 0.3), size=200)]
+        for temperature in (1e-310, 1e-300):
+            for p in rows:
+                assert G._pick_sample(p, temperature, rng) == int(np.argmax(p))
 
     def test_zero_probability_is_never_drawn(self):
-        # a floored log would give it nearly a third of the draws at this temperature
+        # a floored log would give it nearly a third of the draws at T = 1e6
         rng = np.random.default_rng(0)
-        p = np.array([0.0, 0.5, 0.5])
-        assert 0 not in {G._pick_sample(p, 1e6, rng) for _ in range(200)}
-
-    def test_tiny_temperature_draws_the_argmax(self):
-        source, rng = np.random.default_rng(1), np.random.default_rng(2)
-        for _ in range(200):
-            p = source.dirichlet(np.full(50, 0.3))
-            assert G._pick_sample(p, 1e-300, rng) == int(np.argmax(p))
-
-    @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
-    def test_zero_probability_piece_is_never_drawn(self, temperature):
-        rng = np.random.default_rng(3)
+        assert 0 not in {G._pick_sample(np.array([0.0, 0.5, 0.5]), 1e6, rng) for _ in range(200)}
         p = np.array([0.0, 0.1, 0.0, 0.0, 0.6, 0.3, 0.0])
-        drawn = {G._pick_sample(p, temperature, rng) for _ in range(2000)}
-        assert drawn == {1, 4, 5}
+        for temperature in (0.5, 1.0, 2.0):
+            assert {G._pick_sample(p, temperature, rng) for _ in range(2000)} == {1, 4, 5}
 
     def test_unit_temperature_draws_match_the_distribution(self):
         # 20,000 draws: each frequency's standard error is at most 0.0036,
@@ -88,6 +80,12 @@ class TestPickSample:
         with pytest.raises(ValueError):
             G._pick_sample(np.array([0.5, np.nan, 0.5]), 1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("p", [[-0.5, -0.2], [0.6, -0.1, 0.5], [-1.0, 0.0]])
+    def test_negative_probabilities_rejected(self, p):
+        # dividing by p.max() would turn an all-negative p into positive weights
+        with pytest.raises(ValueError):
+            G._pick_sample(np.array(p), 1.0, np.random.default_rng(0))
+
 
 def _toy_model(lexicon, phoneme_head=True):
     vocab = C.SubwordVocab(
@@ -102,7 +100,7 @@ def _toy_model(lexicon, phoneme_head=True):
 def _encode_text(model, text):
     decoder = G.SpanDecoder.build(model)
     tokens = C.tokenize(text, model.vocab)
-    return tokens, decoder, decoder.encode([t.piece_id for t in tokens])
+    return tokens, decoder, decoder.encode([t.piece_id for t in tokens], range(len(tokens)))
 
 
 def _force_eos(model, logit=60.0):
@@ -202,8 +200,8 @@ class TestWorkPerStep:
     @pytest.mark.parametrize("phoneme_head, per_step", [(True, 6), (False, 5)])
     def test_linear_calls_per_sentence_span_and_step(self, lexicon, monkeypatch, phoneme_head, per_step):
         # a sentence: encoder q/k/v/o/ffn (6), the decoder's keys and
-        # values (2) and every position's first query row (1), then the first
-        # step of every position at once; a step: decoder q/o/ffn (4) plus
+        # values (2) and the corrupted positions' first query rows (1), then
+        # their first steps at once; a step: decoder q/o/ffn (4) plus
         # one linear per head.  A span runs no work of its own before step 1.
         model = _toy_model(lexicon, phoneme_head=phoneme_head)
         calls = [0]
@@ -227,14 +225,15 @@ class TestWorkPerStep:
     @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
     def test_cached_keys_values_and_tables_change_no_bit(self, lexicon, monkeypatch, mode):
         # the rebuilt run recomputes each step's cached inputs from freshly
-        # wrapped parameters: the query rows (every position's start row in
-        # the sentence's first-step call, the previous token's embedding
-        # plus its position row after), the sentence's keys and values, and
-        # the head tables
+        # wrapped parameters: the query rows (the encoded positions' start
+        # rows in the sentence's first-step call, the previous token's
+        # embedding plus its position row after), the sentence's keys and
+        # values, and the head tables
         model = _toy_model(lexicon)
         config, rows_map = model.config, model.code_index.token_rows
         decoder = G.SpanDecoder.build(model)
         ids = [t.piece_id for t in C.tokenize("the cue gag sue", model.vocab)]
+        positions = [3, 0, 2]
         picked = []
         pick_name = "_pick_greedy" if mode == G.GREEDY else "_pick_sample"
         pick = getattr(G, pick_name)
@@ -254,7 +253,7 @@ class TestWorkPerStep:
                     rows = M.encode(M.embed_sequence([ids], params, config, rows_map), params, config)
                     t = len(picked)
                     if t == 0:
-                        live = M.decoder_start(rows, params)
+                        live = M.decoder_start(ad.select(rows, [[0] * len(positions)], [positions]), params)
                     else:
                         tok = M._token_embeddings(np.array([[picked[-1]]]), params, config, rows_map)
                         live = ad.add(tok, ad.rows(params["m_pos"], [t]))
@@ -272,17 +271,17 @@ class TestWorkPerStep:
             monkeypatch.setattr(G, "decoder_hidden", decoder_hidden)
             monkeypatch.setattr(G, "step_distributions", step_distributions)
             picked.clear()
-            sentence = decoder.encode(ids)
+            sentence = decoder.encode(ids, positions)
             spans = []
-            for k in range(len(ids)):
+            for k in positions:
                 picked.clear()
                 spans.append(G.generate_span(sentence, decoder, position=k, mode=mode, seed=k))
             runs.append(([span.token_ids for span in spans], seen))
         (cached_ids, cached_p), (rebuilt_ids, rebuilt_p) = runs
         assert cached_ids == rebuilt_ids
         assert max(map(len, cached_ids)) > 2  # some step read a previous token
-        assert cached_p[0].shape == (len(ids), len(model.vocab))  # every position's first step
-        assert len(cached_p) == len(rebuilt_p) > len(ids)
+        assert cached_p[0].shape == (len(positions), len(model.vocab))  # the encoded positions' first steps
+        assert len(cached_p) == len(rebuilt_p) > len(positions)
         assert all(np.array_equal(a, b) for a, b in zip(cached_p, rebuilt_p))
 
 
@@ -332,15 +331,44 @@ class TestLiveQueryRow:
 
 class TestFirstStepTable:
     @pytest.mark.parametrize("phoneme_head", [True, False])
-    @pytest.mark.parametrize("text, n", [("sue", 1), ("the cue gag sue", 4), (" ".join(["the cue gag sue"] * 4), 16)])
-    def test_every_row_matches_the_one_row_decode(self, lexicon, phoneme_head, text, n):
-        # one token takes the matrix-vector path; 16 tokens is max_len
+    @pytest.mark.parametrize(
+        "text, positions",
+        [
+            ("sue", [0]),
+            ("the cue gag sue", [0, 1, 2, 3]),
+            ("the cue gag sue", [2]),
+            (" ".join(["the cue gag sue"] * 4), list(range(16))),
+            (" ".join(["the cue gag sue"] * 4), [15, 3, 8]),
+        ],
+    )
+    def test_every_row_matches_the_one_row_decode(self, lexicon, phoneme_head, text, positions):
+        # one row takes the matrix-vector path; 16 tokens is max_len
         model = _toy_model(lexicon, phoneme_head=phoneme_head)
-        tokens, decoder, sentence = _encode_text(model, text)
-        assert len(tokens) == n <= model.config.max_len
-        expected = first_step_one_row(sentence, decoder)
-        assert sentence.first_step.shape == (n, len(model.vocab))
-        assert np.max(np.abs(sentence.first_step - expected)) <= 1e-12
+        decoder = G.SpanDecoder.build(model)
+        ids = [t.piece_id for t in C.tokenize(text, model.vocab)]
+        assert max(positions) < len(ids) <= model.config.max_len
+        sentence = decoder.encode(ids, positions)
+        expected = first_step_one_row(sentence, decoder, positions)
+        assert list(sentence.first_step) == positions
+        table = np.array([sentence.first_step[k] for k in positions])
+        assert table.shape == (len(positions), len(model.vocab))
+        assert np.max(np.abs(table - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("positions", [[], [2], [-1], [0, 4]])
+    def test_positions_outside_the_sentence_rejected(self, lexicon, positions):
+        model = _toy_model(lexicon)
+        decoder = G.SpanDecoder.build(model)
+        ids = [t.piece_id for t in C.tokenize("the cue", model.vocab)]
+        with pytest.raises(IndexError, match="2 tokens"):
+            decoder.encode(ids, positions)
+
+    def test_a_span_needs_its_position_encoded(self, lexicon):
+        model = _toy_model(lexicon)
+        decoder = G.SpanDecoder.build(model)
+        sentence = decoder.encode([t.piece_id for t in C.tokenize("the cue gag", model.vocab)], [0, 2])
+        G.generate_span(sentence, decoder, position=2)
+        with pytest.raises(IndexError, match="position 1 of a sentence of 3 tokens was not encoded"):
+            G.generate_span(sentence, decoder, position=1)
 
 
 class TestSaturatedWordHead:

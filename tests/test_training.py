@@ -108,7 +108,7 @@ class TestTrain:
         model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=3)
         T.train([item], model, lexicon, T.TrainConfig(learning_rate=5e-3, epochs=60, batch_size=1, seed=0))
         decoder = G.SpanDecoder.build(model)
-        sentence = decoder.encode([t.piece_id for t in item.sentence])
+        sentence = decoder.encode([t.piece_id for t in item.sentence], [item.position])
         span = G.generate_span(sentence, decoder, item.position, mode=G.GREEDY)
         assert span.token_ids == tuple(item.target_ids)
 
