@@ -9,7 +9,10 @@ divergence from each row's softmax to a fixed distribution.
 ``softmax_array`` is the plain numpy softmax the heads and kernels share.
 The composed ops the kernels and losses are checked against live in the
 test oracles, since no model code runs them.  Gradients accumulate into
-``Tensor.grad`` after calling :func:`backward` on a scalar result.
+``Tensor.grad`` after calling :func:`backward` on a scalar result.  A leaf
+whose ``grad`` is preset to a zeroed array of its shape accumulates into
+that array in place; training keeps all parameter gradients in one flat
+buffer this way.
 
 Gradients are kept only where needed.  A tensor a caller makes is a leaf,
 and its ``needs_grad`` bit says whether it wants a gradient (default True;
@@ -97,14 +100,19 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 # linear algebra ----------------------------------------------------
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one op: a matmul over the last two axes plus a bias
-    broadcast over the rest.  Same values and gradients as ``add(matmul)``."""
+    """``x @ w + b`` as one op: ``x`` ``[..., d]`` times a matrix ``w``
+    ``[d, k]`` plus a bias broadcast over the leading axes.  Same values and
+    gradients as ``add(matmul)``.
+
+    The weight gradient is one 2-D product over all of ``x``'s rows: a
+    stacked product followed by a sum over the stack costs one small BLAS
+    call per stack entry."""
 
     def bwd(g):
         if x.needs_grad:
             _acc(x, _unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
         if w.needs_grad:
-            _acc(w, _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape))
+            _acc(w, x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
         if b.needs_grad:
             _acc(b, _unbroadcast(g, b.data.shape))
 
@@ -123,30 +131,39 @@ def transpose_axes(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 # structure ---------------------------------------------------------
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``np.add.at(zeros(shape), idx, g)`` for non-negative row indices
+    ``idx`` into the first axis, as one ``np.bincount`` over flat indices
+    ``idx * d + column``.  bincount adds its weights in input order, the
+    order ``np.add.at`` adds the rows in, so the two agree bit for bit."""
+    d = math.prod(shape[1:])
+    flat = idx.reshape(-1, 1) * d + np.arange(d) if d != 1 else idx
+    return np.bincount(flat.ravel(), weights=g.ravel(), minlength=math.prod(shape)).reshape(shape)
+
+
 def rows(a: Tensor, idx) -> Tensor:
-    """Gather along the first axis; ``idx`` may have any shape, and repeated
-    indices accumulate on backward."""
+    """Gather along the first axis; ``idx`` (non-negative) may have any
+    shape, and repeated indices accumulate on backward."""
     idx = np.asarray(idx, dtype=np.intp)
 
     def bwd(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
-        _acc(a, buf)
+        _acc(a, _scatter_rows(idx, g, a.data.shape))
 
     # take, not a.data[idx]: the same rows, without fancy indexing's overhead
     return _node(a.data.take(idx, axis=0), (a,), bwd)
 
 
 def select(a: Tensor, row_idx, col_idx) -> Tensor:
-    """Pick entries a[row_idx[i], col_idx[i]]: scalars from a 2-D tensor,
-    rows from a 3-D one."""
+    """Pick entries a[row_idx[i], col_idx[i]] (non-negative indices):
+    scalars from a 2-D tensor, rows from a 3-D one."""
     row_idx = np.asarray(row_idx, dtype=np.intp)
     col_idx = np.asarray(col_idx, dtype=np.intp)
 
     def bwd(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, (row_idx, col_idx), g)
-        _acc(a, buf)
+        # (row, col) is row row * n_cols + col of a with its first two axes merged
+        shape = a.data.shape
+        flat_idx = row_idx * shape[1] + col_idx
+        _acc(a, _scatter_rows(flat_idx, g, (shape[0] * shape[1], *shape[2:])).reshape(shape))
 
     return _node(a.data[row_idx, col_idx], (a,), bwd)
 

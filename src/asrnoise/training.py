@@ -3,6 +3,14 @@
 Runs are deterministic for a fixed seed: the shuffle order, batch grouping
 and gradient reduction order are all derived from it, and parameters live in
 float64 throughout.
+
+During :func:`train` the parameters, their gradients and Adam's moments each
+live in one flat float64 buffer, and ``Model.params`` maps each name to its
+view of the parameter buffer.  Clipping and Adam work on whole buffers.  The
+reduction order is fixed by the code, not by the data: a weight's gradient
+sums over every row of a batch in one 2-D product (``autodiff.linear``),
+gathered rows scatter back in index order, and the gradient norm is one
+pairwise sum over the flat gradient buffer.
 """
 from __future__ import annotations
 
@@ -61,38 +69,58 @@ class EpochStats:
     loss_phoneme: float
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale gradients in place so their global norm is at most ``max_norm``.
+def clip_gradients(grads: np.ndarray, max_norm: float) -> float:
+    """Scale the gradient buffer in place so its norm is at most ``max_norm``.
 
     Returns the pre-clip norm.
     """
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    total = float(np.sqrt((grads * grads).sum()))
     if total > max_norm and total > 0.0:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        grads *= max_norm / total
     return total
 
 
 class _Adam:
-    def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
+    """Adam over one flat parameter buffer, its moments flat buffers too."""
+
+    def __init__(self, params: np.ndarray, learning_rate: float):
         self.learning_rate = learning_rate
         self.step_count = 0
-        self.m = {name: np.zeros_like(a) for name, a in params.items()}
-        self.v = {name: np.zeros_like(a) for name, a in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+        ``params -= lr*m_hat / (sqrt(v_hat) + eps)``, in that operation
+        order, in place and without per-step allocations."""
         self.step_count += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
-        for name in params:
-            g = grads[name]
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / bias1
-            v_hat = self.v[name] / bias2
-            params[name] -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = self.m, self.v
+        update, denom = self._scratch
+        m *= b1
+        m += np.multiply(grads, 1.0 - b1, out=update)
+        v *= b2
+        np.multiply(grads, 1.0 - b2, out=update)
+        v += np.multiply(update, grads, out=update)
+        np.sqrt(np.divide(v, bias2, out=denom), out=denom)
+        denom += ADAM_EPS
+        np.divide(m, bias1, out=update)
+        update *= self.learning_rate
+        params -= np.divide(update, denom, out=update)
+
+
+def _views(shapes: dict[str, tuple[int, ...]], flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Consecutive views of ``flat``, one per name, in the order and shapes
+    that ``shapes`` gives."""
+    views, offset = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        views[name] = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return views
 
 
 def train(
@@ -103,11 +131,13 @@ def train(
 ) -> list[EpochStats]:
     """Optimize the model in place; returns per-epoch mean losses.
 
-    Aborts with NonFiniteLossError if a batch loss diverges; its
-    ``last_good`` holds the parameters at which the last finite batch loss
-    was computed (the initial ones if the first batch diverges).  Items
-    whose target or sentence cannot fit the model are rejected before the
-    first epoch.
+    ``model.params`` keeps its names and shapes, but its arrays are replaced
+    by views of one buffer that each step updates in place.  Aborts with
+    NonFiniteLossError if a batch loss diverges; its ``last_good`` holds
+    copies of the parameters at which the last finite batch loss was
+    computed (the initial ones if the first batch diverges).  Items whose
+    target or sentence cannot fit the model are rejected before the first
+    epoch.
     """
     if not items:
         raise ValueError("cannot train on an empty item list")
@@ -123,9 +153,14 @@ def train(
             f"{model.config.max_gen_len}; build items with max_target_len set"
         )
     rng = np.random.default_rng(cfg.seed)
-    optimizer = _Adam(model.params, cfg.learning_rate)
+    shapes = {name: a.shape for name, a in model.params.items()}
+    flat = np.concatenate([a.ravel() for a in model.params.values()], dtype=np.float64)
+    model.params.update(_views(shapes, flat))
+    grad_flat = np.zeros_like(flat)
+    grads = _views(shapes, grad_flat)
+    last_good = flat.copy()
+    optimizer = _Adam(flat, cfg.learning_rate)
     log: list[EpochStats] = []
-    last_good = {name: a.copy() for name, a in model.params.items()}
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(items))
         sums = np.zeros(3)
@@ -135,17 +170,17 @@ def train(
             values = (float(graph.l_tot.data), float(graph.l_n.data), float(graph.l_ph.data))
             if not all(np.isfinite(values)):
                 raise NonFiniteLossError(
-                    f"loss diverged in epoch {epoch}", last_good=last_good
+                    f"loss diverged in epoch {epoch}", last_good=_views(shapes, last_good)
                 )
-            last_good = {name: a.copy() for name, a in model.params.items()}
+            np.copyto(last_good, flat)
+            # every parameter's gradient accumulates into its view of grad_flat
+            grad_flat.fill(0.0)
+            for name, leaf in graph.params.items():
+                leaf.grad = grads[name]
             # optimize the per-item mean so step size is batch-size invariant
             ad.backward(ad.mul(graph.l_tot, ad.Tensor(1.0 / len(batch), needs_grad=False)))
-            grads = {
-                name: (leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data))
-                for name, leaf in graph.params.items()
-            }
-            clip_gradients(grads, cfg.clip_norm)
-            optimizer.step(model.params, grads)
+            clip_gradients(grad_flat, cfg.clip_norm)
+            optimizer.step(flat, grad_flat)
             sums += np.asarray(values)
         n = len(items)
         log.append(EpochStats(epoch, float(sums[0]) / n, float(sums[1]) / n, float(sums[2]) / n))
@@ -199,15 +234,15 @@ def load_checkpoint(path) -> Model:
             raise VersionMismatchError(f"unsupported format version {header.get('format_version')}")
         body = fh.read()
     try:
-        if len(dict(header["arrays"])) != len(header["arrays"]):
+        shapes = {name: tuple(dims) for name, dims in header["arrays"]}
+        if len(shapes) != len(header["arrays"]):
             raise CorruptCheckpointError("checkpoint lists an array name twice")
-        sizes = [math.prod(dims) for _, dims in header["arrays"]]
-        if len(body) != 8 * sum(sizes):
-            raise CorruptCheckpointError(f"checkpoint body is {len(body)} bytes, not {8 * sum(sizes)}")
+        size = sum(math.prod(dims) for dims in shapes.values())
+        if len(body) != 8 * size:
+            raise CorruptCheckpointError(f"checkpoint body is {len(body)} bytes, not {8 * size}")
         flat = np.frombuffer(body, dtype="<f8").astype(np.float64)  # a writable copy
-        pieces = np.split(flat, np.cumsum(sizes)[:-1])
         return Model(
-            params={name: a.reshape(dims) for (name, dims), a in zip(header["arrays"], pieces)},
+            params=_views(shapes, flat),
             config=ModelConfig(**header["config"]),
             vocab=SubwordVocab(header["vocab"]),
             code_index=PhonemeCodeIndex(header["codes"], header["token_rows"]),

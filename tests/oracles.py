@@ -307,12 +307,18 @@ def exp(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes; leading (stack) axes broadcast."""
+    """Matrix product over the last two axes; leading (stack) axes broadcast.
+
+    A 2-D ``b`` gets its gradient from one 2-D product over all of ``a``'s
+    rows, as ``autodiff.linear``'s weight does, so the two agree bit for
+    bit; a stacked ``b`` gets one product per stack entry."""
 
     def bwd(g):
         if a.needs_grad:
             _acc(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        if b.needs_grad:
+        if b.needs_grad and b.data.ndim == 2:
+            _acc(b, a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        elif b.needs_grad:
             _acc(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _node(a.data @ b.data, (a, b), bwd)

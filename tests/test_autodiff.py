@@ -102,6 +102,30 @@ class TestStructure:
         assert m.grad[0, 1] == 1.0 and m.grad[2, 3] == 1.0
         assert m.grad.sum() == 2.0
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 3, 2)])
+    def test_rows_backward_equals_add_at_bit_for_bit(self, shape):
+        rng = np.random.default_rng(len(shape))
+        a = ad.Tensor(rng.normal(size=shape))
+        idx = rng.integers(0, shape[0], size=(4, 6))  # 24 rows of 5: repeats
+        g = rng.normal(size=idx.shape + shape[1:])
+        ad.backward(sum_(ad.mul(ad.rows(a, idx), ad.Tensor(g, needs_grad=False))))
+        expected = np.zeros(shape)
+        np.add.at(expected, idx, g)
+        assert a.grad.tobytes() == expected.tobytes()
+
+    # select picks along two axes, so its parents have at least two
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 3, 2)])
+    def test_select_backward_equals_add_at_bit_for_bit(self, shape):
+        rng = np.random.default_rng(len(shape))
+        a = ad.Tensor(rng.normal(size=shape))
+        row_idx = rng.integers(0, shape[0], size=(20, 1))  # 20 picks of 12: repeats
+        col_idx = rng.integers(0, shape[1], size=(20, 1))
+        g = rng.normal(size=(20, 1) + shape[2:])
+        ad.backward(sum_(ad.mul(ad.select(a, row_idx, col_idx), ad.Tensor(g, needs_grad=False))))
+        expected = np.zeros(shape)
+        np.add.at(expected, (row_idx, col_idx), g)
+        assert a.grad.tobytes() == expected.tobytes()
+
     def test_slices_and_concat(self):
         check_op(lambda a, b: ad.concat([a, b], axis=0), (2, 3), (4, 3))
         check_op(lambda a, b: ad.concat([a, b], axis=1), (3, 2), (3, 4))

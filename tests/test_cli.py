@@ -197,7 +197,7 @@ class TestCommands:
 
         def poisoned_step(self, params, grads):
             original_step(self, params, grads)
-            params["b_n"][0] = np.inf
+            params[:] = np.inf
 
         monkeypatch.setattr(training._Adam, "step", poisoned_step)
         ckpt = tmp_path / "model.ckpt"

@@ -51,17 +51,38 @@ class TestClipGradients:
     def test_never_increases_norm(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            grads = {k: rng.normal(size=(4, 4)) * rng.uniform(0.1, 30) for k in "ab"}
-            before = np.sqrt(sum((g**2).sum() for g in grads.values()))
+            grads = rng.normal(size=32) * rng.uniform(0.1, 30)
+            before = np.sqrt((grads**2).sum())
             returned = T.clip_gradients(grads, 5.0)
-            after = np.sqrt(sum((g**2).sum() for g in grads.values()))
+            after = np.sqrt((grads**2).sum())
             assert returned == pytest.approx(before)
             assert after <= min(before, 5.0) + 1e-12
 
     def test_small_gradients_untouched(self):
-        grads = {"a": np.full((2,), 0.1)}
+        grads = np.full((2,), 0.1)
         T.clip_gradients(grads, 5.0)
-        np.testing.assert_array_equal(grads["a"], np.full((2,), 0.1))
+        np.testing.assert_array_equal(grads, np.full((2,), 0.1))
+
+
+class TestAdam:
+    def test_flat_step_equals_the_per_array_formula_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        shapes = {"w": (3, 4), "b": (4,), "e": (2, 2, 3)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        flat = np.concatenate([a.ravel() for a in params.values()])
+        m = {name: np.zeros_like(a) for name, a in params.items()}
+        v = {name: np.zeros_like(a) for name, a in params.items()}
+        optimizer = T._Adam(flat, 1e-2)
+        b1, b2, eps = T.ADAM_BETA1, T.ADAM_BETA2, T.ADAM_EPS
+        for step in range(1, 4):
+            grads = {name: rng.normal(size=a.shape) for name, a in params.items()}
+            for name, g in grads.items():
+                m[name] = b1 * m[name] + (1.0 - b1) * g
+                v[name] = b2 * v[name] + (1.0 - b2) * g * g
+                m_hat, v_hat = m[name] / (1.0 - b1**step), v[name] / (1.0 - b2**step)
+                params[name] -= 1e-2 * m_hat / (np.sqrt(v_hat) + eps)
+            optimizer.step(flat, np.concatenate([g.ravel() for g in grads.values()]))
+            assert flat.tobytes() == np.concatenate([a.ravel() for a in params.values()]).tobytes()
 
 
 def _tiny_training_setup(lexicon, n_pairs=12, seed=11):
@@ -156,7 +177,8 @@ class TestTrain:
             original_step(self, params, grads)
             steps.append(1)
             if len(steps) == 3:
-                params["b_n"][0] = np.inf
+                # model.params are views of the buffer the optimizer steps
+                model.params["b_n"][0] = np.inf
 
         monkeypatch.setattr(T, "_loss_graph", recording_graph)
         monkeypatch.setattr(T._Adam, "step", poisoned_step)
@@ -168,6 +190,28 @@ class TestTrain:
         restored = M.Model(info.value.last_good, model.config, model.vocab, model.code_index)
         l_tot, _, _ = M.loss_total(batch, restored, lexicon)
         assert float(l_tot.data) == pytest.approx(last_finite, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_last_good_shares_no_memory_with_the_live_parameters(self, lexicon, monkeypatch):
+        vocab, items = _tiny_training_setup(lexicon)
+        model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=1)
+        original_step = T._Adam.step
+
+        def poisoned_step(self, params, grads):
+            original_step(self, params, grads)
+            params[:] = np.inf
+
+        monkeypatch.setattr(T._Adam, "step", poisoned_step)
+        with pytest.raises(NonFiniteLossError) as info:
+            T.train(items, model, lexicon, T.TrainConfig(epochs=1, batch_size=4, seed=3))
+        last_good = info.value.last_good
+        assert last_good.keys() == model.params.keys()
+        kept = {name: a.copy() for name, a in last_good.items()}
+        for live in model.params.values():
+            assert not any(np.may_share_memory(live, a) for a in last_good.values())
+            live[...] = 7.0
+        for name, array in last_good.items():
+            assert np.all(np.isfinite(array)) and array.tobytes() == kept[name].tobytes()
 
     def test_graphs_are_freed_without_the_cycle_collector(self, lexicon):
         vocab, items = _tiny_training_setup(lexicon)
