@@ -13,6 +13,7 @@ from asrnoise import (
     sample_plan_conditional,
     sample_plan_interventional,
 )
+from asrnoise.evaluation import INDEPENDENCE_ALPHA
 
 token_ids = [f"word{i}" for i in range(10)]
 tokens = [token_ids[i % 10] for i in range(100_000)]
@@ -25,7 +26,7 @@ print(f"  empirical corruption rate: {rate:.4f} (target 0.45)")
 
 report = independence_report([plan], [tokens])
 print(f"  chi-square = {report.statistic:.2f} (dof {report.dof}), p = {report.p_value:.3f}")
-print(f"  verdict at alpha {report.alpha}: {report.verdict}")
+print(f"  verdict at alpha {INDEPENDENCE_ALPHA}: {report.verdict}")
 
 # Now give half the tokens a 3x higher corruption frequency, the kind of
 # table a specific recognizer's error profile would induce.
@@ -36,7 +37,7 @@ table = ConditionalPriorTable(
 cond_plan = sample_plan_conditional(tokens, table, seed=2024)
 report = independence_report([cond_plan], [tokens])
 print(f"  chi-square = {report.statistic:.2f} (dof {report.dof}), p = {report.p_value:.3g}")
-print(f"  verdict at alpha {report.alpha}: {report.verdict}")
+print(f"  verdict at alpha {INDEPENDENCE_ALPHA}: {report.verdict}")
 print("\n  per-token corruption rates:")
 for row in report.rows:
     print(f"    {row.token:8s} rate {row.corruption_rate:.3f}  contribution {row.chi_square_contribution:8.1f}")

@@ -236,19 +236,22 @@ def attention(
     return _node(out, (q, k, v), bwd)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
+_LN_EPS = 1e-12
+
+
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Row-wise layer normalization with learned scale and shift.
 
-    The epsilon only guards exactly-constant rows; float64 keeps the
-    normalization well-conditioned for any nondegenerate input.  Means are
-    ``sum / d``, which is what ``np.mean`` computes, without its Python-level
-    overhead.
+    The epsilon ``_LN_EPS`` only guards exactly-constant rows; float64 keeps
+    the normalization well-conditioned for any nondegenerate input.  Means
+    are ``sum / d``, which is what ``np.mean`` computes, without its
+    Python-level overhead.
     """
     d = a.data.shape[-1]
     mu = a.data.sum(axis=-1, keepdims=True) / d
     centered = a.data - mu
     var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    sigma = np.sqrt(var + eps)
+    sigma = np.sqrt(var + _LN_EPS)
     xhat = centered / sigma
 
     def bwd(g):

@@ -391,16 +391,24 @@ class AlignedExample:
     """Training target for one corrupted subword position.
 
     ``target_ids`` always ends with the [EOS] piece; a bare [EOS] means the
-    piece was deleted.  ``error_label`` follows the generated-length rule:
-    1 token is a deletion, 2 a substitution, more an insertion.
+    piece was deleted.
     """
 
     sentence_id: str
     sentence: TokenSeq
     position: int
-    gt_piece: str
     target_ids: tuple[int, ...]
-    error_label: str
+
+    @property
+    def gt_piece(self) -> str:
+        """The surface of the corrupted ground-truth piece."""
+        return self.sentence[self.position].surface
+
+    @property
+    def error_label(self) -> str:
+        """The generated-length rule's label: 1 token is a deletion, 2 a
+        substitution, more an insertion."""
+        return label_from_length(len(self.target_ids))
 
 
 def label_from_length(m: int) -> str:
@@ -416,7 +424,8 @@ def build_training_items(
     alignments: Sequence[Sequence[AlignmentEntry]],
     vocab: SubwordVocab,
     sentence_ids: Optional[Sequence[str]] = None,
-    max_target_len: Optional[int] = None,
+    *,
+    max_target_len: int,
 ) -> list[AlignedExample]:
     """Decompose word alignments into per-piece generation targets.
 
@@ -427,7 +436,7 @@ def build_training_items(
     than ``max_target_len`` (the generator's horizon, [EOS] included) are
     clamped to it.
     """
-    if max_target_len is not None and max_target_len < 1:
+    if max_target_len < 1:
         raise ValueError("max_target_len must be at least 1")
     pieces: dict[str, list[Token]] = {}  # each distinct word is tokenized once
 
@@ -454,7 +463,7 @@ def build_training_items(
                 piece = gt_toks[piece_pos]
                 if len(aligned) == 1 and aligned[0].surface == piece.surface:
                     continue
-                if max_target_len is not None and len(aligned) >= max_target_len:
+                if len(aligned) >= max_target_len:
                     aligned = aligned[: max_target_len - 1]
                 target_ids = tuple(t.piece_id for t in aligned) + (vocab.eos_id,)
                 items.append(
@@ -462,9 +471,7 @@ def build_training_items(
                         sentence_id=sid,
                         sentence=sentence,
                         position=offset + piece_pos,
-                        gt_piece=piece.surface,
                         target_ids=target_ids,
-                        error_label=label_from_length(len(target_ids)),
                     )
                 )
             offset += len(gt_toks)

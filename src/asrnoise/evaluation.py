@@ -173,13 +173,23 @@ def mean_phoneme_distance(
     return total / count if count else 0.0
 
 
+#: Significance level of :func:`independence_report`'s verdict.
+INDEPENDENCE_ALPHA = 0.01
+
+#: Observations :func:`independence_report` needs of every token.
+MIN_OBSERVATIONS = 100
+
+
 @dataclass(frozen=True)
 class TokenIndependenceRow:
     token: str
     observations: int
     corrupted: int
-    corruption_rate: float
     chi_square_contribution: float
+
+    @property
+    def corruption_rate(self) -> float:
+        return self.corrupted / self.observations
 
 
 @dataclass(frozen=True)
@@ -187,7 +197,6 @@ class IndependenceReport:
     statistic: float
     dof: int
     p_value: float
-    alpha: float
     verdict: str  # "independent", "dependent" or "degenerate"
     rows: tuple[TokenIndependenceRow, ...]
 
@@ -223,14 +232,14 @@ def _chi2_sf(x: float, dof: int) -> float:
 def independence_report(
     plans: Sequence[CorruptionPlan],
     token_lists: Sequence[Sequence[str]],
-    alpha: float = 0.01,
-    min_observations: int = 100,
 ) -> IndependenceReport:
     """Chi-square test of corruption indicator vs token identity.
 
-    Builds the (token id) x (corrupted?) contingency table over all plans.
-    A constant indicator (all corrupted or none) makes the test degenerate
-    and is reported as such.
+    Builds the (token id) x (corrupted?) contingency table over all plans;
+    every token needs ``MIN_OBSERVATIONS`` positions, and the verdict is
+    "dependent" at a p-value below ``INDEPENDENCE_ALPHA``.  A constant
+    indicator (all corrupted or none) makes the test degenerate and is
+    reported as such.
     """
     if len(plans) != len(token_lists):
         raise LengthMismatchError(f"{len(plans)} plans vs {len(token_lists)} token lists")
@@ -244,9 +253,9 @@ def independence_report(
     if not counts:
         raise InsufficientDataError("no observations at all")
     for token, row in counts.items():
-        if row.sum() < min_observations:
+        if row.sum() < MIN_OBSERVATIONS:
             raise InsufficientDataError(
-                f"token {token!r} has {int(row.sum())} observations, need {min_observations}"
+                f"token {token!r} has {int(row.sum())} observations, need {MIN_OBSERVATIONS}"
             )
     tokens_sorted = sorted(counts)
     table = np.asarray([counts[t] for t in tokens_sorted])
@@ -258,16 +267,16 @@ def independence_report(
         expected = np.outer(table.sum(axis=1), col_sums) / table.sum()
         contributions = (table - expected) ** 2 / expected
     rows = tuple(
-        TokenIndependenceRow(t, int(row.sum()), int(row[1]), row[1] / row.sum(), float(c.sum()))
+        TokenIndependenceRow(t, int(row.sum()), int(row[1]), float(c.sum()))
         for t, row, c in zip(tokens_sorted, table, contributions)
     )
     if degenerate:
-        return IndependenceReport(0.0, 0, 1.0, alpha, "degenerate", rows)
+        return IndependenceReport(0.0, 0, 1.0, "degenerate", rows)
     statistic = float(contributions.sum())
     dof = (table.shape[0] - 1) * (table.shape[1] - 1)
     p_value = _chi2_sf(statistic, dof)
-    verdict = "dependent" if p_value < alpha else "independent"
-    return IndependenceReport(statistic, dof, p_value, alpha, verdict, rows)
+    verdict = "dependent" if p_value < INDEPENDENCE_ALPHA else "independent"
+    return IndependenceReport(statistic, dof, p_value, verdict, rows)
 
 
 def write_metrics_report(path_txt, path_csv, metrics: dict[str, float], header: str = "") -> None:

@@ -7,6 +7,7 @@ substitution, more an insertion).  Untouched positions pass through, and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -83,11 +84,13 @@ class GeneratedSpan:
 
 
 def check_decoding(mode: str, temperature: float) -> None:
-    """Reject an unknown decode mode, or a non-positive temperature in sample mode."""
+    """Reject an unknown decode mode, or in sample mode a temperature that is
+    not positive and finite: at an infinite one every piece, [BOS] and [UNK]
+    included, would get weight 1."""
     if mode not in (GREEDY, SAMPLE):
         raise ValueError(f"unknown decode mode {mode!r}")
-    if mode == SAMPLE and not temperature > 0.0:
-        raise ValueError(f"sampling temperature must be positive, got {temperature}")
+    if mode == SAMPLE and not 0.0 < temperature < math.inf:
+        raise ValueError(f"sampling temperature must be positive and finite, got {temperature}")
 
 
 def _pick_greedy(p: np.ndarray) -> int:
@@ -274,10 +277,13 @@ def corrupt_corpus(
 ) -> tuple[list[str], list[SpanRecord]]:
     """Corrupt every text: tokenize, sample a plan, decode spans, reassemble.
 
-    Deterministic for a fixed seed; per-sentence seeds are derived from the
-    sentence index so shards can be generated independently.  A text of more
-    than ``max_len`` tokens, which the model cannot encode, passes through
-    tokenized and detokenized, with no plan sampled and no span decoded.
+    Deterministic for a fixed seed.  Sentence ``i``'s seed derives from
+    ``seed`` and ``i``, its index within this call, so a leading shard
+    (``texts[:k]``) decodes the same spans alone as inside the whole corpus;
+    a later shard, whose indices restart at 0, draws other plans and spans.
+    A text of more than ``max_len`` tokens, which the model cannot encode,
+    passes through tokenized and detokenized, with no plan sampled and no
+    span decoded.
 
     Work is done once at the level where it stops changing: the
     gradient-free parameters, the head tables and the token-query table once
@@ -286,8 +292,7 @@ def corrupt_corpus(
     per sentence with one (:meth:`SpanDecoder.encode`); and the
     decoder block over one live query row, and the heads over its output,
     once per later step of :func:`generate_span`.  A sentence's work reads
-    nothing of another sentence, so a shard decodes the same spans alone as
-    inside the whole corpus.
+    nothing of another sentence.
     """
     check_decoding(mode, temperature)
     check_prior(p_z, "corruption prior")

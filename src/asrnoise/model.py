@@ -81,6 +81,12 @@ R_FLOOR = 1e-12
 
 _SMALLEST = np.finfo(np.float64).smallest_subnormal
 
+#: Standard deviation of the normal draws that initialize weight parameters.
+_INIT_STD = 0.02
+
+#: Central-difference step of :func:`backward_and_check`'s audit.
+_FD_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -140,16 +146,12 @@ class PhonemeCodeIndex:
         return cls(codes, token_rows)
 
 
-def _normal(rng: np.random.Generator, shape, scale=0.02) -> np.ndarray:
-    return rng.normal(0.0, scale, size=shape).astype(np.float64)
-
-
 def _param_specs(config: ModelConfig, n_words: int, n_codes: int) -> list[tuple]:
     """Every parameter as ``(name, shape, fill)``, in initialization order,
     for a vocabulary of ``n_words`` pieces and ``n_codes`` phonetic codes.
 
-    ``fill`` None means N(0, 0.02^2) draws; the order fixes both the draw
-    sequence of :meth:`Model.build` and the checkpoint's array order.
+    ``fill`` None means N(0, ``_INIT_STD``^2) draws; the order fixes both the
+    draw sequence of :meth:`Model.build` and the checkpoint's array order.
     """
     d, f = config.d_model, 4 * config.d_model
     specs = [
@@ -225,7 +227,7 @@ class Model:
         config = config if config is not None else ModelConfig()
         rng = np.random.default_rng(seed)
         params = {
-            name: _normal(rng, shape) if fill is None else np.full(shape, fill)
+            name: rng.normal(0.0, _INIT_STD, size=shape) if fill is None else np.full(shape, fill)
             for name, shape, fill in _param_specs(config, len(vocab), len(code_index))
         }
         return cls(params=params, config=config, vocab=vocab, code_index=code_index)
@@ -550,26 +552,19 @@ def loss_total(
     return graph.l_tot, graph.l_n, graph.l_ph
 
 
-@dataclass(frozen=True)
-class GradCheckReport:
-    coordinates: tuple[tuple[str, int], ...]
-    max_rel_error: float
-    worst_coordinate: tuple[str, int]
-
-
 def backward_and_check(
     model: Model,
     batch: Sequence[AlignedExample],
     lexicon: PronouncingLexicon,
     check_coords: int = 0,
     check_seed: int = 0,
-    fd_step: float = 1e-5,
-) -> tuple[dict[str, np.ndarray], Optional[GradCheckReport]]:
+) -> tuple[dict[str, np.ndarray], Optional[float]]:
     """Gradients of the total loss, optionally audited by finite differences.
 
     When ``check_coords`` > 0, that many randomly chosen parameter
-    coordinates are re-derived with central differences at ``fd_step`` and
-    the maximum relative error (guarded at unit scale) is reported.
+    coordinates are re-derived with central differences at ``_FD_STEP`` and
+    the maximum relative error (guarded at unit scale) is returned beside
+    the gradients; otherwise None is.
     """
     graph = _loss_graph(batch, model, lexicon)
     ad.backward(graph.l_tot)
@@ -580,32 +575,26 @@ def backward_and_check(
             raise NonFiniteGradientError(f"gradient for {name} contains non-finite values")
         grads[name] = g
 
-    report = None
-    if check_coords > 0:
-        rng = np.random.default_rng(check_seed)
-        names = sorted(model.params)
-        coords: list[tuple[str, int]] = []
-        for _ in range(check_coords):
-            name = names[int(rng.integers(len(names)))]
-            coords.append((name, int(rng.integers(model.params[name].size))))
+    if check_coords <= 0:
+        return grads, None
 
-        def loss_value() -> float:
-            return float(_loss_graph(batch, model, lexicon, needs_grad=False).l_tot.data)
+    def loss_value() -> float:
+        return float(_loss_graph(batch, model, lexicon, needs_grad=False).l_tot.data)
 
-        max_rel = 0.0
-        worst = coords[0]
-        for name, flat in coords:
-            array = model.params[name]
-            original = array.flat[flat]
-            array.flat[flat] = original + fd_step
-            up = loss_value()
-            array.flat[flat] = original - fd_step
-            down = loss_value()
-            array.flat[flat] = original
-            fd = (up - down) / (2.0 * fd_step)
-            adg = float(grads[name].flat[flat])
-            rel = abs(adg - fd) / max(abs(adg), abs(fd), 1.0)
-            if rel > max_rel:
-                max_rel, worst = rel, (name, flat)
-        report = GradCheckReport(tuple(coords), max_rel, worst)
-    return grads, report
+    rng = np.random.default_rng(check_seed)
+    names = sorted(model.params)
+    max_rel = 0.0
+    for _ in range(check_coords):
+        name = names[int(rng.integers(len(names)))]
+        array = model.params[name]
+        flat = int(rng.integers(array.size))
+        original = array.flat[flat]
+        array.flat[flat] = original + _FD_STEP
+        up = loss_value()
+        array.flat[flat] = original - _FD_STEP
+        down = loss_value()
+        array.flat[flat] = original
+        fd = (up - down) / (2.0 * _FD_STEP)
+        adg = float(grads[name].flat[flat])
+        max_rel = max(max_rel, abs(adg - fd) / max(abs(adg), abs(fd), 1.0))
+    return grads, max_rel

@@ -16,31 +16,33 @@ import numpy as np
 from .corpus import ParallelPair
 from .phonetics import PronouncingLexicon, default_lexicon, g2p, phoneme_edit_distance
 
+#: :func:`split_word_pool` holds out every this-many-th word.
+HOLDOUT_EVERY = 4
 
-def split_word_pool(
-    lexicon: Optional[PronouncingLexicon] = None,
-    holdout_every: int = 4,
-) -> tuple[list[str], list[str]]:
+#: Phonetic neighbours kept per word, the confusions a corrupted word draws from.
+NEIGHBOURS = 3
+
+
+def split_word_pool(lexicon: Optional[PronouncingLexicon] = None) -> tuple[list[str], list[str]]:
     """Deterministic (train, heldout) split of the lexicon word pool.
 
-    Every ``holdout_every``-th word (alphabetically) is held out; sentences
+    Every ``HOLDOUT_EVERY``-th word (alphabetically) is held out; sentences
     built from the heldout pool contain corruption targets the generator
     never saw noised during training, which is the regime where phonetic
     generalization can be measured.
     """
     lexicon = lexicon if lexicon is not None else default_lexicon()
     words = sorted(lexicon.words())
-    heldout = [w for i, w in enumerate(words) if i % holdout_every == 0]
-    train = [w for i, w in enumerate(words) if i % holdout_every != 0]
+    heldout = [w for i, w in enumerate(words) if i % HOLDOUT_EVERY == 0]
+    train = [w for i, w in enumerate(words) if i % HOLDOUT_EVERY != 0]
     return train, heldout
 
 
 def confusion_candidates(
     lexicon: PronouncingLexicon,
-    k: int = 3,
     pool: Optional[Sequence[str]] = None,
 ) -> dict[str, list[str]]:
-    """k phonetically nearest neighbours for every pool word.
+    """The ``NEIGHBOURS`` phonetically nearest neighbours of every pool word.
 
     Homophones come first (distance zero), then close minimal pairs.
     """
@@ -58,7 +60,7 @@ def confusion_candidates(
                 continue
             scored.append((phoneme_edit_distance(cw, codes[v]), v))
         scored.sort()
-        out[w] = [v for _, v in scored[:k]]
+        out[w] = [v for _, v in scored[:NEIGHBOURS]]
     return out
 
 
@@ -70,7 +72,6 @@ def make_parallel_corpus(
     min_words: int = 4,
     max_words: int = 8,
     type_weights: tuple[float, float, float] = (0.6, 0.2, 0.2),
-    neighbours: int = 3,
     pool: Optional[Sequence[str]] = None,
 ) -> list[ParallelPair]:
     """Deterministic (clean, noisy) sentence pairs.
@@ -81,7 +82,7 @@ def make_parallel_corpus(
     lexicon = lexicon if lexicon is not None else default_lexicon()
     rng = np.random.default_rng(seed)
     words = sorted(pool) if pool is not None else sorted(lexicon.words())
-    candidates = confusion_candidates(lexicon, k=neighbours, pool=words)
+    candidates = confusion_candidates(lexicon, pool=words)
     weights = np.asarray(type_weights, dtype=np.float64)
     weights = weights / weights.sum()
 

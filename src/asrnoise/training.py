@@ -150,7 +150,7 @@ def train(
     if longest > model.config.max_gen_len:
         raise ValueError(
             f"an item target has {longest} tokens but the generation horizon is "
-            f"{model.config.max_gen_len}; build items with max_target_len set"
+            f"{model.config.max_gen_len}; build items with max_target_len at most that"
         )
     rng = np.random.default_rng(cfg.seed)
     shapes = {name: a.shape for name, a in model.params.items()}

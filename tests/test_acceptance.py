@@ -119,13 +119,13 @@ class TestCriterion2GradientFidelity:
         _, _, items = small_setup
         assert small_model.config.d_model == 16
         started = time.monotonic()
-        _, report = M.backward_and_check(
+        _, max_rel = M.backward_and_check(
             small_model, items[:4], lexicon, check_coords=50, check_seed=2024
         )
         elapsed = time.monotonic() - started
-        assert report.max_rel_error <= 1e-4
+        assert max_rel <= 1e-4
         assert elapsed < 60.0
-        _report(2, f"gradient max rel error {report.max_rel_error:.2e} over 50 coordinates ({elapsed:.1f}s)")
+        _report(2, f"gradient max rel error {max_rel:.2e} over 50 coordinates ({elapsed:.1f}s)")
 
 
 class TestCriterion3NormalizationSuite:
@@ -169,7 +169,7 @@ class TestCriterion4DoCalculusIndependence:
         ids = [f"tok{i}" for i in range(10)]
         tokens = [ids[i % 10] for i in range(100_000)]
         plan = sample_plan_interventional(tokens, 0.45, seed=2024)
-        report = E.independence_report([plan], [tokens], alpha=0.01)
+        report = E.independence_report([plan], [tokens])
         assert report.verdict == "independent"
         rate = plan.corruption_count / len(tokens)
         assert abs(rate - 0.45) <= 0.005
@@ -177,7 +177,7 @@ class TestCriterion4DoCalculusIndependence:
             {t: (0.6 if i % 2 else 0.2) for i, t in enumerate(ids)}, default=0.4
         )
         cond = sample_plan_conditional(tokens, biased, seed=2024)
-        cond_report = E.independence_report([cond], [tokens], alpha=0.01)
+        cond_report = E.independence_report([cond], [tokens])
         assert cond_report.verdict == "dependent"
         _report(
             4,

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -527,18 +532,20 @@ class TestPipeline:
         root, cfg, _, ckpt, _, texts = pipeline
         long_file = root / "all_long.txt"
         long_file.write_text(" ".join(["the cue gag"] * 30) + "\n")
-        cases = [("temperature = 0\n", texts), ("temperature = nan\n", texts),
+        cases = [("temperature = 0\n", texts), ("temperature = nan\n", texts), ("temperature = inf\n", texts),
                  ("p_z = 2\n", long_file), ("p_z = nan\n", long_file)]
-        for bad, inputs in cases:
-            cold = root / "cold.cfg"
-            cold.write_text(cfg.read_text() + bad)
-            capsys.readouterr()
-            rc = cli.main(
-                ["corrupt", str(inputs), "--checkpoint", str(ckpt), "--out", str(root / "cold.txt"),
-                 "--config", str(cold)]
-            )
-            assert rc == 1, bad
-            assert "usage error" in capsys.readouterr().err
+        # a missing checkpoint is a data error (exit 2), so exit 1 shows the value is checked first
+        for checkpoint in (ckpt, root / "absent.ckpt"):
+            for bad, inputs in cases:
+                cold = root / "cold.cfg"
+                cold.write_text(cfg.read_text() + bad)
+                capsys.readouterr()
+                rc = cli.main(
+                    ["corrupt", str(inputs), "--checkpoint", str(checkpoint), "--out", str(root / "cold.txt"),
+                     "--config", str(cold)]
+                )
+                assert rc == 1, (bad, checkpoint)
+                assert "usage error" in capsys.readouterr().err
 
     def test_over_long_line_passes_through(self, pipeline):
         root, cfg, _, ckpt, _, texts = pipeline
@@ -637,3 +644,31 @@ def test_eval_checks_the_report_paths_it_writes(tmp_path, monkeypatch, capsys):
     assert cli.main(["eval", "--ref", "ref.txt", "--hyp", "ref.txt", "--out", "m"]) == 2
     assert "asrnoise: data error: --out m: m.csv is a directory" in capsys.readouterr().err
     assert not (tmp_path / "m.txt").exists()
+
+
+@pytest.mark.parametrize("mode", ["sample", "greedy"])
+def test_corrupt_output_does_not_depend_on_the_blas_thread_count(tmp_path, lexicon, mode):
+    # decoding's products split over output rows, which keeps each row's bits
+    # at any thread count; training's weight gradients do not, so it is left out
+    pairs = synthetic.make_parallel_corpus(120, seed=1)
+    vocab = C.induce_vocab([p.gt for p in pairs] + [p.asr for p in pairs if p.asr], 384)
+    assert len(vocab) > 300
+    ckpt = tmp_path / "model.ckpt"
+    training.save_checkpoint(ckpt, Model.build(vocab, lexicon, ModelConfig(), seed=1))
+    texts = tmp_path / "texts.txt"
+    texts.write_text("".join(p.gt + "\n" for p in pairs[:40]))
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    results = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        out, report = tmp_path / f"noised{threads}.txt", tmp_path / f"spans{threads}.tsv"
+        subprocess.run(
+            [sys.executable, "-m", "asrnoise.cli", "corrupt", str(texts), "--checkpoint", str(ckpt),
+             "--out", str(out), "--report", str(report), "--p-z", "0.5", "--seed", "1", "--mode", mode],
+            env=env, capture_output=True, check=True, timeout=120,
+        )
+        results.append((out.read_bytes(), report.read_bytes()))
+    assert len(results[0][1].splitlines()) > 40
+    assert results[0] == results[1]

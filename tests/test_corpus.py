@@ -237,13 +237,13 @@ class TestAlignPair:
 class TestBuildTrainingItems:
     def test_all_match_yields_nothing(self, lexicon, fixture_vocab):
         alignment = C.align_pair("only the gag", "only the gag", lexicon)
-        assert C.build_training_items([alignment], fixture_vocab) == []
+        assert C.build_training_items([alignment], fixture_vocab, max_target_len=5) == []
 
     def test_appendix_targets(self, lexicon, fixture_vocab):
         alignment = C.align_pair(
             "only labored the gags", "only labored labor thes gag", lexicon
         )
-        items = C.build_training_items([alignment], fixture_vocab)
+        items = C.build_training_items([alignment], fixture_vocab, max_target_len=5)
         got = [(i.position, i.gt_piece, tuple(fixture_vocab.pieces[t] for t in i.target_ids), i.error_label)
                for i in items]
         assert got == [
@@ -254,7 +254,7 @@ class TestBuildTrainingItems:
 
     def test_deletion_target_is_bare_eos(self, lexicon, fixture_vocab):
         alignment = C.align_pair("only the", "only", lexicon)
-        items = C.build_training_items([alignment], fixture_vocab)
+        items = C.build_training_items([alignment], fixture_vocab, max_target_len=5)
         assert len(items) == 1
         assert tuple(fixture_vocab.pieces[t] for t in items[0].target_ids) == ("[EOS]",)
         assert items[0].error_label == C.DELETION
@@ -284,7 +284,7 @@ class TestBuildTrainingItems:
     def test_substitution_of_single_piece_word(self, lexicon):
         vocab = C.SubwordVocab(["[BOS]", "[EOS]", "[UNK]", "the", "thee", "cue"])
         alignment = C.align_pair("the cue", "thee cue", lexicon)
-        items = C.build_training_items([alignment], vocab)
+        items = C.build_training_items([alignment], vocab, max_target_len=5)
         assert len(items) == 1
         assert tuple(vocab.pieces[t] for t in items[0].target_ids) == ("thee", "[EOS]")
         assert items[0].error_label == C.SUBSTITUTION

@@ -174,7 +174,7 @@ class TestIndependenceReport:
         tokens = self._tokens(500)
         plan = sample_plan_interventional(tokens, 0.5, seed=0)
         with pytest.raises(InsufficientDataError):
-            E.independence_report([plan], [tokens], min_observations=100)
+            E.independence_report([plan], [tokens])
 
     def test_length_mismatch(self):
         tokens = self._tokens(200)

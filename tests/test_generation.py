@@ -496,8 +496,18 @@ class TestCorruptCorpus:
         # no position is sampled at p_z = 0, so only an up-front check can raise
         with pytest.raises(ValueError):
             G.corrupt_corpus(["the cue"], model, p_z=0.0, seed=1, mode="beam")
+        for temperature in (0.0, float("inf")):
+            with pytest.raises(ValueError):
+                G.corrupt_corpus(["the cue"], model, p_z=0.0, seed=1, mode=G.SAMPLE, temperature=temperature)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_sampling_temperature_must_be_positive_and_finite(self, temperature):
         with pytest.raises(ValueError):
-            G.corrupt_corpus(["the cue"], model, p_z=0.0, seed=1, mode=G.SAMPLE, temperature=0.0)
+            G.check_decoding(G.SAMPLE, temperature)
+        # greedy decoding reads no temperature
+        G.check_decoding(G.GREEDY, temperature)
+        for fine in (1e-310, 1.0, 1e300):
+            G.check_decoding(G.SAMPLE, fine)
 
     @pytest.mark.parametrize("p_z", [2.0, -1.0, float("nan")])
     def test_bad_prior_rejected_before_any_line(self, lexicon, p_z):

@@ -14,12 +14,12 @@ class TestSplitWordPool:
 
 class TestConfusionCandidates:
     def test_homophones_rank_first(self, lexicon):
-        cands = synthetic.confusion_candidates(lexicon, k=3, pool=["cue", "queue", "sue", "workers"])
+        cands = synthetic.confusion_candidates(lexicon, pool=["cue", "queue", "sue", "workers"])
         assert cands["cue"][0] == "queue"
         assert cands["queue"][0] == "cue"
 
     def test_candidates_exclude_self(self, lexicon):
-        cands = synthetic.confusion_candidates(lexicon, k=3, pool=["cat", "bat", "mat", "pat"])
+        cands = synthetic.confusion_candidates(lexicon, pool=["cat", "bat", "mat", "pat"])
         for word, near in cands.items():
             assert word not in near
             assert near
