@@ -28,6 +28,7 @@ from .evaluation import (
 from .generation import (
     ErrorType,
     GeneratedSpan,
+    SentenceSpans,
     SpanDecoder,
     assemble,
     classify_error,
@@ -80,6 +81,7 @@ __all__ = [
     "PhoneticCode",
     "PhonemeCodeIndex",
     "PronouncingLexicon",
+    "SentenceSpans",
     "SpanDecoder",
     "SubwordVocab",
     "Token",

@@ -2,15 +2,16 @@
 
 Corrupted positions each decode a short token span ending in [EOS]; the
 span's length classifies the error (one token is a deletion, two a
-substitution, more an insertion).  Untouched positions pass through, and
-:func:`corpus.detokenize` rebuilds the surface text.
+substitution, more an insertion).  A sentence's spans decode together, one
+step at a time over the rows still live.  Untouched positions pass through,
+and :func:`corpus.detokenize` rebuilds the surface text.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -93,39 +94,29 @@ def check_decoding(mode: str, temperature: float) -> None:
         raise ValueError(f"sampling temperature must be positive and finite, got {temperature}")
 
 
-def _pick_greedy(p: np.ndarray) -> int:
-    # lowest index wins ties
-    return int(np.argmax(p))
+def _pick(p: np.ndarray, temperature: float, u: Optional[np.ndarray]) -> np.ndarray:
+    """Each row's token of the distributions ``p`` ``[s, V]``: without
+    uniforms ``u`` the argmax (lowest index wins ties), else a draw from the
+    temperature-scaled weights with row ``i``'s uniform ``u[i]`` in [0, 1).
 
-
-def _pick_sample(p: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    # divide by the largest probability before the power: at a tiny
-    # temperature the likeliest token keeps weight 1 and the others
-    # underflow to 0, the weight a token of probability 0 has at any
-    # temperature
+    The weights divide by the row's largest probability before the power: at
+    a tiny temperature the likeliest token keeps weight 1 and the others
+    underflow to 0, the weight a token of probability 0 has at any
+    temperature.  ``Generator.choice(V, p=weights / weights.sum())`` draws
+    this way, one uniform per draw, up to rounding and without re-validating
+    the distribution each step: the draw is the count of cumulative weights
+    at or below ``u * cdf[-1]``, which stays below ``cdf[-1]``, so a
+    zero-weight token is never picked.  The sign is checked on ``p`` itself:
+    dividing by a negative maximum would turn an all-negative row positive.
+    """
+    if u is None:
+        return p.argmax(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        weights = (p / p.max()) ** (1.0 / temperature)
-    # Generator.choice(len(weights), p=weights / weights.sum()) draws this
-    # way, one uniform per call, up to rounding and without re-validating
-    # the distribution each step.  The draw stays below cdf[-1] >= 1, so a
-    # zero-weight token is never picked.  The sign is checked on p itself:
-    # dividing by a negative maximum would turn an all-negative p positive.
-    cdf = weights.cumsum()
-    if not (p.min() >= 0.0 and np.isfinite(cdf[-1])):
+        weights = (p / p.max(axis=1, keepdims=True)) ** (1.0 / temperature)
+    cdf = weights.cumsum(axis=1)
+    if not (p.min() >= 0.0 and np.isfinite(cdf[:, -1]).all()):
         raise ValueError("sampling weights must be finite and non-negative")
-    return int(cdf.searchsorted(rng.random() * cdf[-1], side="right"))
-
-
-@dataclass(frozen=True)
-class EncodedSentence:
-    """One sentence as its spans read it: the encoder rows ``[1, n, d]``,
-    the decoder's cross-attention keys and values of them, and
-    ``first_step``, which maps each position encoded for decoding to the
-    combined generation distribution ``[V]`` of its span's first step."""
-
-    rows: Tensor
-    memory: tuple[Tensor, Tensor]
-    first_step: dict[int, np.ndarray]
+    return (cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -135,7 +126,8 @@ class SpanDecoder:
     :func:`model.head_tables`, and the token-query table ``[V, d]``, whose
     row ``v`` is piece ``v``'s decoder input embedding
     (:func:`model._token_embeddings`).  Build it after the last change to the
-    parameters: the tables are gathered copies.
+    parameters: the tables are gathered copies.  :meth:`encode` starts one
+    sentence's decode.
     """
 
     model: Model
@@ -150,88 +142,117 @@ class SpanDecoder:
         token_queries = _token_embeddings(np.arange(len(model.vocab)), params, config, rows_map).data
         return cls(model, params, head_tables(params, config, rows_map), token_queries)
 
-    def encode(self, piece_ids: Sequence[int], positions: Sequence[int]) -> EncodedSentence:
-        """Encode one sentence, project its rows to the decoder's keys and
-        values, and decode the first step of the spans at ``positions`` at
-        once: their ``m`` start rows through one decoder call and one heads
-        call, so the cost scales with the spans, not the sentence."""
+    def encode(
+        self,
+        piece_ids: Sequence[int],
+        positions: Sequence[int],
+        mode: str = GREEDY,
+        temperature: float = 1.0,
+        seed: int = 0,
+    ) -> "SentenceSpans":
+        """Encode one sentence and project its rows to the decoder's keys and
+        values, for the spans at ``positions`` to be decoded with ``mode``,
+        ``temperature`` and ``seed`` (:class:`SentenceSpans`)."""
+        check_decoding(mode, temperature)
         model, params = self.model, self.params
         config, rows_map = model.config, model.code_index.token_rows
-        positions = list(positions)
+        positions = tuple(positions)
         n = len(piece_ids)
         if not positions or not all(0 <= k < n for k in positions):
-            raise IndexError(f"positions {positions} must be a non-empty subset of a sentence of {n} tokens")
+            raise IndexError(f"positions {list(positions)} must be a non-empty subset of a sentence of {n} tokens")
         e_in = embed_sequence([list(piece_ids)], params, config, rows_map)
         e_enc = encode(e_in, params, config)
-        memory = decoder_memory(e_enc, params)
-        start = decoder_start(ad.select(e_enc, [[0] * len(positions)], [positions]), params)
-        hidden = decoder_hidden(start, [()], memory, params, config, rows_map)
-        _, _, p_gen = step_distributions(ad.rows(hidden, 0), self.tables, model.special_mask)
-        return EncodedSentence(e_enc, memory, dict(zip(positions, p_gen.data)))
+        return SentenceSpans(self, e_enc, decoder_memory(e_enc, params), positions, mode, temperature, seed)
 
 
-def generate_span(
-    sentence: EncodedSentence,
-    decoder: SpanDecoder,
-    position: int,
-    original: str = "",
-    mode: str = GREEDY,
-    temperature: float = 1.0,
-    seed: int = 0,
-) -> GeneratedSpan:
-    """Decode the noise span of row ``position`` of an encoded sentence from
-    the combined generation distribution.
+@dataclass(frozen=True)
+class SentenceSpans:
+    """The spans of one sentence's corrupted ``positions``: the encoder rows
+    ``[1, n, d]``, the decoder's cross-attention keys and values of them,
+    and the decode ``mode``, ``temperature`` and ``seed``.
 
-    Query rows never attend to each other, so step 0 depends only on the
-    sentence and the position, and reads the sentence's ``first_step`` entry
-    of ``position``, which must be one of the positions it was encoded with.
-    Each step t >= 1 computes only its live query row: the previous token's
-    row of the decoder's token-query table plus position row t, the same
-    elementwise sum the decoder takes for a prefix row.  The decoder block
-    runs over that one row against the sentence's fixed keys and values, and
-    the two heads over its output from the decoder's fixed tables.  Greedy
-    mode takes the argmax each step (lowest index on ties); sample mode
-    draws from the temperature-scaled distribution with a generator keyed by
-    (seed, position).  [EOS] is forced once the span reaches the maximum
-    generation length, so decoding always terminates.
+    :meth:`token_ids` decodes every span at once on its first call and keeps
+    the result.  The decode thus runs inside the sentence's first
+    :func:`generate_span`: the benchmark's tracer, which wraps that function
+    from outside the package, counts and times the decode steps it finds
+    there.
     """
-    check_decoding(mode, temperature)
-    if position not in sentence.first_step:
-        n = sentence.rows.data.shape[1]
-        raise IndexError(f"position {position} of a sentence of {n} tokens was not encoded for decoding")
-    model, params = decoder.model, decoder.params
-    config = model.config
-    vocab = model.vocab
-    rows_map = model.code_index.token_rows
-    rng = np.random.default_rng(derive_seed(seed, position)) if mode == SAMPLE else None
 
-    m_pos = params["m_pos"].data
-    probs = sentence.first_step[position]
-    generated: list[int] = []
-    # pick the span's t-th token, then run step t over its query row; after
-    # max_gen_len - 1 picks the last token, [EOS], is forced instead
-    for t in range(1, config.max_gen_len):
-        if mode == GREEDY:
-            token = _pick_greedy(probs)
-        else:
-            token = _pick_sample(probs, temperature, rng)
-        generated.append(token)
-        if token == vocab.eos_id or t == config.max_gen_len - 1:
-            break
-        live = Tensor((decoder.token_queries[token] + m_pos[t])[None, None], needs_grad=False)
-        hidden = decoder_hidden(live, [()], sentence.memory, params, config, rows_map)
-        _, _, p_gen = step_distributions(ad.select(hidden, [0], [0]), decoder.tables, model.special_mask)
-        probs = p_gen.data[0]
-    if not generated or generated[-1] != vocab.eos_id:
-        generated.append(vocab.eos_id)
+    decoder: SpanDecoder
+    rows: Tensor
+    memory: tuple[Tensor, Tensor]
+    positions: tuple[int, ...]
+    mode: str
+    temperature: float
+    seed: int
+    _token_ids: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    surfaces = tuple(vocab.surface(t) for t in generated)
+    def token_ids(self, position: int) -> tuple[int, ...]:
+        """The token ids, [EOS] included, of the span at ``position``."""
+        if not self._token_ids:
+            self._token_ids.update(zip(self.positions, self._decode()))
+        if position not in self._token_ids:
+            n = self.rows.data.shape[1]
+            raise IndexError(f"position {position} of a sentence of {n} tokens was not encoded for decoding")
+        return self._token_ids[position]
+
+    def _decode(self) -> list[tuple[int, ...]]:
+        """Decode every span step-synchronously, one decoder call and one
+        heads call per step over the live query rows ``[1, s, d]``.
+
+        Query rows never attend to each other, so a row's step depends only
+        on the sentence, its position and its own span.  Step 0's rows are
+        the positions' start rows (:func:`model.decoder_start`); a later
+        step's row is the previous token's row of the decoder's token-query
+        table plus position row t, the same elementwise sum the decoder takes
+        for a prefix row.  Each step picks every live row's token in one
+        :func:`_pick`: greedy mode takes the argmax, sample mode draws with
+        the span's own generator keyed by (seed, position), one uniform per
+        token in order.  A span leaves the live set at [EOS]; one still live
+        after ``max_gen_len - 1`` tokens gets [EOS] forced, so decoding
+        always terminates.
+        """
+        decoder, positions = self.decoder, self.positions
+        model, params = decoder.model, decoder.params
+        config, eos = model.config, model.vocab.eos_id
+        steps = config.max_gen_len - 1
+        u = None
+        if self.mode == SAMPLE:
+            u = np.array([np.random.default_rng(derive_seed(self.seed, k)).random(steps) for k in positions])
+        m_pos = params["m_pos"].data
+        ids: list[list[int]] = [[] for _ in positions]
+        live = np.arange(len(positions))
+        query = decoder_start(ad.select(self.rows, [[0] * len(positions)], [list(positions)]), params)
+        for t in range(steps):
+            hidden = decoder_hidden(query, [()], self.memory, params, config, model.code_index.token_rows)
+            _, _, p_gen = step_distributions(ad.rows(hidden, 0), decoder.tables, model.special_mask)
+            picks = _pick(p_gen.data, self.temperature, None if u is None else u[live, t])
+            for i, token in zip(live, picks.tolist()):
+                ids[i].append(token)
+            going = picks != eos
+            live, picks = live[going], picks[going]
+            if not live.size or t + 1 == steps:
+                break
+            query = Tensor((decoder.token_queries[picks] + m_pos[t + 1])[None], needs_grad=False)
+        for i in live:
+            ids[i].append(eos)
+        return [tuple(span) for span in ids]
+
+
+def generate_span(sentence: SentenceSpans, position: int, original: str = "") -> GeneratedSpan:
+    """The record of the span the sentence decoded at ``position``: its token
+    ids and surfaces, [EOS] included, its error type, and the surface form
+    that replaces ``original``.  Raises :class:`IndexError` for a position
+    the sentence was not encoded to decode."""
+    generated = sentence.token_ids(position)
+    model = sentence.decoder.model
+    surfaces = tuple(map(model.vocab.surface, generated))
     return GeneratedSpan(
         position=position,
         original=original,
-        token_ids=tuple(generated),
+        token_ids=generated,
         surfaces=surfaces,
-        error_type=classify_error(len(generated), config.max_gen_len),
+        error_type=classify_error(len(generated), model.config.max_gen_len),
         replacement=detokenize(map(Token, generated[:-1], surfaces[:-1])),
     )
 
@@ -287,12 +308,12 @@ def corrupt_corpus(
 
     Work is done once at the level where it stops changing: the
     gradient-free parameters, the head tables and the token-query table once
-    per call (:class:`SpanDecoder`); the encoder rows, the decoder's keys
-    and values, and the first decode step of every corrupted position once
-    per sentence with one (:meth:`SpanDecoder.encode`); and the
-    decoder block over one live query row, and the heads over its output,
-    once per later step of :func:`generate_span`.  A sentence's work reads
-    nothing of another sentence.
+    per call (:class:`SpanDecoder`); the encoder rows and the decoder's keys
+    and values once per sentence (:meth:`SpanDecoder.encode`); and the
+    decoder block and the heads once per step of the sentence's longest
+    span, over the live query rows of all its spans at once
+    (:class:`SentenceSpans`).  A sentence's work reads nothing of another
+    sentence.
     """
     check_decoding(mode, temperature)
     check_prior(p_z, "corruption prior")
@@ -309,19 +330,10 @@ def corrupt_corpus(
         plan = sample_plan_interventional(tokens, p_z, sentence_seed)
         spans: list[GeneratedSpan] = []
         if plan.corruption_count:
-            sentence = decoder.encode([t.piece_id for t in tokens], plan.corrupted_positions)
-            for k in plan.corrupted_positions:
-                spans.append(
-                    generate_span(
-                        sentence,
-                        decoder,
-                        position=k,
-                        original=tokens[k].surface,
-                        mode=mode,
-                        temperature=temperature,
-                        seed=sentence_seed,
-                    )
-                )
+            sentence = decoder.encode(
+                [t.piece_id for t in tokens], plan.corrupted_positions, mode, temperature, sentence_seed
+            )
+            spans = [generate_span(sentence, k, tokens[k].surface) for k in plan.corrupted_positions]
         outputs.append(assemble(tokens, plan, spans))
         records.extend(SpanRecord(str(idx), span) for span in spans)
     return outputs, records

@@ -379,8 +379,8 @@ def decoder_hidden(
     :func:`decoder_memory` of ``[B, n, d]`` encoder rows with ``key_mask``
     ``[B, n]``.  With empty prefixes, ``start`` may also hold several
     query rows ``[B, s, d]``, and the output is ``[B, s, d]``: the start
-    rows of a sentence's corrupted positions, or a live query row of a later
-    step.  A prefix row is the token's :func:`_token_embeddings` row plus
+    rows of a sentence's corrupted positions at step 0, or at a later step
+    the query rows of its spans still live.  A prefix row is the token's :func:`_token_embeddings` row plus
     its position row, and that sum passed as ``start`` gives the same row
     up to the last bits of the block's products.
     """

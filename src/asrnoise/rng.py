@@ -1,7 +1,11 @@
-"""Counter-based randomness: every draw is a pure function of (seed, position).
+"""Seed derivation and counter-based draws.
 
-Plans stay bit-identical when the sequence grows, shards can be sampled in
-any order, and no global RNG state leaks between pipeline stages.
+A plan's draws are pure functions of (seed, position) (:func:`uniforms_at`),
+so plans stay bit-identical when the sequence grows and shards can be
+sampled in any order.  A sampled span draws instead from its own numpy
+generator, seeded by :func:`derive_seed` of its sentence's seed and its
+position, one uniform per token in order.  No global RNG state leaks between
+pipeline stages.
 """
 from __future__ import annotations
 

@@ -7,11 +7,11 @@ exception is the composed autodiff ops at the end (``sub``, ``neg``, ``exp``,
 ``matmul``, ``reshape``, ``sum_``, ``softmax``, ``log_softmax``): the model
 runs none of them, and the tests build the composed references for the fused
 ``linear``/``attention`` kernels and the ``nll``/``kl`` losses from them on
-the engine's own node primitives.  ``full_prefix_greedy_span`` and
+the engine's own node primitives.  ``full_prefix_span`` and
 ``first_step_one_row`` are the other exceptions: the package's decoder block
-and heads, driven by a decode loop that reruns the block over a span's whole
-prefix at every step, and by a loop that decodes each given position's first
-step from its own start row.
+and heads, driven by a decode loop that reruns the block over one span's
+whole prefix at every step, and by a loop that decodes each given position's
+first step from its own start row.
 """
 from functools import lru_cache
 
@@ -361,16 +361,21 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(lp, (a,), bwd)
 
 
-def full_prefix_greedy_span(sentence, decoder, position: int):
-    """Greedy span decoding that runs the decoder block over the span's start
-    row and every token generated so far at each step, and keeps the newest
-    row.  Returns the token ids, [EOS] included, and each step's newest
-    hidden row ``[d]``."""
+def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
+    """Span decoding that runs the decoder block over the span's start row
+    and every token generated so far at each step, and keeps the newest row.
+    Without a ``temperature`` each step takes the argmax; with one it draws
+    from the temperature-scaled weights by a right-side search of one
+    uniform of the span's generator, keyed by (seed, position).  Returns the
+    token ids, [EOS] included, and each step's newest hidden row ``[d]``."""
     from asrnoise import autodiff as ad
     from asrnoise.model import decoder_hidden, decoder_start, step_distributions
+    from asrnoise.rng import derive_seed
 
+    decoder = sentence.decoder
     model, params = decoder.model, decoder.params
     config, eos = model.config, model.vocab.eos_id
+    rng = np.random.default_rng(derive_seed(seed, position))
     start = decoder_start(ad.select(sentence.rows, [[0]], [[position]]), params)
     generated, rows = [], []
     while len(generated) < config.max_gen_len - 1:
@@ -378,7 +383,12 @@ def full_prefix_greedy_span(sentence, decoder, position: int):
         d_last = ad.select(hidden, [0], [len(generated)])
         rows.append(d_last.data[0])
         _, _, p_gen = step_distributions(d_last, decoder.tables, model.special_mask)
-        generated.append(int(np.argmax(p_gen.data[0])))
+        p = p_gen.data[0]
+        if temperature is None:
+            generated.append(int(np.argmax(p)))
+        else:
+            cdf = ((p / p.max()) ** (1.0 / temperature)).cumsum()
+            generated.append(int(cdf.searchsorted(rng.random() * cdf[-1], side="right")))
         if generated[-1] == eos:
             break
     if not generated or generated[-1] != eos:
@@ -386,13 +396,14 @@ def full_prefix_greedy_span(sentence, decoder, position: int):
     return tuple(generated), rows
 
 
-def first_step_one_row(sentence, decoder, positions):
+def first_step_one_row(sentence, positions):
     """The first decode step of each of ``positions`` run alone: its start
     row ``[1, 1, d]`` through the decoder block and the heads.  Returns the
     combined distributions ``[len(positions), V]``."""
     from asrnoise import autodiff as ad
     from asrnoise.model import decoder_hidden, decoder_start, step_distributions
 
+    decoder = sentence.decoder
     model, params = decoder.model, decoder.params
     p_rows = []
     for position in positions:

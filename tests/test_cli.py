@@ -646,10 +646,16 @@ def test_eval_checks_the_report_paths_it_writes(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
-@pytest.mark.parametrize("mode", ["sample", "greedy"])
-def test_corrupt_output_does_not_depend_on_the_blas_thread_count(tmp_path, lexicon, mode):
+@pytest.mark.parametrize(
+    "mode, p_z",
+    [("sample", 0.5), ("greedy", 0.5), ("sample", 1.0), ("greedy", 1.0)],
+    ids=["sample", "greedy", "sample-full-prior", "greedy-full-prior"],
+)
+def test_corrupt_output_does_not_depend_on_the_blas_thread_count(tmp_path, lexicon, mode, p_z):
     # decoding's products split over output rows, which keeps each row's bits
-    # at any thread count; training's weight gradients do not, so it is left out
+    # at any thread count; training's weight gradients do not, so it is left
+    # out.  At p_z = 1 every position is a span, so each step runs its
+    # sentence's widest multi-row products.
     pairs = synthetic.make_parallel_corpus(120, seed=1)
     vocab = C.induce_vocab([p.gt for p in pairs] + [p.asr for p in pairs if p.asr], 384)
     assert len(vocab) > 300
@@ -666,7 +672,7 @@ def test_corrupt_output_does_not_depend_on_the_blas_thread_count(tmp_path, lexic
         out, report = tmp_path / f"noised{threads}.txt", tmp_path / f"spans{threads}.tsv"
         subprocess.run(
             [sys.executable, "-m", "asrnoise.cli", "corrupt", str(texts), "--checkpoint", str(ckpt),
-             "--out", str(out), "--report", str(report), "--p-z", "0.5", "--seed", "1", "--mode", mode],
+             "--out", str(out), "--report", str(report), "--p-z", str(p_z), "--seed", "1", "--mode", mode],
             env=env, capture_output=True, check=True, timeout=120,
         )
         results.append((out.read_bytes(), report.read_bytes()))

@@ -12,7 +12,7 @@ from asrnoise.intervention import CorruptionPlan
 from asrnoise.phonetics import default_lexicon
 
 from conftest import make_token_seq
-from oracles import first_step_one_row, full_prefix_greedy_span
+from oracles import first_step_one_row, full_prefix_span
 
 
 class TestClassifyError:
@@ -37,6 +37,19 @@ class TestClassifyError:
             G.classify_error(6, 5)
 
 
+def _draw(p, temperature, rng):
+    """One row's draw through the row-wise pick, with one uniform of ``rng``."""
+    return int(G._pick(np.asarray(p)[None], temperature, np.array([rng.random()]))[0])
+
+
+def _one_row_draw(p, temperature, u):
+    """The one-row sampling formula: temperature-scaled weights over the
+    largest probability, and the right-side search of ``u * cdf[-1]``."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cdf = ((p / p.max()) ** (1.0 / temperature)).cumsum()
+    return int(cdf.searchsorted(u * cdf[-1], side="right"))
+
+
 class TestPickSample:
     def test_matches_generator_choice_draw_for_draw(self):
         source = np.random.default_rng(0)
@@ -49,42 +62,58 @@ class TestPickSample:
                 weights = np.exp(logp - logp.max())
                 weights /= weights.sum()
                 expected = int(theirs.choice(len(weights), p=weights))
-                assert G._pick_sample(p, temperature, ours) == expected
+                assert _draw(p, temperature, ours) == expected
+
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 1.7])
+    def test_rows_match_the_one_row_formula_draw_for_draw(self, temperature):
+        source = np.random.default_rng(3)
+        p = source.dirichlet(np.full(384, 0.1), size=200)
+        u = source.random(200)
+        picks = G._pick(p, temperature, u)
+        assert picks.tolist() == [_one_row_draw(row, temperature, ui) for row, ui in zip(p, u)]
+        assert G._pick(p, temperature, None).tolist() == [int(np.argmax(row)) for row in p]
 
     def test_subnormal_temperature_picks_the_likeliest_token(self):
         source, rng = np.random.default_rng(1), np.random.default_rng(2)
         rows = [np.array([0.7, 0.2, 0.1]), np.array([0.1, 0.2, 0.7]), *source.dirichlet(np.full(50, 0.3), size=200)]
         for temperature in (1e-310, 1e-300):
             for p in rows:
-                assert G._pick_sample(p, temperature, rng) == int(np.argmax(p))
+                assert _draw(p, temperature, rng) == int(np.argmax(p))
+            block = np.array(rows[2:])
+            assert G._pick(block, temperature, rng.random(len(block))).tolist() == block.argmax(axis=1).tolist()
 
     def test_zero_probability_is_never_drawn(self):
         # a floored log would give it nearly a third of the draws at T = 1e6
         rng = np.random.default_rng(0)
-        assert 0 not in {G._pick_sample(np.array([0.0, 0.5, 0.5]), 1e6, rng) for _ in range(200)}
+        assert 0 not in {_draw(np.array([0.0, 0.5, 0.5]), 1e6, rng) for _ in range(200)}
         p = np.array([0.0, 0.1, 0.0, 0.0, 0.6, 0.3, 0.0])
         for temperature in (0.5, 1.0, 2.0):
-            assert {G._pick_sample(p, temperature, rng) for _ in range(2000)} == {1, 4, 5}
+            assert set(G._pick(np.tile(p, (2000, 1)), temperature, rng.random(2000)).tolist()) == {1, 4, 5}
 
     def test_unit_temperature_draws_match_the_distribution(self):
         # 20,000 draws: each frequency's standard error is at most 0.0036,
         # so 0.015 is over four of them
         rng = np.random.default_rng(4)
         p = np.array([0.05, 0.2, 0.0, 0.35, 0.1, 0.3])
-        draws = [G._pick_sample(p, 1.0, rng) for _ in range(20_000)]
+        draws = [_draw(p, 1.0, rng) for _ in range(20_000)]
         freq = np.bincount(draws, minlength=len(p)) / len(draws)
         assert np.max(np.abs(freq - p)) <= 0.015
         assert freq[2] == 0.0
 
     def test_nonfinite_weights_rejected(self):
         with pytest.raises(ValueError):
-            G._pick_sample(np.array([0.5, np.nan, 0.5]), 1.0, np.random.default_rng(0))
+            _draw(np.array([0.5, np.nan, 0.5]), 1.0, np.random.default_rng(0))
+        # one bad row among good ones fails the whole step
+        with pytest.raises(ValueError):
+            G._pick(np.array([[0.5, 0.5, 0.0], [0.5, np.nan, 0.5]]), 1.0, np.array([0.3, 0.3]))
 
     @pytest.mark.parametrize("p", [[-0.5, -0.2], [0.6, -0.1, 0.5], [-1.0, 0.0]])
     def test_negative_probabilities_rejected(self, p):
         # dividing by p.max() would turn an all-negative p into positive weights
         with pytest.raises(ValueError):
-            G._pick_sample(np.array(p), 1.0, np.random.default_rng(0))
+            _draw(np.array(p), 1.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            G._pick(np.array([np.full(len(p), 1.0 / len(p)), p]), 1.0, np.array([0.5, 0.5]))
 
 
 def _toy_model(lexicon, phoneme_head=True):
@@ -97,10 +126,12 @@ def _toy_model(lexicon, phoneme_head=True):
     return M.Model.build(vocab, lexicon, config, seed=11)
 
 
-def _encode_text(model, text):
-    decoder = G.SpanDecoder.build(model)
+def _encode_text(model, text, mode=G.GREEDY, seed=0, positions=None):
+    """A sentence of ``text`` encoded to decode ``positions`` (all by default)."""
     tokens = C.tokenize(text, model.vocab)
-    return tokens, decoder, decoder.encode([t.piece_id for t in tokens], range(len(tokens)))
+    positions = range(len(tokens)) if positions is None else positions
+    sentence = G.SpanDecoder.build(model).encode([t.piece_id for t in tokens], positions, mode, seed=seed)
+    return tokens, sentence
 
 
 def _force_eos(model, logit=60.0):
@@ -108,13 +139,46 @@ def _force_eos(model, logit=60.0):
     model.params["b_n"][model.vocab.eos_id] = logit
 
 
+def _record_steps(monkeypatch):
+    """Record each ``decoder_hidden`` call's output rows ``[s, d]`` and each
+    ``step_distributions`` call's combined distributions ``[s, V]``."""
+    hidden_rows, p_rows = [], []
+
+    def decoder_hidden(*args):
+        hidden = M.decoder_hidden(*args)
+        hidden_rows.append(hidden.data[0])
+        return hidden
+
+    def step_distributions(*args):
+        dists = M.step_distributions(*args)
+        p_rows.append(dists[2].data)
+        return dists
+
+    monkeypatch.setattr(G, "decoder_hidden", decoder_hidden)
+    monkeypatch.setattr(G, "step_distributions", step_distributions)
+    return hidden_rows, p_rows
+
+
+def _rows_per_span(step_rows, spans, max_gen_len):
+    """Split each step's rows over the spans still live at that step: a span
+    is live for its first ``min(m, max_gen_len - 1)`` steps, and the live
+    rows keep the spans' order."""
+    out = [[] for _ in spans]
+    for t, rows in enumerate(step_rows):
+        live = [i for i, span in enumerate(spans) if t < min(span.m, max_gen_len - 1)]
+        assert rows.shape[0] == len(live)
+        for i, row in zip(live, rows):
+            out[i].append(row)
+    return out
+
+
 class TestGenerateSpan:
     def test_eos_dominant_model_yields_deletion(self, lexicon):
         model = _toy_model(lexicon)
         _force_eos(model)
-        tokens, decoder, sentence = _encode_text(model, "the cue")
         for mode in (G.GREEDY, G.SAMPLE):
-            span = G.generate_span(sentence, decoder, position=0, mode=mode, seed=3)
+            _, sentence = _encode_text(model, "the cue", mode, seed=3)
+            span = G.generate_span(sentence, 0)
             assert span.m == 1
             assert span.error_type is G.ErrorType.DELETION
             assert span.replacement == ""
@@ -127,8 +191,8 @@ class TestGenerateSpan:
         model.params["m_word"][:] = 0.0
         model.params["b_n"][:] = 0.0
         model.params["b_n"][target] = 40.0
-        tokens, decoder, sentence = _encode_text(model, "the cue")
-        span = G.generate_span(sentence, decoder, position=1, mode=G.GREEDY)
+        _, sentence = _encode_text(model, "the cue")
+        span = G.generate_span(sentence, 1)
         assert span.surfaces == ("gag", "gag", "gag", "gag", "[EOS]")
         assert span.m == model.config.max_gen_len
         assert span.error_type is G.ErrorType.INSERTION
@@ -140,35 +204,34 @@ class TestGenerateSpan:
         hi = [model.vocab.piece_to_id["queue"], model.vocab.piece_to_id["sue"]]
         for idx in hi:
             model.params["b_n"][idx] = 40.0
-        tokens, decoder, sentence = _encode_text(model, "the cue")
-        span = G.generate_span(sentence, decoder, position=0, mode=G.GREEDY)
+        _, sentence = _encode_text(model, "the cue")
+        span = G.generate_span(sentence, 0)
         assert span.token_ids[0] == min(hi)
 
     def test_sampling_is_seed_deterministic(self, lexicon):
         model = _toy_model(lexicon)
-        tokens, decoder, sentence = _encode_text(model, "the cue gag")
-        a = G.generate_span(sentence, decoder, position=1, mode=G.SAMPLE, seed=42)
-        b = G.generate_span(sentence, decoder, position=1, mode=G.SAMPLE, seed=42)
-        assert a == b
+        _, a = _encode_text(model, "the cue gag", G.SAMPLE, seed=42)
+        _, b = _encode_text(model, "the cue gag", G.SAMPLE, seed=42)
+        assert G.generate_span(a, 1) == G.generate_span(b, 1) == G.generate_span(a, 1)
 
     def test_span_terminates_with_single_trailing_eos(self, lexicon):
         model = _toy_model(lexicon)
-        tokens, decoder, sentence = _encode_text(model, "the cue gag sue")
         eos = model.vocab.eos_id
-        for position in range(len(tokens)):
-            for seed in range(4):
-                span = G.generate_span(sentence, decoder, position=position, mode=G.SAMPLE, seed=seed)
+        for seed in range(4):
+            tokens, sentence = _encode_text(model, "the cue gag sue", G.SAMPLE, seed=seed)
+            for position in range(len(tokens)):
+                span = G.generate_span(sentence, position)
                 assert span.m <= model.config.max_gen_len
                 assert span.token_ids[-1] == eos
                 assert sum(1 for t in span.token_ids if t == eos) == 1
 
     def test_unknown_mode_rejected(self, lexicon):
         model = _toy_model(lexicon)
-        tokens, decoder, sentence = _encode_text(model, "the cue")
         with pytest.raises(ValueError):
-            G.generate_span(sentence, decoder, position=0, mode="beam")
+            _encode_text(model, "the cue", mode="beam")
+        decoder = G.SpanDecoder.build(model)
         with pytest.raises(ValueError):
-            G.generate_span(sentence, decoder, position=0, mode=G.SAMPLE, temperature=0.0)
+            decoder.encode([3, 4], [0], G.SAMPLE, temperature=0.0)
 
     def test_decoding_builds_no_graph(self, lexicon, monkeypatch):
         model = _toy_model(lexicon)
@@ -180,8 +243,8 @@ class TestGenerateSpan:
             created.append(self)
 
         monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
-        tokens, decoder, sentence = _encode_text(model, "the cue gag sue")
-        spans = [G.generate_span(sentence, decoder, position=k, mode=G.SAMPLE, seed=k) for k in range(len(tokens))]
+        tokens, sentence = _encode_text(model, "the cue gag sue", G.SAMPLE, seed=3)
+        spans = [G.generate_span(sentence, k) for k in range(len(tokens))]
         assert sum(span.m for span in spans) > len(spans)  # some spans took several steps
         G.corrupt_corpus(["the cue gag", "sue the cue"], model, p_z=1.0, seed=5)
         assert len(created) > 100
@@ -190,59 +253,64 @@ class TestGenerateSpan:
     @pytest.mark.parametrize("position", [2, 5, -1])
     def test_position_outside_sentence_rejected(self, lexicon, position):
         model = _toy_model(lexicon)
-        tokens, decoder, sentence = _encode_text(model, "the cue")
+        tokens, sentence = _encode_text(model, "the cue")
         assert len(tokens) == 2
         with pytest.raises(IndexError, match=f"position {position} .* 2 tokens"):
-            G.generate_span(sentence, decoder, position=position)
+            G.generate_span(sentence, position)
 
 
 class TestWorkPerStep:
     @pytest.mark.parametrize("phoneme_head, per_step", [(True, 6), (False, 5)])
     def test_linear_calls_per_sentence_span_and_step(self, lexicon, monkeypatch, phoneme_head, per_step):
         # a sentence: encoder q/k/v/o/ffn (6), the decoder's keys and
-        # values (2) and the corrupted positions' first query rows (1), then
-        # their first steps at once; a step: decoder q/o/ffn (4) plus
-        # one linear per head.  A span runs no work of its own before step 1.
+        # values (2) and the corrupted positions' start rows (1); a step:
+        # decoder q/o/ffn (4) plus one linear per head, over every live span
+        # of the sentence at once.  A span runs no work of its own.
         model = _toy_model(lexicon, phoneme_head=phoneme_head)
-        calls = [0]
-        linear = ad.linear
+        calls = {"linear": 0, "decoder_hidden": 0, "step_distributions": 0}
 
-        def counting(*args):
-            calls[0] += 1
-            return linear(*args)
+        def counting(name, target):
+            def wrapper(*args):
+                calls[name] += 1
+                return target(*args)
+            return wrapper
 
-        monkeypatch.setattr(ad, "linear", counting)
+        monkeypatch.setattr(ad, "linear", counting("linear", ad.linear))
+        for name in ("decoder_hidden", "step_distributions"):
+            monkeypatch.setattr(G, name, counting(name, getattr(M, name)))
         texts = ["the cue gag sue", "queue the gag", "sue", "the cue"]
         _, records = G.corrupt_corpus(texts, model, p_z=0.7, seed=4)
-        sentences = len({r.sentence_id for r in records})
-        # the last [EOS] of a span that reached max_gen_len took no step,
-        # and its first step ran with its sentence's
-        later_steps = sum(min(r.span.m, model.config.max_gen_len - 1) - 1 for r in records)
-        assert len(records) > sentences > 0  # so recomputing keys/values per step cannot match
-        assert later_steps > 0  # so a per-span first step cannot match either
-        assert calls[0] == (9 + per_step) * sentences + per_step * later_steps
+        sentences = sorted({r.sentence_id for r in records})
+        # a span takes one step per token it picked: the [EOS] forced at
+        # max_gen_len took none
+        span_steps = {}
+        for r in records:
+            span_steps.setdefault(r.sentence_id, []).append(min(r.span.m, model.config.max_gen_len - 1))
+        steps = sum(max(span_steps[s]) for s in sentences)
+        assert len(records) > len(sentences) > 0  # so recomputing keys/values per step cannot match
+        assert steps < sum(map(sum, span_steps.values()))  # so a step per span cannot match either
+        assert calls["decoder_hidden"] == calls["step_distributions"] == steps
+        assert calls["linear"] == 9 * len(sentences) + per_step * steps
 
     @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
     def test_cached_keys_values_and_tables_change_no_bit(self, lexicon, monkeypatch, mode):
         # the rebuilt run recomputes each step's cached inputs from freshly
-        # wrapped parameters: the query rows (the encoded positions' start
-        # rows in the sentence's first-step call, the previous token's
-        # embedding plus its position row after), the sentence's keys and
-        # values, and the head tables
+        # wrapped parameters: the query rows (the positions' start rows at
+        # step 0, each live span's previous token embedding plus its position
+        # row after), the sentence's keys and values, and the head tables
         model = _toy_model(lexicon)
-        config, rows_map = model.config, model.code_index.token_rows
+        config, rows_map, eos = model.config, model.code_index.token_rows, model.vocab.eos_id
         decoder = G.SpanDecoder.build(model)
         ids = [t.piece_id for t in C.tokenize("the cue gag sue", model.vocab)]
         positions = [3, 0, 2]
-        picked = []
-        pick_name = "_pick_greedy" if mode == G.GREEDY else "_pick_sample"
-        pick = getattr(G, pick_name)
+        picked = []  # each step's picks, one per live span
+        pick = G._pick
 
         def recording_pick(*args):
             picked.append(pick(*args))
             return picked[-1]
 
-        monkeypatch.setattr(G, pick_name, recording_pick)
+        monkeypatch.setattr(G, "_pick", recording_pick)
         runs = []
         for rebuild in (False, True):
             seen = []
@@ -255,7 +323,8 @@ class TestWorkPerStep:
                     if t == 0:
                         live = M.decoder_start(ad.select(rows, [[0] * len(positions)], [positions]), params)
                     else:
-                        tok = M._token_embeddings(np.array([[picked[-1]]]), params, config, rows_map)
+                        going = picked[-1][picked[-1] != eos]
+                        tok = M._token_embeddings(going[None], params, config, rows_map)
                         live = ad.add(tok, ad.rows(params["m_pos"], [t]))
                     memory = M.decoder_memory(rows, params)
                 return M.decoder_hidden(live, prefixes, memory, params, *rest)
@@ -271,17 +340,14 @@ class TestWorkPerStep:
             monkeypatch.setattr(G, "decoder_hidden", decoder_hidden)
             monkeypatch.setattr(G, "step_distributions", step_distributions)
             picked.clear()
-            sentence = decoder.encode(ids, positions)
-            spans = []
-            for k in positions:
-                picked.clear()
-                spans.append(G.generate_span(sentence, decoder, position=k, mode=mode, seed=k))
+            sentence = decoder.encode(ids, positions, mode, seed=5)
+            spans = [G.generate_span(sentence, k) for k in positions]
             runs.append(([span.token_ids for span in spans], seen))
         (cached_ids, cached_p), (rebuilt_ids, rebuilt_p) = runs
         assert cached_ids == rebuilt_ids
         assert max(map(len, cached_ids)) > 2  # some step read a previous token
-        assert cached_p[0].shape == (len(positions), len(model.vocab))  # the encoded positions' first steps
-        assert len(cached_p) == len(rebuilt_p) > len(positions)
+        assert cached_p[0].shape == (len(positions), len(model.vocab))  # every span's first step
+        assert len(cached_p) == len(rebuilt_p) == max(min(len(s), config.max_gen_len - 1) for s in cached_ids)
         assert all(np.array_equal(a, b) for a, b in zip(cached_p, rebuilt_p))
 
 
@@ -298,35 +364,68 @@ class TestLiveQueryRow:
 
     @pytest.mark.parametrize("phoneme_head", [True, False])
     def test_greedy_matches_the_full_prefix_decode(self, lexicon, monkeypatch, phoneme_head):
-        # step 0's hidden row is row k of the sentence's one decoder call
-        # over every start row; each later step's is its own one-row call
+        # step 0's hidden rows are one decoder call over every start row;
+        # each later step's are one call over the spans still live
         model = _toy_model(lexicon, phoneme_head=phoneme_head)
-        d = model.config.d_model
-        calls = []
-
-        def recording(*args):
-            hidden = M.decoder_hidden(*args)
-            calls.append(hidden.data[0])
-            return hidden
-
-        monkeypatch.setattr(G, "decoder_hidden", recording)
+        hidden_rows, _ = _record_steps(monkeypatch)
         steps = 0
         for text in ("the cue gag sue", "queue the gag", "sue"):
-            calls.clear()
-            tokens, decoder, sentence = _encode_text(model, text)
-            (first_rows,) = calls
-            assert first_rows.shape == (len(tokens), d)
-            for k in range(len(tokens)):
-                expected_ids, expected_rows = full_prefix_greedy_span(sentence, decoder, k)
-                calls[:] = [first_rows[k : k + 1]]
-                span = G.generate_span(sentence, decoder, position=k, mode=G.GREEDY)
+            hidden_rows.clear()
+            tokens, sentence = _encode_text(model, text)
+            spans = [G.generate_span(sentence, k) for k in range(len(tokens))]
+            assert hidden_rows[0].shape == (len(tokens), model.config.d_model)
+            per_span = _rows_per_span(hidden_rows, spans, model.config.max_gen_len)
+            for k, (span, rows) in enumerate(zip(spans, per_span)):
+                expected_ids, expected_rows = full_prefix_span(sentence, k)
                 assert span.token_ids == expected_ids
-                assert all(rows.shape == (1, d) for rows in calls[1:])
-                live_rows = np.concatenate(calls)
-                assert live_rows.shape == (len(expected_rows), d)
-                assert np.max(np.abs(live_rows - np.array(expected_rows))) <= 1e-12
-                steps += len(live_rows)
+                assert len(rows) == len(expected_rows)
+                assert np.max(np.abs(np.array(rows) - np.array(expected_rows))) <= 1e-12
+                steps += len(rows)
         assert steps > 2 * 8  # spans of several steps, not only deletions
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("phoneme_head", [True, False])
+    @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
+    def test_lockstep_equals_each_position_alone(self, lexicon, monkeypatch, mode, phoneme_head):
+        # every position corrupted, and some of them: the spans decoded
+        # together pick the tokens each picks alone, and their step rows
+        # match the full-prefix decode up to the last bits (a one-row step
+        # is a matrix-vector product, a multi-row step is not)
+        model = _toy_model(lexicon, phoneme_head=phoneme_head)
+        # larger word rows and an [EOS] bias spread the spans' lengths
+        model.params["m_word"] *= 10.0
+        model.params["b_n"][model.vocab.eos_id] += 1.0
+        max_gen_len = model.config.max_gen_len
+        hidden_rows, _ = _record_steps(monkeypatch)
+        lengths = set()
+        for text, positions in (("the cue gag sue", [0, 1, 2, 3]), ("queue the gag cue sue", [4, 1, 3])):
+            for seed in (3, 8):
+                hidden_rows.clear()
+                tokens, sentence = _encode_text(model, text, mode, seed, positions)
+                together = [G.generate_span(sentence, k) for k in positions]
+                per_span = _rows_per_span(hidden_rows, together, max_gen_len)
+                for k, span, rows in zip(positions, together, per_span):
+                    _, alone = _encode_text(model, text, mode, seed, [k])
+                    assert span == G.generate_span(alone, k)
+                    temperature = None if mode == G.GREEDY else 1.0
+                    expected_ids, expected_rows = full_prefix_span(sentence, k, temperature, seed)
+                    assert span.token_ids == expected_ids
+                    assert np.max(np.abs(np.array(rows) - np.array(expected_rows))) <= 1e-12
+                    lengths.add(span.m)
+        # spans left the live set at [EOS] and at max_gen_len both
+        assert max_gen_len in lengths and len(lengths) > 1
+
+    @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
+    def test_a_one_token_span_limit_forces_eos_without_a_step(self, lexicon, monkeypatch, mode):
+        vocab = C.SubwordVocab(["[BOS]", "[EOS]", "[UNK]", "cue", "the"])
+        config = M.ModelConfig(d_model=8, n_heads=2, max_gen_len=1, max_len=16)
+        model = M.Model.build(vocab, lexicon, config, seed=1)
+        hidden_rows, _ = _record_steps(monkeypatch)
+        tokens, sentence = _encode_text(model, "the cue", mode)
+        spans = [G.generate_span(sentence, k) for k in range(len(tokens))]
+        assert [span.token_ids for span in spans] == [(vocab.eos_id,)] * 2
+        assert hidden_rows == []
 
 
 class TestFirstStepTable:
@@ -341,34 +440,30 @@ class TestFirstStepTable:
             (" ".join(["the cue gag sue"] * 4), [15, 3, 8]),
         ],
     )
-    def test_every_row_matches_the_one_row_decode(self, lexicon, phoneme_head, text, positions):
-        # one row takes the matrix-vector path; 16 tokens is max_len
+    def test_every_row_matches_the_one_row_decode(self, lexicon, monkeypatch, phoneme_head, text, positions):
+        # step 0 runs every position's start row in one call; one row takes
+        # the matrix-vector path; 16 tokens is max_len
         model = _toy_model(lexicon, phoneme_head=phoneme_head)
-        decoder = G.SpanDecoder.build(model)
-        ids = [t.piece_id for t in C.tokenize(text, model.vocab)]
-        assert max(positions) < len(ids) <= model.config.max_len
-        sentence = decoder.encode(ids, positions)
-        expected = first_step_one_row(sentence, decoder, positions)
-        assert list(sentence.first_step) == positions
-        table = np.array([sentence.first_step[k] for k in positions])
-        assert table.shape == (len(positions), len(model.vocab))
-        assert np.max(np.abs(table - expected)) <= 1e-12
+        _, p_rows = _record_steps(monkeypatch)
+        tokens, sentence = _encode_text(model, text, positions=positions)
+        assert max(positions) < len(tokens) <= model.config.max_len
+        G.generate_span(sentence, positions[0])
+        expected = first_step_one_row(sentence, positions)
+        assert p_rows[0].shape == (len(positions), len(model.vocab))
+        assert np.max(np.abs(p_rows[0] - expected)) <= 1e-12
 
     @pytest.mark.parametrize("positions", [[], [2], [-1], [0, 4]])
     def test_positions_outside_the_sentence_rejected(self, lexicon, positions):
         model = _toy_model(lexicon)
-        decoder = G.SpanDecoder.build(model)
-        ids = [t.piece_id for t in C.tokenize("the cue", model.vocab)]
         with pytest.raises(IndexError, match="2 tokens"):
-            decoder.encode(ids, positions)
+            _encode_text(model, "the cue", positions=positions)
 
     def test_a_span_needs_its_position_encoded(self, lexicon):
         model = _toy_model(lexicon)
-        decoder = G.SpanDecoder.build(model)
-        sentence = decoder.encode([t.piece_id for t in C.tokenize("the cue gag", model.vocab)], [0, 2])
-        G.generate_span(sentence, decoder, position=2)
+        _, sentence = _encode_text(model, "the cue gag", positions=[0, 2])
+        G.generate_span(sentence, 2)
         with pytest.raises(IndexError, match="position 1 of a sentence of 3 tokens was not encoded"):
-            G.generate_span(sentence, decoder, position=1)
+            G.generate_span(sentence, 1)
 
 
 class TestSaturatedWordHead:
@@ -389,10 +484,10 @@ class TestSaturatedWordHead:
     def test_both_modes_decode_a_deletion(self, lexicon, piece):
         model = _toy_model(lexicon)
         model.params["b_n"][model.vocab.piece_to_id[piece]] = 800.0
-        tokens, decoder, sentence = _encode_text(model, "the cue gag")
         for mode in (G.GREEDY, G.SAMPLE):
+            tokens, sentence = _encode_text(model, "the cue gag", mode, seed=1)
             for k in range(len(tokens)):
-                span = G.generate_span(sentence, decoder, position=k, mode=mode, seed=k)
+                span = G.generate_span(sentence, k)
                 assert span.token_ids == (model.vocab.eos_id,)
 
     @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
