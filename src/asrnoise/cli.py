@@ -34,6 +34,7 @@ from .errors import (
 )
 from .intervention import check_prior
 from .model import Model, ModelConfig
+from .rng import check_seed
 from .training import TrainConfig
 
 _MODEL_KEYS = tuple(f.name for f in fields(ModelConfig))
@@ -119,10 +120,10 @@ def _parse_file(parse, path, *args):
         raise MalformedInputError(f"{path}: {exc}") from exc
 
 
-def _settings(cls, config: dict, keys: Sequence[str]):
-    """``cls`` built from the config's ``keys``; a value it rejects is a config error."""
+def _settings(make, config: dict, keys: Sequence[str]):
+    """``make`` called with the config's ``keys``; a value it rejects is a config error."""
     try:
-        return cls(**{key: config[key] for key in keys})
+        return make(**{key: config[key] for key in keys})
     except ValueError as exc:
         raise ConfigParseError(f"invalid config value: {exc}") from exc
 
@@ -231,6 +232,7 @@ def _cmd_corrupt(args, config) -> int:
         generation.check_decoding(config["mode"], config["temperature"])
     except ValueError as exc:
         raise ConfigParseError(str(exc)) from exc
+    _settings(check_seed, config, ("seed",))
     check_prior(config["p_z"], "p_z")
     model = training.load_checkpoint(args.checkpoint)
     # a blank line passes through as a blank line, and '#' starts no comment

@@ -2,9 +2,12 @@
 
 Corrupted positions each decode a short token span ending in [EOS]; the
 span's length classifies the error (one token is a deletion, two a
-substitution, more an insertion).  A sentence's spans decode together, one
-step at a time over the rows still live.  Untouched positions pass through,
-and :func:`corpus.detokenize` rebuilds the surface text.
+substitution, more an insertion), so a :class:`GeneratedSpan` keeps its
+tokens and derives its error type from them.  A :class:`SpanDecoder` holds
+one call's decode mode and temperature, checked once.  A sentence's spans
+decode together, one step at a time over the rows still live.  Untouched
+positions pass through, and :func:`corpus.detokenize` rebuilds the surface
+text.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ from .model import (
     head_tables,
     step_distributions,
 )
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .textio import write_lines
 
 GREEDY = "greedy"
@@ -66,22 +69,29 @@ def classify_error(m: int, max_gen_len: int) -> ErrorType:
 
 @dataclass(frozen=True)
 class GeneratedSpan:
-    """Decoder output for one corrupted position.
-
-    ``token_ids``/``surfaces`` include the terminating [EOS]; ``replacement``
-    is the surface form that substitutes the original token.
+    """Decoder output for one corrupted position: the token ids and their
+    surfaces, the terminating [EOS] included, that replace the token
+    ``original``.  The error type and the replacement text are read from the
+    tokens, so a record cannot disagree with them.
     """
 
     position: int
     original: str
     token_ids: tuple[int, ...]
     surfaces: tuple[str, ...]
-    error_type: ErrorType
-    replacement: str
 
     @property
     def m(self) -> int:
         return len(self.token_ids)
+
+    @property
+    def error_type(self) -> ErrorType:
+        return ErrorType(label_from_length(self.m))
+
+    @property
+    def replacement(self) -> str:
+        """The surface form that substitutes ``original``."""
+        return detokenize(map(Token, self.token_ids[:-1], self.surfaces[:-1]))
 
 
 def check_decoding(mode: str, temperature: float) -> None:
@@ -121,39 +131,35 @@ def _pick(p: np.ndarray, temperature: float, u: Optional[np.ndarray]) -> np.ndar
 
 @dataclass(frozen=True)
 class SpanDecoder:
-    """What decoding reads from a model and never changes: the parameters as
-    tensors that need no gradient, the head tables of
-    :func:`model.head_tables`, and the token-query table ``[V, d]``, whose
-    row ``v`` is piece ``v``'s decoder input embedding
-    (:func:`model._token_embeddings`).  Build it after the last change to the
-    parameters: the tables are gathered copies.  :meth:`encode` starts one
-    sentence's decode.
+    """What decoding reads and never changes within a call: the parameters
+    as tensors that need no gradient, the head tables of
+    :func:`model.head_tables`, the token-query table ``[V, d]``, whose row
+    ``v`` is piece ``v``'s decoder input embedding
+    (:func:`model._token_embeddings`), and the decode ``mode`` and
+    ``temperature``, checked once by :meth:`build`.  Build it after the last
+    change to the parameters: the tables are gathered copies.
+    :meth:`encode` starts one sentence's decode.
     """
 
     model: Model
     params: dict[str, Tensor]
     tables: HeadTables
     token_queries: np.ndarray
+    mode: str
+    temperature: float
 
     @classmethod
-    def build(cls, model: Model) -> "SpanDecoder":
+    def build(cls, model: Model, mode: str, temperature: float) -> "SpanDecoder":
+        check_decoding(mode, temperature)
         config, rows_map = model.config, model.code_index.token_rows
         params = _wrap_params(model.params, needs_grad=False)
         token_queries = _token_embeddings(np.arange(len(model.vocab)), params, config, rows_map).data
-        return cls(model, params, head_tables(params, config, rows_map), token_queries)
+        return cls(model, params, head_tables(params, config, rows_map), token_queries, mode, temperature)
 
-    def encode(
-        self,
-        piece_ids: Sequence[int],
-        positions: Sequence[int],
-        mode: str = GREEDY,
-        temperature: float = 1.0,
-        seed: int = 0,
-    ) -> "SentenceSpans":
+    def encode(self, piece_ids: Sequence[int], positions: Sequence[int], seed: int) -> "SentenceSpans":
         """Encode one sentence and project its rows to the decoder's keys and
-        values, for the spans at ``positions`` to be decoded with ``mode``,
-        ``temperature`` and ``seed`` (:class:`SentenceSpans`)."""
-        check_decoding(mode, temperature)
+        values, for the spans at ``positions`` to be decoded with ``seed``
+        (:class:`SentenceSpans`)."""
         model, params = self.model, self.params
         config, rows_map = model.config, model.code_index.token_rows
         positions = tuple(positions)
@@ -162,14 +168,15 @@ class SpanDecoder:
             raise IndexError(f"positions {list(positions)} must be a non-empty subset of a sentence of {n} tokens")
         e_in = embed_sequence([list(piece_ids)], params, config, rows_map)
         e_enc = encode(e_in, params, config)
-        return SentenceSpans(self, e_enc, decoder_memory(e_enc, params), positions, mode, temperature, seed)
+        return SentenceSpans(self, e_enc, decoder_memory(e_enc, params), positions, seed)
 
 
 @dataclass(frozen=True)
 class SentenceSpans:
     """The spans of one sentence's corrupted ``positions``: the encoder rows
     ``[1, n, d]``, the decoder's cross-attention keys and values of them,
-    and the decode ``mode``, ``temperature`` and ``seed``.
+    and the sentence's ``seed``; the mode and temperature are the
+    ``decoder``'s.
 
     :meth:`token_ids` decodes every span at once on its first call and keeps
     the result.  The decode thus runs inside the sentence's first
@@ -182,8 +189,6 @@ class SentenceSpans:
     rows: Tensor
     memory: tuple[Tensor, Tensor]
     positions: tuple[int, ...]
-    mode: str
-    temperature: float
     seed: int
     _token_ids: dict[int, tuple[int, ...]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -217,7 +222,7 @@ class SentenceSpans:
         config, eos = model.config, model.vocab.eos_id
         steps = config.max_gen_len - 1
         u = None
-        if self.mode == SAMPLE:
+        if decoder.mode == SAMPLE:
             u = np.array([np.random.default_rng(derive_seed(self.seed, k)).random(steps) for k in positions])
         m_pos = params["m_pos"].data
         ids: list[list[int]] = [[] for _ in positions]
@@ -226,7 +231,7 @@ class SentenceSpans:
         for t in range(steps):
             hidden = decoder_hidden(query, [()], self.memory, params, config, model.code_index.token_rows)
             _, _, p_gen = step_distributions(ad.rows(hidden, 0), decoder.tables, model.special_mask)
-            picks = _pick(p_gen.data, self.temperature, None if u is None else u[live, t])
+            picks = _pick(p_gen, decoder.temperature, None if u is None else u[live, t])
             for i, token in zip(live, picks.tolist()):
                 ids[i].append(token)
             going = picks != eos
@@ -239,22 +244,14 @@ class SentenceSpans:
         return [tuple(span) for span in ids]
 
 
-def generate_span(sentence: SentenceSpans, position: int, original: str = "") -> GeneratedSpan:
-    """The record of the span the sentence decoded at ``position``: its token
-    ids and surfaces, [EOS] included, its error type, and the surface form
-    that replaces ``original``.  Raises :class:`IndexError` for a position
-    the sentence was not encoded to decode."""
+def generate_span(sentence: SentenceSpans, position: int, original: str) -> GeneratedSpan:
+    """The record of the span the sentence decoded at ``position`` to
+    replace the token ``original``: its token ids and their surfaces,
+    [EOS] included.  Raises :class:`IndexError` for a position the sentence
+    was not encoded to decode."""
     generated = sentence.token_ids(position)
-    model = sentence.decoder.model
-    surfaces = tuple(map(model.vocab.surface, generated))
-    return GeneratedSpan(
-        position=position,
-        original=original,
-        token_ids=generated,
-        surfaces=surfaces,
-        error_type=classify_error(len(generated), model.config.max_gen_len),
-        replacement=detokenize(map(Token, generated[:-1], surfaces[:-1])),
-    )
+    surfaces = tuple(map(sentence.decoder.model.vocab.surface, generated))
+    return GeneratedSpan(position, original, generated, surfaces)
 
 
 def assemble(tokens: TokenSeq, plan: CorruptionPlan, spans: Sequence[GeneratedSpan]) -> str:
@@ -298,7 +295,8 @@ def corrupt_corpus(
 ) -> tuple[list[str], list[SpanRecord]]:
     """Corrupt every text: tokenize, sample a plan, decode spans, reassemble.
 
-    Deterministic for a fixed seed.  Sentence ``i``'s seed derives from
+    Deterministic for a fixed ``seed``, an integer in [0, 2**64) (a larger
+    one would repeat its low 64 bits).  Sentence ``i``'s seed derives from
     ``seed`` and ``i``, its index within this call, so a leading shard
     (``texts[:k]``) decodes the same spans alone as inside the whole corpus;
     a later shard, whose indices restart at 0, draws other plans and spans.
@@ -306,18 +304,18 @@ def corrupt_corpus(
     passes through tokenized and detokenized, with no plan sampled and no
     span decoded.
 
-    Work is done once at the level where it stops changing: the
-    gradient-free parameters, the head tables and the token-query table once
-    per call (:class:`SpanDecoder`); the encoder rows and the decoder's keys
-    and values once per sentence (:meth:`SpanDecoder.encode`); and the
-    decoder block and the heads once per step of the sentence's longest
-    span, over the live query rows of all its spans at once
-    (:class:`SentenceSpans`).  A sentence's work reads nothing of another
-    sentence.
+    Work is done once at the level where it stops changing: the check of
+    ``mode`` and ``temperature``, the gradient-free parameters, the head
+    tables and the token-query table once per call (:class:`SpanDecoder`);
+    the encoder rows and the decoder's keys and values once per sentence
+    (:meth:`SpanDecoder.encode`); and the decoder block and the heads once
+    per step of the sentence's longest span, over the live query rows of all
+    its spans at once (:class:`SentenceSpans`).  A sentence's work reads
+    nothing of another sentence.
     """
-    check_decoding(mode, temperature)
+    decoder = SpanDecoder.build(model, mode, temperature)
     check_prior(p_z, "corruption prior")
-    decoder = SpanDecoder.build(model)
+    check_seed(seed)
     config = model.config
     outputs: list[str] = []
     records: list[SpanRecord] = []
@@ -330,9 +328,7 @@ def corrupt_corpus(
         plan = sample_plan_interventional(tokens, p_z, sentence_seed)
         spans: list[GeneratedSpan] = []
         if plan.corruption_count:
-            sentence = decoder.encode(
-                [t.piece_id for t in tokens], plan.corrupted_positions, mode, temperature, sentence_seed
-            )
+            sentence = decoder.encode([t.piece_id for t in tokens], plan.corrupted_positions, sentence_seed)
             spans = [generate_span(sentence, k, tokens[k].surface) for k in plan.corrupted_positions]
         outputs.append(assemble(tokens, plan, spans))
         records.extend(SpanRecord(str(idx), span) for span in spans)

@@ -107,6 +107,9 @@ class ModelConfig:
             raise ValueError("max_gen_len must be at least 1")
         if self.max_len < 1:
             raise ValueError("max_len must be at least 1")
+        if self.max_gen_len > self.max_len:
+            # a span's query rows read position rows 0 .. max_gen_len - 1 of m_pos
+            raise ValueError(f"max_gen_len={self.max_gen_len} must not exceed max_len={self.max_len}")
         if not 0.0 <= self.lambda_w <= 1.0:
             raise ValueError("lambda_w must lie in [0, 1]")
         if not 0.0 <= self.lambda_ph < math.inf:
@@ -428,7 +431,7 @@ def step_distributions(
     d_k: Tensor,
     tables: HeadTables,
     special_mask: np.ndarray,
-) -> tuple[Tensor, Optional[Tensor], Tensor]:
+) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
     """Word-head, phoneme-head and combined distributions over the vocabulary.
 
     The combined distribution is the renormalized elementwise product of the
@@ -441,9 +444,10 @@ def step_distributions(
 
     ``tables`` is :func:`head_tables` and ``special_mask`` is
     :attr:`Model.special_mask`.  No loss differentiates the distributions,
-    so they are plain numpy on the logits' values, and the returned tensors
-    need no gradient.  A row whose allowed pieces all underflow to zero mass
-    puts all of its ``p_gen`` on [EOS].
+    so they are plain numpy arrays ``p_n``, ``p_ph`` and ``p_gen`` computed
+    from the logits' values; ``p_ph`` is None without a phoneme head.  A row
+    whose allowed pieces all underflow to zero mass puts all of its
+    ``p_gen`` on [EOS].
     """
     logits_n, logits_ph = _head_logits(d_k, tables)
     special, eos = special_mask
@@ -463,8 +467,7 @@ def step_distributions(
         # a saturated head left every allowed piece of a row zero mass
         unnorm = np.where(total > 0.0, unnorm, eos)
         total = unnorm.sum(axis=-1, keepdims=True)
-    p_gen = unnorm / total
-    return tuple(None if p is None else Tensor(p, needs_grad=False) for p in (p_n, p_ph, p_gen))
+    return p_n, p_ph, unnorm / total
 
 
 @dataclass

@@ -17,6 +17,13 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed that is not an integer in [0, 2**64): :func:`derive_seed`
+    keeps only 64 bits, so a larger seed would repeat a smaller one."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def mix64(x: int) -> int:
     """SplitMix64 finalizer over a 64-bit integer."""
     x &= _MASK

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph
 from .phonetics import PronouncingLexicon
+from .rng import check_seed
 from .textio import replacing, write_lines
 
 CHECKPOINT_MAGIC = b"ISNI1"
@@ -57,8 +58,7 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if not self.clip_norm > 0.0:
             raise ValueError("clip norm must be positive")
-        if not self.seed >= 0:
-            raise ValueError("seed must be a non-negative integer")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

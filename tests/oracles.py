@@ -383,7 +383,7 @@ def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
         d_last = ad.select(hidden, [0], [len(generated)])
         rows.append(d_last.data[0])
         _, _, p_gen = step_distributions(d_last, decoder.tables, model.special_mask)
-        p = p_gen.data[0]
+        p = p_gen[0]
         if temperature is None:
             generated.append(int(np.argmax(p)))
         else:
@@ -410,5 +410,5 @@ def first_step_one_row(sentence, positions):
         start = decoder_start(ad.select(sentence.rows, [[0]], [[position]]), params)
         hidden = decoder_hidden(start, [()], sentence.memory, params, model.config, model.code_index.token_rows)
         _, _, p_gen = step_distributions(ad.select(hidden, [0], [0]), decoder.tables, model.special_mask)
-        p_rows.append(p_gen.data[0])
+        p_rows.append(p_gen[0])
     return np.array(p_rows)

@@ -151,8 +151,8 @@ class TestCriterion3NormalizationSuite:
             last = ad.select(hidden, [0], [prefix_len])
             p_n, p_ph, p_gen = M.step_distributions(last, tables, model.special_mask)
             for p in (p_n, p_ph, p_gen):
-                worst = max(worst, abs(float(p.data.sum()) - 1.0))
-                assert (p.data >= 0).all()
+                worst = max(worst, abs(float(p.sum()) - 1.0))
+                assert (p >= 0).all()
         assert worst <= 1e-9
         # supervision vectors over the full vocabulary
         support = model.r_support()
@@ -203,7 +203,6 @@ class TestCriterion6FixtureReplay:
             return G.GeneratedSpan(
                 position=position, original=original, token_ids=ids,
                 surfaces=tuple(surfaces),
-                error_type=G.classify_error(len(ids), 5), replacement="",
             )
 
         tokens1 = make_token_seq(fixture_vocab, ["as", "best", "##ial"])

@@ -249,7 +249,8 @@ class TestCommands:
     @pytest.mark.parametrize(
         "bad",
         ["n_heads = 3\n", "epochs = 0\n", "lambda_w = 1.5\n", "lambda_ph = nan\n",
-         "learning_rate = nan\n", "clip_norm = nan\n", "n_heads = 0\n", "d_model = 8\nn_heads = -4\n"],
+         "learning_rate = nan\n", "clip_norm = nan\n", "n_heads = 0\n", "d_model = 8\nn_heads = -4\n",
+         "max_len = 3\n", "max_gen_len = 65\n"],
     )
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, bad):
         corpus_path, _ = _write_corpus(tmp_path)
@@ -265,18 +266,22 @@ class TestCommands:
         assert "usage error: invalid config value" in capsys.readouterr().err
 
     def test_negative_training_seed_is_usage_error(self, tmp_path, capsys):
-        corpus_path, _ = _write_corpus(tmp_path)
-        vocab_path = tmp_path / "vocab.txt"
-        assert cli.main(["vocab", str(corpus_path), "--out", str(vocab_path), "--size", "120"]) == 0
-        rc = cli.main(
-            ["train", str(corpus_path), "--vocab", str(vocab_path),
-             "--checkpoint", str(tmp_path / "m.ckpt"), "--seed", "-1"]
-        )
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "usage error: invalid config value" in err and "seed" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "m.ckpt").exists()
+        # both commands take a seed in [0, 2**64): a larger one would decode
+        # as its low 64 bits.  The check precedes reading any input, so
+        # inputs that do not exist are never opened.
+        missing = tmp_path / "missing"
+        commands = {
+            "train": ["train", str(missing), "--vocab", str(missing), "--checkpoint", str(tmp_path / "m.ckpt")],
+            "corrupt": ["corrupt", str(missing), "--checkpoint", str(missing), "--out", str(tmp_path / "out.txt"),
+                        "--report", str(tmp_path / "spans.tsv")],
+        }
+        for argv in commands.values():
+            for seed in ("-1", str(2**64)):
+                assert cli.main([*argv, "--seed", seed]) == 1
+                err = capsys.readouterr().err
+                assert "usage error: invalid config value" in err and "seed" in err
+                assert "Traceback" not in err
+                assert sorted(tmp_path.iterdir()) == []
 
     def test_lexicon_without_inventory_is_usage_error(self, tmp_path, capsys):
         lexicon_path = tmp_path / "lexicon.tsv"

@@ -8,8 +8,9 @@ from asrnoise import corpus as C
 from asrnoise import generation as G
 from asrnoise import model as M
 from asrnoise.errors import OutOfRangeError, PlanMismatchError, PriorOutOfRangeError
-from asrnoise.intervention import CorruptionPlan
+from asrnoise.intervention import CorruptionPlan, sample_plan_interventional
 from asrnoise.phonetics import default_lexicon
+from asrnoise.rng import derive_seed
 
 from conftest import make_token_seq
 from oracles import first_step_one_row, full_prefix_span
@@ -130,7 +131,7 @@ def _encode_text(model, text, mode=G.GREEDY, seed=0, positions=None):
     """A sentence of ``text`` encoded to decode ``positions`` (all by default)."""
     tokens = C.tokenize(text, model.vocab)
     positions = range(len(tokens)) if positions is None else positions
-    sentence = G.SpanDecoder.build(model).encode([t.piece_id for t in tokens], positions, mode, seed=seed)
+    sentence = G.SpanDecoder.build(model, mode, 1.0).encode([t.piece_id for t in tokens], positions, seed)
     return tokens, sentence
 
 
@@ -151,7 +152,7 @@ def _record_steps(monkeypatch):
 
     def step_distributions(*args):
         dists = M.step_distributions(*args)
-        p_rows.append(dists[2].data)
+        p_rows.append(dists[2])
         return dists
 
     monkeypatch.setattr(G, "decoder_hidden", decoder_hidden)
@@ -177,8 +178,8 @@ class TestGenerateSpan:
         model = _toy_model(lexicon)
         _force_eos(model)
         for mode in (G.GREEDY, G.SAMPLE):
-            _, sentence = _encode_text(model, "the cue", mode, seed=3)
-            span = G.generate_span(sentence, 0)
+            tokens, sentence = _encode_text(model, "the cue", mode, seed=3)
+            span = G.generate_span(sentence, 0, tokens[0].surface)
             assert span.m == 1
             assert span.error_type is G.ErrorType.DELETION
             assert span.replacement == ""
@@ -191,11 +192,12 @@ class TestGenerateSpan:
         model.params["m_word"][:] = 0.0
         model.params["b_n"][:] = 0.0
         model.params["b_n"][target] = 40.0
-        _, sentence = _encode_text(model, "the cue")
-        span = G.generate_span(sentence, 1)
+        tokens, sentence = _encode_text(model, "the cue")
+        span = G.generate_span(sentence, 1, tokens[1].surface)
         assert span.surfaces == ("gag", "gag", "gag", "gag", "[EOS]")
         assert span.m == model.config.max_gen_len
         assert span.error_type is G.ErrorType.INSERTION
+        assert span.replacement == "gag gag gag gag"
 
     def test_greedy_tie_breaks_to_lowest_index(self, lexicon):
         model = _toy_model(lexicon, phoneme_head=False)
@@ -204,15 +206,15 @@ class TestGenerateSpan:
         hi = [model.vocab.piece_to_id["queue"], model.vocab.piece_to_id["sue"]]
         for idx in hi:
             model.params["b_n"][idx] = 40.0
-        _, sentence = _encode_text(model, "the cue")
-        span = G.generate_span(sentence, 0)
+        tokens, sentence = _encode_text(model, "the cue")
+        span = G.generate_span(sentence, 0, tokens[0].surface)
         assert span.token_ids[0] == min(hi)
 
     def test_sampling_is_seed_deterministic(self, lexicon):
         model = _toy_model(lexicon)
         _, a = _encode_text(model, "the cue gag", G.SAMPLE, seed=42)
         _, b = _encode_text(model, "the cue gag", G.SAMPLE, seed=42)
-        assert G.generate_span(a, 1) == G.generate_span(b, 1) == G.generate_span(a, 1)
+        assert G.generate_span(a, 1, "cue") == G.generate_span(b, 1, "cue") == G.generate_span(a, 1, "cue")
 
     def test_span_terminates_with_single_trailing_eos(self, lexicon):
         model = _toy_model(lexicon)
@@ -220,7 +222,7 @@ class TestGenerateSpan:
         for seed in range(4):
             tokens, sentence = _encode_text(model, "the cue gag sue", G.SAMPLE, seed=seed)
             for position in range(len(tokens)):
-                span = G.generate_span(sentence, position)
+                span = G.generate_span(sentence, position, tokens[position].surface)
                 assert span.m <= model.config.max_gen_len
                 assert span.token_ids[-1] == eos
                 assert sum(1 for t in span.token_ids if t == eos) == 1
@@ -228,10 +230,9 @@ class TestGenerateSpan:
     def test_unknown_mode_rejected(self, lexicon):
         model = _toy_model(lexicon)
         with pytest.raises(ValueError):
-            _encode_text(model, "the cue", mode="beam")
-        decoder = G.SpanDecoder.build(model)
+            G.SpanDecoder.build(model, "beam", 1.0)
         with pytest.raises(ValueError):
-            decoder.encode([3, 4], [0], G.SAMPLE, temperature=0.0)
+            G.SpanDecoder.build(model, G.SAMPLE, 0.0)
 
     def test_decoding_builds_no_graph(self, lexicon, monkeypatch):
         model = _toy_model(lexicon)
@@ -244,7 +245,7 @@ class TestGenerateSpan:
 
         monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
         tokens, sentence = _encode_text(model, "the cue gag sue", G.SAMPLE, seed=3)
-        spans = [G.generate_span(sentence, k) for k in range(len(tokens))]
+        spans = [G.generate_span(sentence, k, tokens[k].surface) for k in range(len(tokens))]
         assert sum(span.m for span in spans) > len(spans)  # some spans took several steps
         G.corrupt_corpus(["the cue gag", "sue the cue"], model, p_z=1.0, seed=5)
         assert len(created) > 100
@@ -256,7 +257,7 @@ class TestGenerateSpan:
         tokens, sentence = _encode_text(model, "the cue")
         assert len(tokens) == 2
         with pytest.raises(IndexError, match=f"position {position} .* 2 tokens"):
-            G.generate_span(sentence, position)
+            G.generate_span(sentence, position, "")
 
 
 class TestWorkPerStep:
@@ -300,8 +301,9 @@ class TestWorkPerStep:
         # row after), the sentence's keys and values, and the head tables
         model = _toy_model(lexicon)
         config, rows_map, eos = model.config, model.code_index.token_rows, model.vocab.eos_id
-        decoder = G.SpanDecoder.build(model)
-        ids = [t.piece_id for t in C.tokenize("the cue gag sue", model.vocab)]
+        decoder = G.SpanDecoder.build(model, mode, 1.0)
+        tokens = C.tokenize("the cue gag sue", model.vocab)
+        ids = [t.piece_id for t in tokens]
         positions = [3, 0, 2]
         picked = []  # each step's picks, one per live span
         pick = G._pick
@@ -334,14 +336,14 @@ class TestWorkPerStep:
                     params = M._wrap_params(model.params, needs_grad=False)
                     tables = M.head_tables(params, config, rows_map)
                 dists = M.step_distributions(d_k, tables, special_mask)
-                seen.append(dists[2].data)
+                seen.append(dists[2])
                 return dists
 
             monkeypatch.setattr(G, "decoder_hidden", decoder_hidden)
             monkeypatch.setattr(G, "step_distributions", step_distributions)
             picked.clear()
-            sentence = decoder.encode(ids, positions, mode, seed=5)
-            spans = [G.generate_span(sentence, k) for k in positions]
+            sentence = decoder.encode(ids, positions, 5)
+            spans = [G.generate_span(sentence, k, tokens[k].surface) for k in positions]
             runs.append(([span.token_ids for span in spans], seen))
         (cached_ids, cached_p), (rebuilt_ids, rebuilt_p) = runs
         assert cached_ids == rebuilt_ids
@@ -355,7 +357,7 @@ class TestLiveQueryRow:
     @pytest.mark.parametrize("phoneme_head", [True, False])
     def test_token_query_table_rows_are_token_embeddings(self, lexicon, phoneme_head):
         model = _toy_model(lexicon, phoneme_head=phoneme_head)
-        decoder = G.SpanDecoder.build(model)
+        decoder = G.SpanDecoder.build(model, G.GREEDY, 1.0)
         rows_map = model.code_index.token_rows
         assert decoder.token_queries.shape == (len(model.vocab), model.config.d_model)
         for v in range(len(model.vocab)):
@@ -372,7 +374,7 @@ class TestLiveQueryRow:
         for text in ("the cue gag sue", "queue the gag", "sue"):
             hidden_rows.clear()
             tokens, sentence = _encode_text(model, text)
-            spans = [G.generate_span(sentence, k) for k in range(len(tokens))]
+            spans = [G.generate_span(sentence, k, tokens[k].surface) for k in range(len(tokens))]
             assert hidden_rows[0].shape == (len(tokens), model.config.d_model)
             per_span = _rows_per_span(hidden_rows, spans, model.config.max_gen_len)
             for k, (span, rows) in enumerate(zip(spans, per_span)):
@@ -403,11 +405,11 @@ class TestLockstep:
             for seed in (3, 8):
                 hidden_rows.clear()
                 tokens, sentence = _encode_text(model, text, mode, seed, positions)
-                together = [G.generate_span(sentence, k) for k in positions]
+                together = [G.generate_span(sentence, k, tokens[k].surface) for k in positions]
                 per_span = _rows_per_span(hidden_rows, together, max_gen_len)
                 for k, span, rows in zip(positions, together, per_span):
                     _, alone = _encode_text(model, text, mode, seed, [k])
-                    assert span == G.generate_span(alone, k)
+                    assert span == G.generate_span(alone, k, tokens[k].surface)
                     temperature = None if mode == G.GREEDY else 1.0
                     expected_ids, expected_rows = full_prefix_span(sentence, k, temperature, seed)
                     assert span.token_ids == expected_ids
@@ -423,7 +425,7 @@ class TestLockstep:
         model = M.Model.build(vocab, lexicon, config, seed=1)
         hidden_rows, _ = _record_steps(monkeypatch)
         tokens, sentence = _encode_text(model, "the cue", mode)
-        spans = [G.generate_span(sentence, k) for k in range(len(tokens))]
+        spans = [G.generate_span(sentence, k, tokens[k].surface) for k in range(len(tokens))]
         assert [span.token_ids for span in spans] == [(vocab.eos_id,)] * 2
         assert hidden_rows == []
 
@@ -447,7 +449,7 @@ class TestFirstStepTable:
         _, p_rows = _record_steps(monkeypatch)
         tokens, sentence = _encode_text(model, text, positions=positions)
         assert max(positions) < len(tokens) <= model.config.max_len
-        G.generate_span(sentence, positions[0])
+        G.generate_span(sentence, positions[0], tokens[positions[0]].surface)
         expected = first_step_one_row(sentence, positions)
         assert p_rows[0].shape == (len(positions), len(model.vocab))
         assert np.max(np.abs(p_rows[0] - expected)) <= 1e-12
@@ -460,10 +462,10 @@ class TestFirstStepTable:
 
     def test_a_span_needs_its_position_encoded(self, lexicon):
         model = _toy_model(lexicon)
-        _, sentence = _encode_text(model, "the cue gag", positions=[0, 2])
-        G.generate_span(sentence, 2)
+        tokens, sentence = _encode_text(model, "the cue gag", positions=[0, 2])
+        G.generate_span(sentence, 2, tokens[2].surface)
         with pytest.raises(IndexError, match="position 1 of a sentence of 3 tokens was not encoded"):
-            G.generate_span(sentence, 1)
+            G.generate_span(sentence, 1, tokens[1].surface)
 
 
 class TestSaturatedWordHead:
@@ -473,12 +475,12 @@ class TestSaturatedWordHead:
     def test_p_gen_is_finite_and_stops_the_span(self, lexicon, piece):
         model = _toy_model(lexicon)
         model.params["b_n"][model.vocab.piece_to_id[piece]] = 800.0
-        decoder = G.SpanDecoder.build(model)
+        decoder = G.SpanDecoder.build(model, G.GREEDY, 1.0)
         d_k = ad.Tensor(np.random.default_rng(0).normal(size=(3, model.config.d_model)))
         _, _, p_gen = M.step_distributions(d_k, decoder.tables, model.special_mask)
         eos_only = np.zeros(len(model.vocab))
         eos_only[model.vocab.eos_id] = 1.0
-        assert np.array_equal(p_gen.data, np.tile(eos_only, (3, 1)))
+        assert np.array_equal(p_gen, np.tile(eos_only, (3, 1)))
 
     @pytest.mark.parametrize("piece", ["[EOS]", "[BOS]", "[UNK]"])
     def test_both_modes_decode_a_deletion(self, lexicon, piece):
@@ -487,7 +489,7 @@ class TestSaturatedWordHead:
         for mode in (G.GREEDY, G.SAMPLE):
             tokens, sentence = _encode_text(model, "the cue gag", mode, seed=1)
             for k in range(len(tokens)):
-                span = G.generate_span(sentence, k)
+                span = G.generate_span(sentence, k, tokens[k].surface)
                 assert span.token_ids == (model.vocab.eos_id,)
 
     @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
@@ -508,8 +510,6 @@ def _span(vocab, position, original, surfaces):
         original=original,
         token_ids=ids,
         surfaces=tuple(surfaces),
-        error_type=G.classify_error(len(ids), 5),
-        replacement="",
     )
 
 
@@ -604,6 +604,37 @@ class TestCorruptCorpus:
         for fine in (1e-310, 1.0, 1e300):
             G.check_decoding(G.SAMPLE, fine)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected_before_any_line(self, lexicon, seed):
+        # derive_seed keeps 64 bits, so 2**64 would decode exactly as 0
+        model = _toy_model(lexicon)
+        with pytest.raises(ValueError, match="seed"):
+            G.corrupt_corpus([], model, p_z=0.5, seed=seed)
+
+    @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
+    def test_corpus_and_per_sentence_decodes_agree(self, small_corpus, small_model, mode):
+        # each sentence planned, encoded and decoded on its own, from a
+        # decoder built for it alone, gives corrupt_corpus's records
+        texts = [pair.gt for pair in small_corpus[40:60]]
+        p_z, temperature = 0.5, 0.7
+        for seed in (9, 2024):
+            outputs, records = G.corrupt_corpus(texts, small_model, p_z, seed, mode, temperature)
+            expected_outputs, expected_records = [], []
+            for i, text in enumerate(texts):
+                tokens = C.tokenize(text, small_model.vocab)
+                plan = sample_plan_interventional(tokens, p_z, derive_seed(seed, i))
+                spans = []
+                if plan.corruption_count:
+                    decoder = G.SpanDecoder.build(small_model, mode, temperature)
+                    sentence = decoder.encode([t.piece_id for t in tokens], plan.corrupted_positions,
+                                              derive_seed(seed, i))
+                    spans = [G.generate_span(sentence, k, tokens[k].surface) for k in plan.corrupted_positions]
+                expected_outputs.append(G.assemble(tokens, plan, spans))
+                expected_records.extend(G.SpanRecord(str(i), span) for span in spans)
+            assert len(expected_records) > len(texts)
+            assert outputs == expected_outputs
+            assert records == expected_records
+
     @pytest.mark.parametrize("p_z", [2.0, -1.0, float("nan")])
     def test_bad_prior_rejected_before_any_line(self, lexicon, p_z):
         model = _toy_model(lexicon)
@@ -646,7 +677,7 @@ class TestCorruptCorpus:
 
         def recording(*args):
             dists = M.step_distributions(*args)
-            seen.extend(dists[2].data[:, [bos, unk]])
+            seen.extend(dists[2][:, [bos, unk]])
             return dists
 
         monkeypatch.setattr(G, "step_distributions", recording)

@@ -50,7 +50,7 @@ class TestEmbedSequence:
             "m_ph": Tensor(np.array([[3.0, -1.0]])),
             "m_pos": Tensor(np.array([[0.5, 0.5]])),
         }
-        config = M.ModelConfig(d_model=2, n_heads=1, lambda_w=0.5, max_len=1)
+        config = M.ModelConfig(d_model=2, n_heads=1, max_gen_len=1, lambda_w=0.5, max_len=1)
         out = M.embed_sequence([0], params, config, np.array([0]))
         np.testing.assert_allclose(out.data, [[2.5, 1.0]])
 
@@ -83,7 +83,7 @@ class TestEmbedSequence:
             "m_ph": Tensor(np.zeros((1, 2))),
             "m_pos": Tensor(np.zeros((2, 2))),
         }
-        config = M.ModelConfig(d_model=2, n_heads=1, max_len=2)
+        config = M.ModelConfig(d_model=2, n_heads=1, max_gen_len=2, max_len=2)
         with pytest.raises(SequenceTooLongError):
             M.embed_sequence([0, 1, 0], params, config, np.array([0, 0]))
 
@@ -435,8 +435,8 @@ class TestStepDistributions:
         for seed in range(5):
             p_n, p_ph, p_gen = self._dists(model, seed)
             for p in (p_n, p_ph, p_gen):
-                assert abs(p.data.sum() - 1.0) <= 1e-9
-                assert (p.data >= 0).all()
+                assert abs(p.sum() - 1.0) <= 1e-9
+                assert (p >= 0).all()
 
     def test_shared_phonetic_code_shares_phoneme_logits(self, lexicon):
         model = _toy_model(lexicon)
@@ -445,8 +445,8 @@ class TestStepDistributions:
         idx_cue = model.vocab.piece_to_id["cue"]
         idx_queue = model.vocab.piece_to_id["queue"]
         _, p_ph, _ = self._dists(model)
-        assert p_ph.data[0, idx_meat] == p_ph.data[0, idx_meet]
-        assert p_ph.data[0, idx_cue] == p_ph.data[0, idx_queue]
+        assert p_ph[0, idx_meat] == p_ph[0, idx_meet]
+        assert p_ph[0, idx_cue] == p_ph[0, idx_queue]
 
     def test_uniform_phoneme_head_leaves_word_head(self, lexicon):
         model = _toy_model(lexicon)
@@ -454,37 +454,37 @@ class TestStepDistributions:
         n = len(model.vocab)
         model.code_index.token_rows = np.zeros(n, dtype=np.intp)
         p_n, p_ph, p_gen = self._dists(model)
-        np.testing.assert_allclose(p_ph.data, np.full((1, n), 1.0 / n), atol=1e-12)
-        np.testing.assert_allclose(p_gen.data, _without_bos_unk(model, p_n.data), atol=1e-12)
+        np.testing.assert_allclose(p_ph, np.full((1, n), 1.0 / n), atol=1e-12)
+        np.testing.assert_allclose(p_gen, _without_bos_unk(model, p_n), atol=1e-12)
 
     def test_eos_keeps_word_head_probability_bos_and_unk_get_none(self, lexicon):
         for phoneme_head in (True, False):
             model = _toy_model(lexicon, phoneme_head=phoneme_head)
             for seed in range(5):
                 p_n, _, p_gen = self._dists(model, seed)
-                kept = _without_bos_unk(model, p_n.data)
+                kept = _without_bos_unk(model, p_n)
                 eos = model.vocab.eos_id
-                assert p_gen.data[0, eos] == pytest.approx(kept[0, eos], abs=1e-12)
-                assert p_gen.data[0, model.vocab.bos_id] == 0.0
-                assert p_gen.data[0, model.vocab.unk_id] == 0.0
+                assert p_gen[0, eos] == pytest.approx(kept[0, eos], abs=1e-12)
+                assert p_gen[0, model.vocab.bos_id] == 0.0
+                assert p_gen[0, model.vocab.unk_id] == 0.0
 
     def test_product_rule_hand_arithmetic(self, lexicon):
         model = _toy_model(lexicon)
         p_n, p_ph, p_gen = self._dists(model)
-        pn, pph = p_n.data[0], p_ph.data[0]
+        pn, pph = p_n[0], p_ph[0]
         special = np.isin(model.vocab.pieces, C.SPECIALS)
         content = ~special
         factor = (pn[content] * pph[content]).sum() / pn[content].sum()
         expected = np.where(special, 0.0, pn * pph)
         expected[model.vocab.eos_id] = pn[model.vocab.eos_id] * factor
         expected /= expected.sum()
-        np.testing.assert_allclose(p_gen.data[0], expected, atol=1e-12)
+        np.testing.assert_allclose(p_gen[0], expected, atol=1e-12)
 
     def test_ablated_model_returns_word_head(self, lexicon):
         model = _toy_model(lexicon, phoneme_head=False)
         p_n, p_ph, p_gen = self._dists(model)
         assert p_ph is None
-        np.testing.assert_array_equal(p_gen.data, _without_bos_unk(model, p_n.data))
+        np.testing.assert_array_equal(p_gen, _without_bos_unk(model, p_n))
 
 
 def _without_bos_unk(model, p):

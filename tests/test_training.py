@@ -42,9 +42,11 @@ class TestTrainConfig:
             T.TrainConfig(clip_norm=0.0)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            T.TrainConfig(seed=-1)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed"):
+                T.TrainConfig(seed=seed)
         assert T.TrainConfig(seed=0).seed == 0
+        assert T.TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestClipGradients:
@@ -128,9 +130,9 @@ class TestTrain:
         item = items[0]
         model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=3)
         T.train([item], model, lexicon, T.TrainConfig(learning_rate=5e-3, epochs=60, batch_size=1, seed=0))
-        decoder = G.SpanDecoder.build(model)
-        sentence = decoder.encode([t.piece_id for t in item.sentence], [item.position], G.GREEDY)
-        span = G.generate_span(sentence, item.position)
+        decoder = G.SpanDecoder.build(model, G.GREEDY, 1.0)
+        sentence = decoder.encode([t.piece_id for t in item.sentence], [item.position], 0)
+        span = G.generate_span(sentence, item.position, item.sentence[item.position].surface)
         assert span.token_ids == tuple(item.target_ids)
 
     def test_horizon_violation_rejected(self, lexicon):
@@ -148,7 +150,7 @@ class TestTrain:
     def test_overlong_sentence_rejected_before_epoch_one(self, lexicon, monkeypatch):
         vocab, items = _tiny_training_setup(lexicon)
         longest = max(len(i.sentence) for i in items)
-        config = M.ModelConfig(d_model=16, n_heads=2, max_len=longest - 1)
+        config = M.ModelConfig(d_model=16, n_heads=2, max_gen_len=longest - 1, max_len=longest - 1)
         model = M.Model.build(vocab, lexicon, config, seed=1)
         built = []
         original = T._loss_graph
@@ -268,6 +270,22 @@ class TestTrain:
         assert into_constants[0] == 0
 
 
+def _cut_position_table(header, body, max_len):
+    """A checkpoint's header and body with ``max_len`` lowered and ``m_pos``
+    cut to its first ``max_len`` rows, so that only ``max_gen_len`` exceeds
+    ``max_len``."""
+    arrays, offset, cut = [], 0, None
+    for name, dims in header["arrays"]:
+        size = 8 * int(np.prod(dims))
+        if name == "m_pos":
+            cut = (offset + 8 * max_len * dims[1], offset + size)
+            dims = [max_len, dims[1]]
+        arrays.append([name, dims])
+        offset += size
+    config = {**header["config"], "max_len": max_len}
+    return {**header, "config": config, "arrays": arrays}, body[:cut[0]] + body[cut[1]:]
+
+
 class TestCheckpointIO:
     def test_round_trip_bit_identical(self, lexicon, small_model, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -317,7 +335,7 @@ class TestCheckpointIO:
     ):
         n_heads, d_model = heads_and_width
         config = M.ModelConfig(
-            d_model=d_model, n_heads=n_heads, max_gen_len=max_gen_len, max_len=max_len,
+            d_model=d_model, n_heads=n_heads, max_gen_len=min(max_gen_len, max_len), max_len=max_len,
             lambda_w=lambda_w, lambda_ph=lambda_ph, phoneme_head=phoneme_head,
         )
         model = M.Model.build(_toy_model(lexicon).vocab, lexicon, config, seed=seed)
@@ -346,12 +364,15 @@ class TestCheckpointIO:
             lambda h, b: ({**h, "token_rows": [-1] + h["token_rows"][1:]}, b),
             lambda h, b: ({**h, "arrays": h["arrays"] + h["arrays"][-1:]}, b + b[-8 * len(h["codes"]):]),
             lambda h, b: ({**h, "vocab": h["vocab"][:-1] + ["##"]}, b),
+            lambda h, b: ({**h, "config": {**h["config"], "max_gen_len": h["config"]["max_len"] + 1}}, b),
+            lambda h, b: _cut_position_table(h, b, 3),
         ],
         ids=[
             "no-config", "unknown-config-key", "vocab-without-bos",
             "d-model-not-divisible", "arrays-do-not-fit-config", "header-not-an-object",
             "vocab-shorter-than-m-word", "token-rows-one-short", "negative-token-row",
             "array-name-listed-twice", "vocab-piece-without-characters",
+            "max-gen-len-past-max-len", "max-len-cut-below-max-gen-len",
         ],
     )
     def test_malformed_header_is_corrupt_checkpoint(self, small_model, tmp_path, edit):
