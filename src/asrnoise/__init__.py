@@ -31,7 +31,6 @@ from .generation import (
     SentenceSpans,
     SpanDecoder,
     assemble,
-    classify_error,
     corrupt_corpus,
     generate_span,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "assemble",
     "backward_and_check",
     "build_training_items",
-    "classify_error",
     "code_key",
     "corrupt_corpus",
     "default_lexicon",

@@ -5,8 +5,9 @@ Configuration resolves in three layers (built-in defaults, then a flat
 flag only for a key it reads, and echoes to stderr, and hashes into its
 artifact headers, only the keys it reads.  All randomness derives from the
 single ``--seed`` value.  Every output path is checked before any input is
-read.  ``corrupt`` writes one output line per input line, and ``eval`` pairs
-its two inputs line by line.
+read, and no two outputs of a run may name the same file.  ``corrupt``
+writes one output line per input line, and ``eval`` pairs its two inputs
+line by line.
 """
 from __future__ import annotations
 
@@ -354,10 +355,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {key: value for key, value in vars(args).items() if key in DEFAULTS}
     try:
+        written: dict[Path, str] = {}
         for dest in args.outputs:
             value = getattr(args, dest)
             for path in args.written(value) if value is not None else ():
                 _check_output(f"--{dest}", value, path)
+                flag, real = f"--{dest} {value}", Path(path).resolve()
+                if real in written:
+                    raise ConfigParseError(f"{flag} and {written[real]} name one file")
+                written[real] = flag
         resolved = load_config(args.config, overrides)
         config = {key: resolved[key] for key in args.reads}
         _echo_config(args.command, config)

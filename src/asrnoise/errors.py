@@ -61,10 +61,6 @@ class VersionMismatchError(AsrNoiseError):
     """Checkpoint carries an unknown magic string or format version."""
 
 
-class OutOfRangeError(AsrNoiseError):
-    """Generated-length value outside [1, max_gen_len]."""
-
-
 class PlanMismatchError(AsrNoiseError):
     """Generated spans do not cover exactly the corrupted positions."""
 

@@ -30,7 +30,7 @@ from .corpus import (
     label_from_length,
     tokenize,
 )
-from .errors import OutOfRangeError, PlanMismatchError
+from .errors import PlanMismatchError
 from .intervention import CorruptionPlan, check_prior, sample_plan_interventional
 from .model import (
     HeadTables,
@@ -45,7 +45,7 @@ from .model import (
     head_tables,
     step_distributions,
 )
-from .rng import check_seed, derive_seed
+from .rng import check_seed, derive_seed, uniforms_at
 from .textio import write_lines
 
 GREEDY = "greedy"
@@ -58,13 +58,6 @@ class ErrorType(Enum):
     DELETION = DELETION
     SUBSTITUTION = SUBSTITUTION
     INSERTION = INSERTION
-
-
-def classify_error(m: int, max_gen_len: int) -> ErrorType:
-    """Error type from the generated token count (including [EOS])."""
-    if not 1 <= m <= max_gen_len:
-        raise OutOfRangeError(f"generated length {m} outside [1, {max_gen_len}]")
-    return ErrorType(label_from_length(m))
 
 
 @dataclass(frozen=True)
@@ -175,8 +168,8 @@ class SpanDecoder:
 class SentenceSpans:
     """The spans of one sentence's corrupted ``positions``: the encoder rows
     ``[1, n, d]``, the decoder's cross-attention keys and values of them,
-    and the sentence's ``seed``; the mode and temperature are the
-    ``decoder``'s.
+    and the sentence's ``seed``, which keys every sampled draw; the mode and
+    temperature are the ``decoder``'s.
 
     :meth:`token_ids` decodes every span at once on its first call and keeps
     the result.  The decode thus runs inside the sentence's first
@@ -211,11 +204,13 @@ class SentenceSpans:
         step's row is the previous token's row of the decoder's token-query
         table plus position row t, the same elementwise sum the decoder takes
         for a prefix row.  Each step picks every live row's token in one
-        :func:`_pick`: greedy mode takes the argmax, sample mode draws with
-        the span's own generator keyed by (seed, position), one uniform per
-        token in order.  A span leaves the live set at [EOS]; one still live
-        after ``max_gen_len - 1`` tokens gets [EOS] forced, so decoding
-        always terminates.
+        :func:`_pick`: greedy mode takes the argmax and draws nothing;
+        sample mode draws step t of the span at position k with the uniform
+        of :func:`rng.uniforms_at` under the sentence's seed at counter
+        ``(k + 1) * 2**32 + t``, every span's uniforms in one call.  A span
+        leaves the live set at [EOS]; one still live after
+        ``max_gen_len - 1`` tokens gets [EOS] forced, so decoding always
+        terminates.
         """
         decoder, positions = self.decoder, self.positions
         model, params = decoder.model, decoder.params
@@ -223,7 +218,7 @@ class SentenceSpans:
         steps = config.max_gen_len - 1
         u = None
         if decoder.mode == SAMPLE:
-            u = np.array([np.random.default_rng(derive_seed(self.seed, k)).random(steps) for k in positions])
+            u = uniforms_at(self.seed, (np.array(positions)[:, None] + 1) * 2**32 + np.arange(steps))
         m_pos = params["m_pos"].data
         ids: list[list[int]] = [[] for _ in positions]
         live = np.arange(len(positions))

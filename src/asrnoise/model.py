@@ -124,6 +124,10 @@ class PhonemeCodeIndex:
     """
 
     def __init__(self, codes: Sequence[str], token_rows: Sequence[int]):
+        """Raise ValueError for a token row that is not an integer (a bool
+        is not one): the cast to ``intp`` would truncate it silently."""
+        if not all(isinstance(row, (int, np.integer)) and not isinstance(row, bool) for row in token_rows):
+            raise ValueError("every token row must be an integer")
         self.codes: list[str] = list(codes)
         self.token_rows: np.ndarray = np.asarray(token_rows, dtype=np.intp)
 

@@ -1,11 +1,13 @@
 """Seed derivation and counter-based draws.
 
-A plan's draws are pure functions of (seed, position) (:func:`uniforms_at`),
-so plans stay bit-identical when the sequence grows and shards can be
-sampled in any order.  A sampled span draws instead from its own numpy
-generator, seeded by :func:`derive_seed` of its sentence's seed and its
-position, one uniform per token in order.  No global RNG state leaks between
-pipeline stages.
+Every draw of corruption is one uniform of :func:`uniforms_at`: a pure
+function of the sentence's seed (:func:`derive_seed` of the run seed and the
+sentence's index) and a counter.  A plan's draw at position k takes counter
+k; a sampled span's draw at step t of the span replacing position k takes
+counter ``(k + 1) * 2**32 + t``, so no span reuses a plan's draw.  Draws thus
+never depend on call order, on neighbouring positions or on how many are
+requested: plans stay bit-identical when the sequence grows, and shards can
+be sampled in any order.  No global RNG state leaks between pipeline stages.
 """
 from __future__ import annotations
 

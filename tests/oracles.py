@@ -366,16 +366,17 @@ def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
     and every token generated so far at each step, and keeps the newest row.
     Without a ``temperature`` each step takes the argmax; with one it draws
     from the temperature-scaled weights by a right-side search of one
-    uniform of the span's generator, keyed by (seed, position).  Returns the
-    token ids, [EOS] included, and each step's newest hidden row ``[d]``."""
+    uniform: step t's is ``uniforms_at(seed, (position + 1) * 2**32 + t)``,
+    the counter the plan of a sentence of under 2**32 tokens never reaches.
+    Returns the token ids, [EOS] included, and each step's newest hidden
+    row ``[d]``."""
     from asrnoise import autodiff as ad
     from asrnoise.model import decoder_hidden, decoder_start, step_distributions
-    from asrnoise.rng import derive_seed
+    from asrnoise.rng import uniforms_at
 
     decoder = sentence.decoder
     model, params = decoder.model, decoder.params
     config, eos = model.config, model.vocab.eos_id
-    rng = np.random.default_rng(derive_seed(seed, position))
     start = decoder_start(ad.select(sentence.rows, [[0]], [[position]]), params)
     generated, rows = [], []
     while len(generated) < config.max_gen_len - 1:
@@ -388,7 +389,8 @@ def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
             generated.append(int(np.argmax(p)))
         else:
             cdf = ((p / p.max()) ** (1.0 / temperature)).cumsum()
-            generated.append(int(cdf.searchsorted(rng.random() * cdf[-1], side="right")))
+            u = float(uniforms_at(seed, (position + 1) * 2**32 + len(generated)))
+            generated.append(int(cdf.searchsorted(u * cdf[-1], side="right")))
         if generated[-1] == eos:
             break
     if not generated or generated[-1] != eos:

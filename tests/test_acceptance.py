@@ -192,7 +192,8 @@ class TestCriterion5ErrorTaxonomy:
         expected = {1: G.ErrorType.DELETION, 2: G.ErrorType.SUBSTITUTION}
         for m in range(1, max_gen_len + 1):
             want = expected.get(m, G.ErrorType.INSERTION)
-            assert G.classify_error(m, max_gen_len) is want
+            span = G.GeneratedSpan(position=0, original="w", token_ids=(7,) * m, surfaces=("x",) * m)
+            assert span.error_type is want
         _report(5, f"m-table exact for m in [1, {max_gen_len}]")
 
 

@@ -401,6 +401,22 @@ class TestCommands:
         assert cli.main(argv) == 2
         assert f"asrnoise: data error: {flag} nodir/out: nodir is not a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "corpus.tsv", "--vocab", "vocab.txt", "--checkpoint", "same.out", "--out", "same.out"],
+         ["corrupt", "texts.txt", "--checkpoint", "model.ckpt", "--out", "both.txt", "--report", "both.txt"],
+         ["corrupt", "texts.txt", "--checkpoint", "model.ckpt", "--out", "out.txt", "--report", "./out.txt"]],
+        ids=["train-checkpoint-out", "corrupt-out-report", "dot-slash"],
+    )
+    def test_two_outputs_naming_one_file_are_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # no input exists, so reading one would exit 2
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("asrnoise: usage error: --")
+        assert "name one file" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_internal_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch, capsys):
         texts = tmp_path / "texts.txt"
         texts.write_text("the cue\n")

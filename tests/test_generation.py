@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,35 +12,16 @@ from asrnoise import autodiff as ad
 from asrnoise import corpus as C
 from asrnoise import generation as G
 from asrnoise import model as M
-from asrnoise.errors import OutOfRangeError, PlanMismatchError, PriorOutOfRangeError
+from asrnoise.errors import PlanMismatchError, PriorOutOfRangeError
 from asrnoise.intervention import CorruptionPlan, sample_plan_interventional
 from asrnoise.phonetics import default_lexicon
 from asrnoise.rng import derive_seed
+from asrnoise.training import save_checkpoint
 
 from conftest import make_token_seq
 from oracles import first_step_one_row, full_prefix_span
 
-
-class TestClassifyError:
-    def test_paper_table(self):
-        assert G.classify_error(1, 5) is G.ErrorType.DELETION
-        assert G.classify_error(2, 5) is G.ErrorType.SUBSTITUTION
-        assert G.classify_error(4, 5) is G.ErrorType.INSERTION
-
-    def test_full_range(self):
-        for m in range(1, 6):
-            expected = (
-                G.ErrorType.DELETION if m == 1
-                else G.ErrorType.SUBSTITUTION if m == 2
-                else G.ErrorType.INSERTION
-            )
-            assert G.classify_error(m, 5) is expected
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            G.classify_error(0, 5)
-        with pytest.raises(OutOfRangeError):
-            G.classify_error(6, 5)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _draw(p, temperature, rng):
@@ -694,6 +680,43 @@ class TestCorruptCorpus:
         a = G.corrupt_corpus(texts, model, p_z=0.6, seed=17, mode=G.SAMPLE)
         b = G.corrupt_corpus(texts, model, p_z=0.6, seed=17, mode=G.SAMPLE)
         assert a == b
+
+    @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
+    def test_decoding_builds_no_numpy_generator(self, lexicon, monkeypatch, mode):
+        # every sampled draw is counter-based (rng.uniforms_at)
+        model = _toy_model(lexicon)
+        texts = ["the cue gag sue", "queue the gag", "sue"]
+        expected = G.corrupt_corpus(texts, model, p_z=0.8, seed=6, mode=mode)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoding built a numpy generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert G.corrupt_corpus(texts, model, p_z=0.8, seed=6, mode=mode) == expected
+        assert len(expected[1]) > len(texts)
+
+    def test_sample_decoding_from_a_checkpoint_never_loads_numpy_random(self, lexicon, tmp_path):
+        # numpy 2.x loads numpy.random on first use, so a fresh process
+        # shows whether loading a checkpoint and sampling spans reached it
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, _toy_model(lexicon))
+        script = (
+            "import sys, numpy\n"
+            "eager = 'numpy.random' in sys.modules\n"
+            "from asrnoise import generation, training\n"
+            "model = training.load_checkpoint(sys.argv[1])\n"
+            "_, records = generation.corrupt_corpus(['the cue gag sue'], model, 1.0, 3, generation.SAMPLE)\n"
+            "assert records\n"
+            "print('eager' if eager else 'numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        if result.stdout.strip() == "eager":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert result.stdout.strip() == "False"
 
     @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
     def test_a_leading_shard_decodes_as_in_the_whole_corpus(self, small_corpus, small_model, mode):

@@ -366,6 +366,8 @@ class TestCheckpointIO:
             lambda h, b: ({**h, "vocab": h["vocab"][:-1] + ["##"]}, b),
             lambda h, b: ({**h, "config": {**h["config"], "max_gen_len": h["config"]["max_len"] + 1}}, b),
             lambda h, b: _cut_position_table(h, b, 3),
+            lambda h, b: ({**h, "token_rows": [r + 0.5 for r in h["token_rows"]]}, b),
+            lambda h, b: ({**h, "token_rows": [True] + h["token_rows"][1:]}, b),
         ],
         ids=[
             "no-config", "unknown-config-key", "vocab-without-bos",
@@ -373,6 +375,7 @@ class TestCheckpointIO:
             "vocab-shorter-than-m-word", "token-rows-one-short", "negative-token-row",
             "array-name-listed-twice", "vocab-piece-without-characters",
             "max-gen-len-past-max-len", "max-len-cut-below-max-gen-len",
+            "fractional-token-rows", "boolean-token-row",
         ],
     )
     def test_malformed_header_is_corrupt_checkpoint(self, small_model, tmp_path, edit):
