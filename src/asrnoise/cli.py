@@ -5,9 +5,9 @@ Configuration resolves in three layers (built-in defaults, then a flat
 flag only for a key it reads, and echoes to stderr, and hashes into its
 artifact headers, only the keys it reads.  All randomness derives from the
 single ``--seed`` value.  Every output path is checked before any input is
-read, and no two outputs of a run may name the same file.  ``corrupt``
-writes one output line per input line, and ``eval`` pairs its two inputs
-line by line.
+read, and no output of a run may name another output or an input.
+``corrupt`` writes one output line per input line, and ``eval`` pairs its
+two inputs line by line.
 """
 from __future__ import annotations
 
@@ -287,13 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="asrnoise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, reads, help, lexicon=False, outputs=("out",), written=lambda path: (path,)):
+    def command(name, handler, reads, help, lexicon=False, inputs=("input",), outputs=("out",),
+                written=lambda path: (path,)):
         """A subcommand reading the config keys ``reads``: ``--config``, the flag
         of each read key that has one, and ``--lexicon``/``--inventory`` if it
-        loads a lexicon.  ``outputs`` names the attributes of its output paths,
-        and ``written`` maps an output flag's value to the files it writes."""
+        loads a lexicon.  ``inputs`` and ``outputs`` name the attributes of the
+        paths it reads (``--config`` and the lexicon's two besides) and
+        writes, and ``written`` maps an output flag's value to the files it
+        writes."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler, reads=reads, outputs=outputs, written=written)
+        inputs += ("config", "lexicon", "inventory") if lexicon else ("config",)
+        p.set_defaults(handler=handler, reads=reads, inputs=inputs, outputs=outputs, written=written)
         p.add_argument("--config", help="flat key = value config file")
         for key in (k for k in reads if k in _FLAGS):
             p.add_argument(_FLAGS[key], dest=key, type=type(DEFAULTS[key]), default=None)
@@ -307,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--out", required=True)
 
-    p = command("g2p", _cmd_g2p, (), "print phonetic codes for words", lexicon=True)
+    p = command("g2p", _cmd_g2p, (), "print phonetic codes for words", lexicon=True, inputs=())
     p.add_argument("words", nargs="+")
     p.add_argument("--out", default=None)
 
@@ -317,21 +321,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", _cmd_train, _MODEL_KEYS + _TRAIN_KEYS,
                 "train the noise generator on a GT/ASR TSV corpus", lexicon=True,
-                outputs=("checkpoint", "out"))
+                inputs=("input", "vocab"), outputs=("checkpoint", "out"))
     p.add_argument("input")
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None, help="loss log CSV")
 
     p = command("corrupt", _cmd_corrupt, ("seed", "p_z", "mode", "temperature"),
-                "corrupt plain text into pseudo transcripts", outputs=("out", "report"))
+                "corrupt plain text into pseudo transcripts", inputs=("input", "checkpoint"),
+                outputs=("out", "report"))
     p.add_argument("input")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="span report TSV")
 
     p = command("eval", _cmd_eval, (), "score hypotheses against references", lexicon=True,
-                written=_metrics_paths)
+                inputs=("ref", "hyp"), written=_metrics_paths)
     p.add_argument("--ref", required=True)
     p.add_argument("--hyp", required=True)
     p.add_argument("--out", required=True,
@@ -364,6 +369,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 if real in written:
                     raise ConfigParseError(f"{flag} and {written[real]} name one file")
                 written[real] = flag
+        for dest in args.inputs:
+            value = getattr(args, dest)
+            if value is not None and Path(value).resolve() in written:
+                flag = "the input" if dest == "input" else f"--{dest}"
+                raise ConfigParseError(f"{written[Path(value).resolve()]} would overwrite {flag} {value}")
         resolved = load_config(args.config, overrides)
         config = {key: resolved[key] for key in args.reads}
         _echo_config(args.command, config)

@@ -17,9 +17,9 @@ multi-head ``attention`` op over keys and values projected beforehand by
 is computed by its own function, so a caller computes it once at the level
 where it stops changing: the decoder's keys and values
 (:func:`decoder_memory`) and the first query row of every corrupted
-position (:func:`decoder_start`) once per encoded sentence, and the head
-tables (:func:`head_tables`: the transposed word table, and the phoneme
-table gathered per piece) once per set of parameters.
+position (:func:`decoder_start`) once per encoded chunk of sentences, and
+the head tables (:func:`head_tables`: the transposed word table, and the
+phoneme table gathered per piece) once per set of parameters.
 
 Every block function takes a padded batch (``[B, n, d]``).  Training
 builds one graph per batch: the batch's distinct sentences are padded to the
@@ -33,17 +33,18 @@ The loss is two engine ops over the teacher-forced steps: ``nll`` of the
 word head at the targets, plus ``lambda_ph`` times ``kl`` from the phoneme
 head to each supervised step's floored supervision distribution.
 
-Decoding runs a batch of one sentence, which has no padding and so takes no
-mask.  Since query rows never attend to each other, a step's row depends
-only on the previous token, the step and the sentence, and step 0 only on
-the sentence and the position.  So the first step of every corrupted
-position runs once per sentence: the start rows of its ``m`` corrupted
-encoder rows through one :func:`decoder_hidden` call (``[1, m, d]``, empty
-prefix) and one :func:`step_distributions` call over its ``[m, d]``
-output.  Each later step runs only what the newest token changes: the
-block's query side over one live query row, the previous token's
+Decoding encodes a chunk of sentences the same way, padded and masked.
+Since query rows never attend to each other, a step's row depends only on
+the previous token, the step and the sentence, and step 0 only on the
+sentence and the position.  So each span is one batch entry of its own: its
+query row ``[1, d]`` attends to its sentence's keys and values, gathered by
+sentence, under that sentence's key mask.  Step 0 runs the start rows of
+every corrupted position of the chunk through one :func:`decoder_hidden`
+call (``[S, 1, d]``, empty prefixes) and one :func:`step_distributions`
+call.  Each later step runs only what the newest token changes: the block's
+query side over the live rows, each the previous token's
 :func:`_token_embeddings` row plus a position row, and the two heads over
-its output.
+their output.
 
 Training and decoding run the same functions, training once per batch.
 Decoding wraps the parameters as tensors that need no gradient, so its
@@ -362,8 +363,7 @@ def decoder_start(e_k: Tensor, params: dict[str, Tensor]) -> Tensor:
     """First query rows ``[B, n, d]`` of the spans at encoder rows ``e_k``
     ``[B, n, d]``: each row beside the start embedding, through ``dec_h``,
     plus position 0; fixed for a span, whatever it generates.  Training
-    passes each item's corrupted row (``n`` = 1), decoding the corrupted
-    rows of a sentence."""
+    and decoding pass each span's corrupted row (``n`` = 1)."""
     bos = ad.rows(params["bos_emb"], np.zeros(e_k.data.shape[:2], dtype=np.intp))
     return ad.linear(ad.concat([e_k, bos], axis=-1), params["dec_h"], ad.rows(params["m_pos"], [0]))
 
@@ -384,12 +384,10 @@ def decoder_hidden(
     holds ``B`` prefixes of any lengths (padded to the longest, so rows past
     a prefix's end are meaningless), and ``memory`` is
     :func:`decoder_memory` of ``[B, n, d]`` encoder rows with ``key_mask``
-    ``[B, n]``.  With empty prefixes, ``start`` may also hold several
-    query rows ``[B, s, d]``, and the output is ``[B, s, d]``: the start
-    rows of a sentence's corrupted positions at step 0, or at a later step
-    the query rows of its spans still live.  A prefix row is the token's :func:`_token_embeddings` row plus
-    its position row, and that sum passed as ``start`` gives the same row
-    up to the last bits of the block's products.
+    ``[B, n]``.  A prefix row is the token's :func:`_token_embeddings` row
+    plus its position row, and that sum passed as ``start`` with an empty
+    prefix, as decoding passes each live span's row, gives the same row up
+    to the last bits of the block's products.
     """
     ids = _pad(generated_ids)
     n_prev = ids.shape[1]

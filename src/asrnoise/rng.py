@@ -26,9 +26,10 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
-def mix64(x: int) -> int:
-    """SplitMix64 finalizer over a 64-bit integer."""
-    x &= _MASK
+def mix64(x):
+    """SplitMix64 finalizer over a 64-bit integer, or elementwise over an
+    array of them (``uint64``, whose products wrap as the mask does)."""
+    x = x & _MASK
     x = ((x ^ (x >> 30)) * _MIX1) & _MASK
     x = ((x ^ (x >> 27)) * _MIX2) & _MASK
     return x ^ (x >> 31)
@@ -42,11 +43,14 @@ def derive_seed(seed: int, *parts: int) -> int:
     return s
 
 
-def uniforms_at(seed: int, positions) -> np.ndarray:
+def uniforms_at(seed, positions) -> np.ndarray:
     """Uniform [0, 1) draws indexed by position, vectorized.
 
-    The draw at a given position depends only on (seed, position), never on
-    neighbouring positions or on how many draws are requested.
+    ``seed`` is one seed or a ``uint64`` array of them that broadcasts
+    against ``positions``, so draws under many seeds take one call; each
+    equals the draw under its seed alone.  The draw at a given position
+    depends only on (seed, position), never on neighbouring positions or on
+    how many draws are requested.
     """
     pos = np.asarray(positions, dtype=np.uint64)
     base = np.uint64(mix64(seed ^ _GOLDEN))

@@ -361,6 +361,17 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(lp, (a,), bwd)
 
 
+def _sentence_of_chunk(sentence):
+    """A :class:`SentenceSpans` view's decoder, and its sentence's encoder
+    rows ``[1, n, d]``, decoder keys and values and key mask ``[1, n]`` taken
+    from its chunk."""
+    from asrnoise import autodiff as ad
+
+    chunk, index = sentence.chunk, [sentence.index]
+    memory = tuple(ad.rows(x, index) for x in chunk.memory)
+    return chunk.decoder, ad.rows(chunk.rows, index), memory, chunk.key_mask[index]
+
+
 def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
     """Span decoding that runs the decoder block over the span's start row
     and every token generated so far at each step, and keeps the newest row.
@@ -374,13 +385,13 @@ def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
     from asrnoise.model import decoder_hidden, decoder_start, step_distributions
     from asrnoise.rng import uniforms_at
 
-    decoder = sentence.decoder
+    decoder, e_enc, memory, key_mask = _sentence_of_chunk(sentence)
     model, params = decoder.model, decoder.params
     config, eos = model.config, model.vocab.eos_id
-    start = decoder_start(ad.select(sentence.rows, [[0]], [[position]]), params)
+    start = decoder_start(ad.select(e_enc, [[0]], [[position]]), params)
     generated, rows = [], []
     while len(generated) < config.max_gen_len - 1:
-        hidden = decoder_hidden(start, [generated], sentence.memory, params, config, model.code_index.token_rows)
+        hidden = decoder_hidden(start, [generated], memory, params, config, model.code_index.token_rows, key_mask)
         d_last = ad.select(hidden, [0], [len(generated)])
         rows.append(d_last.data[0])
         _, _, p_gen = step_distributions(d_last, decoder.tables, model.special_mask)
@@ -405,12 +416,12 @@ def first_step_one_row(sentence, positions):
     from asrnoise import autodiff as ad
     from asrnoise.model import decoder_hidden, decoder_start, step_distributions
 
-    decoder = sentence.decoder
+    decoder, e_enc, memory, key_mask = _sentence_of_chunk(sentence)
     model, params = decoder.model, decoder.params
     p_rows = []
     for position in positions:
-        start = decoder_start(ad.select(sentence.rows, [[0]], [[position]]), params)
-        hidden = decoder_hidden(start, [()], sentence.memory, params, model.config, model.code_index.token_rows)
+        start = decoder_start(ad.select(e_enc, [[0]], [[position]]), params)
+        hidden = decoder_hidden(start, [()], memory, params, model.config, model.code_index.token_rows, key_mask)
         _, _, p_gen = step_distributions(ad.select(hidden, [0], [0]), decoder.tables, model.special_mask)
         p_rows.append(p_gen[0])
     return np.array(p_rows)

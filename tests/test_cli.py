@@ -113,6 +113,15 @@ _COMMAND_FLAGS = {
     "corrupt": {"--config", "--seed", "--p-z", "--mode"},
     "eval": {"--config", "--lexicon", "--inventory"},
 }
+#: each command's input paths ("input" is the positional one) and output flags
+_PATHS = {
+    "corrupt": (["--checkpoint", "input", "--config"], ["--out", "--report"]),
+    "vocab": (["input", "--config"], ["--out"]),
+    "g2p": (["--config", "--lexicon", "--inventory"], ["--out"]),
+    "align": (["input", "--config", "--lexicon", "--inventory"], ["--out"]),
+    "train": (["input", "--vocab", "--config", "--lexicon", "--inventory"], ["--checkpoint", "--out"]),
+    "eval": (["--ref", "--hyp", "--config", "--lexicon", "--inventory"], ["--out"]),
+}
 #: flag -> (parsed attribute, raw value, parsed value)
 _FLAG_VALUES = {
     "--config": ("config", "run.cfg", "run.cfg"),
@@ -417,6 +426,37 @@ class TestCommands:
         assert "name one file" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, source, output",
+        [(command, source, output)
+         for command, (sources, outputs) in _PATHS.items() for source in sources for output in outputs],
+    )
+    def test_an_output_naming_an_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command, source,
+                                                        output):
+        # the first case is `corrupt texts.txt --checkpoint m2.ckpt --out m2.ckpt`,
+        # which once wrote its transcripts over the checkpoint and exited 0
+        monkeypatch.chdir(tmp_path)
+        argv = [command, *_COMMAND_ARGS[command]]
+        kept = "m2.txt" if command == "eval" else "m2.ckpt"  # eval's --out m2 writes m2.txt
+
+        def give(flag, value):
+            if flag == "input":
+                argv[1] = value
+            elif flag in argv:
+                argv[argv.index(flag) + 1] = value
+            else:
+                argv.extend([flag, value])
+
+        give(source, f"./{kept}")
+        give(output, "m2" if command == "eval" else kept)
+        (tmp_path / kept).write_text("kept\n")
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(f"asrnoise: usage error: {output} ")
+        assert "would overwrite" in err and "Traceback" not in err
+        assert [path.name for path in tmp_path.iterdir()] == [kept]
+        assert (tmp_path / kept).read_text() == "kept\n"
+
     def test_internal_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch, capsys):
         texts = tmp_path / "texts.txt"
         texts.write_text("the cue\n")
@@ -603,8 +643,8 @@ class TestPipeline:
         identity = root / "gappy_0.txt"
         assert identity.read_text().splitlines()[1:] == [C.normalize(l) for l in lines]
         # eval pairs line i with line i, blank lines and the hypothesis header included
-        assert cli.main(["eval", "--ref", str(gappy), "--hyp", str(identity), "--out", str(root / "gappy")]) == 0
-        assert "total_errors,0" in (root / "gappy.csv").read_text().splitlines()
+        assert cli.main(["eval", "--ref", str(gappy), "--hyp", str(identity), "--out", str(root / "gappy_eval")]) == 0
+        assert "total_errors,0" in (root / "gappy_eval.csv").read_text().splitlines()
 
     def test_cr_inside_a_line_splits_no_line(self, pipeline):
         root, cfg, _, ckpt, _, texts = pipeline

@@ -117,7 +117,7 @@ def _encode_text(model, text, mode=G.GREEDY, seed=0, positions=None):
     """A sentence of ``text`` encoded to decode ``positions`` (all by default)."""
     tokens = C.tokenize(text, model.vocab)
     positions = range(len(tokens)) if positions is None else positions
-    sentence = G.SpanDecoder.build(model, mode, 1.0).encode([t.piece_id for t in tokens], positions, seed)
+    [sentence] = G.SpanDecoder.build(model, mode, 1.0).encode([([t.piece_id for t in tokens], positions, seed)])
     return tokens, sentence
 
 
@@ -128,17 +128,18 @@ def _force_eos(model, logit=60.0):
 
 def _record_steps(monkeypatch):
     """Record each ``decoder_hidden`` call's output rows ``[s, d]`` and each
-    ``step_distributions`` call's combined distributions ``[s, V]``."""
+    ``step_distributions`` call's combined distributions ``[s, V]``, one row
+    per live span."""
     hidden_rows, p_rows = [], []
 
     def decoder_hidden(*args):
         hidden = M.decoder_hidden(*args)
-        hidden_rows.append(hidden.data[0])
+        hidden_rows.append(hidden.data[:, 0])
         return hidden
 
     def step_distributions(*args):
         dists = M.step_distributions(*args)
-        p_rows.append(dists[2])
+        p_rows.append(dists[2][:, 0])
         return dists
 
     monkeypatch.setattr(G, "decoder_hidden", decoder_hidden)
@@ -249,12 +250,12 @@ class TestGenerateSpan:
 class TestWorkPerStep:
     @pytest.mark.parametrize("phoneme_head, per_step", [(True, 6), (False, 5)])
     def test_linear_calls_per_sentence_span_and_step(self, lexicon, monkeypatch, phoneme_head, per_step):
-        # a sentence: encoder q/k/v/o/ffn (6), the decoder's keys and
-        # values (2) and the corrupted positions' start rows (1); a step:
-        # decoder q/o/ffn (4) plus one linear per head, over every live span
-        # of the sentence at once.  A span runs no work of its own.
+        # a chunk: encoder q/k/v/o/ffn (6), the decoder's keys and values
+        # (2) and its corrupted positions' start rows (1); a step: decoder
+        # q/o/ffn (4) plus one linear per head, over every live span of the
+        # chunk at once.  Neither a sentence nor a span runs work of its own.
         model = _toy_model(lexicon, phoneme_head=phoneme_head)
-        calls = {"linear": 0, "decoder_hidden": 0, "step_distributions": 0}
+        calls = {"linear": 0, "encode": 0, "decoder_hidden": 0, "step_distributions": 0}
 
         def counting(name, target):
             def wrapper(*args):
@@ -263,21 +264,32 @@ class TestWorkPerStep:
             return wrapper
 
         monkeypatch.setattr(ad, "linear", counting("linear", ad.linear))
-        for name in ("decoder_hidden", "step_distributions"):
+        for name in ("encode", "decoder_hidden", "step_distributions"):
             monkeypatch.setattr(G, name, counting(name, getattr(M, name)))
-        texts = ["the cue gag sue", "queue the gag", "sue", "the cue"]
+        texts = ["the cue gag sue", "queue the gag", "sue", "the cue"] * 8
         _, records = G.corrupt_corpus(texts, model, p_z=0.7, seed=4)
-        sentences = sorted({r.sentence_id for r in records})
-        # a span takes one step per token it picked: the [EOS] forced at
-        # max_gen_len took none
-        span_steps = {}
+        # each sentence's corrupted positions, and the steps of its longest
+        # span: a span takes one step per token it picked, and the [EOS]
+        # forced at max_gen_len took none
+        rows, steps_of = {}, {}
         for r in records:
-            span_steps.setdefault(r.sentence_id, []).append(min(r.span.m, model.config.max_gen_len - 1))
-        steps = sum(max(span_steps[s]) for s in sentences)
-        assert len(records) > len(sentences) > 0  # so recomputing keys/values per step cannot match
-        assert steps < sum(map(sum, span_steps.values()))  # so a step per span cannot match either
+            sentence = int(r.sentence_id)
+            rows[sentence] = rows.get(sentence, 0) + 1
+            span_steps = min(r.span.m, model.config.max_gen_len - 1)
+            steps_of[sentence] = max(steps_of.get(sentence, 0), span_steps)
+        # consecutive sentences of at most CHUNK_ROWS corrupted positions together
+        chunks, size = [[]], 0
+        for sentence in sorted(rows):
+            if size + rows[sentence] > G.CHUNK_ROWS:
+                chunks, size = chunks + [[]], 0
+            chunks[-1].append(sentence)
+            size += rows[sentence]
+        steps = sum(max(steps_of[s] for s in chunk) for chunk in chunks)
+        assert len(chunks) > 1 and all(len(chunk) > 1 for chunk in chunks)
+        assert steps < sum(steps_of.values())  # so a step per sentence cannot match
+        assert calls["encode"] == len(chunks)
         assert calls["decoder_hidden"] == calls["step_distributions"] == steps
-        assert calls["linear"] == 9 * len(sentences) + per_step * steps
+        assert calls["linear"] == 9 * len(chunks) + per_step * steps
 
     @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
     def test_cached_keys_values_and_tables_change_no_bit(self, lexicon, monkeypatch, mode):
@@ -309,12 +321,15 @@ class TestWorkPerStep:
                     rows = M.encode(M.embed_sequence([ids], params, config, rows_map), params, config)
                     t = len(picked)
                     if t == 0:
-                        live = M.decoder_start(ad.select(rows, [[0] * len(positions)], [positions]), params)
+                        where = np.asarray(positions)[:, None]
+                        live = M.decoder_start(ad.select(rows, np.zeros_like(where), where), params)
                     else:
                         going = picked[-1][picked[-1] != eos]
-                        tok = M._token_embeddings(going[None], params, config, rows_map)
+                        tok = M._token_embeddings(going[:, None], params, config, rows_map)
                         live = ad.add(tok, ad.rows(params["m_pos"], [t]))
-                    memory = M.decoder_memory(rows, params)
+                    # every live row attends to the one sentence's keys and values
+                    sentence_of_row = np.zeros(live.data.shape[0], dtype=np.intp)
+                    memory = tuple(ad.rows(x, sentence_of_row) for x in M.decoder_memory(rows, params))
                 return M.decoder_hidden(live, prefixes, memory, params, *rest)
 
             def step_distributions(d_k, tables, special_mask):
@@ -322,13 +337,13 @@ class TestWorkPerStep:
                     params = M._wrap_params(model.params, needs_grad=False)
                     tables = M.head_tables(params, config, rows_map)
                 dists = M.step_distributions(d_k, tables, special_mask)
-                seen.append(dists[2])
+                seen.append(dists[2][:, 0])
                 return dists
 
             monkeypatch.setattr(G, "decoder_hidden", decoder_hidden)
             monkeypatch.setattr(G, "step_distributions", step_distributions)
             picked.clear()
-            sentence = decoder.encode(ids, positions, 5)
+            [sentence] = decoder.encode([(ids, positions, 5)])
             spans = [G.generate_span(sentence, k, tokens[k].surface) for k in positions]
             runs.append(([span.token_ids for span in spans], seen))
         (cached_ids, cached_p), (rebuilt_ids, rebuilt_p) = runs
@@ -540,6 +555,28 @@ class TestAssemble:
             G.assemble(tokens, plan, [])
 
 
+def _decode_each_alone(texts, model, p_z, seed, mode, temperature):
+    """:func:`generation.corrupt_corpus`'s outputs and records with every
+    sentence planned, encoded and decoded as a chunk of one, from a decoder
+    built for it alone."""
+    outputs, records = [], []
+    for i, text in enumerate(texts):
+        tokens = C.tokenize(text, model.vocab)
+        if len(tokens) > model.config.max_len:
+            outputs.append(C.detokenize(tokens))
+            continue
+        plan = sample_plan_interventional(tokens, p_z, derive_seed(seed, i))
+        spans = []
+        if plan.corruption_count:
+            decoder = G.SpanDecoder.build(model, mode, temperature)
+            [sentence] = decoder.encode([([t.piece_id for t in tokens], plan.corrupted_positions,
+                                          derive_seed(seed, i))])
+            spans = [G.generate_span(sentence, k, tokens[k].surface) for k in plan.corrupted_positions]
+        outputs.append(G.assemble(tokens, plan, spans))
+        records.extend(G.SpanRecord(str(i), span) for span in spans)
+    return outputs, records
+
+
 # words of the shipped lexicon in any case, glued to punctuation and '#'
 _WORD = st.builds(
     lambda word, case: case(word),
@@ -605,21 +642,51 @@ class TestCorruptCorpus:
         p_z, temperature = 0.5, 0.7
         for seed in (9, 2024):
             outputs, records = G.corrupt_corpus(texts, small_model, p_z, seed, mode, temperature)
-            expected_outputs, expected_records = [], []
-            for i, text in enumerate(texts):
-                tokens = C.tokenize(text, small_model.vocab)
-                plan = sample_plan_interventional(tokens, p_z, derive_seed(seed, i))
-                spans = []
-                if plan.corruption_count:
-                    decoder = G.SpanDecoder.build(small_model, mode, temperature)
-                    sentence = decoder.encode([t.piece_id for t in tokens], plan.corrupted_positions,
-                                              derive_seed(seed, i))
-                    spans = [G.generate_span(sentence, k, tokens[k].surface) for k in plan.corrupted_positions]
-                expected_outputs.append(G.assemble(tokens, plan, spans))
-                expected_records.extend(G.SpanRecord(str(i), span) for span in spans)
+            expected_outputs, expected_records = _decode_each_alone(texts, small_model, p_z, seed, mode, temperature)
             assert len(expected_records) > len(texts)
             assert outputs == expected_outputs
             assert records == expected_records
+
+    @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
+    def test_a_sentence_decodes_alike_in_any_chunk(self, small_corpus, small_model, monkeypatch, mode):
+        # more than three chunks, with a one-token sentence, a line too long
+        # to encode, a blank line and a sentence of more corrupted positions
+        # than one chunk holds
+        texts = [pair.gt for pair in small_corpus[40:80]]
+        one_token = next(w for w in texts[0].split() if len(C.tokenize(w, small_model.vocab)) == 1)
+        over_cap, over_long = " ".join(texts[:5]), " ".join(texts[:8])
+        assert G.CHUNK_ROWS < len(C.tokenize(over_cap, small_model.vocab)) <= small_model.config.max_len
+        assert len(C.tokenize(over_long, small_model.vocab)) > small_model.config.max_len
+        texts[3:3] = [one_token, "", over_long, one_token, over_cap, one_token]
+        chunks = []
+        encode = G.SpanDecoder.encode
+
+        def recording(decoder, sentences):
+            chunks.append(sum(len(positions) for _, positions, _ in sentences) if len(sentences) > 1 else None)
+            return encode(decoder, sentences)
+
+        monkeypatch.setattr(G.SpanDecoder, "encode", recording)
+        p_z, seed = 0.8, 31
+        outputs, records = G.corrupt_corpus(texts, small_model, p_z, seed, mode)
+        assert len(chunks) > 3 and None in chunks and max(filter(None, chunks)) <= G.CHUNK_ROWS
+        spans_of = {}
+        for r in records:
+            spans_of.setdefault(int(r.sentence_id), []).append(r.span)
+        assert len(spans_of[texts.index(over_cap)]) > G.CHUNK_ROWS
+        assert any(k in spans_of for k, text in enumerate(texts) if text == one_token)
+        assert outputs[texts.index(over_long)] == C.detokenize(C.tokenize(over_long, small_model.vocab))
+        assert outputs[texts.index("")] == "" and texts.index("") not in spans_of
+        assert (outputs, records) == _decode_each_alone(texts, small_model, p_z, seed, mode, 1.0)
+
+    @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
+    def test_no_decoder_call_gets_more_rows_than_the_cap(self, lexicon, monkeypatch, mode):
+        model = _toy_model(lexicon)
+        text = " ".join(["the cue gag sue"] * 4)
+        assert len(C.tokenize(text, model.vocab)) == model.config.max_len
+        hidden_rows, _ = _record_steps(monkeypatch)
+        _, records = G.corrupt_corpus([text] * 5, model, p_z=1.0, seed=3, mode=mode)
+        assert len(records) == 5 * model.config.max_len > 2 * G.CHUNK_ROWS
+        assert max(rows.shape[0] for rows in hidden_rows) == G.CHUNK_ROWS
 
     @pytest.mark.parametrize("p_z", [2.0, -1.0, float("nan")])
     def test_bad_prior_rejected_before_any_line(self, lexicon, p_z):
@@ -663,7 +730,7 @@ class TestCorruptCorpus:
 
         def recording(*args):
             dists = M.step_distributions(*args)
-            seen.extend(dists[2][:, [bos, unk]])
+            seen.extend(dists[2][:, 0, [bos, unk]])
             return dists
 
         monkeypatch.setattr(G, "step_distributions", recording)

@@ -131,7 +131,7 @@ class TestTrain:
         model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=3)
         T.train([item], model, lexicon, T.TrainConfig(learning_rate=5e-3, epochs=60, batch_size=1, seed=0))
         decoder = G.SpanDecoder.build(model, G.GREEDY, 1.0)
-        sentence = decoder.encode([t.piece_id for t in item.sentence], [item.position], 0)
+        [sentence] = decoder.encode([([t.piece_id for t in item.sentence], [item.position], 0)])
         span = G.generate_span(sentence, item.position, item.sentence[item.position].surface)
         assert span.token_ids == tuple(item.target_ids)
 
