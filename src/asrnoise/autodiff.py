@@ -28,6 +28,14 @@ dropped.  A graph is single-use: once :func:`backward` has run a node's
 closure it drops the closure, the node's parents and the node's own
 gradient, so only leaves keep their gradients and a second ``backward``
 over the same graph does nothing.
+
+No two tensors share a gradient array.  A closure that computes a fresh
+array stores it as is (``_own``).  Only pass-through gradients are copied
+(``_acc``): ``add``'s, ``transpose_axes``' and ``concat``'s, which are the
+closure's own output gradient or views of it, and a bias gradient that
+``_unbroadcast`` may return unchanged.  ``linear``'s weight gradient sums
+2-D products over blocks of ``WEIGHT_GRAD_ROWS`` rows in a fixed order, so
+training's bits do not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -61,8 +69,18 @@ def _node(data, parents: tuple, bwd) -> Tensor:
 
 
 def _acc(t: Tensor, g: np.ndarray) -> None:
+    """Accumulate a gradient that something else may hold: a view of the
+    closure's own output gradient, or an array shared with another parent."""
     if t.grad is None:
         t.grad = g.copy()
+    else:
+        t.grad += g
+
+
+def _own(t: Tensor, g: np.ndarray) -> None:
+    """Accumulate a fresh gradient that nothing else holds, without copying."""
+    if t.grad is None:
+        t.grad = g
     else:
         t.grad += g
 
@@ -91,28 +109,47 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         if a.needs_grad:
-            _acc(a, _unbroadcast(g * b.data, a.data.shape))
+            _own(a, _unbroadcast(g * b.data, a.data.shape))
         if b.needs_grad:
-            _acc(b, _unbroadcast(g * a.data, b.data.shape))
+            _own(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(a.data * b.data, (a, b), bwd)
 
 
 # linear algebra ----------------------------------------------------
+WEIGHT_GRAD_ROWS = 256
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``x.T @ g`` for 2-D ``x`` ``[r, d]`` and ``g`` ``[r, k]``, summed in
+    order over blocks of ``WEIGHT_GRAD_ROWS`` rows.
+
+    One product over all r rows lets BLAS split the sum over rows across
+    threads, so its bits depend on the thread count.  OpenBLAS does not
+    split a block this small, and the blocks are added in a fixed order."""
+    n = WEIGHT_GRAD_ROWS
+    out = x[:n].T @ g[:n]
+    for lo in range(n, x.shape[0], n):
+        out += x[lo : lo + n].T @ g[lo : lo + n]
+    return out
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` as one op: ``x`` ``[..., d]`` times a matrix ``w``
     ``[d, k]`` plus a bias broadcast over the leading axes.  Same values and
     gradients as ``add(matmul)``.
 
-    The weight gradient is one 2-D product over all of ``x``'s rows: a
-    stacked product followed by a sum over the stack costs one small BLAS
-    call per stack entry."""
+    Backward runs 2-D products over all of ``x``'s rows, not stacked ones
+    (one small BLAS call per stack entry): the input gradient is one
+    product, and the weight gradient is :func:`_weight_grad`'s blocked sum,
+    so it does not depend on the BLAS thread count."""
 
     def bwd(g):
+        d, k = w.data.shape
         if x.needs_grad:
-            _acc(x, _unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
+            _own(x, (g.reshape(-1, k) @ w.data.T).reshape(x.data.shape))
         if w.needs_grad:
-            _acc(w, x.data.reshape(-1, x.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            _own(w, _weight_grad(x.data.reshape(-1, d), g.reshape(-1, k)))
         if b.needs_grad:
             _acc(b, _unbroadcast(g, b.data.shape))
 
@@ -147,7 +184,7 @@ def rows(a: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
 
     def bwd(g):
-        _acc(a, _scatter_rows(idx, g, a.data.shape))
+        _own(a, _scatter_rows(idx, g, a.data.shape))
 
     # take, not a.data[idx]: the same rows, without fancy indexing's overhead
     return _node(a.data.take(idx, axis=0), (a,), bwd)
@@ -163,7 +200,7 @@ def select(a: Tensor, row_idx, col_idx) -> Tensor:
         # (row, col) is row row * n_cols + col of a with its first two axes merged
         shape = a.data.shape
         flat_idx = row_idx * shape[1] + col_idx
-        _acc(a, _scatter_rows(flat_idx, g, (shape[0] * shape[1], *shape[2:])).reshape(shape))
+        _own(a, _scatter_rows(flat_idx, g, (shape[0] * shape[1], *shape[2:])).reshape(shape))
 
     return _node(a.data[row_idx, col_idx], (a,), bwd)
 
@@ -223,15 +260,15 @@ def attention(
         g_heads = g.reshape(batch, n, n_heads, dh).transpose(0, 2, 1, 3)
         if v.needs_grad:
             g_vh = p.swapaxes(-1, -2) @ g_heads
-            _acc(v, g_vh.transpose(0, 2, 1, 3).reshape(batch, m, d))
+            _own(v, g_vh.transpose(0, 2, 1, 3).reshape(batch, m, d))
         if q.needs_grad or k.needs_grad:
             g_p = g_heads @ vh.swapaxes(-1, -2)
             g_scores = (p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))) * scale
             if q.needs_grad:
-                _acc(q, (g_scores @ kh).transpose(0, 2, 1, 3).reshape(batch, n, d))
+                _own(q, (g_scores @ kh).transpose(0, 2, 1, 3).reshape(batch, n, d))
             if k.needs_grad:
                 g_kh = (qh.swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2)
-                _acc(k, g_kh.transpose(0, 2, 1, 3).reshape(batch, m, d))
+                _own(k, g_kh.transpose(0, 2, 1, 3).reshape(batch, m, d))
 
     return _node(out, (q, k, v), bwd)
 
@@ -257,18 +294,17 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     def bwd(g):
         axes = tuple(range(g.ndim - 1))
         if a.needs_grad:
+            # ((gg - mean(gg)) - xhat * mean(gg * xhat)) / sigma, in place
             gg = g * gamma.data
-            _acc(
-                a,
-                (
-                    gg
-                    - gg.sum(axis=-1, keepdims=True) / d
-                    - xhat * ((gg * xhat).sum(axis=-1, keepdims=True) / d)
-                )
-                / sigma,
-            )
+            mean_gg = gg.sum(axis=-1, keepdims=True) / d
+            tmp = gg * xhat
+            mean_ggx = tmp.sum(axis=-1, keepdims=True) / d
+            gg -= mean_gg
+            gg -= np.multiply(xhat, mean_ggx, out=tmp)
+            gg /= sigma
+            _own(a, gg)
         if gamma.needs_grad:
-            _acc(gamma, (g * xhat).sum(axis=axes))
+            _own(gamma, (g * xhat).sum(axis=axes))
         if beta.needs_grad:
             _acc(beta, g.sum(axis=axes))
 
@@ -285,9 +321,21 @@ def gelu(a: Tensor) -> Tensor:
     t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
 
     def bwd(g):
-        sech2 = 1.0 - t * t
-        local = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * 0.044715 * x * x)
-        _acc(a, g * local)
+        # g * (0.5 * (1 + t) + 0.5 * x * (1 - t*t) * C * (1 + 3 * 0.044715 * x*x)),
+        # in place; a product by 0.5 is exact short of underflow, so both factors
+        # 0.5 move to the end without changing a bit
+        local = t * t
+        np.subtract(1.0, local, out=local)
+        local *= x
+        local *= _GELU_C
+        poly = x * (3.0 * 0.044715)
+        poly *= x
+        poly += 1.0
+        local *= poly
+        local += np.add(t, 1.0, out=poly)
+        local *= g
+        local *= 0.5
+        _own(a, local)
 
     return _node(0.5 * x * (1.0 + t), (a,), bwd)
 
@@ -307,7 +355,7 @@ def nll(logits: Tensor, targets) -> Tensor:
     def bwd(g):
         buf = np.zeros_like(lp)
         buf[picked] = -g
-        _acc(logits, buf - np.exp(lp) * buf.sum(axis=-1, keepdims=True))
+        _own(logits, buf - np.exp(lp) * buf.sum(axis=-1, keepdims=True))
 
     return _node(-lp[picked].sum(), (logits,), bwd)
 
@@ -323,7 +371,7 @@ def kl(logits: Tensor, log_r: np.ndarray) -> Tensor:
         # g*p reaches lp through diff, g*diff*p through p = exp(lp): the
         # first sums to zero only in exact arithmetic, so it is kept
         glp = g * p + g * diff * p
-        _acc(logits, glp - p * glp.sum(axis=-1, keepdims=True))
+        _own(logits, glp - p * glp.sum(axis=-1, keepdims=True))
 
     return _node((p * diff).sum(), (logits,), bwd)
 

@@ -7,10 +7,10 @@ float64 throughout.
 During :func:`train` the parameters, their gradients and Adam's moments each
 live in one flat float64 buffer, and ``Model.params`` maps each name to its
 view of the parameter buffer.  Clipping and Adam work on whole buffers.  The
-reduction order is fixed by the code, not by the data: a weight's gradient
-sums over every row of a batch in one 2-D product (``autodiff.linear``),
-gathered rows scatter back in index order, and the gradient norm is one
-pairwise sum over the flat gradient buffer.
+reduction order is fixed by the code, not by the data or the BLAS thread
+count: a weight's gradient sums a batch's rows in fixed blocks, in order
+(``autodiff.linear``), gathered rows scatter back in index order, and the
+gradient norm is one pairwise sum over the flat gradient buffer.
 """
 from __future__ import annotations
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp, mpf
 
-from asrnoise.autodiff import Tensor, _acc, _node, _unbroadcast, softmax_array
+from asrnoise.autodiff import WEIGHT_GRAD_ROWS, Tensor, _acc, _node, _unbroadcast, softmax_array
 from asrnoise.corpus import CONTINUATION_PREFIX, SPECIALS, normalize
 from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
 from asrnoise.phonetics import articulatory_mismatches, supervision_distribution
@@ -309,16 +309,28 @@ def exp(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading (stack) axes broadcast.
 
-    A 2-D ``b`` gets its gradient from one 2-D product over all of ``a``'s
-    rows, as ``autodiff.linear``'s weight does, so the two agree bit for
-    bit; a stacked ``b`` gets one product per stack entry."""
+    A 2-D ``b`` takes the 2-D products ``autodiff.linear`` takes, so the two
+    agree bit for bit: ``a`` gets one product over all of its rows, and
+    ``b`` the in-order sum of one product per block of
+    ``WEIGHT_GRAD_ROWS`` rows.  A stacked ``b`` gets one product per stack
+    entry for both."""
 
     def bwd(g):
+        if b.data.ndim == 2:
+            d, k = b.data.shape
+            a_rows, g_rows = a.data.reshape(-1, d), g.reshape(-1, k)
+            if a.needs_grad:
+                _acc(a, (g_rows @ b.data.T).reshape(a.data.shape))
+            if b.needs_grad:
+                blocks = [
+                    a_rows[lo : lo + WEIGHT_GRAD_ROWS].T @ g_rows[lo : lo + WEIGHT_GRAD_ROWS]
+                    for lo in range(0, len(a_rows), WEIGHT_GRAD_ROWS)
+                ]
+                _acc(b, sum(blocks[1:], blocks[0]))
+            return
         if a.needs_grad:
             _acc(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        if b.needs_grad and b.data.ndim == 2:
-            _acc(b, a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        elif b.needs_grad:
+        if b.needs_grad:
             _acc(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _node(a.data @ b.data, (a, b), bwd)

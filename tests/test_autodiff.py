@@ -220,6 +220,24 @@ class TestBackwardMechanics:
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, [3.0, -1.0])
 
+    @pytest.mark.parametrize(
+        "build, a_shape",
+        [
+            (lambda a, b: ad.add(ad.add(a, b), a), (2, 3)),
+            (lambda a, b: ad.add(ad.add(ad.transpose_axes(a, (1, 0)), b), ad.transpose_axes(a, (1, 0))), (3, 2)),
+            (lambda a, b: ad.concat([ad.add(a, b), a], axis=0), (2, 3)),
+        ],
+        ids=["add", "transpose_axes", "concat"],
+    )
+    def test_pass_through_gradients_are_not_aliased(self, build, a_shape):
+        # these ops hand on (views of) their own output gradient, so each
+        # parent stores a copy: no leaf's accumulation writes into another's
+        a, b = ad.Tensor(np.zeros(a_shape)), ad.Tensor(np.zeros((2, 3)))
+        ad.backward(sum_(build(a, b)))
+        assert np.array_equal(b.grad, np.ones((2, 3)))
+        assert np.array_equal(a.grad, np.full(a_shape, 2.0))
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):
             ad.backward(ad.Tensor(np.ones((2, 2))))
@@ -318,17 +336,19 @@ class TestFusedKernels:
 
     def test_linear_equals_add_of_matmul_bit_for_bit(self):
         rng = np.random.default_rng(8)
-        arrays = [rng.normal(size=s) for s in ((3, 2, 4), (4, 4), (4,))]
-        fused = [ad.Tensor(a) for a in arrays]
-        composed = [ad.Tensor(a) for a in arrays]
-        g = rng.normal(size=(3, 2, 4))
-        out_f = ad.linear(*fused)
-        out_c = ad.add(matmul(composed[0], composed[1]), composed[2])
-        assert np.array_equal(out_f.data, out_c.data)
-        ad.backward(sum_(ad.mul(out_f, ad.Tensor(g, needs_grad=False))))
-        ad.backward(sum_(ad.mul(out_c, ad.Tensor(g, needs_grad=False))))
-        for f, c in zip(fused, composed):
-            assert np.array_equal(f.grad, c.grad)
+        # 600 rows: the weight gradient sums three blocks of WEIGHT_GRAD_ROWS rows
+        for x_shape, k in (((3, 2, 4), 4), ((3, 200, 8), 5)):
+            arrays = [rng.normal(size=s) for s in (x_shape, (x_shape[-1], k), (k,))]
+            fused = [ad.Tensor(a) for a in arrays]
+            composed = [ad.Tensor(a) for a in arrays]
+            g = rng.normal(size=x_shape[:-1] + (k,))
+            out_f = ad.linear(*fused)
+            out_c = ad.add(matmul(composed[0], composed[1]), composed[2])
+            assert np.array_equal(out_f.data, out_c.data)
+            ad.backward(sum_(ad.mul(out_f, ad.Tensor(g, needs_grad=False))))
+            ad.backward(sum_(ad.mul(out_c, ad.Tensor(g, needs_grad=False))))
+            for f, c in zip(fused, composed):
+                assert np.array_equal(f.grad, c.grad)
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_attention_gradient(self, n_heads):

@@ -707,6 +707,14 @@ def test_eval_checks_the_report_paths_it_writes(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
+def _run_at_blas_threads(threads: str, *argv: str) -> None:
+    """Run ``asrnoise *argv`` in a child process with ``threads`` BLAS threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "asrnoise.cli", *argv], env=env, capture_output=True, check=True, timeout=120)
+
+
 @pytest.mark.parametrize(
     "mode, p_z",
     [("sample", 0.5), ("greedy", 0.5), ("sample", 1.0), ("greedy", 1.0)],
@@ -714,9 +722,9 @@ def test_eval_checks_the_report_paths_it_writes(tmp_path, monkeypatch, capsys):
 )
 def test_corrupt_output_does_not_depend_on_the_blas_thread_count(tmp_path, lexicon, mode, p_z):
     # decoding's products split over output rows, which keeps each row's bits
-    # at any thread count; training's weight gradients do not, so it is left
-    # out.  At p_z = 1 every position is a span, so each step runs its
-    # sentence's widest multi-row products.
+    # at any thread count (training's test is below).  At p_z = 1 every
+    # position is a span, so each step runs its sentence's widest multi-row
+    # products.
     pairs = synthetic.make_parallel_corpus(120, seed=1)
     vocab = C.induce_vocab([p.gt for p in pairs] + [p.asr for p in pairs if p.asr], 384)
     assert len(vocab) > 300
@@ -724,18 +732,34 @@ def test_corrupt_output_does_not_depend_on_the_blas_thread_count(tmp_path, lexic
     training.save_checkpoint(ckpt, Model.build(vocab, lexicon, ModelConfig(), seed=1))
     texts = tmp_path / "texts.txt"
     texts.write_text("".join(p.gt + "\n" for p in pairs[:40]))
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     results = []
     for threads in ("1", "2"):
-        env["OPENBLAS_NUM_THREADS"] = threads
         out, report = tmp_path / f"noised{threads}.txt", tmp_path / f"spans{threads}.tsv"
-        subprocess.run(
-            [sys.executable, "-m", "asrnoise.cli", "corrupt", str(texts), "--checkpoint", str(ckpt),
-             "--out", str(out), "--report", str(report), "--p-z", str(p_z), "--seed", "1", "--mode", mode],
-            env=env, capture_output=True, check=True, timeout=120,
+        _run_at_blas_threads(
+            threads, "corrupt", str(texts), "--checkpoint", str(ckpt), "--out", str(out),
+            "--report", str(report), "--p-z", str(p_z), "--seed", "1", "--mode", mode,
         )
         results.append((out.read_bytes(), report.read_bytes()))
     assert len(results[0][1].splitlines()) > 40
+    assert results[0] == results[1]
+
+
+def test_training_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 600 pairs give batches of several hundred encoder rows, so each weight
+    # gradient sums more than one block of autodiff.WEIGHT_GRAD_ROWS rows:
+    # one product over all of them would let BLAS split the sum by thread
+    pairs = synthetic.make_parallel_corpus(600, seed=1)
+    corpus, vocab, config = tmp_path / "corpus.tsv", tmp_path / "vocab.txt", tmp_path / "run.cfg"
+    C.write_pairs_tsv(corpus, pairs)
+    config.write_text("epochs = 2\n")
+    assert cli.main(["vocab", str(corpus), "--out", str(vocab)]) == 0
+    results = []
+    for threads in ("1", "2"):
+        ckpt, log = tmp_path / f"model{threads}.ckpt", tmp_path / f"loss{threads}.csv"
+        _run_at_blas_threads(
+            threads, "train", str(corpus), "--vocab", str(vocab), "--checkpoint", str(ckpt),
+            "--out", str(log), "--config", str(config),
+        )
+        results.append((ckpt.read_bytes(), log.read_bytes()))
+    assert len(results[0][1].splitlines()) == 4
     assert results[0] == results[1]
