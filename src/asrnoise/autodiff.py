@@ -35,7 +35,7 @@ array stores it as is (``_own``).  Only pass-through gradients are copied
 closure's own output gradient or views of it, and a bias gradient that
 ``_unbroadcast`` may return unchanged.  ``linear``'s weight gradient sums
 2-D products over blocks of ``WEIGHT_GRAD_ROWS`` rows in a fixed order, so
-training's bits do not depend on the BLAS thread count.
+the order in which it adds rows does not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -124,9 +124,11 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """``x.T @ g`` for 2-D ``x`` ``[r, d]`` and ``g`` ``[r, k]``, summed in
     order over blocks of ``WEIGHT_GRAD_ROWS`` rows.
 
-    One product over all r rows lets BLAS split the sum over rows across
-    threads, so its bits depend on the thread count.  OpenBLAS does not
-    split a block this small, and the blocks are added in a fixed order."""
+    One product over all r rows lets BLAS add the rows in an order that
+    depends on the thread count.  OpenBLAS does not split a block this
+    small, and the blocks are added in a fixed order.  A threaded product
+    whose output width is not a multiple of 8 can still change bits with
+    the thread count (see README, "Notes on determinism")."""
     n = WEIGHT_GRAD_ROWS
     out = x[:n].T @ g[:n]
     for lo in range(n, x.shape[0], n):
@@ -142,7 +144,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     Backward runs 2-D products over all of ``x``'s rows, not stacked ones
     (one small BLAS call per stack entry): the input gradient is one
     product, and the weight gradient is :func:`_weight_grad`'s blocked sum,
-    so it does not depend on the BLAS thread count."""
+    whose order of rows does not depend on the BLAS thread count."""
 
     def bwd(g):
         d, k = w.data.shape
@@ -306,7 +308,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         if gamma.needs_grad:
             _own(gamma, (g * xhat).sum(axis=axes))
         if beta.needs_grad:
-            _acc(beta, g.sum(axis=axes))
+            _own(beta, g.sum(axis=axes))
 
     return _node(xhat * gamma.data + beta.data, (a, gamma, beta), bwd)
 

@@ -747,7 +747,10 @@ def test_corrupt_output_does_not_depend_on_the_blas_thread_count(tmp_path, lexic
 def test_training_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     # 600 pairs give batches of several hundred encoder rows, so each weight
     # gradient sums more than one block of autodiff.WEIGHT_GRAD_ROWS rows:
-    # one product over all of them would let BLAS split the sum by thread
+    # one product over all of them would let BLAS split the sum by thread.
+    # The default 256-piece vocabulary keeps the heads' widths multiples of
+    # 8; other widths can still depend on the count (README, "Notes on
+    # determinism"), which this test does not cover
     pairs = synthetic.make_parallel_corpus(600, seed=1)
     corpus, vocab, config = tmp_path / "corpus.tsv", tmp_path / "vocab.txt", tmp_path / "run.cfg"
     C.write_pairs_tsv(corpus, pairs)

@@ -254,17 +254,19 @@ class TestTrain:
             param_ids.update(id(t) for t in wrapped.values())
             return wrapped
 
-        acc = ad._acc
-
-        def counting_acc(t, g):
-            if id(t) in param_ids:
-                into_params[0] += 1
-            elif t._bwd is None:
-                into_constants[0] += 1
-            acc(t, g)
+        def counting(store):
+            def counting_store(t, g):
+                if id(t) in param_ids:
+                    into_params[0] += 1
+                elif t._bwd is None:
+                    into_constants[0] += 1
+                store(t, g)
+            return counting_store
 
         monkeypatch.setattr(M, "_wrap_params", recording_wrap)
-        monkeypatch.setattr(ad, "_acc", counting_acc)
+        # every gradient store goes through one of these two
+        monkeypatch.setattr(ad, "_acc", counting(ad._acc))
+        monkeypatch.setattr(ad, "_own", counting(ad._own))
         T.train(items, model, lexicon, cfg)
         assert into_params[0] > 0
         assert into_constants[0] == 0
