@@ -35,7 +35,6 @@ from .intervention import CorruptionPlan, check_prior, sample_plan_interventiona
 from .model import (
     HeadTables,
     Model,
-    _pad,
     _token_embeddings,
     _wrap_params,
     decoder_hidden,
@@ -158,27 +157,29 @@ class SpanDecoder:
         return cls(model, params, head_tables(params, config, rows_map), token_queries, mode, temperature)
 
     def encode(self, sentences: Sequence[tuple[Sequence[int], Sequence[int], int]]) -> list["SentenceSpans"]:
-        """Encode a chunk of sentences, each given as its piece ids, the
-        positions whose spans to decode and the seed that keys their draws,
-        and project the encoder rows to the decoder's keys and values.  The
-        chunk is padded to its longest sentence and encoded in one call under
-        a key mask, as training encodes a batch.  Returns each sentence's
-        view of the chunk (:class:`SentenceSpans`)."""
+        """Encode a chunk of sentences of one length, each given as its piece
+        ids, the positions whose spans to decode and the seed that keys their
+        draws, and project the encoder rows to the decoder's keys and values.
+        The chunk is encoded in one call, with no padding and no key mask, so
+        a sentence's rows are the same bits in any chunk.  Returns each
+        sentence's view of the chunk (:class:`SentenceSpans`).  Raises
+        :class:`ValueError` if the sentences differ in length."""
         model, params = self.model, self.params
         config, rows_map = model.config, model.code_index.token_rows
-        lengths = [len(piece_ids) for piece_ids, _, _ in sentences]
+        lengths = sorted({len(piece_ids) for piece_ids, _, _ in sentences})
+        if len(lengths) != 1:
+            raise ValueError(f"a chunk's sentences must have one length, got lengths {lengths}")
+        [n] = lengths
         positions = [tuple(p) for _, p, _ in sentences]
-        for n, ks in zip(lengths, positions):
+        for ks in positions:
             if not ks or not all(0 <= k < n for k in ks):
                 raise IndexError(f"positions {list(ks)} must be a non-empty subset of a sentence of {n} tokens")
-        is_token = np.arange(max(lengths)) < np.asarray(lengths)[:, None]
-        ids = _pad([piece_ids for piece_ids, _, _ in sentences])
-        e_enc = encode(embed_sequence(ids, params, config, rows_map), params, config, is_token)
+        ids = np.array([piece_ids for piece_ids, _, _ in sentences], dtype=np.intp)
+        e_enc = encode(embed_sequence(ids, params, config, rows_map), params, config)
         chunk = SpanChunk(
             self,
             e_enc,
             decoder_memory(e_enc, params),
-            is_token,
             np.repeat(np.arange(len(sentences)), [len(ks) for ks in positions]),
             np.asarray([k for ks in positions for k in ks], dtype=np.intp),
             np.asarray([seed for _, _, seed in sentences], dtype=np.uint64),
@@ -188,12 +189,11 @@ class SpanDecoder:
 
 @dataclass(frozen=True)
 class SpanChunk:
-    """The spans of a chunk of sentences: the encoder rows ``[B, n, d]``,
-    padded to the longest sentence, the decoder's cross-attention keys and
-    values of them, the key mask ``[B, n]`` (True at real tokens), and one
-    span row per corrupted position: its sentence ``which``, its position
-    ``where``, and each sentence's ``seed``, which keys its sampled draws;
-    the mode and temperature are the ``decoder``'s.
+    """The spans of a chunk of sentences of ``n`` tokens each: the encoder
+    rows ``[B, n, d]``, the decoder's cross-attention keys and values of
+    them, and one span row per corrupted position: its sentence ``which``,
+    its position ``where``, and each sentence's ``seed``, which keys its
+    sampled draws; the mode and temperature are the ``decoder``'s.
 
     :meth:`token_ids` decodes every span of the chunk at once on its first
     call and keeps the result.  The decode thus runs inside the chunk's
@@ -205,7 +205,6 @@ class SpanChunk:
     decoder: SpanDecoder
     rows: Tensor
     memory: tuple[Tensor, Tensor]
-    key_mask: np.ndarray
     which: np.ndarray
     where: np.ndarray
     seeds: np.ndarray
@@ -219,7 +218,7 @@ class SpanChunk:
         if not self._token_ids:
             self._token_ids.update(zip(zip(self.which.tolist(), self.where.tolist()), self._decode()))
         if (sentence, position) not in self._token_ids:
-            n = int(self.key_mask[sentence].sum())
+            n = self.rows.data.shape[1]
             raise IndexError(f"position {position} of a sentence of {n} tokens was not encoded for decoding")
         return self._token_ids[sentence, position]
 
@@ -228,19 +227,19 @@ class SpanChunk:
         heads call per step over the live query rows ``[s, 1, d]``.
 
         Each row is a batch entry of its own and attends to its sentence's
-        keys and values, gathered by ``which``, under its sentence's key
-        mask, so a row's step depends only on its sentence, its position and
-        its own span.  Step 0's rows are the positions' start rows
-        (:func:`model.decoder_start`); a later step's row is the previous
-        token's row of the decoder's token-query table plus position row t,
-        the same elementwise sum the decoder takes for a prefix row.  Each
-        step picks every live row's token in one :func:`_pick`: greedy mode
-        takes the argmax and draws nothing; sample mode draws step t of the
-        span at position k with the uniform of :func:`rng.uniforms_at` under
-        its sentence's seed at counter ``(k + 1) * 2**32 + t``, the chunk's
-        uniforms in one call.  A span leaves the live set at [EOS]; one
-        still live after ``max_gen_len - 1`` tokens gets [EOS] forced, so
-        decoding always terminates.
+        keys and values, gathered by ``which``, so a row's step depends only
+        on its sentence, its position and its own span.  Step 0's rows are
+        the positions' start rows (:func:`model.decoder_start`); a later
+        step's row is the previous token's row of the decoder's token-query
+        table plus position row t, the same elementwise sum the decoder
+        takes for a prefix row.  Each step picks every live row's token in
+        one :func:`_pick`: greedy mode takes the argmax and draws nothing;
+        sample mode draws step t of the span at position k with the uniform
+        of :func:`rng.uniforms_at` under its sentence's seed at counter
+        ``(k + 1) * 2**32 + t``, the chunk's uniforms in one call.  A span
+        leaves the live set at [EOS]; one still live after
+        ``max_gen_len - 1`` tokens gets [EOS] forced, so decoding always
+        terminates.
         """
         decoder, which = self.decoder, self.which
         model, params = decoder.model, decoder.params
@@ -257,8 +256,7 @@ class SpanChunk:
         for t in range(steps):
             sentences = which[live]
             memory = (ad.rows(keys, sentences), ad.rows(values, sentences))
-            key_mask = self.key_mask[sentences]
-            hidden = decoder_hidden(query, [()] * live.size, memory, params, config, rows_map, key_mask)
+            hidden = decoder_hidden(query, [()] * live.size, memory, params, config, rows_map)
             _, _, p_gen = step_distributions(hidden, decoder.tables, model.special_mask)
             picks = _pick(p_gen[:, 0], decoder.temperature, None if u is None else u[live, t])
             for i, token in zip(live.tolist(), picks.tolist()):
@@ -329,13 +327,14 @@ class SpanRecord:
 
 def _chunks(sentences: Sequence[tuple]) -> Iterator[list[tuple]]:
     """Consecutive runs of ``sentences``, each an ``(index, tokens, plan,
-    seed)`` tuple, of at most :data:`CHUNK_ROWS` corrupted positions
-    together; a sentence with more forms a chunk alone."""
+    seed)`` tuple, stably sorted by token count: each run holds sentences of
+    one count and at most :data:`CHUNK_ROWS` corrupted positions together; a
+    sentence with more forms a chunk alone."""
     chunk: list[tuple] = []
     rows = 0
-    for sentence in sentences:
+    for sentence in sorted(sentences, key=lambda s: len(s[1])):
         m = sentence[2].corruption_count
-        if chunk and rows + m > CHUNK_ROWS:
+        if chunk and (rows + m > CHUNK_ROWS or len(sentence[1]) != len(chunk[0][1])):
             yield chunk
             chunk, rows = [], 0
         chunk.append(sentence)
@@ -359,22 +358,20 @@ def corrupt_corpus(
     ``seed`` and ``i``, its index within this call.  A sentence decodes the
     same spans whichever chunk it lands in: alone, in a leading shard
     (``texts[:k]``) or in the whole corpus.  Its plan and draws are keyed by
-    its seed, position and step alone, and each of its query rows is a batch
-    entry of its own.  A chunk pads its sentences to the longest; the padded
-    keys get exactly zero attention weight, but they change the order of a
-    few sums, so a probability may differ from the one decoded alone in its
-    last bits, and a token only if a draw or an argmax falls within that
-    rounding.  A later shard, whose indices restart at 0, draws other plans
-    and spans.  A text of more than ``max_len`` tokens, which the model
-    cannot encode, passes through tokenized and detokenized, with no plan
-    sampled and no span decoded.
+    its seed, position and step alone, each of its query rows is a batch
+    entry of its own, and a chunk holds sentences of one length, encoded
+    unpadded, so every step distribution is the same bits as decoded alone.
+    Outputs and records keep the input order.  A later shard, whose indices
+    restart at 0, draws other plans and spans.  A text of more than
+    ``max_len`` tokens, which the model cannot encode, passes through
+    tokenized and detokenized, with no plan sampled and no span decoded.
 
     Work is done once at the level where it stops changing: the check of
     ``mode`` and ``temperature``, the gradient-free parameters, the head
     tables and the token-query table once per call (:class:`SpanDecoder`);
     a plan per sentence; the encoder rows, the decoder's keys and values and
-    the sampled draws once per chunk of sentences holding at most
-    :data:`CHUNK_ROWS` corrupted positions (:meth:`SpanDecoder.encode`);
+    the sampled draws once per chunk of sentences of one length holding at
+    most :data:`CHUNK_ROWS` corrupted positions (:meth:`SpanDecoder.encode`);
     and the decoder block and the heads once per step of the chunk's
     longest span, over the live query rows of all its spans at once
     (:class:`SpanChunk`).
@@ -396,14 +393,14 @@ def corrupt_corpus(
             corrupted.append((idx, tokens, plan, sentence_seed))
         # a corrupted sentence's text is assembled once its chunk decodes
         outputs.append("" if plan.corruption_count else assemble(tokens, plan, []))
-    records: list[SpanRecord] = []
+    spans_of: dict[int, list[GeneratedSpan]] = {}
     for chunk in _chunks(corrupted):
         views = decoder.encode([([t.piece_id for t in tokens], plan.corrupted_positions, sentence_seed)
                                 for _, tokens, plan, sentence_seed in chunk])
         for (idx, tokens, plan, _), sentence in zip(chunk, views):
-            spans = [generate_span(sentence, k, tokens[k].surface) for k in plan.corrupted_positions]
-            outputs[idx] = assemble(tokens, plan, spans)
-            records.extend(SpanRecord(str(idx), span) for span in spans)
+            spans_of[idx] = [generate_span(sentence, k, tokens[k].surface) for k in plan.corrupted_positions]
+            outputs[idx] = assemble(tokens, plan, spans_of[idx])
+    records = [SpanRecord(str(idx), span) for idx, *_ in corrupted for span in spans_of[idx]]
     return outputs, records
 
 

@@ -21,7 +21,7 @@ position (:func:`decoder_start`) once per encoded chunk of sentences, and
 the head tables (:func:`head_tables`: the transposed word table, and the
 phoneme table gathered per piece) once per set of parameters.
 
-Every block function takes a padded batch (``[B, n, d]``).  Training
+Every block function takes a batch (``[B, n, d]``).  Training
 builds one graph per batch: the batch's distinct sentences are padded to the
 longest with id 0 and encoded together, each item's decoder queries are
 padded to the longest target, and every item cross-attends to its own
@@ -33,16 +33,17 @@ The loss is two engine ops over the teacher-forced steps: ``nll`` of the
 word head at the targets, plus ``lambda_ph`` times ``kl`` from the phoneme
 head to each supervised step's floored supervision distribution.
 
-Decoding encodes a chunk of sentences the same way, padded and masked.
-Since query rows never attend to each other, a step's row depends only on
-the previous token, the step and the sentence, and step 0 only on the
-sentence and the position.  So each span is one batch entry of its own: its
-query row ``[1, d]`` attends to its sentence's keys and values, gathered by
-sentence, under that sentence's key mask.  Step 0 runs the start rows of
-every corrupted position of the chunk through one :func:`decoder_hidden`
-call (``[S, 1, d]``, empty prefixes) and one :func:`step_distributions`
-call.  Each later step runs only what the newest token changes: the block's
-query side over the live rows, each the previous token's
+Decoding encodes a chunk of sentences of one length, unpadded and with no
+key mask.  Query rows never attend to each other, so a step's row depends
+only on the previous token, the step and the sentence, and step 0 only on
+the sentence and the position.  Each span is thus one batch entry of its
+own: its query row ``[1, d]`` attends to its sentence's keys and values,
+gathered by sentence, and a sentence decodes to the same bits alone, in a
+leading shard or in the whole corpus.  Step 0 runs every corrupted
+position's start row through one :func:`decoder_hidden` call
+(``[S, 1, d]``, empty prefixes) and one :func:`step_distributions` call.
+Each later step runs only what the newest token changes: the block's query
+side over the live rows, each the previous token's
 :func:`_token_embeddings` row plus a position row, and the two heads over
 their output.
 

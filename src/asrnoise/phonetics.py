@@ -287,14 +287,16 @@ def phoneme_edit_distance(cp: PhoneticCode, cq: PhoneticCode) -> float:
     return _edit_units(cp, cq) / 3.0
 
 
+def _code_similarity(cp: PhoneticCode, cq: PhoneticCode) -> float:
+    return max(float(len(cp)) - phoneme_edit_distance(cp, cq), 0.0)
+
+
 def phonetic_similarity(wp: str, wq: str, lexicon: PronouncingLexicon) -> float:
     """max(|C_p| - D(C_p, C_q), 0) for the codes of two surfaces.
 
     Normalized by the first argument's code length, so not symmetric.
     """
-    cp = g2p(wp, lexicon)
-    cq = g2p(wq, lexicon)
-    return max(float(len(cp)) - phoneme_edit_distance(cp, cq), 0.0)
+    return _code_similarity(g2p(wp, lexicon), g2p(wq, lexicon))
 
 
 def supervision_distribution(
@@ -309,7 +311,6 @@ def supervision_distribution(
     whole vocabulary.
     """
     ct = g2p(target, lexicon)
-    nt = float(len(ct))
     scores = np.zeros(len(vocab), dtype=np.float64)
     for i, surface in enumerate(vocab):
         if surface is None:
@@ -318,7 +319,7 @@ def supervision_distribution(
             cw = g2p(surface, lexicon)
         except EmptyWordError:
             continue
-        scores[i] = max(nt - phoneme_edit_distance(ct, cw), 0.0)
+        scores[i] = _code_similarity(ct, cw)
     total = scores.sum()
     if total <= 0.0:
         raise DegenerateSupportError(

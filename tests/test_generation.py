@@ -277,10 +277,12 @@ class TestWorkPerStep:
             rows[sentence] = rows.get(sentence, 0) + 1
             span_steps = min(r.span.m, model.config.max_gen_len - 1)
             steps_of[sentence] = max(steps_of.get(sentence, 0), span_steps)
-        # consecutive sentences of at most CHUNK_ROWS corrupted positions together
+        # sentences stably sorted by token count, a chunk of one count and
+        # at most CHUNK_ROWS corrupted positions together
+        count = {sentence: len(C.tokenize(texts[sentence], model.vocab)) for sentence in rows}
         chunks, size = [[]], 0
-        for sentence in sorted(rows):
-            if size + rows[sentence] > G.CHUNK_ROWS:
+        for sentence in sorted(rows, key=count.get):
+            if chunks[-1] and (size + rows[sentence] > G.CHUNK_ROWS or count[sentence] != count[chunks[-1][0]]):
                 chunks, size = chunks + [[]], 0
             chunks[-1].append(sentence)
             size += rows[sentence]
@@ -461,6 +463,13 @@ class TestFirstStepTable:
         with pytest.raises(IndexError, match="2 tokens"):
             _encode_text(model, "the cue", positions=positions)
 
+    def test_a_chunk_of_mixed_lengths_rejected(self, lexicon):
+        model = _toy_model(lexicon)
+        ids = [t.piece_id for t in C.tokenize("the cue gag", model.vocab)]
+        decoder = G.SpanDecoder.build(model, G.GREEDY, 1.0)
+        with pytest.raises(ValueError, match=r"lengths \[2, 3\]"):
+            decoder.encode([(ids, [0], 1), (ids[:2], [0], 2), (ids, [1], 3)])
+
     def test_a_span_needs_its_position_encoded(self, lexicon):
         model = _toy_model(lexicon)
         tokens, sentence = _encode_text(model, "the cue gag", positions=[0, 2])
@@ -577,6 +586,40 @@ def _decode_each_alone(texts, model, p_z, seed, mode, temperature):
     return outputs, records
 
 
+def _record_chunk_steps(monkeypatch):
+    """Record each encoded chunk: its sentence count, its spans as
+    ``(sentence seed, position)`` in row order, and the combined
+    distributions ``[s, V]`` of each of its decode steps."""
+    chunks = []
+    encode = G.SpanDecoder.encode
+
+    def recording_encode(decoder, sentences):
+        chunks.append((len(sentences), [(seed, k) for _, positions, seed in sentences for k in positions], []))
+        return encode(decoder, sentences)
+
+    def recording_steps(*args):
+        dists = M.step_distributions(*args)
+        chunks[-1][2].append(dists[2][:, 0])
+        return dists
+
+    monkeypatch.setattr(G.SpanDecoder, "encode", recording_encode)
+    monkeypatch.setattr(G, "step_distributions", recording_steps)
+    return chunks
+
+
+def _steps_by_span(chunks, records, seed, max_gen_len):
+    """Each span's step distributions ``[V]`` of :func:`_record_chunk_steps`,
+    keyed by its sentence index and position; ``records`` give the spans'
+    lengths."""
+    span_of = {(derive_seed(seed, int(r.sentence_id)), r.span.position): r for r in records}
+    out = {}
+    for _, keys, steps in chunks:
+        spans = [span_of[key] for key in keys]
+        for r, rows in zip(spans, _rows_per_span(steps, [r.span for r in spans], max_gen_len)):
+            out[r.sentence_id, r.span.position] = rows
+    return out
+
+
 # words of the shipped lexicon in any case, glued to punctuation and '#'
 _WORD = st.builds(
     lambda word, case: case(word),
@@ -651,24 +694,20 @@ class TestCorruptCorpus:
     def test_a_sentence_decodes_alike_in_any_chunk(self, small_corpus, small_model, monkeypatch, mode):
         # more than three chunks, with a one-token sentence, a line too long
         # to encode, a blank line and a sentence of more corrupted positions
-        # than one chunk holds
+        # than one chunk holds; every step distribution of every span is the
+        # same bits as the sentence decoded alone
         texts = [pair.gt for pair in small_corpus[40:80]]
         one_token = next(w for w in texts[0].split() if len(C.tokenize(w, small_model.vocab)) == 1)
         over_cap, over_long = " ".join(texts[:5]), " ".join(texts[:8])
         assert G.CHUNK_ROWS < len(C.tokenize(over_cap, small_model.vocab)) <= small_model.config.max_len
         assert len(C.tokenize(over_long, small_model.vocab)) > small_model.config.max_len
         texts[3:3] = [one_token, "", over_long, one_token, over_cap, one_token]
-        chunks = []
-        encode = G.SpanDecoder.encode
-
-        def recording(decoder, sentences):
-            chunks.append(sum(len(positions) for _, positions, _ in sentences) if len(sentences) > 1 else None)
-            return encode(decoder, sentences)
-
-        monkeypatch.setattr(G.SpanDecoder, "encode", recording)
+        chunks = _record_chunk_steps(monkeypatch)
         p_z, seed = 0.8, 31
         outputs, records = G.corrupt_corpus(texts, small_model, p_z, seed, mode)
-        assert len(chunks) > 3 and None in chunks and max(filter(None, chunks)) <= G.CHUNK_ROWS
+        together = _steps_by_span(chunks, records, seed, small_model.config.max_gen_len)
+        rows = [len(keys) for n, keys, _ in chunks if n > 1]
+        assert len(chunks) > 3 and len(rows) < len(chunks) and max(rows) <= G.CHUNK_ROWS
         spans_of = {}
         for r in records:
             spans_of.setdefault(int(r.sentence_id), []).append(r.span)
@@ -676,7 +715,14 @@ class TestCorruptCorpus:
         assert any(k in spans_of for k, text in enumerate(texts) if text == one_token)
         assert outputs[texts.index(over_long)] == C.detokenize(C.tokenize(over_long, small_model.vocab))
         assert outputs[texts.index("")] == "" and texts.index("") not in spans_of
+        chunks.clear()
         assert (outputs, records) == _decode_each_alone(texts, small_model, p_z, seed, mode, 1.0)
+        assert all(n == 1 for n, _, _ in chunks)
+        alone = _steps_by_span(chunks, records, seed, small_model.config.max_gen_len)
+        assert together.keys() == alone.keys() and len(together) == len(records)
+        for key, steps in together.items():
+            assert len(steps) == len(alone[key])
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(steps, alone[key]))
 
     @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
     def test_no_decoder_call_gets_more_rows_than_the_cap(self, lexicon, monkeypatch, mode):
