@@ -2,7 +2,8 @@
 
 Only the ops the sequence model runs: ``add`` and ``mul`` with
 broadcasting, ``transpose_axes``, the ``rows`` and ``select`` gathers,
-``concat``, the fused ``linear`` (``x @ w + b``), multi-head ``attention``,
+``concat``, the fused ``linear`` (``x @ w + b``), multi-head ``attention``
+(over a batch, or over packed rows grouped by a :class:`Grid`),
 ``layer_norm`` and ``gelu`` kernels, and the two loss terms: ``nll``, the
 summed negative log-softmax at each row's target, and ``kl``, the summed KL
 divergence from each row's softmax to a fixed distribution.
@@ -30,10 +31,12 @@ gradient, so only leaves keep their gradients and a second ``backward``
 over the same graph does nothing.
 
 No two tensors share a gradient array.  A closure that computes a fresh
-array stores it as is (``_own``).  Only pass-through gradients are copied
-(``_acc``): ``add``'s, ``transpose_axes``' and ``concat``'s, which are the
-closure's own output gradient or views of it, and a bias gradient that
-``_unbroadcast`` may return unchanged.  ``linear``'s weight gradient sums
+array stores it as is (``_own``).  ``add`` hands its own output gradient to
+its first parent that needs one, since :func:`backward` drops it right after,
+and a copy to the second.  The other pass-through gradients are copied
+(``_acc``): ``transpose_axes``' and ``concat``'s, which are views of the
+closure's own output gradient, and a bias gradient that ``_unbroadcast``
+may return unchanged.  ``linear``'s weight gradient sums
 2-D products over blocks of ``WEIGHT_GRAD_ROWS`` rows in a fixed order, so
 the order in which it adds rows does not depend on the BLAS thread count.
 """
@@ -98,10 +101,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise -------------------------------------------------------
 def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
+        # backward drops g once this closure has run, so the first parent
+        # may keep it; only a second parent needs a copy
+        store = _own
         if a.needs_grad:
-            _acc(a, _unbroadcast(g, a.data.shape))
+            _own(a, _unbroadcast(g, a.data.shape))
+            store = _acc
         if b.needs_grad:
-            _acc(b, _unbroadcast(g, b.data.shape))
+            store(b, _unbroadcast(g, b.data.shape))
 
     return _node(a.data + b.data, (a, b), bwd)
 
@@ -230,47 +237,100 @@ def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+class Grid:
+    """Where the rows of a packed array sit in a ``[groups, width]`` grid.
+
+    Row ``r`` belongs to group ``group[r]`` and takes the group's next free
+    slot in row order, so a group's rows fill its slots from 0 and ``width``
+    is the largest group's row count.  Each row has a cell of its own; the
+    other cells are empty.  :func:`attention` lays packed queries, keys and
+    values out this way.
+    """
+
+    __slots__ = ("slots", "cells", "shape")
+
+    def __init__(self, group, n_groups: int):
+        group = np.asarray(group, dtype=np.intp)
+        counts = np.bincount(group, minlength=n_groups)
+        order = np.argsort(group, kind="stable")
+        self.slots = np.empty_like(group)
+        self.slots[order] = np.arange(group.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        width = int(counts.max(initial=0))
+        #: each row's flat cell ``group * width + slot``
+        self.cells = group * width + self.slots
+        self.shape = (n_groups, width)
+
+    def place(self, packed: np.ndarray) -> np.ndarray:
+        """The rows of ``packed`` ``[rows, d]`` in their cells of a zero
+        ``[groups, width, d]`` grid."""
+        out = np.zeros((self.shape[0] * self.shape[1], packed.shape[-1]))
+        out[self.cells] = packed
+        return out.reshape(*self.shape, packed.shape[-1])
+
+    def take(self, grid: np.ndarray) -> np.ndarray:
+        """The rows ``[rows, d]`` of a ``[groups, width, d]`` grid's cells."""
+        return grid.reshape(-1, grid.shape[-1]).take(self.cells, axis=0)
+
+
 def attention(
     q: Tensor,
     k: Tensor,
     v: Tensor,
     n_heads: int,
-    key_mask: Optional[np.ndarray] = None,
+    grids: Optional[tuple[Grid, Grid]] = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention as one op.
 
-    Queries ``[B, n, d]`` attend over keys and values ``[B, m, d]``; each of
-    the ``n_heads`` heads takes ``d / n_heads`` consecutive features, and the
-    heads' outputs are merged back to ``[B, n, d]``.  ``key_mask``
-    (``[B, m]``, True at real keys) adds -inf to the scores of padded keys,
-    so they get exactly zero weight and zero gradient.
+    Queries ``[B, n, d]`` attend over keys and values ``[B, m, d]`` of their
+    batch entry; each of the ``n_heads`` heads takes ``d / n_heads``
+    consecutive features, and the heads' outputs are merged back to
+    ``[B, n, d]``.
+
+    With ``grids`` = ``(q_grid, kv_grid)`` the inputs are packed rows,
+    queries ``[Q, d]`` and keys and values ``[R, d]``: the op places them in
+    the cells of their :class:`Grid`, each query attends over the keys of
+    its own group, empty key cells get -inf scores and so exactly zero
+    weight, and the output ``[Q, d]`` and the input gradients are taken back
+    from the rows' cells.  A group that holds a query must hold a key.
     """
-    batch, n, d = q.data.shape
-    m = k.data.shape[1]
+    qd, kd, vd = q.data, k.data, v.data
+    if grids is not None:
+        q_grid, kv_grid = grids
+        qd, kd, vd = q_grid.place(qd), kv_grid.place(kd), kv_grid.place(vd)
+    batch, n, d = qd.shape
+    m = kd.shape[1]
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
-    qh = q.data.reshape(batch, n, n_heads, dh).transpose(0, 2, 1, 3)
-    kh = k.data.reshape(batch, m, n_heads, dh).transpose(0, 2, 1, 3)
-    vh = v.data.reshape(batch, m, n_heads, dh).transpose(0, 2, 1, 3)
+    qh = qd.reshape(batch, n, n_heads, dh).transpose(0, 2, 1, 3)
+    kh = kd.reshape(batch, m, n_heads, dh).transpose(0, 2, 1, 3)
+    vh = vd.reshape(batch, m, n_heads, dh).transpose(0, 2, 1, 3)
     scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-    if key_mask is not None:
-        scores = scores + np.where(key_mask, 0.0, -np.inf)[:, None, None, :]
+    if grids is not None:
+        bias = np.full(batch * m, -np.inf)
+        bias[kv_grid.cells] = 0.0
+        scores += bias.reshape(batch, 1, 1, m)
     p = softmax_array(scores)
     out = (p @ vh).transpose(0, 2, 1, 3).reshape(batch, n, d)
+    if grids is not None:
+        out = q_grid.take(out)
 
     def bwd(g):
+        if grids is not None:
+            g = q_grid.place(g)
         g_heads = g.reshape(batch, n, n_heads, dh).transpose(0, 2, 1, 3)
         if v.needs_grad:
-            g_vh = p.swapaxes(-1, -2) @ g_heads
-            _own(v, g_vh.transpose(0, 2, 1, 3).reshape(batch, m, d))
+            g_v = (p.swapaxes(-1, -2) @ g_heads).transpose(0, 2, 1, 3).reshape(batch, m, d)
+            _own(v, g_v if grids is None else kv_grid.take(g_v))
         if q.needs_grad or k.needs_grad:
             g_p = g_heads @ vh.swapaxes(-1, -2)
             g_scores = (p * (g_p - (g_p * p).sum(axis=-1, keepdims=True))) * scale
             if q.needs_grad:
-                _own(q, (g_scores @ kh).transpose(0, 2, 1, 3).reshape(batch, n, d))
+                g_q = (g_scores @ kh).transpose(0, 2, 1, 3).reshape(batch, n, d)
+                _own(q, g_q if grids is None else q_grid.take(g_q))
             if k.needs_grad:
                 g_kh = (qh.swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2)
-                _own(k, g_kh.transpose(0, 2, 1, 3).reshape(batch, m, d))
+                g_k = g_kh.transpose(0, 2, 1, 3).reshape(batch, m, d)
+                _own(k, g_k if grids is None else kv_grid.take(g_k))
 
     return _node(out, (q, k, v), bwd)
 

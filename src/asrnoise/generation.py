@@ -160,7 +160,7 @@ class SpanDecoder:
         """Encode a chunk of sentences of one length, each given as its piece
         ids, the positions whose spans to decode and the seed that keys their
         draws, and project the encoder rows to the decoder's keys and values.
-        The chunk is encoded in one call, with no padding and no key mask, so
+        The chunk is encoded in one call, with no padding and no grid, so
         a sentence's rows are the same bits in any chunk.  Returns each
         sentence's view of the chunk (:class:`SentenceSpans`).  Raises
         :class:`ValueError` if the sentences differ in length."""

@@ -21,20 +21,23 @@ position (:func:`decoder_start`) once per encoded chunk of sentences, and
 the head tables (:func:`head_tables`: the transposed word table, and the
 phoneme table gathered per piece) once per set of parameters.
 
-Every block function takes a batch (``[B, n, d]``).  Training
-builds one graph per batch: the batch's distinct sentences are padded to the
-longest with id 0 and encoded together, each item's decoder queries are
-padded to the longest target, and every item cross-attends to its own
-sentence's encoder rows.  A boolean key mask (``[B, n]``, True at real
-tokens) adds -inf to the attention scores of padded keys, so padding gets
-exactly zero weight.  Query rows never attend to each other, so padded query
-rows only compute values that are dropped before the vocabulary-wide heads.
-The loss is two engine ops over the teacher-forced steps: ``nll`` of the
-word head at the targets, plus ``lambda_ph`` times ``kl`` from the phoneme
-head to each supervised step's floored supervision distribution.
+Every block function takes either sentences of one length, one batch entry
+each (``[B, n, d]``), as decoding passes them, or packed rows with the
+``ad.Grid`` that groups them, as training passes them.  Training builds one
+graph per batch over its real rows alone: the batch's distinct sentences are
+embedded and encoded as one ``[R, d]`` matrix of their ``R`` tokens, the
+decoder's keys and values are projected once from those rows, and every
+item's teacher-forced steps are ``S`` decoder query rows ``[S, d]``, item
+by item.  Only ``ad.attention`` lays the rows out in a ``[sentences,
+longest]`` grid: each query attends over its own sentence's keys, and the
+empty cells get -inf scores, so exactly zero weight.  No padded row is
+projected, normalized, fed forward or scored by a head.  The loss is two
+engine ops over the ``S`` steps: ``nll`` of the word head at the targets,
+plus ``lambda_ph`` times ``kl`` from the phoneme head to each supervised
+step's floored supervision distribution.
 
-Decoding encodes a chunk of sentences of one length, unpadded and with no
-key mask.  Query rows never attend to each other, so a step's row depends
+Decoding encodes a chunk of sentences of one length, unpadded and without a
+grid.  Query rows never attend to each other, so a step's row depends
 only on the previous token, the step and the sentence, and step 0 only on
 the sentence and the position.  Each span is thus one batch entry of its
 own: its query row ``[1, d]`` attends to its sentence's keys and values,
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -290,19 +294,26 @@ def embed_sequence(
     params: dict[str, Tensor],
     config: ModelConfig,
     token_code_rows: np.ndarray,
+    grid: Optional[ad.Grid] = None,
 ) -> Tensor:
-    """Input embeddings ``[B, n, d]`` of padded ids ``[B, n]``: word/phoneme
-    convex mix plus position rows."""
+    """Input embeddings: word/phoneme convex mix plus position rows.
+
+    Ids ``[B, n]`` of sentences of one length give ``[B, n, d]``.  With
+    ``grid``, the ids are the packed tokens ``[R]`` of sentences of any
+    lengths, one group of ``grid`` per sentence, so each token's position is
+    its slot, and the result is ``[R, d]``.
+    """
     ids = np.asarray(token_ids, dtype=np.intp)
-    n = ids.shape[-1]
+    n = ids.shape[-1] if grid is None else grid.shape[1]
     if n > config.max_len:
         raise SequenceTooLongError(f"sequence of {n} tokens exceeds max_len={config.max_len}")
-    positions = ad.rows(params["m_pos"], np.arange(n))
+    positions = ad.rows(params["m_pos"], np.arange(n) if grid is None else grid.slots)
     return ad.add(_token_embeddings(ids, params, config, token_code_rows), positions)
 
 
 def _key_values(kv_in: Tensor, params: dict[str, Tensor], prefix: str) -> tuple[Tensor, Tensor]:
-    """The block's key and value projections of ``kv_in`` ``[B, m, d]``."""
+    """The block's key and value projections of ``kv_in`` (``[B, m, d]`` or
+    packed ``[R, d]``)."""
     return (
         ad.linear(kv_in, params[prefix + "wk"], params[prefix + "bk"]),
         ad.linear(kv_in, params[prefix + "wv"], params[prefix + "bv"]),
@@ -315,17 +326,17 @@ def _attention_ffn_block(
     params: dict[str, Tensor],
     prefix: str,
     config: ModelConfig,
-    key_mask: Optional[np.ndarray] = None,
+    grids: Optional[tuple[ad.Grid, ad.Grid]] = None,
 ) -> Tensor:
     """Post-layer-norm attention and feed-forward block.
 
     Queries ``[B, n, d]`` attend over ``memory``, the keys and values
-    ``[B, m, d]`` of :func:`_key_values`.  ``key_mask`` (``[B, m]``, True at
-    real keys) adds -inf to the scores of padded keys, so they get exactly
-    zero attention weight and zero gradient.
+    ``[B, m, d]`` of :func:`_key_values`.  With ``grids``, queries and
+    memory are packed rows that ``ad.attention`` groups by ``grids``;
+    everything else in the block is row-wise, so it sees only those rows.
     """
     q = ad.linear(q_in, params[prefix + "wq"], params[prefix + "bq"])
-    heads = ad.attention(q, *memory, config.n_heads, key_mask)
+    heads = ad.attention(q, *memory, config.n_heads, grids)
     attn = ad.linear(heads, params[prefix + "wo"], params[prefix + "bo"])
     h1 = ad.layer_norm(ad.add(q_in, attn), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     inner = ad.gelu(ad.linear(h1, params[prefix + "w1"], params[prefix + "b1"]))
@@ -337,35 +348,33 @@ def encode(
     e_in: Tensor,
     params: dict[str, Tensor],
     config: ModelConfig,
-    key_mask: Optional[np.ndarray] = None,
+    grid: Optional[ad.Grid] = None,
 ) -> Tensor:
-    """One self-attention block over ``[B, n, d]``; output rows align with
-    input rows.  Rows at positions ``key_mask`` marks as padding come out
-    finite but meaningless.
+    """One self-attention block; output rows align with input rows.
+
+    ``e_in`` is sentences of one length ``[B, n, d]``, or with ``grid`` the
+    packed rows ``[R, d]`` of sentences of any lengths, one group of
+    ``grid`` per sentence.  A packed row attends only over its own
+    sentence's rows, and the projections, layer norms and feed-forward run
+    on the ``R`` real rows alone.
     """
-    return _attention_ffn_block(e_in, _key_values(e_in, params, "enc_"), params, "enc_", config, key_mask)
-
-
-def _pad(sequences: Sequence[Sequence[int]]) -> np.ndarray:
-    """Ragged id lists as one ``[len(sequences), longest]`` array, padded with id 0."""
-    out = np.zeros((len(sequences), max(map(len, sequences), default=0)), dtype=np.intp)
-    for i, seq in enumerate(sequences):
-        out[i, : len(seq)] = seq
-    return out
+    grids = None if grid is None else (grid, grid)
+    return _attention_ffn_block(e_in, _key_values(e_in, params, "enc_"), params, "enc_", config, grids)
 
 
 def decoder_memory(e_encoder: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
     """The decoder's cross-attention keys and values of encoder rows
-    ``[B, n, d]``: fixed for a sentence, whatever its spans generate."""
+    (``[B, n, d]`` or packed ``[R, d]``): fixed for a sentence, whatever its
+    spans generate."""
     return _key_values(e_encoder, params, "dec_")
 
 
 def decoder_start(e_k: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """First query rows ``[B, n, d]`` of the spans at encoder rows ``e_k``
-    ``[B, n, d]``: each row beside the start embedding, through ``dec_h``,
+    """First query rows ``[..., d]`` of the spans at encoder rows ``e_k``
+    ``[..., d]``: each row beside the start embedding, through ``dec_h``,
     plus position 0; fixed for a span, whatever it generates.  Training
-    and decoding pass each span's corrupted row (``n`` = 1)."""
-    bos = ad.rows(params["bos_emb"], np.zeros(e_k.data.shape[:2], dtype=np.intp))
+    passes each span's corrupted row ``[N, d]``, decoding ``[N, 1, d]``."""
+    bos = ad.rows(params["bos_emb"], np.zeros(e_k.data.shape[:-1], dtype=np.intp))
     return ad.linear(ad.concat([e_k, bos], axis=-1), params["dec_h"], ad.rows(params["m_pos"], [0]))
 
 
@@ -376,32 +385,54 @@ def decoder_hidden(
     params: dict[str, Tensor],
     config: ModelConfig,
     token_code_rows: np.ndarray,
-    key_mask: Optional[np.ndarray] = None,
+    grids: Optional[tuple[ad.Grid, ad.Grid]] = None,
 ) -> Tensor:
-    """Hidden states ``[B, 1 + longest prefix, d]`` for every query position
-    (no cross-position mixing).
+    """Hidden states of every query row of ``len(generated_ids)`` spans (no
+    cross-position mixing).
 
-    ``start`` is :func:`decoder_start` ``[B, 1, d]``, ``generated_ids``
-    holds ``B`` prefixes of any lengths (padded to the longest, so rows past
-    a prefix's end are meaningless), and ``memory`` is
-    :func:`decoder_memory` of ``[B, n, d]`` encoder rows with ``key_mask``
-    ``[B, n]``.  A prefix row is the token's :func:`_token_embeddings` row
-    plus its position row, and that sum passed as ``start`` with an empty
-    prefix, as decoding passes each live span's row, gives the same row up
-    to the last bits of the block's products.
+    A span's query rows are its start row, from :func:`decoder_start`, and
+    one row per token of its prefix in ``generated_ids``: the token's
+    :func:`_token_embeddings` row plus its position row.  That sum passed
+    as ``start`` with an empty prefix, as decoding passes each live span's
+    row, gives the same row up to the last bits of the block's products.
+
+    Without ``grids``, ``start`` is ``[B, 1, d]``, the ``B`` prefixes have
+    one length ``t``, ``memory`` is :func:`decoder_memory` of ``[B, n, d]``
+    encoder rows, one batch entry per span, and the result is
+    ``[B, 1 + t, d]``.  With ``grids`` = ``(step_grid, sentence_grid)``,
+    ``start`` is ``[N, d]``, the prefixes have any lengths, ``memory`` is
+    :func:`decoder_memory` of the packed encoder rows that
+    ``sentence_grid`` groups by sentence, and the result is the packed
+    query rows ``[S, d]``, span by span, each span's start row first.
+    ``step_grid`` places those ``S`` rows in their span's sentence group,
+    so each attends over its own sentence's keys and values.
     """
-    ids = _pad(generated_ids)
-    n_prev = ids.shape[1]
+    lengths = [len(prefix) for prefix in generated_ids]
+    n_prev = max(lengths, default=0)
     if 1 + n_prev > config.max_gen_len:
         raise PrefixTooLongError(
             f"prefix of {1 + n_prev} positions exceeds max_gen_len={config.max_gen_len}"
         )
     queries = start
-    if n_prev:
-        tok = _token_embeddings(ids, params, config, token_code_rows)
-        tok = ad.add(tok, ad.rows(params["m_pos"], np.arange(1, n_prev + 1)))
-        queries = ad.concat([start, tok], axis=-2)
-    return _attention_ffn_block(queries, memory, params, "dec_", config, key_mask)
+    if grids is None:
+        if n_prev:
+            ids = np.asarray(generated_ids, dtype=np.intp)
+            tok = _token_embeddings(ids, params, config, token_code_rows)
+            tok = ad.add(tok, ad.rows(params["m_pos"], np.arange(1, n_prev + 1)))
+            queries = ad.concat([start, tok], axis=-2)
+    elif n_prev:
+        ids = np.fromiter(chain.from_iterable(generated_ids), dtype=np.intp, count=sum(lengths))
+        positions = np.concatenate([np.arange(1, n + 1) for n in lengths])
+        tok = ad.add(_token_embeddings(ids, params, config, token_code_rows), ad.rows(params["m_pos"], positions))
+        # span by span: rows 0 .. N - 1 of the concat are the start rows, the rest the prefix rows
+        steps = np.asarray(lengths) + 1
+        is_start = np.zeros(steps.sum(), dtype=bool)
+        is_start[np.cumsum(steps) - steps] = True
+        order = np.empty(is_start.size, dtype=np.intp)
+        order[is_start] = np.arange(steps.size)
+        order[~is_start] = np.arange(steps.size, is_start.size)
+        queries = ad.rows(ad.concat([start, tok], axis=0), order)
+    return _attention_ffn_block(queries, memory, params, "dec_", config, grids)
 
 
 #: The ``linear`` weight ``[d, V]`` and bias ``[V]`` of each head: the word
@@ -496,12 +527,15 @@ def _loss_graph(
     lexicon: PronouncingLexicon,
     needs_grad: bool = True,
 ) -> LossGraph:
-    """Build one padded, masked graph for the whole batch.
+    """Build one graph for the whole batch over its real rows alone.
 
-    The batch's distinct sentences are encoded together, padded to the
-    longest; every item's decoder queries run together, padded to the
-    longest target, over its sentence's encoder rows.  Padded query rows are
-    dropped before the heads, so each teacher-forced step is one logits row.
+    The batch's distinct sentences are embedded and encoded as one packed
+    matrix of their ``R`` tokens, and the decoder's keys and values are
+    projected once from those rows.  The decoder runs the ``S`` teacher-forced
+    steps of every item, item by item, each over its own sentence's keys and
+    values, and each step's row is one logits row.  Only ``ad.attention``
+    sees the sentences as a grid (:class:`ad.Grid`); every projection, layer
+    norm, feed-forward and head computes ``R`` or ``S`` rows, none padded.
     Without ``needs_grad`` only the values are computed and no graph is kept.
     """
     if not batch:
@@ -514,20 +548,21 @@ def _loss_graph(
     keys = [tuple(t.piece_id for t in example.sentence) for example in batch]
     sentences = list(dict.fromkeys(keys))
     slot = {sentence: i for i, sentence in enumerate(sentences)}
-    ids = _pad(sentences)
-    is_token = np.arange(ids.shape[1]) < np.asarray([len(s) for s in sentences])[:, None]
-    e_enc = encode(embed_sequence(ids, params, config, rows_map), params, config, is_token)
+    lengths = np.asarray([len(s) for s in sentences], dtype=np.intp)
+    tokens = ad.Grid(np.repeat(np.arange(len(sentences)), lengths), len(sentences))
+    ids = np.fromiter(chain.from_iterable(sentences), dtype=np.intp, count=int(lengths.sum()))
+    e_enc = encode(embed_sequence(ids, params, config, rows_map, tokens), params, config, tokens)
 
     which = np.asarray([slot[key] for key in keys], dtype=np.intp)
     where = np.asarray([example.position for example in batch], dtype=np.intp)
-    start = decoder_start(ad.select(e_enc, which[:, None], where[:, None]), params)
-    memory = decoder_memory(ad.rows(e_enc, which), params)
+    start = decoder_start(ad.rows(e_enc, (np.cumsum(lengths) - lengths)[which] + where), params)
     targets = [example.target_ids for example in batch]
-    hidden = decoder_hidden(start, [t[:-1] for t in targets], memory, params, config, rows_map, is_token[which])
-    step_item = np.repeat(np.arange(len(batch)), [len(t) for t in targets])
-    step_pos = np.concatenate([np.arange(len(t)) for t in targets])
+    steps = ad.Grid(np.repeat(which, [len(t) for t in targets]), len(sentences))
+    hidden = decoder_hidden(
+        start, [t[:-1] for t in targets], decoder_memory(e_enc, params), params, config, rows_map, (steps, tokens)
+    )
     tables = head_tables(params, config, rows_map)
-    logits_n, logits_ph = _head_logits(ad.select(hidden, step_item, step_pos), tables)
+    logits_n, logits_ph = _head_logits(hidden, tables)
     target_ids = np.concatenate(targets).astype(np.intp)
     l_n = ad.nll(logits_n, target_ids)
 

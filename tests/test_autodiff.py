@@ -224,14 +224,16 @@ class TestBackwardMechanics:
         "build, a_shape",
         [
             (lambda a, b: ad.add(ad.add(a, b), a), (2, 3)),
+            (lambda a, b: ad.add(ad.add(a, a), b), (2, 3)),
             (lambda a, b: ad.add(ad.add(ad.transpose_axes(a, (1, 0)), b), ad.transpose_axes(a, (1, 0))), (3, 2)),
             (lambda a, b: ad.concat([ad.add(a, b), a], axis=0), (2, 3)),
         ],
-        ids=["add", "transpose_axes", "concat"],
+        ids=["add", "add_self", "transpose_axes", "concat"],
     )
     def test_pass_through_gradients_are_not_aliased(self, build, a_shape):
-        # these ops hand on (views of) their own output gradient, so each
-        # parent stores a copy: no leaf's accumulation writes into another's
+        # these ops hand on (views of) their own output gradient: add's first
+        # parent keeps it and every other parent stores a copy, so no leaf's
+        # accumulation writes into another's
         a, b = ad.Tensor(np.zeros(a_shape)), ad.Tensor(np.zeros((2, 3)))
         ad.backward(sum_(build(a, b)))
         assert np.array_equal(b.grad, np.ones((2, 3)))
@@ -309,8 +311,31 @@ class TestNeedsGrad:
         assert q.grad is not None and k.grad is None and v.grad is None
 
 
-def composed_attention(q, k, v, n_heads, key_mask=None):
-    """Multi-head attention from the engine's elementary ops."""
+def _composed_place(x, grid):
+    """Packed rows ``[r, d]`` gathered into ``grid``'s ``[groups, width, d]``
+    cells; an empty cell gathers a constant zero row."""
+    r, d = x.data.shape
+    index = np.full(grid.shape[0] * grid.shape[1], r)
+    index[grid.cells] = np.arange(r)
+    padded = ad.concat([x, ad.Tensor(np.zeros((1, d)), needs_grad=False)], axis=0)
+    return ad.rows(padded, index.reshape(grid.shape))
+
+
+def composed_attention(q, k, v, n_heads, grids=None):
+    """Multi-head attention from the engine's elementary ops; with ``grids``,
+    packed rows gathered into grids, the empty key cells masked, and the
+    output rows gathered back from the query cells."""
+    if grids is not None:
+        q_grid, kv_grid = grids
+        key_mask = np.zeros(kv_grid.shape[0] * kv_grid.shape[1], dtype=bool)
+        key_mask[kv_grid.cells] = True
+        grid_q, grid_k, grid_v = _composed_place(q, q_grid), _composed_place(k, kv_grid), _composed_place(v, kv_grid)
+        out = _composed_grid_attention(grid_q, grid_k, grid_v, n_heads, key_mask.reshape(kv_grid.shape))
+        return ad.rows(reshape(out, (-1, q.data.shape[-1])), q_grid.cells)
+    return _composed_grid_attention(q, k, v, n_heads)
+
+
+def _composed_grid_attention(q, k, v, n_heads, key_mask=None):
     batch, n, d = q.data.shape
     dh = d // n_heads
 
@@ -359,14 +384,20 @@ class TestFusedKernels:
     @pytest.mark.parametrize("n, m", [(3, 5), (1, 5), (3, 1), (1, 1)])
     def test_attention_equals_composed_ops_bit_for_bit(self, n_heads, n, m):
         rng = np.random.default_rng(n_heads)
-        keep = np.arange(m) < np.array([[max(1, m - 2)], [m]])
-        for key_mask in (None, keep):
-            arrays = [rng.normal(size=s) for s in ((2, n, 8), (2, m, 8), (2, m, 8))]
-            g = ad.Tensor(rng.normal(size=(2, n, 8)), needs_grad=False)
+        # packed: group 0 has n queries over max(1, m - 2) keys, group 1 one query over m keys
+        kv_sizes = [max(1, m - 2), m]
+        packed = (ad.Grid(np.repeat([0, 1], [n, 1]), 2), ad.Grid(np.repeat([0, 1], kv_sizes), 2))
+        for grids in (None, packed):
+            if grids is None:
+                shapes = ((2, n, 8), (2, m, 8), (2, m, 8))
+            else:
+                shapes = ((n + 1, 8), (sum(kv_sizes), 8), (sum(kv_sizes), 8))
+            arrays = [rng.normal(size=s) for s in shapes]
+            g = ad.Tensor(rng.normal(size=shapes[0]), needs_grad=False)
             fused = [ad.Tensor(a) for a in arrays]
             composed = [ad.Tensor(a) for a in arrays]
-            out_f = ad.attention(*fused, n_heads, key_mask)
-            out_c = composed_attention(*composed, n_heads, key_mask)
+            out_f = ad.attention(*fused, n_heads, grids)
+            out_c = composed_attention(*composed, n_heads, grids)
             assert np.array_equal(out_f.data, out_c.data)
             ad.backward(sum_(ad.mul(out_f, g)))
             ad.backward(sum_(ad.mul(out_c, g)))
@@ -374,24 +405,29 @@ class TestFusedKernels:
                 assert np.array_equal(f.grad, c.grad)
 
     def test_masked_attention_gradient_and_padded_keys(self):
-        keep = np.array([[True, True, False, True], [True, False, False, False]])
+        # packed rows in a [3, 4] key grid: groups of 3, 1 and 4 keys, so
+        # the first two groups' rows are padded with masked empty cells
+        q_group, kv_group = np.array([1, 0, 2, 0, 1, 2, 0]), np.repeat([0, 1, 2], [3, 1, 4])
+        grids = (ad.Grid(q_group, 3), ad.Grid(kv_group, 3))
+        assert grids[1].shape == (3, 4)
         check_op(
-            lambda q, k, v, w: ad.mul(ad.attention(q, k, v, 2, keep), w),
-            (2, 3, 4), (2, 4, 4), (2, 4, 4), (2, 3, 4),
+            lambda q, k, v, w: ad.mul(ad.attention(q, k, v, 2, grids), w),
+            (7, 4), (8, 4), (8, 4), (7, 4),
         )
         rng = np.random.default_rng(9)
-        q, k, v = (ad.Tensor(rng.normal(size=s)) for s in ((2, 3, 4), (2, 4, 4), (2, 4, 4)))
-        out = ad.attention(q, k, v, 2, keep)
-        # padded keys get exactly zero weight: changing them changes nothing
-        moved_k, moved_v = k.data.copy(), v.data.copy()
-        moved_k[~keep] += 100.0
-        moved_v[~keep] -= 100.0
-        moved = ad.attention(ad.Tensor(q.data), ad.Tensor(moved_k), ad.Tensor(moved_v), 2, keep)
-        assert np.array_equal(out.data, moved.data)
-        # ... and exactly zero gradient
-        ad.backward(sum_(ad.mul(out, ad.Tensor(rng.normal(size=(2, 3, 4)), needs_grad=False))))
-        assert np.all(k.grad[~keep] == 0.0) and np.all(v.grad[~keep] == 0.0)
-        assert np.any(k.grad != 0.0) and np.all(np.isfinite(q.grad))
+        q, k, v = (ad.Tensor(rng.normal(size=s)) for s in ((7, 4), (8, 4), (8, 4)))
+        out = ad.attention(q, k, v, 2, grids)
+        g = rng.normal(size=(7, 4))
+        ad.backward(sum_(ad.mul(out, ad.Tensor(g, needs_grad=False))))
+        # each query attends over its own group's keys alone, as one batch entry
+        for group in range(3):
+            mine, keys = q_group == group, kv_group == group
+            alone = [ad.Tensor(x.data[sel][None]) for x, sel in ((q, mine), (k, keys), (v, keys))]
+            dense = ad.attention(*alone, 2)
+            np.testing.assert_allclose(out.data[mine], dense.data[0], rtol=0, atol=1e-12)
+            ad.backward(sum_(ad.mul(dense, ad.Tensor(g[mine][None], needs_grad=False))))
+            for packed, (single, sel) in zip((q, k, v), zip(alone, (mine, keys, keys))):
+                np.testing.assert_allclose(packed.grad[sel], single.grad[0], rtol=0, atol=1e-12)
 
     def test_layer_norm_means_match_numpy_mean(self):
         rng = np.random.default_rng(10)

@@ -132,14 +132,14 @@ class TestEncode:
         np.testing.assert_allclose(out.data[0], block_forward_mp(x, x, w, n_heads=2), atol=1e-12)
 
 
-def _composed_block(q_in, kv_in, params, prefix, n_heads, key_mask=None):
+def _composed_block(q_in, kv_in, params, prefix, n_heads, grids=None):
     """The attention and feed-forward block from the engine's elementary ops."""
 
     def dense(x, name):
         return ad.add(matmul(x, params[prefix + "w" + name]), params[prefix + "b" + name])
 
     q, k, v = dense(q_in, "q"), dense(kv_in, "k"), dense(kv_in, "v")
-    attn = dense(composed_attention(q, k, v, n_heads, key_mask), "o")
+    attn = dense(composed_attention(q, k, v, n_heads, grids), "o")
     h1 = ad.layer_norm(ad.add(q_in, attn), params[prefix + "ln1_g"], params[prefix + "ln1_b"])
     ffn = dense(ad.gelu(dense(h1, "1")), "2")
     return ad.layer_norm(ad.add(h1, ffn), params[prefix + "ln2_g"], params[prefix + "ln2_b"])
@@ -151,14 +151,18 @@ class TestFusedBlock:
         d = 8
         w, rng = _fixture_weights(d, seed=n_heads)
         config = M.ModelConfig(d_model=d, n_heads=n_heads)
-        keep = np.array([[True, True, True, True, False], [True, True, True, True, True]])
-        for key_mask in (None, keep):
-            q, kv = rng.normal(size=(2, 3, d)), rng.normal(size=(2, 5, d))
-            g = Tensor(rng.normal(size=(2, 3, d)), needs_grad=False)
+        # packed: 3 queries over 4 keys and 2 queries over 5 keys
+        packed = (ad.Grid([0, 0, 0, 1, 1], 2), ad.Grid(np.repeat([0, 1], [4, 5]), 2))
+        for grids in (None, packed):
+            if grids is None:
+                q, kv = rng.normal(size=(2, 3, d)), rng.normal(size=(2, 5, d))
+            else:
+                q, kv = rng.normal(size=(5, d)), rng.normal(size=(9, d))
+            g = Tensor(rng.normal(size=q.shape), needs_grad=False)
             runs = []
             for block in (
-                lambda q_in, kv_in, p: M._attention_ffn_block(q_in, M.decoder_memory(kv_in, p), p, "dec_", config, key_mask),
-                lambda *a: _composed_block(*a, "dec_", n_heads, key_mask),
+                lambda q_in, kv_in, p: M._attention_ffn_block(q_in, M.decoder_memory(kv_in, p), p, "dec_", config, grids),
+                lambda *a: _composed_block(*a, "dec_", n_heads, grids),
             ):
                 inputs = [Tensor(q), Tensor(kv), _as_params(w, "dec_")]
                 out = block(*inputs)
@@ -362,6 +366,58 @@ class TestBatchedLossGraph:
         extra_tot = float(M.loss_total([extra], model, lexicon)[0].data)
         assert float(grown.l_tot.data) == pytest.approx(float(alone.l_tot.data) + extra_tot, rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["one_token_sentence", "shared_sentence", "one_item", "max_len_sentence"])
+    def test_packing_edge_cases_match_item_references(self, lexicon, case):
+        model = _toy_model(lexicon)
+        mid = ["the", "cue", "gag"]
+        longest = (["meat", "sue", "queue", "the"] * 4)[: model.config.max_len]
+        batch = {
+            "one_token_sentence": [
+                _item(model, "one", ["gag"], 0, ["the", "cue"]),
+                _item(model, "mid", mid, 1, ["sue"]),
+                _item(model, "one", ["gag"], 0, []),
+            ],
+            "shared_sentence": [
+                _item(model, "mid", mid, 0, ["queue", "meat"]),
+                _item(model, "mid", mid, 1, []),
+                _item(model, "mid", mid, 2, ["sue", "the", "meet", "gag"]),
+            ],
+            "one_item": [_item(model, "mid", mid, 2, ["meet", "sue"])],
+            "max_len_sentence": [
+                _item(model, "short", ["meat", "sue"], 1, ["cue"]),
+                _item(model, "longest", longest, model.config.max_len - 1, ["gag", "the"]),
+                _item(model, "longest", longest, 0, []),
+            ],
+        }[case]
+        l_tot, l_n, l_ph = M.loss_total(batch, model, lexicon)
+        refs = np.array([loss_reference(model, x, lexicon) for x in batch]).sum(axis=0)
+        assert float(l_n.data) == pytest.approx(refs[0], rel=1e-10)
+        assert float(l_ph.data) == pytest.approx(refs[1], rel=1e-10)
+        assert float(l_tot.data) == pytest.approx(refs[2], rel=1e-10)
+        batched, _ = M.backward_and_check(model, batch, lexicon)
+        for name in batched:
+            summed = sum(M.backward_and_check(model, [x], lexicon)[0][name] for x in batch)
+            np.testing.assert_allclose(batched[name], summed, rtol=0, atol=1e-12)
+
+    def test_row_wise_kernels_see_only_real_rows(self, lexicon, monkeypatch):
+        # every projection, layer norm and feed-forward runs on the batch's
+        # real encoder tokens and real decoder steps alone, none padded
+        model = _toy_model(lexicon)
+        batch = _mixed_batch(model)
+        tokens = sum(len(s) for s in {tuple(t.piece_id for t in x.sentence) for x in batch})
+        steps = sum(len(x.target_ids) for x in batch)
+        seen = {"linear": [], "layer_norm": [], "gelu": []}
+        for name, rows in seen.items():
+            def counting(*args, _op=getattr(ad, name), _rows=rows):
+                _rows.append(args[0].data[..., 0].size)
+                return _op(*args)
+            monkeypatch.setattr(ad, name, counting)
+        M._loss_graph(batch, model, lexicon)
+        assert sorted(seen["gelu"]) == sorted([tokens, steps])
+        assert sorted(seen["layer_norm"]) == sorted([tokens, tokens, steps, steps])
+        # the decoder's start projection runs once per item
+        assert set(seen["linear"]) == {tokens, steps, len(batch)}
+
     def test_ablated_model_matches_item_references(self, lexicon):
         model = _toy_model(lexicon, phoneme_head=False)
         batch = _mixed_batch(model)
@@ -378,19 +434,27 @@ class TestBatchedLossGraph:
         sentences = [[3, 5, 8, 9], [6, 4]]
         positions = [2, 1]
         prefixes = [[5, 6, 7], []]
-        ids = M._pad(sentences)
-        real = np.array([[True, True, True, True], [True, True, False, False]])
-        e_enc = M.encode(M.embed_sequence(ids, params, config, rows_map), params, config, real)
-        start = M.decoder_start(ad.select(e_enc, np.array([[0], [1]]), np.array(positions)[:, None]), params)
-        hidden = M.decoder_hidden(start, prefixes, M.decoder_memory(e_enc, params), params, config, rows_map, real)
-        for b, (sentence, k, prefix) in enumerate(zip(sentences, positions, prefixes)):
+        tokens = ad.Grid([0, 0, 0, 0, 1, 1], 2)
+        steps = ad.Grid([0, 0, 0, 0, 1], 2)
+        ids = np.concatenate(sentences)
+        e_enc = M.encode(M.embed_sequence(ids, params, config, rows_map, tokens), params, config, tokens)
+        start = M.decoder_start(ad.rows(e_enc, [2, 4 + 1]), params)
+        hidden = M.decoder_hidden(
+            start, prefixes, M.decoder_memory(e_enc, params), params, config, rows_map, (steps, tokens)
+        )
+        assert e_enc.data.shape == (6, config.d_model) and hidden.data.shape == (5, config.d_model)
+        first_token, first_step = 0, 0
+        for sentence, k, prefix in zip(sentences, positions, prefixes):
             single_enc = M.encode(M.embed_sequence([sentence], params, config, rows_map), params, config)
-            np.testing.assert_allclose(e_enc.data[b, : len(sentence)], single_enc.data[0], rtol=0, atol=1e-12)
+            mine = e_enc.data[first_token : first_token + len(sentence)]
+            np.testing.assert_allclose(mine, single_enc.data[0], rtol=0, atol=1e-12)
             single = M.decoder_hidden(
                 M.decoder_start(ad.select(single_enc, [[0]], [[k]]), params), [prefix],
                 M.decoder_memory(single_enc, params), params, config, rows_map,
             )
-            np.testing.assert_allclose(hidden.data[b, : 1 + len(prefix)], single.data[0], rtol=0, atol=1e-12)
+            mine = hidden.data[first_step : first_step + 1 + len(prefix)]
+            np.testing.assert_allclose(mine, single.data[0], rtol=0, atol=1e-12)
+            first_token, first_step = first_token + len(sentence), first_step + 1 + len(prefix)
 
     def test_empty_batch_rejected(self, lexicon):
         model = _toy_model(lexicon)
