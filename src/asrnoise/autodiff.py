@@ -7,7 +7,7 @@ broadcasting, ``transpose_axes``, the ``rows`` and ``select`` gathers,
 ``layer_norm`` and ``gelu`` kernels, and the two loss terms: ``nll``, the
 summed negative log-softmax at each row's target, and ``kl``, the summed KL
 divergence from each row's softmax to a fixed distribution.
-``softmax_array`` is the plain numpy softmax the heads and kernels share.
+``softmax_in_place`` is the plain numpy softmax the heads and kernels share.
 The composed ops the kernels and losses are checked against live in the
 test oracles, since no model code runs them.  Gradients accumulate into
 ``Tensor.grad`` after calling :func:`backward` on a scalar result.  A leaf
@@ -30,13 +30,14 @@ closure it drops the closure, the node's parents and the node's own
 gradient, so only leaves keep their gradients and a second ``backward``
 over the same graph does nothing.
 
-No two tensors share a gradient array.  A closure that computes a fresh
-array stores it as is (``_own``).  ``add`` hands its own output gradient to
-its first parent that needs one, since :func:`backward` drops it right after,
-and a copy to the second.  The other pass-through gradients are copied
-(``_acc``): ``transpose_axes``' and ``concat``'s, which are views of the
-closure's own output gradient, and a bias gradient that ``_unbroadcast``
-may return unchanged.  ``linear``'s weight gradient sums
+No two tensors' gradients share memory.  A closure that computes a fresh
+array stores it as is (``_own``).  Pass-through gradients are handed on
+without a copy where nothing else holds them, since :func:`backward` drops
+a node's output gradient right after its closure: ``add`` hands it to its
+first parent that needs one, ``transpose_axes`` a transposed view of it,
+and ``concat`` each parent its own disjoint slice.  Only ``add``'s second
+parent and a bias gradient that ``_unbroadcast`` may return unchanged get
+a copy (``_acc``).  ``linear``'s weight gradient sums
 2-D products over blocks of ``WEIGHT_GRAD_ROWS`` rows in a fixed order, so
 the order in which it adds rows does not depend on the BLAS thread count.
 """
@@ -81,7 +82,7 @@ def _acc(t: Tensor, g: np.ndarray) -> None:
 
 
 def _own(t: Tensor, g: np.ndarray) -> None:
-    """Accumulate a fresh gradient that nothing else holds, without copying."""
+    """Accumulate a gradient that nothing else holds, without copying."""
     if t.grad is None:
         t.grad = g
     else:
@@ -171,7 +172,8 @@ def transpose_axes(a: Tensor, axes: Sequence[int]) -> Tensor:
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def bwd(g):
-        _acc(a, g.transpose(inverse))
+        # a view of g, which backward drops once this closure has run
+        _own(a, g.transpose(inverse))
 
     return _node(a.data.transpose(axes), (a,), bwd)
 
@@ -224,17 +226,22 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             if t.needs_grad:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(offset, offset + size)
-                _acc(t, g[tuple(index)])
+                # disjoint views of g, which backward drops once this closure has run
+                _own(t, g[tuple(index)])
             offset += size
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, bwd)
 
 
 # fused nonlinearities ----------------------------------------------
-def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax of a plain array along ``axis``."""
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax_in_place(x: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax over the last axis of ``x``, computed in
+    ``x``'s own memory and returned: the same operations, so the same bits,
+    as a fresh array per step."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 class Grid:
@@ -309,7 +316,7 @@ def attention(
         bias = np.full(batch * m, -np.inf)
         bias[kv_grid.cells] = 0.0
         scores += bias.reshape(batch, 1, 1, m)
-    p = softmax_array(scores)
+    p = softmax_in_place(scores)
     out = (p @ vh).transpose(0, 2, 1, 3).reshape(batch, n, d)
     if grids is not None:
         out = q_grid.take(out)

@@ -93,6 +93,8 @@ class SubwordVocab:
         self.eos_id = self.piece_to_id[EOS]
         self.unk_id = self.piece_to_id[UNK]
         self._max_piece_len = max((len(s) for s in (*self._initial, *self._continuation)), default=1)
+        # tokenize_word's memo: the tables above never change, nor a word's segmentation
+        self._segments: dict[str, tuple[Token, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -208,12 +210,16 @@ def _merge_pair(seq: list[str], left: str, right: str, merged: str) -> list[str]
     return out
 
 
-def tokenize_word(word: str, vocab: SubwordVocab) -> list[Token]:
-    """Greedy longest-match segmentation of one normalized word.
+def tokenize_word(word: str, vocab: SubwordVocab) -> tuple[Token, ...]:
+    """Greedy longest-match segmentation of one normalized word, computed
+    once per word and vocabulary and kept in the vocabulary.
 
     A character no piece covers becomes one ``[UNK]`` token whose surface is
     the character itself (``##``-prefixed when it continues the word).
     """
+    memo = vocab._segments.get(word)
+    if memo is not None:
+        return memo
     tokens: list[Token] = []
     pos = 0
     n = len(word)
@@ -240,7 +246,8 @@ def tokenize_word(word: str, vocab: SubwordVocab) -> list[Token]:
             surface = CONTINUATION_PREFIX + surface
         tokens.append(Token(match_id, surface))
         pos += match_len
-    return tokens
+    vocab._segments[word] = segments = tuple(tokens)
+    return segments
 
 
 def tokenize(text: str, vocab: SubwordVocab) -> TokenSeq:
@@ -438,25 +445,17 @@ def build_training_items(
     """
     if max_target_len < 1:
         raise ValueError("max_target_len must be at least 1")
-    pieces: dict[str, list[Token]] = {}  # each distinct word is tokenized once
-
-    def word_pieces(word: str) -> list[Token]:
-        toks = pieces.get(word)
-        if toks is None:
-            toks = pieces[word] = tokenize_word(word, vocab)
-        return toks
-
     items: list[AlignedExample] = []
     for pair_idx, entries in enumerate(alignments):
         sid = sentence_ids[pair_idx] if sentence_ids is not None else str(pair_idx)
-        word_tokens = [word_pieces(e.gt_word) for e in entries]
+        word_tokens = [tokenize_word(e.gt_word, vocab) for e in entries]
         sentence = tuple(t for toks in word_tokens for t in toks)
         offset = 0
         for entry, gt_toks in zip(entries, word_tokens):
             if entry.label == MATCH:
                 offset += len(gt_toks)
                 continue
-            asr_toks = [t for w in entry.asr_words for t in word_pieces(w)]
+            asr_toks = [t for w in entry.asr_words for t in tokenize_word(w, vocab)]
             costs = unit_costs([t.surface for t in gt_toks], [t.surface for t in asr_toks])
             for piece_pos, js in _group_alignment(align_sequences(costs, len(asr_toks))):
                 aligned = [asr_toks[j] for j in js]

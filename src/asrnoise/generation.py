@@ -115,18 +115,20 @@ def _pick(p: np.ndarray, temperature: float, u: Optional[np.ndarray]) -> np.ndar
     if u is None:
         return p.argmax(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        weights = (p / p.max(axis=1, keepdims=True)) ** (1.0 / temperature)
-    cdf = weights.cumsum(axis=1)
+        cdf = p / p.max(axis=1, keepdims=True)
+        cdf **= 1.0 / temperature
+    np.cumsum(cdf, axis=1, out=cdf)
     if not (p.min() >= 0.0 and np.isfinite(cdf[:, -1]).all()):
         raise ValueError("sampling weights must be finite and non-negative")
-    return (cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1)
+    return np.count_nonzero(cdf <= (u * cdf[:, -1])[:, None], axis=1)
 
 
 #: Most span rows one chunk of sentences decodes together.  Each live row
-#: carries about twelve float64 ``[V]`` arrays through the heads and the
-#: pick, so the cap bounds a step's memory.  A sentence with more corrupted
-#: positions decodes alone.
-CHUNK_ROWS = 32
+#: holds about five float64 ``[V]`` arrays at once in the heads and the
+#: pick (the two heads' distributions, the combined one, the sampling
+#: weights and a bias-add temporary), so the cap bounds a step's memory.
+#: A sentence with more corrupted positions decodes alone.
+CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -366,15 +368,16 @@ def corrupt_corpus(
     ``max_len`` tokens, which the model cannot encode, passes through
     tokenized and detokenized, with no plan sampled and no span decoded.
 
-    Work is done once at the level where it stops changing: the check of
-    ``mode`` and ``temperature``, the gradient-free parameters, the head
-    tables and the token-query table once per call (:class:`SpanDecoder`);
-    a plan per sentence; the encoder rows, the decoder's keys and values and
-    the sampled draws once per chunk of sentences of one length holding at
-    most :data:`CHUNK_ROWS` corrupted positions (:meth:`SpanDecoder.encode`);
-    and the decoder block and the heads once per step of the chunk's
-    longest span, over the live query rows of all its spans at once
-    (:class:`SpanChunk`).
+    Work is done once at the level where it stops changing: each distinct
+    word's segmentation once per vocabulary (:func:`corpus.tokenize_word`);
+    the check of ``mode`` and ``temperature``, the gradient-free
+    parameters, the head tables and the token-query table once per call
+    (:class:`SpanDecoder`); a plan per sentence; the encoder rows, the
+    decoder's keys and values and the sampled draws once per chunk of
+    sentences of one length holding at most :data:`CHUNK_ROWS` corrupted
+    positions (:meth:`SpanDecoder.encode`); and the decoder block and the
+    heads once per step of the chunk's longest span, over the live query
+    rows of all its spans at once (:class:`SpanChunk`).
     """
     decoder = SpanDecoder.build(model, mode, temperature)
     check_prior(p_z, "corruption prior")

@@ -11,6 +11,7 @@ removes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,20 +23,21 @@ from .rng import uniforms_at
 
 @dataclass(frozen=True)
 class CorruptionPlan:
-    """Per-token corruption indicators."""
+    """Per-token corruption indicators; the corrupted positions and their
+    count are computed once, on first use."""
 
     z: tuple[bool, ...]
 
     def __len__(self) -> int:
         return len(self.z)
 
-    @property
+    @cached_property
     def corrupted_positions(self) -> tuple[int, ...]:
         return tuple(i for i, flag in enumerate(self.z) if flag)
 
-    @property
+    @cached_property
     def corruption_count(self) -> int:
-        return sum(self.z)
+        return len(self.corrupted_positions)
 
 
 def check_prior(p: float, what: str) -> None:
@@ -52,7 +54,7 @@ def sample_plan_interventional(tokens: Sequence, p_z: float, seed: int) -> Corru
     """
     check_prior(p_z, "corruption prior")
     draws = uniforms_at(seed, np.arange(len(tokens)))
-    return CorruptionPlan(z=tuple(bool(a < p_z) for a in draws))
+    return CorruptionPlan(z=tuple((draws < p_z).tolist()))
 
 
 class ConditionalPriorTable:

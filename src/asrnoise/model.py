@@ -484,24 +484,28 @@ def step_distributions(
     ``p_gen`` on [EOS].
     """
     logits_n, logits_ph = _head_logits(d_k, tables)
-    special, eos = special_mask
-    content = 1.0 - special
-    p_n = ad.softmax_array(logits_n.data)
-    p_ph = None if logits_ph is None else ad.softmax_array(logits_ph.data)
+    special, eos_row = special_mask
+    eos = eos_row.argmax()
+    p_n = ad.softmax_in_place(logits_n.data)
+    p_ph = None if logits_ph is None else ad.softmax_in_place(logits_ph.data)
+    # p_n * (1 - special): the special columns zeroed, the rest kept as they are
+    unnorm = p_n.copy()
+    unnorm[..., special != 0.0] = 0.0
+    content_mass = unnorm.sum(axis=-1, keepdims=True)
     # without a phoneme head every phoneme factor, and so their mean, is 1
-    p_content = p_n * content
-    prod_content = p_content if p_ph is None else p_content * p_ph
+    if p_ph is not None:
+        unnorm *= p_ph
     # a zero content mass has a zero product mass: its mean factor is 0, not 0/0
-    mean_factor = prod_content.sum(axis=-1, keepdims=True) / np.maximum(
-        p_content.sum(axis=-1, keepdims=True), _SMALLEST
-    )
-    unnorm = prod_content + p_n * eos * mean_factor
+    mean_factor = unnorm.sum(axis=-1, keepdims=True) / np.maximum(content_mass, _SMALLEST)
+    # [EOS] is special, so its product column is 0 and takes its term alone
+    unnorm[..., eos] = p_n[..., eos] * mean_factor[..., 0]
     total = unnorm.sum(axis=-1, keepdims=True)
     if not total.all():
         # a saturated head left every allowed piece of a row zero mass
-        unnorm = np.where(total > 0.0, unnorm, eos)
+        unnorm = np.where(total > 0.0, unnorm, eos_row)
         total = unnorm.sum(axis=-1, keepdims=True)
-    return p_n, p_ph, unnorm / total
+    unnorm /= total
+    return p_n, p_ph, unnorm
 
 
 @dataclass

@@ -11,14 +11,17 @@ the engine's own node primitives.  ``full_prefix_span`` and
 ``first_step_one_row`` are the other exceptions: the package's decoder block
 and heads, driven by a decode loop that reruns the block over one span's
 whole prefix at every step, and by a loop that decodes each given position's
-first step from its own start row.
+first step from its own start row.  ``step_distributions_reference`` and
+``pick_reference`` keep the decode step's head combination and pick in their
+first form, one fresh array per operation, to pin that the in-place kernels
+compute the same bits.
 """
 from functools import lru_cache
 
 import numpy as np
 from mpmath import mp, mpf
 
-from asrnoise.autodiff import WEIGHT_GRAD_ROWS, Tensor, _acc, _node, _unbroadcast, softmax_array
+from asrnoise.autodiff import WEIGHT_GRAD_ROWS, Tensor, _acc, _node, _unbroadcast
 from asrnoise.corpus import CONTINUATION_PREFIX, SPECIALS, normalize
 from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
 from asrnoise.phonetics import articulatory_mismatches, supervision_distribution
@@ -345,7 +348,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    p = softmax_array(a.data, axis)
+    p = _np_softmax(a.data, axis)
 
     def bwd(g):
         _acc(a, p * (g - (g * p).sum(axis=axis, keepdims=True)))
@@ -436,3 +439,38 @@ def first_step_one_row(sentence, positions):
         _, _, p_gen = step_distributions(ad.select(hidden, [0], [0]), decoder.tables, model.special_mask)
         p_rows.append(p_gen[0])
     return np.array(p_rows)
+
+
+def step_distributions_reference(logits_n, logits_ph, special_mask):
+    """``model.step_distributions``' head combination, from the heads'
+    logits (``logits_ph`` None without a phoneme head), one fresh array per
+    operation: ``p_n``, ``p_ph`` and ``p_gen``."""
+    special, eos = special_mask
+    content = 1.0 - special
+    p_n = _np_softmax(logits_n)
+    p_ph = None if logits_ph is None else _np_softmax(logits_ph)
+    p_content = p_n * content
+    prod_content = p_content if p_ph is None else p_content * p_ph
+    mean_factor = prod_content.sum(axis=-1, keepdims=True) / np.maximum(
+        p_content.sum(axis=-1, keepdims=True), np.finfo(np.float64).smallest_subnormal
+    )
+    unnorm = prod_content + p_n * eos * mean_factor
+    total = unnorm.sum(axis=-1, keepdims=True)
+    if not total.all():
+        unnorm = np.where(total > 0.0, unnorm, eos)
+        total = unnorm.sum(axis=-1, keepdims=True)
+    return p_n, p_ph, unnorm / total
+
+
+def pick_reference(p, temperature, u):
+    """``generation._pick`` with one fresh array per operation: the argmax
+    without uniforms ``u``, else each row's draw from its temperature-scaled
+    weights."""
+    if u is None:
+        return p.argmax(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        weights = (p / p.max(axis=1, keepdims=True)) ** (1.0 / temperature)
+    cdf = weights.cumsum(axis=1)
+    if not (p.min() >= 0.0 and np.isfinite(cdf[:, -1]).all()):
+        raise ValueError("sampling weights must be finite and non-negative")
+    return (cdf <= (u * cdf[:, -1])[:, None]).sum(axis=1)

@@ -221,22 +221,26 @@ class TestBackwardMechanics:
         np.testing.assert_allclose(x.grad, [3.0, -1.0])
 
     @pytest.mark.parametrize(
-        "build, a_shape",
+        "build, a_shape, b_count",
         [
-            (lambda a, b: ad.add(ad.add(a, b), a), (2, 3)),
-            (lambda a, b: ad.add(ad.add(a, a), b), (2, 3)),
-            (lambda a, b: ad.add(ad.add(ad.transpose_axes(a, (1, 0)), b), ad.transpose_axes(a, (1, 0))), (3, 2)),
-            (lambda a, b: ad.concat([ad.add(a, b), a], axis=0), (2, 3)),
+            (lambda a, b: ad.add(ad.add(a, b), a), (2, 3), 1),
+            (lambda a, b: ad.add(ad.add(a, a), b), (2, 3), 1),
+            (lambda a, b: ad.add(ad.add(ad.transpose_axes(a, (1, 0)), b), ad.transpose_axes(a, (1, 0))), (3, 2), 1),
+            (lambda a, b: ad.concat([ad.add(a, b), a], axis=0), (2, 3), 1),
+            (lambda a, b: ad.concat([a, b, a], axis=1), (2, 3), 1),
+            (lambda a, b: ad.concat([ad.add(a, b), ad.add(b, a)], axis=1), (2, 3), 2),
+            (lambda a, b: ad.concat([ad.transpose_axes(t, (1, 0)) for t in (a, b, a)], axis=0), (2, 3), 1),
         ],
-        ids=["add", "add_self", "transpose_axes", "concat"],
+        ids=["add", "add_self", "transpose_axes", "concat", "concat_leaves", "concat_of_adds", "concat_of_transposes"],
     )
-    def test_pass_through_gradients_are_not_aliased(self, build, a_shape):
+    def test_pass_through_gradients_are_not_aliased(self, build, a_shape, b_count):
         # these ops hand on (views of) their own output gradient: add's first
-        # parent keeps it and every other parent stores a copy, so no leaf's
-        # accumulation writes into another's
+        # parent keeps it and the second stores a copy, transpose_axes hands
+        # on a transposed view and concat a disjoint slice per parent, so no
+        # leaf's accumulation writes into another's
         a, b = ad.Tensor(np.zeros(a_shape)), ad.Tensor(np.zeros((2, 3)))
         ad.backward(sum_(build(a, b)))
-        assert np.array_equal(b.grad, np.ones((2, 3)))
+        assert np.array_equal(b.grad, np.full((2, 3), float(b_count)))
         assert np.array_equal(a.grad, np.full(a_shape, 2.0))
         assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
 

@@ -19,7 +19,7 @@ from asrnoise.rng import derive_seed
 from asrnoise.training import save_checkpoint
 
 from conftest import make_token_seq
-from oracles import first_step_one_row, full_prefix_span
+from oracles import first_step_one_row, full_prefix_span, pick_reference, step_distributions_reference
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -478,6 +478,52 @@ class TestFirstStepTable:
             G.generate_span(sentence, 1, tokens[1].surface)
 
 
+class TestStepKernelBits:
+    """The in-place head combination and pick against their first form
+    (:func:`oracles.step_distributions_reference`, :func:`oracles.pick_reference`)."""
+
+    @pytest.mark.parametrize("V", [311, 384])
+    @pytest.mark.parametrize("phoneme_head", [True, False])
+    def test_same_bits_as_the_first_form(self, V, phoneme_head):
+        rng = np.random.default_rng(V + phoneme_head)
+        bos, eos, unk = 5, 17, V - 2
+        special_mask = np.zeros((2, V))
+        special_mask[0, [bos, eos, unk]] = 1.0
+        special_mask[1, eos] = 1.0
+        rows = 128
+        logits_n, logits_ph = rng.normal(size=(2, rows, 1, V)) * 3.0
+        # a logit of 1e4 leaves every other piece exp(-1e4) = 0 mass: row 0's
+        # word head puts all of it on [BOS], row 1's phoneme head on [UNK]
+        logits_n[0, 0, bos] = logits_ph[1, 0, unk] = 1e4
+        # d_k is both heads' logits side by side, and each head's weight
+        # picks its half out exactly: x * 1 plus zeros
+        eye, zeros = np.eye(V), np.zeros((V, V))
+
+        def head(weight):
+            return ad.Tensor(weight, needs_grad=False), ad.Tensor(np.zeros(V), needs_grad=False)
+
+        tables = (head(np.vstack([eye, zeros])), head(np.vstack([zeros, eye])) if phoneme_head else None)
+        d_k = ad.Tensor(np.concatenate([logits_n, logits_ph], axis=-1), needs_grad=False)
+        heads = M._head_logits(d_k, tables)
+        assert np.array_equal(heads[0].data, logits_n)
+        assert not phoneme_head or np.array_equal(heads[1].data, logits_ph)
+        expected = step_distributions_reference(logits_n, logits_ph if phoneme_head else None, special_mask)
+        got = M.step_distributions(d_k, tables, special_mask)
+        assert (got[1] is None) == (not phoneme_head)
+        for a, b in zip(got, expected):
+            assert a is None or a.tobytes() == b.tobytes()
+        p_gen = got[2][:, 0]
+        # the total == 0 fallback: a saturated row puts all of its mass on [EOS]
+        for row in [0, 1] if phoneme_head else [0]:
+            assert p_gen[row, eos] == 1.0 and p_gen[row].sum() == 1.0
+        u = rng.random(rows)
+        for temperature, draws in ((1.0, u), (0.7, u), (1e-310, u), (1.0, None)):
+            before = p_gen.copy()
+            picks = G._pick(p_gen, temperature, draws)
+            assert picks.tolist() == pick_reference(before, temperature, draws).tolist()
+            assert p_gen.tobytes() == before.tobytes()
+
+
 class TestSaturatedWordHead:
     """A word-head logit of 800 leaves every other piece exp(-800) = 0 mass."""
 
@@ -695,7 +741,9 @@ class TestCorruptCorpus:
         # more than three chunks, with a one-token sentence, a line too long
         # to encode, a blank line and a sentence of more corrupted positions
         # than one chunk holds; every step distribution of every span is the
-        # same bits as the sentence decoded alone
+        # same bits as the sentence decoded alone.  No sentence that fits in
+        # max_len tokens exceeds the default cap, so the cap is lowered.
+        monkeypatch.setattr(G, "CHUNK_ROWS", 32)
         texts = [pair.gt for pair in small_corpus[40:80]]
         one_token = next(w for w in texts[0].split() if len(C.tokenize(w, small_model.vocab)) == 1)
         over_cap, over_long = " ".join(texts[:5]), " ".join(texts[:8])
@@ -729,10 +777,61 @@ class TestCorruptCorpus:
         model = _toy_model(lexicon)
         text = " ".join(["the cue gag sue"] * 4)
         assert len(C.tokenize(text, model.vocab)) == model.config.max_len
+        # enough fully corrupted sentences to fill more than two chunks
+        copies = 2 * G.CHUNK_ROWS // model.config.max_len + 1
         hidden_rows, _ = _record_steps(monkeypatch)
-        _, records = G.corrupt_corpus([text] * 5, model, p_z=1.0, seed=3, mode=mode)
-        assert len(records) == 5 * model.config.max_len > 2 * G.CHUNK_ROWS
+        _, records = G.corrupt_corpus([text] * copies, model, p_z=1.0, seed=3, mode=mode)
+        assert len(records) == copies * model.config.max_len > 2 * G.CHUNK_ROWS
         assert max(rows.shape[0] for rows in hidden_rows) == G.CHUNK_ROWS
+
+    @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
+    def test_outputs_do_not_depend_on_the_chunk_cap(self, small_corpus, small_model, monkeypatch, mode):
+        # at a cap of one row every corrupted sentence decodes alone, at
+        # seven rows fewer chunks, at the default fewer still: the same
+        # transcripts and span records
+        texts = [pair.gt for pair in small_corpus[40:80]]
+        chunks = _record_chunk_steps(monkeypatch)
+        runs, chunk_counts = [], []
+        for cap in (1, 7, G.CHUNK_ROWS):
+            monkeypatch.setattr(G, "CHUNK_ROWS", cap)
+            chunks.clear()
+            runs.append(G.corrupt_corpus(texts, small_model, 0.6, 12, mode, 0.7))
+            chunk_counts.append(len(chunks))
+        assert len({r.sentence_id for r in runs[0][1]}) == chunk_counts[0] > chunk_counts[1] > chunk_counts[2]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_step_distributions_do_not_depend_on_the_blas_thread_count(self):
+        # every position corrupted, at a head width of 311 (not a multiple of
+        # 8), where a 2-D product over a chunk's rows changes bits between 1
+        # and 2 threads on some BLAS builds; decode products are per batch
+        # entry, so they do not.  A digest of every step distribution is
+        # compared, since a changed last bit seldom changes a decoded token
+        script = (
+            "import hashlib\n"
+            "from asrnoise import corpus as C, generation as G, model as M, synthetic\n"
+            "from asrnoise.phonetics import default_lexicon\n"
+            "pairs = synthetic.make_parallel_corpus(40, seed=1)\n"
+            "vocab = C.induce_vocab([p.gt for p in pairs] + [p.asr for p in pairs if p.asr], 384)\n"
+            "model = M.Model.build(vocab, default_lexicon(), M.ModelConfig(), seed=1)\n"
+            "digest, step = hashlib.sha256(), G.step_distributions\n"
+            "def recording(*args):\n"
+            "    dists = step(*args)\n"
+            "    digest.update(dists[2].tobytes())\n"
+            "    return dists\n"
+            "G.step_distributions = recording\n"
+            "G.corrupt_corpus([p.gt for p in pairs], model, 1.0, 1)\n"
+            "print(len(vocab), digest.hexdigest())\n"
+        )
+        results = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            results.append(result.stdout.split())
+        assert results[0][0] == "311"
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("p_z", [2.0, -1.0, float("nan")])
     def test_bad_prior_rejected_before_any_line(self, lexicon, p_z):
