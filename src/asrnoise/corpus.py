@@ -125,12 +125,13 @@ class SubwordVocab:
 
 
 def _check_piece(piece: str, seen) -> None:
-    """Raise ValueError for a piece already in ``seen``, or one with no
-    characters past its ``##``."""
+    """Raise ValueError for a piece already in ``seen``, or, apart from the
+    specials, one that no normalized word segments into: anything but
+    ``[a-z0-9]+`` past an optional ``##``."""
     if piece in seen:
         raise ValueError(f"piece {piece!r} appears twice")
-    if not piece.removeprefix(CONTINUATION_PREFIX):
-        raise ValueError(f"piece {piece!r} has no characters")
+    if piece not in SPECIALS and not re.fullmatch("[a-z0-9]+", piece.removeprefix(CONTINUATION_PREFIX)):
+        raise ValueError(f"piece {piece!r} is not [a-z0-9]+ past an optional ##")
 
 
 def _word_symbols(word: str) -> list[str]:

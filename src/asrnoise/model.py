@@ -26,15 +26,15 @@ each (``[B, n, d]``), as decoding passes them, or packed rows with the
 ``ad.Grid`` that groups them, as training passes them.  Training builds one
 graph per batch over its real rows alone: the batch's distinct sentences are
 embedded and encoded as one ``[R, d]`` matrix of their ``R`` tokens, the
-decoder's keys and values are projected once from those rows, and every
-item's teacher-forced steps are ``S`` decoder query rows ``[S, d]``, item
-by item.  Only ``ad.attention`` lays the rows out in a ``[sentences,
-longest]`` grid: each query attends over its own sentence's keys, and the
-empty cells get -inf scores, so exactly zero weight.  No padded row is
-projected, normalized, fed forward or scored by a head.  The loss is two
-engine ops over the ``S`` steps: ``nll`` of the word head at the targets,
-plus ``lambda_ph`` times ``kl`` from the phoneme head to each supervised
-step's floored supervision distribution.
+decoder's keys and values are projected once from those rows, and the
+teacher-forced steps are ``S`` decoder query rows ``[S, d]``: every item's
+start row, then every item's prefix rows.  Only ``ad.attention`` lays the
+rows out in a ``[sentences, longest]`` grid: each query attends over its
+own sentence's keys, and the empty cells get -inf scores, so exactly zero
+weight.  No padded row is projected, normalized, fed forward or scored by
+a head.  The loss is two engine ops over the ``S`` steps: ``nll`` of the
+word head at the targets, plus ``lambda_ph`` times ``kl`` from the phoneme
+head to each supervised step's floored supervision distribution.
 
 Decoding encodes a chunk of sentences of one length, unpadded and without a
 grid.  Query rows never attend to each other, so a step's row depends
@@ -62,7 +62,7 @@ finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -107,12 +107,17 @@ class ModelConfig:
     phoneme_head: bool = True
 
     def __post_init__(self):
+        # a checkpoint header is outside input, so types are checked too:
+        # any int is a real number here, but a bool is only a bool
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = {"int": int, "float": (int, float), "bool": bool}[f.type]
+            if not isinstance(value, kinds) or (isinstance(value, bool) and f.type != "bool"):
+                raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
         if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ValueError("d_model and n_heads must be positive, and n_heads must divide d_model")
-        if self.max_gen_len < 1:
-            raise ValueError("max_gen_len must be at least 1")
-        if self.max_len < 1:
-            raise ValueError("max_len must be at least 1")
+        if self.max_gen_len < 1 or self.max_len < 1:
+            raise ValueError("max_gen_len and max_len must be at least 1")
         if self.max_gen_len > self.max_len:
             # a span's query rows read position rows 0 .. max_gen_len - 1 of m_pos
             raise ValueError(f"max_gen_len={self.max_gen_len} must not exceed max_len={self.max_len}")
@@ -403,9 +408,10 @@ def decoder_hidden(
     ``start`` is ``[N, d]``, the prefixes have any lengths, ``memory`` is
     :func:`decoder_memory` of the packed encoder rows that
     ``sentence_grid`` groups by sentence, and the result is the packed
-    query rows ``[S, d]``, span by span, each span's start row first.
-    ``step_grid`` places those ``S`` rows in their span's sentence group,
-    so each attends over its own sentence's keys and values.
+    query rows ``[S, d]``: the ``N`` start rows, then every span's prefix
+    rows, span by span.  ``step_grid`` places those ``S`` rows in their
+    span's sentence group, so each attends over its own sentence's keys and
+    values.
     """
     lengths = [len(prefix) for prefix in generated_ids]
     n_prev = max(lengths, default=0)
@@ -414,24 +420,14 @@ def decoder_hidden(
             f"prefix of {1 + n_prev} positions exceeds max_gen_len={config.max_gen_len}"
         )
     queries = start
-    if grids is None:
-        if n_prev:
-            ids = np.asarray(generated_ids, dtype=np.intp)
-            tok = _token_embeddings(ids, params, config, token_code_rows)
-            tok = ad.add(tok, ad.rows(params["m_pos"], np.arange(1, n_prev + 1)))
-            queries = ad.concat([start, tok], axis=-2)
-    elif n_prev:
-        ids = np.fromiter(chain.from_iterable(generated_ids), dtype=np.intp, count=sum(lengths))
-        positions = np.concatenate([np.arange(1, n + 1) for n in lengths])
+    if n_prev:
+        if grids is None:
+            ids, positions = np.asarray(generated_ids, dtype=np.intp), np.arange(1, n_prev + 1)
+        else:
+            ids = np.fromiter(chain.from_iterable(generated_ids), dtype=np.intp, count=sum(lengths))
+            positions = np.concatenate([np.arange(1, n + 1) for n in lengths])
         tok = ad.add(_token_embeddings(ids, params, config, token_code_rows), ad.rows(params["m_pos"], positions))
-        # span by span: rows 0 .. N - 1 of the concat are the start rows, the rest the prefix rows
-        steps = np.asarray(lengths) + 1
-        is_start = np.zeros(steps.sum(), dtype=bool)
-        is_start[np.cumsum(steps) - steps] = True
-        order = np.empty(is_start.size, dtype=np.intp)
-        order[is_start] = np.arange(steps.size)
-        order[~is_start] = np.arange(steps.size, is_start.size)
-        queries = ad.rows(ad.concat([start, tok], axis=0), order)
+        queries = ad.concat([start, tok], axis=-2)
     return _attention_ffn_block(queries, memory, params, "dec_", config, grids)
 
 
@@ -512,8 +508,8 @@ def step_distributions(
 class LossGraph:
     """One batch's loss graph and the per-step head logits it was built from.
 
-    Rows of ``logits_n``/``logits_ph`` are the teacher-forced steps of every
-    item, item by item; ``targets`` holds each step's target id.
+    Rows of ``logits_n``/``logits_ph`` are the teacher-forced steps, as
+    :func:`decoder_hidden` lays them out; ``targets`` holds their target ids.
     """
 
     l_tot: Tensor
@@ -536,10 +532,11 @@ def _loss_graph(
     The batch's distinct sentences are embedded and encoded as one packed
     matrix of their ``R`` tokens, and the decoder's keys and values are
     projected once from those rows.  The decoder runs the ``S`` teacher-forced
-    steps of every item, item by item, each over its own sentence's keys and
-    values, and each step's row is one logits row.  Only ``ad.attention``
-    sees the sentences as a grid (:class:`ad.Grid`); every projection, layer
-    norm, feed-forward and head computes ``R`` or ``S`` rows, none padded.
+    steps, every item's first step and then every item's later steps, each
+    over its own sentence's keys and values, and each step's row is one
+    logits row.  Only ``ad.attention`` sees the sentences as a grid
+    (:class:`ad.Grid`); every projection, layer norm, feed-forward and head
+    computes ``R`` or ``S`` rows, none padded.
     Without ``needs_grad`` only the values are computed and no graph is kept.
     """
     if not batch:
@@ -561,13 +558,14 @@ def _loss_graph(
     where = np.asarray([example.position for example in batch], dtype=np.intp)
     start = decoder_start(ad.rows(e_enc, (np.cumsum(lengths) - lengths)[which] + where), params)
     targets = [example.target_ids for example in batch]
-    steps = ad.Grid(np.repeat(which, [len(t) for t in targets]), len(sentences))
+    # every item's start row, then every item's prefix rows, item by item
+    steps = ad.Grid(np.concatenate([which, np.repeat(which, [len(t) - 1 for t in targets])]), len(sentences))
     hidden = decoder_hidden(
         start, [t[:-1] for t in targets], decoder_memory(e_enc, params), params, config, rows_map, (steps, tokens)
     )
     tables = head_tables(params, config, rows_map)
     logits_n, logits_ph = _head_logits(hidden, tables)
-    target_ids = np.concatenate(targets).astype(np.intp)
+    target_ids = np.concatenate([[t[0] for t in targets], *(t[1:] for t in targets)]).astype(np.intp)
     l_n = ad.nll(logits_n, target_ids)
 
     l_ph = Tensor(0.0, needs_grad=False)

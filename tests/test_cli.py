@@ -319,7 +319,12 @@ class TestCommands:
         assert rc == 2
         assert "data error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["##", "[UNK]"], ids=["bare-continuation-prefix", "duplicate"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["##", "[UNK]", "Two Words", "##Q!", "ab "],
+        ids=["bare-continuation-prefix", "duplicate", "space-and-upper-case", "continued-punctuation",
+             "trailing-space"],
+    )
     def test_bad_vocab_piece_is_rejected_by_line_before_training(self, tmp_path, monkeypatch, capsys, bad):
         corpus_path, _ = _write_corpus(tmp_path)
         vocab_path = tmp_path / "vocab.txt"

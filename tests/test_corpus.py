@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,12 @@ from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
 
 from conftest import make_token_seq
 from oracles import align_pair_reference, alignment_cost_recursive, induce_vocab_reference
+
+# pieces no normalized word segments into: only [a-z0-9]+ past an optional ## can be
+_UNTOKENIZABLE_PIECES = ["##", "x\ty", "Two Words", "##Q!", "ab "]
+_UNTOKENIZABLE_IDS = [
+    "bare-continuation-prefix", "tab", "space-and-upper-case", "continued-punctuation", "trailing-space",
+]
 
 
 class TestNormalize:
@@ -124,16 +131,26 @@ class TestTokenize:
 
     @pytest.mark.parametrize(
         "bad, message",
-        [("##", "line 6: piece '##' has no characters"), ("a", "line 6: piece 'a' appears twice")],
-        ids=["bare-continuation-prefix", "duplicate"],
+        [
+            ("a", "line 6: piece 'a' appears twice"),
+            *(
+                (piece, f"line 6: piece {piece!r} is not [a-z0-9]+ past an optional ##")
+                for piece in _UNTOKENIZABLE_PIECES
+            ),
+        ],
+        ids=["duplicate", *_UNTOKENIZABLE_IDS],
     )
     def test_bad_vocab_line_is_rejected_by_number(self, tmp_path, bad, message):
         path = tmp_path / "vocab.txt"
         path.write_text("# produced-by: asrnoise vocab\n[BOS]\n[EOS]\n[UNK]\na\n" + bad + "\n##b\n")
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             C.SubwordVocab.load(path)
 
-    @pytest.mark.parametrize("bad", ["", "##", "[EOS]"], ids=["empty", "bare-continuation-prefix", "repeated"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "[EOS]", *_UNTOKENIZABLE_PIECES, "##[EOS]"],
+        ids=["empty", "repeated", *_UNTOKENIZABLE_IDS, "continued-special"],
+    )
     def test_vocab_rejects_an_empty_or_repeated_piece(self, bad):
         with pytest.raises(ValueError, match="piece"):
             C.SubwordVocab(["[BOS]", "[EOS]", "[UNK]", "a", bad])

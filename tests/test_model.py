@@ -360,9 +360,12 @@ class TestBatchedLossGraph:
         assert len(longest) > max(len(x.sentence) for x in batch)
         alone = M._loss_graph(batch, model, lexicon)
         grown = M._loss_graph(batch + [extra], model, lexicon)
-        steps = len(alone.targets)
-        np.testing.assert_allclose(grown.logits_n.data[:steps], alone.logits_n.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grown.logits_ph.data[:steps], alone.logits_ph.data, rtol=0, atol=1e-12)
+        n, steps = len(batch), len(alone.targets)
+        # the grown graph's rows: the extra item's start row follows the batch's
+        # start rows, and its prefix rows follow the batch's prefix rows
+        own = np.r_[0:n, n + 1 : steps + 1]
+        np.testing.assert_allclose(grown.logits_n.data[own], alone.logits_n.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grown.logits_ph.data[own], alone.logits_ph.data, rtol=0, atol=1e-12)
         extra_tot = float(M.loss_total([extra], model, lexicon)[0].data)
         assert float(grown.l_tot.data) == pytest.approx(float(alone.l_tot.data) + extra_tot, rel=1e-12)
 
@@ -435,7 +438,7 @@ class TestBatchedLossGraph:
         positions = [2, 1]
         prefixes = [[5, 6, 7], []]
         tokens = ad.Grid([0, 0, 0, 0, 1, 1], 2)
-        steps = ad.Grid([0, 0, 0, 0, 1], 2)
+        steps = ad.Grid([0, 1, 0, 0, 0], 2)
         ids = np.concatenate(sentences)
         e_enc = M.encode(M.embed_sequence(ids, params, config, rows_map, tokens), params, config, tokens)
         start = M.decoder_start(ad.rows(e_enc, [2, 4 + 1]), params)
@@ -443,8 +446,9 @@ class TestBatchedLossGraph:
             start, prefixes, M.decoder_memory(e_enc, params), params, config, rows_map, (steps, tokens)
         )
         assert e_enc.data.shape == (6, config.d_model) and hidden.data.shape == (5, config.d_model)
-        first_token, first_step = 0, 0
-        for sentence, k, prefix in zip(sentences, positions, prefixes):
+        # span i's rows: start row i, then its slice of the prefix rows after the start rows
+        first_token, first_prefix = 0, len(sentences)
+        for i, (sentence, k, prefix) in enumerate(zip(sentences, positions, prefixes)):
             single_enc = M.encode(M.embed_sequence([sentence], params, config, rows_map), params, config)
             mine = e_enc.data[first_token : first_token + len(sentence)]
             np.testing.assert_allclose(mine, single_enc.data[0], rtol=0, atol=1e-12)
@@ -452,9 +456,9 @@ class TestBatchedLossGraph:
                 M.decoder_start(ad.select(single_enc, [[0]], [[k]]), params), [prefix],
                 M.decoder_memory(single_enc, params), params, config, rows_map,
             )
-            mine = hidden.data[first_step : first_step + 1 + len(prefix)]
+            mine = hidden.data[np.r_[i, first_prefix : first_prefix + len(prefix)]]
             np.testing.assert_allclose(mine, single.data[0], rtol=0, atol=1e-12)
-            first_token, first_step = first_token + len(sentence), first_step + 1 + len(prefix)
+            first_token, first_prefix = first_token + len(sentence), first_prefix + len(prefix)
 
     def test_empty_batch_rejected(self, lexicon):
         model = _toy_model(lexicon)

@@ -370,6 +370,11 @@ class TestCheckpointIO:
             lambda h, b: _cut_position_table(h, b, 3),
             lambda h, b: ({**h, "token_rows": [r + 0.5 for r in h["token_rows"]]}, b),
             lambda h, b: ({**h, "token_rows": [True] + h["token_rows"][1:]}, b),
+            lambda h, b: ({**h, "vocab": h["vocab"][:-1] + ["Two Words"]}, b),
+            lambda h, b: ({**h, "vocab": h["vocab"][:-1] + ["x\ty"]}, b),
+            lambda h, b: ({**h, "config": {**h["config"], "max_gen_len": 4.5}}, b),
+            lambda h, b: ({**h, "config": {**h["config"], "phoneme_head": "no"}}, b),
+            lambda h, b: ({**h, "config": {**h["config"], "d_model": float(h["config"]["d_model"])}}, b),
         ],
         ids=[
             "no-config", "unknown-config-key", "vocab-without-bos",
@@ -378,6 +383,8 @@ class TestCheckpointIO:
             "array-name-listed-twice", "vocab-piece-without-characters",
             "max-gen-len-past-max-len", "max-len-cut-below-max-gen-len",
             "fractional-token-rows", "boolean-token-row",
+            "vocab-piece-with-space-and-upper-case", "vocab-piece-with-tab",
+            "fractional-max-gen-len", "string-phoneme-head", "float-d-model",
         ],
     )
     def test_malformed_header_is_corrupt_checkpoint(self, small_model, tmp_path, edit):
