@@ -1,9 +1,9 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Only the ops the sequence model runs: ``add`` and ``mul`` with
-broadcasting, ``transpose_axes``, the ``rows`` and ``select`` gathers,
-``concat``, the fused ``linear`` (``x @ w + b``), multi-head ``attention``
-(over a batch, or over packed rows grouped by a :class:`Grid`),
+broadcasting, ``transpose_axes``, the ``rows`` gather, ``concat``, the
+fused ``linear`` (``x @ w + b``), multi-head ``attention`` (over a batch,
+or over packed rows grouped by a :class:`Grid`),
 ``layer_norm`` and ``gelu`` kernels, and the two loss terms: ``nll``, the
 summed negative log-softmax at each row's target, and ``kl``, the summed KL
 divergence from each row's softmax to a fixed distribution.
@@ -199,21 +199,6 @@ def rows(a: Tensor, idx) -> Tensor:
 
     # take, not a.data[idx]: the same rows, without fancy indexing's overhead
     return _node(a.data.take(idx, axis=0), (a,), bwd)
-
-
-def select(a: Tensor, row_idx, col_idx) -> Tensor:
-    """Pick entries a[row_idx[i], col_idx[i]] (non-negative indices):
-    scalars from a 2-D tensor, rows from a 3-D one."""
-    row_idx = np.asarray(row_idx, dtype=np.intp)
-    col_idx = np.asarray(col_idx, dtype=np.intp)
-
-    def bwd(g):
-        # (row, col) is row row * n_cols + col of a with its first two axes merged
-        shape = a.data.shape
-        flat_idx = row_idx * shape[1] + col_idx
-        _own(a, _scatter_rows(flat_idx, g, (shape[0] * shape[1], *shape[2:])).reshape(shape))
-
-    return _node(a.data[row_idx, col_idx], (a,), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

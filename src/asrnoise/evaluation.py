@@ -114,12 +114,14 @@ def _error_rate(references: Sequence[str], hypotheses: Sequence[str], split) -> 
         errors += edit_distance(ref, hyp)
         ref_len += len(ref)
     if ref_len == 0:
-        return 0.0
+        # no reference units: any error is an infinite rate, not none
+        return math.inf if errors else 0.0
     return errors / ref_len
 
 
 def word_error_rate(references: Sequence[str], hypotheses: Sequence[str]) -> float:
-    """(substitutions + deletions + insertions) / reference word count."""
+    """(substitutions + deletions + insertions) / reference word count;
+    ``math.inf`` if the references hold no words but the hypotheses do."""
     return _error_rate(references, hypotheses, str.split)
 
 

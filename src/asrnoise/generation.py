@@ -254,7 +254,7 @@ class SpanChunk:
         m_pos = params["m_pos"].data
         ids: list[list[int]] = [[] for _ in which]
         live = np.arange(len(which))
-        query = decoder_start(ad.select(self.rows, which[:, None], self.where[:, None]), params)
+        query = decoder_start(Tensor(self.rows.data[which, self.where][:, None], needs_grad=False), params)
         for t in range(steps):
             sentences = which[live]
             memory = (ad.rows(keys, sentences), ad.rows(values, sentences))

@@ -401,17 +401,18 @@ def decoder_hidden(
     as ``start`` with an empty prefix, as decoding passes each live span's
     row, gives the same row up to the last bits of the block's products.
 
-    Without ``grids``, ``start`` is ``[B, 1, d]``, the ``B`` prefixes have
-    one length ``t``, ``memory`` is :func:`decoder_memory` of ``[B, n, d]``
-    encoder rows, one batch entry per span, and the result is
-    ``[B, 1 + t, d]``.  With ``grids`` = ``(step_grid, sentence_grid)``,
+    With ``grids`` = ``(step_grid, sentence_grid)``, as training calls it,
     ``start`` is ``[N, d]``, the prefixes have any lengths, ``memory`` is
     :func:`decoder_memory` of the packed encoder rows that
     ``sentence_grid`` groups by sentence, and the result is the packed
     query rows ``[S, d]``: the ``N`` start rows, then every span's prefix
     rows, span by span.  ``step_grid`` places those ``S`` rows in their
     span's sentence group, so each attends over its own sentence's keys and
-    values.
+    values.  Without ``grids``, as decoding calls it, every prefix is empty:
+    ``start`` is the live rows ``[s, 1, d]``, one batch entry per span,
+    ``memory`` is :func:`decoder_memory` of ``[s, n, d]`` encoder rows, and
+    the result is ``[s, 1, d]``.  Prefix rows exist only in the packed form,
+    so a non-empty prefix without ``grids`` raises ValueError.
     """
     lengths = [len(prefix) for prefix in generated_ids]
     n_prev = max(lengths, default=0)
@@ -421,13 +422,10 @@ def decoder_hidden(
         )
     queries = start
     if n_prev:
-        if grids is None:
-            ids, positions = np.asarray(generated_ids, dtype=np.intp), np.arange(1, n_prev + 1)
-        else:
-            ids = np.fromiter(chain.from_iterable(generated_ids), dtype=np.intp, count=sum(lengths))
-            positions = np.concatenate([np.arange(1, n + 1) for n in lengths])
+        ids = np.fromiter(chain.from_iterable(generated_ids), dtype=np.intp, count=sum(lengths))
+        positions = np.concatenate([np.arange(1, n + 1) for n in lengths])
         tok = ad.add(_token_embeddings(ids, params, config, token_code_rows), ad.rows(params["m_pos"], positions))
-        queries = ad.concat([start, tok], axis=-2)
+        queries = ad.concat([start, tok])
     return _attention_ffn_block(queries, memory, params, "dec_", config, grids)
 
 

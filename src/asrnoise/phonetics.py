@@ -19,6 +19,7 @@ it lands in.
 """
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass
 from importlib import resources
@@ -180,10 +181,14 @@ def load_lexicon(path, inventory: Mapping[str, Phoneme]) -> PronouncingLexicon:
     """Read ``WORD<TAB>PH1 PH2 ...`` lines into a lexicon.
 
     Each line holds exactly one tab, with a word before it and at least one
-    phoneme after it.  A malformed line, or a symbol missing from
-    ``inventory``, raises ValueError naming its line.
+    phoneme after it.  Words are case-insensitive, and a word must be
+    ``[a-z0-9]+`` once lowercased, since ``corpus.normalize`` keeps only
+    those characters in a word and no other could be looked up.  A
+    malformed line, a word already listed (naming the earlier line too), or
+    a symbol missing from ``inventory`` raises ValueError naming its line.
     """
     entries: dict[str, PhoneticCode] = {}
+    first_line: dict[str, int] = {}
     for number, raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -191,8 +196,14 @@ def load_lexicon(path, inventory: Mapping[str, Phoneme]) -> PronouncingLexicon:
         if line.count("\t") != 1:
             raise ValueError(f"line {number}: expected WORD<TAB>PHONEMES, got {raw.rstrip()!r}")
         word, _, symbols = line.partition("\t")
+        key = word.lower()
+        if not re.fullmatch("[a-z0-9]+", key):
+            raise ValueError(f"line {number}: word {word!r} is not [a-z0-9]+ once lowercased")
+        if key in first_line:
+            raise ValueError(f"line {number}: word {word!r} is already listed at line {first_line[key]}")
+        first_line[key] = number
         try:
-            entries[word] = tuple(inventory[s] for s in symbols.split())
+            entries[key] = tuple(inventory[s] for s in symbols.split())
         except KeyError as exc:
             raise ValueError(f"line {number}: phoneme {exc.args[0]!r} is not in the inventory") from None
     return PronouncingLexicon(entries, inventory)

@@ -9,9 +9,11 @@ runs none of them, and the tests build the composed references for the fused
 ``linear``/``attention`` kernels and the ``nll``/``kl`` losses from them on
 the engine's own node primitives.  ``full_prefix_span`` and
 ``first_step_one_row`` are the other exceptions: the package's decoder block
-and heads, driven by a decode loop that reruns the block over one span's
-whole prefix at every step, and by a loop that decodes each given position's
-first step from its own start row.  ``step_distributions_reference`` and
+and heads in training's packed form (``one_span_hidden``, one sentence's
+rows under a one-group ``Grid``), driven by a decode loop that reruns the
+block over one span's whole prefix at every step, and by a loop that decodes
+each given position's first step from its own start row.  Decoding is thus
+checked against the path training runs.  ``step_distributions_reference`` and
 ``pick_reference`` keep the decode step's head combination and pick in their
 first form, one fresh array per operation, to pin that the in-place kernels
 compute the same bits.
@@ -376,19 +378,34 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(lp, (a,), bwd)
 
 
+def one_span_hidden(start, prefix, memory, params, config, token_rows):
+    """``model.decoder_hidden`` in training's packed form for one span of one
+    sentence: its start row ``[1, d]`` and ``prefix`` over the sentence's
+    decoder keys and values ``[n, d]``, each side one group of a one-sentence
+    ``Grid``.  Returns the span's query rows ``[1 + len(prefix), d]``."""
+    from asrnoise import autodiff as ad
+    from asrnoise.model import decoder_hidden
+
+    steps = ad.Grid(np.zeros(1 + len(prefix), dtype=np.intp), 1)
+    keys = ad.Grid(np.zeros(memory[0].data.shape[0], dtype=np.intp), 1)
+    return decoder_hidden(start, [prefix], memory, params, config, token_rows, (steps, keys))
+
+
 def _sentence_of_chunk(sentence):
     """A :class:`SentenceSpans` view's decoder, and its sentence's encoder
-    rows ``[1, n, d]`` and decoder keys and values taken from its chunk."""
+    rows and decoder keys and values taken from its chunk as packed rows
+    ``[n, d]``."""
     from asrnoise import autodiff as ad
 
-    chunk, index = sentence.chunk, [sentence.index]
+    chunk, index = sentence.chunk, sentence.index
     memory = tuple(ad.rows(x, index) for x in chunk.memory)
     return chunk.decoder, ad.rows(chunk.rows, index), memory
 
 
 def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
     """Span decoding that runs the decoder block over the span's start row
-    and every token generated so far at each step, and keeps the newest row.
+    and every token generated so far at each step, in training's packed
+    form (:func:`one_span_hidden`), and keeps the newest row.
     Without a ``temperature`` each step takes the argmax; with one it draws
     from the temperature-scaled weights by a right-side search of one
     uniform: step t's is ``uniforms_at(seed, (position + 1) * 2**32 + t)``,
@@ -396,17 +413,17 @@ def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
     Returns the token ids, [EOS] included, and each step's newest hidden
     row ``[d]``."""
     from asrnoise import autodiff as ad
-    from asrnoise.model import decoder_hidden, decoder_start, step_distributions
+    from asrnoise.model import decoder_start, step_distributions
     from asrnoise.rng import uniforms_at
 
     decoder, e_enc, memory = _sentence_of_chunk(sentence)
     model, params = decoder.model, decoder.params
     config, eos = model.config, model.vocab.eos_id
-    start = decoder_start(ad.select(e_enc, [[0]], [[position]]), params)
+    start = decoder_start(ad.rows(e_enc, [position]), params)
     generated, rows = [], []
     while len(generated) < config.max_gen_len - 1:
-        hidden = decoder_hidden(start, [generated], memory, params, config, model.code_index.token_rows)
-        d_last = ad.select(hidden, [0], [len(generated)])
+        hidden = one_span_hidden(start, generated, memory, params, config, model.code_index.token_rows)
+        d_last = ad.rows(hidden, [len(generated)])
         rows.append(d_last.data[0])
         _, _, p_gen = step_distributions(d_last, decoder.tables, model.special_mask)
         p = p_gen[0]
@@ -425,18 +442,19 @@ def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
 
 def first_step_one_row(sentence, positions):
     """The first decode step of each of ``positions`` run alone: its start
-    row ``[1, 1, d]`` through the decoder block and the heads.  Returns the
-    combined distributions ``[len(positions), V]``."""
+    row ``[1, d]`` through the decoder block in training's packed form
+    (:func:`one_span_hidden`) and the heads.  Returns the combined
+    distributions ``[len(positions), V]``."""
     from asrnoise import autodiff as ad
-    from asrnoise.model import decoder_hidden, decoder_start, step_distributions
+    from asrnoise.model import decoder_start, step_distributions
 
     decoder, e_enc, memory = _sentence_of_chunk(sentence)
     model, params = decoder.model, decoder.params
     p_rows = []
     for position in positions:
-        start = decoder_start(ad.select(e_enc, [[0]], [[position]]), params)
-        hidden = decoder_hidden(start, [()], memory, params, model.config, model.code_index.token_rows)
-        _, _, p_gen = step_distributions(ad.select(hidden, [0], [0]), decoder.tables, model.special_mask)
+        start = decoder_start(ad.rows(e_enc, [position]), params)
+        hidden = one_span_hidden(start, (), memory, params, model.config, model.code_index.token_rows)
+        _, _, p_gen = step_distributions(hidden, decoder.tables, model.special_mask)
         p_rows.append(p_gen[0])
     return np.array(p_rows)
 

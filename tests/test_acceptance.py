@@ -27,7 +27,7 @@ from asrnoise.intervention import (
 from asrnoise.phonetics import g2p, phoneme_edit_distance, supervision_distribution
 
 from conftest import make_token_seq
-from oracles import edit_distance_recursive
+from oracles import edit_distance_recursive, one_span_hidden
 
 
 def _report(number, name):
@@ -146,9 +146,11 @@ class TestCriterion3NormalizationSuite:
             k = int(rng.integers(0, n))
             prefix_len = int(rng.integers(0, model.config.max_gen_len - 1))
             prefix = [int(rng.choice(content_ids)) for _ in range(prefix_len)]
-            start = M.decoder_start(ad.select(e_enc, [[0]], [[k]]), params)
-            hidden = M.decoder_hidden(start, [prefix], M.decoder_memory(e_enc, params), params, model.config, rows_map)
-            last = ad.select(hidden, [0], [prefix_len])
+            e_rows = ad.rows(e_enc, 0)  # the sentence's packed rows [n, d]
+            start = M.decoder_start(ad.rows(e_rows, [k]), params)
+            memory = M.decoder_memory(e_rows, params)
+            hidden = one_span_hidden(start, prefix, memory, params, model.config, rows_map)
+            last = ad.rows(hidden, [prefix_len])
             p_n, p_ph, p_gen = M.step_distributions(last, tables, model.special_mask)
             for p in (p_n, p_ph, p_gen):
                 worst = max(worst, abs(float(p.sum()) - 1.0))

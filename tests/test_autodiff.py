@@ -91,17 +91,6 @@ class TestStructure:
     def test_rows_of_3d_table(self):
         check_op(lambda a: ad.rows(a, [1, 0, 1]), (2, 3, 4))
 
-    def test_select_rows_of_3d_tensor(self):
-        check_op(lambda a: ad.select(a, [[2], [0], [2]], [[1], [3], [1]]), (3, 4, 2))
-
-    def test_select_entries(self):
-        m = ad.Tensor(np.arange(12.0).reshape(3, 4))
-        out = ad.select(m, [0, 2], [1, 3])
-        assert out.data.tolist() == [1.0, 11.0]
-        ad.backward(sum_(out))
-        assert m.grad[0, 1] == 1.0 and m.grad[2, 3] == 1.0
-        assert m.grad.sum() == 2.0
-
     @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 3, 2)])
     def test_rows_backward_equals_add_at_bit_for_bit(self, shape):
         rng = np.random.default_rng(len(shape))
@@ -111,19 +100,6 @@ class TestStructure:
         ad.backward(sum_(ad.mul(ad.rows(a, idx), ad.Tensor(g, needs_grad=False))))
         expected = np.zeros(shape)
         np.add.at(expected, idx, g)
-        assert a.grad.tobytes() == expected.tobytes()
-
-    # select picks along two axes, so its parents have at least two
-    @pytest.mark.parametrize("shape", [(4, 3), (4, 3, 2)])
-    def test_select_backward_equals_add_at_bit_for_bit(self, shape):
-        rng = np.random.default_rng(len(shape))
-        a = ad.Tensor(rng.normal(size=shape))
-        row_idx = rng.integers(0, shape[0], size=(20, 1))  # 20 picks of 12: repeats
-        col_idx = rng.integers(0, shape[1], size=(20, 1))
-        g = rng.normal(size=(20, 1) + shape[2:])
-        ad.backward(sum_(ad.mul(ad.select(a, row_idx, col_idx), ad.Tensor(g, needs_grad=False))))
-        expected = np.zeros(shape)
-        np.add.at(expected, (row_idx, col_idx), g)
         assert a.grad.tobytes() == expected.tobytes()
 
     def test_slices_and_concat(self):
@@ -277,7 +253,6 @@ class TestNeedsGrad:
             (lambda a: ad.transpose_axes(a, (1, 0)), [(2, 3)]),
             (lambda a: sum_(a, axis=0), [(2, 3)]),
             (lambda a: ad.rows(a, [1, 0, 1]), [(2, 3)]),
-            (lambda a: ad.select(a, [0, 1], [2, 0]), [(2, 3)]),
             (lambda a, b: ad.concat([a, b], axis=0), [(2, 3), (1, 3)]),
             (lambda a: reshape(a, (3, 2)), [(2, 3)]),
             (lambda a: softmax(a), [(2, 3)]),
@@ -285,6 +260,10 @@ class TestNeedsGrad:
             (lambda a, g, b: ad.layer_norm(a, g, b), [(2, 4), (4,), (4,)]),
             (lambda a: ad.gelu(a), [(2, 3)]),
             (lambda q, k, v: ad.attention(q, k, v, 2), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
+            (
+                lambda q, k, v: ad.attention(q, k, v, 2, (ad.Grid([0, 1, 1], 2), ad.Grid([0, 0, 1, 1, 1], 2))),
+                [(3, 4), (5, 4), (5, 4)],
+            ),
             (lambda a: ad.nll(a, [2, 0]), [(2, 3)]),
             (lambda a: ad.kl(a, np.log(np.full((2, 3), 1.0 / 3.0))), [(2, 3)]),
         ],
@@ -452,7 +431,8 @@ def _log_dist(rng, shape):
 
 def composed_nll(logits, targets):
     lp = log_softmax(logits, axis=-1)
-    return neg(sum_(ad.select(lp, np.arange(len(targets)), targets)))
+    n, v = lp.data.shape
+    return neg(sum_(ad.rows(reshape(lp, (n * v,)), np.arange(n) * v + targets)))
 
 
 def composed_kl(logits, log_r):

@@ -309,6 +309,25 @@ class TestCommands:
         assert "data error" in err and "ZZ" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ("tat\tT AA T\nTat\tT AA\n", "line 2: word 'Tat' is already listed at line 1"),
+            ("t t\tT T\n", "line 1: word 't t' is not [a-z0-9]+ once lowercased"),
+        ],
+        ids=["repeat", "unreachable"],
+    )
+    def test_rejected_lexicon_word_is_data_error(self, tmp_path, capsys, entries, message):
+        inventory_path = tmp_path / "inventory.tsv"
+        inventory_path.write_text("T\tconsonant\talveolar\tstop\tvoiceless\nAA\tvowel\tlow\tback\tunrounded\n")
+        lexicon_path = tmp_path / "lexicon.tsv"
+        lexicon_path.write_text(entries)
+        rc = cli.main(["g2p", "tat", "--lexicon", str(lexicon_path), "--inventory", str(inventory_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err
+        assert "Traceback" not in err
+
     def test_rejected_vocab_file_is_data_error(self, tmp_path, capsys):
         corpus_path, _ = _write_corpus(tmp_path)
         vocab_path = tmp_path / "vocab.txt"

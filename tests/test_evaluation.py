@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -51,6 +52,9 @@ class TestEditDistance:
 
 class TestRatesFromAlignmentCounts:
     @settings(max_examples=100)
+    # errors against references with no units: an infinite rate, not 0
+    @example([("", "a b")])
+    @example([("", ""), (" ", "")])
     @given(st.lists(st.tuples(st.text(alphabet="ab \u00e9", max_size=30),
                               st.text(alphabet="ab \u00e9", max_size=30)), max_size=4))
     def test_rates_equal_alignment_error_counts(self, pairs):
@@ -63,7 +67,7 @@ class TestRatesFromAlignmentCounts:
                 steps = align_sequences(unit_costs(ref, hyp), len(hyp))
                 errors += sum(i is None or j is None or ref[i] != hyp[j] for i, j in steps)
                 ref_len += len(ref)
-            expected = errors / ref_len if ref_len else 0.0
+            expected = errors / ref_len if ref_len else (math.inf if errors else 0.0)
             assert rate(refs, hyps) == expected
             if split is str.split:
                 assert sum(E._corpus_counts(refs, hyps)) == errors

@@ -324,7 +324,7 @@ class TestWorkPerStep:
                     t = len(picked)
                     if t == 0:
                         where = np.asarray(positions)[:, None]
-                        live = M.decoder_start(ad.select(rows, np.zeros_like(where), where), params)
+                        live = M.decoder_start(ad.Tensor(rows.data[0, where], needs_grad=False), params)
                     else:
                         going = picked[-1][picked[-1] != eos]
                         tok = M._token_embeddings(going[:, None], params, config, rows_map)

@@ -16,7 +16,7 @@ from asrnoise.errors import (
 from asrnoise.phonetics import PronouncingLexicon
 
 from conftest import make_token_seq
-from oracles import block_forward_mp, loss_reference, matmul, sum_
+from oracles import block_forward_mp, loss_reference, matmul, one_span_hidden, sum_
 from test_autodiff import composed_attention, composed_kl, composed_nll
 
 
@@ -190,14 +190,14 @@ class TestDecoder:
         )
         config = M.ModelConfig(d_model=d, n_heads=n_heads, max_gen_len=5, max_len=8)
         rows = np.array([0, 1, 2, 0, 1, 2])
-        e_enc = Tensor(rng.normal(size=(3, d))[None])
+        e_enc = Tensor(rng.normal(size=(3, d)))
         return params, config, rows, e_enc, w
 
     @staticmethod
     def _span(params, e_enc, k):
-        """The first query row of the span of encoder row ``k`` of a batch of
-        one, and the decoder's keys and values of that batch."""
-        return M.decoder_start(ad.select(e_enc, [[0]], [[k]]), params), M.decoder_memory(e_enc, params)
+        """The first query row ``[1, d]`` of the span of encoder row ``k`` of
+        one sentence's packed rows, and the decoder's keys and values of them."""
+        return M.decoder_start(ad.rows(e_enc, [k]), params), M.decoder_memory(e_enc, params)
 
     def test_cross_attention_matches_oracle(self):
         d = 4
@@ -239,34 +239,44 @@ class TestDecoder:
     def test_prefix_order_changes_hidden_state(self):
         params, config, rows, e_enc, _ = self._setup()
         start, memory = self._span(params, e_enc, 0)
-        a = M.decoder_hidden(start, [[1, 2]], memory, params, config, rows)
-        b = M.decoder_hidden(start, [[2, 1]], memory, params, config, rows)
-        assert not np.allclose(a.data[0, -1], b.data[0, -1])
+        a = one_span_hidden(start, [1, 2], memory, params, config, rows)
+        b = one_span_hidden(start, [2, 1], memory, params, config, rows)
+        assert not np.allclose(a.data[-1], b.data[-1])
 
     def test_deterministic(self):
         params, config, rows, e_enc, _ = self._setup()
         start, memory = self._span(params, e_enc, 1)
-        a = M.decoder_hidden(start, [[3]], memory, params, config, rows)
-        b = M.decoder_hidden(start, [[3]], memory, params, config, rows)
+        a = one_span_hidden(start, [3], memory, params, config, rows)
+        b = one_span_hidden(start, [3], memory, params, config, rows)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_step_equals_full_pass_row(self):
         params, config, rows, e_enc, _ = self._setup(n_heads=2)
         start, memory = self._span(params, e_enc, 2)
         target = [3, 1, 4]
-        full = M.decoder_hidden(start, [target[:-1]], memory, params, config, rows)
+        full = one_span_hidden(start, target[:-1], memory, params, config, rows)
         for l in range(len(target)):
-            step = M.decoder_hidden(start, [target[:l]], memory, params, config, rows)
-            assert step.data.shape == (1, 1 + l, config.d_model)
-            np.testing.assert_allclose(step.data[0, -1], full.data[0, l], atol=1e-12)
+            step = one_span_hidden(start, target[:l], memory, params, config, rows)
+            assert step.data.shape == (1 + l, config.d_model)
+            np.testing.assert_allclose(step.data[-1], full.data[l], atol=1e-12)
 
     def test_prefix_too_long(self):
         params, config, rows, e_enc, _ = self._setup()
         start, memory = self._span(params, e_enc, 0)
         # max_gen_len positions are allowed; one more is not
-        M.decoder_hidden(start, [[1, 2, 3, 4]], memory, params, config, rows)
+        one_span_hidden(start, [1, 2, 3, 4], memory, params, config, rows)
         with pytest.raises(PrefixTooLongError):
-            M.decoder_hidden(start, [[1, 2, 3, 4, 1]], memory, params, config, rows)
+            one_span_hidden(start, [1, 2, 3, 4, 1], memory, params, config, rows)
+
+    def test_prefix_without_grids_is_rejected(self):
+        # prefix rows exist only in training's packed form; decoding's
+        # grid-less form takes the live rows [s, 1, d] with empty prefixes
+        params, config, rows, e_enc, _ = self._setup()
+        start = M.decoder_start(Tensor(e_enc.data[None, :1]), params)
+        memory = M.decoder_memory(Tensor(e_enc.data[None]), params)
+        assert M.decoder_hidden(start, [()], memory, params, config, rows).data.shape == (1, 1, config.d_model)
+        with pytest.raises(ValueError):
+            M.decoder_hidden(start, [[1, 2]], memory, params, config, rows)
 
 
 def _toy_model(lexicon, phoneme_head=True, lambda_w=0.5, seed=5):
@@ -452,12 +462,13 @@ class TestBatchedLossGraph:
             single_enc = M.encode(M.embed_sequence([sentence], params, config, rows_map), params, config)
             mine = e_enc.data[first_token : first_token + len(sentence)]
             np.testing.assert_allclose(mine, single_enc.data[0], rtol=0, atol=1e-12)
-            single = M.decoder_hidden(
-                M.decoder_start(ad.select(single_enc, [[0]], [[k]]), params), [prefix],
-                M.decoder_memory(single_enc, params), params, config, rows_map,
+            single_rows = ad.rows(single_enc, 0)
+            single = one_span_hidden(
+                M.decoder_start(ad.rows(single_rows, [k]), params), prefix,
+                M.decoder_memory(single_rows, params), params, config, rows_map,
             )
             mine = hidden.data[np.r_[i, first_prefix : first_prefix + len(prefix)]]
-            np.testing.assert_allclose(mine, single.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mine, single.data, rtol=0, atol=1e-12)
             first_token, first_prefix = first_token + len(sentence), first_prefix + len(prefix)
 
     def test_empty_batch_rejected(self, lexicon):

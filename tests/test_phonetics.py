@@ -1,6 +1,7 @@
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -59,15 +60,26 @@ class TestFileFormats:
             load_lexicon(lexicon_path, load_inventory(inventory_path))
 
     @pytest.mark.parametrize(
-        "bad_line", ["hello HH AH L OW", "queue\t", "queue\tK Y UW\tK Y UW"],
-        ids=["no-tab", "empty-code", "third-column"],
+        "bad_line, message",
+        [
+            ("hello HH AH L OW", "expected WORD<TAB>PHONEMES"),
+            ("queue\t", "expected WORD<TAB>PHONEMES"),
+            ("queue\tK Y UW\tK Y UW", "expected WORD<TAB>PHONEMES"),
+            # normalize splits or strips these, so no word could look them up
+            ("bad word\tT AA T", "word 'bad word' is not [a-z0-9]+ once lowercased"),
+            ("t-t\tT T", "word 't-t' is not [a-z0-9]+ once lowercased"),
+            # words are case-insensitive, so a later spelling would replace the first
+            ("tat\tT AA", "word 'tat' is already listed at line 1"),
+            ("TAT\tT AA", "word 'TAT' is already listed at line 1"),
+        ],
+        ids=["no-tab", "empty-code", "third-column", "space", "punctuation", "repeat", "repeat-case"],
     )
-    def test_malformed_lexicon_line_rejected_by_line(self, tmp_path, bad_line):
+    def test_malformed_lexicon_line_rejected_by_line(self, tmp_path, bad_line, message):
         inventory_path = tmp_path / "inventory.tsv"
         inventory_path.write_text("T\tconsonant\talveolar\tstop\tvoiceless\nAA\tvowel\tlow\tback\tunrounded\n")
         lexicon_path = tmp_path / "lexicon.tsv"
         lexicon_path.write_text(f"tat\tT AA T\n{bad_line}\n")
-        with pytest.raises(ValueError, match="line 2: expected WORD<TAB>PHONEMES"):
+        with pytest.raises(ValueError, match=re.escape(f"line 2: {message}")):
             load_lexicon(lexicon_path, load_inventory(inventory_path))
 
     def test_entries_must_stay_in_inventory(self, lexicon):
