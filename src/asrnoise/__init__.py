@@ -28,7 +28,6 @@ from .evaluation import (
 from .generation import (
     ErrorType,
     GeneratedSpan,
-    SentenceSpans,
     SpanDecoder,
     assemble,
     corrupt_corpus,
@@ -80,7 +79,6 @@ __all__ = [
     "PhoneticCode",
     "PhonemeCodeIndex",
     "PronouncingLexicon",
-    "SentenceSpans",
     "SpanDecoder",
     "SubwordVocab",
     "Token",

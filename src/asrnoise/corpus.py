@@ -13,13 +13,12 @@ costs (:func:`unit_costs`).
 """
 from __future__ import annotations
 
-import re
 import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import EmptyCorpusError, SizeTooSmallError
-from .phonetics import CONTINUATION_PREFIX, PronouncingLexicon, g2p, phoneme_edit_distance
+from .phonetics import CONTINUATION_PREFIX, WORD, PronouncingLexicon, g2p, phoneme_edit_distance
 from .textio import read_lines, write_lines
 
 BOS = "[BOS]"
@@ -32,14 +31,12 @@ SUBSTITUTION = "substitution"
 INSERTION = "insertion"
 DELETION = "deletion"
 
-_NORMALIZE_RE = re.compile(r"[^a-z0-9 ]+")
-
-
 def normalize(text: str) -> str:
-    """Fold accents (NFKD, combining marks dropped), lowercase, drop punctuation, collapse whitespace."""
+    """Fold accents (NFKD, combining marks dropped), lowercase, and keep the
+    words (:data:`phonetics.WORD`), one space apart."""
     if not text.isascii():
         text = "".join(ch for ch in unicodedata.normalize("NFKD", text) if not unicodedata.combining(ch))
-    return " ".join(_NORMALIZE_RE.sub(" ", text.lower()).split())
+    return " ".join(WORD.findall(text.lower()))
 
 
 @dataclass(frozen=True)
@@ -127,11 +124,11 @@ class SubwordVocab:
 def _check_piece(piece: str, seen) -> None:
     """Raise ValueError for a piece already in ``seen``, or, apart from the
     specials, one that no normalized word segments into: anything but
-    ``[a-z0-9]+`` past an optional ``##``."""
+    a :data:`phonetics.WORD` past an optional ``##``."""
     if piece in seen:
         raise ValueError(f"piece {piece!r} appears twice")
-    if piece not in SPECIALS and not re.fullmatch("[a-z0-9]+", piece.removeprefix(CONTINUATION_PREFIX)):
-        raise ValueError(f"piece {piece!r} is not [a-z0-9]+ past an optional ##")
+    if piece not in SPECIALS and not WORD.fullmatch(piece.removeprefix(CONTINUATION_PREFIX)):
+        raise ValueError(f"piece {piece!r} is not {WORD.pattern} past an optional ##")
 
 
 def _word_symbols(word: str) -> list[str]:

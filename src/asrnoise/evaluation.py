@@ -202,10 +202,6 @@ class IndependenceReport:
     verdict: str  # "independent", "dependent" or "degenerate"
     rows: tuple[TokenIndependenceRow, ...]
 
-    @property
-    def independent(self) -> bool:
-        return self.verdict == "independent"
-
 
 def _chi2_sf(x: float, dof: int) -> float:
     """Upper tail P(X > x) of a chi-square variable with integer ``dof`` >= 1.

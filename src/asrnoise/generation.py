@@ -158,13 +158,13 @@ class SpanDecoder:
         token_queries = _token_embeddings(np.arange(len(model.vocab)), params, config, rows_map).data
         return cls(model, params, head_tables(params, config, rows_map), token_queries, mode, temperature)
 
-    def encode(self, sentences: Sequence[tuple[Sequence[int], Sequence[int], int]]) -> list["SentenceSpans"]:
+    def encode(self, sentences: Sequence[tuple[Sequence[int], Sequence[int], int]]) -> "SpanChunk":
         """Encode a chunk of sentences of one length, each given as its piece
         ids, the positions whose spans to decode and the seed that keys their
         draws, and project the encoder rows to the decoder's keys and values.
         The chunk is encoded in one call, with no padding and no grid, so
-        a sentence's rows are the same bits in any chunk.  Returns each
-        sentence's view of the chunk (:class:`SentenceSpans`).  Raises
+        a sentence's rows are the same bits in any chunk.  Returns the
+        :class:`SpanChunk`, whose sentence ``i`` is ``sentences[i]``.  Raises
         :class:`ValueError` if the sentences differ in length."""
         model, params = self.model, self.params
         config, rows_map = model.config, model.code_index.token_rows
@@ -178,7 +178,7 @@ class SpanDecoder:
                 raise IndexError(f"positions {list(ks)} must be a non-empty subset of a sentence of {n} tokens")
         ids = np.array([piece_ids for piece_ids, _, _ in sentences], dtype=np.intp)
         e_enc = encode(embed_sequence(ids, params, config, rows_map), params, config)
-        chunk = SpanChunk(
+        return SpanChunk(
             self,
             e_enc,
             decoder_memory(e_enc, params),
@@ -186,16 +186,15 @@ class SpanDecoder:
             np.asarray([k for ks in positions for k in ks], dtype=np.intp),
             np.asarray([seed for _, _, seed in sentences], dtype=np.uint64),
         )
-        return [SentenceSpans(chunk, i) for i in range(len(sentences))]
 
 
 @dataclass(frozen=True)
 class SpanChunk:
-    """The spans of a chunk of sentences of ``n`` tokens each: the encoder
-    rows ``[B, n, d]``, the decoder's cross-attention keys and values of
-    them, and one span row per corrupted position: its sentence ``which``,
-    its position ``where``, and each sentence's ``seed``, which keys its
-    sampled draws; the mode and temperature are the ``decoder``'s.
+    """The spans of a chunk of ``B`` sentences of ``n`` tokens each: the
+    encoder rows ``[B, n, d]``, the decoder's cross-attention keys and values
+    of them, and one span row per corrupted position: its sentence ``which``
+    (in ``range(B)``), its position ``where``, and each sentence's ``seed``,
+    which keys its draws; the mode and temperature are the ``decoder``'s.
 
     :meth:`token_ids` decodes every span of the chunk at once on its first
     call and keeps the result.  The decode thus runs inside the chunk's
@@ -216,12 +215,13 @@ class SpanChunk:
 
     def token_ids(self, sentence: int, position: int) -> tuple[int, ...]:
         """The token ids, [EOS] included, of the span at ``position`` of the
-        chunk's sentence ``sentence``."""
+        chunk's sentence ``sentence``; IndexError for a span it does not hold."""
         if not self._token_ids:
             self._token_ids.update(zip(zip(self.which.tolist(), self.where.tolist()), self._decode()))
         if (sentence, position) not in self._token_ids:
-            n = self.rows.data.shape[1]
-            raise IndexError(f"position {position} of a sentence of {n} tokens was not encoded for decoding")
+            b, n = self.rows.data.shape[:2]
+            raise IndexError(f"position {position} of a sentence of {n} tokens was not encoded for decoding "
+                             f"(sentence {sentence} of a chunk of {b})")
         return self._token_ids[sentence, position]
 
     def _decode(self) -> list[tuple[int, ...]]:
@@ -273,26 +273,13 @@ class SpanChunk:
         return [tuple(span) for span in ids]
 
 
-@dataclass(frozen=True)
-class SentenceSpans:
-    """Sentence ``index`` of a :class:`SpanChunk`: the spans of its
-    corrupted positions."""
-
-    chunk: SpanChunk
-    index: int
-
-    def token_ids(self, position: int) -> tuple[int, ...]:
-        """The token ids, [EOS] included, of the span at ``position``."""
-        return self.chunk.token_ids(self.index, position)
-
-
-def generate_span(sentence: SentenceSpans, position: int, original: str) -> GeneratedSpan:
-    """The record of the span the sentence decoded at ``position`` to
-    replace the token ``original``: its token ids and their surfaces,
-    [EOS] included.  Raises :class:`IndexError` for a position the sentence
-    was not encoded to decode."""
-    generated = sentence.token_ids(position)
-    surfaces = tuple(map(sentence.chunk.decoder.model.vocab.surface, generated))
+def generate_span(chunk: SpanChunk, sentence: int, position: int, original: str) -> GeneratedSpan:
+    """The record of the span the chunk's sentence ``sentence`` decoded at
+    ``position`` to replace the token ``original``: its token ids and their
+    surfaces, [EOS] included.  Raises :class:`IndexError` for a sentence or
+    position the chunk was not encoded to decode."""
+    generated = chunk.token_ids(sentence, position)
+    surfaces = tuple(map(chunk.decoder.model.vocab.surface, generated))
     return GeneratedSpan(position, original, generated, surfaces)
 
 
@@ -397,11 +384,11 @@ def corrupt_corpus(
         # a corrupted sentence's text is assembled once its chunk decodes
         outputs.append("" if plan.corruption_count else assemble(tokens, plan, []))
     spans_of: dict[int, list[GeneratedSpan]] = {}
-    for chunk in _chunks(corrupted):
-        views = decoder.encode([([t.piece_id for t in tokens], plan.corrupted_positions, sentence_seed)
-                                for _, tokens, plan, sentence_seed in chunk])
-        for (idx, tokens, plan, _), sentence in zip(chunk, views):
-            spans_of[idx] = [generate_span(sentence, k, tokens[k].surface) for k in plan.corrupted_positions]
+    for group in _chunks(corrupted):
+        chunk = decoder.encode([([t.piece_id for t in tokens], plan.corrupted_positions, sentence_seed)
+                                for _, tokens, plan, sentence_seed in group])
+        for i, (idx, tokens, plan, _) in enumerate(group):
+            spans_of[idx] = [generate_span(chunk, i, k, tokens[k].surface) for k in plan.corrupted_positions]
             outputs[idx] = assemble(tokens, plan, spans_of[idx])
     records = [SpanRecord(str(idx), span) for idx, *_ in corrupted for span in spans_of[idx]]
     return outputs, records

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import MATCH, AlignmentEntry
 from .errors import EmptyCorpusError, PriorOutOfRangeError
-from .rng import uniforms_at
+from .rng import check_seed, uniforms_at
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,11 @@ def sample_plan_interventional(tokens: Sequence, p_z: float, seed: int) -> Corru
     """Sample z for every position with constant prior ``p_z``.
 
     The uniform draw at position k is a pure function of (seed, k), so the
-    plan is reproducible and token-independent by construction.
+    plan is reproducible and token-independent by construction.  The seed
+    must be an integer in [0, 2**64) (:func:`rng.check_seed`).
     """
     check_prior(p_z, "corruption prior")
+    check_seed(seed)
     draws = uniforms_at(seed, np.arange(len(tokens)))
     return CorruptionPlan(z=tuple((draws < p_z).tolist()))
 
@@ -102,7 +104,9 @@ def sample_plan_conditional(
     table: ConditionalPriorTable,
     seed: int,
 ) -> CorruptionPlan:
-    """Sample z with per-token thresholds from the frequency table."""
+    """Sample z with per-token thresholds from the frequency table, under a
+    seed in [0, 2**64)."""
+    check_seed(seed)
     draws = uniforms_at(seed, np.arange(len(tokens)))
     z = tuple(bool(a < table[tok]) for a, tok in zip(draws, tokens))
     return CorruptionPlan(z=z)

@@ -38,6 +38,10 @@ UNK_SYMBOL = "UNK"
 #: Subword pieces carry this prefix when they continue a word.
 CONTINUATION_PREFIX = "##"
 
+#: A word: what :func:`corpus.normalize` keeps between spaces, so also what
+#: a lexicon word, lowercased, and a subword piece past ``##`` must be.
+WORD = re.compile("[a-z0-9]+")
+
 
 @dataclass(frozen=True)
 class Phoneme:
@@ -131,18 +135,22 @@ FALLBACK_LETTER_PHONEMES: dict[str, tuple[str, ...]] = {
 
 
 class PronouncingLexicon:
-    """Case-insensitive word -> phonetic code map over one phoneme inventory."""
+    """Case-insensitive word -> phonetic code map over one phoneme inventory;
+    ValueError for a word that is not a :data:`WORD` once lowercased or is
+    one already listed, and for a phoneme not in ``inventory``."""
 
     def __init__(self, entries: Mapping[str, PhoneticCode], inventory: Mapping[str, Phoneme]):
         self.inventory = dict(inventory)
         if UNK_SYMBOL not in self.inventory:
             raise ValueError("inventory must contain the %s phoneme" % UNK_SYMBOL)
         self.entries: dict[str, PhoneticCode] = {}
+        listed: dict[str, str] = {}
         for word, code in entries.items():
+            key = _lexicon_key(word, listed, f"as {word!r}")
             for ph in code:
                 if ph.symbol not in self.inventory:
                     raise ValueError(f"{word!r} uses phoneme {ph.symbol!r} not in inventory")
-            self.entries[word.lower()] = code
+            self.entries[key] = code
         self._fallback_cache: dict[str, PhoneticCode] = {}
 
     def __len__(self) -> int:
@@ -177,18 +185,30 @@ def load_inventory(path) -> dict[str, Phoneme]:
     return inventory
 
 
+def _lexicon_key(word: str, listed: dict[str, str], where: str) -> str:
+    """``word`` lowercased, entered in ``listed`` as found ``where``.
+    Raises ValueError for a key that is not a :data:`WORD` (no normalized
+    word could look it up) or that ``listed`` already holds."""
+    key = word.lower()
+    if not WORD.fullmatch(key):
+        raise ValueError(f"word {word!r} is not {WORD.pattern} once lowercased")
+    if key in listed:
+        raise ValueError(f"word {word!r} is already listed {listed[key]}")
+    listed[key] = where
+    return key
+
+
 def load_lexicon(path, inventory: Mapping[str, Phoneme]) -> PronouncingLexicon:
     """Read ``WORD<TAB>PH1 PH2 ...`` lines into a lexicon.
 
     Each line holds exactly one tab, with a word before it and at least one
-    phoneme after it.  Words are case-insensitive, and a word must be
-    ``[a-z0-9]+`` once lowercased, since ``corpus.normalize`` keeps only
-    those characters in a word and no other could be looked up.  A
-    malformed line, a word already listed (naming the earlier line too), or
-    a symbol missing from ``inventory`` raises ValueError naming its line.
+    phoneme after it.  Words are case-insensitive, and a word must be a
+    :data:`WORD` once lowercased.  A malformed line, a word already listed
+    (naming the earlier line too), or a symbol missing from ``inventory``
+    raises ValueError naming its line.
     """
     entries: dict[str, PhoneticCode] = {}
-    first_line: dict[str, int] = {}
+    listed: dict[str, str] = {}
     for number, raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -196,14 +216,11 @@ def load_lexicon(path, inventory: Mapping[str, Phoneme]) -> PronouncingLexicon:
         if line.count("\t") != 1:
             raise ValueError(f"line {number}: expected WORD<TAB>PHONEMES, got {raw.rstrip()!r}")
         word, _, symbols = line.partition("\t")
-        key = word.lower()
-        if not re.fullmatch("[a-z0-9]+", key):
-            raise ValueError(f"line {number}: word {word!r} is not [a-z0-9]+ once lowercased")
-        if key in first_line:
-            raise ValueError(f"line {number}: word {word!r} is already listed at line {first_line[key]}")
-        first_line[key] = number
         try:
+            key = _lexicon_key(word, listed, f"at line {number}")
             entries[key] = tuple(inventory[s] for s in symbols.split())
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
         except KeyError as exc:
             raise ValueError(f"line {number}: phoneme {exc.args[0]!r} is not in the inventory") from None
     return PronouncingLexicon(entries, inventory)

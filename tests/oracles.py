@@ -16,8 +16,12 @@ each given position's first step from its own start row.  Decoding is thus
 checked against the path training runs.  ``step_distributions_reference`` and
 ``pick_reference`` keep the decode step's head combination and pick in their
 first form, one fresh array per operation, to pin that the in-place kernels
-compute the same bits.
+compute the same bits, and ``normalize_reference`` keeps normalization's
+first form, a substitution and a split, to pin that collecting the matches
+of the word rule gives the same text.
 """
+import re
+import unicodedata
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +31,15 @@ from asrnoise.autodiff import WEIGHT_GRAD_ROWS, Tensor, _acc, _node, _unbroadcas
 from asrnoise.corpus import CONTINUATION_PREFIX, SPECIALS, normalize
 from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
 from asrnoise.phonetics import articulatory_mismatches, supervision_distribution
+
+
+def normalize_reference(text: str) -> str:
+    """``corpus.normalize`` in its first form: fold accents, lowercase, turn
+    every run of characters outside ``a-z``, ``0-9`` and space into a space,
+    then split on whitespace and join the words with one space."""
+    if not text.isascii():
+        text = "".join(ch for ch in unicodedata.normalize("NFKD", text) if not unicodedata.combining(ch))
+    return " ".join(re.sub(r"[^a-z0-9 ]+", " ", text.lower()).split())
 
 
 def edit_distance_recursive(cp, cq) -> float:
@@ -391,21 +404,21 @@ def one_span_hidden(start, prefix, memory, params, config, token_rows):
     return decoder_hidden(start, [prefix], memory, params, config, token_rows, (steps, keys))
 
 
-def _sentence_of_chunk(sentence):
-    """A :class:`SentenceSpans` view's decoder, and its sentence's encoder
-    rows and decoder keys and values taken from its chunk as packed rows
+def _sentence_of_chunk(chunk, sentence: int):
+    """A :class:`generation.SpanChunk`'s decoder, and the encoder rows and
+    decoder keys and values of its sentence ``sentence`` as packed rows
     ``[n, d]``."""
     from asrnoise import autodiff as ad
 
-    chunk, index = sentence.chunk, sentence.index
-    memory = tuple(ad.rows(x, index) for x in chunk.memory)
-    return chunk.decoder, ad.rows(chunk.rows, index), memory
+    memory = tuple(ad.rows(x, sentence) for x in chunk.memory)
+    return chunk.decoder, ad.rows(chunk.rows, sentence), memory
 
 
-def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
-    """Span decoding that runs the decoder block over the span's start row
-    and every token generated so far at each step, in training's packed
-    form (:func:`one_span_hidden`), and keeps the newest row.
+def full_prefix_span(chunk, sentence: int, position: int, temperature=None, seed: int = 0):
+    """The span at ``position`` of the chunk's sentence ``sentence``,
+    decoded by running the decoder block over the span's start row and
+    every token generated so far at each step, in training's packed form
+    (:func:`one_span_hidden`), and keeping the newest row.
     Without a ``temperature`` each step takes the argmax; with one it draws
     from the temperature-scaled weights by a right-side search of one
     uniform: step t's is ``uniforms_at(seed, (position + 1) * 2**32 + t)``,
@@ -416,7 +429,7 @@ def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
     from asrnoise.model import decoder_start, step_distributions
     from asrnoise.rng import uniforms_at
 
-    decoder, e_enc, memory = _sentence_of_chunk(sentence)
+    decoder, e_enc, memory = _sentence_of_chunk(chunk, sentence)
     model, params = decoder.model, decoder.params
     config, eos = model.config, model.vocab.eos_id
     start = decoder_start(ad.rows(e_enc, [position]), params)
@@ -440,15 +453,15 @@ def full_prefix_span(sentence, position: int, temperature=None, seed: int = 0):
     return tuple(generated), rows
 
 
-def first_step_one_row(sentence, positions):
-    """The first decode step of each of ``positions`` run alone: its start
-    row ``[1, d]`` through the decoder block in training's packed form
-    (:func:`one_span_hidden`) and the heads.  Returns the combined
-    distributions ``[len(positions), V]``."""
+def first_step_one_row(chunk, sentence: int, positions):
+    """The first decode step of each of ``positions`` of the chunk's
+    sentence ``sentence`` run alone: its start row ``[1, d]`` through the
+    decoder block in training's packed form (:func:`one_span_hidden`) and
+    the heads.  Returns the combined distributions ``[len(positions), V]``."""
     from asrnoise import autodiff as ad
     from asrnoise.model import decoder_start, step_distributions
 
-    decoder, e_enc, memory = _sentence_of_chunk(sentence)
+    decoder, e_enc, memory = _sentence_of_chunk(chunk, sentence)
     model, params = decoder.model, decoder.params
     p_rows = []
     for position in positions:

@@ -10,7 +10,7 @@ from asrnoise import synthetic
 from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
 
 from conftest import make_token_seq
-from oracles import align_pair_reference, alignment_cost_recursive, induce_vocab_reference
+from oracles import align_pair_reference, alignment_cost_recursive, induce_vocab_reference, normalize_reference
 
 # pieces no normalized word segments into: only [a-z0-9]+ past an optional ## can be
 _UNTOKENIZABLE_PIECES = ["##", "x\ty", "Two Words", "##Q!", "ab "]
@@ -33,6 +33,12 @@ class TestNormalize:
     )
     def test_accents_and_compatibility_forms_fold(self, text, expected):
         assert C.normalize(text) == expected
+
+    def test_every_code_point_splits_or_joins_as_in_the_first_form(self):
+        # each code point between two letters: one that folds to a word
+        # character joins them, and any other separates them
+        text = " ".join(f"a{chr(c)}b" for c in range(0x110000))
+        assert C.normalize(text) == normalize_reference(text)
 
 
 @st.composite

@@ -114,11 +114,12 @@ def _toy_model(lexicon, phoneme_head=True):
 
 
 def _encode_text(model, text, mode=G.GREEDY, seed=0, positions=None):
-    """A sentence of ``text`` encoded to decode ``positions`` (all by default)."""
+    """The tokens of ``text`` and a chunk of that one sentence, its sentence
+    0, encoded to decode ``positions`` (all by default)."""
     tokens = C.tokenize(text, model.vocab)
     positions = range(len(tokens)) if positions is None else positions
-    [sentence] = G.SpanDecoder.build(model, mode, 1.0).encode([([t.piece_id for t in tokens], positions, seed)])
-    return tokens, sentence
+    chunk = G.SpanDecoder.build(model, mode, 1.0).encode([([t.piece_id for t in tokens], positions, seed)])
+    return tokens, chunk
 
 
 def _force_eos(model, logit=60.0):
@@ -165,8 +166,8 @@ class TestGenerateSpan:
         model = _toy_model(lexicon)
         _force_eos(model)
         for mode in (G.GREEDY, G.SAMPLE):
-            tokens, sentence = _encode_text(model, "the cue", mode, seed=3)
-            span = G.generate_span(sentence, 0, tokens[0].surface)
+            tokens, chunk = _encode_text(model, "the cue", mode, seed=3)
+            span = G.generate_span(chunk, 0, 0, tokens[0].surface)
             assert span.m == 1
             assert span.error_type is G.ErrorType.DELETION
             assert span.replacement == ""
@@ -179,8 +180,8 @@ class TestGenerateSpan:
         model.params["m_word"][:] = 0.0
         model.params["b_n"][:] = 0.0
         model.params["b_n"][target] = 40.0
-        tokens, sentence = _encode_text(model, "the cue")
-        span = G.generate_span(sentence, 1, tokens[1].surface)
+        tokens, chunk = _encode_text(model, "the cue")
+        span = G.generate_span(chunk, 0, 1, tokens[1].surface)
         assert span.surfaces == ("gag", "gag", "gag", "gag", "[EOS]")
         assert span.m == model.config.max_gen_len
         assert span.error_type is G.ErrorType.INSERTION
@@ -193,23 +194,23 @@ class TestGenerateSpan:
         hi = [model.vocab.piece_to_id["queue"], model.vocab.piece_to_id["sue"]]
         for idx in hi:
             model.params["b_n"][idx] = 40.0
-        tokens, sentence = _encode_text(model, "the cue")
-        span = G.generate_span(sentence, 0, tokens[0].surface)
+        tokens, chunk = _encode_text(model, "the cue")
+        span = G.generate_span(chunk, 0, 0, tokens[0].surface)
         assert span.token_ids[0] == min(hi)
 
     def test_sampling_is_seed_deterministic(self, lexicon):
         model = _toy_model(lexicon)
         _, a = _encode_text(model, "the cue gag", G.SAMPLE, seed=42)
         _, b = _encode_text(model, "the cue gag", G.SAMPLE, seed=42)
-        assert G.generate_span(a, 1, "cue") == G.generate_span(b, 1, "cue") == G.generate_span(a, 1, "cue")
+        assert G.generate_span(a, 0, 1, "cue") == G.generate_span(b, 0, 1, "cue") == G.generate_span(a, 0, 1, "cue")
 
     def test_span_terminates_with_single_trailing_eos(self, lexicon):
         model = _toy_model(lexicon)
         eos = model.vocab.eos_id
         for seed in range(4):
-            tokens, sentence = _encode_text(model, "the cue gag sue", G.SAMPLE, seed=seed)
+            tokens, chunk = _encode_text(model, "the cue gag sue", G.SAMPLE, seed=seed)
             for position in range(len(tokens)):
-                span = G.generate_span(sentence, position, tokens[position].surface)
+                span = G.generate_span(chunk, 0, position, tokens[position].surface)
                 assert span.m <= model.config.max_gen_len
                 assert span.token_ids[-1] == eos
                 assert sum(1 for t in span.token_ids if t == eos) == 1
@@ -231,8 +232,8 @@ class TestGenerateSpan:
             created.append(self)
 
         monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
-        tokens, sentence = _encode_text(model, "the cue gag sue", G.SAMPLE, seed=3)
-        spans = [G.generate_span(sentence, k, tokens[k].surface) for k in range(len(tokens))]
+        tokens, chunk = _encode_text(model, "the cue gag sue", G.SAMPLE, seed=3)
+        spans = [G.generate_span(chunk, 0, k, tokens[k].surface) for k in range(len(tokens))]
         assert sum(span.m for span in spans) > len(spans)  # some spans took several steps
         G.corrupt_corpus(["the cue gag", "sue the cue"], model, p_z=1.0, seed=5)
         assert len(created) > 100
@@ -241,10 +242,10 @@ class TestGenerateSpan:
     @pytest.mark.parametrize("position", [2, 5, -1])
     def test_position_outside_sentence_rejected(self, lexicon, position):
         model = _toy_model(lexicon)
-        tokens, sentence = _encode_text(model, "the cue")
+        tokens, chunk = _encode_text(model, "the cue")
         assert len(tokens) == 2
         with pytest.raises(IndexError, match=f"position {position} .* 2 tokens"):
-            G.generate_span(sentence, position, "")
+            G.generate_span(chunk, 0, position, "")
 
 
 class TestWorkPerStep:
@@ -345,8 +346,8 @@ class TestWorkPerStep:
             monkeypatch.setattr(G, "decoder_hidden", decoder_hidden)
             monkeypatch.setattr(G, "step_distributions", step_distributions)
             picked.clear()
-            [sentence] = decoder.encode([(ids, positions, 5)])
-            spans = [G.generate_span(sentence, k, tokens[k].surface) for k in positions]
+            chunk = decoder.encode([(ids, positions, 5)])
+            spans = [G.generate_span(chunk, 0, k, tokens[k].surface) for k in positions]
             runs.append(([span.token_ids for span in spans], seen))
         (cached_ids, cached_p), (rebuilt_ids, rebuilt_p) = runs
         assert cached_ids == rebuilt_ids
@@ -376,12 +377,12 @@ class TestLiveQueryRow:
         steps = 0
         for text in ("the cue gag sue", "queue the gag", "sue"):
             hidden_rows.clear()
-            tokens, sentence = _encode_text(model, text)
-            spans = [G.generate_span(sentence, k, tokens[k].surface) for k in range(len(tokens))]
+            tokens, chunk = _encode_text(model, text)
+            spans = [G.generate_span(chunk, 0, k, tokens[k].surface) for k in range(len(tokens))]
             assert hidden_rows[0].shape == (len(tokens), model.config.d_model)
             per_span = _rows_per_span(hidden_rows, spans, model.config.max_gen_len)
             for k, (span, rows) in enumerate(zip(spans, per_span)):
-                expected_ids, expected_rows = full_prefix_span(sentence, k)
+                expected_ids, expected_rows = full_prefix_span(chunk, 0, k)
                 assert span.token_ids == expected_ids
                 assert len(rows) == len(expected_rows)
                 assert np.max(np.abs(np.array(rows) - np.array(expected_rows))) <= 1e-12
@@ -407,14 +408,14 @@ class TestLockstep:
         for text, positions in (("the cue gag sue", [0, 1, 2, 3]), ("queue the gag cue sue", [4, 1, 3])):
             for seed in (3, 8):
                 hidden_rows.clear()
-                tokens, sentence = _encode_text(model, text, mode, seed, positions)
-                together = [G.generate_span(sentence, k, tokens[k].surface) for k in positions]
+                tokens, chunk = _encode_text(model, text, mode, seed, positions)
+                together = [G.generate_span(chunk, 0, k, tokens[k].surface) for k in positions]
                 per_span = _rows_per_span(hidden_rows, together, max_gen_len)
                 for k, span, rows in zip(positions, together, per_span):
                     _, alone = _encode_text(model, text, mode, seed, [k])
-                    assert span == G.generate_span(alone, k, tokens[k].surface)
+                    assert span == G.generate_span(alone, 0, k, tokens[k].surface)
                     temperature = None if mode == G.GREEDY else 1.0
-                    expected_ids, expected_rows = full_prefix_span(sentence, k, temperature, seed)
+                    expected_ids, expected_rows = full_prefix_span(chunk, 0, k, temperature, seed)
                     assert span.token_ids == expected_ids
                     assert np.max(np.abs(np.array(rows) - np.array(expected_rows))) <= 1e-12
                     lengths.add(span.m)
@@ -427,8 +428,8 @@ class TestLockstep:
         config = M.ModelConfig(d_model=8, n_heads=2, max_gen_len=1, max_len=16)
         model = M.Model.build(vocab, lexicon, config, seed=1)
         hidden_rows, _ = _record_steps(monkeypatch)
-        tokens, sentence = _encode_text(model, "the cue", mode)
-        spans = [G.generate_span(sentence, k, tokens[k].surface) for k in range(len(tokens))]
+        tokens, chunk = _encode_text(model, "the cue", mode)
+        spans = [G.generate_span(chunk, 0, k, tokens[k].surface) for k in range(len(tokens))]
         assert [span.token_ids for span in spans] == [(vocab.eos_id,)] * 2
         assert hidden_rows == []
 
@@ -450,10 +451,10 @@ class TestFirstStepTable:
         # the matrix-vector path; 16 tokens is max_len
         model = _toy_model(lexicon, phoneme_head=phoneme_head)
         _, p_rows = _record_steps(monkeypatch)
-        tokens, sentence = _encode_text(model, text, positions=positions)
+        tokens, chunk = _encode_text(model, text, positions=positions)
         assert max(positions) < len(tokens) <= model.config.max_len
-        G.generate_span(sentence, positions[0], tokens[positions[0]].surface)
-        expected = first_step_one_row(sentence, positions)
+        G.generate_span(chunk, 0, positions[0], tokens[positions[0]].surface)
+        expected = first_step_one_row(chunk, 0, positions)
         assert p_rows[0].shape == (len(positions), len(model.vocab))
         assert np.max(np.abs(p_rows[0] - expected)) <= 1e-12
 
@@ -472,10 +473,21 @@ class TestFirstStepTable:
 
     def test_a_span_needs_its_position_encoded(self, lexicon):
         model = _toy_model(lexicon)
-        tokens, sentence = _encode_text(model, "the cue gag", positions=[0, 2])
-        G.generate_span(sentence, 2, tokens[2].surface)
+        tokens, chunk = _encode_text(model, "the cue gag", positions=[0, 2])
+        G.generate_span(chunk, 0, 2, tokens[2].surface)
         with pytest.raises(IndexError, match="position 1 of a sentence of 3 tokens was not encoded"):
-            G.generate_span(sentence, 1, tokens[1].surface)
+            G.generate_span(chunk, 0, 1, tokens[1].surface)
+
+    def test_a_span_needs_its_sentence_in_the_chunk(self, lexicon):
+        # sentence 1 holds position 2 alone; the chunk holds no sentence 2 or -1
+        model = _toy_model(lexicon)
+        tokens = C.tokenize("the cue gag", model.vocab)
+        ids = [t.piece_id for t in tokens]
+        chunk = G.SpanDecoder.build(model, G.GREEDY, 1.0).encode([(ids, [0], 1), (ids, [2], 2)])
+        assert G.generate_span(chunk, 1, 2, tokens[2].surface).position == 2
+        for sentence, position in ((1, 0), (2, 2), (-1, 0)):
+            with pytest.raises(IndexError, match=f"position {position} .*sentence {sentence} of a chunk of 2"):
+                G.generate_span(chunk, sentence, position, tokens[position].surface)
 
 
 class TestStepKernelBits:
@@ -543,9 +555,9 @@ class TestSaturatedWordHead:
         model = _toy_model(lexicon)
         model.params["b_n"][model.vocab.piece_to_id[piece]] = 800.0
         for mode in (G.GREEDY, G.SAMPLE):
-            tokens, sentence = _encode_text(model, "the cue gag", mode, seed=1)
+            tokens, chunk = _encode_text(model, "the cue gag", mode, seed=1)
             for k in range(len(tokens)):
-                span = G.generate_span(sentence, k, tokens[k].surface)
+                span = G.generate_span(chunk, 0, k, tokens[k].surface)
                 assert span.token_ids == (model.vocab.eos_id,)
 
     @pytest.mark.parametrize("mode", [G.GREEDY, G.SAMPLE])
@@ -624,9 +636,9 @@ def _decode_each_alone(texts, model, p_z, seed, mode, temperature):
         spans = []
         if plan.corruption_count:
             decoder = G.SpanDecoder.build(model, mode, temperature)
-            [sentence] = decoder.encode([([t.piece_id for t in tokens], plan.corrupted_positions,
+            chunk = decoder.encode([([t.piece_id for t in tokens], plan.corrupted_positions,
                                           derive_seed(seed, i))])
-            spans = [G.generate_span(sentence, k, tokens[k].surface) for k in plan.corrupted_positions]
+            spans = [G.generate_span(chunk, 0, k, tokens[k].surface) for k in plan.corrupted_positions]
         outputs.append(G.assemble(tokens, plan, spans))
         records.extend(G.SpanRecord(str(i), span) for span in spans)
     return outputs, records

@@ -32,6 +32,18 @@ class TestInterventionalSampler:
         with pytest.raises(PriorOutOfRangeError):
             sample_plan_interventional(_tokens(4), -0.1, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed", [-1, 2**64, 2**64 + 7, 1.0, "1"], ids=["minus-one", "2**64", "above-2**64", "float", "str"]
+    )
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # 2**64 would repeat seed 0's plan and -1 the plan of 2**64 - 1
+        table = ConditionalPriorTable({}, 0.5)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            sample_plan_interventional(_tokens(4), 0.5, seed)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            sample_plan_conditional(_tokens(4), table, seed)
+        assert len(sample_plan_interventional(_tokens(4), 0.5, 2**64 - 1)) == 4
+
     def test_bitwise_reproducible(self):
         a = sample_plan_interventional(_tokens(500), 0.3, seed=99)
         b = sample_plan_interventional(_tokens(500), 0.3, seed=99)

@@ -82,6 +82,20 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=re.escape(f"line 2: {message}")):
             load_lexicon(lexicon_path, load_inventory(inventory_path))
 
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            (["cue", "Cue"], "word 'Cue' is already listed as 'cue'"),
+            (["two words"], "word 'two words' is not [a-z0-9]+ once lowercased"),
+        ],
+        ids=["repeat-case", "space"],
+    )
+    def test_constructor_rejects_what_load_lexicon_rejects(self, lexicon, words, message):
+        # no entry is silently replaced, and none is one no normalized word looks up
+        entries = {word: g2p("cue", lexicon) for word in words}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PronouncingLexicon(entries, lexicon.inventory)
+
     def test_entries_must_stay_in_inventory(self, lexicon):
         code = g2p("cue", lexicon)
         tiny_inventory = {"UNK": lexicon.phoneme("UNK")}
