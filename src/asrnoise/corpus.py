@@ -8,14 +8,17 @@ sequence the generator should produce for it, terminated by ``[EOS]``.
 
 :func:`align_sequences` is the package's one alignment dynamic program.  The
 word alignment feeds it phonetic substitution costs; the piece alignment
-inside a word pair and the WER/CER scoring in ``evaluation`` feed it unit
-costs (:func:`unit_costs`).
+inside a word pair and the error-type scoring in ``evaluation`` feed it unit
+costs (:func:`unit_costs`).  :func:`edit_distance` counts the unit-cost
+distance alone, bit-parallel: WER/CER need nothing more, and the word
+alignment takes it as the bound that leaves out the diagonals no optimal
+path uses.
 """
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import EmptyCorpusError, SizeTooSmallError
 from .phonetics import CONTINUATION_PREFIX, WORD, PronouncingLexicon, g2p, phoneme_edit_distance
@@ -288,6 +291,44 @@ def unit_costs(ref: Sequence[str], hyp: Sequence[str]) -> list[list[int]]:
     return [[0 if r == h else 1 for h in hyp] for r in ref]
 
 
+def edit_distance(ref: Sequence[Hashable], hyp: Sequence[Hashable]) -> int:
+    """Unit-cost Levenshtein distance between two sequences of hashable symbols.
+
+    Bit-parallel over the longer sequence, one Python-int bit per symbol, so
+    there is no length limit (Myers 1999; the row form of Hyyrö 2001).  It
+    equals the number of substitutions, insertions and deletions along any
+    minimum-cost alignment from :func:`align_sequences` with unit costs.
+    """
+    if len(ref) < len(hyp):
+        ref, hyp = hyp, ref
+    m = len(ref)
+    if not hyp:
+        return m
+    match: dict[Hashable, int] = {}
+    for i, symbol in enumerate(ref):
+        match[symbol] = match.get(symbol, 0) | (1 << i)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    # vertical deltas D[i][j] - D[i-1][j] of the current column: +1 in vp, -1 in vn
+    vp, vn, dist = mask, 0, m
+    for symbol in hyp:
+        eq = match.get(symbol, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        # the top row D[0][j] = j grows by one per column
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+    return dist
+
+
 def align_sequences(
     sub_costs: Sequence[Sequence[float]], m: int
 ) -> list[tuple[Optional[int], Optional[int]]]:
@@ -364,28 +405,43 @@ def align_pair(gt: str, asr: str, lexicon: PronouncingLexicon) -> list[Alignment
     cost 1, so phonetically close words align as substitutions rather than
     deletion/insertion pairs.  Inserted transcript words attach to the
     preceding ground-truth word.
+
+    Only the diagonals an optimal alignment can use get a phonetic cost: the
+    cells with ``i - j`` in ``[min(0, Δ) - s, max(0, Δ) + s]``, where ``Δ =
+    n - m``, ``s = (U - |Δ|) // 2`` and ``U`` is the unit-cost word edit
+    distance (:func:`edit_distance`).  A path that pairs ground-truth word
+    ``i`` with transcript word ``j`` makes at least ``|d| + |Δ - d|``
+    insertions and deletions (``d = i - j``), each costing 1; every
+    substitution costs at most 1, so ``U`` bounds the optimum from above.  A
+    cell on a diagonal with ``|d| + |Δ - d| > U`` thus lies on no optimal
+    path and is strictly worse wherever the backtrace compares it, so it
+    keeps the placeholder cost 1 and the alignment is the full table's.
     """
     gt_words = normalize(gt).split()
     asr_words = normalize(asr).split()
     if not gt_words:
         raise EmptyCorpusError("ground-truth side of an alignment must be nonempty")
 
+    n, m = len(gt_words), len(asr_words)
+    delta = n - m
+    slack = (edit_distance(gt_words, asr_words) - abs(delta)) // 2
+    low, high = min(0, delta) - slack, max(0, delta) + slack
     codes = {w: g2p(w, lexicon) for w in set(gt_words) | set(asr_words)}
-    asr_codes = [(aw, codes[aw]) for aw in asr_words]
     sub_costs = []
-    for gw in gt_words:
+    for i, gw in enumerate(gt_words):
         cg = codes[gw]
         norm = max(len(cg), 1)
-        row = []
-        for aw, ca in asr_codes:
+        row = [1.0] * m
+        for j in range(max(0, i - high), min(m, i - low + 1)):
+            aw = asr_words[j]
             if aw == gw:
-                row.append(0.0)
+                row[j] = 0.0
             else:
-                cost = phoneme_edit_distance(cg, ca) / norm
-                row.append(cost if cost < 1.0 else 1.0)
+                cost = phoneme_edit_distance(cg, codes[aw]) / norm
+                row[j] = cost if cost < 1.0 else 1.0
         sub_costs.append(row)
     entries = []
-    for i, js in _group_alignment(align_sequences(sub_costs, len(asr_words))):
+    for i, js in _group_alignment(align_sequences(sub_costs, m)):
         matched = tuple(asr_words[j] for j in js)
         entries.append(AlignmentEntry(gt_words[i], matched, _classify_entry(gt_words[i], matched)))
     return entries

@@ -2,7 +2,8 @@
 
 Texts are normalized (lowercase, punctuation stripped) before scoring.
 WER and CER need only each pair's unit-cost edit distance, which
-:func:`edit_distance` computes bit-parallel without a backtrace.  The error-type
+``corpus.edit_distance`` computes bit-parallel without a backtrace (it is
+importable from here too, as ``evaluation.edit_distance``).  The error-type
 breakdown and the mean phoneme distance need the path itself, so they run the
 same alignment dynamic program that builds training data,
 ``corpus.align_sequences``, with unit costs instead of phonetic ones; a
@@ -12,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import align_sequences, normalize, unit_costs
+from .corpus import align_sequences, edit_distance, normalize, unit_costs
 from .errors import InsufficientDataError, LengthMismatchError
 from .intervention import CorruptionPlan
 from .phonetics import PronouncingLexicon, g2p, phoneme_edit_distance
@@ -68,44 +69,6 @@ def _corpus_counts(references, hypotheses) -> tuple[int, int, int]:
             elif ref[i] != hyp[j]:
                 subs += 1
     return subs, ins, dels
-
-
-def edit_distance(ref: Sequence[Hashable], hyp: Sequence[Hashable]) -> int:
-    """Unit-cost Levenshtein distance between two sequences of hashable symbols.
-
-    Bit-parallel over the longer sequence, one Python-int bit per symbol, so
-    there is no length limit (Myers 1999; the row form of Hyyrö 2001).  It
-    equals the number of substitutions, insertions and deletions along any
-    minimum-cost alignment from ``corpus.align_sequences`` with unit costs.
-    """
-    if len(ref) < len(hyp):
-        ref, hyp = hyp, ref
-    m = len(ref)
-    if not hyp:
-        return m
-    match: dict[Hashable, int] = {}
-    for i, symbol in enumerate(ref):
-        match[symbol] = match.get(symbol, 0) | (1 << i)
-    mask = (1 << m) - 1
-    last = 1 << (m - 1)
-    # vertical deltas D[i][j] - D[i-1][j] of the current column: +1 in vp, -1 in vn
-    vp, vn, dist = mask, 0, m
-    for symbol in hyp:
-        eq = match.get(symbol, 0)
-        xv = eq | vn
-        xh = (((eq & vp) + vp) ^ vp) | eq
-        hp = vn | ~(xh | vp)
-        hn = vp & xh
-        if hp & last:
-            dist += 1
-        elif hn & last:
-            dist -= 1
-        # the top row D[0][j] = j grows by one per column
-        hp = (hp << 1) | 1
-        hn <<= 1
-        vp = (hn | ~(xv | hp)) & mask
-        vn = hp & xv
-    return dist
 
 
 def _error_rate(references: Sequence[str], hypotheses: Sequence[str], split) -> float:

@@ -21,8 +21,10 @@ _MIX2 = 0x94D049BB133111EB
 
 def check_seed(seed: int) -> None:
     """Reject a seed that is not an integer in [0, 2**64): :func:`derive_seed`
-    keeps only 64 bits, so a larger seed would repeat a smaller one."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK:
+    keeps only 64 bits, so a larger seed would repeat a smaller one.  A
+    ``bool`` is an ``int`` to ``isinstance`` but not a seed: ``True`` would
+    repeat seed 1."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 

@@ -18,7 +18,9 @@ checked against the path training runs.  ``step_distributions_reference`` and
 first form, one fresh array per operation, to pin that the in-place kernels
 compute the same bits, and ``normalize_reference`` keeps normalization's
 first form, a substitution and a split, to pin that collecting the matches
-of the word rule gives the same text.
+of the word rule gives the same text.  ``edited_pairs`` is no reference but
+the seeded input set that ``align_pair`` is checked on against
+``align_pair_reference``, in tier-1 and in CI's larger sweep.
 """
 import re
 import unicodedata
@@ -30,7 +32,7 @@ from mpmath import mp, mpf
 from asrnoise.autodiff import WEIGHT_GRAD_ROWS, Tensor, _acc, _node, _unbroadcast
 from asrnoise.corpus import CONTINUATION_PREFIX, SPECIALS, normalize
 from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
-from asrnoise.phonetics import articulatory_mismatches, supervision_distribution
+from asrnoise.phonetics import articulatory_mismatches, code_key, g2p, supervision_distribution
 
 
 def normalize_reference(text: str) -> str:
@@ -100,6 +102,76 @@ def align_pair_reference(gt: str, asr: str, lexicon):
         matched = tuple(asr_words[j] for j in js)
         entries.append(AlignmentEntry(gt_words[i], matched, _classify_entry(gt_words[i], matched)))
     return entries
+
+
+def edited_pairs(count: int, seed: int, lexicon) -> list[tuple[str, str]]:
+    """``count`` seeded (clean, transcript) pairs that stress word alignment.
+
+    Each pair is one of: word-by-word edits (a homophone, a one-letter
+    misspelling or any word in place of a word, a deletion, an insertion
+    after a word), a run of deleted or inserted words, a transcript much
+    shorter or much longer than the clean text, or an empty transcript.  One
+    pair in five draws its words from a pool of three, so repeats tie many
+    paths.
+    """
+    rng = np.random.default_rng(seed)
+    words = sorted(lexicon.words())
+    by_code: dict[str, list[str]] = {}
+    for w in words:
+        by_code.setdefault(code_key(g2p(w, lexicon)), []).append(w)
+    homophones = {w: [v for v in group if v != w] for group in by_code.values() if len(group) > 1 for w in group}
+
+    def pick(pool):
+        return pool[int(rng.integers(len(pool)))]
+
+    def substitute(w: str) -> str:
+        r = rng.random()
+        if r < 0.3 and w in homophones:
+            return pick(homophones[w])
+        if r < 0.7:
+            k = int(rng.integers(len(w)))
+            letter = chr(ord("a") + int(rng.integers(26)))
+            if len(w) > 1 and r < 0.45:
+                return w[:k] + w[k + 1:]
+            return w[:k] + letter + w[k + (r < 0.6):]
+        return pick(words)
+
+    def edit(gt: list[str], rate: float, pool) -> list[str]:
+        asr: list[str] = []
+        for w in gt:
+            r = rng.random()
+            if r >= rate:
+                asr.append(w)
+            elif r < rate * 0.5:
+                asr.append(substitute(w))
+            elif r < rate * 0.75:
+                asr.extend([w] + [pick(pool) for _ in range(int(rng.integers(1, 3)))])
+        return asr
+
+    kinds = ["edits", "run", "shorter", "longer", "empty"]
+    pairs = []
+    for _ in range(count):
+        kind = kinds[int(rng.choice(5, p=[0.5, 0.2, 0.1, 0.1, 0.1]))]
+        pool = words if rng.random() < 0.8 else [pick(words) for _ in range(3)]
+        if kind == "shorter":
+            gt = [pick(pool) for _ in range(int(rng.integers(8, 25)))]
+            asr = [w if rng.random() < 0.5 else substitute(w) for w in gt if rng.random() < 0.1]
+        elif kind == "longer":
+            gt = [pick(pool) for _ in range(int(rng.integers(1, 4)))]
+            asr = [pick(pool) for _ in range(int(rng.integers(8, 25)))]
+            for w in gt:
+                asr.insert(int(rng.integers(len(asr) + 1)), w)
+        else:
+            gt = [pick(pool) for _ in range(int(rng.integers(1, 13)))]
+            asr = [] if kind == "empty" else edit(gt, float(rng.uniform(0.0, 0.6)), pool)
+            if kind == "run":
+                start, length = int(rng.integers(len(asr) + 1)), int(rng.integers(1, 7))
+                if rng.random() < 0.5:
+                    del asr[start:start + length]
+                else:
+                    asr[start:start] = [pick(pool) for _ in range(length)]
+        pairs.append((" ".join(gt), " ".join(asr)))
+    return pairs
 
 
 def induce_vocab_reference(texts, size: int) -> list[str]:

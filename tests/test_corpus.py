@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -10,7 +11,13 @@ from asrnoise import synthetic
 from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
 
 from conftest import make_token_seq
-from oracles import align_pair_reference, alignment_cost_recursive, induce_vocab_reference, normalize_reference
+from oracles import (
+    align_pair_reference,
+    alignment_cost_recursive,
+    edited_pairs,
+    induce_vocab_reference,
+    normalize_reference,
+)
 
 # pieces no normalized word segments into: only [a-z0-9]+ past an optional ## can be
 _UNTOKENIZABLE_PIECES = ["##", "x\ty", "Two Words", "##Q!", "ab "]
@@ -247,14 +254,70 @@ class TestAlignPair:
             C.align_pair("", "whatever", lexicon)
 
     def test_matches_the_per_cell_reference_on_random_pairs(self, lexicon):
+        # align_pair computes costs only inside its band, the reference every
+        # cell; the edited pairs hold homophones (cost 0 between unequal
+        # words), misspellings, runs of insertions and deletions, n >> m,
+        # m >> n and empty transcripts
         pairs = synthetic.make_parallel_corpus(200, seed=31)
         extra = [("cue is good", "uh queue is"), ("xyzzy plugh", "xyzy"), ("the cat", "")]
         mismatched = [
             (gt, asr)
-            for gt, asr in [(p.gt, p.asr) for p in pairs] + extra
+            for gt, asr in [(p.gt, p.asr) for p in pairs] + extra + edited_pairs(1200, seed=33, lexicon=lexicon)
             if C.align_pair(gt, asr, lexicon) != align_pair_reference(gt, asr, lexicon)
         ]
         assert mismatched == []
+
+    @pytest.fixture
+    def distance_calls(self, monkeypatch):
+        calls = []
+        distance = C.phoneme_edit_distance
+
+        def counted(cp, cq):
+            calls.append((cp, cq))
+            return distance(cp, cq)
+
+        monkeypatch.setattr(C, "phoneme_edit_distance", counted)
+        return calls
+
+    def test_identical_sentence_computes_no_distance(self, lexicon, distance_calls):
+        C.align_pair("the cue sat on the cue", "the cue sat on the cue", lexicon)
+        assert distance_calls == []
+
+    def test_one_substitution_computes_one_distance(self, lexicon, distance_calls):
+        entries = C.align_pair("the cue sat on the mat", "the cue sat in the mat", lexicon)
+        assert len(distance_calls) == 1
+        assert entries[3].asr_words == ("in",)
+
+    def test_no_pair_computes_more_distances_than_its_unequal_cells(self, lexicon, distance_calls):
+        for gt, asr in edited_pairs(300, seed=34, lexicon=lexicon):
+            del distance_calls[:]
+            C.align_pair(gt, asr, lexicon)
+            assert len(distance_calls) <= sum(g != a for g in gt.split() for a in asr.split())
+
+
+# sha256 of the alignments and training items of make_parallel_corpus(500,
+# seed=5), recorded before align_pair computed its costs in a band: a faster
+# alignment must keep these bytes
+_PINNED_ALIGNMENT_DIGEST = "0142c1dc0b083752b95fa3ed576ac002d27c557faceef107903471f60440da56"
+
+
+def test_alignments_and_items_keep_their_pinned_bytes(lexicon):
+    pairs = synthetic.make_parallel_corpus(500, seed=5)
+    vocab = C.induce_vocab([p.gt for p in pairs] + [p.asr for p in pairs], 384)
+    alignments = [C.align_pair(p.gt, p.asr, lexicon) for p in pairs]
+    items = C.build_training_items(alignments, vocab, [p.id for p in pairs], max_target_len=5)
+    lines = [
+        f"{k}\t{e.gt_word}\t{' '.join(e.asr_words)}\t{e.label}"
+        for k, entries in enumerate(alignments)
+        for e in entries
+    ]
+    lines += [
+        f"{i.sentence_id}\t{i.position}\t{' '.join(map(str, i.target_ids))}\t"
+        + " ".join(str(t.piece_id) for t in i.sentence)
+        for i in items
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _PINNED_ALIGNMENT_DIGEST
 
 
 class TestBuildTrainingItems:

@@ -33,10 +33,13 @@ class TestInterventionalSampler:
             sample_plan_interventional(_tokens(4), -0.1, seed=0)
 
     @pytest.mark.parametrize(
-        "seed", [-1, 2**64, 2**64 + 7, 1.0, "1"], ids=["minus-one", "2**64", "above-2**64", "float", "str"]
+        "seed",
+        [-1, 2**64, 2**64 + 7, 1.0, "1", True],
+        ids=["minus-one", "2**64", "above-2**64", "float", "str", "bool"],
     )
     def test_seed_outside_64_bits_rejected(self, seed):
-        # 2**64 would repeat seed 0's plan and -1 the plan of 2**64 - 1
+        # 2**64 would repeat seed 0's plan and -1 the plan of 2**64 - 1;
+        # True is an int to isinstance and would repeat seed 1's plan
         table = ConditionalPriorTable({}, 0.5)
         with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
             sample_plan_interventional(_tokens(4), 0.5, seed)

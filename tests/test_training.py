@@ -42,7 +42,8 @@ class TestTrainConfig:
             T.TrainConfig(clip_norm=0.0)
 
     def test_negative_seed_rejected(self):
-        for seed in (-1, 2**64):
+        # True is an int to isinstance and would train as seed 1
+        for seed in (-1, 2**64, True, np.bool_(True)):
             with pytest.raises(ValueError, match="seed"):
                 T.TrainConfig(seed=seed)
         assert T.TrainConfig(seed=0).seed == 0
