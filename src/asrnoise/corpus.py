@@ -11,8 +11,8 @@ word alignment feeds it phonetic substitution costs; the piece alignment
 inside a word pair and the error-type scoring in ``evaluation`` feed it unit
 costs (:func:`unit_costs`).  :func:`edit_distance` counts the unit-cost
 distance alone, bit-parallel: WER/CER need nothing more, and the word
-alignment takes it as the bound that leaves out the diagonals no optimal
-path uses.
+alignment takes it, beside the cost of a first alignment on fewer
+diagonals, as a bound that leaves out the diagonals no optimal path uses.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
-from .errors import EmptyCorpusError, SizeTooSmallError
+from .errors import EmptyCorpusError, LengthMismatchError, SizeTooSmallError
 from .phonetics import CONTINUATION_PREFIX, WORD, PronouncingLexicon, g2p, phoneme_edit_distance
 from .textio import read_lines, write_lines
 
@@ -294,16 +294,25 @@ def unit_costs(ref: Sequence[str], hyp: Sequence[str]) -> list[list[int]]:
 def edit_distance(ref: Sequence[Hashable], hyp: Sequence[Hashable]) -> int:
     """Unit-cost Levenshtein distance between two sequences of hashable symbols.
 
-    Bit-parallel over the longer sequence, one Python-int bit per symbol, so
-    there is no length limit (Myers 1999; the row form of Hyyrö 2001).  It
+    The shared prefix and suffix are dropped first, which leaves the distance
+    as it is: an optimal alignment matches them item for item.  What remains
+    runs bit-parallel over the longer sequence, one Python-int bit per symbol,
+    so there is no length limit (Myers 1999; the row form of Hyyrö 2001).  It
     equals the number of substitutions, insertions and deletions along any
     minimum-cost alignment from :func:`align_sequences` with unit costs.
     """
     if len(ref) < len(hyp):
         ref, hyp = hyp, ref
+    start, m, stop = 0, len(ref), len(hyp)
+    while start < stop and ref[start] == hyp[start]:
+        start += 1
+    while start < stop and ref[m - 1] == hyp[stop - 1]:
+        m -= 1
+        stop -= 1
+    if start == stop:
+        return m - start
+    ref, hyp = ref[start:m], hyp[start:stop]
     m = len(ref)
-    if not hyp:
-        return m
     match: dict[Hashable, int] = {}
     for i, symbol in enumerate(ref):
         match[symbol] = match.get(symbol, 0) | (1 << i)
@@ -336,36 +345,61 @@ def align_sequences(
     ``m`` hypothesis items.
 
     ``sub_costs[i][j]`` is the cost of aligning reference item ``i`` with
-    hypothesis item ``j``; insertions and deletions cost 1.  Ties prefer the
-    diagonal step, then insertion.  Returns the backtrace in order as
-    ``(i, j)`` steps: ``(i, None)`` deletes reference item ``i``, ``(None, j)``
-    inserts hypothesis item ``j``, and two indices align item ``i`` with ``j``.
+    hypothesis item ``j``, and must not be negative; insertions and deletions
+    cost 1.  Ties prefer the diagonal step, then insertion.  Returns the
+    backtrace in order as ``(i, j)`` steps: ``(i, None)`` deletes reference
+    item ``i``, ``(None, j)`` inserts hypothesis item ``j``, and two indices
+    align item ``i`` with ``j``.
+
+    The table keeps one cost row and one row of choices per reference item.
+    A trailing run of zero-cost diagonal cells, ending at the last items, is
+    emitted as diagonal steps without being computed, and the backtrace of
+    the full table takes the same steps: with non-negative costs,
+    ``D[i-1][j-1] <= D[i][j-1] + 1`` and ``D[i-1][j-1] <= D[i-1][j] + 1``
+    (rounding is monotone, so this holds in floating point too), so a
+    zero-cost diagonal step is never worse, and the diagonal wins ties.  A
+    shared prefix is not trimmed the same way: it would move tied steps, as
+    ``aa`` against ``aaa`` inserts the first ``a``, not the last.
     """
+    return _align(sub_costs, m)[1]
+
+
+def _align(sub_costs, m):
+    """:func:`align_sequences` as ``(cost, steps)``, the cost being the
+    table's own (rounded) optimum."""
     n = len(sub_costs)
-    cost = [[0] * (m + 1) for _ in range(n + 1)]
-    choice = [[_DIAG] * (m + 1) for _ in range(n + 1)]
-    for j in range(1, m + 1):
-        cost[0][j] = j
-        choice[0][j] = _INS
-    for i in range(1, n + 1):
-        costs_i = sub_costs[i - 1]
-        above, row, row_choice = cost[i - 1], cost[i], choice[i]
-        row[0] = i
-        row_choice[0] = _DEL
-        for j in range(1, m + 1):
-            diag = above[j - 1] + costs_i[j - 1]
-            ins = row[j - 1] + 1
-            dele = above[j] + 1
+    tail = 0
+    while tail < n and tail < m and sub_costs[n - 1 - tail][m - 1 - tail] == 0:
+        tail += 1
+    n, m = n - tail, m - tail
+    row = list(range(m + 1))
+    choices = []
+    cols = range(1, m + 1)
+    for i in range(n):
+        costs = sub_costs[i]
+        corner = row[0]
+        left = row[0] = i + 1
+        choice = [_DIAG] * (m + 1)
+        for j in cols:
+            up = row[j]
+            diag = corner + costs[j - 1]
+            ins = left + 1
+            dele = up + 1
+            corner = up
             if diag <= ins and diag <= dele:
-                row[j], row_choice[j] = diag, _DIAG
+                left = diag
             elif ins <= dele:
-                row[j], row_choice[j] = ins, _INS
+                left = ins
+                choice[j] = _INS
             else:
-                row[j], row_choice[j] = dele, _DEL
-    steps: list[tuple[Optional[int], Optional[int]]] = []
+                left = dele
+                choice[j] = _DEL
+            row[j] = left
+        choices.append(choice)
+    steps: list[tuple[Optional[int], Optional[int]]] = [(n + k, m + k) for k in range(tail - 1, -1, -1)]
     i, j = n, m
-    while i > 0 or j > 0:
-        c = choice[i][j]
+    while i and j:
+        c = choices[i - 1][j]
         if c == _DIAG:
             i, j = i - 1, j - 1
             steps.append((i, j))
@@ -375,8 +409,14 @@ def align_sequences(
         else:
             i -= 1
             steps.append((i, None))
+    while j:
+        j -= 1
+        steps.append((None, j))
+    while i:
+        i -= 1
+        steps.append((i, None))
     steps.reverse()
-    return steps
+    return row[m], steps
 
 
 def _group_alignment(steps):
@@ -406,45 +446,64 @@ def align_pair(gt: str, asr: str, lexicon: PronouncingLexicon) -> list[Alignment
     deletion/insertion pairs.  Inserted transcript words attach to the
     preceding ground-truth word.
 
-    Only the diagonals an optimal alignment can use get a phonetic cost: the
-    cells with ``i - j`` in ``[min(0, Δ) - s, max(0, Δ) + s]``, where ``Δ =
-    n - m``, ``s = (U - |Δ|) // 2`` and ``U`` is the unit-cost word edit
-    distance (:func:`edit_distance`).  A path that pairs ground-truth word
-    ``i`` with transcript word ``j`` makes at least ``|d| + |Δ - d|``
-    insertions and deletions (``d = i - j``), each costing 1; every
-    substitution costs at most 1, so ``U`` bounds the optimum from above.  A
-    cell on a diagonal with ``|d| + |Δ - d| > U`` thus lies on no optimal
-    path and is strictly worse wherever the backtrace compares it, so it
-    keeps the placeholder cost 1 and the alignment is the full table's.
+    Only the diagonals an optimal alignment can use get a phonetic cost; the
+    other cells keep the placeholder cost 1, no less than their true cost.
+    With ``Δ = n - m``, a path that pairs ground-truth word ``i`` with
+    transcript word ``j`` makes at least ``|d| + |Δ - d|`` insertions and
+    deletions (``d = i - j``), each costing 1.  So for any bound ``B`` on the
+    optimum, the cells with ``i - j`` in ``[min(0, Δ) - s, max(0, Δ) + s]``,
+    ``s = (B - |Δ|) // 2``, hold every optimal path.  Raising the cost of a
+    cell off every optimal path only raises the candidates the backtrace
+    turns down, so the alignment is the full table's.
+
+    The costs come in two stages.  The first fills only the ``|Δ| + 1``
+    diagonals of ``s = 0`` and aligns; that table's cost bounds the optimum,
+    because its placeholders only raise costs.  The second widens the band
+    only if ``s > 0`` for ``B`` the lesser of that cost and the unit-cost word
+    edit distance (:func:`edit_distance`, which bounds the optimum because
+    every substitution costs at most 1), computes the cells the first stage
+    left out, and aligns again.
     """
     gt_words = normalize(gt).split()
     asr_words = normalize(asr).split()
     if not gt_words:
         raise EmptyCorpusError("ground-truth side of an alignment must be nonempty")
 
-    n, m = len(gt_words), len(asr_words)
-    delta = n - m
-    slack = (edit_distance(gt_words, asr_words) - abs(delta)) // 2
-    low, high = min(0, delta) - slack, max(0, delta) + slack
+    m = len(asr_words)
+    delta = len(gt_words) - m
+    low, high = min(0, delta), max(0, delta)
     codes = {w: g2p(w, lexicon) for w in set(gt_words) | set(asr_words)}
-    sub_costs = []
-    for i, gw in enumerate(gt_words):
-        cg = codes[gw]
-        norm = max(len(cg), 1)
-        row = [1.0] * m
-        for j in range(max(0, i - high), min(m, i - low + 1)):
-            aw = asr_words[j]
-            if aw == gw:
-                row[j] = 0.0
-            else:
-                cost = phoneme_edit_distance(cg, codes[aw]) / norm
-                row[j] = cost if cost < 1.0 else 1.0
-        sub_costs.append(row)
+    sub_costs = [[1.0] * m for _ in gt_words]
+    for i, (gw, row) in enumerate(zip(gt_words, sub_costs)):
+        _phonetic_costs(row, gw, asr_words, codes, i - high, i - low + 1)
+    cost, steps = _align(sub_costs, m)
+    slack = int(cost - abs(delta)) // 2
+    if slack:  # U is needed only when the first band leaves room
+        slack = min(slack, (edit_distance(gt_words, asr_words) - abs(delta)) // 2)
+    if slack:
+        for i, (gw, row) in enumerate(zip(gt_words, sub_costs)):
+            _phonetic_costs(row, gw, asr_words, codes, i - high - slack, i - high)
+            _phonetic_costs(row, gw, asr_words, codes, i - low + 1, i - low + 1 + slack)
+        steps = align_sequences(sub_costs, m)
     entries = []
-    for i, js in _group_alignment(align_sequences(sub_costs, m)):
+    for i, js in _group_alignment(steps):
         matched = tuple(asr_words[j] for j in js)
         entries.append(AlignmentEntry(gt_words[i], matched, _classify_entry(gt_words[i], matched)))
     return entries
+
+
+def _phonetic_costs(row, gt_word, asr_words, codes, start, stop) -> None:
+    """Set ``row[j]`` to ``gt_word``'s substitution cost against transcript
+    word ``j``, for ``j`` in ``[start, stop)`` within the row."""
+    cg = codes[gt_word]
+    norm = max(len(cg), 1)
+    for j in range(max(start, 0), min(stop, len(row))):
+        aw = asr_words[j]
+        if aw == gt_word:
+            row[j] = 0.0
+        else:
+            cost = phoneme_edit_distance(cg, codes[aw]) / norm
+            row[j] = cost if cost < 1.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -495,10 +554,12 @@ def build_training_items(
     unit costs; each changed piece gets its aligned transcript pieces plus
     [EOS] as the target, and untouched pieces are skipped.  Targets longer
     than ``max_target_len`` (the generator's horizon, [EOS] included) are
-    clamped to it.
+    clamped to it.  ``sentence_ids``, if given, holds one id per alignment.
     """
     if max_target_len < 1:
         raise ValueError("max_target_len must be at least 1")
+    if sentence_ids is not None and len(sentence_ids) != len(alignments):
+        raise LengthMismatchError(f"{len(sentence_ids)} sentence ids vs {len(alignments)} alignments")
     items: list[AlignedExample] = []
     for pair_idx, entries in enumerate(alignments):
         sid = sentence_ids[pair_idx] if sentence_ids is not None else str(pair_idx)

@@ -66,7 +66,8 @@ class PlanMismatchError(AsrNoiseError):
 
 
 class LengthMismatchError(AsrNoiseError):
-    """Reference and hypothesis corpora differ in line count."""
+    """Two inputs that pair up item for item differ in length: reference and
+    hypothesis corpora, plans and token lists, or alignments and sentence ids."""
 
 
 class InsufficientDataError(AsrNoiseError):

@@ -16,9 +16,11 @@ each given position's first step from its own start row.  Decoding is thus
 checked against the path training runs.  ``step_distributions_reference`` and
 ``pick_reference`` keep the decode step's head combination and pick in their
 first form, one fresh array per operation, to pin that the in-place kernels
-compute the same bits, and ``normalize_reference`` keeps normalization's
-first form, a substitution and a split, to pin that collecting the matches
-of the word rule gives the same text.  ``edited_pairs`` is no reference but
+compute the same bits, ``normalize_reference`` keeps normalization's first
+form, a substitution and a split, to pin that collecting the matches of the
+word rule gives the same text, and ``align_sequences_reference`` keeps the
+alignment DP's first form, full cost and choice tables with every cell
+computed, to pin that the package's smaller table backtraces the same steps.  ``edited_pairs`` is no reference but
 the seeded input set that ``align_pair`` is checked on against
 ``align_pair_reference``, in tier-1 and in CI's larger sweep.
 """
@@ -80,12 +82,58 @@ def alignment_cost_recursive(n: int, m: int, sub_cost) -> float:
     return go(n, m)
 
 
+_DIAG, _INS, _DEL = 0, 1, 2
+
+
+def align_sequences_reference(sub_costs, m: int):
+    """``corpus.align_sequences`` in its first form: the full cost and choice
+    tables, every cell computed, then the backtrace from the corner.  Ties
+    prefer the diagonal step, then insertion."""
+    n = len(sub_costs)
+    cost = [[0] * (m + 1) for _ in range(n + 1)]
+    choice = [[_DIAG] * (m + 1) for _ in range(n + 1)]
+    for j in range(1, m + 1):
+        cost[0][j] = j
+        choice[0][j] = _INS
+    for i in range(1, n + 1):
+        costs_i = sub_costs[i - 1]
+        above, row, row_choice = cost[i - 1], cost[i], choice[i]
+        row[0] = i
+        row_choice[0] = _DEL
+        for j in range(1, m + 1):
+            diag = above[j - 1] + costs_i[j - 1]
+            ins = row[j - 1] + 1
+            dele = above[j] + 1
+            if diag <= ins and diag <= dele:
+                row[j], row_choice[j] = diag, _DIAG
+            elif ins <= dele:
+                row[j], row_choice[j] = ins, _INS
+            else:
+                row[j], row_choice[j] = dele, _DEL
+    steps = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        c = choice[i][j]
+        if c == _DIAG:
+            i, j = i - 1, j - 1
+            steps.append((i, j))
+        elif c == _INS:
+            j -= 1
+            steps.append((None, j))
+        else:
+            i -= 1
+            steps.append((i, None))
+    steps.reverse()
+    return steps
+
+
 def align_pair_reference(gt: str, asr: str, lexicon):
     """``corpus.align_pair`` with each substitution cost computed per cell by
-    a closure, distances from :func:`edit_distance_recursive`.  It reuses the
-    package's backtrace, grouping and labels, so what it checks is the cost
-    rows the alignment is built from."""
-    from asrnoise.corpus import AlignmentEntry, _classify_entry, _group_alignment, align_sequences
+    a closure, distances from :func:`edit_distance_recursive`, aligned by
+    :func:`align_sequences_reference`.  It reuses the package's grouping and
+    labels, so what it checks is the cost rows and the backtrace the
+    alignment is built from."""
+    from asrnoise.corpus import AlignmentEntry, _classify_entry, _group_alignment
     from asrnoise.phonetics import g2p
 
     gt_words, asr_words = normalize(gt).split(), normalize(asr).split()
@@ -98,7 +146,7 @@ def align_pair_reference(gt: str, asr: str, lexicon):
 
     sub_costs = [[sub_cost(gw, aw) for aw in asr_words] for gw in gt_words]
     entries = []
-    for i, js in _group_alignment(align_sequences(sub_costs, len(asr_words))):
+    for i, js in _group_alignment(align_sequences_reference(sub_costs, len(asr_words))):
         matched = tuple(asr_words[j] for j in js)
         entries.append(AlignmentEntry(gt_words[i], matched, _classify_entry(gt_words[i], matched)))
     return entries

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 
 from asrnoise import corpus as C
 from asrnoise import synthetic
-from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
+from asrnoise.errors import EmptyCorpusError, LengthMismatchError, SizeTooSmallError
 
 from conftest import make_token_seq
 from oracles import (
     align_pair_reference,
+    align_sequences_reference,
     alignment_cost_recursive,
     edited_pairs,
     induce_vocab_reference,
@@ -288,6 +289,16 @@ class TestAlignPair:
         assert len(distance_calls) == 1
         assert entries[3].asr_words == ("in",)
 
+    def test_a_cheap_first_band_computes_only_its_diagonal(self, lexicon, distance_calls):
+        # n = m, and the two substitutions cost 0 (homophones) and 1/3, below
+        # the 2 that a path off the diagonal pays in insertions and deletions
+        entries = C.align_pair("the cue sat on the mat", "the queue sat in the mat", lexicon)
+        assert distance_calls == [
+            (C.g2p("cue", lexicon), C.g2p("queue", lexicon)),
+            (C.g2p("on", lexicon), C.g2p("in", lexicon)),
+        ]
+        assert [e.asr_words for e in entries][1:4] == [("queue",), ("sat",), ("in",)]
+
     def test_no_pair_computes_more_distances_than_its_unequal_cells(self, lexicon, distance_calls):
         for gt, asr in edited_pairs(300, seed=34, lexicon=lexicon):
             del distance_calls[:]
@@ -367,6 +378,12 @@ class TestBuildTrainingItems:
         assert all(len(i.target_ids) <= 2 for i in items)
         assert all(i.target_ids[-1] == fixture_vocab.eos_id for i in items)
 
+    @pytest.mark.parametrize("ids", [["x"], ["x", "y", "z"]], ids=["short", "long"])
+    def test_sentence_ids_must_pair_with_the_alignments(self, lexicon, fixture_vocab, ids):
+        alignments = [C.align_pair("only the gag", "only the gags", lexicon)] * 2
+        with pytest.raises(LengthMismatchError, match=f"^{len(ids)} sentence ids vs 2 alignments$"):
+            C.build_training_items(alignments, fixture_vocab, ids, max_target_len=5)
+
     def test_substitution_of_single_piece_word(self, lexicon):
         vocab = C.SubwordVocab(["[BOS]", "[EOS]", "[UNK]", "the", "thee", "cue"])
         alignment = C.align_pair("the cue", "thee cue", lexicon)
@@ -387,7 +404,40 @@ def _cost_tables(draw):
     return draw(st.lists(st.lists(_costs, min_size=m, max_size=m), min_size=n, max_size=n)), m
 
 
+# the word alignment's costs: phoneme distances in thirds of the code length
+# are non-dyadic, so path sums round; the DP and its first form must round alike
+_word_costs = st.sampled_from([0, 1 / 3, 1 / 2, 2 / 3, 1.0])
+
+
+@st.composite
+def _word_cost_tables(draw):
+    """Cost tables up to 10 x 10, or with n much larger than m, whose last
+    ``tail`` diagonal cells cost 0 (the run the DP leaves uncomputed)."""
+    n, m = draw(st.one_of(
+        st.tuples(st.integers(0, 10), st.integers(0, 10)),
+        st.tuples(st.integers(12, 30), st.integers(0, 2)),
+    ))
+    table = draw(st.lists(st.lists(_word_costs, min_size=m, max_size=m), min_size=n, max_size=n))
+    tail = draw(st.integers(0, min(n, m)))
+    for k in range(1, tail + 1):
+        table[n - k][m - k] = 0
+    return table, m
+
+
 class TestAlignSequences:
+    @settings(max_examples=300)
+    # a shared prefix: the full table inserts hyp[0] before it, so a DP that
+    # trimmed the prefix (inserting hyp[2]) would move the insertion
+    @example((C.unit_costs("aa", "aaa"), 3))
+    @example((C.unit_costs("a", "aaa"), 3))
+    @example(([[]] * 4, 0))
+    @example(([[0.0, 0.0]] * 20, 2))
+    @example(([[0, 1 / 3, 2 / 3], [1 / 3, 0, 1 / 3], [2 / 3, 1 / 3, 0]], 3))
+    @given(_word_cost_tables())
+    def test_steps_equal_the_full_table_reference(self, table):
+        sub_costs, m = table
+        assert C.align_sequences(sub_costs, m) == align_sequences_reference(sub_costs, m)
+
     @settings(max_examples=150)
     @given(_cost_tables())
     def test_step_costs_sum_to_the_minimum(self, table):

@@ -37,6 +37,13 @@ class TestEditDistance:
     @example("", "abc")
     @example("a" * 65, "b" + "a" * 64)
     @example("a\u00e9" * 40, "\u00e9a" * 40)
+    # shared ends, which the distance drops before its bit-parallel loop:
+    # 70 on each side, so they straddle the 64-bit boundary
+    @example("a" * 70 + "b" + "a" * 70, "a" * 70 + "c" + "a" * 70)
+    @example("ab\u00e9" * 30, "ab\u00e9" * 30)
+    @example("ab\u00e9" * 30, "ab\u00e9" * 25)
+    @example("ab\u00e9" * 30, "\u00e9" + "ab\u00e9" * 20)
+    @example("abab", "b")
     @given(_chars, _chars)
     def test_characters_equal_unit_cost_oracle(self, ref, hyp):
         assert E.edit_distance(ref, hyp) == _unit_cost(ref, hyp)
@@ -45,6 +52,9 @@ class TestEditDistance:
     @settings(max_examples=100)
     @example(["the", "cue"], [])
     @example(["cue"] * 70, ["queue"] + ["cue"] * 70)
+    @example(["the", "cue"] * 40, ["the", "cue"] * 40)
+    @example(["the", "cue", "the"], ["the"])
+    @example(["the"] * 66 + ["cue"], ["cue"])
     @given(_word_list, _word_list)
     def test_words_equal_unit_cost_oracle(self, ref, hyp):
         assert E.edit_distance(ref, hyp) == _unit_cost(ref, hyp)
