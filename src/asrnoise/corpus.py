@@ -510,19 +510,16 @@ def _phonetic_costs(row, gt_word, asr_words, codes, start, stop) -> None:
 class AlignedExample:
     """Training target for one corrupted subword position.
 
-    ``target_ids`` always ends with the [EOS] piece; a bare [EOS] means the
-    piece was deleted.
+    ``sentence`` holds the clean sentence's piece ids, the ids
+    :func:`tokenize` gives its text, and ``position`` indexes the corrupted
+    one.  ``target_ids`` always ends with the [EOS] piece; a bare [EOS]
+    means the piece was deleted.
     """
 
     sentence_id: str
-    sentence: TokenSeq
+    sentence: tuple[int, ...]
     position: int
     target_ids: tuple[int, ...]
-
-    @property
-    def gt_piece(self) -> str:
-        """The surface of the corrupted ground-truth piece."""
-        return self.sentence[self.position].surface
 
     @property
     def error_label(self) -> str:
@@ -564,7 +561,7 @@ def build_training_items(
     for pair_idx, entries in enumerate(alignments):
         sid = sentence_ids[pair_idx] if sentence_ids is not None else str(pair_idx)
         word_tokens = [tokenize_word(e.gt_word, vocab) for e in entries]
-        sentence = tuple(t for toks in word_tokens for t in toks)
+        sentence = tuple(t.piece_id for toks in word_tokens for t in toks)
         offset = 0
         for entry, gt_toks in zip(entries, word_tokens):
             if entry.label == MATCH:

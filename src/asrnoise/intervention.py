@@ -10,6 +10,7 @@ removes.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -60,13 +61,19 @@ def sample_plan_interventional(tokens: Sequence, p_z: float, seed: int) -> Corru
 
 
 class ConditionalPriorTable:
-    """Empirical per-token corruption frequencies with a fallback default."""
+    """Empirical per-token corruption frequencies with a fallback default;
+    tokens are case-insensitive, and two keys equal up to case raise ValueError."""
 
     def __init__(self, frequencies: Mapping[str, float], default: float):
+        self.frequencies: dict[str, float] = {}
+        first: dict[str, str] = {}
         for token, freq in frequencies.items():
             check_prior(freq, f"frequency for {token!r}")
+            other = first.setdefault(token.lower(), token)
+            if other != token:
+                raise ValueError(f"token {token!r} repeats {other!r} up to case")
+            self.frequencies[token.lower()] = freq
         check_prior(default, "default frequency")
-        self.frequencies = dict(frequencies)
         self.default = default
 
     def __getitem__(self, token: str) -> float:
@@ -81,22 +88,13 @@ def estimate_conditional_prior(alignments: Sequence[Sequence[AlignmentEntry]]) -
 
     Unseen words fall back to the corpus-wide mean rate.
     """
-    corrupted: dict[str, int] = {}
-    total: dict[str, int] = {}
-    n_corrupted = 0
-    n_total = 0
-    for entries in alignments:
-        for entry in entries:
-            word = entry.gt_word.lower()
-            total[word] = total.get(word, 0) + 1
-            n_total += 1
-            if entry.label != MATCH:
-                corrupted[word] = corrupted.get(word, 0) + 1
-                n_corrupted += 1
-    if n_total == 0:
+    entries = [entry for pair in alignments for entry in pair]
+    if not entries:
         raise EmptyCorpusError("cannot estimate corruption frequencies from empty alignments")
-    frequencies = {w: corrupted.get(w, 0) / total[w] for w in total}
-    return ConditionalPriorTable(frequencies, default=n_corrupted / n_total)
+    total = Counter(entry.gt_word for entry in entries)
+    corrupted = Counter(entry.gt_word for entry in entries if entry.label != MATCH)
+    frequencies = {word: corrupted[word] / n for word, n in total.items()}
+    return ConditionalPriorTable(frequencies, default=corrupted.total() / len(entries))
 
 
 def sample_plan_conditional(

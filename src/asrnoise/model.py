@@ -78,6 +78,7 @@ from .errors import (
     SequenceTooLongError,
 )
 from .phonetics import PronouncingLexicon, code_key, g2p, supervision_distribution
+from .rng import check_seed as _check_seed
 
 _SPECIAL_CODES = {piece: f"<{piece[1:-1].lower()}>" for piece in SPECIALS}
 
@@ -241,6 +242,7 @@ class Model:
         config: Optional[ModelConfig] = None,
         seed: int = 0,
     ) -> "Model":
+        _check_seed(seed)
         code_index = PhonemeCodeIndex.build(vocab, lexicon)
         config = config if config is not None else ModelConfig()
         rng = np.random.default_rng(seed)
@@ -504,19 +506,13 @@ def step_distributions(
 
 @dataclass
 class LossGraph:
-    """One batch's loss graph and the per-step head logits it was built from.
-
-    Rows of ``logits_n``/``logits_ph`` are the teacher-forced steps, as
-    :func:`decoder_hidden` lays them out; ``targets`` holds their target ids.
-    """
+    """One batch's loss terms (:func:`loss_total`) and the parameter leaves
+    they were built from, which hold the gradients after ``ad.backward``."""
 
     l_tot: Tensor
     l_n: Tensor
     l_ph: Tensor
     params: dict[str, Tensor]
-    logits_n: Tensor
-    logits_ph: Optional[Tensor]
-    targets: np.ndarray
 
 
 def _loss_graph(
@@ -544,15 +540,14 @@ def _loss_graph(
     rows_map = model.code_index.token_rows
 
     # one encoder row per distinct sentence, in order of first appearance
-    keys = [tuple(t.piece_id for t in example.sentence) for example in batch]
-    sentences = list(dict.fromkeys(keys))
+    sentences = list(dict.fromkeys(example.sentence for example in batch))
     slot = {sentence: i for i, sentence in enumerate(sentences)}
     lengths = np.asarray([len(s) for s in sentences], dtype=np.intp)
     tokens = ad.Grid(np.repeat(np.arange(len(sentences)), lengths), len(sentences))
     ids = np.fromiter(chain.from_iterable(sentences), dtype=np.intp, count=int(lengths.sum()))
     e_enc = encode(embed_sequence(ids, params, config, rows_map, tokens), params, config, tokens)
 
-    which = np.asarray([slot[key] for key in keys], dtype=np.intp)
+    which = np.asarray([slot[example.sentence] for example in batch], dtype=np.intp)
     where = np.asarray([example.position for example in batch], dtype=np.intp)
     start = decoder_start(ad.rows(e_enc, (np.cumsum(lengths) - lengths)[which] + where), params)
     targets = [example.target_ids for example in batch]
@@ -561,8 +556,7 @@ def _loss_graph(
     hidden = decoder_hidden(
         start, [t[:-1] for t in targets], decoder_memory(e_enc, params), params, config, rows_map, (steps, tokens)
     )
-    tables = head_tables(params, config, rows_map)
-    logits_n, logits_ph = _head_logits(hidden, tables)
+    logits_n, logits_ph = _head_logits(hidden, head_tables(params, config, rows_map))
     target_ids = np.concatenate([[t[0] for t in targets], *(t[1:] for t in targets)]).astype(np.intp)
     l_n = ad.nll(logits_n, target_ids)
 
@@ -573,7 +567,7 @@ def _loss_graph(
         if step_rows:
             l_ph = ad.kl(ad.rows(logits_ph, step_rows), np.asarray([r_logs[n] for n in step_rows]))
     l_tot = ad.add(l_n, ad.mul(Tensor(config.lambda_ph, needs_grad=False), l_ph))
-    return LossGraph(l_tot, l_n, l_ph, params, logits_n, logits_ph, target_ids)
+    return LossGraph(l_tot, l_n, l_ph, params)
 
 
 def loss_total(

@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import ParallelPair
 from .phonetics import PronouncingLexicon, default_lexicon, g2p, phoneme_edit_distance
+from .rng import check_seed
 
 #: :func:`split_word_pool` holds out every this-many-th word.
 HOLDOUT_EVERY = 4
@@ -77,8 +78,9 @@ def make_parallel_corpus(
     """Deterministic (clean, noisy) sentence pairs.
 
     ``type_weights`` orders (substitution, deletion, insertion) probabilities
-    for a corrupted word.
+    for a corrupted word.  The seed must be an integer in [0, 2**64).
     """
+    check_seed(seed)
     lexicon = lexicon if lexicon is not None else default_lexicon()
     rng = np.random.default_rng(seed)
     words = sorted(pool) if pool is not None else sorted(lexicon.words())

@@ -378,7 +378,7 @@ def loss_reference(model, example, lexicon):
     p = model.params
     rows_map = model.code_index.token_rows
 
-    ids = np.asarray([t.piece_id for t in example.sentence], dtype=np.intp)
+    ids = np.asarray(example.sentence, dtype=np.intp)
     pos = p["m_pos"][: len(ids)]
     if cfg.phoneme_head:
         e_in = cfg.lambda_w * p["m_word"][ids] + (1 - cfg.lambda_w) * p["m_ph"][rows_map[ids]] + pos

@@ -312,11 +312,19 @@ class TestAlignPair:
 _PINNED_ALIGNMENT_DIGEST = "0142c1dc0b083752b95fa3ed576ac002d27c557faceef107903471f60440da56"
 
 
-def test_alignments_and_items_keep_their_pinned_bytes(lexicon):
+@pytest.fixture(scope="module")
+def seed5_corpus(lexicon):
+    """Pairs, 384-piece vocabulary, alignments and training items of
+    make_parallel_corpus(500, seed=5)."""
     pairs = synthetic.make_parallel_corpus(500, seed=5)
     vocab = C.induce_vocab([p.gt for p in pairs] + [p.asr for p in pairs], 384)
     alignments = [C.align_pair(p.gt, p.asr, lexicon) for p in pairs]
     items = C.build_training_items(alignments, vocab, [p.id for p in pairs], max_target_len=5)
+    return pairs, vocab, alignments, items
+
+
+def test_alignments_and_items_keep_their_pinned_bytes(seed5_corpus):
+    _, _, alignments, items = seed5_corpus
     lines = [
         f"{k}\t{e.gt_word}\t{' '.join(e.asr_words)}\t{e.label}"
         for k, entries in enumerate(alignments)
@@ -324,11 +332,21 @@ def test_alignments_and_items_keep_their_pinned_bytes(lexicon):
     ]
     lines += [
         f"{i.sentence_id}\t{i.position}\t{' '.join(map(str, i.target_ids))}\t"
-        + " ".join(str(t.piece_id) for t in i.sentence)
+        + " ".join(map(str, i.sentence))
         for i in items
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _PINNED_ALIGNMENT_DIGEST
+
+
+def test_item_sentence_is_what_decoding_encodes(seed5_corpus):
+    # training reads an item's sentence, corrupt_corpus the ids tokenize
+    # gives the text: the encoder must see the same ids either way
+    pairs, vocab, _, items = seed5_corpus
+    gt = {p.id: p.gt for p in pairs}
+    assert len(items) == 1269
+    for item in items:
+        assert item.sentence == tuple(t.piece_id for t in C.tokenize(gt[item.sentence_id], vocab))
 
 
 class TestBuildTrainingItems:
@@ -341,7 +359,8 @@ class TestBuildTrainingItems:
             "only labored the gags", "only labored labor thes gag", lexicon
         )
         items = C.build_training_items([alignment], fixture_vocab, max_target_len=5)
-        got = [(i.position, i.gt_piece, tuple(fixture_vocab.pieces[t] for t in i.target_ids), i.error_label)
+        pieces = fixture_vocab.pieces
+        got = [(i.position, pieces[i.sentence[i.position]], tuple(pieces[t] for t in i.target_ids), i.error_label)
                for i in items]
         assert got == [
             (2, "##ed", ("##ed", "labor", "[EOS]"), C.INSERTION),

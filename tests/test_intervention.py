@@ -120,6 +120,15 @@ class TestConditionalPrior:
         table = ConditionalPriorTable({"cue": 1.0}, default=0.25)
         assert table["never-seen"] == 0.25
 
+    def test_keys_are_case_insensitive(self):
+        table = ConditionalPriorTable({"Cue": 1.0}, default=0.0)
+        assert table["Cue"] == table["cue"] == table["CUE"] == 1.0
+        assert all(sample_plan_conditional(["Cue", "cue"], table, seed=0).z)
+
+    def test_key_repeated_up_to_case_rejected(self):
+        with pytest.raises(ValueError, match=r"'CUE' repeats 'cue'"):
+            ConditionalPriorTable({"cue": 1.0, "CUE": 0.0}, default=0.5)
+
     def test_empty_alignments_rejected(self):
         with pytest.raises(EmptyCorpusError):
             estimate_conditional_prior([])

@@ -15,7 +15,6 @@ from asrnoise.errors import (
 )
 from asrnoise.phonetics import PronouncingLexicon
 
-from conftest import make_token_seq
 from oracles import block_forward_mp, loss_reference, matmul, one_span_hidden, sum_
 from test_autodiff import composed_attention, composed_kl, composed_nll
 
@@ -305,7 +304,7 @@ def _item(model, sid, pieces, position, target_pieces):
     surfaces = tuple(target_pieces) + ("[EOS]",)
     return C.AlignedExample(
         sentence_id=sid,
-        sentence=make_token_seq(vocab, pieces),
+        sentence=tuple(vocab.piece_to_id[p] for p in pieces),
         position=position,
         target_ids=tuple(vocab.piece_to_id[p] for p in surfaces),
     )
@@ -362,20 +361,25 @@ class TestBatchedLossGraph:
         assert [float(t.data) for t in M.loss_total(shared, model, lexicon)] == expected
         assert [float(t.data) for t in M.loss_total(unique, model, lexicon)] == expected
 
-    def test_longer_sentence_leaves_other_items_unchanged(self, lexicon):
+    def test_longer_sentence_leaves_other_items_unchanged(self, lexicon, monkeypatch):
         model = _toy_model(lexicon)
         batch = _mixed_batch(model)
         longest = ["gag", "the", "queue", "meet", "sue", "cue", "the", "meat", "gag"]
         extra = _item(model, "longest", longest, 7, ["cue", "sue", "gag", "the"])
         assert len(longest) > max(len(x.sentence) for x in batch)
+        # each graph's per-step word and phoneme head logits
+        logits = []
+        original = M._head_logits
+        monkeypatch.setattr(M, "_head_logits", lambda *a: logits.append(original(*a)) or logits[-1])
         alone = M._loss_graph(batch, model, lexicon)
         grown = M._loss_graph(batch + [extra], model, lexicon)
-        n, steps = len(batch), len(alone.targets)
+        (alone_n, alone_ph), (grown_n, grown_ph) = logits
+        n, steps = len(batch), sum(len(x.target_ids) for x in batch)
         # the grown graph's rows: the extra item's start row follows the batch's
         # start rows, and its prefix rows follow the batch's prefix rows
         own = np.r_[0:n, n + 1 : steps + 1]
-        np.testing.assert_allclose(grown.logits_n.data[own], alone.logits_n.data, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(grown.logits_ph.data[own], alone.logits_ph.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grown_n.data[own], alone_n.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grown_ph.data[own], alone_ph.data, rtol=0, atol=1e-12)
         extra_tot = float(M.loss_total([extra], model, lexicon)[0].data)
         assert float(grown.l_tot.data) == pytest.approx(float(alone.l_tot.data) + extra_tot, rel=1e-12)
 
@@ -417,7 +421,7 @@ class TestBatchedLossGraph:
         # real encoder tokens and real decoder steps alone, none padded
         model = _toy_model(lexicon)
         batch = _mixed_batch(model)
-        tokens = sum(len(s) for s in {tuple(t.piece_id for t in x.sentence) for x in batch})
+        tokens = sum(len(s) for s in {x.sentence for x in batch})
         steps = sum(len(x.target_ids) for x in batch)
         seen = {"linear": [], "layer_norm": [], "gelu": []}
         for name, rows in seen.items():
@@ -718,6 +722,15 @@ class TestCodeIndex:
         assert len(special_rows) == 3
         content_rows = {int(rows[v[p]]) for p in ("meat", "cue", "sue", "the", "gag")}
         assert special_rows.isdisjoint(content_rows)
+
+    @pytest.mark.parametrize(
+        "seed", [True, np.bool_(True), -1, 2**64, 1.0], ids=["bool", "numpy-bool", "minus-one", "2**64", "float"]
+    )
+    def test_seed_outside_64_bits_rejected(self, lexicon, seed):
+        # True is an int to isinstance and would build seed 1's parameters
+        model = _toy_model(lexicon)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            M.Model.build(model.vocab, lexicon, model.config, seed=seed)
 
     def test_config_sizes_match_artifacts(self, lexicon):
         model = _toy_model(lexicon)

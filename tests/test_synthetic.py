@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from asrnoise import synthetic
 from asrnoise.phonetics import g2p, phoneme_edit_distance
 
@@ -31,6 +34,14 @@ class TestMakeParallelCorpus:
         b = synthetic.make_parallel_corpus(20, seed=5)
         assert a == b
         assert a != synthetic.make_parallel_corpus(20, seed=6)
+
+    @pytest.mark.parametrize(
+        "seed", [True, np.bool_(True), -1, 2**64, 1.0], ids=["bool", "numpy-bool", "minus-one", "2**64", "float"]
+    )
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # True is an int to isinstance and would repeat seed 1's corpus
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            synthetic.make_parallel_corpus(3, seed=seed)
 
     def test_corruption_rate_in_range(self, lexicon):
         pairs = synthetic.make_parallel_corpus(150, seed=8, corruption_rate=0.4)

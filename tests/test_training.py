@@ -132,8 +132,8 @@ class TestTrain:
         model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=3)
         T.train([item], model, lexicon, T.TrainConfig(learning_rate=5e-3, epochs=60, batch_size=1, seed=0))
         decoder = G.SpanDecoder.build(model, G.GREEDY, 1.0)
-        chunk = decoder.encode([([t.piece_id for t in item.sentence], [item.position], 0)])
-        span = G.generate_span(chunk, 0, item.position, item.sentence[item.position].surface)
+        chunk = decoder.encode([(item.sentence, [item.position], 0)])
+        span = G.generate_span(chunk, 0, item.position, vocab.surface(item.sentence[item.position]))
         assert span.token_ids == tuple(item.target_ids)
 
     def test_horizon_violation_rejected(self, lexicon):
