@@ -9,10 +9,10 @@ from asrnoise import (
     default_lexicon,
     g2p,
     phoneme_edit_distance,
-    phoneme_sub_cost,
     phonetic_similarity,
     supervision_distribution,
 )
+from asrnoise.phonetics import articulatory_mismatches
 
 lexicon = default_lexicon()
 
@@ -28,7 +28,7 @@ for word in ("cue", "queue", "sue", "cereal", "serial", "##ial"):
 # costs the full unit.
 print("\n== substitution costs ==")
 for a, b in (("B", "P"), ("B", "M"), ("S", "SH"), ("B", "IY")):
-    cost = phoneme_sub_cost(lexicon.phoneme(a), lexicon.phoneme(b))
+    cost = articulatory_mismatches(lexicon.inventory[a], lexicon.inventory[b]) / 3
     print(f"  {a:3s} vs {b:3s}: {cost:.3f}")
 
 # The edit distance weights substitutions by those costs, so homophones sit

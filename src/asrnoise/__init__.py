@@ -44,8 +44,6 @@ from .model import (
     Model,
     ModelConfig,
     PhonemeCodeIndex,
-    backward_and_check,
-    loss_total,
     step_distributions,
 )
 from .phonetics import (
@@ -56,7 +54,6 @@ from .phonetics import (
     default_lexicon,
     g2p,
     phoneme_edit_distance,
-    phoneme_sub_cost,
     phonetic_similarity,
     supervision_distribution,
 )
@@ -86,7 +83,6 @@ __all__ = [
     "TrainConfig",
     "align_pair",
     "assemble",
-    "backward_and_check",
     "build_training_items",
     "code_key",
     "corrupt_corpus",
@@ -99,12 +95,10 @@ __all__ = [
     "independence_report",
     "induce_vocab",
     "load_checkpoint",
-    "loss_total",
     "make_parallel_corpus",
     "mean_phoneme_distance",
     "normalize",
     "phoneme_edit_distance",
-    "phoneme_sub_cost",
     "phonetic_similarity",
     "sample_plan_conditional",
     "sample_plan_interventional",

@@ -99,9 +99,6 @@ class SubwordVocab:
     def __len__(self) -> int:
         return len(self.pieces)
 
-    def __contains__(self, piece: str) -> bool:
-        return piece in self.piece_to_id
-
     def surface(self, piece_id: int) -> str:
         return self.pieces[piece_id]
 
@@ -125,9 +122,12 @@ class SubwordVocab:
 
 
 def _check_piece(piece: str, seen) -> None:
-    """Raise ValueError for a piece already in ``seen``, or, apart from the
-    specials, one that no normalized word segments into: anything but
-    a :data:`phonetics.WORD` past an optional ``##``."""
+    """Raise ValueError for a piece that is not a ``str``, one already in
+    ``seen``, or, apart from the specials, one that no normalized word
+    segments into: anything but a :data:`phonetics.WORD` past an optional
+    ``##``."""
+    if not isinstance(piece, str):
+        raise ValueError(f"piece {piece!r} is not a string")
     if piece in seen:
         raise ValueError(f"piece {piece!r} appears twice")
     if piece not in SPECIALS and not WORD.fullmatch(piece.removeprefix(CONTINUATION_PREFIX)):

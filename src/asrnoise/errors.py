@@ -33,10 +33,6 @@ class PrefixTooLongError(AsrNoiseError):
     """Decoder prefix exceeds the maximum generation length."""
 
 
-class NonFiniteGradientError(AsrNoiseError):
-    """A gradient array contains NaN or infinity."""
-
-
 class NonFiniteLossError(AsrNoiseError):
     """Training loss became NaN or infinite.
 

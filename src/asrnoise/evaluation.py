@@ -102,10 +102,6 @@ class ErrorBreakdown:
     substitution: float
     total_errors: int
 
-    @property
-    def has_errors(self) -> bool:
-        return self.total_errors > 0
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.insertion, self.deletion, self.substitution)
 

@@ -79,9 +79,6 @@ class ConditionalPriorTable:
     def __getitem__(self, token: str) -> float:
         return self.frequencies.get(token.lower(), self.default)
 
-    def __len__(self) -> int:
-        return len(self.frequencies)
-
 
 def estimate_conditional_prior(alignments: Sequence[Sequence[AlignmentEntry]]) -> ConditionalPriorTable:
     """Per-word corruption frequency observed in aligned pairs, one alignment per pair.

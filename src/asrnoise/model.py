@@ -57,7 +57,8 @@ in plain numpy because no loss differentiates the combination.
 
 Everything runs in float64 through the in-package autodiff engine, so
 training is deterministic and gradients can be checked against central
-finite differences.
+finite differences; the tests' oracles (``tests/oracles.py``) hold that
+audit.
 """
 from __future__ import annotations
 
@@ -71,12 +72,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import SPECIALS, AlignedExample, SubwordVocab
-from .errors import (
-    DegenerateSupportError,
-    NonFiniteGradientError,
-    PrefixTooLongError,
-    SequenceTooLongError,
-)
+from .errors import DegenerateSupportError, PrefixTooLongError, SequenceTooLongError
 from .phonetics import PronouncingLexicon, code_key, g2p, supervision_distribution
 from .rng import check_seed as _check_seed
 
@@ -90,9 +86,6 @@ _SMALLEST = np.finfo(np.float64).smallest_subnormal
 
 #: Standard deviation of the normal draws that initialize weight parameters.
 _INIT_STD = 0.02
-
-#: Central-difference step of :func:`backward_and_check`'s audit.
-_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -137,11 +130,15 @@ class PhonemeCodeIndex:
 
     def __init__(self, codes: Sequence[str], token_rows: Sequence[int]):
         """Raise ValueError for a token row that is not an integer (a bool
-        is not one): the cast to ``intp`` would truncate it silently."""
+        is not one), which the cast to ``intp`` would truncate silently, or
+        that lies outside ``intp``'s range."""
         if not all(isinstance(row, (int, np.integer)) and not isinstance(row, bool) for row in token_rows):
             raise ValueError("every token row must be an integer")
         self.codes: list[str] = list(codes)
-        self.token_rows: np.ndarray = np.asarray(token_rows, dtype=np.intp)
+        try:
+            self.token_rows: np.ndarray = np.asarray(token_rows, dtype=np.intp)
+        except OverflowError as exc:
+            raise ValueError(f"a token row does not fit in intp: {exc}") from None
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -506,8 +503,17 @@ def step_distributions(
 
 @dataclass
 class LossGraph:
-    """One batch's loss terms (:func:`loss_total`) and the parameter leaves
-    they were built from, which hold the gradients after ``ad.backward``."""
+    """One batch's loss terms and the parameter leaves they were built from,
+    which hold the gradients after ``ad.backward``.
+
+    ``l_tot`` is ``l_n``, the word head's negative log likelihood, plus
+    ``lambda_ph`` times ``l_ph``.  The phoneme term sums, over
+    teacher-forcing steps whose target piece has a supervision row
+    (:meth:`Model.supervision_log`: not a special piece, and not
+    phonetically disjoint from the vocabulary), the KL divergence from the
+    phoneme-head distribution to the supervision distribution of the step's
+    target piece (floored outside its support).
+    """
 
     l_tot: Tensor
     l_n: Tensor
@@ -568,68 +574,3 @@ def _loss_graph(
             l_ph = ad.kl(ad.rows(logits_ph, step_rows), np.asarray([r_logs[n] for n in step_rows]))
     l_tot = ad.add(l_n, ad.mul(Tensor(config.lambda_ph, needs_grad=False), l_ph))
     return LossGraph(l_tot, l_n, l_ph, params)
-
-
-def loss_total(
-    batch: Sequence[AlignedExample],
-    model: Model,
-    lexicon: PronouncingLexicon,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Word-head negative log likelihood plus weighted phoneme-head KL.
-
-    The phoneme term sums, over teacher-forcing steps whose target piece has
-    a supervision row (:meth:`Model.supervision_log`: not a special piece,
-    and not phonetically disjoint from the vocabulary), the KL divergence
-    from the phoneme-head distribution to the supervision distribution of
-    the step's target piece (floored outside its support).
-    """
-    graph = _loss_graph(batch, model, lexicon)
-    return graph.l_tot, graph.l_n, graph.l_ph
-
-
-def backward_and_check(
-    model: Model,
-    batch: Sequence[AlignedExample],
-    lexicon: PronouncingLexicon,
-    check_coords: int = 0,
-    check_seed: int = 0,
-) -> tuple[dict[str, np.ndarray], Optional[float]]:
-    """Gradients of the total loss, optionally audited by finite differences.
-
-    When ``check_coords`` > 0, that many randomly chosen parameter
-    coordinates are re-derived with central differences at ``_FD_STEP`` and
-    the maximum relative error (guarded at unit scale) is returned beside
-    the gradients; otherwise None is.
-    """
-    graph = _loss_graph(batch, model, lexicon)
-    ad.backward(graph.l_tot)
-    grads: dict[str, np.ndarray] = {}
-    for name, leaf in graph.params.items():
-        g = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"gradient for {name} contains non-finite values")
-        grads[name] = g
-
-    if check_coords <= 0:
-        return grads, None
-
-    def loss_value() -> float:
-        return float(_loss_graph(batch, model, lexicon, needs_grad=False).l_tot.data)
-
-    rng = np.random.default_rng(check_seed)
-    names = sorted(model.params)
-    max_rel = 0.0
-    for _ in range(check_coords):
-        name = names[int(rng.integers(len(names)))]
-        array = model.params[name]
-        flat = int(rng.integers(array.size))
-        original = array.flat[flat]
-        array.flat[flat] = original + _FD_STEP
-        up = loss_value()
-        array.flat[flat] = original - _FD_STEP
-        down = loss_value()
-        array.flat[flat] = original
-        fd = (up - down) / (2.0 * _FD_STEP)
-        adg = float(grads[name].flat[flat])
-        max_rel = max(max_rel, abs(adg - fd) / max(abs(adg), abs(fd), 1.0))
-    return grads, max_rel

@@ -153,17 +153,8 @@ class PronouncingLexicon:
             self.entries[key] = code
         self._fallback_cache: dict[str, PhoneticCode] = {}
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self.entries
-
     def words(self) -> list[str]:
         return list(self.entries)
-
-    def phoneme(self, symbol: str) -> Phoneme:
-        return self.inventory[symbol]
 
 
 def load_inventory(path) -> dict[str, Phoneme]:
@@ -270,11 +261,6 @@ def articulatory_mismatches(p: Phoneme, q: Phoneme) -> int:
         return 3
     (p1, p2, p3), (q1, q2, q3) = p.features, q.features
     return (p1 != q1) + (p2 != q2) + (p3 != q3)
-
-
-def phoneme_sub_cost(p: Phoneme, q: Phoneme) -> float:
-    """Substitution cost in [0, 1]: differing-slot fraction, 1 across kinds."""
-    return articulatory_mismatches(p, q) / 3.0
 
 
 # Edit costs are kept in integer thirds so the dynamic program is exact:

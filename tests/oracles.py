@@ -23,6 +23,11 @@ alignment DP's first form, full cost and choice tables with every cell
 computed, to pin that the package's smaller table backtraces the same steps.  ``edited_pairs`` is no reference but
 the seeded input set that ``align_pair`` is checked on against
 ``align_pair_reference``, in tier-1 and in CI's larger sweep.
+``backward_and_check`` is the finite-difference gradient audit of
+acceptance criterion 2: it runs the package's loss graph and backward
+pass, and checks drawn parameter coordinates against central differences
+of the loss value.  ``loss_terms`` reads a batch's three loss terms from
+the same graph.
 """
 import re
 import unicodedata
@@ -31,9 +36,10 @@ from functools import lru_cache
 import numpy as np
 from mpmath import mp, mpf
 
-from asrnoise.autodiff import WEIGHT_GRAD_ROWS, Tensor, _acc, _node, _unbroadcast
+from asrnoise.autodiff import WEIGHT_GRAD_ROWS, Tensor, _acc, _node, _unbroadcast, backward
 from asrnoise.corpus import CONTINUATION_PREFIX, SPECIALS, normalize
 from asrnoise.errors import EmptyCorpusError, SizeTooSmallError
+from asrnoise.model import _loss_graph
 from asrnoise.phonetics import articulatory_mismatches, code_key, g2p, supervision_distribution
 
 
@@ -415,6 +421,59 @@ def loss_reference(model, example, lexicon):
             r = supervision_distribution(model.vocab.pieces[tid], model.r_support(), lexicon)
             l_ph += float(np.sum(p_ph[l] * (np.log(p_ph[l]) - np.log(np.maximum(r, 1e-12)))))
     return float(l_n), float(l_ph), float(l_n + cfg.lambda_ph * l_ph)
+
+
+def loss_terms(batch, model, lexicon):
+    """``(l_tot, l_n, l_ph)`` of the package's loss graph for ``batch``."""
+    graph = _loss_graph(batch, model, lexicon)
+    return graph.l_tot, graph.l_n, graph.l_ph
+
+
+#: Central-difference step of :func:`backward_and_check`'s audit.
+_FD_STEP = 1e-5
+
+
+def backward_and_check(model, batch, lexicon, check_coords: int = 0, check_seed: int = 0):
+    """Gradients of the total loss, optionally audited by finite differences.
+
+    When ``check_coords`` > 0, that many randomly chosen parameter
+    coordinates are re-derived with central differences at ``_FD_STEP`` and
+    the maximum relative error (guarded at unit scale) is returned beside
+    the gradients; otherwise None is.  A non-finite gradient raises
+    ValueError naming its parameter.
+    """
+    graph = _loss_graph(batch, model, lexicon)
+    backward(graph.l_tot)
+    grads = {}
+    for name, leaf in graph.params.items():
+        g = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"gradient for {name} contains non-finite values")
+        grads[name] = g
+
+    if check_coords <= 0:
+        return grads, None
+
+    def loss_value() -> float:
+        return float(_loss_graph(batch, model, lexicon, needs_grad=False).l_tot.data)
+
+    rng = np.random.default_rng(check_seed)
+    names = sorted(model.params)
+    max_rel = 0.0
+    for _ in range(check_coords):
+        name = names[int(rng.integers(len(names)))]
+        array = model.params[name]
+        flat = int(rng.integers(array.size))
+        original = array.flat[flat]
+        array.flat[flat] = original + _FD_STEP
+        up = loss_value()
+        array.flat[flat] = original - _FD_STEP
+        down = loss_value()
+        array.flat[flat] = original
+        fd = (up - down) / (2.0 * _FD_STEP)
+        adg = float(grads[name].flat[flat])
+        max_rel = max(max_rel, abs(adg - fd) / max(abs(adg), abs(fd), 1.0))
+    return grads, max_rel
 
 
 # composed autodiff ops ---------------------------------------------

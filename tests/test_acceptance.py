@@ -27,7 +27,7 @@ from asrnoise.intervention import (
 from asrnoise.phonetics import g2p, phoneme_edit_distance, supervision_distribution
 
 from conftest import make_token_seq
-from oracles import edit_distance_recursive, one_span_hidden
+from oracles import backward_and_check, edit_distance_recursive, one_span_hidden
 
 
 def _report(number, name):
@@ -119,7 +119,7 @@ class TestCriterion2GradientFidelity:
         _, _, items = small_setup
         assert small_model.config.d_model == 16
         started = time.monotonic()
-        _, max_rel = M.backward_and_check(
+        _, max_rel = backward_and_check(
             small_model, items[:4], lexicon, check_coords=50, check_seed=2024
         )
         elapsed = time.monotonic() - started

@@ -2,10 +2,13 @@
 
 The files mix CR, CRLF, a byte-order mark, NUL, tabs, non-ASCII text,
 over-long lines, blank lines, a header line and, now and then, a byte that
-is not UTF-8.  Exit codes: 0 success, 1 usage error, 2 data error.
+is not UTF-8.  A checkpoint's header may hold a wrong JSON value at any
+place.  Exit codes: 0 success, 1 usage error, 2 data error.
 """
 import contextlib
 import io
+import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +125,42 @@ def test_corrupt(workdir, checkpoint, texts):
         assert rc == 0
         # the header line, then one line per input line
         assert out.read_bytes().count(b"\n") == 1 + len(lines)
+
+
+# JSON values that a checkpoint header may hold where another one belongs
+_HEADER_VALUES = st.sampled_from([None, True, -1, 2**70, 1.5, "", "x", "[EOS]", [], [1], {}])
+
+
+@st.composite
+def header_edits(draw, header):
+    """``(path, value)``: a path of keys and indices from the header's root
+    to one of its values, at least one step long, and a value to put there."""
+    path, node = [], header
+    while isinstance(node, (dict, list)) and node and (not path or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(node)) if isinstance(node, dict) else st.integers(0, len(node) - 1))
+        path.append(key)
+        node = node[key]
+    return path, draw(_HEADER_VALUES)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_corrupt_with_a_malformed_checkpoint_header(workdir, checkpoint, data):
+    raw = checkpoint.read_bytes()
+    start = len(training.CHECKPOINT_MAGIC)
+    (size,) = struct.unpack("<I", raw[start:start + 4])
+    header = json.loads(raw[start + 4:start + 4 + size])
+    path, value = data.draw(header_edits(header))
+    parent = header
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    blob = json.dumps(header).encode("utf-8")
+    mutated, texts = workdir / "mutated.ckpt", workdir / "mutated_in.txt"
+    mutated.write_bytes(raw[:start] + struct.pack("<I", len(blob)) + blob + raw[start + 4 + size:])
+    texts.write_text("the cue gag\n")
+    rc = _run(["corrupt", str(texts), "--checkpoint", str(mutated), "--out", str(workdir / "mutated_out.txt")])
+    assert rc in (0, 2)
 
 
 @settings(max_examples=40)

@@ -131,12 +131,12 @@ class TestErrorBreakdown:
     def test_identical_corpora_flagged_errorless(self):
         b = E.error_type_breakdown(["a b"], ["a b"])
         assert b.as_tuple() == (0.0, 0.0, 0.0)
-        assert not b.has_errors
+        assert b.total_errors == 0
 
     def test_pure_deletion(self):
         b = E.error_type_breakdown(["a b c"], [""])
         assert b.as_tuple() == (0.0, 1.0, 0.0)
-        assert b.has_errors
+        assert b.total_errors > 0
 
     def test_mixed_operations_sum_to_one(self):
         b = E.error_type_breakdown(["a b c d"], ["a x c d e"])

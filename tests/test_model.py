@@ -7,15 +7,18 @@ from asrnoise import autodiff as ad
 from asrnoise import corpus as C
 from asrnoise import model as M
 from asrnoise.autodiff import Tensor
-from asrnoise.errors import (
-    DegenerateSupportError,
-    NonFiniteGradientError,
-    PrefixTooLongError,
-    SequenceTooLongError,
-)
+from asrnoise.errors import DegenerateSupportError, PrefixTooLongError, SequenceTooLongError
 from asrnoise.phonetics import PronouncingLexicon
 
-from oracles import block_forward_mp, loss_reference, matmul, one_span_hidden, sum_
+from oracles import (
+    backward_and_check,
+    block_forward_mp,
+    loss_reference,
+    loss_terms,
+    matmul,
+    one_span_hidden,
+    sum_,
+)
 from test_autodiff import composed_attention, composed_kl, composed_nll
 
 
@@ -338,7 +341,7 @@ class TestBatchedLossGraph:
     def test_loss_equals_sum_of_item_references(self, lexicon):
         model = _toy_model(lexicon)
         batch = _mixed_batch(model)
-        l_tot, l_n, l_ph = M.loss_total(batch, model, lexicon)
+        l_tot, l_n, l_ph = loss_terms(batch, model, lexicon)
         refs = np.array([loss_reference(model, x, lexicon) for x in batch]).sum(axis=0)
         assert float(l_n.data) == pytest.approx(refs[0], rel=1e-10)
         assert float(l_ph.data) == pytest.approx(refs[1], rel=1e-10)
@@ -347,9 +350,9 @@ class TestBatchedLossGraph:
     def test_gradients_equal_sum_of_single_item_gradients(self, lexicon):
         model = _toy_model(lexicon)
         batch = _mixed_batch(model)
-        batched, _ = M.backward_and_check(model, batch, lexicon)
+        batched, _ = backward_and_check(model, batch, lexicon)
         for name in batched:
-            summed = sum(M.backward_and_check(model, [x], lexicon)[0][name] for x in batch)
+            summed = sum(backward_and_check(model, [x], lexicon)[0][name] for x in batch)
             np.testing.assert_allclose(batched[name], summed, rtol=0, atol=1e-12)
 
     def test_items_sharing_an_id_keep_their_own_sentences(self, lexicon):
@@ -357,9 +360,9 @@ class TestBatchedLossGraph:
         batch = _mixed_batch(model)
         shared = [replace(x, sentence_id="same") for x in batch]
         unique = [replace(x, sentence_id=str(i)) for i, x in enumerate(batch)]
-        expected = [float(t.data) for t in M.loss_total(batch, model, lexicon)]
-        assert [float(t.data) for t in M.loss_total(shared, model, lexicon)] == expected
-        assert [float(t.data) for t in M.loss_total(unique, model, lexicon)] == expected
+        expected = [float(t.data) for t in loss_terms(batch, model, lexicon)]
+        assert [float(t.data) for t in loss_terms(shared, model, lexicon)] == expected
+        assert [float(t.data) for t in loss_terms(unique, model, lexicon)] == expected
 
     def test_longer_sentence_leaves_other_items_unchanged(self, lexicon, monkeypatch):
         model = _toy_model(lexicon)
@@ -380,7 +383,7 @@ class TestBatchedLossGraph:
         own = np.r_[0:n, n + 1 : steps + 1]
         np.testing.assert_allclose(grown_n.data[own], alone_n.data, rtol=0, atol=1e-12)
         np.testing.assert_allclose(grown_ph.data[own], alone_ph.data, rtol=0, atol=1e-12)
-        extra_tot = float(M.loss_total([extra], model, lexicon)[0].data)
+        extra_tot = float(loss_terms([extra], model, lexicon)[0].data)
         assert float(grown.l_tot.data) == pytest.approx(float(alone.l_tot.data) + extra_tot, rel=1e-12)
 
     @pytest.mark.parametrize("case", ["one_token_sentence", "shared_sentence", "one_item", "max_len_sentence"])
@@ -406,14 +409,14 @@ class TestBatchedLossGraph:
                 _item(model, "longest", longest, 0, []),
             ],
         }[case]
-        l_tot, l_n, l_ph = M.loss_total(batch, model, lexicon)
+        l_tot, l_n, l_ph = loss_terms(batch, model, lexicon)
         refs = np.array([loss_reference(model, x, lexicon) for x in batch]).sum(axis=0)
         assert float(l_n.data) == pytest.approx(refs[0], rel=1e-10)
         assert float(l_ph.data) == pytest.approx(refs[1], rel=1e-10)
         assert float(l_tot.data) == pytest.approx(refs[2], rel=1e-10)
-        batched, _ = M.backward_and_check(model, batch, lexicon)
+        batched, _ = backward_and_check(model, batch, lexicon)
         for name in batched:
-            summed = sum(M.backward_and_check(model, [x], lexicon)[0][name] for x in batch)
+            summed = sum(backward_and_check(model, [x], lexicon)[0][name] for x in batch)
             np.testing.assert_allclose(batched[name], summed, rtol=0, atol=1e-12)
 
     def test_row_wise_kernels_see_only_real_rows(self, lexicon, monkeypatch):
@@ -438,7 +441,7 @@ class TestBatchedLossGraph:
     def test_ablated_model_matches_item_references(self, lexicon):
         model = _toy_model(lexicon, phoneme_head=False)
         batch = _mixed_batch(model)
-        l_tot, l_n, l_ph = M.loss_total(batch, model, lexicon)
+        l_tot, l_n, l_ph = loss_terms(batch, model, lexicon)
         refs = np.array([loss_reference(model, x, lexicon) for x in batch]).sum(axis=0)
         assert float(l_n.data) == pytest.approx(refs[0], rel=1e-10)
         assert float(l_ph.data) == 0.0
@@ -478,7 +481,7 @@ class TestBatchedLossGraph:
     def test_empty_batch_rejected(self, lexicon):
         model = _toy_model(lexicon)
         with pytest.raises(ValueError):
-            M.loss_total([], model, lexicon)
+            loss_terms([], model, lexicon)
 
 
 class TestFusedLoss:
@@ -581,7 +584,7 @@ class TestLoss:
     def test_zero_weight_reduces_to_word_loss(self, lexicon):
         model = _without_phoneme_loss(_toy_model(lexicon))
         batch = _toy_batch(model, lexicon)
-        l_tot, l_n, l_ph = M.loss_total(batch, model, lexicon)
+        l_tot, l_n, l_ph = loss_terms(batch, model, lexicon)
         assert float(l_tot.data) == float(l_n.data)
 
     def test_matches_independent_recomputation(self, lexicon):
@@ -589,7 +592,7 @@ class TestLoss:
         batch = _toy_batch(model, lexicon)
         assert batch
         for example in batch:
-            l_tot, l_n, l_ph = M.loss_total([example], model, lexicon)
+            l_tot, l_n, l_ph = loss_terms([example], model, lexicon)
             ref_n, ref_ph, ref_tot = loss_reference(model, example, lexicon)
             assert float(l_n.data) == pytest.approx(ref_n, rel=1e-10)
             assert float(l_ph.data) == pytest.approx(ref_ph, rel=1e-10)
@@ -599,45 +602,45 @@ class TestLoss:
         # [UNK] has no pronunciation, so like [EOS] it adds nothing to l_ph
         model = _toy_model(lexicon)
         example = _item(model, "s", ["the", "cue", "gag"], 1, ["[UNK]"])
-        l_tot, l_n, l_ph = M.loss_total([example], model, lexicon)
+        l_tot, l_n, l_ph = loss_terms([example], model, lexicon)
         assert float(l_ph.data) == 0.0
         assert float(l_tot.data) == float(l_n.data)
-        word_only = M.loss_total([example], _without_phoneme_loss(model), lexicon)[1]
+        word_only = loss_terms([example], _without_phoneme_loss(model), lexicon)[1]
         assert float(l_n.data) == float(word_only.data)
         assert float(l_n.data) == pytest.approx(loss_reference(model, example, lexicon)[0], rel=1e-10)
 
     def test_duplicated_example_doubles_gradient(self, lexicon):
         model = _toy_model(lexicon)
         batch = _toy_batch(model, lexicon)
-        g1, _ = M.backward_and_check(model, batch[:1], lexicon)
-        g2, _ = M.backward_and_check(model, batch[:1] + batch[:1], lexicon)
+        g1, _ = backward_and_check(model, batch[:1], lexicon)
+        g2, _ = backward_and_check(model, batch[:1] + batch[:1], lexicon)
         for name in g1:
             np.testing.assert_allclose(g2[name], 2.0 * g1[name], atol=1e-12)
 
     def test_unused_phoneme_bias_gets_zero_gradient(self, lexicon):
         model = _without_phoneme_loss(_toy_model(lexicon))
         batch = _toy_batch(model, lexicon)
-        grads, _ = M.backward_and_check(model, batch, lexicon)
+        grads, _ = backward_and_check(model, batch, lexicon)
         np.testing.assert_array_equal(grads["b_ph"], np.zeros_like(grads["b_ph"]))
 
     def test_phoneme_table_unused_at_lambda_w_one(self, lexicon):
         model = _without_phoneme_loss(_toy_model(lexicon, lambda_w=1.0))
         batch = _toy_batch(model, lexicon)
-        grads, _ = M.backward_and_check(model, batch, lexicon)
+        grads, _ = backward_and_check(model, batch, lexicon)
         np.testing.assert_array_equal(grads["m_ph"], np.zeros_like(grads["m_ph"]))
 
     def test_gradient_check_small_model(self, lexicon):
         model = _toy_model(lexicon)
         batch = _toy_batch(model, lexicon)
-        _, max_rel = M.backward_and_check(model, batch, lexicon, check_coords=25, check_seed=3)
+        _, max_rel = backward_and_check(model, batch, lexicon, check_coords=25, check_seed=3)
         assert max_rel <= 1e-4
 
     def test_non_finite_gradient_detected(self, lexicon):
         model = _toy_model(lexicon)
         batch = _toy_batch(model, lexicon)
         model.params["m_word"][0, 0] = np.nan
-        with pytest.raises(NonFiniteGradientError):
-            M.backward_and_check(model, batch, lexicon)
+        with pytest.raises(ValueError, match="gradient for m_word contains non-finite values"):
+            backward_and_check(model, batch, lexicon)
 
 
 def _counting_supervision(monkeypatch, degenerate=False):

@@ -27,7 +27,6 @@ from asrnoise.phonetics import (
     load_inventory,
     load_lexicon,
     phoneme_edit_distance,
-    phoneme_sub_cost,
     phonetic_similarity,
     supervision_distribution,
 )
@@ -98,7 +97,7 @@ class TestFileFormats:
 
     def test_entries_must_stay_in_inventory(self, lexicon):
         code = g2p("cue", lexicon)
-        tiny_inventory = {"UNK": lexicon.phoneme("UNK")}
+        tiny_inventory = {"UNK": lexicon.inventory["UNK"]}
         with pytest.raises(ValueError):
             PronouncingLexicon({"cue": code}, tiny_inventory)
 
@@ -127,10 +126,10 @@ class TestFileFormats:
 
     def test_phoneme_is_a_flat_record(self, lexicon):
         assert [f.name for f in fields(Phoneme)] == ["symbol", "kind", "features"]
-        assert lexicon.phoneme("B") == Phoneme("B", "consonant", ("bilabial", "stop", "voiced"))
+        assert lexicon.inventory["B"] == Phoneme("B", "consonant", ("bilabial", "stop", "voiced"))
         code = g2p("cue", lexicon)
         assert type(code) is tuple
-        assert code == tuple(lexicon.phoneme(s) for s in ("K", "Y", "UW"))
+        assert code == tuple(lexicon.inventory[s] for s in ("K", "Y", "UW"))
 
 
 class TestG2P:
@@ -182,30 +181,30 @@ class TestSubCost:
                     expected = 3
                 else:
                     expected = sum(x != y for x, y in zip(slots_a, slots_b))
-                got = articulatory_mismatches(lexicon.phoneme(a), lexicon.phoneme(b))
+                got = articulatory_mismatches(lexicon.inventory[a], lexicon.inventory[b])
                 assert got == expected, (a, b)
 
     def test_identity_is_zero(self, lexicon):
         for ph in lexicon.inventory.values():
-            assert phoneme_sub_cost(ph, ph) == 0.0
+            assert articulatory_mismatches(ph, ph) == 0
 
     def test_kind_mismatch_is_one(self, lexicon):
-        consonant = lexicon.phoneme("B")
-        vowel = lexicon.phoneme("IY")
-        assert phoneme_sub_cost(consonant, vowel) == 1.0
+        consonant = lexicon.inventory["B"]
+        vowel = lexicon.inventory["IY"]
+        # one full unit, in the thirds the edit distance counts in
+        assert articulatory_mismatches(consonant, vowel) == 3
 
     def test_b_vs_p_differs_only_in_voicing(self, lexicon):
-        cost = phoneme_sub_cost(lexicon.phoneme("B"), lexicon.phoneme("P"))
-        assert cost == pytest.approx(1.0 / 3.0)
+        assert articulatory_mismatches(lexicon.inventory["B"], lexicon.inventory["P"]) == 1
 
     def test_symmetric_bounded_zero_only_on_identity(self, lexicon):
         phonemes = list(lexicon.inventory.values())
         for p in phonemes:
             for q in phonemes:
-                c = phoneme_sub_cost(p, q)
-                assert 0.0 <= c <= 1.0
-                assert c == phoneme_sub_cost(q, p)
-                assert (c == 0.0) == (p.symbol == q.symbol)
+                c = articulatory_mismatches(p, q)
+                assert 0 <= c <= 3
+                assert c == articulatory_mismatches(q, p)
+                assert (c == 0) == (p.symbol == q.symbol)
 
 
 class TestEditDistance:
@@ -288,7 +287,7 @@ class TestInternedMismatchTable:
         self, lexicon, custom_inventory, mixed_phonemes
     ):
         assert self._table_disagreements(mixed_phonemes) == []
-        assert custom_inventory["TT"].articulation == lexicon.phoneme("T").articulation
+        assert custom_inventory["TT"].articulation == lexicon.inventory["T"].articulation
         shipped = {p.articulation for p in lexicon.inventory.values()}
         assert all(custom_inventory[s].articulation not in shipped for s in ("Q", "RR", "TS", "OE", "A", "UNK"))
 
@@ -307,7 +306,7 @@ class TestInternedMismatchTable:
         assert phoneme_edit_distance(cp, cq) == edit_distance_recursive(cp, cq)
 
     def test_a_copy_keeps_its_articulation_and_carries_no_state(self, lexicon):
-        k = lexicon.phoneme("K")
+        k = lexicon.inventory["K"]
         for clone in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
             assert clone == k and clone.articulation == k.articulation
         assert b"articulation" not in pickle.dumps(k)

@@ -23,6 +23,7 @@ from asrnoise.errors import (
     VersionMismatchError,
 )
 
+from oracles import backward_and_check, loss_terms
 from test_model import _toy_model
 
 
@@ -191,7 +192,7 @@ class TestTrain:
         batch, last_finite = losses[-2]
         assert np.isfinite(last_finite)
         restored = M.Model(info.value.last_good, model.config, model.vocab, model.code_index)
-        l_tot, _, _ = M.loss_total(batch, restored, lexicon)
+        l_tot, _, _ = loss_terms(batch, restored, lexicon)
         assert float(l_tot.data) == pytest.approx(last_finite, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -376,6 +377,8 @@ class TestCheckpointIO:
             lambda h, b: ({**h, "config": {**h["config"], "max_gen_len": 4.5}}, b),
             lambda h, b: ({**h, "config": {**h["config"], "phoneme_head": "no"}}, b),
             lambda h, b: ({**h, "config": {**h["config"], "d_model": float(h["config"]["d_model"])}}, b),
+            lambda h, b: ({**h, "vocab": h["vocab"][:-1] + [7]}, b),
+            lambda h, b: ({**h, "token_rows": [2**70] + h["token_rows"][1:]}, b),
         ],
         ids=[
             "no-config", "unknown-config-key", "vocab-without-bos",
@@ -386,6 +389,7 @@ class TestCheckpointIO:
             "fractional-token-rows", "boolean-token-row",
             "vocab-piece-with-space-and-upper-case", "vocab-piece-with-tab",
             "fractional-max-gen-len", "string-phoneme-head", "float-d-model",
+            "vocab-piece-not-a-string", "token-row-past-intp",
         ],
     )
     def test_malformed_header_is_corrupt_checkpoint(self, small_model, tmp_path, edit):
@@ -447,8 +451,8 @@ class TestCheckpointIO:
         path = tmp_path / "model.ckpt"
         T.save_checkpoint(path, small_model)
         loaded = T.load_checkpoint(path)
-        grads, max_rel = M.backward_and_check(loaded, items[:4], lexicon, check_coords=5, check_seed=1)
-        expected, _ = M.backward_and_check(small_model, items[:4], lexicon)
+        grads, max_rel = backward_and_check(loaded, items[:4], lexicon, check_coords=5, check_seed=1)
+        expected, _ = backward_and_check(small_model, items[:4], lexicon)
         assert max_rel is not None
         for name, g in expected.items():
             np.testing.assert_array_equal(grads[name], g)
