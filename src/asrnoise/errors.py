@@ -34,10 +34,12 @@ class PrefixTooLongError(AsrNoiseError):
 
 
 class NonFiniteLossError(AsrNoiseError):
-    """Training loss became NaN or infinite.
+    """Training loss or its gradient norm became NaN or infinite.
 
     Carries the last parameter state that produced a finite loss so the
-    caller can checkpoint it.
+    caller can checkpoint it.  When only the gradient norm is not finite,
+    that is the state the failing batch's loss was computed at: no step
+    was taken from it.
     """
 
     def __init__(self, message, last_good=None):

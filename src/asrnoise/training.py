@@ -11,11 +11,17 @@ reduction order is fixed by the code, not by the data or the BLAS thread
 count: a weight's gradient sums a batch's rows in fixed blocks, in order
 (``autodiff.linear``), gathered rows scatter back in index order, and the
 gradient norm is one pairwise sum over the flat gradient buffer.
+
+On glibc, :func:`train` raises the C heap's mmap and trim thresholds for the
+whole process (:func:`_keep_heap`), so warm batches reuse the heap pages that
+earlier batches freed instead of faulting them in again.
 """
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import platform
 import struct
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -112,6 +118,29 @@ class _Adam:
         params -= np.divide(update, denom, out=update)
 
 
+def _keep_heap() -> None:
+    """Keep freed batch memory in glibc's heap for the rest of the process.
+
+    A batch's autodiff temporaries (a few MB on the desk recipe) are all
+    freed after ``backward``.  At glibc's defaults the heap top is then
+    trimmed back to the system, and arrays above the dynamic mmap threshold
+    get pages of their own, so every batch faults its memory in again.
+    Setting either threshold freezes glibc's dynamic mmap threshold where it
+    stands, so both are set: large arrays stay on the heap, and the heap
+    keeps up to 64 MiB of free top.  The settings are process-wide and stay
+    after :func:`train` returns, since glibc cannot restore its dynamic
+    thresholds.  No arithmetic changes.  Other C libraries are left alone.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # malloc.h's M_MMAP_THRESHOLD, at the ceiling of glibc's dynamic threshold
+    # on 64-bit hosts, then M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
 def _views(shapes: dict[str, tuple[int, ...]], flat: np.ndarray) -> dict[str, np.ndarray]:
     """Consecutive views of ``flat``, one per name, in the order and shapes
     that ``shapes`` gives."""
@@ -133,11 +162,12 @@ def train(
 
     ``model.params`` keeps its names and shapes, but its arrays are replaced
     by views of one buffer that each step updates in place.  Aborts with
-    NonFiniteLossError if a batch loss diverges; its ``last_good`` holds
-    copies of the parameters at which the last finite batch loss was
-    computed (the initial ones if the first batch diverges).  Items whose
-    target or sentence cannot fit the model are rejected before the first
-    epoch.
+    NonFiniteLossError if a batch loss or its gradient norm is not finite,
+    before that batch's step; its ``last_good`` holds copies of the
+    parameters at which the last finite batch loss was computed (the
+    initial ones if the first batch diverges).  Items whose target or
+    sentence cannot fit the model are rejected before the first epoch.  On
+    glibc it sets the process's heap thresholds first (:func:`_keep_heap`).
     """
     if not items:
         raise ValueError("cannot train on an empty item list")
@@ -152,6 +182,7 @@ def train(
             f"an item target has {longest} tokens but the generation horizon is "
             f"{model.config.max_gen_len}; build items with max_target_len at most that"
         )
+    _keep_heap()
     rng = np.random.default_rng(cfg.seed)
     shapes = {name: a.shape for name, a in model.params.items()}
     flat = np.concatenate([a.ravel() for a in model.params.values()], dtype=np.float64)
@@ -179,7 +210,11 @@ def train(
                 leaf.grad = grads[name]
             # optimize the per-item mean so step size is batch-size invariant
             ad.backward(ad.mul(graph.l_tot, ad.Tensor(1.0 / len(batch), needs_grad=False)))
-            clip_gradients(grad_flat, cfg.clip_norm)
+            norm = clip_gradients(grad_flat, cfg.clip_norm)
+            if not math.isfinite(norm):
+                raise NonFiniteLossError(
+                    f"gradient norm is {norm} in epoch {epoch}", last_good=_views(shapes, last_good)
+                )
             optimizer.step(flat, grad_flat)
             sums += np.asarray(values)
         n = len(items)

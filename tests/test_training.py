@@ -1,9 +1,14 @@
 import gc
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
 import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +30,8 @@ from asrnoise.errors import (
 
 from oracles import backward_and_check, loss_terms
 from test_model import _toy_model
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestTrainConfig:
@@ -217,6 +224,38 @@ class TestTrain:
         for name, array in last_good.items():
             assert np.all(np.isfinite(array)) and array.tobytes() == kept[name].tobytes()
 
+    def test_non_finite_gradient_norm_raises_before_the_step(self, lexicon, monkeypatch):
+        vocab, items = _tiny_training_setup(lexicon)
+        model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=1)
+        batch_size = 8
+        batches = -(-len(items) // batch_size)
+        losses = []
+        original_graph, original_clip = T._loss_graph, T.clip_gradients
+
+        def recording_graph(batch, *args):
+            graph = original_graph(batch, *args)
+            losses.append((list(batch), float(graph.l_tot.data)))
+            return graph
+
+        def poisoned_clip(grads, max_norm):
+            if len(losses) == batches:  # the last batch of the epoch
+                grads[0] = np.nan
+            return original_clip(grads, max_norm)
+
+        monkeypatch.setattr(T, "_loss_graph", recording_graph)
+        monkeypatch.setattr(T, "clip_gradients", poisoned_clip)
+        with pytest.raises(NonFiniteLossError) as info:
+            T.train(items, model, lexicon, T.TrainConfig(epochs=1, batch_size=batch_size, seed=3))
+        last_good = info.value.last_good
+        assert all(np.all(np.isfinite(a)) for a in last_good.values())
+        # no step was taken from the parameters the last batch's loss was computed at
+        for name, array in model.params.items():
+            assert array.tobytes() == last_good[name].tobytes()
+        batch, last_finite = losses[-1]
+        restored = M.Model(last_good, model.config, model.vocab, model.code_index)
+        l_tot, _, _ = loss_terms(batch, restored, lexicon)
+        assert float(l_tot.data) == pytest.approx(last_finite, rel=1e-12)
+
     def test_graphs_are_freed_without_the_cycle_collector(self, lexicon):
         vocab, items = _tiny_training_setup(lexicon)
         model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=1)
@@ -272,6 +311,58 @@ class TestTrain:
         T.train(items, model, lexicon, cfg)
         assert into_params[0] > 0
         assert into_constants[0] == 0
+
+
+class TestHeapThresholds:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap thresholds are glibc's")
+    def test_warm_epoch_does_not_fault_its_memory_back_in(self):
+        # a fresh process, so no earlier test has set the thresholds already
+        script = (
+            "import resource\n"
+            "from asrnoise import corpus as C, model as M, synthetic, training as T\n"
+            "from asrnoise.phonetics import default_lexicon\n"
+            "lexicon = default_lexicon()\n"
+            "pairs = synthetic.make_parallel_corpus(200, seed=1)\n"
+            "vocab = C.induce_vocab([p.gt for p in pairs] + [p.asr for p in pairs if p.asr], 384)\n"
+            "alignments = [C.align_pair(p.gt, p.asr, lexicon) for p in pairs]\n"
+            "items = C.build_training_items(alignments, vocab, [p.id for p in pairs], max_target_len=5)\n"
+            "model = M.Model.build(vocab, lexicon, M.ModelConfig(), seed=1)\n"
+            "cfg = T.TrainConfig(epochs=1, batch_size=32, seed=1)\n"
+            "T.train(items, model, lexicon, cfg)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "T.train(items, model, lexicon, cfg)\n"
+            "print(len(items), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        n_items, faults = map(int, result.stdout.split())
+        assert n_items == 495
+        # glibc's defaults take about 10,600 here: each batch faults its
+        # freed temporaries back in
+        assert faults < 1000
+
+    # malloc.h: M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD is -1
+    @pytest.mark.parametrize("libc, calls", [
+        ("glibc", [(-3, 32 << 20), (-1, 64 << 20)]),
+        ("musl", []),
+        ("", []),
+    ])
+    def test_mallopt_is_called_on_glibc_only(self, lexicon, monkeypatch, libc, calls):
+        vocab, items = _tiny_training_setup(lexicon)
+        model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=1)
+        made = []
+
+        def mallopt(param, value):
+            made.append((param, value))
+            return 1
+
+        monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: (libc, "1.0" if libc else ""))
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda *a, **k: SimpleNamespace(mallopt=mallopt))
+        T.train(items, model, lexicon, T.TrainConfig(epochs=1, batch_size=8, seed=0))
+        assert made == calls
 
 
 def _cut_position_table(header, body, max_len):
