@@ -140,6 +140,16 @@ def _check_output(flag: str, value: str, path: str) -> None:
         raise IsADirectoryError(f"{flag} {value}: {path} is a directory")
 
 
+def _one_file(path: str) -> tuple[str]:
+    return (path,)
+
+
+def _checkpoint_paths(checkpoint: str) -> tuple[str, str]:
+    """``train``'s checkpoint, and the file of the last finite-loss
+    parameters that a diverging run writes instead."""
+    return checkpoint, checkpoint + ".last_good"
+
+
 def _metrics_paths(out: str) -> tuple[str, str]:
     """``eval``'s report and CSV paths: ``.txt`` and ``.csv`` are appended to
     ``out``, unless it already ends in one of them, which they replace."""
@@ -213,7 +223,7 @@ def _cmd_train(args, config) -> int:
         log = training.train(items, model, lexicon, train_config)
     except NonFiniteLossError as exc:
         model.params = exc.last_good
-        last_good_path = f"{args.checkpoint}.last_good"
+        _, last_good_path = _checkpoint_paths(args.checkpoint)
         training.save_checkpoint(last_good_path, model, meta=meta)
         print(f"asrnoise: wrote the last finite-loss parameters to {last_good_path}", file=sys.stderr)
         raise
@@ -287,17 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="asrnoise", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, reads, help, lexicon=False, inputs=("input",), outputs=("out",),
-                written=lambda path: (path,)):
+    def command(name, handler, reads, help, lexicon=False, inputs=("input",), outputs=None):
         """A subcommand reading the config keys ``reads``: ``--config``, the flag
         of each read key that has one, and ``--lexicon``/``--inventory`` if it
-        loads a lexicon.  ``inputs`` and ``outputs`` name the attributes of the
-        paths it reads (``--config`` and the lexicon's two besides) and
-        writes, and ``written`` maps an output flag's value to the files it
-        writes."""
+        loads a lexicon.  ``inputs`` names the attributes of the paths it reads
+        (``--config`` and the lexicon's two besides), and ``outputs`` maps the
+        attribute of each output flag to a function from the flag's value to
+        the files it writes (default: ``--out``, one file)."""
         p = sub.add_parser(name, help=help)
         inputs += ("config", "lexicon", "inventory") if lexicon else ("config",)
-        p.set_defaults(handler=handler, reads=reads, inputs=inputs, outputs=outputs, written=written)
+        p.set_defaults(handler=handler, reads=reads, inputs=inputs, outputs=outputs or {"out": _one_file})
         p.add_argument("--config", help="flat key = value config file")
         for key in (k for k in reads if k in _FLAGS):
             p.add_argument(_FLAGS[key], dest=key, type=type(DEFAULTS[key]), default=None)
@@ -321,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", _cmd_train, _MODEL_KEYS + _TRAIN_KEYS,
                 "train the noise generator on a GT/ASR TSV corpus", lexicon=True,
-                inputs=("input", "vocab"), outputs=("checkpoint", "out"))
+                inputs=("input", "vocab"), outputs={"checkpoint": _checkpoint_paths, "out": _one_file})
     p.add_argument("input")
     p.add_argument("--vocab", required=True)
     p.add_argument("--checkpoint", required=True)
@@ -329,14 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("corrupt", _cmd_corrupt, ("seed", "p_z", "mode", "temperature"),
                 "corrupt plain text into pseudo transcripts", inputs=("input", "checkpoint"),
-                outputs=("out", "report"))
+                outputs={"out": _one_file, "report": _one_file})
     p.add_argument("input")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="span report TSV")
 
     p = command("eval", _cmd_eval, (), "score hypotheses against references", lexicon=True,
-                inputs=("ref", "hyp"), written=_metrics_paths)
+                inputs=("ref", "hyp"), outputs={"out": _metrics_paths})
     p.add_argument("--ref", required=True)
     p.add_argument("--hyp", required=True)
     p.add_argument("--out", required=True,
@@ -361,9 +370,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     overrides = {key: value for key, value in vars(args).items() if key in DEFAULTS}
     try:
         written: dict[Path, str] = {}
-        for dest in args.outputs:
+        for dest, paths in args.outputs.items():
             value = getattr(args, dest)
-            for path in args.written(value) if value is not None else ():
+            for path in paths(value) if value is not None else ():
                 _check_output(f"--{dest}", value, path)
                 flag, real = f"--{dest} {value}", Path(path).resolve()
                 if real in written:

@@ -29,10 +29,6 @@ class SequenceTooLongError(AsrNoiseError):
     """Token sequence exceeds the model's positional table."""
 
 
-class PrefixTooLongError(AsrNoiseError):
-    """Decoder prefix exceeds the maximum generation length."""
-
-
 class NonFiniteLossError(AsrNoiseError):
     """Training loss or its gradient norm became NaN or infinite.
 

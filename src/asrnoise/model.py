@@ -72,7 +72,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import SPECIALS, AlignedExample, SubwordVocab
-from .errors import DegenerateSupportError, PrefixTooLongError, SequenceTooLongError
+from .errors import DegenerateSupportError, SequenceTooLongError
 from .phonetics import PronouncingLexicon, code_key, g2p, supervision_distribution
 from .rng import check_seed as _check_seed
 
@@ -88,6 +88,17 @@ _SMALLEST = np.finfo(np.float64).smallest_subnormal
 _INIT_STD = 0.02
 
 
+def check_field_types(config, skip: Sequence[str] = ()) -> None:
+    """Raise ValueError naming the first field of the dataclass ``config``,
+    past those in ``skip``, whose value is not of its annotated type: any
+    int is a real number here, but a bool is only a bool."""
+    for f in (f for f in fields(config) if f.name not in skip):
+        value = getattr(config, f.name)
+        kinds = {"int": int, "float": (int, float), "bool": bool}[f.type]
+        if not isinstance(value, kinds) or (isinstance(value, bool) and f.type != "bool"):
+            raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Hyperparameters; the vocabulary and its code index size the tables."""
@@ -101,13 +112,8 @@ class ModelConfig:
     phoneme_head: bool = True
 
     def __post_init__(self):
-        # a checkpoint header is outside input, so types are checked too:
-        # any int is a real number here, but a bool is only a bool
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kinds = {"int": int, "float": (int, float), "bool": bool}[f.type]
-            if not isinstance(value, kinds) or (isinstance(value, bool) and f.type != "bool"):
-                raise ValueError(f"{f.name} must be of type {f.type}, not {value!r}")
+        # a checkpoint header is outside input, so types are checked too
+        check_field_types(self)
         if self.n_heads < 1 or self.d_model < 1 or self.d_model % self.n_heads != 0:
             raise ValueError("d_model and n_heads must be positive, and n_heads must divide d_model")
         if self.max_gen_len < 1 or self.max_len < 1:
@@ -236,12 +242,11 @@ class Model:
         cls,
         vocab: SubwordVocab,
         lexicon: PronouncingLexicon,
-        config: Optional[ModelConfig] = None,
+        config: ModelConfig,
         seed: int = 0,
     ) -> "Model":
         _check_seed(seed)
         code_index = PhonemeCodeIndex.build(vocab, lexicon)
-        config = config if config is not None else ModelConfig()
         rng = np.random.default_rng(seed)
         params = {
             name: rng.normal(0.0, _INIT_STD, size=shape) if fill is None else np.full(shape, fill)
@@ -401,7 +406,8 @@ def decoder_hidden(
     row, gives the same row up to the last bits of the block's products.
 
     With ``grids`` = ``(step_grid, sentence_grid)``, as training calls it,
-    ``start`` is ``[N, d]``, the prefixes have any lengths, ``memory`` is
+    ``start`` is ``[N, d]``, each prefix is shorter than ``max_gen_len``
+    (``train`` rejects longer targets), ``memory`` is
     :func:`decoder_memory` of the packed encoder rows that
     ``sentence_grid`` groups by sentence, and the result is the packed
     query rows ``[S, d]``: the ``N`` start rows, then every span's prefix
@@ -414,13 +420,8 @@ def decoder_hidden(
     so a non-empty prefix without ``grids`` raises ValueError.
     """
     lengths = [len(prefix) for prefix in generated_ids]
-    n_prev = max(lengths, default=0)
-    if 1 + n_prev > config.max_gen_len:
-        raise PrefixTooLongError(
-            f"prefix of {1 + n_prev} positions exceeds max_gen_len={config.max_gen_len}"
-        )
     queries = start
-    if n_prev:
+    if any(lengths):
         ids = np.fromiter(chain.from_iterable(generated_ids), dtype=np.intp, count=sum(lengths))
         positions = np.concatenate([np.arange(1, n + 1) for n in lengths])
         tok = ad.add(_token_embeddings(ids, params, config, token_code_rows), ad.rows(params["m_pos"], positions))
@@ -525,7 +526,6 @@ def _loss_graph(
     batch: Sequence[AlignedExample],
     model: Model,
     lexicon: PronouncingLexicon,
-    needs_grad: bool = True,
 ) -> LossGraph:
     """Build one graph for the whole batch over its real rows alone.
 
@@ -537,12 +537,11 @@ def _loss_graph(
     logits row.  Only ``ad.attention`` sees the sentences as a grid
     (:class:`ad.Grid`); every projection, layer norm, feed-forward and head
     computes ``R`` or ``S`` rows, none padded.
-    Without ``needs_grad`` only the values are computed and no graph is kept.
     """
     if not batch:
         raise ValueError("cannot build a loss graph for an empty batch")
     config = model.config
-    params = _wrap_params(model.params, needs_grad)
+    params = _wrap_params(model.params)
     rows_map = model.code_index.token_rows
 
     # one encoder row per distinct sentence, in order of first appearance

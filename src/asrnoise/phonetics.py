@@ -1,10 +1,12 @@
 """Phonetic codes, articulatory edit distance and similarity supervision.
 
-A word maps to a phonetic code (a sequence of phonemes); codes are compared
-with a weighted Levenshtein distance whose substitution cost is the fraction
-of articulatory slots two phonemes disagree on.  Distances feed a similarity
-score and, normalized over a vocabulary, a supervision distribution for the
-phoneme generation head.
+A word maps to a phonetic code (a sequence of phonemes): its lexicon entry,
+or else letter-fallback phonemes, where a character without a fallback, or a
+fallback phoneme that the inventory lacks, reads as the UNK phoneme.  Codes
+are compared with a weighted Levenshtein distance whose substitution cost is
+the fraction of articulatory slots two phonemes disagree on.  Distances
+feed a similarity score and, normalized over a vocabulary, a supervision
+distribution for the phoneme generation head.
 
 The distance is computed in integer thirds.  Each distinct articulation (a
 kind plus its three feature slots) is interned once, when the first phoneme
@@ -102,8 +104,8 @@ def code_key(code: PhoneticCode) -> str:
 
 
 # Deterministic letter fallback used when a surface is not in the lexicon.
-# Every letter maps to phonemes of the same inventory; anything else maps
-# to the UNK phoneme.
+# Every letter maps to phonemes of the default inventory; anything else, and
+# a phoneme that a custom inventory lacks, maps to the UNK phoneme.
 FALLBACK_LETTER_PHONEMES: dict[str, tuple[str, ...]] = {
     "a": ("AE",),
     "b": ("B",),
@@ -234,7 +236,8 @@ def g2p(word: str, lexicon: PronouncingLexicon) -> PhoneticCode:
     """Phonetic code for a surface: lexicon lookup, letter fallback otherwise.
 
     The subword continuation prefix ``##`` is stripped first.  Characters
-    without a fallback entry map to the UNK phoneme.
+    without a fallback entry, and fallback phonemes that the lexicon's
+    inventory lacks, map to the UNK phoneme.
     """
     if word.startswith(CONTINUATION_PREFIX):
         word = word[len(CONTINUATION_PREFIX):]
@@ -250,7 +253,8 @@ def g2p(word: str, lexicon: PronouncingLexicon) -> PhoneticCode:
     symbols: list[str] = []
     for ch in word:
         symbols.extend(FALLBACK_LETTER_PHONEMES.get(ch, (UNK_SYMBOL,)))
-    code = tuple(lexicon.inventory[s] for s in symbols)
+    unk = lexicon.inventory[UNK_SYMBOL]
+    code = tuple(lexicon.inventory.get(s, unk) for s in symbols)
     lexicon._fallback_cache[word] = code
     return code
 

@@ -8,6 +8,8 @@ counter ``(k + 1) * 2**32 + t``, so no span reuses a plan's draw.  Draws thus
 never depend on call order, on neighbouring positions or on how many are
 requested: plans stay bit-identical when the sequence grows, and shards can
 be sampled in any order.  No global RNG state leaks between pipeline stages.
+Both the seed derivation and the draws mix through one SplitMix64 finalizer,
+:func:`mix64`.
 """
 from __future__ import annotations
 
@@ -37,12 +39,9 @@ def mix64(x):
     return x ^ (x >> 31)
 
 
-def derive_seed(seed: int, *parts: int) -> int:
-    """Fold integer salts into a seed, one mixing round per part."""
-    s = mix64(seed ^ _GOLDEN)
-    for p in parts:
-        s = mix64(s ^ mix64(p & _MASK))
-    return s
+def derive_seed(seed: int, part: int) -> int:
+    """Fold an integer salt into a seed in one mixing round."""
+    return mix64(mix64(seed ^ _GOLDEN) ^ mix64(part & _MASK))
 
 
 def uniforms_at(seed, positions) -> np.ndarray:
@@ -57,9 +56,6 @@ def uniforms_at(seed, positions) -> np.ndarray:
     pos = np.asarray(positions, dtype=np.uint64)
     base = np.uint64(mix64(seed ^ _GOLDEN))
     with np.errstate(over="ignore"):
-        x = base + (pos + np.uint64(1)) * np.uint64(_GOLDEN)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-        x = x ^ (x >> np.uint64(31))
+        x = mix64(base + (pos + np.uint64(1)) * np.uint64(_GOLDEN))
     return (x >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 

@@ -36,7 +36,7 @@ from .errors import (
     SequenceTooLongError,
     VersionMismatchError,
 )
-from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph
+from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph, check_field_types
 from .phonetics import PronouncingLexicon
 from .rng import check_seed
 from .textio import replacing, write_lines
@@ -56,6 +56,7 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        check_field_types(self, skip=("seed",))
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning rate must be positive and finite")
         if self.epochs < 1:
@@ -165,7 +166,9 @@ def train(
     NonFiniteLossError if a batch loss or its gradient norm is not finite,
     before that batch's step; its ``last_good`` holds copies of the
     parameters at which the last finite batch loss was computed (the
-    initial ones if the first batch diverges).  Items whose target or
+    initial ones if the first batch diverges).  Numpy's overflow and
+    invalid-value warnings are off meanwhile, since those checks catch what
+    they would warn of.  Items whose target or
     sentence cannot fit the model are rejected before the first epoch.  On
     glibc it sets the process's heap thresholds first (:func:`_keep_heap`).
     """
@@ -192,33 +195,36 @@ def train(
     last_good = flat.copy()
     optimizer = _Adam(flat, cfg.learning_rate)
     log: list[EpochStats] = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(items))
-        sums = np.zeros(3)
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [items[i] for i in order[start:start + cfg.batch_size]]
-            graph = _loss_graph(batch, model, lexicon)
-            values = (float(graph.l_tot.data), float(graph.l_n.data), float(graph.l_ph.data))
-            if not all(np.isfinite(values)):
-                raise NonFiniteLossError(
-                    f"loss diverged in epoch {epoch}", last_good=_views(shapes, last_good)
-                )
-            np.copyto(last_good, flat)
-            # every parameter's gradient accumulates into its view of grad_flat
-            grad_flat.fill(0.0)
-            for name, leaf in graph.params.items():
-                leaf.grad = grads[name]
-            # optimize the per-item mean so step size is batch-size invariant
-            ad.backward(ad.mul(graph.l_tot, ad.Tensor(1.0 / len(batch), needs_grad=False)))
-            norm = clip_gradients(grad_flat, cfg.clip_norm)
-            if not math.isfinite(norm):
-                raise NonFiniteLossError(
-                    f"gradient norm is {norm} in epoch {epoch}", last_good=_views(shapes, last_good)
-                )
-            optimizer.step(flat, grad_flat)
-            sums += np.asarray(values)
-        n = len(items)
-        log.append(EpochStats(epoch, float(sums[0]) / n, float(sums[1]) / n, float(sums[2]) / n))
+    # overflow and 0 * inf in a diverging batch are caught below as a
+    # non-finite loss or gradient norm, so numpy need not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(len(items))
+            sums = np.zeros(3)
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [items[i] for i in order[start:start + cfg.batch_size]]
+                graph = _loss_graph(batch, model, lexicon)
+                values = (float(graph.l_tot.data), float(graph.l_n.data), float(graph.l_ph.data))
+                if not all(np.isfinite(values)):
+                    raise NonFiniteLossError(
+                        f"loss diverged in epoch {epoch}", last_good=_views(shapes, last_good)
+                    )
+                np.copyto(last_good, flat)
+                # every parameter's gradient accumulates into its view of grad_flat
+                grad_flat.fill(0.0)
+                for name, leaf in graph.params.items():
+                    leaf.grad = grads[name]
+                # optimize the per-item mean so step size is batch-size invariant
+                ad.backward(ad.mul(graph.l_tot, ad.Tensor(1.0 / len(batch), needs_grad=False)))
+                norm = clip_gradients(grad_flat, cfg.clip_norm)
+                if not math.isfinite(norm):
+                    raise NonFiniteLossError(
+                        f"gradient norm is {norm} in epoch {epoch}", last_good=_views(shapes, last_good)
+                    )
+                optimizer.step(flat, grad_flat)
+                sums += np.asarray(values)
+            n = len(items)
+            log.append(EpochStats(epoch, float(sums[0]) / n, float(sums[1]) / n, float(sums[2]) / n))
     return log
 
 

@@ -455,7 +455,7 @@ def backward_and_check(model, batch, lexicon, check_coords: int = 0, check_seed:
         return grads, None
 
     def loss_value() -> float:
-        return float(_loss_graph(batch, model, lexicon, needs_grad=False).l_tot.data)
+        return float(_loss_graph(batch, model, lexicon).l_tot.data)
 
     rng = np.random.default_rng(check_seed)
     names = sorted(model.params)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +205,6 @@ class TestCommands:
         assert lines[1] == "sentence_id\tgt_word\tasr_words\tlabel"
         assert len(lines) > 2
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_train_divergence_writes_last_good_checkpoint(self, tmp_path, monkeypatch, lexicon):
         corpus_path, pairs = _write_corpus(tmp_path)
         vocab_path = tmp_path / "vocab.txt"
@@ -227,6 +227,48 @@ class TestCommands:
         items = C.build_training_items(alignments, model.vocab, max_target_len=model.config.max_gen_len)
         l_tot, _, _ = loss_terms(items, model, lexicon)
         assert np.isfinite(float(l_tot.data))
+
+    def test_diverging_loss_exits_2_whatever_the_warning_filter(self, tmp_path, capsys):
+        # lambda_ph 1e308 overflows the first batch's loss; numpy's overflow
+        # warning, an error under -W error::RuntimeWarning, once ended the run
+        # in a traceback with exit 1 and no .last_good
+        corpus_path, _ = _write_corpus(tmp_path)
+        vocab_path = tmp_path / "vocab.txt"
+        assert cli.main(["vocab", str(corpus_path), "--out", str(vocab_path), "--size", "120"]) == 0
+        ckpt = tmp_path / "model.ckpt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(
+                ["train", str(corpus_path), "--vocab", str(vocab_path), "--checkpoint", str(ckpt),
+                 "--lambda-ph", "1e308"]
+            )
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "loss diverged" in err and "RuntimeWarning" not in err
+        assert not ckpt.exists()
+        model = training.load_checkpoint(tmp_path / "model.ckpt.last_good")
+        assert all(np.all(np.isfinite(a)) for a in model.params.values())
+
+    def test_train_last_good_naming_an_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # the .last_good a diverging run writes once replaced this vocabulary
+        # with a checkpoint
+        monkeypatch.chdir(tmp_path)
+        corpus_path, _ = _write_corpus(tmp_path)
+        assert cli.main(["vocab", "corpus.tsv", "--out", "m.last_good", "--size", "120"]) == 0
+        vocab = (tmp_path / "m.last_good").read_bytes()
+        capsys.readouterr()
+
+        def no_work(*args):
+            raise AssertionError("read the corpus before checking the outputs")
+
+        monkeypatch.setattr(cli.corpus_mod, "load_pairs_tsv", no_work)
+        rc = cli.main(["train", "corpus.tsv", "--vocab", "m.last_good", "--checkpoint", "m", "--lambda-ph", "1e308"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "asrnoise: usage error: --checkpoint m would overwrite --vocab m.last_good"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["corpus.tsv", "m.last_good"]
+        assert (tmp_path / "m.last_good").read_bytes() == vocab
 
     def test_train_rejects_an_over_long_line_by_number_before_aligning(self, tmp_path, capsys, monkeypatch):
         corpus_path = tmp_path / "corpus.tsv"
@@ -299,6 +341,17 @@ class TestCommands:
         lexicon_path.write_text("CUE\tK Y UW\n")
         assert cli.main(["g2p", "cue", "--lexicon", str(lexicon_path)]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_fallback_phoneme_missing_from_inventory_reads_unk(self, tmp_path, capsys):
+        # d, o and g fall back to D, AA and G, which this inventory lacks;
+        # they once raised KeyError: 'D'
+        inventory_path = tmp_path / "inventory.tsv"
+        inventory_path.write_text("UNK\tconsonant\tglottal\tstop\tvoiceless\nK\tconsonant\tvelar\tstop\tvoiceless\n")
+        lexicon_path = tmp_path / "lexicon.tsv"
+        lexicon_path.write_text("cat\tK\n")
+        argv = ["g2p", "dog", "kid", "cat", "--lexicon", str(lexicon_path), "--inventory", str(inventory_path)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "dog\tUNK UNK UNK\nkid\tK UNK UNK\ncat\tK\n"
 
     def test_lexicon_phoneme_missing_from_inventory_is_data_error(self, tmp_path, capsys):
         inventory_path = tmp_path / "inventory.tsv"
@@ -439,9 +492,10 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv",
         [["train", "corpus.tsv", "--vocab", "vocab.txt", "--checkpoint", "same.out", "--out", "same.out"],
+         ["train", "corpus.tsv", "--vocab", "vocab.txt", "--checkpoint", "m", "--out", "m.last_good"],
          ["corrupt", "texts.txt", "--checkpoint", "model.ckpt", "--out", "both.txt", "--report", "both.txt"],
          ["corrupt", "texts.txt", "--checkpoint", "model.ckpt", "--out", "out.txt", "--report", "./out.txt"]],
-        ids=["train-checkpoint-out", "corrupt-out-report", "dot-slash"],
+        ids=["train-checkpoint-out", "train-last-good-out", "corrupt-out-report", "dot-slash"],
     )
     def test_two_outputs_naming_one_file_are_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         # no input exists, so reading one would exit 2

@@ -7,7 +7,7 @@ from asrnoise import autodiff as ad
 from asrnoise import corpus as C
 from asrnoise import model as M
 from asrnoise.autodiff import Tensor
-from asrnoise.errors import DegenerateSupportError, PrefixTooLongError, SequenceTooLongError
+from asrnoise.errors import DegenerateSupportError, SequenceTooLongError
 from asrnoise.phonetics import PronouncingLexicon
 
 from oracles import (
@@ -261,14 +261,6 @@ class TestDecoder:
             step = one_span_hidden(start, target[:l], memory, params, config, rows)
             assert step.data.shape == (1 + l, config.d_model)
             np.testing.assert_allclose(step.data[-1], full.data[l], atol=1e-12)
-
-    def test_prefix_too_long(self):
-        params, config, rows, e_enc, _ = self._setup()
-        start, memory = self._span(params, e_enc, 0)
-        # max_gen_len positions are allowed; one more is not
-        one_span_hidden(start, [1, 2, 3, 4], memory, params, config, rows)
-        with pytest.raises(PrefixTooLongError):
-            one_span_hidden(start, [1, 2, 3, 4, 1], memory, params, config, rows)
 
     def test_prefix_without_grids_is_rejected(self):
         # prefix rows exist only in training's packed form; decoding's

@@ -49,6 +49,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             T.TrainConfig(clip_norm=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("batch_size", 2.5), ("epochs", 1.5), ("epochs", True), ("learning_rate", "0.1")]
+    )
+    def test_mistyped_field_rejected_by_name(self, field, value):
+        # batch_size 2.5 and epochs 1.5 once failed with TypeError inside
+        # train(), and epochs True trained one epoch
+        with pytest.raises(ValueError, match=f"^{field} must be of type"):
+            T.TrainConfig(**{field: value})
+
     def test_negative_seed_rejected(self):
         # True is an int to isinstance and would train as seed 1
         for seed in (-1, 2**64, True, np.bool_(True)):
@@ -168,7 +177,6 @@ class TestTrain:
             T.train(items, model, lexicon, T.TrainConfig(epochs=1, batch_size=1))
         assert not built
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_keeps_parameters_of_last_finite_loss(self, lexicon, monkeypatch):
         vocab, items = _tiny_training_setup(lexicon)
         model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=1)
@@ -202,7 +210,6 @@ class TestTrain:
         l_tot, _, _ = loss_terms(batch, restored, lexicon)
         assert float(l_tot.data) == pytest.approx(last_finite, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_last_good_shares_no_memory_with_the_live_parameters(self, lexicon, monkeypatch):
         vocab, items = _tiny_training_setup(lexicon)
         model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=1)
