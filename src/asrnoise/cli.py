@@ -178,7 +178,11 @@ def _cmd_vocab(args, config) -> int:
 
 def _cmd_g2p(args, config) -> int:
     lexicon = _load_lexicon(args)
-    lines = [f"{word}\t{phonetics.code_key(phonetics.g2p(word, lexicon))}" for word in args.words]
+    words = [corpus_mod.normalize(arg) for arg in args.words]
+    for arg, word in zip(args.words, words):
+        if not word or " " in word:
+            raise MalformedInputError(f"g2p argument {arg!r} normalizes to {word!r}, not to one word")
+    lines = [f"{word}\t{phonetics.code_key(phonetics.g2p(word, lexicon))}" for word in words]
     if args.out:
         textio.write_lines(args.out, lines, _header("g2p", config))
     else:

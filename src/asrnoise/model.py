@@ -6,7 +6,10 @@ encoder states from a query sequence that starts with a projection of
 [encoder row ; start embedding] and continues with the tokens generated so
 far.  Two heads score the vocabulary from the decoder state: a word head and
 a phoneme head whose logits are shared across tokens with the same phonetic
-code; their renormalized product drives generation.
+code; their renormalized product drives generation.  The parameter layout
+(:func:`_param_specs`) follows from the config, the vocabulary and one code
+key per piece (:class:`PhonemeCodeIndex`): a checkpoint holds those and the
+parameter values alone.
 
 Encoder and decoder share one post-layer-norm block,
 :func:`_attention_ffn_block`: a ``linear`` query projection, one fused
@@ -130,50 +133,30 @@ class ModelConfig:
 class PhonemeCodeIndex:
     """Maps vocabulary pieces to rows of the phoneme embedding table.
 
-    Pieces with identical phonetic codes share a row; special tokens get
-    private pseudo-codes.
+    Built from one code key per piece: pieces with identical keys share a
+    row, rows are numbered in order of first appearance, and ``codes`` holds
+    each row's key.  Special tokens get private pseudo-codes.
     """
 
-    def __init__(self, codes: Sequence[str], token_rows: Sequence[int]):
-        """Raise ValueError for a token row that is not an integer (a bool
-        is not one), which the cast to ``intp`` would truncate silently, or
-        that lies outside ``intp``'s range."""
-        if not all(isinstance(row, (int, np.integer)) and not isinstance(row, bool) for row in token_rows):
-            raise ValueError("every token row must be an integer")
-        self.codes: list[str] = list(codes)
-        try:
-            self.token_rows: np.ndarray = np.asarray(token_rows, dtype=np.intp)
-        except OverflowError as exc:
-            raise ValueError(f"a token row does not fit in intp: {exc}") from None
+    def __init__(self, piece_codes: Sequence[str]):
+        row_of: dict[str, int] = {}
+        self.token_rows = np.asarray([row_of.setdefault(key, len(row_of)) for key in piece_codes], dtype=np.intp)
+        self.codes: list[str] = list(row_of)
 
     def __len__(self) -> int:
         return len(self.codes)
 
     @classmethod
     def build(cls, vocab: SubwordVocab, lexicon: PronouncingLexicon) -> "PhonemeCodeIndex":
-        codes: list[str] = []
-        row_of: dict[str, int] = {}
-        token_rows: list[int] = []
-        for piece in vocab.pieces:
-            if piece in _SPECIAL_CODES:
-                key = _SPECIAL_CODES[piece]
-            else:
-                key = code_key(g2p(piece, lexicon))
-            row = row_of.get(key)
-            if row is None:
-                row = len(codes)
-                row_of[key] = row
-                codes.append(key)
-            token_rows.append(row)
-        return cls(codes, token_rows)
+        return cls([_SPECIAL_CODES.get(piece) or code_key(g2p(piece, lexicon)) for piece in vocab.pieces])
 
 
 def _param_specs(config: ModelConfig, n_words: int, n_codes: int) -> list[tuple]:
     """Every parameter as ``(name, shape, fill)``, in initialization order,
     for a vocabulary of ``n_words`` pieces and ``n_codes`` phonetic codes.
 
-    ``fill`` None means N(0, ``_INIT_STD``^2) draws; the order fixes both the
-    draw sequence of :meth:`Model.build` and the checkpoint's array order.
+    ``fill`` None means N(0, ``_INIT_STD``^2) draws; the order fixes the draw
+    sequence of :meth:`Model.build`, and order and shapes fix a checkpoint's body.
     """
     d, f = config.d_model, 4 * config.d_model
     specs = [
@@ -222,11 +205,8 @@ class Model:
     def __post_init__(self):
         """Raise ValueError unless params, config, vocab and code index fit together."""
         n_words, n_codes = len(self.vocab), len(self.code_index)
-        rows = self.code_index.token_rows
-        if rows.shape != (n_words,):
-            raise ValueError(f"{rows.size} token rows for a vocabulary of {n_words} pieces")
-        if n_words and not (rows.min() >= 0 and rows.max() < n_codes):
-            raise ValueError(f"a token row lies outside the {n_codes} phonetic codes")
+        if len(self.code_index.token_rows) != n_words:
+            raise ValueError(f"{len(self.code_index.token_rows)} piece codes for {n_words} vocabulary pieces")
         expected = {name: shape for name, shape, _ in _param_specs(self.config, n_words, n_codes)}
         if expected.keys() != self.params.keys():
             odd = sorted(expected.keys() ^ self.params.keys())

@@ -36,7 +36,7 @@ from .errors import (
     SequenceTooLongError,
     VersionMismatchError,
 )
-from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph, check_field_types
+from .model import Model, ModelConfig, PhonemeCodeIndex, _loss_graph, _param_specs, check_field_types
 from .phonetics import PronouncingLexicon
 from .rng import check_seed
 from .textio import replacing, write_lines
@@ -233,23 +233,23 @@ def save_loss_log(path, log: Sequence[EpochStats], header: str = "") -> None:
     write_lines(path, ["epoch,L_tot,L_n,L_ph", *rows], header)
 
 
-# checkpoint format: magic, u32 length of a JSON header (hyperparameters, the
-# vocab and code index that size the tables, metadata, and "arrays": [name, dims]
-# of every parameter in file order), then all arrays as float64 little-endian.
+# checkpoint format: magic, u32 length of a JSON header (format_version 4,
+# hyperparameters, the vocabulary, one phonetic code key per piece, metadata),
+# then every parameter as float64 little-endian, in ``_param_specs`` order and
+# shapes, which follow from the header.
 def save_checkpoint(path, model: Model, meta: Optional[dict] = None) -> None:
     header = {
-        "format_version": 3,
+        "format_version": 4,
         "config": asdict(model.config),
         "vocab": model.vocab.pieces,
-        "codes": model.code_index.codes,
-        "token_rows": [int(r) for r in model.code_index.token_rows],
-        "arrays": [[name, list(array.shape)] for name, array in model.params.items()],
+        "piece_codes": [model.code_index.codes[row] for row in model.code_index.token_rows],
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with replacing(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<I", len(blob)) + blob)
-        fh.write(b"".join(array.astype("<f8").tobytes() for array in model.params.values()))
+        specs = _param_specs(model.config, len(model.vocab), len(model.code_index))
+        fh.write(b"".join(model.params[name].astype("<f8").tobytes() for name, _, _ in specs))
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -271,22 +271,20 @@ def load_checkpoint(path) -> Model:
             raise CorruptCheckpointError(f"unreadable checkpoint header: {exc}") from exc
         if not isinstance(header, dict):
             raise CorruptCheckpointError("checkpoint header is not a JSON object")
-        if header.get("format_version") != 3:
+        if header.get("format_version") != 4:
             raise VersionMismatchError(f"unsupported format version {header.get('format_version')}")
         body = fh.read()
     try:
-        shapes = {name: tuple(dims) for name, dims in header["arrays"]}
-        if len(shapes) != len(header["arrays"]):
-            raise CorruptCheckpointError("checkpoint lists an array name twice")
-        size = sum(math.prod(dims) for dims in shapes.values())
+        piece_codes = header["piece_codes"]
+        if not (isinstance(piece_codes, list) and all(isinstance(key, str) for key in piece_codes)):
+            raise CorruptCheckpointError("checkpoint piece_codes is not a list of strings")
+        config, vocab = ModelConfig(**header["config"]), SubwordVocab(header["vocab"])
+        code_index = PhonemeCodeIndex(piece_codes)
+        shapes = {name: shape for name, shape, _ in _param_specs(config, len(vocab), len(code_index))}
+        size = sum(math.prod(shape) for shape in shapes.values())
         if len(body) != 8 * size:
             raise CorruptCheckpointError(f"checkpoint body is {len(body)} bytes, not {8 * size}")
         flat = np.frombuffer(body, dtype="<f8").astype(np.float64)  # a writable copy
-        return Model(
-            params=_views(shapes, flat),
-            config=ModelConfig(**header["config"]),
-            vocab=SubwordVocab(header["vocab"]),
-            code_index=PhonemeCodeIndex(header["codes"], header["token_rows"]),
-        )
+        return Model(params=_views(shapes, flat), config=config, vocab=vocab, code_index=code_index)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptCheckpointError(f"checkpoint header and arrays do not fit: {exc!r}") from exc
+        raise CorruptCheckpointError(f"checkpoint header and body do not fit: {exc!r}") from exc

@@ -155,6 +155,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "cue\tK Y UW" in out
 
+    def test_g2p_reads_each_word_as_align_does(self, tmp_path, capsys):
+        assert cli.main(["g2p", "Café", "naïve", "CUE"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["cafe\tK AE F EH", "naive\tN AE IH V EH", "cue\tK Y UW"]
+        corpus_path, out = tmp_path / "c.tsv", tmp_path / "align.tsv"
+        corpus_path.write_text("Café\tcafe\n")
+        assert cli.main(["align", str(corpus_path), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[-1] == "0\tcafe\tcafe\tmatch"
+
+    @pytest.mark.parametrize("word", ["x-y", "two words", "!!", ""])
+    def test_g2p_word_that_is_not_one_word_once_normalized_is_a_data_error(self, capsys, word):
+        assert cli.main(["g2p", "cue", word]) == 2
+        captured = capsys.readouterr()
+        assert f"g2p argument {word!r}" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_vocab_command_writes_header_and_pieces(self, tmp_path):
         corpus_path, _ = _write_corpus(tmp_path)
         out = tmp_path / "vocab.txt"

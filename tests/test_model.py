@@ -737,20 +737,18 @@ class TestCodeIndex:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda p, rows: ({**p, "b_n": p["b_n"][:-1]}, rows), "b_n"),
-            (lambda p, rows: ({k: v for k, v in p.items() if k != "dec_h"}, rows), "dec_h"),
-            (lambda p, rows: ({**p, "extra": p["b_n"]}, rows), "extra"),
-            (lambda p, rows: ({**p, "b_ph": p["b_ph"] * np.nan}, rows), "b_ph"),
-            (lambda p, rows: (p, rows[:-1]), "token rows"),
-            (lambda p, rows: (p, np.where(rows == rows.max(), -1, rows)), "token row"),
-            (lambda p, rows: (p, np.where(rows == 0, rows.max() + 1, rows)), "token row"),
+            (lambda p, codes: ({**p, "b_n": p["b_n"][:-1]}, codes), "b_n"),
+            (lambda p, codes: ({k: v for k, v in p.items() if k != "dec_h"}, codes), "dec_h"),
+            (lambda p, codes: ({**p, "extra": p["b_n"]}, codes), "extra"),
+            (lambda p, codes: ({**p, "b_ph": p["b_ph"] * np.nan}, codes), "b_ph"),
+            (lambda p, codes: (p, codes[:-1]), "piece codes"),
         ],
-        ids=["short-bias", "missing", "unexpected", "non-finite", "rows-short", "row-negative",
-             "row-past-codes"],
+        ids=["short-bias", "missing", "unexpected", "non-finite", "piece-codes-short"],
     )
     def test_parts_that_do_not_fit_are_rejected(self, lexicon, edit, message):
         model = _toy_model(lexicon)
-        params, rows = edit(model.params, model.code_index.token_rows)
-        code_index = M.PhonemeCodeIndex(model.code_index.codes, rows)
+        index = model.code_index
+        params, piece_codes = edit(model.params, [index.codes[row] for row in index.token_rows])
+        code_index = M.PhonemeCodeIndex(piece_codes)
         with pytest.raises(ValueError, match=message):
             M.Model(params, model.config, model.vocab, code_index)

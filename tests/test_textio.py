@@ -49,9 +49,7 @@ def _lines_failing_after(n):
 
 
 class _UnwritableArray:
-    """Sized like a parameter, but its bytes cannot be produced."""
-
-    shape = (2,)
+    """A parameter whose bytes cannot be produced."""
 
     def astype(self, dtype):
         raise OSError("disk full")
@@ -72,7 +70,7 @@ def test_a_failed_checkpoint_write_leaves_the_previous_checkpoint(tmp_path, smal
     training.save_checkpoint(path, small_model)
     before = path.read_bytes()
     broken = copy.copy(small_model)
-    broken.params = {**small_model.params, "zz": _UnwritableArray()}  # written last
+    broken.params = {**small_model.params, "b_ph": _UnwritableArray()}  # written last
     with pytest.raises(OSError, match="disk full"):
         training.save_checkpoint(path, broken)
     assert path.read_bytes() == before

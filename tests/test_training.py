@@ -375,17 +375,21 @@ class TestHeapThresholds:
 def _cut_position_table(header, body, max_len):
     """A checkpoint's header and body with ``max_len`` lowered and ``m_pos``
     cut to its first ``max_len`` rows, so that only ``max_gen_len`` exceeds
-    ``max_len``."""
-    arrays, offset, cut = [], 0, None
-    for name, dims in header["arrays"]:
-        size = 8 * int(np.prod(dims))
-        if name == "m_pos":
-            cut = (offset + 8 * max_len * dims[1], offset + size)
-            dims = [max_len, dims[1]]
-        arrays.append([name, dims])
-        offset += size
-    config = {**header["config"], "max_len": max_len}
-    return {**header, "config": config, "arrays": arrays}, body[:cut[0]] + body[cut[1]:]
+    ``max_len``; ``m_pos``'s place in the body comes from ``_param_specs``."""
+    config, n_codes = M.ModelConfig(**header["config"]), len(M.PhonemeCodeIndex(header["piece_codes"]))
+    specs = M._param_specs(config, len(header["vocab"]), n_codes)
+    i = [name for name, _, _ in specs].index("m_pos")
+    offset, (rows, width) = sum(8 * int(np.prod(shape)) for _, shape, _ in specs[:i]), specs[i][1]
+    cut = (offset + 8 * max_len * width, offset + 8 * rows * width)
+    return {**header, "config": {**header["config"], "max_len": max_len}}, body[:cut[0]] + body[cut[1]:]
+
+
+def _drop_a_shared_piece_code(header):
+    """A checkpoint's header one piece code short, with the dropped code kept
+    by another piece, so the code table, and so the body's size, is unchanged."""
+    codes = header["piece_codes"]
+    i = next(i for i in reversed(range(len(codes))) if codes[i] in codes[:i])
+    return {**header, "piece_codes": codes[:i] + codes[i + 1:]}
 
 
 class TestCheckpointIO:
@@ -397,6 +401,8 @@ class TestCheckpointIO:
         assert loaded.vocab.pieces == small_model.vocab.pieces
         assert loaded.code_index.codes == small_model.code_index.codes
         np.testing.assert_array_equal(loaded.code_index.token_rows, small_model.code_index.token_rows)
+        assert list(loaded.params) == [name for name, _, _ in M._param_specs(
+            loaded.config, len(loaded.vocab), len(loaded.code_index))]
         for name, array in small_model.params.items():
             assert loaded.params[name].tobytes() == array.tobytes()
         # saving the loaded model reproduces the file byte for byte
@@ -462,32 +468,30 @@ class TestCheckpointIO:
             lambda h, b: ({**h, "config": {**h["config"], "max_len": 7}}, b),
             lambda h, b: ([h], b),
             lambda h, b: ({**h, "vocab": h["vocab"][:-5]}, b),
-            lambda h, b: ({**h, "token_rows": h["token_rows"][:-1]}, b),
-            lambda h, b: ({**h, "token_rows": [-1] + h["token_rows"][1:]}, b),
-            lambda h, b: ({**h, "arrays": h["arrays"] + h["arrays"][-1:]}, b + b[-8 * len(h["codes"]):]),
+            lambda h, b: ({k: v for k, v in h.items() if k != "piece_codes"}, b),
+            lambda h, b: ({**h, "piece_codes": " ".join(h["piece_codes"])}, b),
+            lambda h, b: (_drop_a_shared_piece_code(h), b),
+            # piece 0 is a special piece, whose pseudo-code no other piece shares
+            lambda h, b: ({**h, "piece_codes": [7] + h["piece_codes"][1:]}, b),
             lambda h, b: ({**h, "vocab": h["vocab"][:-1] + ["##"]}, b),
             lambda h, b: ({**h, "config": {**h["config"], "max_gen_len": h["config"]["max_len"] + 1}}, b),
             lambda h, b: _cut_position_table(h, b, 3),
-            lambda h, b: ({**h, "token_rows": [r + 0.5 for r in h["token_rows"]]}, b),
-            lambda h, b: ({**h, "token_rows": [True] + h["token_rows"][1:]}, b),
             lambda h, b: ({**h, "vocab": h["vocab"][:-1] + ["Two Words"]}, b),
             lambda h, b: ({**h, "vocab": h["vocab"][:-1] + ["x\ty"]}, b),
             lambda h, b: ({**h, "config": {**h["config"], "max_gen_len": 4.5}}, b),
             lambda h, b: ({**h, "config": {**h["config"], "phoneme_head": "no"}}, b),
             lambda h, b: ({**h, "config": {**h["config"], "d_model": float(h["config"]["d_model"])}}, b),
             lambda h, b: ({**h, "vocab": h["vocab"][:-1] + [7]}, b),
-            lambda h, b: ({**h, "token_rows": [2**70] + h["token_rows"][1:]}, b),
         ],
         ids=[
             "no-config", "unknown-config-key", "vocab-without-bos",
             "d-model-not-divisible", "arrays-do-not-fit-config", "header-not-an-object",
-            "vocab-shorter-than-m-word", "token-rows-one-short", "negative-token-row",
-            "array-name-listed-twice", "vocab-piece-without-characters",
+            "vocab-shorter-than-m-word", "no-piece-codes", "piece-codes-not-a-list",
+            "piece-codes-one-short", "piece-code-not-a-string", "vocab-piece-without-characters",
             "max-gen-len-past-max-len", "max-len-cut-below-max-gen-len",
-            "fractional-token-rows", "boolean-token-row",
             "vocab-piece-with-space-and-upper-case", "vocab-piece-with-tab",
             "fractional-max-gen-len", "string-phoneme-head", "float-d-model",
-            "vocab-piece-not-a-string", "token-row-past-intp",
+            "vocab-piece-not-a-string",
         ],
     )
     def test_malformed_header_is_corrupt_checkpoint(self, small_model, tmp_path, edit):
@@ -506,18 +510,33 @@ class TestCheckpointIO:
         rc = cli.main(["corrupt", str(texts), "--checkpoint", str(path), "--out", str(tmp_path / "out.txt")])
         assert rc == 2
 
-    def test_header_lists_every_array_and_body_is_float64(self, small_model, tmp_path):
+    def test_header_holds_only_what_the_model_cannot_derive(self, small_model, tmp_path):
         path = tmp_path / "model.ckpt"
-        T.save_checkpoint(path, small_model)
+        T.save_checkpoint(path, small_model, meta={"note": "header"})
         data = path.read_bytes()
         start = len(T.CHECKPOINT_MAGIC)
         (size,) = struct.unpack("<I", data[start:start + 4])
         header = json.loads(data[start + 4:start + 4 + size])
-        assert header["format_version"] == 3
+        assert header.keys() == {"format_version", "config", "vocab", "piece_codes", "meta"}
+        assert header["format_version"] == 4
         assert header["config"] == asdict(small_model.config)
-        assert header["arrays"] == [[name, list(a.shape)] for name, a in small_model.params.items()]
-        body = b"".join(a.astype("<f8").tobytes() for a in small_model.params.values())
+        assert header["vocab"] == small_model.vocab.pieces
+        index = small_model.code_index
+        assert header["piece_codes"] == [index.codes[row] for row in index.token_rows]
+        assert header["meta"] == {"note": "header"}
+        specs = M._param_specs(small_model.config, len(small_model.vocab), len(index))
+        body = b"".join(small_model.params[name].astype("<f8").tobytes() for name, _, _ in specs)
         assert data[start + 4 + size:] == body
+
+    def test_params_in_another_order_save_in_spec_order(self, small_model, tmp_path):
+        params = dict(reversed(small_model.params.items()))
+        shuffled = M.Model(params, small_model.config, small_model.vocab, small_model.code_index)
+        first, second, third = tmp_path / "a.ckpt", tmp_path / "b.ckpt", tmp_path / "c.ckpt"
+        T.save_checkpoint(first, small_model)
+        T.save_checkpoint(second, shuffled)
+        assert second.read_bytes() == first.read_bytes()
+        T.save_checkpoint(third, T.load_checkpoint(second))
+        assert third.read_bytes() == first.read_bytes()
 
     def test_older_format_version_rejected(self, small_model, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -525,12 +544,16 @@ class TestCheckpointIO:
         data = path.read_bytes()
         start = len(T.CHECKPOINT_MAGIC)
         (size,) = struct.unpack("<I", data[start:start + 4])
-        for version in (1, 2):
+        for version in (1, 2, 3):
             header = {**json.loads(data[start + 4:start + 4 + size]), "format_version": version}
             blob = json.dumps(header).encode("utf-8")
             path.write_bytes(data[:start] + struct.pack("<I", len(blob)) + blob + data[start + 4 + size:])
             with pytest.raises(VersionMismatchError):
                 T.load_checkpoint(path)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("the cue\n")
+        rc = cli.main(["corrupt", str(texts), "--checkpoint", str(path), "--out", str(tmp_path / "out.txt")])
+        assert rc == 2
 
     def test_loaded_model_trains_like_the_saved_one(self, lexicon, tmp_path):
         vocab, items = _tiny_training_setup(lexicon)
