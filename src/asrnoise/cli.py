@@ -76,8 +76,11 @@ def _parse_value(key: str, raw: str, line: Optional[int] = None):
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> dict:
-    """Resolve configuration: defaults, then file, then explicit overrides."""
+    """Resolve configuration: defaults, then file, then explicit overrides.
+
+    A key set twice in the file is a ``ConfigParseError`` naming both lines."""
     config = dict(DEFAULTS)
+    set_on: dict[str, int] = {}
     for lineno, raw in _parse_file(textio.read_lines, path) if path else ():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -88,6 +91,9 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         key = key.strip()
         if key not in DEFAULTS:
             raise UnknownConfigKeyError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigParseError(f"line {lineno}: {key} is already set on line {set_on[key]}", line=lineno)
+        set_on[key] = lineno
         config[key] = _parse_value(key, value, lineno)
     for key, value in (overrides or {}).items():
         if value is None:

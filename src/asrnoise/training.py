@@ -1,8 +1,12 @@
 """Training loop, Adam updates and checkpoint serialization.
 
-Runs are deterministic for a fixed seed: the shuffle order, batch grouping
-and gradient reduction order are all derived from it, and parameters live in
-float64 throughout.
+Runs are deterministic for a fixed seed: the shuffle order is derived from
+it, batch grouping and gradient reduction order are fixed by the code, and
+parameters live in float64 throughout.  An epoch shuffles clean sentences,
+not items: it lays out each sentence's items together, in their input order,
+and cuts the sequence into batches, so a batch encodes each of its sentences
+once and an epoch encodes a sentence about once (twice where a batch
+boundary splits its items).
 
 During :func:`train` the parameters, their gradients and Adam's moments each
 live in one flat float64 buffer, and ``Model.params`` maps each name to its
@@ -161,6 +165,11 @@ def train(
 ) -> list[EpochStats]:
     """Optimize the model in place; returns per-epoch mean losses.
 
+    Each epoch visits every item once: it shuffles the distinct clean
+    sentences (``item.sentence``, grouped in order of first appearance) with
+    the seed's generator, lays out each sentence's items together in their
+    input order, and cuts ``cfg.batch_size`` items per batch.
+
     ``model.params`` keeps its names and shapes, but its arrays are replaced
     by views of one buffer that each step updates in place.  Aborts with
     NonFiniteLossError if a batch loss or its gradient norm is not finite,
@@ -186,6 +195,10 @@ def train(
             f"{model.config.max_gen_len}; build items with max_target_len at most that"
         )
     _keep_heap()
+    by_sentence: dict[tuple[int, ...], list[int]] = {}
+    for i, item in enumerate(items):
+        by_sentence.setdefault(item.sentence, []).append(i)
+    groups = list(by_sentence.values())
     rng = np.random.default_rng(cfg.seed)
     shapes = {name: a.shape for name, a in model.params.items()}
     flat = np.concatenate([a.ravel() for a in model.params.values()], dtype=np.float64)
@@ -199,7 +212,7 @@ def train(
     # non-finite loss or gradient norm, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(len(items))
+            order = [i for g in rng.permutation(len(groups)) for i in groups[g]]
             sums = np.zeros(3)
             for start in range(0, len(order), cfg.batch_size):
                 batch = [items[i] for i in order[start:start + cfg.batch_size]]

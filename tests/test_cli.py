@@ -61,6 +61,16 @@ class TestLoadConfig:
             cli.load_config(path)
         assert err.value.line == 1
 
+    def test_repeated_key_names_both_line_numbers(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("epochs = 2\n# a comment\nepochs = 3\n")
+        with pytest.raises(ConfigParseError, match="line 3: epochs is already set on line 1") as err:
+            cli.load_config(path)
+        assert err.value.line == 3
+        corpus = tmp_path / "c.tsv"
+        corpus.write_text("a b\ta b\n")
+        assert cli.main(["vocab", str(corpus), "--out", str(tmp_path / "v.txt"), "--config", str(path)]) == 1
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("warp_speed = 9\n")

@@ -133,6 +133,33 @@ class TestTrain:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
+    def test_an_epoch_batches_whole_sentences(self, lexicon, monkeypatch):
+        vocab, items = _tiny_training_setup(lexicon)
+        index = {id(item): i for i, item in enumerate(items)}
+        sentences = {item.sentence for item in items}
+        assert len(sentences) < len(items)
+        original = T._loss_graph
+
+        def epoch_batches(seed):
+            batches = []
+
+            def recording(batch, *args):
+                batches.append([index[id(item)] for item in batch])
+                return original(batch, *args)
+
+            monkeypatch.setattr(T, "_loss_graph", recording)
+            model = M.Model.build(vocab, lexicon, M.ModelConfig(d_model=16, n_heads=2), seed=1)
+            T.train(items, model, lexicon, T.TrainConfig(epochs=1, batch_size=4, seed=seed))
+            return batches
+
+        batches = epoch_batches(3)
+        assert sorted(i for batch in batches for i in batch) == list(range(len(items)))
+        # a sentence's items lie together, so only a batch boundary splits one
+        encodes = sum(len({items[i].sentence for i in batch}) for batch in batches)
+        assert encodes <= len(sentences) + len(batches) - 1
+        assert epoch_batches(3) == batches
+        assert epoch_batches(4) != batches
+
     def test_zero_phoneme_weight_equals_word_only_training(self, lexicon):
         vocab, items = _tiny_training_setup(lexicon)
         config = replace(M.ModelConfig(d_model=16, n_heads=2), lambda_ph=0.0)
